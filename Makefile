@@ -1,6 +1,6 @@
 # Convenience targets for the TCAM reproduction.
 
-.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke examples all
+.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -27,7 +27,7 @@ analyze:
 # Resource-lifecycle & crash-consistency auditor (rules TCAM020-TCAM025);
 # also covers the bench harnesses, which spawn real server processes.
 audit:
-	PYTHONPATH=src python -m repro.tooling.lifecycle src/repro benchmarks/perf
+	PYTHONPATH=src python -m repro.tooling.lifecycle src/repro benchmarks/perf benchmarks/e2e
 
 # Determinism & dtype-flow verifier for the bitwise contracts (rules
 # TCAM030-TCAM035), rooted at @bit_deterministic markers; see
@@ -107,6 +107,12 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/perf/bench_serve.py --smoke --output-dir $${TMPDIR:-/tmp}/tcam-bench-smoke
 	PYTHONPATH=src python benchmarks/perf/bench_stream.py --smoke --output-dir $${TMPDIR:-/tmp}/tcam-bench-smoke
 	PYTHONPATH=src python benchmarks/perf/bench_service.py --smoke --output-dir $${TMPDIR:-/tmp}/tcam-bench-smoke
+
+# The repo benchmark's own smoke (~1 min): every workload of
+# benchmarks/e2e at tiny scale, untraced and traced, held against
+# BENCHMARK.json. Writes only under benchmarks/e2e/out/ (git-ignored).
+bench-e2e-smoke:
+	PYTHONPATH=src pytest -q benchmarks/e2e
 
 examples:
 	@for script in examples/*.py; do \

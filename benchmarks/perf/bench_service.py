@@ -65,6 +65,7 @@ NUM_USERS = 2_000
 NUM_INTERVALS = 48
 VERIFY_SAMPLE = 16
 _PORT_RE = re.compile(r"tcam serve: \d+ workers on [\w.\-]+:(\d+)")
+BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_params(num_topics: int, num_items: int, seed: int) -> TTCAMParameters:
@@ -95,6 +96,10 @@ class ServeProcess:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # One BLAS thread per worker, as benchmarks/e2e runs the service:
+        # N workers x a BLAS pool each oversubscribes a small host and the
+        # w2/w4 entries would measure that, not the service.
+        env.update(dict.fromkeys(BLAS_ENV, "1"))
         self.proc = subprocess.Popen(
             [
                 sys.executable,
@@ -280,6 +285,7 @@ def main(argv=None) -> int:
                         "k": k,
                         "workers": workers,
                         "clients": clients,
+                        "blas_threads": 1,
                         "requests": result["requests"],
                         "p50_ms": round(result["p50_ms"], 3),
                         "p99_ms": round(result["p99_ms"], 3),

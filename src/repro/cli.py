@@ -274,9 +274,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
-    if args.batch_deadline < 0:
-        print("--batch-deadline must be >= 0 (milliseconds)", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         snapshot=args.model,
         host=args.host,
@@ -285,7 +282,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         mmap=args.mmap,
         serve_dtype=args.serve_dtype,
         max_batch=args.max_batch,
-        batch_deadline_s=args.batch_deadline / 1000.0,
         generation_file=args.generation_file,
     )
     return run_service(config)
@@ -617,16 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="worker process count (= user shards)"
     )
     p_serve.add_argument(
-        "--batch-deadline",
-        type=float,
-        default=2.0,
-        help="micro-batch flush deadline in milliseconds",
-    )
-    p_serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="micro-batch flush size in queries, per worker",
+        help="most queries one micro-batch coalesces, per worker",
     )
     p_serve.add_argument(
         "--select-dtype",

@@ -3,16 +3,16 @@
 The single-process serving stack (:mod:`repro.recommend`) answers a
 batch of queries quickly; this package turns it into a *service*:
 
-* :mod:`.batching` — adaptive micro-batching (size/deadline flush) that
-  coalesces concurrent requests into :meth:`recommend_batch` calls
-  without ever splitting one request across flushes;
+* :mod:`.batching` — busy-aware micro-batching: dispatch at once to an
+  idle worker, coalesce behind a busy one's in-flight batch, and never
+  split one request across flushes;
 * :mod:`.shared` — zero-copy snapshot sharing across worker processes
   (mmap sidecar page cache, or one ``multiprocessing.shared_memory``
   segment of derived serving arrays);
 * :mod:`.worker` — the spawned worker process: its own recommender +
   publish gate, driven over a strict request/response pipe;
-* :mod:`.service` — the asyncio TCP front-end: user-sharded routing,
-  fleet-wide RCU hot swaps with rollback, graceful SIGTERM drain;
+* :mod:`.service` — the one-thread asyncio TCP front-end: user-sharded
+  routing, fleet-wide RCU hot swaps with rollback, SIGTERM drain;
 * :mod:`.client` / :mod:`.protocol` — the newline-JSON wire protocol
   and a minimal blocking client.
 

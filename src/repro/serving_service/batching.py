@@ -1,25 +1,29 @@
-"""Adaptive micro-batching for the serving front-end.
+"""Busy-aware micro-batching for the serving front-end.
 
 The GEMM batch engine (:mod:`repro.recommend.serving`) amortises
 per-query cost across rows, but online traffic arrives one small request
-at a time. This module coalesces concurrent requests into micro-batches
-with the standard two-trigger policy:
+at a time. Coalescing pays only when the worker is the bottleneck, so
+each worker's queue dispatches on the worker's state, not on a clock:
 
-* **size** — the pending batch reaches ``max_batch`` queries, or one
-  oversized request alone exceeds it (it then flushes immediately as its
-  own batch);
-* **deadline** — ``deadline_s`` elapsed since the first pending query
-  arrived, so a lone query is never parked waiting for company longer
-  than the configured latency budget.
+* **idle** — no batch of this queue is in flight: an arriving request
+  flushes at once, alone (nothing else is waiting to batch it with);
+* **busy** — a batch is in flight: arrivals accumulate, and the backlog
+  flushes the moment the last in-flight batch is answered, so batch
+  size follows the load up to ``max_batch``;
+* **size** — the backlog reaches ``max_batch`` queries while busy: it
+  flushes without waiting and queues behind the in-flight batch.
 
-The core policy lives in :class:`BatchAccumulator`, a pure object driven
-by explicit timestamps — the Hypothesis property tests partition
-arbitrary query streams through it and assert the served results are
+No timer is needed: every pending request is behind an in-flight batch
+whose reply flushes it, so none can be parked indefinitely.
+
+The policy lives in :class:`BatchAccumulator`, a pure object driven by
+explicit ``add``/``done`` events — the Hypothesis property tests push
+arbitrary interleavings through it and assert the served results are
 **bitwise identical** to one big :meth:`recommend_batch` call, which
 holds because the batch engine's per-row results are split-invariant
 (candidate selection is per-row and the exact rescore is per-item).
 :class:`MicroBatchQueue` is the thin asyncio wrapper that owns the
-deadline timer and the pending futures.
+pending futures.
 
 **Batch integrity.** A request's queries are never split across two
 flushes: whatever batch a request lands in, all of its rows are served
@@ -52,61 +56,62 @@ class BatchRequest:
 
 @dataclass
 class BatchAccumulator:
-    """Pure size/deadline micro-batch policy (no clocks, no I/O).
+    """Pure busy-aware micro-batch policy (no clocks, no I/O).
 
-    Driven with explicit ``now`` timestamps so tests can partition a
-    query stream deterministically. Single-writer contract: an
-    accumulator belongs to one event loop (or one test) and is never
-    shared across threads.
+    :meth:`add` and :meth:`done` return the batch to ship now, if any;
+    the caller owes one :meth:`done` per non-empty batch it was handed.
+    Single-writer contract: an accumulator belongs to one event loop (or
+    one test) and is never shared across threads.
     """
 
     max_batch: int = 64
-    deadline_s: float = 0.002
     _pending: list[BatchRequest] = field(default_factory=list)
     _pending_queries: int = 0
-    _deadline: float | None = None
+    _inflight: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.deadline_s < 0:
-            raise ValueError(f"deadline_s must be >= 0, got {self.deadline_s}")
 
     @property
     def pending_queries(self) -> int:
-        """Queries currently waiting for a flush trigger."""
+        """Queries waiting behind an in-flight batch."""
         return self._pending_queries
 
-    def deadline(self) -> float | None:
-        """Absolute time of the pending deadline (``None`` when empty)."""
-        return self._deadline
+    @property
+    def inflight(self) -> int:
+        """Flushed batches whose :meth:`done` has not arrived yet."""
+        return self._inflight
 
-    def add(self, request: BatchRequest, now: float) -> list[BatchRequest] | None:
-        """Admit one request; return a flushed batch when size-triggered.
+    def add(self, request: BatchRequest) -> list[BatchRequest] | None:
+        """Admit one request; return a batch when idle or size-triggered.
 
         The request that crosses the size boundary flushes *with* the
-        batch it completed — its caller is the one whose arrival made
-        the batch worth scoring.
+        batch it completed, whole.
         """
         if not request.queries:
             raise ValueError("a batch request needs at least one query")
-        if self._deadline is None:
-            self._deadline = now + self.deadline_s
         self._pending.append(request)
         self._pending_queries += len(request.queries)
-        if self._pending_queries >= self.max_batch:
+        if self._inflight == 0 or self._pending_queries >= self.max_batch:
             return self.flush()
         return None
 
-    def due(self, now: float) -> bool:
-        """True when the pending batch's deadline has passed."""
-        return self._deadline is not None and now >= self._deadline
+    def done(self) -> list[BatchRequest] | None:
+        """One in-flight batch was answered; return the backlog once idle."""
+        if self._inflight <= 0:
+            raise RuntimeError("done() without a batch in flight")
+        self._inflight -= 1
+        if self._inflight == 0 and self._pending:
+            return self.flush()
+        return None
 
     def flush(self) -> list[BatchRequest]:
-        """Take every pending request (possibly empty) and reset."""
+        """Take every pending request (possibly none) as one batch."""
         batch, self._pending = self._pending, []
         self._pending_queries = 0
-        self._deadline = None
+        if batch:
+            self._inflight += 1
         return batch
 
 
@@ -115,29 +120,25 @@ class MicroBatchQueue:
 
     ``flush_cb`` receives each flushed batch (a non-empty list of
     :class:`BatchRequest` whose tokens are :class:`asyncio.Future`
-    objects) and is responsible for resolving every future. The queue
-    itself never touches request results.
+    objects), is responsible for resolving every future, and must call
+    :meth:`exchange_done` once per batch when the worker has answered
+    it. The queue itself never touches request results.
 
     Single-writer contract: all methods run on the owning event loop
-    thread; the deadline timer is a ``call_later`` handle on the same
-    loop, so no cross-thread state exists.
+    thread, so no cross-thread state exists.
     """
 
     def __init__(
-        self,
-        flush_cb: Callable[[list[BatchRequest]], None],
-        max_batch: int = 64,
-        deadline_s: float = 0.002,
+        self, flush_cb: Callable[[list[BatchRequest]], None], max_batch: int = 64
     ) -> None:
-        self._accumulator = BatchAccumulator(max_batch=max_batch, deadline_s=deadline_s)
+        self._accumulator = BatchAccumulator(max_batch=max_batch)
         self._flush_cb = flush_cb
-        self._timer: asyncio.TimerHandle | None = None
         self._closed = False
 
     @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran; closed queues refuse admission."""
-        return self._closed
+    def pending_queries(self) -> int:
+        """Queries waiting behind an in-flight batch."""
+        return self._accumulator.pending_queries
 
     def submit(
         self, queries: Sequence[tuple[int, int]], k: int
@@ -151,40 +152,22 @@ class MicroBatchQueue:
         """
         if self._closed:
             raise RuntimeError("micro-batch queue is closed")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[dict[str, Any]] = loop.create_future()
+        future: asyncio.Future[dict[str, Any]] = asyncio.get_running_loop().create_future()
         request = BatchRequest(
             queries=[(int(u), int(t)) for u, t in queries], k=int(k), token=future
         )
-        flushed = self._accumulator.add(request, loop.time())
-        if flushed is not None:
-            self._cancel_timer()
-            self._flush_cb(flushed)
-        elif self._timer is None:
-            deadline = self._accumulator.deadline()
-            assert deadline is not None  # add() always arms a deadline
-            self._timer = loop.call_at(deadline, self._on_deadline)
+        self._ship(self._accumulator.add(request))
         return future
 
-    def _on_deadline(self) -> None:
-        self._timer = None
-        batch = self._accumulator.flush()
+    def _ship(self, batch: list[BatchRequest] | None) -> None:
         if batch:
             self._flush_cb(batch)
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def flush_now(self) -> None:
-        """Flush whatever is pending immediately (drain path)."""
-        self._cancel_timer()
-        batch = self._accumulator.flush()
-        if batch:
-            self._flush_cb(batch)
+    def exchange_done(self) -> None:
+        """A flushed batch was answered; ship the backlog if now idle."""
+        self._ship(self._accumulator.done())
 
     def close(self) -> None:
-        """Flush pending work and refuse all further admission."""
+        """Flush the backlog now and refuse all further admission."""
         self._closed = True
-        self.flush_now()
+        self._ship(self._accumulator.flush())

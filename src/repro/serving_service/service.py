@@ -9,16 +9,16 @@ the whole fleet without dropping or tearing a single request.
 Architecture
 ------------
 
-* **One event loop** owns all front-end state: connections, per-worker
-  :class:`~repro.serving_service.batching.MicroBatchQueue` instances and
-  the in-flight bookkeeping. Single-writer contract — nothing below is
-  touched off-loop.
-* **One pipe + I/O thread per worker.** Each spawned worker serves a
-  strict request/response loop; the parent-side
-  :class:`_WorkerHandle` thread performs the blocking ``send``/``recv``
-  and resolves an :class:`asyncio.Future` per exchange via
-  ``call_soon_threadsafe``. The per-worker FIFO makes a ``publish``
-  command a serialization point between micro-batches.
+* **One event loop, one thread** owns all front-end state: connections,
+  per-worker :class:`~repro.serving_service.batching.MicroBatchQueue`
+  instances (busy-aware dispatch), the worker pipes and the in-flight
+  bookkeeping. Single-writer contract — nothing below is touched off-loop.
+* **One pipe per worker, read by the loop.** Each spawned worker serves
+  a strict request/response loop; the parent-side :class:`_WorkerHandle`
+  keeps a FIFO of exchanges with **one message outstanding**:
+  ``loop.add_reader`` on the pipe fd delivers a reply, then the next
+  message goes out, so a send never waits on an unread pipe. The FIFO
+  makes a ``publish`` a serialization point between micro-batches.
 * **User-sharded routing**: query ``(user, interval)`` lands on worker
   ``user % num_workers`` — the same deterministic modulo sharding
   :class:`~repro.core.parallel.PartitionedTTCAM` uses for its E-step
@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import queue
+import os
 import signal
-import threading
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -91,8 +91,8 @@ class ServiceConfig:
         Serve through the snapshot's mmap sidecar store.
     serve_dtype:
         Selection dtype workers score with.
-    max_batch / batch_deadline_s:
-        Micro-batch flush triggers, per worker queue.
+    max_batch:
+        Most queries one micro-batch coalesces, per worker queue.
     generation_file:
         Durable hot-swap record path; defaults to
         ``<snapshot>.generation.json``.
@@ -109,7 +109,6 @@ class ServiceConfig:
     mmap: bool = False
     serve_dtype: str = "float64"
     max_batch: int = 64
-    batch_deadline_s: float = 0.002
     generation_file: str | None = None
     probes: tuple[tuple[int, int], ...] = ((0, 0),)
     default_k: int = 10
@@ -124,11 +123,14 @@ class ServiceConfig:
 class _WorkerHandle:
     """Parent-side handle of one worker process.
 
-    Owns the pipe and a dedicated I/O thread running the blocking
-    request/response exchange; :meth:`request` is called from the event
-    loop and returns a future the thread resolves. The FIFO queue
-    preserves submission order, which is what serializes publishes
+    Owns the pipe and the FIFO of exchanges waiting on it. One message
+    is outstanding at a time: :meth:`request` sends only into an empty
+    FIFO, and the reader callback sends the next after it took a reply.
+    Submission order is pipe order, which is what serializes publishes
     against micro-batches.
+
+    Single-writer contract: between :meth:`attach` and :meth:`close`
+    every method runs on the event loop thread.
     """
 
     def __init__(self, index: int, config: WorkerConfig) -> None:
@@ -142,86 +144,94 @@ class _WorkerHandle:
             )
             self.process.start()
         except Exception:
-            # A failed __init__ never returns the handle, so shutdown()
+            # A failed __init__ never returns the handle, so close()
             # could never run — close both pipe ends here or they leak.
             parent_conn.close()
             child_conn.close()
             raise
         child_conn.close()
-        self.ready: dict[str, Any] | None = None
         self.alive = True
-        self._requests: "queue.SimpleQueue[tuple[dict[str, Any], asyncio.Future[dict[str, Any]]] | None]" = (
-            queue.SimpleQueue()
-        )
+        self._exchanges: deque[tuple[dict[str, Any], asyncio.Future[dict[str, Any]]]] = deque()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
 
-    def wait_ready(self) -> dict[str, Any]:
+    @property
+    def inflight(self) -> int:
+        """Exchanges sent or queued whose reply has not arrived."""
+        return len(self._exchanges)
+
+    def wait_ready(self) -> None:
         """Block for the worker's start-up message (ready or error)."""
         if not self.conn.poll(_READY_TIMEOUT_S):
             raise RuntimeError(f"worker {self.index} did not come up in time")
         message = self.conn.recv()
         if message.get("type") != "ready":
-            raise RuntimeError(
-                f"worker {self.index} failed: {message.get('error', message)}"
-            )
-        self.ready = message
-        return message
+            raise RuntimeError(f"worker {self.index} failed: {message.get('error', message)}")
 
-    def start_io(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Start the blocking I/O thread once the worker is ready."""
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Hand the ready worker's pipe to the event loop."""
         self._loop = loop
-        self._thread = threading.Thread(
-            target=self._io_loop, name=f"tcam-worker-io-{self.index}", daemon=True
-        )
-        self._thread.start()
+        loop.add_reader(self.conn.fileno(), self._on_readable)
 
     def request(self, message: dict[str, Any]) -> "asyncio.Future[dict[str, Any]]":
         """Enqueue one exchange; resolves with the worker's reply."""
-        assert self._loop is not None, "start_io() must run before request()"
+        assert self._loop is not None, "attach() must run before request()"
         future: asyncio.Future[dict[str, Any]] = self._loop.create_future()
-        self._requests.put((message, future))
+        self._exchanges.append((message, future))
+        if not self.alive:
+            self._mark_down()  # answers it "worker N is down"
+        elif len(self._exchanges) == 1:
+            self._send_head()
         return future
 
-    def _resolve(self, future: "asyncio.Future[dict[str, Any]]", reply: dict[str, Any]) -> None:
+    def _send_head(self) -> None:
+        try:
+            self.conn.send(self._exchanges[0][0])
+        except OSError:
+            self._mark_down()
+
+    def _on_readable(self) -> None:
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self._mark_down()
+            return
+        _, future = self._exchanges.popleft()
         if not future.done():
             future.set_result(reply)
+        if self._exchanges:
+            self._send_head()
 
-    def _io_loop(self) -> None:
-        assert self._loop is not None
-        while True:
-            item = self._requests.get()
-            if item is None:
-                break
-            message, future = item
-            if not self.alive:
-                self._loop.call_soon_threadsafe(
-                    self._resolve,
-                    future,
-                    {"type": "error", "error": f"worker {self.index} is down"},
-                )
-                continue
-            try:
-                self.conn.send(message)
-                reply = self.conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self.alive = False
-                reply = {"type": "error", "error": f"worker {self.index} pipe: {exc}"}
-            self._loop.call_soon_threadsafe(self._resolve, future, reply)
+    def _mark_down(self) -> None:
+        """Stop reading the pipe (a dead fd left registered would wake the
+        loop forever) and fail every exchange waiting on it."""
+        self.alive = False
+        if self._loop is not None and not self.conn.closed:
+            self._loop.remove_reader(self.conn.fileno())
+        while self._exchanges:
+            _, future = self._exchanges.popleft()
+            if not future.done():
+                future.set_result({"type": "error", "error": f"worker {self.index} is down"})
 
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the I/O thread and reap the worker process."""
-        if self._thread is not None:
-            self._requests.put(None)
-            self._thread.join(timeout=timeout)
-            self._thread = None
+    def hold_core(self, hold: bool) -> None:
+        """Hold the worker on its own core (a publish loads every worker at once), or release."""
+        pid = self.process.pid
+        if pid is not None and self.alive and hasattr(os, "sched_setaffinity"):  # Linux
+            cpus = sorted(os.sched_getaffinity(0))  # the mask workers inherit
+            with contextlib.suppress(OSError):  # the worker died under us
+                os.sched_setaffinity(pid, {cpus[self.index % len(cpus)]} if hold else cpus)
+
+    def close(self) -> None:
+        """Unregister the reader, then close the pipe (event-loop side)."""
+        self._mark_down()
         with contextlib.suppress(OSError):
             self.conn.close()
+
+    def reap(self, timeout: float = 10.0) -> None:
+        """Join the worker process after :meth:`close` (blocking)."""
         self.process.join(timeout=timeout)
         if self.process.is_alive():  # pragma: no cover - stuck worker
             self.process.terminate()
             self.process.join(timeout=timeout)
-        self.alive = False
 
 
 @dataclass
@@ -239,9 +249,9 @@ class _ServiceState:
 class ServingService:
     """The multi-process serving front-end (see module docstring).
 
-    Single-writer contract: every attribute is owned by the event loop
-    that ran :meth:`start`; worker I/O threads only touch their handle's
-    queue and ``call_soon_threadsafe``.
+    Single-writer contract: every attribute, the worker handles and
+    their pipes included, is owned by the event loop that ran
+    :meth:`start`; no other thread touches them.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -299,13 +309,12 @@ class ServingService:
                 *(asyncio.to_thread(handle.wait_ready) for handle in self.handles)
             )
             for handle in self.handles:
-                handle.start_io(loop)
+                handle.attach(loop)
                 worker_index = handle.index
                 self.queues.append(
                     MicroBatchQueue(
                         lambda batch, w=worker_index: self._flush(w, batch),
                         max_batch=config.max_batch,
-                        deadline_s=config.batch_deadline_s,
                     )
                 )
             self._server = await asyncio.start_server(
@@ -321,7 +330,8 @@ class ServingService:
 
     async def _stop_workers(self) -> None:
         for handle in self.handles:
-            await asyncio.to_thread(handle.shutdown)
+            handle.close()
+            await asyncio.to_thread(handle.reap)
         if self._shared is not None:
             self._shared.close()
             self._shared = None
@@ -330,10 +340,9 @@ class ServingService:
         """Graceful shutdown: refuse, flush, await in-flight, stop workers.
 
         Admission closes first (new requests get the draining refusal),
-        pending micro-batches flush immediately rather than waiting out
-        their deadlines, every in-flight worker exchange completes, and
-        only then are workers asked to shut down — no admitted query is
-        ever dropped.
+        every queue's backlog is flushed behind its in-flight batch,
+        every in-flight worker exchange completes, and only then are
+        workers asked to shut down — no admitted query is ever dropped.
         """
         if self.draining:
             return
@@ -370,21 +379,24 @@ class ServingService:
         exchange = self.handles[worker_index].request(message)
         self._inflight.add(exchange)
         exchange.add_done_callback(
-            lambda done, b=batch: self._settle_batch(b, done)
+            lambda done, w=worker_index, b=batch: self._settle_batch(w, b, done)
         )
 
     def _settle_batch(
-        self, batch: list[BatchRequest], done: "asyncio.Future[dict[str, Any]]"
+        self, worker_index: int, batch: list[BatchRequest], done: "asyncio.Future[dict[str, Any]]"
     ) -> None:
+        """Resolve every request of an answered batch, exactly once."""
         self._inflight.discard(done)
+        # first: the worker scores its backlog while these responses are encoded
+        self.queues[worker_index].exchange_done()
         reply = done.result() if not done.cancelled() else {"type": "error", "error": "cancelled"}
-        if reply.get("type") != "result":
-            error = str(reply.get("error", "worker exchange failed"))
-            for request in batch:
-                if not request.token.done():
-                    request.token.set_result({"error": error})
-            return
-        responses = reply.get("responses", [])
+        if reply.get("type") == "result":
+            responses = list(reply.get("responses", ()))
+            missing = f"worker answered {len(responses)} of {len(batch)} requests"
+        else:
+            responses = []
+            missing = str(reply.get("error", "worker exchange failed"))
+        responses += [{"error": missing}] * (len(batch) - len(responses))  # strand no request
         for request, response in zip(batch, responses):
             if not request.token.done():
                 request.token.set_result(response)
@@ -456,18 +468,21 @@ class ServingService:
                 "mmap": mmap_flag,
                 "drift": bool(drift),
             }
-            replies = await asyncio.gather(
-                *(handle.request(dict(command)) for handle in self.handles)
-            )
-            accepted = [
-                handle.index
-                for handle, reply in zip(self.handles, replies)
-                if reply.get("type") == "published" and reply.get("published")
-            ]
+            for handle in self.handles:
+                handle.hold_core(True)
+            try:
+                replies = await asyncio.gather(
+                    *(handle.request(dict(command)) for handle in self.handles)
+                )
+            finally:
+                for handle in self.handles:
+                    handle.hold_core(False)
+            took = [r.get("type") == "published" and r.get("published") for r in replies]
+            accepted = [handle.index for handle, ok in zip(self.handles, took) if ok]
             rejected = {
                 handle.index: str(reply.get("reason") or reply.get("error", "unknown"))
-                for handle, reply in zip(self.handles, replies)
-                if not (reply.get("type") == "published" and reply.get("published"))
+                for handle, reply, ok in zip(self.handles, replies, took)
+                if not ok
             }
             if not rejected:
                 self.stats.publishes += 1
@@ -504,6 +519,7 @@ class ServingService:
 
     async def status(self) -> dict[str, Any]:
         """Aggregate front-end counters plus every worker's status."""
+        inflight = [handle.inflight for handle in self.handles]  # before the status exchanges join
         replies = await asyncio.gather(
             *(handle.request({"type": "status"}) for handle in self.handles if handle.alive)
         )
@@ -518,7 +534,8 @@ class ServingService:
                 "publishes": self.stats.publishes,
                 "rollbacks": self.stats.rollbacks,
                 "max_batch": self.config.max_batch,
-                "batch_deadline_s": self.config.batch_deadline_s,
+                "inflight": inflight,
+                "pending_queries": [micro_queue.pending_queries for micro_queue in self.queues],
             },
         }
 

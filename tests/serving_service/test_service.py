@@ -1,9 +1,12 @@
-"""End-to-end serving service: bitwise parity, routing, hot swap, drain."""
+"""End-to-end serving service: bitwise parity, routing, hot swap, drain, worker death."""
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing as mp
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -11,7 +14,13 @@ import pytest
 
 from repro.core.serialize import LoadedModel, load_params
 from repro.recommend.recommender import TemporalRecommender
-from repro.serving_service import ServiceClient, ServiceConfig, ServiceError
+from repro.serving_service import (
+    MicroBatchQueue,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServingService,
+)
 
 from .conftest import NUM_INTERVALS, NUM_USERS, dirichlet_params, running_service
 
@@ -23,7 +32,6 @@ def _config(snapshot_path, tmp_path, **overrides) -> ServiceConfig:
         snapshot=str(snapshot_path),
         workers=2,
         max_batch=16,
-        batch_deadline_s=0.005,
         generation_file=str(tmp_path / "generation.json"),
     )
     defaults.update(overrides)
@@ -75,6 +83,22 @@ class TestReadPath:
             assert entry["generation"] == 0
             assert entry["shared"] is True  # no sidecar -> shared segment
             assert entry["rss_bytes"] is None or entry["rss_bytes"] > 0
+        # an idle fleet: nothing in flight or parked when the status was taken
+        assert status["service"]["inflight"] == [0, 0]
+        assert status["service"]["pending_queries"] == [0, 0]
+        assert "batch_deadline_s" not in status["service"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+    def test_hold_core_gives_each_worker_its_own_core_and_releases_it(self, service):
+        cpus = sorted(os.sched_getaffinity(0))
+        pids = [handle.process.pid for handle in service.handles]
+        for handle in service.handles:
+            handle.hold_core(True)
+        held = [os.sched_getaffinity(pid) for pid in pids]
+        for handle in service.handles:
+            handle.hold_core(False)
+        assert held == [{cpus[index % len(cpus)]} for index in range(len(pids))]
+        assert [os.sched_getaffinity(pid) for pid in pids] == [set(cpus)] * len(pids)
 
     def test_malformed_requests_get_structured_errors(self, service):
         with ServiceClient("127.0.0.1", service.port) as client:
@@ -212,6 +236,10 @@ class TestHotSwap:
             with ServiceClient("127.0.0.1", service.port, timeout=120) as client:
                 reply = client.publish(str(bad))
                 status = client.status()
+                if hasattr(os, "sched_getaffinity"):
+                    # the publish held each worker on a core and let it go again
+                    for handle in service.handles:
+                        assert os.sched_getaffinity(handle.process.pid) == os.sched_getaffinity(0)
                 after = client.recommend(queries, k=4)
         assert reply["published"] is False
         assert set(reply["rejected"]) == {"0", "1"} or set(reply["rejected"]) == {0, 1}
@@ -232,30 +260,149 @@ class TestDrain:
     def test_drain_refuses_new_requests_and_completes_admitted_ones(
         self, snapshot_path, tmp_path
     ):
-        config = _config(
-            snapshot_path, tmp_path, workers=1, batch_deadline_s=0.5
-        )
+        config = _config(snapshot_path, tmp_path, workers=1)
         with running_service(config) as service:
             # the running_service loop lives on a background thread; grab it
             # through the server object the service bound
             assert service._server is not None
             service_loop = service._server.get_loop()
+
+            async def drain_behind_an_inflight_exchange():
+                first = asyncio.ensure_future(
+                    service._dispatch({"id": 98, "queries": [[0, 0]], "k": 2})
+                )
+                admitted = asyncio.ensure_future(
+                    service._dispatch({"id": 99, "queries": [[1, 0]], "k": 2})
+                )
+                # one loop pass runs both up to their await: the first went
+                # to the idle worker, the second is parked behind it
+                await asyncio.sleep(0)
+                parked = service.queues[0].pending_queries
+                draining = asyncio.ensure_future(service.drain())
+                await asyncio.sleep(0)
+                refused = await service._dispatch({"id": 100, "queries": [[2, 0]]})
+                replies = await asyncio.gather(first, admitted)
+                await draining
+                return parked, refused, replies
+
             with ServiceClient("127.0.0.1", service.port) as client:
                 assert client.recommend([(0, 0)], k=2)["results"]
-                # admit one query (it will sit in the 0.5 s micro-batch
-                # window), then drain: the admitted query must complete
-                admitted = asyncio.run_coroutine_threadsafe(
-                    service._dispatch({"id": 99, "queries": [[1, 0]], "k": 2}),
-                    service_loop,
-                )
-                time.sleep(0.05)  # the dispatch passed the admission check
-                draining = asyncio.run_coroutine_threadsafe(
-                    service.drain(), service_loop
-                )
-                reply = admitted.result(timeout=60)
-                assert "error" not in reply
-                assert reply["results"] and reply["results"][0] is not None
-                draining.result(timeout=60)
+                parked, refused, replies = asyncio.run_coroutine_threadsafe(
+                    drain_behind_an_inflight_exchange(), service_loop
+                ).result(timeout=60)
+                assert parked == 1
+                assert refused == {"id": 100, "error": "draining"}
+                # admitted before the drain => answered across it
+                for reply in replies:
+                    assert "error" not in reply
+                    assert reply["results"] and reply["results"][0] is not None
                 # the still-open connection is refused while draining
                 with pytest.raises(ServiceError, match="draining"):
                     client.recommend([(2, 0)], k=2)
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: a short worker reply, a worker killed under load
+# ---------------------------------------------------------------------------
+
+
+class _StubHandle:
+    """Stands in for a worker handle; the test answers its exchanges."""
+
+    def __init__(self) -> None:
+        self.exchanges: list[tuple[dict, asyncio.Future]] = []
+
+    def request(self, message):
+        future = asyncio.get_running_loop().create_future()
+        self.exchanges.append((message, future))
+        return future
+
+
+def test_short_worker_reply_resolves_every_request(snapshot_path, tmp_path):
+    """A reply with fewer responses than requests must not strand a client."""
+
+    async def scenario():
+        service = ServingService(_config(snapshot_path, tmp_path, workers=1))
+        stub = _StubHandle()
+        service.handles = [stub]
+        service.queues = [MicroBatchQueue(lambda batch: service._flush(0, batch))]
+        clients = [
+            asyncio.ensure_future(
+                service._dispatch({"id": n, "queries": [[n, 0]], "k": 2})
+            )
+            for n in range(3)
+        ]
+        await asyncio.sleep(0)  # request 0 is in flight, 1 and 2 coalesce behind it
+        row = {"results": [{"items": [7], "scores": [0.5]}], "generation": [0], "degraded": [False]}
+        stub.exchanges[0][1].set_result({"type": "result", "responses": [row]})
+        await asyncio.sleep(0)
+        message, exchange = stub.exchanges[1]
+        assert len(message["requests"]) == 2
+        exchange.set_result({"type": "result", "responses": [row]})  # one short
+        return await asyncio.wait_for(asyncio.gather(*clients), timeout=5)
+
+    replies = asyncio.run(scenario())
+    assert [reply["id"] for reply in replies] == [0, 1, 2]
+    assert "error" not in replies[0] and "error" not in replies[1]
+    assert replies[2] == {"id": 2, "error": "worker answered 1 of 2 requests"}
+
+
+class TestWorkerDeath:
+    def test_kill_9_one_worker_under_two_connection_load(
+        self, snapshot_path, tmp_path
+    ):
+        stop = threading.Event()
+        outcomes: list[list[tuple]] = [[], []]
+
+        def lane(port, index):
+            user = index
+            with ServiceClient("127.0.0.1", port, timeout=30) as client:
+                while not stop.is_set():
+                    user = (user + 3) % NUM_USERS  # odd stride: both shards
+                    try:
+                        reply = client.recommend([(user, 0)], k=3)
+                        outcomes[index].append(("ok", user % 2, reply["worker"][0]))
+                    except ServiceError as exc:
+                        outcomes[index].append(("error", user % 2, str(exc)))
+                    except Exception as exc:  # noqa: BLE001 - a hang or a torn reply
+                        outcomes[index].append(("broken", user % 2, repr(exc)))
+                        return
+
+        with running_service(_config(snapshot_path, tmp_path)) as service:
+            threads = [
+                threading.Thread(target=lane, args=(service.port, index))
+                for index in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+            os.kill(service.handles[1].process.pid, signal.SIGKILL)
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            with ServiceClient("127.0.0.1", service.port) as client:
+                status = client.status()
+                with pytest.raises(ServiceError, match="worker 1 is down"):
+                    client.recommend([(1, 0)], k=3)
+                assert client.recommend([(0, 0)], k=3)["worker"] == [0]
+        # leaving the block drained the service: the dead worker was reaped
+        assert service.handles[1].process.exitcode == -signal.SIGKILL
+        assert service.handles[0].process.exitcode == 0
+
+        assert [entry["worker"] for entry in status["workers"]] == [0]
+        for lane_outcomes in outcomes:
+            # one reply per request, each either an answer or a structured error
+            assert {kind for kind, _, _ in lane_outcomes} == {"ok", "error"}
+            for kind, shard, detail in lane_outcomes:
+                if kind == "ok":
+                    assert detail == shard
+                else:
+                    assert (shard, detail) == (1, "worker 1 is down")
+            # the surviving shard kept serving after the first failure
+            first_error = [kind for kind, _, _ in lane_outcomes].index("error")
+            assert any(
+                kind == "ok" and shard == 0
+                for kind, shard, _ in lane_outcomes[first_error:]
+            )
