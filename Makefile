@@ -49,11 +49,11 @@ check: lint analyze audit prove typecheck test
 test-robustness:
 	pytest tests/robustness/
 
-# Tier-1 engine + serving tests with the runtime sanitizer armed: every
-# E-step verifies disjoint writes, simplex invariants and fixed-order
-# reduction while the suite runs.
+# Tier-1 model + serving tests with the runtime sanitizer armed: the
+# blocked engine is every EM model's E-step, so each fit in these suites
+# verifies disjoint writes, simplex invariants and fixed-order reduction.
 test-sanitize:
-	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend
+	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend tests/baselines tests/robustness
 
 # Streaming fault-injection suite (WAL torn writes, kill/resume, swap
 # gate) with the runtime sanitizer armed — the crash-safety gate CI runs.

@@ -1,14 +1,18 @@
 """E-step throughput microbenchmark → ``BENCH_em.json``.
 
 Measures full EM-iteration throughput (ratings processed per second,
-E-step plus the cheap M-step normalisation) for TTCAM at several
-``(R, K1, K2)`` scales, across three execution paths:
+E-step plus the cheap M-step normalisation) of each blocked-engine model
+— TTCAM, ITCAM and the UT/TT baselines — at several ``(R, K1, K2)``
+scales, on one worker and on N threads:
 
-* ``legacy``      — the single-pass vectorised step (``engine=None``);
 * ``blocked-t1``  — the blocked engine, one worker;
 * ``blocked-tN``  — the blocked engine on N threads.
 
-In ``--smoke`` mode a fourth variant, ``blocked-t1-sanitize``, runs the
+Entries are named ``em/<model>/r<R>-k<K>/blocked-tN``. Earlier
+``em/ttcam/.../legacy`` entries in the committed trajectory are the
+record of the dense single-pass step the engine replaced.
+
+In ``--smoke`` mode a third variant, ``blocked-t1-sanitize``, runs the
 blocked engine under the runtime sanitizer and the harness asserts the
 sanitize-off variants constructed no ``Sanitizer`` at all — the
 structural "zero overhead when off" guarantee from
@@ -28,13 +32,15 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from perf_common import best_time, make_parser, synthetic_cuboid
 
 from repro.analysis.benchjson import BenchEntry, append_entries, default_context
-from repro.core import TTCAM, EMEngineConfig
+from repro.baselines import TimeTopicModel, UserTopicModel
+from repro.core import ITCAM, TTCAM, EMEngineConfig
 from repro.tooling.sanitize import Sanitizer, sanitize_enabled
 
 #: (requested ratings, K1, K2) per scale; the last is "the largest bench
@@ -49,10 +55,20 @@ EM_ITERS = 4
 SMOKE_ITERS = 2
 
 
-def fit_throughput(cuboid, k1, k2, iters, engine, repeats) -> float:
-    """Ratings/sec of a full ``TTCAM.fit`` at exactly ``iters`` iterations."""
-    model = lambda: TTCAM(  # noqa: E731 - rebuilt per run so no state carries over
-        k1, k2, max_iter=iters, tol=-1.0, seed=7, engine=engine
+def models(k1, k2):
+    """Model name → (topic-count label, constructor taking the EM controls)."""
+    return {
+        "ttcam": (f"k{k1}x{k2}", partial(TTCAM, k1, k2)),
+        "itcam": (f"k{k1}", partial(ITCAM, k1)),
+        "ut": (f"k{k1}", partial(UserTopicModel, k1)),
+        "tt": (f"k{k2}", partial(TimeTopicModel, k2)),
+    }
+
+
+def fit_throughput(build, cuboid, iters, engine, repeats) -> float:
+    """Ratings/sec of a full ``fit`` at exactly ``iters`` iterations."""
+    model = lambda: build(  # noqa: E731 - rebuilt per run so no state carries over
+        max_iter=iters, tol=-1.0, seed=7, engine=engine
     ).fit(cuboid)
     elapsed = best_time(model, repeats)
     return cuboid.nnz * iters / elapsed
@@ -78,58 +94,51 @@ def main(argv=None) -> int:
     context["em_iters"] = iters
     entries = []
 
+    variants = {
+        "blocked-t1": EMEngineConfig(block_size=args.block_size),
+        f"blocked-t{threads}": EMEngineConfig(block_size=args.block_size, threads=threads),
+    }
+    if args.smoke:
+        variants["blocked-t1-sanitize"] = EMEngineConfig(
+            block_size=args.block_size, sanitize=True
+        )
     for requested, k1, k2 in scales:
         cuboid = synthetic_cuboid(requested, seed=13)
-        variants = {
-            "legacy": None,
-            "blocked-t1": EMEngineConfig(block_size=args.block_size),
-            f"blocked-t{threads}": EMEngineConfig(
-                block_size=args.block_size, threads=threads
-            ),
-        }
-        if args.smoke:
-            variants["blocked-t1-sanitize"] = EMEngineConfig(
-                block_size=args.block_size, sanitize=True
-            )
-        rates = {}
-        constructed_before = Sanitizer.constructed
-        for variant, engine in variants.items():
-            rate = fit_throughput(cuboid, k1, k2, iters, engine, args.repeats)
-            if variant == "blocked-t1" and not sanitize_enabled():
-                # zero-overhead-off proof: the sanitize-off runs so far
-                # must not have instantiated a single Sanitizer.
-                assert Sanitizer.constructed == constructed_before, (
-                    "sanitize-off engine run constructed a Sanitizer"
+        for model, (label, build) in models(k1, k2).items():
+            rates = {}
+            constructed_before = Sanitizer.constructed
+            for variant, engine in variants.items():
+                rate = fit_throughput(build, cuboid, iters, engine, args.repeats)
+                if not engine.sanitize and not sanitize_enabled():
+                    # zero-overhead-off proof: the sanitize-off runs so far
+                    # must not have instantiated a single Sanitizer.
+                    assert Sanitizer.constructed == constructed_before, (
+                        "sanitize-off engine run constructed a Sanitizer"
+                    )
+                rates[variant] = rate
+                name = f"em/{model}/r{cuboid.nnz}-{label}/{variant}"
+                entries.append(
+                    BenchEntry(
+                        name=name,
+                        value=round(rate, 1),
+                        unit="ratings/sec",
+                        params={
+                            "ratings": int(cuboid.nnz),
+                            "k1": k1,
+                            "k2": k2,
+                            "block_size": args.block_size,
+                            "threads": engine.threads,
+                            "variant": variant,
+                        },
+                        context=context,
+                    )
                 )
-            rates[variant] = rate
-            name = f"em/ttcam/r{cuboid.nnz}-k{k1}x{k2}/{variant}"
-            entries.append(
-                BenchEntry(
-                    name=name,
-                    value=round(rate, 1),
-                    unit="ratings/sec",
-                    params={
-                        "ratings": int(cuboid.nnz),
-                        "k1": k1,
-                        "k2": k2,
-                        "block_size": args.block_size,
-                        "threads": 1 if engine is None else engine.threads,
-                        "variant": variant,
-                    },
-                    context=context,
-                )
-            )
-            print(f"{name:55s} {rate/1e6:8.3f} M ratings/sec")
-        blocked_gain = rates["blocked-t1"] / rates["legacy"]
-        threaded_gain = rates[f"blocked-t{threads}"] / rates["blocked-t1"]
-        print(
-            f"  -> blocked/legacy {blocked_gain:.2f}x, "
-            f"threaded({threads})/blocked {threaded_gain:.2f}x "
-            f"[{os.cpu_count()} cpu]"
-        )
-        if "blocked-t1-sanitize" in rates:
-            overhead = rates["blocked-t1"] / rates["blocked-t1-sanitize"]
-            print(f"  -> sanitizer overhead when ON: {overhead:.2f}x slower")
+                print(f"{name:55s} {rate/1e6:8.3f} M ratings/sec")
+            threaded_gain = rates[f"blocked-t{threads}"] / rates["blocked-t1"]
+            print(f"  -> threaded({threads})/blocked {threaded_gain:.2f}x [{os.cpu_count()} cpu]")
+            if "blocked-t1-sanitize" in rates:
+                overhead = rates["blocked-t1"] / rates["blocked-t1-sanitize"]
+                print(f"  -> sanitizer overhead when ON: {overhead:.2f}x slower")
 
     path = Path(args.output_dir) / "BENCH_em.json"
     append_entries(path, entries)

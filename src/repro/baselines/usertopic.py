@@ -17,14 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.em import (
-    EPS,
     EMTrace,
     normalize_rows,
     prepare_fit_controls,
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
 )
 from ..core.engine import BlockedEStep, EMEngineConfig, UserTopicKernel
 from ..data.cuboid import RatingCuboid
@@ -47,9 +45,8 @@ class UserTopicModel:
     max_iter, tol, smoothing, seed:
         EM controls matching the core models.
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig` running the
-        E-step through the blocked execution engine, as in the core
-        models.
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked E-step,
+        as in the core models.
     """
 
     def __init__(
@@ -60,7 +57,7 @@ class UserTopicModel:
         tol: float = 1e-5,
         smoothing: float = 1e-6,
         seed: int = 0,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = EMEngineConfig(),
     ) -> None:
         if num_topics <= 0:
             raise ValueError(f"num_topics must be positive, got {num_topics}")
@@ -101,13 +98,24 @@ class UserTopicModel:
             raise ValueError("cannot fit on an empty cuboid")
         n, _, v_dim = cuboid.shape
         k = self.num_topics
-        u, v, c = cuboid.users, cuboid.items, cuboid.scores
-        lam_b = self.background_weight
 
         popularity = cuboid.item_popularity()
         background = popularity / popularity.sum()
 
-        meta = {"model": "ut", "k": k, "seed": self.seed}
+        estep = BlockedEStep(
+            UserTopicKernel(
+                cuboid.users,
+                cuboid.intervals,
+                cuboid.items,
+                cuboid.scores,
+                cuboid.shape,
+                k,
+                background,
+                self.background_weight,
+            ),
+            self.engine,
+        )
+        meta = {"model": "ut", "k": k, "seed": self.seed} | estep.grid
         manager, restored, health = prepare_fit_controls(
             checkpoint, resume_from, monitor, self.default_monitor, meta
         )
@@ -121,29 +129,10 @@ class UserTopicModel:
             }
             start, trace = 0, EMTrace()
 
-        estep = (
-            BlockedEStep(
-                UserTopicKernel(
-                    u,
-                    cuboid.intervals,
-                    v,
-                    c,
-                    cuboid.shape,
-                    k,
-                    background,
-                    lam_b,
-                    dtype=self.engine.dtype,
-                ),
-                self.engine,
-            )
-            if self.engine is not None
-            else None
-        )
-
-        def engine_step(
+        def step(
             current: dict[str, np.ndarray],
         ) -> tuple[dict[str, np.ndarray], float]:
-            """One EM iteration through the blocked execution engine."""
+            """One EM iteration over the time-collapsed cuboid."""
             stats, log_likelihood = estep.compute(current)
             updated = {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),
@@ -151,26 +140,9 @@ class UserTopicModel:
             }
             return updated, log_likelihood
 
-        def step(
-            current: dict[str, np.ndarray],
-        ) -> tuple[dict[str, np.ndarray], float]:
-            """One EM iteration over the time-collapsed cuboid."""
-            theta, phi = current["theta"], current["phi"]
-            joint = (1 - lam_b) * theta[u] * phi[:, v].T  # (R, K)
-            p_topics = joint.sum(axis=1)
-            denom = lam_b * background[v] + p_topics + EPS
-            resp = joint / denom[:, None]
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            c_resp = c[:, None] * resp
-            updated = {
-                "theta": normalize_rows(scatter_sum(u, c_resp, n), self.smoothing),
-                "phi": normalize_rows(scatter_sum(v, c_resp, v_dim).T, self.smoothing),
-            }
-            return updated, log_likelihood
-
         state, trace = run_em(
             state,
-            engine_step if estep is not None else step,
+            step,
             max_iter=self.max_iter,
             tol=self.tol,
             trace=trace,

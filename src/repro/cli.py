@@ -51,7 +51,7 @@ def _build_model(
     k2: int,
     iters: int,
     seed: int,
-    engine: EMEngineConfig | None = None,
+    engine: EMEngineConfig = EMEngineConfig(),
 ) -> TTCAM | ITCAM | UserTopicModel | TimeTopicModel:
     """Instantiate a model by CLI name."""
     if name == "ttcam":
@@ -69,14 +69,12 @@ def _build_model(
     raise ValueError(f"unknown model {name!r}")
 
 
-def _engine_config(args: argparse.Namespace) -> EMEngineConfig | None:
-    """Build the blocked-engine config from ``--block-size``/``--threads``/``--sanitize``."""
-    block_size = getattr(args, "block_size", None)
-    threads = getattr(args, "threads", 1)
-    sanitize = bool(getattr(args, "sanitize", False))
-    if block_size is None and threads == 1 and not sanitize:
-        return None
-    return EMEngineConfig(block_size=block_size, threads=threads, sanitize=sanitize)
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -113,9 +111,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit snapshots support the TCAM variants only", file=sys.stderr)
         return 2
     cuboid = load_cuboid_csv(args.input)
-    model = _build_model(
-        args.model, args.k1, args.k2, args.iters, args.seed, _engine_config(args)
+    engine = EMEngineConfig(
+        block_size=args.block_size, threads=args.threads, sanitize=args.sanitize
     )
+    model = _build_model(args.model, args.k1, args.k2, args.iters, args.seed, engine)
     checkpoint = resume_from = None
     if args.checkpoint_dir is not None:
         checkpoint = CheckpointManager(
@@ -527,15 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--block-size",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="run EM through the blocked engine with this many ratings per block",
+        help="ratings per E-step block (default: 32768, capped at the dataset)",
     )
     p_fit.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="E-step worker threads for the blocked engine (implies it when > 1)",
+        help="E-step worker threads",
     )
     p_fit.add_argument(
         "--sanitize",

@@ -12,8 +12,8 @@ learning for LDA").
 
 This module restructures that pass without changing the math:
 
-* :class:`EMEngineConfig` — the shared knobs (block size, threads, compute
-  dtype) accepted by every model's ``engine=`` argument.
+* :class:`EMEngineConfig` — the shared knobs (block size, threads,
+  sanitizer) accepted by every model's ``engine=`` argument.
 * :class:`BlockedEStep` — iterates the triples in fixed-size blocks,
   computing each block's responsibilities in **preallocated, reused
   buffers** (``np.take(..., out=...)`` gathers, in-place ufuncs, fused
@@ -24,6 +24,13 @@ This module restructures that pass without changing the math:
   :class:`UserTopicKernel`, :class:`TimeTopicKernel`) — the per-block
   E-step equations of each model family.
 
+This is the only E-step of TTCAM, ITCAM, ``PartitionedTTCAM`` and the
+UT/TT baselines: each model builds its kernel, hands it to a
+:class:`BlockedEStep`, and applies its M-step to the returned statistics.
+The dense, one-formula-per-equation version lives in
+``tests/core/reference_em.py`` as the oracle the kernels are tested
+against.
+
 Numerical contract
 ------------------
 For a fixed configuration the engine is **bit-deterministic**: the block
@@ -32,14 +39,16 @@ blocks per worker, reduced in worker order), so thread scheduling can
 never reorder a floating-point sum, and a checkpointed run resumed
 mid-training finishes bit-identically to an uninterrupted one. Engine
 buffers hold no model state, so the engine composes with the
-checkpoint/health runtime unchanged.
+checkpoint/health runtime unchanged. Each model records the grid
+(:attr:`BlockedEStep.grid`) in its checkpoint metadata, so a resume under
+a different grid is refused instead of silently voiding that guarantee.
 
-Against the legacy single-pass path (``engine=None``) the results agree
-to ``allclose(atol=1e-12)`` rather than bit-for-bit: blocking
-re-associates the floating-point summation of the sufficient statistics
-((a+b)+c versus a+(b+c)), which perturbs sums by a few ULPs. The same
-holds between different ``block_size``/``threads`` settings. The test
-suite pins both contracts.
+Against the dense test oracle, and between different
+``block_size``/``threads`` settings, the results agree to
+``allclose(atol=1e-12)`` rather than bit-for-bit: blocking re-associates
+the floating-point summation of the sufficient statistics ((a+b)+c versus
+a+(b+c)), which perturbs sums by a few ULPs. The test suite pins both
+contracts.
 
 ``threads > 1`` runs the workers on a :class:`ThreadPoolExecutor`; the
 numpy kernels doing the heavy lifting release the GIL, so blocks execute
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +81,9 @@ from .em import EPS, ScatterPlan, scatter_sum, scatter_sum_1d
 #: negligible.
 DEFAULT_BLOCK_SIZE = 32_768
 
-_DTYPES = ("float64", "float32")
+#: An E-step over a fixed dataset: parameter state → (sufficient
+#: statistics, log-likelihood). :meth:`BlockedEStep.compute` is one.
+EStep = Callable[[ArrayState], tuple[ArrayState, float]]
 
 
 @dataclass(frozen=True)
@@ -90,11 +102,6 @@ class EMEngineConfig:
         contiguous runs, one per worker, and worker partials are reduced
         in worker order — results are bit-reproducible for a fixed
         configuration regardless of scheduling.
-    dtype:
-        Compute precision of the E-step workspace: ``"float64"``
-        (default, matches the legacy path to 1e-12) or ``"float32"``
-        (approximate throughput mode; sufficient statistics still
-        accumulate in float64).
     sanitize:
         Opt into the runtime sanitizer
         (:mod:`repro.tooling.sanitize`): per-worker write intervals are
@@ -107,7 +114,6 @@ class EMEngineConfig:
 
     block_size: int | None = None
     threads: int = 1
-    dtype: str = "float64"
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -115,10 +121,6 @@ class EMEngineConfig:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
         if self.threads <= 0:
             raise ValueError(f"threads must be positive, got {self.threads}")
-        if self.dtype not in _DTYPES:
-            raise ValueError(
-                f"dtype must be one of {_DTYPES}, got {self.dtype!r}"
-            )
 
     def resolved_block_size(self, num_ratings: int) -> int:
         """The effective block length for a dataset of ``num_ratings`` rows."""
@@ -146,13 +148,11 @@ class _Kernel:
         intervals: IntArray,
         items: IntArray,
         scores: FloatArray,
-        dtype: str = "float64",
     ) -> None:
         self.u = users
         self.t = intervals
         self.v = items
-        self.dtype = np.dtype(dtype)
-        self.c = scores.astype(self.dtype, copy=False)
+        self.c = scores
 
     @property
     def num_ratings(self) -> int:
@@ -161,7 +161,7 @@ class _Kernel:
 
     def _scalars(self, capacity: int, names: tuple[str, ...]) -> dict[str, AnyArray]:
         """One ``(capacity,)`` scratch vector per name."""
-        return {name: np.empty(capacity, dtype=self.dtype) for name in names}
+        return {name: np.empty(capacity) for name in names}
 
     def stat_arrays(self) -> ArrayState:
         raise NotImplementedError
@@ -193,9 +193,8 @@ class TTCAMKernel(_Kernel):
         shape: tuple[int, int, int],
         k1: int,
         k2: int,
-        dtype: str = "float64",
     ) -> None:
-        super().__init__(users, intervals, items, scores, dtype)
+        super().__init__(users, intervals, items, scores)
         self.n, self.t_dim, self.v_dim = shape
         self.k1, self.k2 = k1, k2
 
@@ -212,10 +211,10 @@ class TTCAMKernel(_Kernel):
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
-            "z": np.empty((capacity, self.k1), dtype=self.dtype),
-            "phi_v": np.empty((self.k1, capacity), dtype=self.dtype),
-            "x": np.empty((capacity, self.k2), dtype=self.dtype),
-            "phi_time_v": np.empty((self.k2, capacity), dtype=self.dtype),
+            "z": np.empty((capacity, self.k1)),
+            "phi_v": np.empty((self.k1, capacity)),
+            "x": np.empty((capacity, self.k2)),
+            "phi_time_v": np.empty((self.k2, capacity)),
             "plan1": ScatterPlan(self.k1, capacity),
             "plan2": ScatterPlan(self.k2, capacity),
         }
@@ -289,9 +288,8 @@ class ITCAMKernel(_Kernel):
         scores: FloatArray,
         shape: tuple[int, int, int],
         k1: int,
-        dtype: str = "float64",
     ) -> None:
-        super().__init__(users, intervals, items, scores, dtype)
+        super().__init__(users, intervals, items, scores)
         self.n, self.t_dim, self.v_dim = shape
         self.k1 = k1
 
@@ -307,8 +305,8 @@ class ITCAMKernel(_Kernel):
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
-            "z": np.empty((capacity, self.k1), dtype=self.dtype),
-            "phi_v": np.empty((self.k1, capacity), dtype=self.dtype),
+            "z": np.empty((capacity, self.k1)),
+            "phi_v": np.empty((self.k1, capacity)),
             "tv": np.empty(capacity, dtype=np.int64),
             "plan1": ScatterPlan(self.k1, capacity),
         }
@@ -379,12 +377,11 @@ class UserTopicKernel(_Kernel):
         k: int,
         background: FloatArray,
         background_weight: float,
-        dtype: str = "float64",
     ) -> None:
-        super().__init__(users, intervals, items, scores, dtype)
+        super().__init__(users, intervals, items, scores)
         self.n, self.t_dim, self.v_dim = shape
         self.k = k
-        self.background = background.astype(self.dtype, copy=False)
+        self.background = background
         self.background_weight = background_weight
 
     def stat_arrays(self) -> ArrayState:
@@ -397,8 +394,8 @@ class UserTopicKernel(_Kernel):
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
-            "z": np.empty((capacity, self.k), dtype=self.dtype),
-            "phi_v": np.empty((self.k, capacity), dtype=self.dtype),
+            "z": np.empty((capacity, self.k)),
+            "phi_v": np.empty((self.k, capacity)),
             "plan": ScatterPlan(self.k, capacity),
         }
         ws.update(self._scalars(capacity, ("p", "den", "a")))
@@ -474,7 +471,7 @@ class BlockedEStep:
     per-worker partials are reduced in worker order, so results are a
     pure function of ``(kernel, config, state)`` — thread scheduling
     cannot perturb them. See the module docstring for the numerical
-    contract versus the legacy single-pass path.
+    contract.
     """
 
     def __init__(self, kernel: _Kernel, config: EMEngineConfig) -> None:
@@ -493,7 +490,7 @@ class BlockedEStep:
         self.runs = [
             self.blocks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
-        self._block_size = block
+        self.block_size = block
         self._workspaces: list[Workspace] | None = None
         self._stats: list[ArrayState] | None = None
         self._sanitizer = (
@@ -510,10 +507,16 @@ class BlockedEStep:
         """Number of worker slots (≤ configured threads)."""
         return len(self.runs)
 
+    @property
+    def grid(self) -> dict[str, object]:
+        """The resolved block size and worker count — what fixes the
+        summation order, and so what checkpoint metadata must record."""
+        return {"block_size": self.block_size, "workers": self.num_workers}
+
     def _ensure_buffers(self) -> tuple[list[Workspace], list[ArrayState]]:
         if self._workspaces is None or self._stats is None:
             self._workspaces = [
-                self.kernel.make_workspace(self._block_size) for _ in self.runs
+                self.kernel.make_workspace(self.block_size) for _ in self.runs
             ]
             self._stats = [self.kernel.stat_arrays() for _ in self.runs]
         return self._workspaces, self._stats
@@ -549,12 +552,6 @@ class BlockedEStep:
         models' M-steps allocate fresh parameter arrays from them).
         """
         workspaces, worker_stats = self._ensure_buffers()
-        dtype = self.kernel.dtype
-        if dtype != np.dtype("float64"):
-            state = {
-                name: value.astype(dtype, copy=False)
-                for name, value in state.items()
-            }
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.begin_pass(state, workspaces, worker_stats)

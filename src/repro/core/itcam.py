@@ -5,7 +5,9 @@ ITCAM explains a rating ``(u, t, v)`` as a two-stage draw: a coin
 (``s = 1``: sample a user-oriented topic ``z ~ θ_u`` then ``v ~ φ_z``)
 and the temporal context (``s = 0``: sample ``v`` directly from the
 per-interval item distribution ``θ′_t``). Parameters are fit with the EM
-updates of Equations (4)–(11), fully vectorised over the sparse cuboid.
+updates of Equations (4)–(11): the E-step is
+:class:`~repro.core.engine.ITCAMKernel` run by the blocked engine, the
+M-step normalises its statistics here.
 
 Setting ``weighted=True`` trains on the item-weighted cuboid of
 Section 3.3, yielding the paper's **W-ITCAM** variant.
@@ -28,7 +30,6 @@ from .em import (
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
     scatter_sum_1d,
 )
 from .params import ITCAMParameters
@@ -61,10 +62,8 @@ class ITCAM:
     seed:
         Seed for the random EM initialisation.
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig` running the
-        E-step through the blocked, buffer-reusing (and optionally
-        threaded) execution engine; ``None`` keeps the legacy
-        single-pass path (they agree to ``allclose(atol=1e-12)``).
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked E-step,
+        as in :class:`~repro.core.ttcam.TTCAM`.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -83,7 +82,7 @@ class ITCAM:
         weighted: bool = False,
         n_init: int = 1,
         seed: int = 0,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = EMEngineConfig(),
     ) -> None:
         if num_user_topics <= 0:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
@@ -134,13 +133,25 @@ class ITCAM:
         if self.weighted:
             cuboid = apply_item_weighting(cuboid)
 
+        estep = BlockedEStep(
+            ITCAMKernel(
+                cuboid.users,
+                cuboid.intervals,
+                cuboid.items,
+                cuboid.scores,
+                cuboid.shape,
+                self.num_user_topics,
+            ),
+            self.engine,
+        )
         manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, self._meta()
+            checkpoint, resume_from, monitor, self.default_monitor, self._meta() | estep.grid
         )
         best: tuple[ITCAMParameters, EMTrace] | None = None
         for restart in range(self.n_init):
             params, trace = self._fit_once(
                 cuboid,
+                estep,
                 seed=self.seed + restart,
                 checkpoints=manager,
                 restored=restored,
@@ -178,6 +189,7 @@ class ITCAM:
     def _fit_once(
         self,
         cuboid: RatingCuboid,
+        estep: BlockedEStep,
         seed: int,
         checkpoints: CheckpointManager | None = None,
         restored: Checkpoint | None = None,
@@ -186,7 +198,6 @@ class ITCAM:
         """One EM run from a random initialisation (or a checkpoint)."""
         n, t_dim, v_dim = cuboid.shape
         k1 = self.num_user_topics
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
 
         if restored is not None:
             state, start, trace = restore_state(restored, _STATE_KEYS)
@@ -200,20 +211,11 @@ class ITCAM:
             }
             start, trace = 0, EMTrace()
 
-        user_mass = scatter_sum_1d(u, c, n)  # Σ_t Σ_v C[u,t,v], fixed
+        user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)  # Σ_t Σ_v C[u,t,v], fixed
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
-        estep = (
-            BlockedEStep(
-                ITCAMKernel(u, t, v, c, cuboid.shape, k1, dtype=self.engine.dtype),
-                self.engine,
-            )
-            if self.engine is not None
-            else None
-        )
 
-        def engine_step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration through the blocked execution engine."""
-            assert estep is not None  # selected only when the engine exists
+        def step(current: ArrayState) -> tuple[ArrayState, float]:
+            """One EM iteration: the E-step's statistics, then the M-step."""
             stats, log_likelihood = estep.compute(current)
             updated = {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
@@ -227,41 +229,9 @@ class ITCAM:
             }
             return updated, log_likelihood
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One full EM iteration (E-step likelihood, then M-step update)."""
-            theta, phi = current["theta"], current["phi"]
-            theta_time, lam = current["theta_time"], current["lambda_u"]
-            # ---- E-step --------------------------------------------------
-            # joint[r, z] = θ[u_r, z] · φ[z, v_r]  (numerator of Eq. 5)
-            joint = theta[u] * phi[:, v].T  # (R, K1)
-            p_interest = joint.sum(axis=1)  # P(v|θ_u), Eq. 2
-            p_context = theta_time[t, v]  # P(v|θ′_t)
-            lam_r = lam[u]
-            weighted_interest = lam_r * p_interest
-            weighted_context = (1 - lam_r) * p_context
-            denom = weighted_interest + weighted_context + EPS
-            ps1 = weighted_interest / denom  # P(s=1|u,t,v), Eq. 4
-            # resp[r, z] = P(z|u,t,v) = P(z|s=1,·)·P(s=1|·), Eq. 6
-            resp = joint * (ps1 / (p_interest + EPS))[:, None]
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            # ---- M-step --------------------------------------------------
-            c_resp = c[:, None] * resp
-            c_ps0 = c * (1 - ps1)
-            flat = np.bincount(t * v_dim + v, weights=c_ps0, minlength=t_dim * v_dim)
-            time_counts = flat.reshape(t_dim, v_dim)
-            updated = {
-                "theta": normalize_rows(scatter_sum(u, c_resp, n), self.smoothing),  # Eq. 8
-                "phi": normalize_rows(scatter_sum(v, c_resp, v_dim).T, self.smoothing),  # Eq. 9
-                "theta_time": normalize_rows(time_counts, self.smoothing),  # Eq. 10
-                "lambda_u": np.clip(
-                    scatter_sum_1d(u, c * ps1, n) / safe_user_mass, 0.0, 1.0
-                ),  # Eq. 11
-            }
-            return updated, log_likelihood
-
         state, trace = run_em(
             state,
-            engine_step if estep is not None else step,
+            step,
             max_iter=self.max_iter,
             tol=self.tol,
             trace=trace,

@@ -5,91 +5,61 @@ expressed in MapReduce" because the E-step factorises over rating entries:
 each mapper computes posterior responsibilities and *partial sufficient
 statistics* for its shard of the cuboid, a reducer sums the partials, and
 the M-step normalises the sums. This module implements exactly that
-decomposition. With a fixed seed it reproduces the serial
-:class:`~repro.core.ttcam.TTCAM` fit up to floating-point summation order,
-which the test suite verifies.
+decomposition as a :class:`~repro.core.ttcam.TTCAM` whose E-step is a
+shard map plus a fixed-order reduce; everything else — initialisation,
+the M-step, checkpoint metadata, health invariants, prediction — is the
+serial model's. With a fixed seed it reproduces the serial fit up to
+floating-point summation order, which the test suite verifies.
 
-The shard map runs sequentially by default (or in a thread pool with
-``workers > 1``; the heavy numpy kernels release the GIL), but the point
-is the *algebraic* decomposition — any map/reduce substrate can run it.
+The shard map runs sequentially with one worker (or in a thread pool
+with more; the heavy numpy kernels release the GIL), but the point is
+the *algebraic* decomposition — any map/reduce substrate can run it.
 
 Like a real MapReduce substrate, the shard map tolerates worker
 failures: a crashed or timed-out shard is re-executed with exponential
 backoff (the mapper is a pure function of the broadcast parameters, so
 re-execution is bit-deterministic), and a shard that keeps failing
-raises :class:`~repro.robustness.errors.ShardFailedError`. The EM loop
-itself runs through :func:`~repro.core.em.run_em`, so partitioned fits
-get the same checkpoint/resume and health-rollback machinery as the
-serial models.
+raises :class:`~repro.robustness.errors.ShardFailedError`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
-from ..robustness.checkpoint import CheckpointManager
 from ..robustness.errors import ShardFailedError
 from ..robustness.faults import fault_point
-from ..robustness.health import HealthMonitor, rejitter_arrays
 from ..robustness.retry import run_with_retry
 from ..typing import ArrayState, FloatArray, IntArray
-from .engine import BlockedEStep, EMEngineConfig, TTCAMKernel
-from .em import (
-    EPS,
-    EMTrace,
-    normalize_rows,
-    prepare_fit_controls,
-    random_stochastic,
-    restore_state,
-    run_em,
-    scatter_sum,
-    scatter_sum_1d,
-)
-from .params import TTCAMParameters
-from .weighting import apply_item_weighting
-
-_STATE_KEYS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
-_STOCHASTIC = ("theta", "phi", "theta_time", "phi_time")
+from .engine import BlockedEStep, EMEngineConfig, EStep, TTCAMKernel
+from .ttcam import TTCAM
 
 #: One contiguous slice of cuboid entries: (users, intervals, items, scores).
 Shard = tuple[IntArray, IntArray, IntArray, FloatArray]
 
-
-@dataclass
-class _ShardStats:
-    """Partial sufficient statistics produced by one shard's E-step."""
-
-    theta_num: FloatArray  # (N, K1)
-    phi_num: FloatArray  # (K1, V) — stored transposed as (V, K1) internally
-    theta_time_num: FloatArray  # (T, K2)
-    phi_time_num: FloatArray  # (V, K2)
-    lam_num: FloatArray  # (N,)
-    log_likelihood: float
-
-    def __iadd__(self, other: "_ShardStats") -> "_ShardStats":
-        self.theta_num += other.theta_num
-        self.phi_num += other.phi_num
-        self.theta_time_num += other.theta_time_num
-        self.phi_time_num += other.phi_time_num
-        self.lam_num += other.lam_num
-        self.log_likelihood += other.log_likelihood
-        return self
+#: One shard's partial sufficient statistics and log-likelihood.
+Partial = tuple[ArrayState, float]
 
 
-class PartitionedTTCAM:
+class PartitionedTTCAM(TTCAM):
     """TTCAM fit by partitioned EM (map over shards, reduce, normalise).
 
     Accepts the same hyper-parameters as :class:`~repro.core.ttcam.TTCAM`
-    plus the number of shards, optional thread workers, and the shard
+    plus the number of shards, the shard-map worker count, and the shard
     fault-tolerance controls:
 
     Parameters
     ----------
+    num_partitions:
+        Contiguous shards the cuboid's entries are split into.
+    workers:
+        Threads running the shard map; ``None`` (the default) uses
+        ``engine.threads``. The reduce is in fixed shard order, so the
+        worker count never changes the result.
     max_shard_retries:
         Re-executions allowed per shard per iteration before the fit
         fails with :class:`~repro.robustness.errors.ShardFailedError`.
@@ -100,15 +70,11 @@ class PartitionedTTCAM:
         Per-shard wall-clock budget (seconds) in threaded mode; a shard
         exceeding it is treated as failed and re-executed. ``None``
         disables the timeout. (Sequential mode cannot preempt a running
-        shard, so the timeout applies only with ``workers > 1``.)
+        shard, so the timeout applies only with more than one worker.)
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig`. Each shard's
-        mapper then runs its E-step through the blocked engine
-        (``block_size``/``dtype`` apply within the shard), and
-        ``engine.threads`` provides the default shard-map worker count
-        when ``workers`` is left at 1. Mapper engines are constructed
-        per call, keeping the mapper a pure function so shard
-        retry/re-execution stays bit-deterministic.
+        :class:`~repro.core.engine.EMEngineConfig` of each shard's
+        blocked E-step: ``block_size`` and ``sanitize`` apply within the
+        shard, ``threads`` at the shard-map level (see ``workers``).
     """
 
     def __init__(
@@ -121,219 +87,79 @@ class PartitionedTTCAM:
         weighted: bool = False,
         seed: int = 0,
         num_partitions: int = 4,
-        workers: int = 1,
+        workers: int | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
         shard_timeout: float | None = None,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = EMEngineConfig(),
+        personalized_lambda: bool = True,
+        n_init: int = 1,
     ) -> None:
+        super().__init__(
+            num_user_topics,
+            num_time_topics,
+            max_iter=max_iter,
+            tol=tol,
+            smoothing=smoothing,
+            weighted=weighted,
+            personalized_lambda=personalized_lambda,
+            n_init=n_init,
+            seed=seed,
+            engine=engine,
+        )
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
-        if workers <= 0:
+        if workers is not None and workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_shard_retries < 0:
             raise ValueError(f"max_shard_retries must be >= 0, got {max_shard_retries}")
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
-        self.num_user_topics = num_user_topics
-        self.num_time_topics = num_time_topics
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.weighted = weighted
-        self.seed = seed
         self.num_partitions = num_partitions
-        self.workers = workers if workers != 1 or engine is None else engine.threads
-        self.engine = engine
+        self.workers = workers if workers is not None else engine.threads
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
         self.shard_timeout = shard_timeout
-        self.params_: TTCAMParameters | None = None
-        self.trace_: EMTrace | None = None
 
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
         return "W-TTCAM(partitioned)" if self.weighted else "TTCAM(partitioned)"
 
-    def _map_shard(
-        self,
-        shard: Shard,
-        theta: FloatArray,
-        phi: FloatArray,
-        theta_time: FloatArray,
-        phi_time: FloatArray,
-        lam: FloatArray,
-        shape: tuple[int, int, int],
-    ) -> _ShardStats:
-        """E-step + partial sufficient statistics for one shard (the mapper)."""
-        u, t, v, c = shard
-        n, t_dim, v_dim = shape
-        if self.engine is not None:
-            # Blocked mapper: a throwaway engine per call keeps the mapper
-            # pure (safe to re-execute concurrently with a straggling
-            # first attempt) while still reusing buffers across the
-            # shard's blocks. Threads apply at the shard-map level.
-            shard_config = EMEngineConfig(
-                block_size=self.engine.block_size,
-                threads=1,
-                dtype=self.engine.dtype,
-                sanitize=self.engine.sanitize,
-            )
-            kernel = TTCAMKernel(
-                u, t, v, c, shape,
-                self.num_user_topics, self.num_time_topics,
-                dtype=self.engine.dtype,
-            )
-            stats, log_likelihood = BlockedEStep(kernel, shard_config).compute(
-                {
-                    "theta": theta,
-                    "phi": phi,
-                    "theta_time": theta_time,
-                    "phi_time": phi_time,
-                    "lambda_u": lam,
-                }
-            )
-            return _ShardStats(
-                theta_num=stats["theta_num"],
-                phi_num=stats["phi_num"],
-                theta_time_num=stats["theta_time_num"],
-                phi_time_num=stats["phi_time_num"],
-                lam_num=stats["lam_num"],
-                log_likelihood=log_likelihood,
-            )
-        joint_z = theta[u] * phi[:, v].T
-        p_interest = joint_z.sum(axis=1)
-        joint_x = theta_time[t] * phi_time[:, v].T
-        p_context = joint_x.sum(axis=1)
-        lam_r = lam[u]
-        denom = lam_r * p_interest + (1 - lam_r) * p_context + EPS
-        ps1 = lam_r * p_interest / denom
-        resp_z = joint_z * (ps1 / (p_interest + EPS))[:, None]
-        resp_x = joint_x * ((1 - ps1) / (p_context + EPS))[:, None]
-        c_resp_z = c[:, None] * resp_z
-        c_resp_x = c[:, None] * resp_x
-        return _ShardStats(
-            theta_num=scatter_sum(u, c_resp_z, n),
-            phi_num=scatter_sum(v, c_resp_z, v_dim),
-            theta_time_num=scatter_sum(t, c_resp_x, t_dim),
-            phi_time_num=scatter_sum(v, c_resp_x, v_dim),
-            lam_num=scatter_sum_1d(u, c * ps1, n),
-            log_likelihood=float(np.dot(c, np.log(denom))),
-        )
-
-    def fit(
-        self,
-        cuboid: RatingCuboid,
-        checkpoint: CheckpointManager | str | None = None,
-        resume_from: CheckpointManager | str | None = None,
-        monitor: HealthMonitor | bool | None = None,
-    ) -> "PartitionedTTCAM":
-        """Fit by partitioned EM; equivalent to the serial TTCAM fit.
-
-        ``checkpoint``/``resume_from``/``monitor`` behave as in
-        :meth:`repro.core.ttcam.TTCAM.fit`, so a run killed between
-        iterations (for instance by a permanently failing shard) resumes
-        bit-compatibly from its last checkpoint.
-        """
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        if self.weighted:
-            cuboid = apply_item_weighting(cuboid)
-
-        n, t_dim, v_dim = cuboid.shape
-        k1, k2 = self.num_user_topics, self.num_time_topics
-        manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, self._meta()
-        )
-
-        if restored is not None:
-            state, start, trace = restore_state(restored, _STATE_KEYS)
-        else:
-            # Same initialisation order as the serial TTCAM for a fixed seed.
-            rng = np.random.default_rng(self.seed)
-            state = {
-                "theta": random_stochastic(rng, n, k1),
-                "phi": random_stochastic(rng, k1, v_dim),
-                "theta_time": random_stochastic(rng, t_dim, k2),
-                "phi_time": random_stochastic(rng, k2, v_dim),
-                "lambda_u": np.full(n, 0.5),
-            }
-            start, trace = 0, EMTrace()
-
+    def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
+        """Map the shards, reduce their partials in fixed shard order."""
         shards = self._partition(cuboid)
-        user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)
-        safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
         shape = cuboid.shape
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One partitioned EM iteration: map shards, reduce, normalise."""
-            partials = self._run_map(
-                shards,
-                current["theta"],
-                current["phi"],
-                current["theta_time"],
-                current["phi_time"],
-                current["lambda_u"],
-                shape,
-            )
-            total = partials[0]
-            for partial in partials[1:]:
-                total += partial
-            updated = {
-                "theta": normalize_rows(total.theta_num, self.smoothing),
-                "phi": normalize_rows(total.phi_num.T, self.smoothing),
-                "theta_time": normalize_rows(total.theta_time_num, self.smoothing),
-                "phi_time": normalize_rows(total.phi_time_num.T, self.smoothing),
-                "lambda_u": np.clip(total.lam_num / safe_user_mass, 0.0, 1.0),
-            }
-            return updated, total.log_likelihood
+        def compute(state: ArrayState) -> Partial:
+            partials = self._run_map(shards, state, shape)
+            total, log_likelihood = partials[0]
+            for stats, shard_log_likelihood in partials[1:]:
+                for name, array in total.items():
+                    array += stats[name]
+                log_likelihood += shard_log_likelihood
+            return total, log_likelihood
 
-        state, trace = run_em(
-            state,
-            step,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            trace=trace,
-            start_iteration=start,
-            checkpoints=manager,
-            monitor=health,
-            rejitter=self._rejitter,
-        )
-
-        self.params_ = TTCAMParameters(
-            theta=state["theta"],
-            phi=state["phi"],
-            theta_time=state["theta_time"],
-            phi_time=state["phi_time"],
-            lambda_u=state["lambda_u"],
-        )
-        self.trace_ = trace
-        return self
-
-    def _meta(self) -> dict[str, object]:
-        """Identifying configuration stored in (and checked against) checkpoints."""
-        return {
-            "model": "ttcam",  # partitioned EM is bit-compatible with serial TTCAM
-            "k1": self.num_user_topics,
-            "k2": self.num_time_topics,
-            "weighted": self.weighted,
-            "seed": self.seed,
+        largest = max(len(scores) for *_, scores in shards)
+        grid: dict[str, object] = {
+            "block_size": self.engine.resolved_block_size(largest),
+            "workers": 1,
+            "partitions": len(shards),
         }
+        return compute, grid
 
-    def default_monitor(self) -> HealthMonitor:
-        """The numerical-health invariants of a TTCAM state."""
-        return HealthMonitor(
-            stochastic=_STOCHASTIC,
-            unit_interval=("lambda_u",),
-            no_collapse=("theta", "theta_time"),
-        )
+    def _map_shard(
+        self, shard: Shard, state: ArrayState, shape: tuple[int, int, int]
+    ) -> Partial:
+        """E-step + partial sufficient statistics for one shard (the mapper).
 
-    def _rejitter(self, state: ArrayState, recovery: int) -> ArrayState:
-        """Seeded perturbation applied to a rolled-back state."""
-        return rejitter_arrays(
-            state, _STOCHASTIC, ("lambda_u",), seed=self.seed + 7919 * recovery
-        )
+        A throwaway engine per call keeps the mapper pure (safe to
+        re-execute concurrently with a straggling first attempt) while
+        still reusing buffers across the shard's blocks. Threads apply at
+        the shard-map level.
+        """
+        kernel = TTCAMKernel(*shard, shape, self.num_user_topics, self.num_time_topics)
+        return BlockedEStep(kernel, replace(self.engine, threads=1)).compute(state)
 
     def _partition(self, cuboid: RatingCuboid) -> list[Shard]:
         """Split the cuboid's entries into contiguous shards."""
@@ -352,15 +178,8 @@ class PartitionedTTCAM:
         return shards
 
     def _run_map(
-        self,
-        shards: list[Shard],
-        theta: FloatArray,
-        phi: FloatArray,
-        theta_time: FloatArray,
-        phi_time: FloatArray,
-        lam: FloatArray,
-        shape: tuple[int, int, int],
-    ) -> list[_ShardStats]:
+        self, shards: list[Shard], state: ArrayState, shape: tuple[int, int, int]
+    ) -> list[Partial]:
         """Run the mapper over all shards with per-shard retry.
 
         The mapper is a pure function of the broadcast parameters, so a
@@ -369,11 +188,11 @@ class PartitionedTTCAM:
         unaffected by which attempt finally succeeded.
         """
 
-        def attempt_shard(index: int, shard: Shard, attempt: int) -> _ShardStats:
+        def attempt_shard(index: int, shard: Shard, attempt: int) -> Partial:
             fault_point("parallel.shard", shard=index, attempt=attempt)
-            return self._map_shard(shard, theta, phi, theta_time, phi_time, lam, shape)
+            return self._map_shard(shard, state, shape)
 
-        def guarded(index: int, shard: Shard) -> _ShardStats:
+        def guarded(index: int, shard: Shard) -> Partial:
             return run_with_retry(
                 lambda attempt: attempt_shard(index, shard, attempt),
                 retries=self.max_shard_retries,
@@ -388,7 +207,7 @@ class PartitionedTTCAM:
             futures = [
                 pool.submit(attempt_shard, i, s, 0) for i, s in enumerate(shards)
             ]
-            results: list[_ShardStats | None] = [None] * len(shards)
+            results: list[Partial | None] = [None] * len(shards)
             stragglers: list[int] = []
             for index, future in enumerate(futures):
                 try:
@@ -402,19 +221,3 @@ class PartitionedTTCAM:
                 results[index] = guarded(index, shards[index])
             assert all(stats is not None for stats in results)
             return [stats for stats in results if stats is not None]
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Ranking scores for every item, as in the serial model."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector / topic matrix, as in the serial model."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> str:
-        """The stacked topic–item matrix is query-independent (as in TTCAM)."""
-        return "static"

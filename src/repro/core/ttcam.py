@@ -21,7 +21,7 @@ from ..data.cuboid import RatingCuboid
 from ..robustness.checkpoint import Checkpoint, CheckpointManager
 from ..robustness.health import HealthMonitor, rejitter_arrays
 from ..typing import ArrayState, FloatArray
-from .engine import BlockedEStep, EMEngineConfig, TTCAMKernel
+from .engine import BlockedEStep, EMEngineConfig, EStep, TTCAMKernel
 from .em import (
     EPS,
     EMTrace,
@@ -30,7 +30,6 @@ from .em import (
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
     scatter_sum_1d,
 )
 from .params import TTCAMParameters
@@ -62,11 +61,11 @@ class TTCAM:
         training log-likelihood wins. EM is fast enough that a few
         restarts are usually worth the variance reduction.
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig` running the
-        E-step through the blocked, buffer-reusing (and optionally
-        threaded) execution engine. ``None`` keeps the legacy
-        single-pass vectorised path; the engine path agrees with it to
-        ``allclose(atol=1e-12)`` (see :mod:`repro.core.engine`).
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked E-step
+        (block size, worker threads, runtime sanitizer). Results are
+        bit-deterministic for a fixed configuration and agree to
+        ``allclose(atol=1e-12)`` across configurations (see
+        :mod:`repro.core.engine`).
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -87,7 +86,7 @@ class TTCAM:
         personalized_lambda: bool = True,
         n_init: int = 1,
         seed: int = 0,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = EMEngineConfig(),
     ) -> None:
         if num_user_topics <= 0:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
@@ -144,13 +143,15 @@ class TTCAM:
         if self.weighted:
             cuboid = apply_item_weighting(cuboid)
 
+        compute, grid = self._build_estep(cuboid)
         manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, self._meta()
+            checkpoint, resume_from, monitor, self.default_monitor, self._meta() | grid
         )
         best: tuple[TTCAMParameters, EMTrace] | None = None
         for restart in range(self.n_init):
             params, trace = self._fit_once(
                 cuboid,
+                compute,
                 seed=self.seed + restart,
                 checkpoints=manager,
                 restored=restored,
@@ -187,9 +188,30 @@ class TTCAM:
             state, _STOCHASTIC, ("lambda_u",), seed=self.seed + 7919 * recovery
         )
 
+    def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
+        """The E-step over ``cuboid`` plus the summation grid it fixed.
+
+        The grid joins :meth:`_meta` in checkpoint metadata, so a resume
+        under a different grid (which could not be bit-identical) is
+        refused. Subclasses override this to run the same equations on
+        another substrate.
+        """
+        kernel = TTCAMKernel(
+            cuboid.users,
+            cuboid.intervals,
+            cuboid.items,
+            cuboid.scores,
+            cuboid.shape,
+            self.num_user_topics,
+            self.num_time_topics,
+        )
+        estep = BlockedEStep(kernel, self.engine)
+        return estep.compute, estep.grid
+
     def _fit_once(
         self,
         cuboid: RatingCuboid,
+        compute: EStep,
         seed: int,
         checkpoints: CheckpointManager | None = None,
         restored: Checkpoint | None = None,
@@ -198,7 +220,6 @@ class TTCAM:
         """One EM run from a random initialisation (or a checkpoint)."""
         n, t_dim, v_dim = cuboid.shape
         k1, k2 = self.num_user_topics, self.num_time_topics
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
 
         if restored is not None:
             state, start, trace = restore_state(restored, _STATE_KEYS)
@@ -213,28 +234,17 @@ class TTCAM:
             }
             start, trace = 0, EMTrace()
 
-        user_mass = scatter_sum_1d(u, c, n)
+        user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
-        total_mass = float(c.sum())  # global-λ normaliser, fixed across iterations
-        estep = (
-            BlockedEStep(
-                TTCAMKernel(
-                    u, t, v, c, cuboid.shape, k1, k2, dtype=self.engine.dtype
-                ),
-                self.engine,
-            )
-            if self.engine is not None
-            else None
-        )
+        total_mass = cuboid.total_score  # global-λ normaliser, fixed
 
-        def engine_step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration through the blocked execution engine."""
-            assert estep is not None  # selected only when the engine exists
-            stats, log_likelihood = estep.compute(current)
+        def step(current: ArrayState) -> tuple[ArrayState, float]:
+            """One EM iteration: the E-step's statistics, then the M-step."""
+            stats, log_likelihood = compute(current)
             if self.personalized_lambda:
                 new_lam = stats["lam_num"] / safe_user_mass  # Eq. 11
             else:
-                new_lam = np.full(n, stats["lam_num"].sum() / total_mass)
+                new_lam = np.full(n, stats["lam_num"].sum() / total_mass)  # single global λ
             updated = {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
                 "phi": normalize_rows(stats["phi_num"].T, self.smoothing),  # Eq. 9
@@ -244,43 +254,9 @@ class TTCAM:
             }
             return updated, log_likelihood
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One full EM iteration (E-step likelihood, then M-step update)."""
-            theta, phi = current["theta"], current["phi"]
-            theta_time, phi_time = current["theta_time"], current["phi_time"]
-            lam = current["lambda_u"]
-            # ---- E-step --------------------------------------------------
-            joint_z = theta[u] * phi[:, v].T  # (R, K1), numerator of Eq. 5
-            p_interest = joint_z.sum(axis=1)  # Eq. 2
-            joint_x = theta_time[t] * phi_time[:, v].T  # (R, K2), num. of Eq. 13
-            p_context = joint_x.sum(axis=1)  # Eq. 12
-            lam_r = lam[u]
-            weighted_interest = lam_r * p_interest
-            weighted_context = (1 - lam_r) * p_context
-            denom = weighted_interest + weighted_context + EPS
-            ps1 = weighted_interest / denom  # Eq. 4
-            resp_z = joint_z * (ps1 / (p_interest + EPS))[:, None]  # Eq. 6
-            resp_x = joint_x * ((1 - ps1) / (p_context + EPS))[:, None]  # Eq. 14
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            # ---- M-step --------------------------------------------------
-            c_resp_z = c[:, None] * resp_z
-            c_resp_x = c[:, None] * resp_x
-            if self.personalized_lambda:
-                new_lam = scatter_sum_1d(u, c * ps1, n) / safe_user_mass  # Eq. 11
-            else:
-                new_lam = np.full(n, np.dot(c, ps1) / total_mass)  # single global λ
-            updated = {
-                "theta": normalize_rows(scatter_sum(u, c_resp_z, n), self.smoothing),  # Eq. 8
-                "phi": normalize_rows(scatter_sum(v, c_resp_z, v_dim).T, self.smoothing),  # Eq. 9
-                "theta_time": normalize_rows(scatter_sum(t, c_resp_x, t_dim), self.smoothing),  # Eq. 15
-                "phi_time": normalize_rows(scatter_sum(v, c_resp_x, v_dim).T, self.smoothing),  # Eq. 16
-                "lambda_u": np.clip(new_lam, 0.0, 1.0),
-            }
-            return updated, log_likelihood
-
         state, trace = run_em(
             state,
-            engine_step if estep is not None else step,
+            step,
             max_iter=self.max_iter,
             tol=self.tol,
             trace=trace,

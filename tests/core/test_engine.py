@@ -2,12 +2,14 @@
 
 Two contracts are pinned (see the :mod:`repro.core.engine` docstring):
 
-* versus the legacy single-pass path (``engine=None``) the engine agrees
-  to ``allclose(atol=1e-12)`` — blocking re-associates floating-point
-  sums, so bit-identity across the two paths is not promised;
+* versus the dense oracle (:mod:`tests.core.reference_em`) every kernel
+  and every fitted model agrees to ``allclose(atol=1e-12)`` for any block
+  grid — blocking re-associates floating-point sums, so bit-identity
+  against the oracle or across grids is not promised;
 * for a **fixed** configuration the engine is bit-deterministic, across
   repeated calls, fresh engine instances, and thread counts ≥ 1 with the
-  same block→worker grid — and therefore under checkpoint/resume.
+  same block→worker grid — and therefore under checkpoint/resume, which
+  refuses a checkpoint written under another grid.
 """
 
 from __future__ import annotations
@@ -17,16 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import TimeTopicModel, UserTopicModel
 from repro.core import ITCAM, TTCAM, PartitionedTTCAM
 from repro.core.engine import (
     DEFAULT_BLOCK_SIZE,
     BlockedEStep,
     EMEngineConfig,
+    ITCAMKernel,
+    TimeTopicKernel,
     TTCAMKernel,
+    UserTopicKernel,
 )
-from repro.core.em import EPS, scatter_sum, scatter_sum_1d
-from repro.baselines import TimeTopicModel, UserTopicModel
-from repro.robustness import CheckpointManager, FaultInjector, InjectedFault
+from repro.robustness import (
+    CheckpointError,
+    CheckpointManager,
+    FaultInjector,
+    InjectedFault,
+)
+from tests.core import reference_em as ref
 
 ATOL = 1e-12
 
@@ -36,7 +46,7 @@ class TestEMEngineConfig:
         config = EMEngineConfig()
         assert config.block_size is None
         assert config.threads == 1
-        assert config.dtype == "float64"
+        assert config.sanitize is False
 
     @pytest.mark.parametrize("block_size", [0, -1])
     def test_nonpositive_block_size_rejected(self, block_size):
@@ -48,10 +58,6 @@ class TestEMEngineConfig:
         with pytest.raises(ValueError, match="threads"):
             EMEngineConfig(threads=threads)
 
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            EMEngineConfig(dtype="float16")
-
     def test_resolved_block_size_default_caps_at_dataset(self):
         config = EMEngineConfig()
         assert config.resolved_block_size(100) == 100
@@ -62,8 +68,11 @@ class TestEMEngineConfig:
         assert EMEngineConfig(block_size=64).resolved_block_size(10) == 10
 
 
+LAM_B = 0.1  # background weight of the UT/TT problems
+
+
 def _random_problem(seed, num_ratings):
-    """Random triples + a random valid TTCAM state."""
+    """Random triples + a random valid state covering every model family."""
     rng = np.random.default_rng(seed)
     n, t_dim, v_dim, k1, k2 = 11, 5, 17, 3, 4
     u = rng.integers(0, n, num_ratings)
@@ -80,70 +89,71 @@ def _random_problem(seed, num_ratings):
     return (u, t, v, c), (n, t_dim, v_dim), (k1, k2), state
 
 
-def _reference_estep(triples, shape, topics, state):
-    """Single-pass TTCAM E-step, written independently of the engine."""
-    u, t, v, c = triples
-    n, t_dim, v_dim = shape
-    joint_z = state["theta"][u] * state["phi"][:, v].T
-    p_int = joint_z.sum(axis=1)
-    joint_x = state["theta_time"][t] * state["phi_time"][:, v].T
-    p_ctx = joint_x.sum(axis=1)
-    lam = state["lambda_u"][u]
-    denom = lam * p_int + (1 - lam) * p_ctx + EPS
-    ps1 = lam * p_int / denom
-    c_resp_z = c[:, None] * joint_z * (ps1 / (p_int + EPS))[:, None]
-    c_resp_x = c[:, None] * joint_x * ((1 - ps1) / (p_ctx + EPS))[:, None]
-    stats = {
-        "theta_num": scatter_sum(u, c_resp_z, n),
-        "phi_num": scatter_sum(v, c_resp_z, v_dim),
-        "theta_time_num": scatter_sum(t, c_resp_x, t_dim),
-        "phi_time_num": scatter_sum(v, c_resp_x, v_dim),
-        "lam_num": scatter_sum_1d(u, c * ps1, n),
-    }
-    return stats, float(np.dot(c, np.log(denom)))
+def _ttcam_case(triples, shape, topics, state):
+    return TTCAMKernel(*triples, shape, *topics), state, ref.ttcam_estep(triples, shape, state)
+
+
+def _itcam_case(triples, shape, topics, state):
+    # ITCAM's temporal context is a per-interval *item* distribution.
+    rng = np.random.default_rng(int(triples[3].shape[0]))
+    state = dict(state, theta_time=rng.dirichlet(np.ones(shape[2]), size=shape[1]))
+    expected, ll = ref.itcam_estep(triples, shape, state)
+    expected["time_num"] = expected["time_num"].ravel()  # the kernel keeps it flat
+    return ITCAMKernel(*triples, shape, topics[0]), state, (expected, ll)
+
+
+def _ut_case(triples, shape, topics, state):
+    background = ref.item_background(triples, shape)
+    kernel = UserTopicKernel(*triples, shape, topics[0], background, LAM_B)
+    return kernel, state, ref.ut_estep(triples, shape, state, background, LAM_B)
+
+
+def _tt_case(triples, shape, topics, state):
+    background = ref.item_background(triples, shape)
+    kernel = TimeTopicKernel(*triples, shape, topics[1], background, LAM_B)
+    return kernel, state, ref.tt_estep(triples, shape, state, background, LAM_B)
+
+
+CASES = {"ttcam": _ttcam_case, "itcam": _itcam_case, "ut": _ut_case, "tt": _tt_case}
+
+
+def _assert_matches_oracle(case, seed, num_ratings, config):
+    kernel, state, (expected, expected_ll) = CASES[case](*_random_problem(seed, num_ratings))
+    stats, ll = BlockedEStep(kernel, config).compute(state)
+    assert ll == pytest.approx(expected_ll, abs=1e-9)
+    assert stats.keys() == expected.keys()
+    for name, array in expected.items():
+        np.testing.assert_allclose(stats[name], array, rtol=0, atol=ATOL, err_msg=name)
 
 
 def _engine_estep(triples, shape, topics, state, config):
-    kernel = TTCAMKernel(*triples, shape, *topics, dtype=config.dtype)
-    return BlockedEStep(kernel, config).compute(state)
+    return BlockedEStep(TTCAMKernel(*triples, shape, *topics), config).compute(state)
 
 
 class TestBlockedEquivalence:
-    """Property: blocked/threaded statistics match the single-pass
-    reference for any block grid — blocks smaller than, equal to and
+    """Property: every kernel's blocked/threaded statistics match the
+    dense oracle for any block grid — blocks smaller than, equal to and
     larger than R, R not divisible by the block size, any thread count."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
+        case=st.sampled_from(sorted(CASES)),
         seed=st.integers(0, 2**31 - 1),
         num_ratings=st.integers(1, 400),
         block_size=st.one_of(st.none(), st.integers(1, 500)),
         threads=st.integers(1, 5),
     )
-    def test_matches_reference(self, seed, num_ratings, block_size, threads):
-        triples, shape, topics, state = _random_problem(seed, num_ratings)
-        expected, expected_ll = _reference_estep(triples, shape, topics, state)
+    def test_matches_reference(self, case, seed, num_ratings, block_size, threads):
         config = EMEngineConfig(block_size=block_size, threads=threads)
-        stats, ll = _engine_estep(triples, shape, topics, state, config)
-        assert ll == pytest.approx(expected_ll, abs=1e-9)
-        for name, array in expected.items():
-            np.testing.assert_allclose(
-                stats[name], array, rtol=0, atol=ATOL, err_msg=name
-            )
+        _assert_matches_oracle(case, seed, num_ratings, config)
 
     @pytest.mark.parametrize(
         "block_size",
         [1, 7, 100, 250, 251, 1000],  # < R, R-not-divisible, = R, > R
     )
     def test_block_grid_edge_cases(self, block_size):
-        triples, shape, topics, state = _random_problem(3, 250)
-        expected, _ = _reference_estep(triples, shape, topics, state)
-        config = EMEngineConfig(block_size=block_size, threads=3)
-        stats, _ = _engine_estep(triples, shape, topics, state, config)
-        for name, array in expected.items():
-            np.testing.assert_allclose(
-                stats[name], array, rtol=0, atol=ATOL, err_msg=name
-            )
+        for case in CASES:
+            _assert_matches_oracle(case, 3, 250, EMEngineConfig(block_size=block_size, threads=3))
 
     def test_zero_ratings_rejected(self):
         triples, shape, topics, _ = _random_problem(0, 1)
@@ -176,132 +186,157 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
 
-def _assert_params_close(a, b, atol=ATOL):
-    for name in ("theta", "phi", "theta_time", "phi_time", "lambda_u"):
-        left, right = getattr(a, name, None), getattr(b, name, None)
-        if left is not None and right is not None:
-            np.testing.assert_allclose(left, right, rtol=0, atol=atol, err_msg=name)
-
-
 ENGINE = EMEngineConfig(block_size=500, threads=2)
+SMOOTHING = 1e-6  # the models' default
+
+
+def _triples(cuboid):
+    return cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
+
+
+def _ttcam_oracle(cuboid, k1, k2, seed, max_iter, personalized_lambda=True):
+    """Reference TTCAM fit from the model's own seeded initialisation."""
+    triples, (n, t_dim, v_dim) = _triples(cuboid), cuboid.shape
+    init = ref.seeded_init(
+        seed,
+        {"theta": (n, k1), "phi": (k1, v_dim), "theta_time": (t_dim, k2), "phi_time": (k2, v_dim)},
+        lambda_users=n,
+    )
+    return ref.run_reference_em(
+        init,
+        lambda state: ref.ttcam_estep(triples, cuboid.shape, state),
+        lambda stats: ref.ttcam_mstep(
+            stats, triples, cuboid.shape, SMOOTHING, personalized_lambda
+        ),
+        max_iter=max_iter,
+    )
+
+
+def _assert_state_close(expected, actual, atol=ATOL):
+    """``actual`` is a params object or model exposing ``name`` / ``name_``."""
+    for name, array in expected.items():
+        fitted = getattr(actual, name, None)
+        if fitted is None:
+            fitted = getattr(actual, name + "_")
+        np.testing.assert_allclose(fitted, array, rtol=0, atol=atol, err_msg=name)
 
 
 class TestFittedModelEquivalence:
-    """Full fits through the engine agree with the legacy path."""
+    """Full fits through the engine agree with the reference EM loop run
+    from the same seeded initialisation."""
 
     def test_ttcam(self, tiny_cuboid):
         cuboid, _ = tiny_cuboid
-        make = lambda engine: TTCAM(
-            num_user_topics=3, num_time_topics=3, max_iter=12, seed=7, engine=engine
-        )
-        legacy = make(None).fit(cuboid)
-        blocked = make(ENGINE).fit(cuboid)
-        _assert_params_close(legacy.params_, blocked.params_)
-        np.testing.assert_allclose(
-            legacy.trace_.log_likelihood, blocked.trace_.log_likelihood, rtol=1e-12
-        )
+        blocked = TTCAM(
+            num_user_topics=3, num_time_topics=3, max_iter=12, seed=7, engine=ENGINE
+        ).fit(cuboid)
+        expected, trace = _ttcam_oracle(cuboid, 3, 3, seed=7, max_iter=12)
+        _assert_state_close(expected, blocked.params_)
+        np.testing.assert_allclose(trace, blocked.trace_.log_likelihood, rtol=1e-12)
 
     def test_ttcam_global_lambda(self, tiny_cuboid):
         cuboid, _ = tiny_cuboid
-        make = lambda engine: TTCAM(
+        blocked = TTCAM(
             num_user_topics=3,
             num_time_topics=3,
             max_iter=10,
             seed=7,
             personalized_lambda=False,
-            engine=engine,
+            engine=ENGINE,
+        ).fit(cuboid)
+        expected, _ = _ttcam_oracle(
+            cuboid, 3, 3, seed=7, max_iter=10, personalized_lambda=False
         )
-        _assert_params_close(
-            make(None).fit(cuboid).params_, make(ENGINE).fit(cuboid).params_
-        )
+        _assert_state_close(expected, blocked.params_)
+        assert np.ptp(blocked.params_.lambda_u) == 0.0  # one λ for everyone
 
     def test_itcam(self, tiny_cuboid):
         cuboid, _ = tiny_cuboid
-        make = lambda engine: ITCAM(
-            num_user_topics=3, max_iter=12, seed=3, engine=engine
+        triples, (n, t_dim, v_dim) = _triples(cuboid), cuboid.shape
+        blocked = ITCAM(num_user_topics=3, max_iter=12, seed=3, engine=ENGINE).fit(cuboid)
+        init = ref.seeded_init(
+            3, {"theta": (n, 3), "phi": (3, v_dim), "theta_time": (t_dim, v_dim)}, lambda_users=n
         )
-        legacy = make(None).fit(cuboid)
-        blocked = make(ENGINE).fit(cuboid)
-        np.testing.assert_allclose(
-            legacy.params_.theta, blocked.params_.theta, rtol=0, atol=ATOL
+        expected, trace = ref.run_reference_em(
+            init,
+            lambda state: ref.itcam_estep(triples, cuboid.shape, state),
+            lambda stats: ref.itcam_mstep(stats, triples, cuboid.shape, SMOOTHING),
+            max_iter=12,
         )
-        np.testing.assert_allclose(
-            legacy.params_.phi, blocked.params_.phi, rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            legacy.params_.theta_time, blocked.params_.theta_time, rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            legacy.params_.lambda_u, blocked.params_.lambda_u, rtol=0, atol=ATOL
-        )
+        _assert_state_close(expected, blocked.params_)
+        np.testing.assert_allclose(trace, blocked.trace_.log_likelihood, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "model_cls, attrs",
         [
-            (UserTopicModel, ("theta_", "phi_")),
-            (TimeTopicModel, ("theta_time_", "phi_time_")),
+            (UserTopicModel, ("theta", "phi")),
+            (TimeTopicModel, ("theta_time", "phi_time")),
         ],
     )
     def test_baselines(self, tiny_cuboid, model_cls, attrs):
         cuboid, _ = tiny_cuboid
-        make = lambda engine: model_cls(num_topics=4, max_iter=12, seed=5, engine=engine)
-        legacy = make(None).fit(cuboid)
-        blocked = make(ENGINE).fit(cuboid)
-        for name in attrs:
-            np.testing.assert_allclose(
-                getattr(legacy, name), getattr(blocked, name), rtol=0, atol=ATOL,
-                err_msg=name,
-            )
+        triples, (n, t_dim, v_dim) = _triples(cuboid), cuboid.shape
+        if model_cls is UserTopicModel:
+            estep, mstep, num_docs = ref.ut_estep, ref.ut_mstep, n
+        else:
+            estep, mstep, num_docs = ref.tt_estep, ref.tt_mstep, t_dim
+        blocked = model_cls(num_topics=4, max_iter=12, seed=5, engine=ENGINE).fit(cuboid)
+        background = ref.item_background(triples, cuboid.shape)
+        expected, trace = ref.run_reference_em(
+            ref.seeded_init(5, {attrs[0]: (num_docs, 4), attrs[1]: (4, v_dim)}),
+            lambda state: estep(triples, cuboid.shape, state, background, LAM_B),
+            lambda stats: mstep(stats, SMOOTHING),
+            max_iter=12,
+        )
+        _assert_state_close(expected, blocked)
+        np.testing.assert_allclose(trace, blocked.trace_.log_likelihood, rtol=1e-12)
 
     def test_partitioned_ttcam(self, tiny_cuboid):
         cuboid, _ = tiny_cuboid
-        make = lambda engine: PartitionedTTCAM(
+        blocked = PartitionedTTCAM(
             num_user_topics=3,
             num_time_topics=3,
             max_iter=8,
             seed=7,
             num_partitions=3,
-            engine=engine,
-        )
-        legacy = make(None).fit(cuboid)
-        blocked = make(EMEngineConfig(block_size=200, threads=2)).fit(cuboid)
-        # Shards already re-associate sums, so the partitioned contract is
-        # a notch looser than the single-model 1e-12.
-        _assert_params_close(legacy.params_, blocked.params_, atol=1e-11)
-
-    def test_float32_mode_is_approximate(self, tiny_cuboid):
-        cuboid, _ = tiny_cuboid
-        make = lambda engine: TTCAM(
-            num_user_topics=3, num_time_topics=3, max_iter=6, seed=7, engine=engine
-        )
-        legacy = make(None).fit(cuboid)
-        fast = make(EMEngineConfig(dtype="float32")).fit(cuboid)
-        _assert_params_close(legacy.params_, fast.params_, atol=5e-3)
+            engine=EMEngineConfig(block_size=200, threads=2),
+        ).fit(cuboid)
+        expected, _ = _ttcam_oracle(cuboid, 3, 3, seed=7, max_iter=8)
+        # Shards re-associate sums on top of the blocks, so the partitioned
+        # contract is a notch looser than the single-model 1e-12.
+        _assert_state_close(expected, blocked.params_, atol=1e-11)
 
 
 @pytest.mark.faults
 class TestResumeWithEngine:
     """Checkpoint/resume under the engine keeps PR 1's bit-identity."""
 
-    def test_resumed_engine_run_is_bit_identical(self, tiny_cuboid, tmp_path):
-        cuboid, _ = tiny_cuboid
-        make = lambda: TTCAM(
+    @staticmethod
+    def _make(**engine):
+        return TTCAM(
             num_user_topics=3,
             num_time_topics=3,
             max_iter=20,
             seed=7,
-            engine=EMEngineConfig(block_size=400, threads=2),
+            engine=EMEngineConfig(**engine),
         )
-        baseline = make().fit(cuboid)
 
-        manager = CheckpointManager(tmp_path, every=3)
+    def _interrupted(self, cuboid, directory, **engine):
+        manager = CheckpointManager(directory, every=3)
         with FaultInjector() as chaos:
             chaos.crash("em.iteration", iteration=7)
             with pytest.raises(InjectedFault):
-                make().fit(cuboid, checkpoint=manager)
+                self._make(**engine).fit(cuboid, checkpoint=manager)
         assert chaos.fired == 1
+        return manager
 
-        resumed = make().fit(cuboid, resume_from=manager)
+    def test_resumed_engine_run_is_bit_identical(self, tiny_cuboid, tmp_path):
+        cuboid, _ = tiny_cuboid
+        grid = dict(block_size=400, threads=2)
+        baseline = self._make(**grid).fit(cuboid)
+        manager = self._interrupted(cuboid, tmp_path, **grid)
+
+        resumed = self._make(**grid).fit(cuboid, resume_from=manager)
         for name in ("theta", "phi", "theta_time", "phi_time", "lambda_u"):
             np.testing.assert_array_equal(
                 getattr(baseline.params_, name),
@@ -309,3 +344,26 @@ class TestResumeWithEngine:
                 err_msg=name,
             )
         assert resumed.trace_.log_likelihood == baseline.trace_.log_likelihood
+
+    @pytest.mark.parametrize(
+        "grid", [dict(block_size=200, threads=2), dict(block_size=400, threads=1)]
+    )
+    def test_resume_under_another_grid_is_refused(self, tiny_cuboid, tmp_path, grid):
+        # Another grid sums in another order: the resumed run would be
+        # bit-equal to neither uninterrupted run, so it must not start.
+        cuboid, _ = tiny_cuboid
+        manager = self._interrupted(cuboid, tmp_path, block_size=400, threads=2)
+        with pytest.raises(CheckpointError, match="different configuration"):
+            self._make(**grid).fit(cuboid, resume_from=manager)
+
+    def test_checkpoint_without_grid_keys_still_resumes(self, tiny_cuboid, tmp_path):
+        # Checkpoints written before the grid was recorded carry no
+        # block_size/workers keys; absent keys are not a mismatch.
+        cuboid, _ = tiny_cuboid
+        manager = self._interrupted(cuboid, tmp_path, block_size=400, threads=2)
+        latest = manager.latest()
+        for key in ("block_size", "workers"):
+            del manager.meta[key]
+        manager.save(latest.arrays, latest.iteration, latest.log_likelihood)
+        resumed = self._make(block_size=200).fit(cuboid, resume_from=manager)
+        assert resumed.trace_.log_likelihood[: latest.iteration] == latest.log_likelihood

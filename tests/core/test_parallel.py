@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import EMEngineConfig
 from repro.core.parallel import PartitionedTTCAM
 from repro.core.ttcam import TTCAM
 import tests.conftest as c
@@ -73,6 +74,22 @@ class TestBehaviour:
             PartitionedTTCAM(workers=0)
         with pytest.raises(RuntimeError):
             PartitionedTTCAM().score_items(0, 0)
+
+    def test_workers_default_to_engine_threads(self):
+        assert PartitionedTTCAM().workers == 1
+        assert PartitionedTTCAM(engine=EMEngineConfig(threads=4)).workers == 4
+
+    def test_explicit_workers_win_over_engine_threads(self):
+        engine = EMEngineConfig(threads=4)
+        assert PartitionedTTCAM(workers=1, engine=engine).workers == 1
+        assert PartitionedTTCAM(workers=2, engine=engine).workers == 2
+
+    def test_inherits_the_serial_models_options(self, cuboid):
+        shared = PartitionedTTCAM(
+            3, 3, max_iter=4, num_partitions=3, personalized_lambda=False, n_init=2
+        ).fit(cuboid)
+        assert np.ptp(shared.params_.lambda_u) == 0.0
+        assert np.isfinite(shared.log_likelihood(cuboid))
 
     def test_name(self):
         assert "partitioned" in PartitionedTTCAM().name

@@ -59,7 +59,7 @@ def _random_problem(seed=11, num_ratings=200):
 
 def _build_estep(config, seed=11, num_ratings=200):
     triples, shape, topics, state = _random_problem(seed, num_ratings)
-    kernel = TTCAMKernel(*triples, shape, *topics, dtype=config.dtype)
+    kernel = TTCAMKernel(*triples, shape, *topics)
     return BlockedEStep(kernel, config), state
 
 

@@ -17,6 +17,7 @@ from repro.robustness import (
     FaultInjector,
     HealthViolation,
 )
+from repro.tooling.sanitize import SanitizerError, sanitize_enabled
 
 pytestmark = pytest.mark.faults
 
@@ -58,11 +59,17 @@ class TestNaNRollback:
     def test_unmonitored_fit_dies_instead_of_recovering(self, tiny_cuboid):
         # Without the monitor the poison propagates until the trace's own
         # non-finite guard kills the run — demonstrating the monitor is
-        # what rescues the fit, not luck.
+        # what rescues the fit, not luck. An armed sanitizer (make
+        # test-sanitize) refuses the poisoned theta one step earlier, at
+        # the next E-step's state check; either way the fit dies.
         cuboid, _ = tiny_cuboid
+        if sanitize_enabled():
+            died = pytest.raises(SanitizerError, match="theta")
+        else:
+            died = pytest.raises(FloatingPointError, match="non-finite")
         with FaultInjector(seed=5) as chaos:
             chaos.poison_nan("em.state", iteration=3, cells=10, array="theta")
-            with pytest.raises(FloatingPointError, match="non-finite"):
+            with died:
                 _model(max_iter=6, tol=0.0).fit(cuboid)
         assert chaos.fired == 1
 

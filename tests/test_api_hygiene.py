@@ -105,6 +105,16 @@ TYPED_PACKAGES = ("repro.core", "repro.recommend", "repro.robustness", "repro.st
 IMPLICIT_PARAMS = {"self", "cls"}
 
 
+def class_members(cls):
+    """``name -> member`` as attribute lookup resolves it: a class's public
+    surface includes what it inherits (``PartitionedTTCAM`` is mostly
+    ``TTCAM``), so inherited methods are held to the same standard."""
+    members = {}
+    for klass in reversed(cls.__mro__):
+        members.update(vars(klass))
+    return members
+
+
 def typed_callables():
     """Every public function/method of the strictly-typed packages."""
     for (module, qualname), obj in PUBLIC:
@@ -113,7 +123,7 @@ def typed_callables():
         if inspect.isfunction(obj):
             yield f"{module}.{qualname}", obj
         elif inspect.isclass(obj):
-            for name, member in vars(obj).items():
+            for name, member in class_members(obj).items():
                 if name.startswith("_") and name != "__init__":
                     continue
                 if isinstance(member, (staticmethod, classmethod)):

@@ -442,6 +442,24 @@ class TestFitSanitize:
         assert code == 0
         assert path.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--block-size", "-5")])
+    def test_nonpositive_engine_flags_are_usage_errors(
+        self, dataset_csv, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "fit",
+                    "--input", str(dataset_csv),
+                    "--output", str(tmp_path / "model.npz"),
+                    flag, value,
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}: must be a positive integer" in err
+
 
 class TestStream:
     @pytest.fixture()
