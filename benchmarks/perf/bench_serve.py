@@ -1,20 +1,22 @@
 """Batch serving throughput microbenchmark → ``BENCH_serve.json``.
 
 Measures end-to-end queries/sec of :meth:`TemporalRecommender.recommend_batch`
-— the GEMM-based batch engine, in float64 (exact) and float32 (selection
-only) modes — against the per-query Threshold-Algorithm path, over a
-skewed multi-interval query workload on synthetic TTCAM parameters at
-the same catalogue scales as ``bench_topk.py``. Each entry also records
+— the GEMM-based batch engine — against the per-query
+Threshold-Algorithm path, over a skewed multi-interval query workload on
+synthetic TTCAM parameters at the same catalogue scales as
+``bench_topk.py``. Each entry also records
 the serving-cache hit rate reached during the measured run, so the
 trajectory tracks cache behaviour alongside raw throughput.
 
-The script additionally *verifies* the serving contracts while it
-measures: float64 batch results must match the per-query engine exactly,
-and float32 must return the same top-k item sets.
+The script additionally *verifies* the serving contract while it
+measures: float64 batch results must match the per-query engine exactly.
+(The ``batch-f32`` and ``mmap-f16`` entries in the committed
+``BENCH_serve.json`` are the record of why those two selection modes
+were removed; they are no longer produced.)
 
 A separate **million-item tier** measures the mmap + quantized serving
 path (``repro.recommend.paramstore`` / ``repro.recommend.quantize``) at
-V=1M: eager float64 against mmap-backed float64/float16/int8 selection,
+V=1M: eager float64 against mmap-backed float64/int8 selection,
 one spawned process per variant so each reports its own peak RSS. All
 variants must return bitwise-identical top-k to eager float64, and
 mmap+int8 must peak materially below eager loading. ``--smoke`` runs the
@@ -64,7 +66,6 @@ SMOKE_MILLION_SCALE = (6, 2_000, 5, 48)
 MILLION_VARIANTS = (
     ("eager-f64", "float64", False),
     ("mmap-f64", "float64", True),
-    ("mmap-f16", "float16", True),
     ("mmap-int8", "int8", True),
 )
 #: Row block for the million tier: the (rows, V) score workspace is the
@@ -108,18 +109,14 @@ def make_queries(num_queries: int, seed: int = 0) -> list[tuple[int, int]]:
 
 
 def verify_contracts(model: LoadedModel, queries, k: int) -> None:
-    """Assert the batch engine's exactness and float32 set stability."""
+    """Assert the batch engine's exactness against the per-query engine."""
     rec = TemporalRecommender(model, method="ta")
     sample = queries[:VERIFY_SAMPLE]
     batch64 = rec.recommend_batch(sample, k=k)
-    batch32 = rec.recommend_batch(sample, k=k, dtype="float32")
-    for (user, interval), r64, r32 in zip(sample, batch64, batch32):
+    for (user, interval), r64 in zip(sample, batch64):
         single = rec.recommend(user, interval, k=k)
         assert r64.items == single.items and r64.scores == single.scores, (
             f"float64 batch diverged from ta_topk at query ({user}, {interval})"
-        )
-        assert set(r32.items) == set(r64.items), (
-            f"float32 top-k set diverged at query ({user}, {interval})"
         )
 
 
@@ -384,12 +381,6 @@ def main(argv=None) -> int:
                 lambda r: r.recommend_batch(queries, k=k),
                 num_queries,
                 "float64",
-            ),
-            "batch-f32": (
-                TemporalRecommender(model, serve_dtype="float32"),
-                lambda r: r.recommend_batch(queries, k=k),
-                num_queries,
-                "float32",
             ),
         }
         for variant, (rec, run, served, dtype) in variants.items():

@@ -1,21 +1,26 @@
 """Process-parallel serving service benchmark → ``BENCH_service.json``.
 
 Measures the end-to-end ``tcam serve`` stack — asyncio front-end,
-adaptive micro-batching, ``N`` spawned worker processes sharing one
-zero-copy snapshot — under a concurrent closed-loop client workload.
-For each worker count the script records requests/sec plus client-side
-p50/p99 request latency, and every worker's resident footprint in both
-RSS and PSS (proportional set size: shared pages divided among the
-processes mapping them, the honest metric for a zero-copy fleet).
+busy-aware micro-batching, ``N`` spawned worker processes on one
+snapshot — under a concurrent closed-loop client workload. Each worker
+count runs twice: plain (every worker loads the ``.npz`` eagerly,
+``wN``) and on the snapshot's mmap sidecar (``tcam serve --mmap``,
+``wN-mmap`` — the one cross-worker sharing path). For each the script
+records requests/sec plus client-side p50/p99 request latency, the
+front-end's peak RSS (``VmHWM``) and every worker's resident footprint
+in both RSS and PSS (proportional set size: shared pages divided among
+the processes mapping them, the honest metric for a zero-copy fleet).
 
 The script *verifies* while it measures:
 
 * a sample of service responses must be **bitwise identical** (items,
   score bits, tie order) to a direct in-process ``recommend_batch`` on
   the same snapshot;
-* at full scale, mean per-worker PSS at the highest worker count must be
-  materially below the single-worker PSS — memory grows sub-linearly in
-  workers or the zero-copy claim is false;
+* at full scale, mean per-worker PSS of the ``-mmap`` rows at the
+  highest worker count must be materially below the single-worker PSS —
+  memory grows sub-linearly in workers or the zero-copy claim is false
+  (the plain rows claim no sharing);
+* every worker's ``status`` must report ``"mmap"`` as launched;
 * one fleet-wide hot swap is exercised under the live service, and every
   run must end in a clean SIGTERM drain (exit 0, "drained cleanly").
 
@@ -26,6 +31,7 @@ configuration for CI.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import shutil
@@ -92,7 +98,9 @@ def make_queries(num_queries: int, seed: int) -> list[tuple[int, int]]:
 class ServeProcess:
     """One ``tcam serve`` subprocess; parses its bound port at start-up."""
 
-    def __init__(self, snapshot: str, workers: int, generation_file: str) -> None:
+    def __init__(
+        self, snapshot: str, workers: int, generation_file: str, mmap: bool
+    ) -> None:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -114,6 +122,7 @@ class ServeProcess:
                 str(workers),
                 "--generation-file",
                 generation_file,
+                *(["--mmap"] if mmap else []),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -139,6 +148,15 @@ class ServeProcess:
         # raising, or it lingers as a zombie for the rest of the run.
         self.proc.communicate()
         raise RuntimeError(f"tcam serve never reported a port; output: {lines!r}")
+
+    def peak_rss_bytes(self) -> int | None:
+        """The front-end process's ``VmHWM`` (``None`` off Linux)."""
+        try:
+            status = Path(f"/proc/{self.proc.pid}/status").read_text()
+        except OSError:
+            return None
+        match = re.search(r"^VmHWM:\s+(\d+) kB", status, re.MULTILINE)
+        return int(match.group(1)) * 1024 if match else None
 
     def drain(self, timeout_s: float = 120.0) -> str:
         """SIGTERM the service and return its remaining output."""
@@ -188,13 +206,15 @@ def measure_worker_count(
     workdir: Path,
     params: TTCAMParameters,
     workers: int,
+    mmap: bool,
     k: int,
     clients: int,
     rounds: int,
     swap_snapshot: str | None,
 ) -> dict:
-    """One worker count: start, load, verify, optionally swap, drain."""
-    service = ServeProcess(snapshot, workers, str(workdir / f"gen-w{workers}.json"))
+    """One worker count and attach path: start, load, verify, optionally swap, drain."""
+    tag = f"w{workers}-mmap" if mmap else f"w{workers}"
+    service = ServeProcess(snapshot, workers, str(workdir / f"gen-{tag}.json"), mmap)
     try:
         queries = make_queries(256, seed=29)
         verify_bitwise(service.port, params, queries, k)
@@ -224,19 +244,24 @@ def measure_worker_count(
 
         with ServiceClient("127.0.0.1", service.port, timeout=120) as client:
             status = client.status()
+            if any(w["mmap"] is not mmap for w in status["workers"]):
+                raise RuntimeError(f"workers are not serving as launched: {status}")
+            frontend_peak = service.peak_rss_bytes()
             if swap_snapshot is not None:
                 swap = client.publish(swap_snapshot)
                 if not swap["published"]:
                     raise RuntimeError(f"fleet hot swap failed: {swap}")
                 after = client.status()
-                if any(w["swaps"] != 1 for w in after["workers"]):
+                if any(w["swaps"] != 1 or w["mmap"] is not mmap for w in after["workers"]):
                     raise RuntimeError(f"swap did not land fleet-wide: {after}")
     finally:
         service.drain()
 
     ordered = np.sort(np.asarray(latencies))
     return {
+        "tag": tag,
         "workers": workers,
+        "mmap": mmap,
         "qps": len(latencies) / elapsed,
         "p50_ms": float(np.percentile(ordered, 50) * 1e3),
         "p99_ms": float(np.percentile(ordered, 99) * 1e3),
@@ -244,6 +269,7 @@ def measure_worker_count(
         "clients": clients,
         "rss_bytes": [w["rss_bytes"] for w in status["workers"]],
         "pss_bytes": [w["pss_bytes"] for w in status["workers"]],
+        "frontend_peak_rss_bytes": frontend_peak,
         "swapped": swap_snapshot is not None,
     }
 
@@ -262,18 +288,20 @@ def main(argv=None) -> int:
     entries = []
     try:
         params = make_params(num_topics, num_items, seed=17)
-        snapshot = save_params(params, workdir / "model.npz")
+        snapshot = save_params(params, workdir / "model.npz", mmap_layout=True)
         swap_candidate = save_params(
-            make_params(num_topics, num_items, seed=23), workdir / "candidate.npz"
+            make_params(num_topics, num_items, seed=23),
+            workdir / "candidate.npz",
+            mmap_layout=True,
         )
         measurements = []
-        for workers in worker_counts:
+        for workers, mmap in itertools.product(worker_counts, (False, True)):
             swap = str(swap_candidate) if workers == max(worker_counts) else None
             result = measure_worker_count(
-                str(snapshot), workdir, params, workers, k, clients, rounds, swap
+                str(snapshot), workdir, params, workers, mmap, k, clients, rounds, swap
             )
             measurements.append(result)
-            name = f"service/v{num_items}-z{num_topics}-k{k}/w{workers}"
+            name = f"service/v{num_items}-z{num_topics}-k{k}/{result['tag']}"
             entries.append(
                 BenchEntry(
                     name=name,
@@ -284,6 +312,7 @@ def main(argv=None) -> int:
                         "num_topics": num_topics,
                         "k": k,
                         "workers": workers,
+                        "mmap": mmap,
                         "clients": clients,
                         "blas_threads": 1,
                         "requests": result["requests"],
@@ -291,6 +320,7 @@ def main(argv=None) -> int:
                         "p99_ms": round(result["p99_ms"], 3),
                         "rss_bytes": result["rss_bytes"],
                         "pss_bytes": result["pss_bytes"],
+                        "frontend_peak_rss_bytes": result["frontend_peak_rss_bytes"],
                         "hot_swapped": result["swapped"],
                     },
                     context=context,
@@ -300,27 +330,30 @@ def main(argv=None) -> int:
             pss_mib = (
                 f"{sum(pss) / len(pss) / 2**20:6.1f} MiB/worker" if pss else "n/a"
             )
+            peak = result["frontend_peak_rss_bytes"]
+            peak_mib = f"{peak / 2**20:6.1f} MiB" if peak is not None else "n/a"
             print(
                 f"{name:45s} {result['qps']:8.1f} req/s  "
                 f"p50 {result['p50_ms']:6.2f} ms  p99 {result['p99_ms']:6.2f} ms  "
-                f"(PSS {pss_mib})"
+                f"(PSS {pss_mib}, front-end peak RSS {peak_mib})"
             )
 
         if not args.smoke:
-            single = measurements[0]["pss_bytes"]
-            widest = measurements[-1]["pss_bytes"]
+            shared = [m for m in measurements if m["mmap"]]
+            single = shared[0]["pss_bytes"]
+            widest = shared[-1]["pss_bytes"]
             if all(b is not None for b in single + widest):
                 mean_single = sum(single) / len(single)
                 mean_widest = sum(widest) / len(widest)
                 ratio = mean_widest / mean_single
                 print(
-                    f"mean per-worker PSS at w={worker_counts[-1]} is "
+                    f"mean per-worker PSS at w={worker_counts[-1]}-mmap is "
                     f"{ratio:.2f}x the single-worker PSS"
                 )
                 assert ratio <= 0.9, (
                     f"per-worker PSS barely shrank ({ratio:.2f}x) at "
-                    f"{worker_counts[-1]} workers: snapshot sharing is not "
-                    "zero-copy (need <= 0.9x)"
+                    f"{worker_counts[-1]} workers on the mmap sidecar: "
+                    "snapshot sharing is not zero-copy (need <= 0.9x)"
                 )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

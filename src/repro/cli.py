@@ -584,11 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--select-dtype",
         "--serve-dtype",
         dest="serve_dtype",
-        choices=("float64", "float32", "float16", "int8"),
+        choices=("float64", "int8"),
         default="float64",
-        help="batch candidate-selection dtype: float64 is exact; float32 uses a "
-        "fixed wider margin; float16/int8 quantize selection with a proven "
-        "margin and stay bitwise identical to float64 (batch mode only)",
+        help="batch candidate-selection dtype: int8 quantizes selection with a "
+        "proven margin and stays bitwise identical to float64 (batch mode only)",
     )
     p_rec.add_argument(
         "--mmap",
@@ -621,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select-dtype",
         "--serve-dtype",
         dest="serve_dtype",
-        choices=("float64", "float32", "float16", "int8"),
+        choices=("float64", "int8"),
         default="float64",
         help="candidate-selection dtype workers score with",
     )

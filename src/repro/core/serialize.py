@@ -137,6 +137,21 @@ def load_params(path: str | Path) -> ITCAMParameters | TTCAMParameters:
         raise SnapshotCorruptError(f"snapshot {path} is unreadable: {exc}") from exc
 
 
+def stored_checksum(path: str | Path) -> str | None:
+    """The parameter checksum embedded in the snapshot at ``path``.
+
+    Decodes only the checksum member of the archive — no parameter array
+    is read — so derived data (the mmap sidecar) can be tied to the
+    snapshot it was built from cheaply. ``None`` means the archive is
+    missing, unreadable or carries no checksum.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return str(archive[_CHECKSUM_KEY]) if _CHECKSUM_KEY in archive else None
+    except Exception:  # zipfile.BadZipFile, OSError, EOFError, ...
+        return None
+
+
 class LoadedModel:
     """Serving adapter around loaded parameters.
 
@@ -164,8 +179,9 @@ class LoadedModel:
 
         ``mmap=True`` serves from the sidecar store published by
         ``save_params(..., mmap_layout=True)``: parameters page in on
-        demand and never fully materialise. A missing or damaged sidecar
-        degrades to the eager checksummed load with a
+        demand and never fully materialise. A missing, damaged or stale
+        sidecar (one derived from other parameters than the ``.npz`` now
+        holds) degrades to the eager checksummed load with a
         :class:`RuntimeWarning` — mmap is an optimisation, not a second
         source of truth.
         """

@@ -23,10 +23,10 @@ arrays that are expensive (in time or resident bytes) to rebuild online:
 * ``sorted_order`` / ``sorted_values`` — the Threshold-Algorithm
   per-topic sorted lists for the same matrix;
 * ``context`` / ``context32`` (+ per-interval error statistics) — the
-  per-interval context score vectors ``θ′_t·Φ`` in float64 and float32;
-* ``qsel_int8_*`` / ``qsel_float16_*`` — the quantized selection forms
-  of Φ with their measured per-topic error bounds (see
-  :mod:`repro.recommend.quantize`).
+  per-interval context score vectors ``θ′_t·Φ`` in float64, and the
+  float32 image the int8 selection path adds and bounds;
+* ``qsel_int8_*`` — the int8 selection form of Φ with its measured
+  per-topic error bounds (see :mod:`repro.recommend.quantize`).
 
 **Trust model.** ``__post_init__`` validation of the parameter
 containers would page every byte of every array — defeating the point —
@@ -36,8 +36,10 @@ against the mapped files, (b) fully hashes every file small enough to be
 cheap, and (c) spot-checks sampled rows for the stochastic invariants.
 :meth:`ParamStore.verify` performs the full every-byte hash check when
 integrity matters more than start-up latency (tests do this; a paranoid
-deployment can too). The sidecar is *derived* data: if it is missing or
-damaged, loaders fall back to the checksummed ``.npz``.
+deployment can too). The sidecar is *derived* data: the manifest records
+the checksum of the snapshot it was derived from, and if the sidecar is
+missing, damaged or describes another snapshot than the ``.npz`` beside
+it, loaders fall back to the checksummed ``.npz``.
 
 **Atomicity.** :func:`write_store` builds the layout in a temporary
 sibling directory, fsyncs, and renames it into place; the manifest is
@@ -58,9 +60,11 @@ from typing import Any, Hashable, Mapping
 import numpy as np
 
 from ..core.params import ITCAMParameters, TTCAMParameters
+from ..core.serialize import stored_checksum
+from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import AnyArray, FloatArray
-from .quantize import QUANTIZED_DTYPES, ContextVector, QuantizedMatrix, quantize_matrix
+from .quantize import ContextVector, QuantizedMatrix, quantize_matrix
 from .threshold import SortedTopicLists
 
 __all__ = ["MANIFEST_NAME", "STORE_SUFFIX", "ParamStore", "store_dir", "write_store"]
@@ -71,7 +75,7 @@ MANIFEST_NAME = "manifest.json"
 #: Suffix appended to the snapshot filename to form the sidecar directory.
 STORE_SUFFIX = ".arrays"
 
-_FORMAT = "tcam-store-v1"
+_FORMAT = "tcam-store-v2"
 
 _TTCAM_FIELDS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
 _ITCAM_FIELDS = ("theta", "phi", "theta_time", "lambda_u")
@@ -122,18 +126,17 @@ def _context_stats(context: FloatArray) -> tuple[AnyArray, FloatArray, FloatArra
     return values, delta, abs_max
 
 
-def write_store(
-    params: ITCAMParameters | TTCAMParameters,
-    snapshot: str | Path,
-    quantized_dtypes: tuple[str, ...] = QUANTIZED_DTYPES,
-) -> Path:
+def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path) -> Path:
     """Write the mmap sidecar layout for ``params`` next to ``snapshot``.
 
     This is an offline step run at publish time: it reads the full
     parameter set once, derives the serving arrays (rescore transpose,
-    sorted topic lists, context vectors, quantized selection forms) and
-    publishes everything with a rename. Returns the store directory.
-    An existing store at the same location is replaced.
+    sorted topic lists, context vectors, int8 selection form) and
+    publishes everything with a rename. The manifest records the
+    parameters' checksum — the one :func:`~repro.core.serialize.save_params`
+    embeds in the ``.npz`` — so a sidecar left behind by an older save is
+    recognised as stale. Returns the store directory. An existing store
+    at the same location is replaced.
     """
     final = store_dir(snapshot)
     tmp = final.with_name(final.name + ".tmp")
@@ -141,11 +144,17 @@ def write_store(
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
 
-    arrays: dict[str, AnyArray] = {}
     if isinstance(params, TTCAMParameters):
-        variant = "ttcam"
-        for name in _TTCAM_FIELDS:
-            arrays[name] = np.asarray(getattr(params, name))
+        variant, fields = "ttcam", _TTCAM_FIELDS
+    elif isinstance(params, ITCAMParameters):
+        variant, fields = "itcam", _ITCAM_FIELDS
+    else:
+        raise TypeError(f"unsupported parameter type: {type(params).__name__}")
+    arrays: dict[str, AnyArray] = {
+        name: np.asarray(getattr(params, name)) for name in fields
+    }
+    checksum = digest_arrays(arrays)  # the parameter fields only, as save_params
+    if isinstance(params, TTCAMParameters):
         lists = SortedTopicLists.build(params.topic_item_matrix())
         arrays["item_topic"] = lists.item_topic
         arrays["sorted_order"] = lists.order
@@ -159,30 +168,23 @@ def write_store(
         for t in range(intervals):
             context[t] = params.theta_time[t] @ params.phi_time
         arrays["context"] = context
-    elif isinstance(params, ITCAMParameters):
-        variant = "itcam"
-        for name in _ITCAM_FIELDS:
-            arrays[name] = np.asarray(getattr(params, name))
+    else:
         # ITCAM's context *is* theta_time; only the float32 image and
         # its statistics are additional. The per-interval topic–item
         # matrix (phi + one theta_time row) is cheap to assemble online,
         # so no per-interval transposes are persisted.
         context = np.asarray(params.theta_time, dtype=np.float64)
-    else:
-        raise TypeError(f"unsupported parameter type: {type(params).__name__}")
 
     context32, context_delta, context_abs_max = _context_stats(context)
     arrays["context32"] = context32
     arrays["context_delta"] = context_delta
     arrays["context_absmax"] = context_abs_max
 
-    for dtype in quantized_dtypes:
-        quantized = quantize_matrix(np.asarray(params.phi, dtype=np.float64), dtype)
-        arrays[f"qsel_{dtype}_storage"] = quantized.storage
-        if quantized.scale is not None:
-            arrays[f"qsel_{dtype}_scale"] = quantized.scale
-        arrays[f"qsel_{dtype}_delta"] = quantized.delta
-        arrays[f"qsel_{dtype}_absmax"] = quantized.row_abs_max
+    quantized = quantize_matrix(np.asarray(params.phi, dtype=np.float64), "int8")
+    arrays["qsel_int8_storage"] = quantized.storage
+    arrays["qsel_int8_scale"] = quantized.scale
+    arrays["qsel_int8_delta"] = quantized.delta
+    arrays["qsel_int8_absmax"] = quantized.row_abs_max
 
     entries: dict[str, dict[str, Any]] = {}
     for name, array in arrays.items():
@@ -202,7 +204,7 @@ def write_store(
     manifest = {
         "format": _FORMAT,
         "variant": variant,
-        "quantized_dtypes": list(quantized_dtypes),
+        "snapshot_checksum": checksum,
         "arrays": entries,
     }
     manifest_path = tmp / MANIFEST_NAME
@@ -249,6 +251,7 @@ class ParamStore:
             raise SnapshotCorruptError(
                 f"{manifest_path} is not a {_FORMAT} manifest"
             )
+        self.snapshot_checksum = manifest.get("snapshot_checksum")
         self.variant = str(manifest.get("variant"))
         if self.variant not in ("ttcam", "itcam"):
             raise SnapshotCorruptError(
@@ -271,8 +274,22 @@ class ParamStore:
 
     @classmethod
     def for_snapshot(cls, snapshot: str | Path) -> "ParamStore":
-        """Open the store belonging to a snapshot path."""
-        return cls(store_dir(snapshot))
+        """Open the store belonging to a snapshot path.
+
+        The store must have been derived from the ``.npz`` that is at
+        ``snapshot`` now: the manifest's checksum is compared with the
+        one embedded in the archive (one small zip member — no parameter
+        bytes are read), so a sidecar left over from an earlier save at
+        the same path is rejected instead of served.
+        """
+        store = cls(store_dir(snapshot))
+        expected = stored_checksum(snapshot)
+        if expected is None or store.snapshot_checksum != expected:
+            raise SnapshotCorruptError(
+                f"parameter store {store.directory} is stale: it was not derived "
+                f"from the parameters now in {snapshot}"
+            )
+        return store
 
     # -- load-time validation --------------------------------------------
 
@@ -486,37 +503,33 @@ class ParamStore:
         if dtype in self._quantized:
             return self._quantized[dtype]
         storage = self._arrays.get(f"qsel_{dtype}_storage")
+        scale = self._arrays.get(f"qsel_{dtype}_scale")
         delta = self._arrays.get(f"qsel_{dtype}_delta")
         abs_max = self._arrays.get(f"qsel_{dtype}_absmax")
         quantized: QuantizedMatrix | None = None
-        if storage is not None and delta is not None and abs_max is not None:
-            scale = self._arrays.get(f"qsel_{dtype}_scale")
+        if not (storage is None or scale is None or delta is None or abs_max is None):
             # The per-topic statistics are tiny and consulted on every
             # margin computation — copy them into resident memory.
             quantized = QuantizedMatrix(
                 storage=storage,
-                scale=None if scale is None else np.asarray(scale, dtype=np.float32),
+                scale=np.asarray(scale, dtype=np.float32),
                 delta=np.asarray(delta, dtype=np.float64),
                 row_abs_max=np.asarray(abs_max, dtype=np.float64),
             )
         self._quantized[dtype] = quantized
         return quantized
 
-    def context_row(self, interval: int, dtype: str) -> AnyArray | None:
-        """One interval's persisted context score vector ``θ′_t·Φ``."""
-        if dtype == "float32":
-            source = self._arrays.get("context32")
-        elif self.variant == "ttcam":
-            source = self._arrays.get("context")
-        else:
-            source = self._arrays.get("theta_time")
+    def context_row(self, interval: int) -> FloatArray | None:
+        """One interval's persisted float64 context score vector ``θ′_t·Φ``."""
+        source = self._arrays.get("context" if self.variant == "ttcam" else "theta_time")
         if source is None or not 0 <= interval < source.shape[0]:
             return None
-        return source[interval]
+        row: FloatArray = source[interval]
+        return row
 
     def context_vector(self, interval: int) -> ContextVector | None:
         """One interval's float32 context vector with its error bounds."""
-        values = self.context_row(interval, "float32")
+        values = self._arrays.get("context32")
         delta = self._arrays.get("context_delta")
         abs_max = self._arrays.get("context_absmax")
         if values is None or delta is None or abs_max is None:
@@ -524,7 +537,7 @@ class ParamStore:
         if not 0 <= interval < delta.shape[0]:
             return None
         return ContextVector(
-            values=values,
+            values=values[interval],
             delta=float(delta[interval]),
             abs_max=float(abs_max[interval]),
         )

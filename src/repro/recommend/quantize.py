@@ -4,8 +4,8 @@ The batch serving engine (:mod:`repro.recommend.serving`) splits every
 query into an approximate GEMM *selection* pass and an exact float64
 *rescore* pass. The selection pass only has to produce a candidate
 superset of the true top-k — so its matrix does not have to be float64.
-This module provides int8 (symmetric, per-topic scale) and float16
-representations of a ``(K, V)`` selection matrix together with the
+This module provides the int8 (symmetric, per-topic scale)
+representation of a ``(K, V)`` selection matrix together with the
 machinery that keeps the end-to-end result **bitwise identical** to the
 float64 path:
 
@@ -45,7 +45,6 @@ import numpy as np
 from ..typing import AnyArray, FloatArray
 
 __all__ = [
-    "QUANTIZED_DTYPES",
     "ContextVector",
     "QuantizedMatrix",
     "accumulation_gamma",
@@ -53,9 +52,6 @@ __all__ = [
     "selection_margins",
     "staged_select_gemm",
 ]
-
-#: Selection dtypes that run through the quantized staged-GEMM path.
-QUANTIZED_DTYPES = ("float16", "int8")
 
 #: Columns dequantized per staging step. ``K × 65536 × 4`` bytes of
 #: float32 staging buffer (e.g. 12 MB at K = 48) regardless of ``V``.
@@ -88,15 +84,14 @@ def accumulation_gamma(terms: int) -> float:
 
 @dataclass(frozen=True)
 class QuantizedMatrix:
-    """A ``(K, V)`` selection matrix in int8 or float16 storage.
+    """A ``(K, V)`` selection matrix in int8 storage.
 
     Attributes
     ----------
     storage:
-        ``(K, V)`` int8 codes or float16 values.
+        ``(K, V)`` int8 codes.
     scale:
-        ``(K,)`` float32 per-topic dequantization scales (int8 only;
-        ``None`` for float16 storage).
+        ``(K,)`` float32 per-topic dequantization scales.
     delta:
         ``(K,)`` float64 measured per-topic worst-case deviation of the
         *effective float32 value* (exactly what
@@ -108,13 +103,13 @@ class QuantizedMatrix:
     """
 
     storage: AnyArray
-    scale: AnyArray | None
+    scale: AnyArray
     delta: FloatArray
     row_abs_max: FloatArray
 
     @property
     def dtype(self) -> str:
-        """Storage dtype name (``"int8"`` or ``"float16"``)."""
+        """Storage dtype name (``"int8"``)."""
         return str(self.storage.dtype)
 
     @property
@@ -125,25 +120,25 @@ class QuantizedMatrix:
     @property
     def nbytes(self) -> int:
         """Bytes held by the storage and its per-topic statistics."""
-        total = int(self.storage.nbytes + self.delta.nbytes + self.row_abs_max.nbytes)
-        if self.scale is not None:
-            total += int(self.scale.nbytes)
-        return total
+        return int(
+            self.storage.nbytes
+            + self.scale.nbytes
+            + self.delta.nbytes
+            + self.row_abs_max.nbytes
+        )
 
     def dequantize_block(self, columns: slice, out: AnyArray) -> AnyArray:
         """Effective float32 values of one column block, written to ``out``.
 
-        For int8 storage the effective value is
-        ``float32(code) · float32(scale)`` — the exact expression the
-        stored ``delta`` was measured against, so the GEMM operates on
-        values whose deviation from float64 truth is bounded by
-        construction.
+        The effective value is ``float32(code) · float32(scale)`` — the
+        exact expression the stored ``delta`` was measured against, so
+        the GEMM operates on values whose deviation from float64 truth
+        is bounded by construction.
         """
         block = self.storage[:, columns]
         view = out[:, : block.shape[1]]
         np.copyto(view, block, casting="same_kind")
-        if self.scale is not None:
-            np.multiply(view, self.scale[:, None], out=view)
+        np.multiply(view, self.scale[:, None], out=view)
         return view
 
 
@@ -184,49 +179,41 @@ class ContextVector:
         return cls(values=values, delta=delta, abs_max=abs_max)
 
 
-def _effective_values(storage: AnyArray, scale: AnyArray | None) -> FloatArray:
+def _effective_values(storage: AnyArray, scale: AnyArray) -> FloatArray:
     """Float64 image of the effective float32 values (build-time only)."""
-    values = storage.astype(np.float32)
-    if scale is not None:
-        values = values * scale[:, None]
+    values = storage.astype(np.float32) * scale[:, None]
     result: FloatArray = values.astype(np.float64)
     return result
 
 
 def quantize_matrix(matrix: FloatArray, dtype: str) -> QuantizedMatrix:
-    """Quantize a float64 ``(K, V)`` selection matrix.
+    """Quantize a float64 ``(K, V)`` selection matrix (``dtype="int8"``).
 
-    ``dtype="int8"`` uses a symmetric per-topic scale
-    ``s_z = max_v |M[z, v]| / 127`` and round-to-nearest codes clipped to
-    ``[−127, 127]``; ``dtype="float16"`` stores IEEE half precision.
-    Either way the returned container carries *measured* per-topic error
-    bounds: the deviation is evaluated against the effective float32
-    values actually used at serve time, then inflated by a relative
-    slack so the measurement's own float64 rounding cannot flip it from
-    an upper bound into an underestimate.
+    Uses a symmetric per-topic scale ``s_z = max_v |M[z, v]| / 127`` and
+    round-to-nearest codes clipped to ``[−127, 127]``. The returned
+    container carries *measured* per-topic error bounds: the deviation
+    is evaluated against the effective float32 values actually used at
+    serve time, then inflated by a relative slack so the measurement's
+    own float64 rounding cannot flip it from an upper bound into an
+    underestimate.
 
     This is a build/offline step — it reads the full matrix once and
     allocates freely. Serving only touches the compact result.
     """
-    if dtype not in QUANTIZED_DTYPES:
-        raise ValueError(f"quantized dtype must be one of {QUANTIZED_DTYPES}, got {dtype!r}")
+    if dtype != "int8":
+        raise ValueError(f"quantized dtype must be 'int8', got {dtype!r}")
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"selection matrix must be 2-D, got shape {matrix.shape}")
-    scale: AnyArray | None
-    if dtype == "int8":
-        abs_max = np.abs(matrix).max(axis=1)
-        # A zero row quantizes to zero codes; scale 1.0 keeps the
-        # dequantization well-defined (0 * 1.0 == 0, delta == 0).
-        safe = np.where(abs_max > 0.0, abs_max, 1.0)
-        scale64 = safe / 127.0
-        scale = scale64.astype(np.float32)
-        codes = np.rint(matrix / scale64[:, None])
-        np.clip(codes, -127.0, 127.0, out=codes)
-        storage = codes.astype(np.int8)
-    else:
-        scale = None
-        storage = matrix.astype(np.float16)
+    abs_max = np.abs(matrix).max(axis=1)
+    # A zero row quantizes to zero codes; scale 1.0 keeps the
+    # dequantization well-defined (0 * 1.0 == 0, delta == 0).
+    safe = np.where(abs_max > 0.0, abs_max, 1.0)
+    scale64 = safe / 127.0
+    scale = scale64.astype(np.float32)
+    codes = np.rint(matrix / scale64[:, None])
+    np.clip(codes, -127.0, 127.0, out=codes)
+    storage = codes.astype(np.int8)
     effective = _effective_values(storage, scale)
     delta = np.abs(effective - matrix).max(axis=1) * _MEASURE_SLACK
     row_abs_max = np.abs(effective).max(axis=1) * _MEASURE_SLACK

@@ -183,10 +183,8 @@ class TemporalRecommender:
         :class:`~repro.baselines.popularity.GlobalPopularity`).
     serve_dtype:
         Default selection dtype for :meth:`recommend_batch` —
-        ``"float64"`` (exact, the default), ``"float32"`` (converted
-        once at index build; see ``docs/performance.md`` for the
-        accuracy contract), or the proven-margin quantized modes
-        ``"float16"`` / ``"int8"`` (bitwise identical to float64, see
+        ``"float64"`` (the default) or ``"int8"`` (quantized selection
+        with a proven margin, bitwise identical to float64; see
         :mod:`repro.recommend.quantize`).
     cache:
         A :class:`~repro.recommend.serving.ServingCache` to use (e.g.
@@ -360,8 +358,8 @@ class TemporalRecommender:
 
         ``mmap=True`` serves from the snapshot's sidecar store (see
         :mod:`repro.recommend.paramstore`): parameters page in on
-        demand instead of being materialised, and a missing or damaged
-        sidecar falls back to the eager checksummed load with a
+        demand instead of being materialised, and a missing, damaged or
+        stale sidecar falls back to the eager checksummed load with a
         :class:`RuntimeWarning` rather than failing the start-up.
         """
         from ..core.serialize import LoadedModel
@@ -532,8 +530,7 @@ class TemporalRecommender:
             mapping ``user -> item ids`` (per-user masks are cached in
             the serving cache).
         dtype:
-            Selection dtype override — ``"float64"``, ``"float32"``, or
-            the proven-margin quantized modes ``"float16"`` / ``"int8"``;
+            Selection dtype override — ``"float64"`` or ``"int8"``;
             defaults to the recommender's ``serve_dtype``.
         row_block:
             Queries scored per GEMM block; defaults to the configured

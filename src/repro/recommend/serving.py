@@ -30,21 +30,16 @@ traffic. This module amortises per-query cost across batches:
   score vectors and per-user exclusion masks are all capped, with
   hit/miss/eviction counters surfaced on
   :class:`~repro.recommend.recommender.ServingStatus`.
-* **float32 mode.** Opt-in ``dtype="float32"`` converts the selection
-  matrices once (at index build, cached) and runs the GEMM pass in
-  float32 with a wider candidate margin; rescoring stays float64, so
-  results still match the float64 path whenever the true top-k survives
-  float32 candidate selection (asserted on the bench corpora — see
-  ``docs/performance.md``).
-* **Quantized modes.** ``dtype="float16"`` / ``"int8"`` run selection
-  through :mod:`repro.recommend.quantize`: a compressed copy of the
-  selection matrix is staged block-by-block through a small float32
-  buffer, and candidates are taken by a *proven* per-row error margin
-  instead of a fixed count — so the exact float64 rescore returns
-  results **bitwise identical** to the float64 path at a fraction of
-  the selection bytes. With an mmap parameter store attached
-  (``model.param_store``), the quantized forms and context statistics
-  are paged from disk rather than rebuilt.
+* **int8 selection.** ``dtype="int8"`` runs selection through
+  :mod:`repro.recommend.quantize`: a compressed copy of the selection
+  matrix is staged block-by-block through a small float32 buffer, and
+  candidates are taken by a *proven* per-row error margin instead of a
+  fixed count — so the exact float64 rescore returns results **bitwise
+  identical** to the float64 path at a fraction of the selection bytes.
+  With an mmap parameter store attached (``model.param_store``), the
+  quantized form and context statistics are paged from disk rather than
+  rebuilt. ``"float64"`` and ``"int8"`` are the only selection dtypes;
+  ``docs/performance.md`` records why no narrower float mode exists.
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ import numpy as np
 from ..tooling.sanitize import Sanitizer, check_topk_finite, sanitize_enabled
 from ..typing import AnyArray, BoolArray, FloatArray, IntArray, hot_path
 from .quantize import (
-    QUANTIZED_DTYPES,
     STAGE_COLUMNS,
     ContextVector,
     QuantizedMatrix,
@@ -85,16 +79,15 @@ _V = TypeVar("_V")
 
 #: Candidate-selection margin beyond ``k`` per serving dtype. float64
 #: selection scores differ from the exact rescore by a few ULPs, so a
-#: handful of extra candidates is ample; float32 selection carries
-#: ~1e-7 relative noise and gets a wider net. The quantized dtypes
-#: (float16 / int8) are absent on purpose: they use the *proven* per-row
-#: error margin of :mod:`repro.recommend.quantize`, not a fixed count.
-SELECTION_MARGIN = {"float64": 16, "float32": 64}
+#: handful of extra candidates is ample. int8 is absent on purpose: it
+#: uses the *proven* per-row error margin of
+#: :mod:`repro.recommend.quantize`, not a fixed count.
+SELECTION_MARGIN = {"float64": 16}
 
 #: Default number of queries scored per GEMM block.
 DEFAULT_ROW_BLOCK = 64
 
-_SERVE_DTYPES = ("float64", "float32", "float16", "int8")
+_SERVE_DTYPES = ("float64", "int8")
 
 
 @dataclass(frozen=True)
@@ -301,12 +294,13 @@ class ServingCache:
         without bound).
     ``matrices``
         Contiguous ``(V, K)`` item–topic transposes used by the exact
-        rescoring pass, plus dtype-converted selection matrices for the
-        float32 serving mode.
+        rescoring pass, plus the int8 selection matrices and the
+        float32 user-interest image the int8 path multiplies them with.
     ``contexts``
         Per-interval context score vectors ``θ′_t·Φ`` shared by every
-        user queried in that interval, per serving dtype — the piece of
-        every score that batching makes reusable.
+        user queried in that interval (float64, and the float32 image
+        with error bounds for the int8 path) — the piece of every score
+        that batching makes reusable.
     ``masks``
         Per-user boolean exclusion masks built from registered
         per-user exclusion lists.
@@ -431,9 +425,9 @@ class ServingConfig:
     Attributes
     ----------
     select_dtype:
-        Candidate-selection dtype: ``"float64"`` (exact), ``"float32"``
-        (fixed wider margin), or the proven-margin quantized modes
-        ``"float16"`` / ``"int8"``.
+        Candidate-selection dtype: ``"float64"`` (fixed small margin)
+        or ``"int8"`` (quantized selection with a proven margin); both
+        return bitwise-identical results.
     row_block:
         Queries scored per GEMM block.
     cache_max_bytes:
@@ -641,27 +635,13 @@ class BatchScorer:
             self.cache.matrices.put(cache_key, item_topic)
         return item_topic
 
-    def _selection_matrix(
-        self, matrix: AnyArray, key: Hashable, tag: str, dtype: str
-    ) -> AnyArray:
-        """``matrix`` in the serving dtype (float32 conversions cached)."""
-        if dtype == "float64" or matrix.dtype == np.dtype(dtype):
-            return matrix
-        if key is None:
-            return matrix.astype(np.float32)
-        cache_key = (tag, key, dtype)
-        converted = self.cache.matrices.get(cache_key)
-        if converted is None:
-            converted = matrix.astype(np.float32)
-            self.cache.matrices.put(cache_key, converted)
-        return converted
-
     def _interest_matrix(self, theta: FloatArray, key: Hashable, dtype: str) -> AnyArray:
-        """``theta`` in the serving dtype (float32 conversions cached).
+        """``theta`` in the selection compute dtype (float32 image cached).
 
-        Cold path of :meth:`serve_group`: the conversion allocates, so it
-        lives outside the hot kernel and its result is cached per
-        ``(matrix key, dtype)`` in the ``matrices`` region.
+        Cold path of :meth:`serve_group`: the int8 path's float32
+        conversion allocates, so it lives outside the hot kernel and its
+        result is cached per ``(matrix key, dtype)`` in the ``matrices``
+        region.
         """
         if dtype == "float64":
             return theta
@@ -729,9 +709,7 @@ class BatchScorer:
         cached = self.cache.contexts.get(cache_key)
         if isinstance(cached, ContextVector):
             return cached
-        exact = np.asarray(
-            self._context_vector(interval, kind, params, "float64"), dtype=np.float64
-        )
+        exact = np.asarray(self._context_vector(interval, kind, params), dtype=np.float64)
         vector = ContextVector.from_exact(exact)
         self.cache.contexts.put(cache_key, vector)
         return vector
@@ -774,10 +752,8 @@ class BatchScorer:
         margins: FloatArray = 2.0 * eps
         return margins
 
-    def _context_vector(
-        self, interval: int, kind: str, params: Any, dtype: str
-    ) -> AnyArray:
-        """Cached per-interval context score vector ``θ′_t·Φ``.
+    def _context_vector(self, interval: int, kind: str, params: Any) -> AnyArray:
+        """Cached per-interval float64 context score vector ``θ′_t·Φ``.
 
         This is the part of every query's selection score shared by all
         users of the interval: for TTCAM the ``(V,)`` product
@@ -787,18 +763,16 @@ class BatchScorer:
         """
         store = self._store()
         if store is not None:
-            row = store.context_row(interval, dtype)
+            row = store.context_row(interval)
             if row is not None:
                 return row  # type: ignore[no-any-return]
-        cache_key = ("ctx", interval, dtype)
+        cache_key = ("ctx", interval)
         context = self.cache.contexts.get(cache_key)
         if context is None:
             if kind == "ttcam":
                 context = params.theta_time[interval] @ params.phi_time
             else:
                 context = params.theta_time[interval]
-            if dtype != "float64":
-                context = context.astype(np.float32)
             self.cache.contexts.put(cache_key, context)
         return context
 
@@ -878,8 +852,8 @@ class BatchScorer:
         key = self._matrix_key(interval)
         item_topic = self._item_topic(interval, users)
         num_items = item_topic.shape[0]
-        quantized = dtype in QUANTIZED_DTYPES
-        compute = "float32" if quantized else dtype
+        quantized = dtype == "int8"
+        compute = "float32" if quantized else "float64"  # selection GEMM buffers
         count = 0 if quantized else min(num_items, k + SELECTION_MARGIN[dtype])
         stage_cols = min(num_items, STAGE_COLUMNS)
 
@@ -894,9 +868,7 @@ class BatchScorer:
                 )
                 k_dim = qsel.shape[0]
             else:
-                sel_matrix = self._selection_matrix(
-                    self._stacked_matrix(interval, users), key, "stack", dtype
-                )
+                sel_matrix = self._stacked_matrix(interval, users)
                 k_dim = sel_matrix.shape[0]
         else:
             if quantized:
@@ -904,10 +876,8 @@ class BatchScorer:
                 qcontext = self._quantized_context(interval, kind, params)
                 k_dim = qsel.shape[0]
             else:
-                sel_matrix = self._selection_matrix(
-                    params.phi, (key, "phi"), "sel", dtype
-                )
-                context = self._context_vector(interval, kind, params, dtype)
+                sel_matrix = params.phi
+                context = self._context_vector(interval, kind, params)
                 k_dim = sel_matrix.shape[0]
 
         results: list[TopKResult] = []

@@ -1,4 +1,4 @@
-"""Process-parallel serving service with zero-copy shared snapshots.
+"""Process-parallel serving service: one snapshot, N worker processes.
 
 The single-process serving stack (:mod:`repro.recommend`) answers a
 batch of queries quickly; this package turns it into a *service*:
@@ -6,11 +6,10 @@ batch of queries quickly; this package turns it into a *service*:
 * :mod:`.batching` — busy-aware micro-batching: dispatch at once to an
   idle worker, coalesce behind a busy one's in-flight batch, and never
   split one request across flushes;
-* :mod:`.shared` — zero-copy snapshot sharing across worker processes
-  (mmap sidecar page cache, or one ``multiprocessing.shared_memory``
-  segment of derived serving arrays);
 * :mod:`.worker` — the spawned worker process: its own recommender +
-  publish gate, driven over a strict request/response pipe;
+  publish gate, driven over a strict request/response pipe; workers
+  opened on a snapshot's mmap sidecar
+  (:mod:`repro.recommend.paramstore`) share one page cache;
 * :mod:`.service` — the one-thread asyncio TCP front-end: user-sharded
   routing, fleet-wide RCU hot swaps with rollback, SIGTERM drain;
 * :mod:`.client` / :mod:`.protocol` — the newline-JSON wire protocol
@@ -25,7 +24,6 @@ from .batching import BatchAccumulator, BatchRequest, MicroBatchQueue
 from .client import ServiceClient, ServiceError
 from .protocol import MAX_LINE_BYTES, decode_line, encode_line, error_response
 from .service import ServiceConfig, ServingService, run_service
-from .shared import SharedDerivedStore, SharedSnapshot
 from .worker import WorkerConfig, serve_requests, worker_main
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "ServiceConfig",
     "ServingService",
     "run_service",
-    "SharedDerivedStore",
-    "SharedSnapshot",
     "WorkerConfig",
     "serve_requests",
     "worker_main",

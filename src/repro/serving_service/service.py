@@ -1,4 +1,4 @@
-"""Process-parallel serving front-end with zero-copy shared snapshots.
+"""Process-parallel serving front-end over one snapshot per fleet.
 
 :class:`ServingService` is the tentpole of the serving stack: an asyncio
 TCP front-end (newline-delimited JSON, :mod:`.protocol`) that coalesces
@@ -26,12 +26,14 @@ Architecture
   caches (exclusion masks, interval contexts) are already warm for
   them.
 * **Zero-copy snapshots**: with an mmap sidecar
-  (:mod:`repro.recommend.paramstore`) every worker maps the same files
-  and the kernel keeps one shared page cache; without one, the parent
-  packs the derived serving arrays into a
-  :class:`~repro.serving_service.shared.SharedSnapshot` segment that
-  workers attach. Either way per-worker *proportional* memory (PSS)
-  grows sub-linearly with the worker count.
+  (:mod:`repro.recommend.paramstore`, ``tcam fit --mmap-layout`` +
+  ``tcam serve --mmap``) every worker maps the same files and the
+  kernel keeps one shared page cache, so per-worker *proportional*
+  memory (PSS) grows sub-linearly with the worker count — across hot
+  swaps too. Without a sidecar each worker loads the ``.npz`` eagerly
+  and builds the derived arrays it is asked for into its own
+  :class:`~repro.recommend.serving.ServingCache`; the front-end holds
+  no parameters either way.
 * **Cross-process hot swap**: :meth:`ServingService.publish` fans a
   ``publish`` command to every worker; each gates the candidate through
   its own :class:`~repro.streaming.publisher.SnapshotPublisher` and
@@ -53,19 +55,17 @@ import asyncio
 import contextlib
 import os
 import signal
+import sys
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..core.serialize import load_params
-from ..recommend.paramstore import MANIFEST_NAME, store_dir
 from ..robustness.errors import ServiceDrainingError
 from ..streaming.publisher import GenerationFile
 from .batching import BatchRequest, MicroBatchQueue
 from .protocol import MAX_LINE_BYTES, decode_line, encode_line, error_response
-from .shared import SharedSnapshot
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ServiceConfig", "ServingService", "run_service"]
@@ -262,7 +262,6 @@ class ServingService:
         self.draining = False
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._shared: SharedSnapshot | None = None
         self._inflight: set["asyncio.Future[dict[str, Any]]"] = set()
         self._publish_lock = asyncio.Lock()
         self._generation_file = GenerationFile(config.generation_path())
@@ -271,23 +270,9 @@ class ServingService:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def _needs_shared_segment(self) -> bool:
-        """Shared derived arrays are only needed without an mmap sidecar."""
-        if self.config.mmap:
-            sidecar = store_dir(self.config.snapshot)
-            if (sidecar / MANIFEST_NAME).is_file():
-                return False
-        return True
-
     async def start(self) -> None:
         """Spawn workers, wait for readiness, bind the TCP server."""
         config = self.config
-        shared_manifest: Mapping[str, Any] | None = None
-        if self._needs_shared_segment():
-            params = await asyncio.to_thread(load_params, config.snapshot)
-            self._shared = SharedSnapshot(params)
-            shared_manifest = self._shared.manifest
-            del params
         loop = asyncio.get_running_loop()
         for index in range(config.workers):
             handle = _WorkerHandle(
@@ -299,7 +284,6 @@ class ServingService:
                     mmap=config.mmap,
                     serve_dtype=config.serve_dtype,
                     generation_file=config.generation_path(),
-                    shared_manifest=shared_manifest,
                     probes=config.probes,
                 ),
             )
@@ -332,9 +316,6 @@ class ServingService:
         for handle in self.handles:
             handle.close()
             await asyncio.to_thread(handle.reap)
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse, flush, await in-flight, stop workers.
@@ -611,14 +592,20 @@ class ServingService:
                 await writer.wait_closed()
 
 
-async def _run_until_signal(service: ServingService) -> None:
-    """Serve until SIGTERM/SIGINT, then drain gracefully."""
+async def _run_until_signal(service: ServingService) -> int:
+    """Serve until SIGTERM/SIGINT, then drain gracefully; returns the exit code."""
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signum, stop.set)
-    await service.start()
+    try:
+        await service.start()
+    except (RuntimeError, OSError) as exc:
+        # A worker could not open the snapshot (wait_ready) or the bind
+        # failed; start() has already reaped every spawned worker.
+        print(f"tcam serve: {exc}", file=sys.stderr)
+        return 2
     print(
         f"tcam serve: {service.config.workers} workers on "
         f"{service.config.host}:{service.port} (snapshot {service.config.snapshot})",
@@ -628,10 +615,12 @@ async def _run_until_signal(service: ServingService) -> None:
     print("tcam serve: draining", flush=True)
     await service.drain()
     print("tcam serve: drained cleanly", flush=True)
+    return 0
 
 
 def run_service(config: ServiceConfig) -> int:
-    """Blocking entry point used by ``tcam serve``; returns exit code 0."""
-    service = ServingService(config)
-    asyncio.run(_run_until_signal(service))
-    return 0
+    """Blocking entry point used by ``tcam serve``.
+
+    Returns 0 after a clean drain, 2 when the service could not start.
+    """
+    return asyncio.run(_run_until_signal(ServingService(config)))

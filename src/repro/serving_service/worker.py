@@ -1,10 +1,9 @@
 """Worker-process side of the serving service.
 
 Each worker is a spawned child running :func:`worker_main`: it opens the
-*same* snapshot as every sibling (zero-copy — the mmap sidecar shares
-the page cache; without a sidecar the parent's
-:class:`~repro.serving_service.shared.SharedSnapshot` segment shares the
-derived arrays), builds its own
+*same* snapshot as every sibling (through the mmap sidecar all workers
+share one page cache; without a sidecar each worker builds the derived
+arrays it is asked for into its own serving cache), builds its own
 :class:`~repro.recommend.recommender.TemporalRecommender`, and then
 serves a strict request/response loop over its end of a
 ``multiprocessing.Pipe``.
@@ -35,7 +34,6 @@ from ..analysis.benchjson import pss_bytes, rss_bytes
 from ..recommend.recommender import TemporalRecommender
 from ..typing import bit_deterministic
 from ..streaming.publisher import GenerationFile, SnapshotPublisher
-from .shared import SharedDerivedStore
 
 __all__ = ["WorkerConfig", "serve_requests", "worker_main"]
 
@@ -61,9 +59,6 @@ class WorkerConfig:
     generation_file:
         Path of the service's generation file (``None`` disables the
         start-up catch-up read).
-    shared_manifest:
-        Manifest of the parent's :class:`SharedSnapshot` segment to
-        attach (``None`` when the snapshot has its own sidecar).
     probes:
         ``(user, interval)`` probe queries for the publish health gate.
     """
@@ -74,7 +69,6 @@ class WorkerConfig:
     mmap: bool = False
     serve_dtype: str = "float64"
     generation_file: str | None = None
-    shared_manifest: Mapping[str, Any] | None = None
     probes: tuple[tuple[int, int], ...] = ((0, 0),)
 
 
@@ -86,7 +80,6 @@ class _WorkerState:
     recommender: TemporalRecommender
     publisher: SnapshotPublisher
     snapshot: str
-    store: SharedDerivedStore | None = None
     batches: int = 0
     queries: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
@@ -154,18 +147,6 @@ def _open_recommender(config: WorkerConfig) -> tuple[TemporalRecommender, str]:
     return recommender, snapshot
 
 
-def _attach_shared(state: _WorkerState) -> None:
-    """Attach the parent's derived-array segment when the model needs it."""
-    manifest = state.config.shared_manifest
-    model = state.recommender.model
-    if manifest is None or model is None:
-        return
-    if getattr(model, "param_store", None) is not None:
-        return  # the mmap sidecar already provides the derived arrays
-    state.store = SharedDerivedStore.attach(manifest)
-    model.param_store = state.store
-
-
 def _status_payload(state: _WorkerState) -> dict[str, Any]:
     """The worker's observable serving state for ``status`` replies."""
     recommender = state.recommender
@@ -182,8 +163,7 @@ def _status_payload(state: _WorkerState) -> dict[str, Any]:
         "queries": state.queries,
         "rss_bytes": rss_bytes(),
         "pss_bytes": pss_bytes(),
-        "shared": state.store is not None,
-        "mmap": bool(state.config.mmap),
+        "mmap": getattr(recommender.model, "param_store", None) is not None,
     }
 
 
@@ -252,7 +232,6 @@ def worker_main(config: WorkerConfig, conn: Connection) -> None:
             publisher=SnapshotPublisher(recommender, probes=config.probes),
             snapshot=snapshot,
         )
-        _attach_shared(state)
     except Exception as exc:  # noqa: BLE001 - startup failure must reach parent
         conn.send(
             {
@@ -296,6 +275,4 @@ def worker_main(config: WorkerConfig, conn: Connection) -> None:
                 break
             conn.send(reply)
     finally:
-        if state.store is not None:
-            state.store.close()
         conn.close()

@@ -3,9 +3,8 @@
 PRs 6–8 made the TCAM reproduction a process that owns real OS state:
 WAL segments and checkpoint renames (:mod:`repro.streaming.wal`,
 :mod:`repro.robustness.checkpoint`), mmap ``ParamStore`` sidecars
-(:mod:`repro.recommend.paramstore`), packed ``shared_memory`` snapshot
-segments (:mod:`repro.serving_service.shared`), client sockets, and
-spawned worker processes with duplex pipes.  The linter checks
+(:mod:`repro.recommend.paramstore`), client sockets, and spawned
+worker processes with duplex pipes.  The linter checks
 in-process numerics and the race analyzer checks concurrent access;
 this third layer checks that every acquired resource is *released* and
 that the durability protocols the crash-safety tests assume are
@@ -35,8 +34,8 @@ TCAM022   Commit-record ordering.  In durability-scoped modules, writes to
 TCAM023   Shared-memory unlink ownership.  Only the creating side of a
           ``SharedMemory`` segment may ``unlink()``; attachers (opened via
           ``SharedMemory(name=...)`` or an ``attach*`` helper) may only
-          ``close()`` — the resource-tracker contract from
-          ``serving_service.shared``.
+          ``close()`` — the creator owns the segment's lifetime, and an
+          attacher that unlinks destroys it under every sibling.
 TCAM024   Process lifecycle.  Every spawned/started ``Process``/``Popen``
           must reach ``join()``/``wait()``/``communicate()`` (directly, in
           a ``finally``, or via a releasing owner class), and a process
@@ -44,9 +43,9 @@ TCAM024   Process lifecycle.  Every spawned/started ``Process``/``Popen``
           afterwards in the same function, or it stays a zombie with its
           pipes open.
 TCAM025   mmap use-after-close.  Arrays served off a ``ParamStore`` /
-          ``SharedDerivedStore`` / ``np.load(..., mmap_mode=...)`` store
-          must not be used after — or returned past — the store's
-          ``close()``: the views die with the mapping.
+          ``np.load(..., mmap_mode=...)`` store must not be used after —
+          or returned past — the store's ``close()``: the views die with
+          the mapping.
 ========  ==================================================================
 
 The analysis is deliberately *flow-lite*, like the race analyzer: it
@@ -153,9 +152,7 @@ _KIND_LABEL = {
 }
 
 #: Callables that construct lifecycle-tracked store objects (TCAM025).
-_STORE_CONSTRUCTORS = frozenset(
-    {"ParamStore", "SharedDerivedStore", "for_snapshot", "attach"}
-)
+_STORE_CONSTRUCTORS = frozenset({"ParamStore", "for_snapshot", "attach"})
 
 #: Receivers whose ``kill``/``terminate`` is not a process handle.
 _KILL_EXEMPT_ROOTS = frozenset({"os", "signal"})

@@ -108,14 +108,13 @@ _DICT_MUTATORS = frozenset(
 
 #: Files whose classes serve concurrent traffic: the recommend layer's
 #: ``recommend_batch`` engine plus the multi-process serving service's
-#: front-end, batching, worker and shared-memory modules.
+#: front-end, batching, worker and client modules.
 _SERVING_PATH_SUFFIXES = (
     "recommend/serving.py",
     "recommend/recommender.py",
     "serving_service/service.py",
     "serving_service/batching.py",
     "serving_service/worker.py",
-    "serving_service/shared.py",
     "serving_service/client.py",
 )
 

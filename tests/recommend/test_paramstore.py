@@ -20,7 +20,7 @@ from repro.recommend.paramstore import (
     store_dir,
     write_store,
 )
-from repro.recommend.quantize import QUANTIZED_DTYPES, quantize_matrix
+from repro.recommend.quantize import quantize_matrix
 from repro.recommend.threshold import SortedTopicLists
 from repro.robustness.errors import SnapshotCorruptError
 
@@ -66,21 +66,21 @@ class TestRoundTrip:
         else:  # ITCAM: per-interval matrices are not persisted
             assert store.sorted_lists(0) is None
             assert store.item_topic(0) is None
-        for dtype in QUANTIZED_DTYPES:
-            stored_q = store.quantized_selection(dtype)
-            fresh = quantize_matrix(np.asarray(eager.phi), dtype)
-            assert stored_q is not None
-            assert np.array_equal(stored_q.storage, fresh.storage)
-            assert np.array_equal(stored_q.delta, fresh.delta)
-            assert np.array_equal(stored_q.row_abs_max, fresh.row_abs_max)
-            if fresh.scale is not None:
-                assert np.array_equal(stored_q.scale, fresh.scale)
+        stored_q = store.quantized_selection("int8")
+        fresh = quantize_matrix(np.asarray(eager.phi), "int8")
+        assert stored_q is not None
+        assert np.array_equal(stored_q.storage, fresh.storage)
+        assert np.array_equal(stored_q.scale, fresh.scale)
+        assert np.array_equal(stored_q.delta, fresh.delta)
+        assert np.array_equal(stored_q.row_abs_max, fresh.row_abs_max)
+        assert store.quantized_selection("float16") is None  # no longer persisted
+        assert not list(store.directory.glob("qsel_float16*"))
 
     def test_context_rows_bitwise_match_online_expression(self, snapshot):
         eager = load_params(snapshot)
         store = ParamStore.for_snapshot(snapshot)
         for interval in range(eager.num_intervals):
-            row = store.context_row(interval, "float64")
+            row = store.context_row(interval)
             if hasattr(eager, "phi_time"):
                 expected = eager.theta_time[interval] @ eager.phi_time
             else:
@@ -133,6 +133,17 @@ class TestCorruption:
         with pytest.raises(SnapshotCorruptError):
             ParamStore.for_snapshot(copy)
 
+    def test_v1_manifest_rejected_by_format_check(self, snapshot, tmp_path):
+        copy = self._copy_store(snapshot, tmp_path)
+        manifest_file = store_dir(copy) / MANIFEST_NAME
+        manifest = json.loads(manifest_file.read_text())
+        manifest["format"] = "tcam-store-v1"
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotCorruptError, match="tcam-store-v2"):
+            ParamStore.for_snapshot(copy)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert LoadedModel.from_file(copy, mmap=True).param_store is None
+
     def test_tampered_parameters_fail_spot_check(self, snapshot, tmp_path):
         copy = self._copy_store(snapshot, tmp_path)
         theta_file = store_dir(copy) / "theta.npy"
@@ -149,6 +160,44 @@ class TestCorruption:
             ParamStore.for_snapshot(copy)
 
 
+class TestStaleSidecar:
+    """A sidecar must describe the ``.npz`` beside it, or it is not served."""
+
+    def test_resave_without_layout_warns_and_serves_new_params(self, tmp_path):
+        rng = np.random.default_rng(31)
+        old, new = make_ttcam(rng), make_ttcam(rng)
+        path = save_params(old.params_, tmp_path / "model.npz", mmap_layout=True)
+        save_params(new.params_, path)  # leaves model.npz.arrays/ describing `old`
+        with pytest.raises(SnapshotCorruptError, match="stale"):
+            ParamStore.for_snapshot(path)
+        with pytest.warns(RuntimeWarning, match="stale.*falling back"):
+            loaded = LoadedModel.from_file(path, mmap=True)
+        assert loaded.param_store is None
+        assert np.array_equal(loaded.params_.theta, new.params_.theta)
+        assert not np.array_equal(loaded.params_.theta, old.params_.theta)
+
+    def test_resave_with_layout_is_fresh_again(self, tmp_path):
+        rng = np.random.default_rng(32)
+        old, new = make_ttcam(rng), make_ttcam(rng)
+        path = save_params(old.params_, tmp_path / "model.npz", mmap_layout=True)
+        save_params(new.params_, path, mmap_layout=True)
+        store = ParamStore.for_snapshot(path)
+        assert np.array_equal(store.params().theta, new.params_.theta)
+
+    def test_matching_sidecar_opens_without_decoding_parameters(self, snapshot, monkeypatch):
+        # The freshness check reads one small zip member: it must not
+        # fall back on the eager loader (which decodes every array).
+        import repro.core.serialize as serialize
+
+        def no_eager_load(path):
+            raise AssertionError("for_snapshot decoded the parameter arrays")
+
+        monkeypatch.setattr(serialize, "load_params", no_eager_load)
+        loaded = LoadedModel.from_file(snapshot, mmap=True)
+        assert loaded.param_store is not None
+        assert loaded.param_store.snapshot_checksum == serialize.stored_checksum(snapshot)
+
+
 class TestMmapServing:
     def test_mmap_batch_identical_to_eager(self, snapshot):
         eager = TemporalRecommender(LoadedModel.from_file(snapshot))
@@ -156,13 +205,12 @@ class TestMmapServing:
         expected = eager.recommend_batch(queries, k=6)
         mapped_model = LoadedModel.from_file(snapshot, mmap=True)
         assert mapped_model.param_store is not None
-        for dtype in ("float64", "float32", "float16", "int8"):
+        for dtype in ("float64", "int8"):
             mapped = TemporalRecommender(mapped_model)
             batch = mapped.recommend_batch(queries, k=6, dtype=dtype)
             for r_eager, r_mmap in zip(expected, batch):
                 assert r_mmap.items == r_eager.items, dtype
-                if dtype != "float32":
-                    assert r_mmap.scores == r_eager.scores, dtype
+                assert r_mmap.scores == r_eager.scores, dtype
 
     def test_mmap_single_query_identical_to_eager(self, snapshot):
         eager = TemporalRecommender(LoadedModel.from_file(snapshot))

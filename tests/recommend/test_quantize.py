@@ -1,10 +1,10 @@
 """Tests for quantized candidate selection (``repro.recommend.quantize``).
 
-The load-bearing contract: serving with ``dtype="float16"`` or
-``dtype="int8"`` must return *bitwise-identical* top-k — items, scores,
-tie order — to the exact float64 engine, because the quantized pass only
-selects candidates (widened by a proven error margin) and the final
-scores always come from the float64 rescore. Property tests pin that
+The load-bearing contract: serving with ``dtype="int8"`` must return
+*bitwise-identical* top-k — items, scores, tie order — to the exact
+float64 engine, because the quantized pass only selects candidates
+(widened by a proven error margin) and the final scores always come
+from the float64 rescore. Property tests pin that
 across random models, adversarial near-ties, duplicates, mixed
 intervals and ``k ≥ V``; a dedicated test checks the margin bound
 actually upper-bounds the observed quantization error.
@@ -19,7 +19,6 @@ from repro.core.params import TTCAMParameters
 from repro.core.serialize import LoadedModel
 from repro.recommend import TemporalRecommender
 from repro.recommend.quantize import (
-    QUANTIZED_DTYPES,
     ContextVector,
     QuantizedMatrix,
     quantize_matrix,
@@ -28,6 +27,9 @@ from repro.recommend.quantize import (
 )
 
 from .test_serving import make_itcam, make_ttcam
+
+#: The quantized selection dtypes (one survives; the loops stay loops).
+QUANTIZED_DTYPES = ("int8",)
 
 
 def assert_quantized_matches_float64(model, queries, k, dtype):
@@ -194,14 +196,6 @@ class TestQuantizedMatrix:
         assert np.all(np.abs(effective - matrix) <= step[:, None] * (1.0 + 1e-9))
         assert q.nbytes < matrix.nbytes
 
-    def test_float16_has_no_scale(self):
-        rng = np.random.default_rng(4)
-        q = quantize_matrix(rng.dirichlet(np.full(32, 0.1), size=3), "float16")
-        assert q.storage.dtype == np.float16
-        assert q.scale is None
-        # nbytes counts storage plus the per-row error statistics.
-        assert q.storage.nbytes <= q.nbytes < q.storage.astype(np.float64).nbytes
-
     def test_zero_row_is_representable(self):
         matrix = np.zeros((2, 16))
         matrix[1, 3] = 1.0
@@ -225,8 +219,9 @@ class TestQuantizedMatrix:
             assert np.array_equal(part[:, : stop - start], full[:, start:stop])
 
     def test_rejects_unknown_dtype(self):
-        with pytest.raises(ValueError, match="dtype"):
-            quantize_matrix(np.ones((2, 4)) / 4.0, "int4")
+        for dtype in ("int4", "float16"):  # never existed / removed
+            with pytest.raises(ValueError, match="dtype"):
+                quantize_matrix(np.ones((2, 4)) / 4.0, dtype)
 
 
 class TestContextVector:

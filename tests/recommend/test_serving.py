@@ -3,8 +3,8 @@
 The load-bearing contract: ``recommend_batch`` in float64 mode must be
 *exactly* equal — items, scores, tie order — to the per-query TA path,
 across mixed intervals, duplicate queries, ``k ≥ V`` and fully tied
-rows. Property tests pin that; the rest covers LRU semantics, float32
-set stability at the bench scales, per-row degradation and the scratch
+rows. Property tests pin that; the rest covers LRU semantics, int8 ==
+float64 at the bench scales, per-row degradation and the scratch
 hoisting in the threshold engines.
 """
 
@@ -146,17 +146,30 @@ class TestBatchExactness:
             check_serve_dtype("bfloat16")
         with pytest.raises(ValueError):
             TemporalRecommender(rec.model, serve_dtype="bfloat16")
-        # The quantized selection dtypes are valid serving modes now.
-        assert check_serve_dtype("float16") == "float16"
+        assert check_serve_dtype("float64") == "float64"
         assert check_serve_dtype("int8") == "int8"
 
+    @pytest.mark.parametrize("dtype", ["float32", "float16"])
+    def test_rejects_removed_dtype(self, dtype):
+        # Voted out by BENCH_serve.json; the error names the survivors.
+        rec = TemporalRecommender(make_ttcam(np.random.default_rng(0)))
+        for call in (
+            lambda: check_serve_dtype(dtype),
+            lambda: ServingConfig(select_dtype=dtype),
+            lambda: TemporalRecommender(rec.model, serve_dtype=dtype),
+            lambda: rec.recommend_batch([(0, 0)], k=5, dtype=dtype),
+            lambda: rec._scorer().serve_group(0, [0], 5, None, dtype),
+        ):
+            with pytest.raises(ValueError, match=r"float64.*int8"):
+                call()
 
-class TestFloat32Mode:
+
+class TestInt8AtBenchScales:
     #: The three bench scales: (num_topics, num_items, k).
     BENCH_SCALES = [(16, 5_000, 10), (24, 20_000, 10), (32, 50_000, 20)]
 
     @pytest.mark.parametrize("num_topics,num_items,k", BENCH_SCALES)
-    def test_topk_sets_match_float64(self, num_topics, num_items, k):
+    def test_topk_matches_float64(self, num_topics, num_items, k):
         rng = np.random.default_rng(num_items)
         model = make_ttcam(
             rng, num_users=64, num_items=num_items, num_intervals=8, k1=num_topics,
@@ -167,12 +180,12 @@ class TestFloat32Mode:
             (int(rng.integers(0, 64)), int(rng.integers(0, 8))) for _ in range(24)
         ]
         f64 = rec.recommend_batch(queries, k=k)
-        f32 = rec.recommend_batch(queries, k=k, dtype="float32")
-        for r64, r32 in zip(f64, f32):
-            assert set(r64.items) == set(r32.items)
-            # Rescoring is float64 in both modes, so scores of the common
-            # items are bit-identical — the documented contract.
-            assert dict(zip(r64.items, r64.scores)) == dict(zip(r32.items, r32.scores))
+        int8 = rec.recommend_batch(queries, k=k, dtype="int8")
+        for r64, r8 in zip(f64, int8):
+            # Proven-margin selection + float64 rescore: items, scores
+            # and tie order are bit-identical, not merely set-equal.
+            assert r8.items == r64.items
+            assert r8.scores == r64.scores
 
 
 class TestLRUCache:

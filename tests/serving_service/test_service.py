@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.serialize import LoadedModel, load_params
+from repro.core.serialize import LoadedModel, load_params, save_params
 from repro.recommend.recommender import TemporalRecommender
 from repro.serving_service import (
     MicroBatchQueue,
@@ -38,6 +38,15 @@ def _config(snapshot_path, tmp_path, **overrides) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
+def _assert_rows_bitwise(reply, direct):
+    assert len(reply["results"]) == len(direct)
+    for row, expected in zip(reply["results"], direct):
+        assert row["items"] == [int(i) for i in expected.items]
+        assert [float(s).hex() for s in row["scores"]] == [
+            float(s).hex() for s in expected.scores
+        ]
+
+
 class TestReadPath:
     @pytest.fixture(scope="class")
     def service(self, snapshot_path, tmp_path_factory):
@@ -60,12 +69,7 @@ class TestReadPath:
         )
         with ServiceClient("127.0.0.1", service.port) as client:
             reply = client.recommend(queries, k=7)
-        assert len(reply["results"]) == len(queries)
-        for row, expected in zip(reply["results"], direct):
-            assert row["items"] == [int(i) for i in expected.items]
-            assert [float(s).hex() for s in row["scores"]] == [
-                float(s).hex() for s in expected.scores
-            ]
+        _assert_rows_bitwise(reply, direct)
 
     def test_queries_route_to_the_user_shard(self, service):
         queries = [(user, 0) for user in range(8)]
@@ -81,7 +85,8 @@ class TestReadPath:
         assert workers == {0, 1}
         for entry in status["workers"]:
             assert entry["generation"] == 0
-            assert entry["shared"] is True  # no sidecar -> shared segment
+            assert "shared" not in entry
+            assert entry["mmap"] is False  # launched without --mmap: eager models
             assert entry["rss_bytes"] is None or entry["rss_bytes"] > 0
         # an idle fleet: nothing in flight or parked when the status was taken
         assert status["service"]["inflight"] == [0, 0]
@@ -208,23 +213,18 @@ class TestHotSwap:
             assert entry["generation"] >= 1
             assert entry["swaps"] == 1
             assert entry["snapshot"] == str(candidate_path)
+            assert entry["mmap"] is False
 
         candidate = dirichlet_params(1)
         direct = TemporalRecommender(LoadedModel(candidate)).recommend_batch(
             [(u, u % NUM_INTERVALS) for u in range(10)], k=5
         )
-        for row, expected in zip(after["results"], direct):
-            assert row["items"] == [int(i) for i in expected.items]
-            assert [float(s).hex() for s in row["scores"]] == [
-                float(s).hex() for s in expected.scores
-            ]
+        _assert_rows_bitwise(after, direct)
         assert load_params(str(candidate_path)) is not None  # sanity: file intact
 
     def test_unhealthy_candidate_rolls_back_on_every_worker(
         self, snapshot_path, service_params, tmp_path
     ):
-        from repro.core.serialize import save_params
-
         bad = tmp_path / "bad.npz"
         save_params(dirichlet_params(2), bad)
         bad.write_bytes(bad.read_bytes()[:120])  # torn write: fails the gate
@@ -249,11 +249,48 @@ class TestHotSwap:
             assert entry["rollbacks"] == 1
             assert entry["generation"] == 0
             assert entry["snapshot"] == str(snapshot_path)
-        for row, expected in zip(after["results"], direct):
-            assert row["items"] == [int(i) for i in expected.items]
-            assert [float(s).hex() for s in row["scores"]] == [
-                float(s).hex() for s in expected.scores
-            ]
+        _assert_rows_bitwise(after, direct)
+
+
+class TestSidecarFleet:
+    """The fleet on mmap sidecars — the one cross-worker sharing path."""
+
+    @pytest.mark.parametrize("serve_dtype", ["float64", "int8"])
+    def test_serves_and_swaps_on_sidecars_bitwise(self, tmp_path, serve_dtype):
+        first, second, plain = (dirichlet_params(seed) for seed in (3, 4, 5))
+        first_path = save_params(first, tmp_path / "first.npz", mmap_layout=True)
+        second_path = save_params(second, tmp_path / "second.npz", mmap_layout=True)
+        plain_path = save_params(plain, tmp_path / "plain.npz")
+        queries = [(u, u % NUM_INTERVALS) for u in range(0, NUM_USERS, 3)]
+
+        def direct(params):
+            # float64 selection on eager parameters: the reference every
+            # dtype and attach path must reproduce bit for bit
+            return TemporalRecommender(LoadedModel(params)).recommend_batch(queries, k=6)
+
+        def mmap_flags(client):
+            return [entry["mmap"] for entry in client.status()["workers"]]
+
+        config = _config(first_path, tmp_path, mmap=True, serve_dtype=serve_dtype)
+        with running_service(config) as service:
+            with ServiceClient("127.0.0.1", service.port, timeout=120) as client:
+                _assert_rows_bitwise(client.recommend(queries, k=6), direct(first))
+                assert mmap_flags(client) == [True, True]
+
+                assert client.publish(str(second_path))["published"] is True
+                _assert_rows_bitwise(client.recommend(queries, k=6), direct(second))
+                assert mmap_flags(client) == [True, True]  # the sidecar survives a swap
+
+                # no sidecar beside this one: every worker falls back to the
+                # eager load, and status says so although --mmap was given
+                assert client.publish(str(plain_path))["published"] is True
+                _assert_rows_bitwise(client.recommend(queries, k=6), direct(plain))
+                assert mmap_flags(client) == [False, False]
+
+                # an explicit mmap=false publish of a sidecar'd snapshot
+                assert client.publish(str(first_path), mmap=False)["published"] is True
+                _assert_rows_bitwise(client.recommend(queries, k=6), direct(first))
+                assert mmap_flags(client) == [False, False]
 
 
 class TestDrain:

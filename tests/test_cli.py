@@ -177,7 +177,7 @@ class TestRecommend:
         assert code == 2
         assert "--batch-file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64", "int8"])
     def test_batch_file_served(self, snapshot, tmp_path, capsys, dtype):
         batch = tmp_path / "queries.csv"
         batch.write_text("# user,interval\n0,3\n1,3\n2,0\n0,3\n")
@@ -253,7 +253,7 @@ class TestRecommendMmapQuantized:
         sidecar = mmap_snapshot.parent / (mmap_snapshot.name + ".arrays")
         assert (sidecar / "manifest.json").exists()
 
-    @pytest.mark.parametrize("dtype", ["float16", "int8"])
+    @pytest.mark.parametrize("dtype", ["int8"])
     def test_quantized_batch_rows_identical_to_float64(
         self, mmap_snapshot, tmp_path, capsys, dtype
     ):
@@ -309,17 +309,18 @@ class TestRecommendMmapQuantized:
         assert "Traceback" not in err
 
     def test_unknown_dtype_refused_by_parser(self, mmap_snapshot, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "recommend",
-                    "--model", str(mmap_snapshot),
-                    "--user", "0",
-                    "--interval", "0",
-                    "--select-dtype", "int4",
-                ]
-            )
-        assert "invalid choice" in capsys.readouterr().err
+        # int4 never existed; float32/float16 were removed — both parsers
+        # offer float64 and int8 only.
+        for command in (["recommend", "--user", "0", "--interval", "0"], ["serve"]):
+            for dtype in ("int4", "float32", "float16"):
+                with pytest.raises(SystemExit):
+                    main(
+                        command
+                        + ["--model", str(mmap_snapshot), "--select-dtype", dtype]
+                    )
+                err = capsys.readouterr().err
+                assert "invalid choice" in err
+                assert "'float64', 'int8'" in err
 
     def test_mmap_single_query_serves(self, mmap_snapshot, capsys):
         code = main(
@@ -347,6 +348,35 @@ class TestRecommendMmapQuantized:
                 ]
             )
         assert code == 0
+
+
+class TestServeStartupFailure:
+    """`tcam serve` on an unusable snapshot: one line on stderr, exit 2."""
+
+    def _assert_clean_refusal(self, model, capsys):
+        import multiprocessing
+
+        code = main(["serve", "--model", str(model), "--port", "0", "--workers", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("tcam serve: worker ")
+        assert " failed: " in lines[0]
+        assert "Traceback" not in captured.err
+        assert "workers on" not in captured.out  # never announced a port
+        assert multiprocessing.active_children() == []  # every worker reaped
+        return lines[0]
+
+    def test_missing_snapshot(self, tmp_path, capsys):
+        line = self._assert_clean_refusal(tmp_path / "missing.npz", capsys)
+        assert "missing.npz" in line
+
+    def test_corrupt_snapshot(self, snapshot, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(snapshot.read_bytes()[:200])
+        line = self._assert_clean_refusal(corrupt, capsys)
+        assert "SnapshotCorruptError" in line
 
 
 class TestEvaluate:
