@@ -10,29 +10,25 @@ The background ``θ_B`` is the empirical item frequency distribution and is
 held fixed; ``λ_B`` is a hyper-parameter. Time is ignored entirely, which
 is exactly why UT loses to TT on time-sensitive data (Digg) and wins on
 taste-driven data (MovieLens) — the contrast Figure 6/7 highlights.
+
+UT and TT are one background-smoothed PLSA whose documents are users or
+intervals: this file declares the model over
+:class:`~repro.core.model.EMModel` (state names, kernel, document axis,
+initialisation, M-step), and :mod:`repro.baselines.timetopic` changes
+the declaration to interval documents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.em import (
-    EMTrace,
-    normalize_rows,
-    prepare_fit_controls,
-    random_stochastic,
-    restore_state,
-    run_em,
-)
-from ..core.engine import BlockedEStep, EMEngineConfig, UserTopicKernel
+from ..core.em import normalize_rows, random_stochastic
+from ..core.engine import EMEngineConfig, UserTopicKernel
+from ..core.model import EMModel, MStep
 from ..data.cuboid import RatingCuboid
-from ..robustness.checkpoint import CheckpointManager
-from ..robustness.health import HealthMonitor, rejitter_arrays
-
-_STATE_KEYS = ("theta", "phi")
 
 
-class UserTopicModel:
+class UserTopicModel(EMModel):
     """Topic model over user documents with background smoothing.
 
     Parameters
@@ -47,7 +43,20 @@ class UserTopicModel:
     engine:
         :class:`~repro.core.engine.EMEngineConfig` of the blocked E-step,
         as in the core models.
+
+    After :meth:`fit` the document–topic and topic–item matrices are
+    published as ``<state name>_`` (``theta_`` ``(N, K)`` and ``phi_``
+    ``(K, V)``), the fixed background as ``background_`` ``(V,)``.
     """
+
+    _model = "ut"
+    _stochastic = ("theta", "phi")  # (document–topic, topic–item)
+    _no_collapse = ("theta",)
+    _kernel_cls = UserTopicKernel
+    _doc_axis = 0  # documents are users: rows of the (N, T, V) cuboid shape
+
+    theta_: np.ndarray | None  # (N, K)
+    phi_: np.ndarray | None  # (K, V)
 
     def __init__(
         self,
@@ -65,112 +74,72 @@ class UserTopicModel:
             raise ValueError(
                 f"background_weight must be in [0, 1), got {background_weight}"
             )
+        super().__init__(max_iter, tol, smoothing, seed, engine)
         self.num_topics = num_topics
         self.background_weight = background_weight
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.seed = seed
-        self.engine = engine
-        self.theta_: np.ndarray | None = None  # (N, K)
-        self.phi_: np.ndarray | None = None  # (K, V)
+        for name in self._stochastic:
+            setattr(self, f"{name}_", None)
         self.background_: np.ndarray | None = None  # (V,)
-        self.trace_: EMTrace | None = None
 
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
-        return "UT"
+        return self._model.upper()
 
-    def fit(
-        self,
-        cuboid: RatingCuboid,
-        checkpoint: CheckpointManager | str | None = None,
-        resume_from: CheckpointManager | str | None = None,
-        monitor: HealthMonitor | bool | None = None,
-    ) -> "UserTopicModel":
-        """Fit user topics by EM over the (time-collapsed) cuboid.
+    def _hyper(self) -> dict[str, object]:
+        return {"k": self.num_topics, "background_weight": self.background_weight}
 
-        ``checkpoint``/``resume_from``/``monitor`` enable the same
-        fault-tolerant runtime as :meth:`repro.core.ttcam.TTCAM.fit`.
-        """
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        n, _, v_dim = cuboid.shape
-        k = self.num_topics
-
+    @staticmethod
+    def _background(cuboid: RatingCuboid) -> np.ndarray:
+        """The empirical item frequency distribution ``θ_B``."""
         popularity = cuboid.item_popularity()
-        background = popularity / popularity.sum()
+        return popularity / popularity.sum()
 
-        estep = BlockedEStep(
-            UserTopicKernel(
-                cuboid.users,
-                cuboid.intervals,
-                cuboid.items,
-                cuboid.scores,
-                cuboid.shape,
-                k,
-                background,
-                self.background_weight,
-            ),
-            self.engine,
-        )
-        meta = {"model": "ut", "k": k, "seed": self.seed} | estep.grid
-        manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, meta
-        )
-        if restored is not None:
-            state, start, trace = restore_state(restored, _STATE_KEYS)
-        else:
-            rng = np.random.default_rng(self.seed)
-            state = {
-                "theta": random_stochastic(rng, n, k),
-                "phi": random_stochastic(rng, k, v_dim),
-            }
-            start, trace = 0, EMTrace()
-
-        def step(
-            current: dict[str, np.ndarray],
-        ) -> tuple[dict[str, np.ndarray], float]:
-            """One EM iteration over the time-collapsed cuboid."""
-            stats, log_likelihood = estep.compute(current)
-            updated = {
-                "theta": normalize_rows(stats["theta_num"], self.smoothing),
-                "phi": normalize_rows(stats["phi_num"].T, self.smoothing),
-            }
-            return updated, log_likelihood
-
-        state, trace = run_em(
-            state,
-            step,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            trace=trace,
-            start_iteration=start,
-            checkpoints=manager,
-            monitor=health,
-            rejitter=self._rejitter,
+    def _kernel(self, cuboid: RatingCuboid) -> UserTopicKernel:
+        return self._kernel_cls(
+            cuboid.users,
+            cuboid.intervals,
+            cuboid.items,
+            cuboid.scores,
+            cuboid.shape,
+            self.num_topics,
+            self._background(cuboid),
+            self.background_weight,
         )
 
-        self.theta_ = state["theta"]
-        self.phi_ = state["phi"]
-        self.background_ = background
-        self.trace_ = trace
-        return self
-
-    def default_monitor(self) -> HealthMonitor:
-        """The numerical-health invariants of a UT state."""
-        return HealthMonitor(stochastic=_STATE_KEYS, no_collapse=("theta",))
-
-    def _rejitter(
-        self, state: dict[str, np.ndarray], recovery: int
+    def _init_state(
+        self, rng: np.random.Generator, shape: tuple[int, int, int]
     ) -> dict[str, np.ndarray]:
-        """Seeded perturbation applied to a rolled-back state."""
-        return rejitter_arrays(state, _STATE_KEYS, (), seed=self.seed + 7919 * recovery)
+        doc_topics, topic_items = self._stochastic
+        return {
+            doc_topics: random_stochastic(rng, shape[self._doc_axis], self.num_topics),
+            topic_items: random_stochastic(rng, self.num_topics, shape[2]),
+        }
+
+    def _m_step(self, cuboid: RatingCuboid) -> MStep:
+        doc_topics, topic_items = self._stochastic
+
+        def m_step(stats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            return {
+                doc_topics: normalize_rows(stats["theta_num"], self.smoothing),
+                topic_items: normalize_rows(stats["phi_num"].T, self.smoothing),
+            }
+
+        return m_step
+
+    def _store(self, state: dict[str, np.ndarray], cuboid: RatingCuboid) -> None:
+        for name in self._stochastic:
+            setattr(self, f"{name}_", state[name])
+        self.background_ = self._background(cuboid)
+
+    def _score(self, document: int) -> np.ndarray:
+        """Background-smoothed item distribution of one document."""
+        doc_topics, topic_items = (getattr(self, f"{name}_") for name in self._stochastic)
+        if doc_topics is None:
+            raise RuntimeError("model is not fitted; call fit() first")
+        lam_b = self.background_weight
+        return lam_b * self.background_ + (1 - lam_b) * (doc_topics[document] @ topic_items)
 
     def score_items(self, user: int, interval: int = 0) -> np.ndarray:
         """``P(v | u)`` for every item; the interval argument is ignored."""
-        if self.theta_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        lam_b = self.background_weight
-        return lam_b * self.background_ + (1 - lam_b) * (self.theta_[user] @ self.phi_)
+        return self._score(user)

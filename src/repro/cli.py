@@ -105,7 +105,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """Train a TCAM variant and snapshot it to .npz."""
-    from .robustness import CheckpointManager
+    from .robustness import CheckpointError, CheckpointManager
 
     if args.model in ("ut", "tt"):
         print("fit snapshots support the TCAM variants only", file=sys.stderr)
@@ -125,12 +125,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     elif args.resume:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    model.fit(
-        cuboid,
-        checkpoint=checkpoint,
-        resume_from=resume_from,
-        monitor=True if args.health_guard else None,
-    )
+    try:
+        model.fit(
+            cuboid,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            monitor=True if args.health_guard else None,
+        )
+    except CheckpointError as exc:
+        print(f"tcam fit: {exc}", file=sys.stderr)
+        return 2
     trace = model.trace_
     params = model.params_
     assert trace is not None and params is not None  # fit() always sets both
@@ -426,21 +430,30 @@ def cmd_stream_append(args: argparse.Namespace) -> int:
 
 def cmd_stream_run(args: argparse.Namespace) -> int:
     """Fold durable events into a fitted snapshot, crash-safely."""
+    from .core.params import TTCAMParameters
+    from .robustness import CheckpointError, SnapshotCorruptError
     from .streaming import EventLog, StreamIngestor
 
-    loaded = LoadedModel.from_file(args.snapshot)
-    params = loaded.params_
-    if not hasattr(params, "phi_time"):
+    try:
+        params = LoadedModel.from_file(args.snapshot).params_
+    except (SnapshotCorruptError, FileNotFoundError) as exc:
+        print(f"tcam stream run: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(params, TTCAMParameters):
         raise SystemExit("error: streaming ingestion needs a TTCAM snapshot")
     with EventLog(args.log) as log:
-        ingestor = StreamIngestor(
-            log,
-            params,
-            args.checkpoints,
-            batch_events=args.batch_events,
-            drift_threshold=args.drift_threshold,
-            checkpoint_every=args.checkpoint_every,
-        )
+        try:
+            ingestor = StreamIngestor(
+                log,
+                params,
+                args.checkpoints,
+                batch_events=args.batch_events,
+                drift_threshold=args.drift_threshold,
+                checkpoint_every=args.checkpoint_every,
+            )
+        except CheckpointError as exc:
+            print(f"tcam stream run: {exc}", file=sys.stderr)
+            return 2
         report = ingestor.run(max_batches=args.max_batches)
         if report.batches:
             ingestor.checkpoint()

@@ -14,6 +14,7 @@ from .em import (
 from .engine import DEFAULT_BLOCK_SIZE, BlockedEStep, EMEngineConfig
 from .gibbs import GibbsTTCAM
 from .itcam import ITCAM
+from .model import EMModel
 from .parallel import PartitionedTTCAM
 from .params import ITCAMParameters, TTCAMParameters
 from .serialize import LoadedModel, load_params, save_params
@@ -41,6 +42,7 @@ __all__ = [
     "scatter_sum_1d",
     "GibbsTTCAM",
     "ITCAM",
+    "EMModel",
     "PartitionedTTCAM",
     "ITCAMParameters",
     "TTCAMParameters",

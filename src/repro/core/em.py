@@ -6,7 +6,9 @@ models fit by expectation–maximisation over the sparse rating cuboid. The
 helpers here keep the per-model code focused on the model equations, while
 :func:`run_em` owns the loop itself — convergence, periodic checkpoints,
 numerical-health rollback and fault-injection points — identically for
-every model.
+every model. :meth:`repro.core.model.EMModel.fit` is the one place that
+wires :func:`prepare_fit_controls`, :func:`restore_state` and
+:func:`run_em` into a fit.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ M-step normalises its statistics here.
 
 Setting ``weighted=True`` trains on the item-weighted cuboid of
 Section 3.3, yielding the paper's **W-ITCAM** variant.
+
+This file holds what is ITCAM's own: its state declaration, kernel,
+random initialisation, M-step and prediction surface. The fit itself is
+:meth:`repro.core.model.EMModel.fit`.
 """
 
 from __future__ import annotations
@@ -18,28 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
-from ..robustness.checkpoint import Checkpoint, CheckpointManager
-from ..robustness.health import HealthMonitor, rejitter_arrays
-from ..typing import ArrayState, FloatArray
-from .engine import BlockedEStep, EMEngineConfig, ITCAMKernel
-from .em import (
-    EPS,
-    EMTrace,
-    normalize_rows,
-    prepare_fit_controls,
-    random_stochastic,
-    restore_state,
-    run_em,
-    scatter_sum_1d,
-)
+from ..typing import RNG, ArrayState, FloatArray
+from .engine import EMEngineConfig, ITCAMKernel
+from .em import EPS, normalize_rows, random_stochastic, scatter_sum_1d
+from .model import EMModel, MStep
 from .params import ITCAMParameters
 from .weighting import apply_item_weighting
 
-_STATE_KEYS = ("theta", "phi", "theta_time", "lambda_u")
-_STOCHASTIC = ("theta", "phi", "theta_time")
 
-
-class ITCAM:
+class ITCAM(EMModel):
     """Item-based temporal context-aware mixture model.
 
     Parameters
@@ -73,6 +64,11 @@ class ITCAM:
         :class:`~repro.core.em.EMTrace` with the log-likelihood history.
     """
 
+    _model = ITCAMParameters.VARIANT
+    _stochastic = ITCAMParameters.STOCHASTIC
+    _unit_interval = ("lambda_u",)
+    _no_collapse = ("theta",)
+
     def __init__(
         self,
         num_user_topics: int = 60,
@@ -86,138 +82,49 @@ class ITCAM:
     ) -> None:
         if num_user_topics <= 0:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
-        if max_iter <= 0:
-            raise ValueError(f"max_iter must be positive, got {max_iter}")
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-        if n_init <= 0:
-            raise ValueError(f"n_init must be positive, got {n_init}")
+        super().__init__(max_iter, tol, smoothing, seed, engine, n_init)
         self.num_user_topics = num_user_topics
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
         self.weighted = weighted
-        self.n_init = n_init
-        self.seed = seed
-        self.engine = engine
         self.params_: ITCAMParameters | None = None
-        self.trace_: EMTrace | None = None
 
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
         return "W-ITCAM" if self.weighted else "ITCAM"
 
-    def fit(
-        self,
-        cuboid: RatingCuboid,
-        checkpoint: CheckpointManager | str | None = None,
-        resume_from: CheckpointManager | str | None = None,
-        monitor: HealthMonitor | bool | None = None,
-    ) -> "ITCAM":
-        """Fit the model to a rating cuboid by EM.
+    def _hyper(self) -> dict[str, object]:
+        return {"k1": self.num_user_topics, "weighted": self.weighted}
 
-        With ``n_init > 1``, runs that many random restarts and keeps the
-        one with the best final training log-likelihood.
+    def _prepare(self, cuboid: RatingCuboid) -> RatingCuboid:
+        return apply_item_weighting(cuboid) if self.weighted else cuboid
 
-        ``checkpoint``/``resume_from``/``monitor`` enable the
-        fault-tolerant runtime exactly as in
-        :meth:`repro.core.ttcam.TTCAM.fit`: periodic atomic checkpoints,
-        bit-compatible resume, and health-guarded rollback. Checkpointing
-        requires ``n_init == 1``.
-        """
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        if (checkpoint is not None or resume_from is not None) and self.n_init != 1:
-            raise ValueError("checkpoint/resume require n_init == 1")
-        if self.weighted:
-            cuboid = apply_item_weighting(cuboid)
-
-        estep = BlockedEStep(
-            ITCAMKernel(
-                cuboid.users,
-                cuboid.intervals,
-                cuboid.items,
-                cuboid.scores,
-                cuboid.shape,
-                self.num_user_topics,
-            ),
-            self.engine,
+    def _kernel(self, cuboid: RatingCuboid) -> ITCAMKernel:
+        return ITCAMKernel(
+            cuboid.users,
+            cuboid.intervals,
+            cuboid.items,
+            cuboid.scores,
+            cuboid.shape,
+            self.num_user_topics,
         )
-        manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, self._meta() | estep.grid
-        )
-        best: tuple[ITCAMParameters, EMTrace] | None = None
-        for restart in range(self.n_init):
-            params, trace = self._fit_once(
-                cuboid,
-                estep,
-                seed=self.seed + restart,
-                checkpoints=manager,
-                restored=restored,
-                monitor=health,
-            )
-            if best is None or trace.final_log_likelihood > best[1].final_log_likelihood:
-                best = (params, trace)
-        assert best is not None  # n_init >= 1 guarantees at least one run
-        self.params_, self.trace_ = best
-        return self
 
-    def _meta(self) -> dict[str, object]:
-        """Identifying configuration stored in (and checked against) checkpoints."""
+    def _init_state(self, rng: RNG, shape: tuple[int, int, int]) -> ArrayState:
+        n, t_dim, v_dim = shape
+        k1 = self.num_user_topics
         return {
-            "model": "itcam",
-            "k1": self.num_user_topics,
-            "weighted": self.weighted,
-            "seed": self.seed,
+            "theta": random_stochastic(rng, n, k1),
+            "phi": random_stochastic(rng, k1, v_dim),
+            "theta_time": random_stochastic(rng, t_dim, v_dim),
+            "lambda_u": np.full(n, 0.5),
         }
 
-    def default_monitor(self) -> HealthMonitor:
-        """The numerical-health invariants of an ITCAM state."""
-        return HealthMonitor(
-            stochastic=_STOCHASTIC,
-            unit_interval=("lambda_u",),
-            no_collapse=("theta",),
-        )
-
-    def _rejitter(self, state: ArrayState, recovery: int) -> ArrayState:
-        """Seeded perturbation applied to a rolled-back state."""
-        return rejitter_arrays(
-            state, _STOCHASTIC, ("lambda_u",), seed=self.seed + 7919 * recovery
-        )
-
-    def _fit_once(
-        self,
-        cuboid: RatingCuboid,
-        estep: BlockedEStep,
-        seed: int,
-        checkpoints: CheckpointManager | None = None,
-        restored: Checkpoint | None = None,
-        monitor: HealthMonitor | None = None,
-    ) -> tuple[ITCAMParameters, EMTrace]:
-        """One EM run from a random initialisation (or a checkpoint)."""
+    def _m_step(self, cuboid: RatingCuboid) -> MStep:
         n, t_dim, v_dim = cuboid.shape
-        k1 = self.num_user_topics
-
-        if restored is not None:
-            state, start, trace = restore_state(restored, _STATE_KEYS)
-        else:
-            rng = np.random.default_rng(seed)
-            state = {
-                "theta": random_stochastic(rng, n, k1),
-                "phi": random_stochastic(rng, k1, v_dim),
-                "theta_time": random_stochastic(rng, t_dim, v_dim),
-                "lambda_u": np.full(n, 0.5),
-            }
-            start, trace = 0, EMTrace()
-
         user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)  # Σ_t Σ_v C[u,t,v], fixed
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration: the E-step's statistics, then the M-step."""
-            stats, log_likelihood = estep.compute(current)
-            updated = {
+        def m_step(stats: ArrayState) -> ArrayState:
+            return {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
                 "phi": normalize_rows(stats["phi_num"].T, self.smoothing),  # Eq. 9
                 "theta_time": normalize_rows(
@@ -227,26 +134,11 @@ class ITCAM:
                     stats["lam_num"] / safe_user_mass, 0.0, 1.0
                 ),  # Eq. 11
             }
-            return updated, log_likelihood
 
-        state, trace = run_em(
-            state,
-            step,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            trace=trace,
-            start_iteration=start,
-            checkpoints=checkpoints,
-            monitor=monitor,
-            rejitter=self._rejitter,
-        )
-        params = ITCAMParameters(
-            theta=state["theta"],
-            phi=state["phi"],
-            theta_time=state["theta_time"],
-            lambda_u=state["lambda_u"],
-        )
-        return params, trace
+        return m_step
+
+    def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
+        self.params_ = ITCAMParameters(**state)
 
     # ------------------------------------------------------------------
     # prediction API (shared across all models in this library)

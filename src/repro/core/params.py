@@ -1,4 +1,4 @@
-"""Fitted TCAM parameter containers.
+"""Fitted TCAM parameter containers — the one declaration of a parameter set.
 
 These hold the distributions inferred by EM — Table 1 of the paper:
 
@@ -9,6 +9,15 @@ These hold the distributions inferred by EM — Table 1 of the paper:
 * TTCAM: ``theta_time`` — ``(T, K2)`` over time-oriented topics and
   ``phi_time`` — ``(K2, V)`` time-oriented topic → item distributions
 
+Which arrays make up a variant is stated here and nowhere else: the
+dataclass fields of each container *are* the parameter set, in archive
+order. Everything that persists, checkpoints, validates or rebuilds one
+(:mod:`repro.core.serialize`, :mod:`repro.recommend.paramstore`,
+:mod:`repro.streaming`) asks the container through
+:meth:`TCAMParameters.arrays` / :meth:`~TCAMParameters.field_names`,
+:attr:`~TCAMParameters.VARIANT`, :attr:`~TCAMParameters.STOCHASTIC` and
+the :data:`VARIANTS` registry.
+
 Each container also knows how to expand a query ``(u, t)`` into the
 concatenated topic space of Section 4.1 (Equations 21–22), which the
 recommendation layer consumes.
@@ -16,7 +25,8 @@ recommendation layer consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -33,27 +43,42 @@ def _check_stochastic(name: str, matrix: FloatArray, tol: float = 1e-6) -> None:
         raise ValueError(f"{name} rows are not normalised (max err {worst:.2e})")
 
 
-@dataclass
-class ITCAMParameters:
-    """Fitted parameters of item-based TCAM (Section 3.2.1)."""
+class TCAMParameters:
+    """What both fitted TCAM variants share.
+
+    A variant is a dataclass deriving from this base: its fields are its
+    parameter arrays (in the order snapshots store them), ``VARIANT`` its
+    tag in archives and manifests, ``STOCHASTIC`` the fields whose rows
+    are probability distributions.
+    """
+
+    VARIANT: ClassVar[str]
+    STOCHASTIC: ClassVar[tuple[str, ...]]
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]  # set by @dataclass
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
-    theta_time: FloatArray  # (T, V)
+    theta_time: FloatArray  # (T, V) or (T, K2)
     lambda_u: FloatArray  # (N,)
 
     def __post_init__(self) -> None:
-        _check_stochastic("theta", self.theta)
-        _check_stochastic("phi", self.phi)
-        _check_stochastic("theta_time", self.theta_time)
+        for name in self.STOCHASTIC:
+            _check_stochastic(name, getattr(self, name))
         if np.any(self.lambda_u < -EPS) or np.any(self.lambda_u > 1 + EPS):
             raise ValueError("lambda_u must lie in [0, 1]")
         if self.theta.shape[1] != self.phi.shape[0]:
             raise ValueError("theta / phi topic dimensions disagree")
-        if self.phi.shape[1] != self.theta_time.shape[1]:
-            raise ValueError("phi / theta_time item dimensions disagree")
         if self.theta.shape[0] != self.lambda_u.shape[0]:
             raise ValueError("theta / lambda_u user dimensions disagree")
+
+    @classmethod
+    def field_names(cls) -> tuple[str, ...]:
+        """The variant's parameter array names, in dataclass (archive) order."""
+        return tuple(f.name for f in fields(cls))
+
+    def arrays(self) -> dict[str, FloatArray]:
+        """The parameter arrays by field name, in :meth:`field_names` order."""
+        return {name: np.asarray(getattr(self, name)) for name in self.field_names()}
 
     @property
     def num_users(self) -> int:
@@ -80,8 +105,8 @@ class ITCAMParameters:
         return self.theta[user] @ self.phi
 
     def context_scores(self, interval: int) -> FloatArray:
-        """``P(v | θ′_t)`` for all items."""
-        return self.theta_time[interval]
+        """``P(v | θ′_t)`` for all items — the term the variants differ in."""
+        raise NotImplementedError
 
     def score_items(self, user: int, interval: int) -> FloatArray:
         """Full mixture likelihood ``P(v | u, t)`` for all items (Eq. 1)."""
@@ -89,6 +114,28 @@ class ITCAMParameters:
         return lam * self.interest_scores(user) + (1 - lam) * self.context_scores(
             interval
         )
+
+
+@dataclass
+class ITCAMParameters(TCAMParameters):
+    """Fitted parameters of item-based TCAM (Section 3.2.1)."""
+
+    VARIANT: ClassVar[str] = "itcam"
+    STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time")
+
+    theta: FloatArray  # (N, K1)
+    phi: FloatArray  # (K1, V)
+    theta_time: FloatArray  # (T, V)
+    lambda_u: FloatArray  # (N,)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.phi.shape[1] != self.theta_time.shape[1]:
+            raise ValueError("phi / theta_time item dimensions disagree")
+
+    def context_scores(self, interval: int) -> FloatArray:
+        """``P(v | θ′_t)`` for all items."""
+        return self.theta_time[interval]
 
     def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
         """Expanded query vector and topic–item matrix (Equations 21–22).
@@ -104,8 +151,11 @@ class ITCAMParameters:
 
 
 @dataclass
-class TTCAMParameters:
+class TTCAMParameters(TCAMParameters):
     """Fitted parameters of topic-based TCAM (Section 3.2.2)."""
+
+    VARIANT: ClassVar[str] = "ttcam"
+    STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time", "phi_time")
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
@@ -114,60 +164,20 @@ class TTCAMParameters:
     lambda_u: FloatArray  # (N,)
 
     def __post_init__(self) -> None:
-        _check_stochastic("theta", self.theta)
-        _check_stochastic("phi", self.phi)
-        _check_stochastic("theta_time", self.theta_time)
-        _check_stochastic("phi_time", self.phi_time)
-        if np.any(self.lambda_u < -EPS) or np.any(self.lambda_u > 1 + EPS):
-            raise ValueError("lambda_u must lie in [0, 1]")
-        if self.theta.shape[1] != self.phi.shape[0]:
-            raise ValueError("theta / phi topic dimensions disagree")
+        super().__post_init__()
         if self.theta_time.shape[1] != self.phi_time.shape[0]:
             raise ValueError("theta_time / phi_time topic dimensions disagree")
         if self.phi.shape[1] != self.phi_time.shape[1]:
             raise ValueError("phi / phi_time item dimensions disagree")
-        if self.theta.shape[0] != self.lambda_u.shape[0]:
-            raise ValueError("theta / lambda_u user dimensions disagree")
-
-    @property
-    def num_users(self) -> int:
-        """Number of users ``N``."""
-        return int(self.theta.shape[0])
-
-    @property
-    def num_user_topics(self) -> int:
-        """Number of user-oriented topics ``K1``."""
-        return int(self.theta.shape[1])
 
     @property
     def num_time_topics(self) -> int:
         """Number of time-oriented topics ``K2``."""
         return int(self.phi_time.shape[0])
 
-    @property
-    def num_intervals(self) -> int:
-        """Number of time intervals ``T``."""
-        return int(self.theta_time.shape[0])
-
-    @property
-    def num_items(self) -> int:
-        """Number of items ``V``."""
-        return int(self.phi.shape[1])
-
-    def interest_scores(self, user: int) -> FloatArray:
-        """``P(v | θ_u)`` for all items (Equation 2)."""
-        return self.theta[user] @ self.phi
-
     def context_scores(self, interval: int) -> FloatArray:
         """``P(v | θ′_t)`` for all items (Equation 12)."""
         return self.theta_time[interval] @ self.phi_time
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Full mixture likelihood ``P(v | u, t)`` for all items (Eq. 1)."""
-        lam = self.lambda_u[user]
-        return lam * self.interest_scores(user) + (1 - lam) * self.context_scores(
-            interval
-        )
 
     def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
         """Expanded query vector over the ``K1 + K2`` topic space (Eq. 21–22).
@@ -192,4 +202,7 @@ class TTCAMParameters:
         return cached
 
 
-TCAMParameters = ITCAMParameters | TTCAMParameters
+#: Every parameter-set variant by its ``VARIANT`` tag.
+VARIANTS: dict[str, type[ITCAMParameters] | type[TTCAMParameters]] = {
+    cls.VARIANT: cls for cls in (TTCAMParameters, ITCAMParameters)
+}

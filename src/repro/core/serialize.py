@@ -26,15 +26,13 @@ import numpy as np
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import FloatArray
-from .params import ITCAMParameters, TTCAMParameters
+from .params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
 
 _FORMAT_KEY = "tcam_format"
 _CHECKSUM_KEY = "tcam_checksum"
-_ITCAM_TAG = "itcam-v1"
-_TTCAM_TAG = "ttcam-v1"
-
-_TTCAM_FIELDS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
-_ITCAM_FIELDS = ("theta", "phi", "theta_time", "lambda_u")
+#: Archive format tag = the container's ``VARIANT`` + this suffix.
+_TAG_SUFFIX = "-v1"
+_BY_TAG = {variant + _TAG_SUFFIX: cls for variant, cls in VARIANTS.items()}
 
 
 def save_params(
@@ -58,13 +56,9 @@ def save_params(
     derived and re-creatable.
     """
     path = Path(path)
-    if isinstance(params, TTCAMParameters):
-        tag, fields = _TTCAM_TAG, _TTCAM_FIELDS
-    elif isinstance(params, ITCAMParameters):
-        tag, fields = _ITCAM_TAG, _ITCAM_FIELDS
-    else:
+    if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
-    arrays = {name: np.asarray(getattr(params, name)) for name in fields}
+    arrays = params.arrays()
     # np.savez appends .npz when missing; resolve the real location first.
     final = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
     final.parent.mkdir(parents=True, exist_ok=True)
@@ -73,7 +67,7 @@ def save_params(
         np.savez_compressed(
             handle,
             **{
-                _FORMAT_KEY: np.array(tag),
+                _FORMAT_KEY: np.array(params.VARIANT + _TAG_SUFFIX),
                 _CHECKSUM_KEY: np.array(digest_arrays(arrays)),
             },
             **arrays,
@@ -105,14 +99,12 @@ def load_params(path: str | Path) -> ITCAMParameters | TTCAMParameters:
             if _FORMAT_KEY not in archive:
                 raise SnapshotCorruptError(f"{path} is not a TCAM parameter archive")
             tag = str(archive[_FORMAT_KEY])
-            if tag == _TTCAM_TAG:
-                cls, fields = TTCAMParameters, _TTCAM_FIELDS
-            elif tag == _ITCAM_TAG:
-                cls, fields = ITCAMParameters, _ITCAM_FIELDS
-            else:
+            cls = _BY_TAG.get(tag)
+            if cls is None:
                 raise SnapshotCorruptError(
                     f"unknown TCAM archive format {tag!r} in {path}"
                 )
+            fields = cls.field_names()
             missing = [name for name in fields if name not in archive]
             if missing:
                 raise SnapshotCorruptError(f"{path} is missing arrays {missing}")
@@ -203,8 +195,7 @@ class LoadedModel:
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
-        kind = "TTCAM" if isinstance(self.params_, TTCAMParameters) else "ITCAM"
-        return f"Loaded-{kind}"
+        return f"Loaded-{self.params_.VARIANT.upper()}"
 
     def score_items(self, user: int, interval: int) -> FloatArray:
         """Ranking scores for every item."""

@@ -11,6 +11,12 @@ EM updates follow Equations (13)–(16) for the temporal side and
 Equations (4)–(11) for the shared machinery. ``weighted=True`` trains on
 the item-weighted cuboid (Section 3.3) giving **W-TTCAM**, the paper's
 best model.
+
+This file holds what is TTCAM's own: its state declaration, the
+:class:`~repro.core.engine.TTCAMKernel` it hands the engine, its random
+initialisation, its M-step and its prediction surface. The fit itself —
+restarts, checkpoint/resume, health rollback — is
+:meth:`repro.core.model.EMModel.fit`.
 """
 
 from __future__ import annotations
@@ -18,28 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
-from ..robustness.checkpoint import Checkpoint, CheckpointManager
-from ..robustness.health import HealthMonitor, rejitter_arrays
-from ..typing import ArrayState, FloatArray
-from .engine import BlockedEStep, EMEngineConfig, EStep, TTCAMKernel
-from .em import (
-    EPS,
-    EMTrace,
-    normalize_rows,
-    prepare_fit_controls,
-    random_stochastic,
-    restore_state,
-    run_em,
-    scatter_sum_1d,
-)
+from ..typing import RNG, ArrayState, FloatArray
+from .engine import EMEngineConfig, TTCAMKernel
+from .em import EPS, normalize_rows, random_stochastic, scatter_sum_1d
+from .model import EMModel, MStep
 from .params import TTCAMParameters
 from .weighting import apply_item_weighting
 
-_STATE_KEYS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
-_STOCHASTIC = ("theta", "phi", "theta_time", "phi_time")
 
-
-class TTCAM:
+class TTCAM(EMModel):
     """Topic-based temporal context-aware mixture model.
 
     Parameters
@@ -75,6 +68,11 @@ class TTCAM:
         :class:`~repro.core.em.EMTrace` with the log-likelihood history.
     """
 
+    _model = TTCAMParameters.VARIANT
+    _stochastic = TTCAMParameters.STOCHASTIC
+    _unit_interval = ("lambda_u",)
+    _no_collapse = ("theta", "theta_time")
+
     def __init__(
         self,
         num_user_topics: int = 60,
@@ -92,111 +90,31 @@ class TTCAM:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
         if num_time_topics <= 0:
             raise ValueError(f"num_time_topics must be positive, got {num_time_topics}")
-        if max_iter <= 0:
-            raise ValueError(f"max_iter must be positive, got {max_iter}")
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-        if n_init <= 0:
-            raise ValueError(f"n_init must be positive, got {n_init}")
+        super().__init__(max_iter, tol, smoothing, seed, engine, n_init)
         self.num_user_topics = num_user_topics
         self.num_time_topics = num_time_topics
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
         self.weighted = weighted
         self.personalized_lambda = personalized_lambda
-        self.n_init = n_init
-        self.seed = seed
-        self.engine = engine
         self.params_: TTCAMParameters | None = None
-        self.trace_: EMTrace | None = None
 
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
         return "W-TTCAM" if self.weighted else "TTCAM"
 
-    def fit(
-        self,
-        cuboid: RatingCuboid,
-        checkpoint: CheckpointManager | str | None = None,
-        resume_from: CheckpointManager | str | None = None,
-        monitor: HealthMonitor | bool | None = None,
-    ) -> "TTCAM":
-        """Fit the model to a rating cuboid by EM.
-
-        With ``n_init > 1``, runs that many random restarts and keeps the
-        one with the best final training log-likelihood.
-
-        ``checkpoint`` (a :class:`~repro.robustness.CheckpointManager` or
-        directory) enables periodic atomic parameter checkpoints;
-        ``resume_from`` continues an interrupted run bit-compatibly from
-        the directory's latest checkpoint; ``monitor`` (``True`` or a
-        :class:`~repro.robustness.HealthMonitor`) validates numerical
-        invariants each iteration and rolls back to the last good
-        checkpoint on violation. Checkpointing requires ``n_init == 1``.
-        """
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        if (checkpoint is not None or resume_from is not None) and self.n_init != 1:
-            raise ValueError("checkpoint/resume require n_init == 1")
-        if self.weighted:
-            cuboid = apply_item_weighting(cuboid)
-
-        compute, grid = self._build_estep(cuboid)
-        manager, restored, health = prepare_fit_controls(
-            checkpoint, resume_from, monitor, self.default_monitor, self._meta() | grid
-        )
-        best: tuple[TTCAMParameters, EMTrace] | None = None
-        for restart in range(self.n_init):
-            params, trace = self._fit_once(
-                cuboid,
-                compute,
-                seed=self.seed + restart,
-                checkpoints=manager,
-                restored=restored,
-                monitor=health,
-            )
-            if best is None or trace.final_log_likelihood > best[1].final_log_likelihood:
-                best = (params, trace)
-        assert best is not None  # n_init >= 1 guarantees at least one run
-        self.params_, self.trace_ = best
-        return self
-
-    def _meta(self) -> dict[str, object]:
-        """Identifying configuration stored in (and checked against) checkpoints."""
+    def _hyper(self) -> dict[str, object]:
         return {
-            "model": "ttcam",
             "k1": self.num_user_topics,
             "k2": self.num_time_topics,
             "weighted": self.weighted,
             "personalized_lambda": self.personalized_lambda,
-            "seed": self.seed,
         }
 
-    def default_monitor(self) -> HealthMonitor:
-        """The numerical-health invariants of a TTCAM state."""
-        return HealthMonitor(
-            stochastic=_STOCHASTIC,
-            unit_interval=("lambda_u",),
-            no_collapse=("theta", "theta_time"),
-        )
+    def _prepare(self, cuboid: RatingCuboid) -> RatingCuboid:
+        return apply_item_weighting(cuboid) if self.weighted else cuboid
 
-    def _rejitter(self, state: ArrayState, recovery: int) -> ArrayState:
-        """Seeded perturbation applied to a rolled-back state."""
-        return rejitter_arrays(
-            state, _STOCHASTIC, ("lambda_u",), seed=self.seed + 7919 * recovery
-        )
-
-    def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
-        """The E-step over ``cuboid`` plus the summation grid it fixed.
-
-        The grid joins :meth:`_meta` in checkpoint metadata, so a resume
-        under a different grid (which could not be bit-identical) is
-        refused. Subclasses override this to run the same equations on
-        another substrate.
-        """
-        kernel = TTCAMKernel(
+    def _kernel(self, cuboid: RatingCuboid) -> TTCAMKernel:
+        return TTCAMKernel(
             cuboid.users,
             cuboid.intervals,
             cuboid.items,
@@ -205,74 +123,41 @@ class TTCAM:
             self.num_user_topics,
             self.num_time_topics,
         )
-        estep = BlockedEStep(kernel, self.engine)
-        return estep.compute, estep.grid
 
-    def _fit_once(
-        self,
-        cuboid: RatingCuboid,
-        compute: EStep,
-        seed: int,
-        checkpoints: CheckpointManager | None = None,
-        restored: Checkpoint | None = None,
-        monitor: HealthMonitor | None = None,
-    ) -> tuple[TTCAMParameters, EMTrace]:
-        """One EM run from a random initialisation (or a checkpoint)."""
-        n, t_dim, v_dim = cuboid.shape
+    def _init_state(self, rng: RNG, shape: tuple[int, int, int]) -> ArrayState:
+        n, t_dim, v_dim = shape
         k1, k2 = self.num_user_topics, self.num_time_topics
+        return {
+            "theta": random_stochastic(rng, n, k1),
+            "phi": random_stochastic(rng, k1, v_dim),
+            "theta_time": random_stochastic(rng, t_dim, k2),
+            "phi_time": random_stochastic(rng, k2, v_dim),
+            "lambda_u": np.full(n, 0.5),
+        }
 
-        if restored is not None:
-            state, start, trace = restore_state(restored, _STATE_KEYS)
-        else:
-            rng = np.random.default_rng(seed)
-            state = {
-                "theta": random_stochastic(rng, n, k1),
-                "phi": random_stochastic(rng, k1, v_dim),
-                "theta_time": random_stochastic(rng, t_dim, k2),
-                "phi_time": random_stochastic(rng, k2, v_dim),
-                "lambda_u": np.full(n, 0.5),
-            }
-            start, trace = 0, EMTrace()
-
+    def _m_step(self, cuboid: RatingCuboid) -> MStep:
+        n = cuboid.num_users
         user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
         total_mass = cuboid.total_score  # global-λ normaliser, fixed
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration: the E-step's statistics, then the M-step."""
-            stats, log_likelihood = compute(current)
+        def m_step(stats: ArrayState) -> ArrayState:
             if self.personalized_lambda:
                 new_lam = stats["lam_num"] / safe_user_mass  # Eq. 11
             else:
                 new_lam = np.full(n, stats["lam_num"].sum() / total_mass)  # single global λ
-            updated = {
+            return {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
                 "phi": normalize_rows(stats["phi_num"].T, self.smoothing),  # Eq. 9
                 "theta_time": normalize_rows(stats["theta_time_num"], self.smoothing),  # Eq. 15
                 "phi_time": normalize_rows(stats["phi_time_num"].T, self.smoothing),  # Eq. 16
                 "lambda_u": np.clip(new_lam, 0.0, 1.0),
             }
-            return updated, log_likelihood
 
-        state, trace = run_em(
-            state,
-            step,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            trace=trace,
-            start_iteration=start,
-            checkpoints=checkpoints,
-            monitor=monitor,
-            rejitter=self._rejitter,
-        )
-        params = TTCAMParameters(
-            theta=state["theta"],
-            phi=state["phi"],
-            theta_time=state["theta_time"],
-            phi_time=state["phi_time"],
-            lambda_u=state["lambda_u"],
-        )
-        return params, trace
+        return m_step
+
+    def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
+        self.params_ = TTCAMParameters(**state)
 
     # ------------------------------------------------------------------
     # prediction API

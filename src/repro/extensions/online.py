@@ -26,6 +26,7 @@ the condition is observable without crashing a serving path.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -239,16 +240,10 @@ class OnlineTTCAM:
         other parameters are shared with the base model.
         """
         theta_t = self.fold_in_interval(users, items, scores)
-        extended = np.vstack([self.params.theta_time, theta_t[None, :]])
-        new_params = TTCAMParameters(
-            theta=self.params.theta,
-            phi=self.params.phi,
-            theta_time=extended,
-            phi_time=self.params.phi_time,
-            lambda_u=self.params.lambda_u,
+        self.params = replace(
+            self.params, theta_time=np.vstack([self.params.theta_time, theta_t[None, :]])
         )
-        self.params = new_params
-        return new_params
+        return self.params
 
     def extend_with_user(
         self,
@@ -264,15 +259,12 @@ class OnlineTTCAM:
         uses this to admit unseen user ids without a refit.
         """
         theta_u, lam = self.fold_in_user(items, intervals, scores)
-        new_params = TTCAMParameters(
+        self.params = replace(
+            self.params,
             theta=np.vstack([self.params.theta, theta_u[None, :]]),
-            phi=self.params.phi,
-            theta_time=self.params.theta_time,
-            phi_time=self.params.phi_time,
             lambda_u=np.append(self.params.lambda_u, lam),
         )
-        self.params = new_params
-        return new_params
+        return self.params
 
     def score_new_user(
         self,

@@ -59,7 +59,7 @@ from typing import Any, Hashable, Mapping
 
 import numpy as np
 
-from ..core.params import ITCAMParameters, TTCAMParameters
+from ..core.params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
 from ..core.serialize import stored_checksum
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
@@ -76,9 +76,6 @@ MANIFEST_NAME = "manifest.json"
 STORE_SUFFIX = ".arrays"
 
 _FORMAT = "tcam-store-v2"
-
-_TTCAM_FIELDS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
-_ITCAM_FIELDS = ("theta", "phi", "theta_time", "lambda_u")
 
 #: Files up to this size are fully hashed at load time; larger ones are
 #: only hashed by :meth:`ParamStore.verify` (reading them would page the
@@ -144,15 +141,9 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
 
-    if isinstance(params, TTCAMParameters):
-        variant, fields = "ttcam", _TTCAM_FIELDS
-    elif isinstance(params, ITCAMParameters):
-        variant, fields = "itcam", _ITCAM_FIELDS
-    else:
+    if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
-    arrays: dict[str, AnyArray] = {
-        name: np.asarray(getattr(params, name)) for name in fields
-    }
+    arrays: dict[str, AnyArray] = params.arrays()
     checksum = digest_arrays(arrays)  # the parameter fields only, as save_params
     if isinstance(params, TTCAMParameters):
         lists = SortedTopicLists.build(params.topic_item_matrix())
@@ -203,7 +194,7 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
 
     manifest = {
         "format": _FORMAT,
-        "variant": variant,
+        "variant": params.VARIANT,
         "snapshot_checksum": checksum,
         "arrays": entries,
     }
@@ -253,7 +244,7 @@ class ParamStore:
             )
         self.snapshot_checksum = manifest.get("snapshot_checksum")
         self.variant = str(manifest.get("variant"))
-        if self.variant not in ("ttcam", "itcam"):
+        if self.variant not in VARIANTS:
             raise SnapshotCorruptError(
                 f"unknown parameter-store variant {self.variant!r} in {manifest_path}"
             )
@@ -397,9 +388,7 @@ class ParamStore:
         non-increasing. Full construction-time validation is skipped on
         purpose — it would fault in every byte of the mapping.
         """
-        for name in ("theta", "phi") + (
-            ("theta_time", "phi_time") if self.variant == "ttcam" else ("theta_time",)
-        ):
+        for name in VARIANTS[self.variant].STOCHASTIC:
             matrix = self._arrays[name]
             for row in sorted({0, int(matrix.shape[0]) - 1}):
                 total = float(np.asarray(matrix[row], dtype=np.float64).sum())
@@ -453,15 +442,9 @@ class ParamStore:
         like an eagerly loaded one, but its arrays page on demand.
         """
         if self._params is None:
-            if self.variant == "ttcam":
-                params: ITCAMParameters | TTCAMParameters = TTCAMParameters.__new__(
-                    TTCAMParameters
-                )
-                fields = _TTCAM_FIELDS
-            else:
-                params = ITCAMParameters.__new__(ITCAMParameters)
-                fields = _ITCAM_FIELDS
-            for name in fields:
+            cls = VARIANTS[self.variant]
+            params = cls.__new__(cls)
+            for name in cls.field_names():
                 setattr(params, name, self._require(name))
             self._params = params
         return self._params

@@ -33,7 +33,7 @@ deterministically.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -190,12 +190,7 @@ class StreamIngestor:
     def checkpoint(self) -> Path:
         """Durably persist parameters, drift state and consumer offset."""
         fault_point("stream.checkpoint", offset=self.offset, batch=self.batches)
-        arrays = {
-            "theta": self.params.theta,
-            "phi": self.params.phi,
-            "theta_time": self.params.theta_time,
-            "phi_time": self.params.phi_time,
-            "lambda_u": self.params.lambda_u,
+        arrays = self.params.arrays() | {
             _DRIFT_VECTORS: self.tracker.vectors,
             _DRIFT_VALID: self.tracker.valid,
         }
@@ -228,11 +223,10 @@ class StreamIngestor:
                 f"(stored {stored!r})"
             )
         self.online.params = TTCAMParameters(
-            theta=np.asarray(checkpoint.arrays["theta"], dtype=np.float64),
-            phi=np.asarray(checkpoint.arrays["phi"], dtype=np.float64),
-            theta_time=np.asarray(checkpoint.arrays["theta_time"], dtype=np.float64),
-            phi_time=np.asarray(checkpoint.arrays["phi_time"], dtype=np.float64),
-            lambda_u=np.asarray(checkpoint.arrays["lambda_u"], dtype=np.float64),
+            **{
+                name: np.asarray(checkpoint.arrays[name], dtype=np.float64)
+                for name in TTCAMParameters.field_names()
+            }
         )
         counters = meta.get("counters")
         counters = counters if isinstance(counters, Mapping) else {}
@@ -261,12 +255,8 @@ class StreamIngestor:
             return
         k2 = params.num_time_topics
         prior = np.full((missing, k2), 1.0 / k2)
-        self.online.params = TTCAMParameters(
-            theta=params.theta,
-            phi=params.phi,
-            theta_time=np.vstack([params.theta_time, prior]),
-            phi_time=params.phi_time,
-            lambda_u=params.lambda_u,
+        self.online.params = replace(
+            params, theta_time=np.vstack([params.theta_time, prior])
         )
         self.tracker.ensure_intervals(max_interval + 1)
 
@@ -297,11 +287,9 @@ class StreamIngestor:
                 )
             else:
                 params = self.params
-                self.online.params = TTCAMParameters(
+                self.online.params = replace(
+                    params,
                     theta=np.vstack([params.theta, np.full((1, k1), 1.0 / k1)]),
-                    phi=params.phi,
-                    theta_time=params.theta_time,
-                    phi_time=params.phi_time,
                     lambda_u=np.append(params.lambda_u, 0.5),
                 )
 
@@ -310,13 +298,7 @@ class StreamIngestor:
         params = self.params
         theta_time = params.theta_time.copy()
         theta_time[interval] = row
-        self.online.params = TTCAMParameters(
-            theta=params.theta,
-            phi=params.phi,
-            theta_time=theta_time,
-            phi_time=params.phi_time,
-            lambda_u=params.lambda_u,
-        )
+        self.online.params = replace(params, theta_time=theta_time)
 
     def _apply_batch(self, events: list[StreamEvent]) -> bool:
         """Fold one micro-batch into the model; True if a boundary hit.

@@ -44,9 +44,11 @@ from ..recommend.recommender import TemporalRecommender
 from ..robustness.errors import SnapshotCorruptError
 from ..robustness.health import HealthMonitor
 
-#: Invariants every TCAM parameter container must satisfy to serve.
+#: Invariants every TCAM parameter container must satisfy to serve
+#: (TTCAM's stochastic fields are a superset of ITCAM's; the monitor
+#: skips names a candidate does not carry).
 _MONITOR = HealthMonitor(
-    stochastic=("theta", "phi", "theta_time", "phi_time"),
+    stochastic=TTCAMParameters.STOCHASTIC,
     unit_interval=("lambda_u",),
     no_collapse=("phi",),
 )
@@ -122,13 +124,7 @@ class SnapshotPublisher:
 
     def _validate(self, params: ITCAMParameters | TTCAMParameters) -> str | None:
         """Why the candidate must not serve, or ``None`` when healthy."""
-        arrays = {
-            name: np.asarray(getattr(params, name))
-            for name in ("theta", "phi", "theta_time", "lambda_u")
-        }
-        if isinstance(params, TTCAMParameters):
-            arrays["phi_time"] = np.asarray(params.phi_time)
-        problems = self.monitor.violations(arrays)
+        problems = self.monitor.violations(params.arrays())
         if problems:
             return "unhealthy snapshot: " + "; ".join(problems)
         for user, interval in self.probes:

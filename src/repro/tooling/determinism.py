@@ -147,6 +147,7 @@ _ENTROPY_LEAVES = frozenset({"uuid1", "uuid4", "urandom", "getrandbits", "token_
 _CONTRACTS: dict[str, tuple[str, ...]] = {
     "core/em.py": ("run_em",),
     "core/engine.py": ("BlockedEStep.compute",),
+    "core/model.py": ("EMModel.fit",),
     "recommend/recommender.py": ("TemporalRecommender.recommend_batch_with_status",),
     "serving_service/worker.py": ("serve_requests",),
     "streaming/wal.py": ("EventLog.read",),

@@ -21,6 +21,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeTopicModel(background_weight=1.5)
 
+    @pytest.mark.parametrize(
+        "bad", [dict(max_iter=0), dict(max_iter=-3), dict(smoothing=-1.0)]
+    )
+    def test_rejects_bad_em_controls(self, bad):
+        # Same checks, same messages as the core models: max_iter=0 used
+        # to "fit" and return the random initialisation with an empty trace.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TimeTopicModel(**bad)
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             TimeTopicModel().score_items(0, 0)

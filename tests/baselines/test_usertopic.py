@@ -23,6 +23,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             UserTopicModel(background_weight=-0.1)
 
+    @pytest.mark.parametrize(
+        "bad", [dict(max_iter=0), dict(max_iter=-3), dict(smoothing=-1.0)]
+    )
+    def test_rejects_bad_em_controls(self, bad):
+        # Same checks, same messages as the core models: max_iter=0 used
+        # to "fit" and return the random initialisation with an empty trace.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            UserTopicModel(**bad)
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             UserTopicModel().score_items(0)

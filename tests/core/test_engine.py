@@ -357,13 +357,17 @@ class TestResumeWithEngine:
             self._make(**grid).fit(cuboid, resume_from=manager)
 
     def test_checkpoint_without_grid_keys_still_resumes(self, tiny_cuboid, tmp_path):
-        # Checkpoints written before the grid was recorded carry no
-        # block_size/workers keys; absent keys are not a mismatch.
+        # Checkpoints written before the grid (PR 14) or the smoothing,
+        # personalized_lambda and cuboid shape/nnz keys (EMModel) were
+        # recorded carry none of them; absent keys are not a mismatch.
         cuboid, _ = tiny_cuboid
         manager = self._interrupted(cuboid, tmp_path, block_size=400, threads=2)
         latest = manager.latest()
-        for key in ("block_size", "workers"):
+        for key in (
+            "block_size", "workers", "smoothing", "personalized_lambda", "shape", "nnz"
+        ):
             del manager.meta[key]
+        assert set(manager.meta) == {"model", "k1", "k2", "weighted", "seed"}
         manager.save(latest.arrays, latest.iteration, latest.log_likelihood)
         resumed = self._make(block_size=200).fit(cuboid, resume_from=manager)
         assert resumed.trace_.log_likelihood[: latest.iteration] == latest.log_likelihood

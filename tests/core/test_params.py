@@ -1,9 +1,11 @@
 """Tests for the fitted-parameter containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.params import ITCAMParameters, TTCAMParameters
+from repro.core.params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
 
 
 def uniform(rows, cols):
@@ -115,3 +117,42 @@ class TestScoring:
         params = make_ttcam()
         weights, _ = params.query_space(0, 0)
         assert weights.sum() == pytest.approx(1.0)
+
+
+class TestDeclaration:
+    """The containers are the one statement of what a parameter set holds."""
+
+    #: The archive field order of format v1 — frozen; snapshots on disk have it.
+    FROZEN = {
+        "ttcam": ("theta", "phi", "theta_time", "phi_time", "lambda_u"),
+        "itcam": ("theta", "phi", "theta_time", "lambda_u"),
+    }
+
+    @pytest.mark.parametrize("params", [make_itcam(), make_ttcam()], ids=lambda p: p.VARIANT)
+    def test_arrays_are_the_dataclass_fields_in_order(self, params):
+        names = tuple(field.name for field in dataclasses.fields(params))
+        assert names == self.FROZEN[params.VARIANT]
+        assert params.field_names() == names
+        assert tuple(params.arrays()) == names
+        for name, array in params.arrays().items():
+            assert array is getattr(params, name)
+
+    def test_variants_registry_round_trips(self):
+        assert set(VARIANTS) == set(self.FROZEN)
+        for params in (make_itcam(), make_ttcam()):
+            cls = VARIANTS[params.VARIANT]
+            assert cls is type(params)
+            assert issubclass(cls, TCAMParameters)
+            rebuilt = cls(**params.arrays())
+            assert rebuilt.arrays().keys() == params.arrays().keys()
+
+    def test_stochastic_fields_are_validated_fields(self):
+        for cls in VARIANTS.values():
+            assert set(cls.STOCHASTIC) == set(cls.field_names()) - {"lambda_u"}
+
+    def test_replace_revalidates(self):
+        params = make_ttcam()
+        grown = dataclasses.replace(params, theta_time=uniform(7, 2))
+        assert grown.num_intervals == 7 and grown.phi is params.phi
+        with pytest.raises(ValueError, match="not normalised"):
+            dataclasses.replace(params, theta_time=uniform(7, 2) * 2)

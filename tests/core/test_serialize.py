@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.itcam import ITCAM
-from repro.core.serialize import LoadedModel, load_params, save_params
+from repro.core.params import VARIANTS
+from repro.core.serialize import LoadedModel, load_params, save_params, stored_checksum
 from repro.core.ttcam import TTCAM
+from repro.robustness.checkpoint import digest_arrays
 import tests.conftest as c
 
 
@@ -47,6 +49,61 @@ class TestRoundTrip:
                 loaded.score_items(user, interval),
                 ttcam.params_.score_items(user, interval),
             )
+
+
+class TestFormatIsDeclaredOnce:
+    """Archive members and tags follow the containers' own declaration."""
+
+    RESERVED = {"tcam_format", "tcam_checksum"}
+
+    def test_archive_members_are_the_declared_fields(self, fitted_models, tmp_path):
+        for model in fitted_models[1:]:
+            params = model.params_
+            path = save_params(params, tmp_path / f"{params.VARIANT}.npz")
+            with np.load(path) as archive:
+                assert set(archive.files) - self.RESERVED == set(params.arrays())
+                assert str(archive["tcam_format"]) == f"{params.VARIANT}-v1"
+            loaded = load_params(path)
+            assert type(loaded) is VARIANTS[params.VARIANT]
+            assert stored_checksum(path) == digest_arrays(loaded.arrays())
+
+    @pytest.mark.parametrize(
+        "tag, order",
+        [
+            ("ttcam-v1", ("theta", "phi", "theta_time", "phi_time", "lambda_u")),
+            ("itcam-v1", ("theta", "phi", "theta_time", "lambda_u")),
+        ],
+    )
+    def test_snapshot_in_the_previous_writers_field_order_still_loads(
+        self, fitted_models, tmp_path, tag, order
+    ):
+        # What save_params wrote while the field lists were private tuples
+        # of serialize.py: the same members, tag and checksum, byte for byte.
+        params = fitted_models[1 if tag == "ttcam-v1" else 2].params_
+        arrays = {name: np.asarray(getattr(params, name)) for name in order}
+        old = tmp_path / "old.npz"
+        np.savez_compressed(
+            old,
+            tcam_format=np.array(tag),
+            tcam_checksum=np.array(digest_arrays(arrays)),
+            **arrays,
+        )
+        new = save_params(params, tmp_path / "new.npz")
+        assert stored_checksum(new) == stored_checksum(old)
+        with np.load(old) as before, np.load(new) as after:
+            assert before.files == after.files
+            for member in before.files:
+                assert before[member].tobytes() == after[member].tobytes(), member
+        loaded = load_params(old)
+        assert type(loaded) is type(params)
+        assert digest_arrays(loaded.arrays()) == stored_checksum(old)
+
+    def test_unknown_format_tag_rejected(self, fitted_models, tmp_path):
+        params = fitted_models[1].params_
+        path = tmp_path / "future.npz"
+        np.savez(path, tcam_format=np.array("ttcam-v2"), **params.arrays())
+        with pytest.raises(ValueError, match="unknown TCAM archive format 'ttcam-v2'"):
+            load_params(path)
 
 
 class TestErrors:

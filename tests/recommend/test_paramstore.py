@@ -22,6 +22,7 @@ from repro.recommend.paramstore import (
 )
 from repro.recommend.quantize import quantize_matrix
 from repro.recommend.threshold import SortedTopicLists
+from repro.robustness.checkpoint import digest_arrays
 from repro.robustness.errors import SnapshotCorruptError
 
 from .test_serving import make_itcam, make_ttcam
@@ -88,6 +89,17 @@ class TestRoundTrip:
             assert np.array_equal(row, expected), interval
             ctx = store.context_vector(interval)
             assert np.array_equal(ctx.values, expected.astype(np.float32))
+
+    def test_manifest_follows_the_containers_declaration(self, snapshot):
+        # variant tag, parameter members and checksum all come from the
+        # parameter container; the sidecar keeps no field list of its own.
+        eager = load_params(snapshot)
+        manifest = json.loads((store_dir(snapshot) / MANIFEST_NAME).read_text())
+        assert manifest["variant"] == eager.VARIANT
+        assert manifest["snapshot_checksum"] == digest_arrays(eager.arrays())
+        assert set(eager.arrays()) <= set(manifest["arrays"])
+        restored = ParamStore.for_snapshot(snapshot).params()
+        assert tuple(vars(restored)) == eager.field_names()
 
     def test_verify_passes_and_nbytes_positive(self, snapshot):
         store = ParamStore.for_snapshot(snapshot)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ITCAM, TTCAM, PartitionedTTCAM
+from repro.core import TTCAM, PartitionedTTCAM
 from repro.robustness import (
     CheckpointError,
     CheckpointManager,
@@ -19,8 +19,67 @@ from repro.robustness import (
     InjectedFault,
     ShardFailedError,
 )
+from tests.robustness.em_models import (
+    MODELS,
+    assert_same_fit,
+    make,
+    other_cuboid,
+    trajectory_keys,
+    with_changed,
+)
 
 pytestmark = pytest.mark.faults
+
+
+def interrupted(name, cuboid, directory):
+    """Kill a checkpointed fit of the named model at iteration 7."""
+    manager = CheckpointManager(directory, every=3)
+    with FaultInjector() as chaos:
+        chaos.crash("em.iteration", iteration=7)
+        with pytest.raises(InjectedFault):
+            make(name).fit(cuboid, checkpoint=manager)
+    assert chaos.fired == 1
+    assert manager.latest().iteration == 6  # every=3, killed at 7
+    return manager
+
+
+def assert_kill_and_resume_is_bit_identical(name, cuboid, directory):
+    baseline = make(name).fit(cuboid)
+    manager = interrupted(name, cuboid, directory)
+    resumed = make(name).fit(cuboid, resume_from=manager, monitor=True)
+    assert_same_fit(baseline, resumed)
+
+
+class TestScaffoldContract:
+    """What ``EMModel.fit`` promises, once, for every model fit through it."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_kill_and_resume_is_bit_identical(self, name, tiny_cuboid, tmp_path):
+        assert_kill_and_resume_is_bit_identical(name, tiny_cuboid[0], tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name in MODELS for key in trajectory_keys(name)],
+    )
+    def test_resume_under_changed_hyperparameter_is_refused(
+        self, name, key, tiny_cuboid, tmp_path
+    ):
+        # Any of these changes the trajectory: the resumed run would be
+        # bit-equal to neither uninterrupted run, so it must not start.
+        cuboid, _ = tiny_cuboid
+        manager = interrupted(name, cuboid, tmp_path)
+        with pytest.raises(CheckpointError, match=f"different configuration.*{key}"):
+            with_changed(name, key).fit(cuboid, resume_from=manager)
+
+    @pytest.mark.parametrize("key", ["shape", "nnz"])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_resume_on_another_cuboid_is_refused(self, name, key, tiny_cuboid, tmp_path):
+        # The kernels gather with mode="clip": on a larger cuboid the new
+        # users would silently read the last checkpointed row.
+        cuboid, _ = tiny_cuboid
+        manager = interrupted(name, cuboid, tmp_path)
+        with pytest.raises(CheckpointError, match=f"different configuration.*{key}"):
+            make(name).fit(other_cuboid(cuboid, key), resume_from=manager)
 
 
 def _model(**overrides):
@@ -85,19 +144,7 @@ class TestKillAndResumeTTCAM:
 
 class TestKillAndResumeITCAM:
     def test_resumed_run_is_bit_identical(self, tiny_cuboid, tmp_path):
-        cuboid, _ = tiny_cuboid
-        make = lambda: ITCAM(num_user_topics=3, max_iter=15, seed=3)
-        baseline = make().fit(cuboid)
-        with FaultInjector() as chaos:
-            chaos.crash("em.iteration", iteration=8)
-            with pytest.raises(InjectedFault):
-                make().fit(cuboid, checkpoint=str(tmp_path))
-        resumed = make().fit(cuboid, resume_from=str(tmp_path))
-        np.testing.assert_array_equal(baseline.params_.theta, resumed.params_.theta)
-        np.testing.assert_array_equal(baseline.params_.phi, resumed.params_.phi)
-        np.testing.assert_array_equal(
-            baseline.params_.lambda_u, resumed.params_.lambda_u
-        )
+        assert_kill_and_resume_is_bit_identical("itcam", tiny_cuboid[0], tmp_path)
 
 
 class TestShardFaults:
@@ -137,22 +184,7 @@ class TestShardFaults:
         assert chaos.fired == 2  # first attempt + one retry
 
     def test_parallel_kill_and_resume(self, tiny_cuboid, tmp_path):
-        cuboid, _ = tiny_cuboid
-        make = lambda: PartitionedTTCAM(
-            num_user_topics=3,
-            num_time_topics=3,
-            max_iter=10,
-            seed=7,
-            num_partitions=3,
-        )
-        baseline = make().fit(cuboid)
-        manager = CheckpointManager(tmp_path, every=2)
-        with FaultInjector() as chaos:
-            chaos.crash("em.iteration", iteration=5)
-            with pytest.raises(InjectedFault):
-                make().fit(cuboid, checkpoint=manager)
-        resumed = make().fit(cuboid, resume_from=manager)
-        _assert_same_params(baseline.params_, resumed.params_)
+        assert_kill_and_resume_is_bit_identical("partitioned", tiny_cuboid[0], tmp_path)
 
     def test_threaded_crash_retry_matches_serial(self, tiny_cuboid):
         cuboid, _ = tiny_cuboid

@@ -18,6 +18,7 @@ from repro.robustness import (
     HealthViolation,
 )
 from repro.tooling.sanitize import SanitizerError, sanitize_enabled
+from tests.robustness.em_models import MODELS, assert_same_fit, fitted_arrays, make
 
 pytestmark = pytest.mark.faults
 
@@ -32,6 +33,28 @@ def _assert_healthy(model):
     params = model.params_
     for name in ("theta", "phi", "theta_time", "phi_time", "lambda_u"):
         assert np.all(np.isfinite(getattr(params, name))), name
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_every_model_rolls_back_and_recovers_deterministically(name, tiny_cuboid, tmp_path):
+    """The scaffold's health rollback, once, over every model fit through it."""
+    cuboid, _ = tiny_cuboid
+
+    def poisoned_fit(directory):
+        model = make(name)
+        manager = CheckpointManager(directory, every=3)
+        with FaultInjector(seed=5) as chaos:
+            chaos.poison_nan("em.state", iteration=5, cells=4, array=model._stochastic[0])
+            model.fit(cuboid, checkpoint=manager, monitor=True)
+        assert chaos.fired == 1
+        return model
+
+    first = poisoned_fit(tmp_path / "a")
+    for array_name, array in fitted_arrays(first).items():
+        assert np.all(np.isfinite(array)), array_name
+    assert first.trace_.iterations == first.max_iter  # replayed to the end
+    assert first.trace_.log_likelihood[-1] >= first.trace_.log_likelihood[0]
+    assert_same_fit(first, poisoned_fit(tmp_path / "b"))
 
 
 class TestNaNRollback:

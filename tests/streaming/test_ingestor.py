@@ -154,6 +154,11 @@ class TestCheckpointResume:
         assert resumed.offset == 12
         assert resumed.batches == 2
         assert resumed.applied == first.applied
+        # The checkpoint holds the container's declared arrays plus the
+        # drift state, and the resumed container is rebuilt from them.
+        saved = first.manager.latest().arrays
+        assert set(saved) == {*stream_base.field_names(), "drift_vectors", "drift_valid"}
+        assert_params_equal(resumed.params, first.params)
 
     def test_kill_between_checkpoints_replays_bit_identically(
         self, stream_base, tmp_path

@@ -8,6 +8,16 @@ import pytest
 from repro.cli import main
 
 
+def assert_one_line_refusal(capsys, prefix):
+    """A refused command says why in one stderr line, never a traceback."""
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(prefix)
+    assert "Traceback" not in err
+    return lines[0]
+
+
 @pytest.fixture(scope="module")
 def dataset_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "ratings.csv"
@@ -491,6 +501,51 @@ class TestFitSanitize:
         assert f"argument {flag}: must be a positive integer" in err
 
 
+class TestFitResumeRefusal:
+    """`tcam fit --resume` under another configuration: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "changed",
+        [("--k1", "5"), ("--seed", "3"), ("--block-size", "64"), ("--model", "w-ttcam")],
+        ids=lambda flag: flag[0].lstrip("-"),
+    )
+    def test_mismatched_resume_is_refused_cleanly(
+        self, dataset_csv, tmp_path, capsys, changed
+    ):
+        base = [
+            "fit",
+            "--input", str(dataset_csv),
+            "--k1", "4",
+            "--k2", "4",
+            "--iters", "4",
+            "--checkpoint-dir", str(tmp_path / "ckpts"),
+            "--checkpoint-every", "2",
+            "--output", str(tmp_path / "model.npz"),
+        ]
+        assert main(base) == 0
+        capsys.readouterr()
+        # argparse keeps the last occurrence, so appending overrides.
+        assert main(base + ["--resume", *changed]) == 2
+        line = assert_one_line_refusal(capsys, "tcam fit: ")
+        assert "different configuration" in line
+
+    def test_matching_resume_still_runs(self, dataset_csv, tmp_path, capsys):
+        base = [
+            "fit",
+            "--input", str(dataset_csv),
+            "--k1", "4",
+            "--k2", "4",
+            "--iters", "4",
+            "--checkpoint-dir", str(tmp_path / "ckpts"),
+            "--checkpoint-every", "2",
+            "--output", str(tmp_path / "model.npz"),
+        ]
+        assert main(base) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert main(base + ["--resume"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first
+
+
 class TestStream:
     @pytest.fixture()
     def events_csv(self, tmp_path):
@@ -569,3 +624,37 @@ class TestStream:
                     "--checkpoints", str(tmp_path / "ckpt"),
                 ]
             )
+
+    def _run(self, tmp_path, snapshot, *extra):
+        return main(
+            [
+                "stream", "run",
+                "--log", str(tmp_path / "wal"),
+                "--snapshot", str(snapshot),
+                "--checkpoints", str(tmp_path / "ckpt"),
+                *extra,
+            ]
+        )
+
+    def test_run_missing_snapshot_is_refused_cleanly(self, tmp_path, capsys):
+        assert self._run(tmp_path, tmp_path / "missing.npz") == 2
+        line = assert_one_line_refusal(capsys, "tcam stream run: ")
+        assert "missing.npz" in line
+        assert not (tmp_path / "wal").exists()  # refused before touching the log
+
+    def test_run_corrupt_snapshot_is_refused_cleanly(self, snapshot, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(snapshot.read_bytes()[:200])
+        assert self._run(tmp_path, corrupt) == 2
+        assert "unreadable" in assert_one_line_refusal(capsys, "tcam stream run: ")
+
+    def test_run_under_changed_batch_events_is_refused_cleanly(
+        self, snapshot, events_csv, tmp_path, capsys
+    ):
+        log_dir = tmp_path / "wal"
+        assert main(["stream", "append", "--log", str(log_dir), "--input", str(events_csv)]) == 0
+        assert self._run(tmp_path, snapshot, "--batch-events", "3") == 0
+        capsys.readouterr()
+        assert self._run(tmp_path, snapshot, "--batch-events", "2") == 2
+        line = assert_one_line_refusal(capsys, "tcam stream run: ")
+        assert "different configuration" in line

@@ -757,6 +757,12 @@ def test_tcam035_covers_method_contracts():
             return params
     """
     assert "TCAM035" in rules_of(source, "src/repro/core/engine.py")
+    scaffold = """
+    class EMModel:
+        def fit(self, cuboid):
+            return self
+    """
+    assert "TCAM035" in rules_of(scaffold, "src/repro/core/model.py")
 
 
 def test_tcam035_only_applies_to_contract_modules():
@@ -974,11 +980,15 @@ def test_contract_functions_really_carry_the_marker():
     """The runtime attribute agrees with the static table for key roots."""
     from repro.analysis.topics import match_topics
     from repro.core.em import run_em
+    from repro.core import ITCAM, TTCAM
     from repro.core.engine import BlockedEStep
+    from repro.core.model import EMModel
     from repro.extensions.social import build_homophilous_graph
 
     assert is_bit_deterministic(run_em)
     assert is_bit_deterministic(BlockedEStep.compute)
+    assert is_bit_deterministic(EMModel.fit)
+    assert TTCAM.fit is EMModel.fit and ITCAM.fit is EMModel.fit  # one fit
     assert is_bit_deterministic(match_topics)
     assert is_bit_deterministic(build_homophilous_graph)
 
