@@ -1,6 +1,6 @@
 # Convenience targets for the TCAM reproduction.
 
-.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke examples all
+.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke static ruff lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -8,30 +8,37 @@ install:
 test:
 	pytest tests/
 
-# Static-analysis gate (see docs/static-analysis.md). The domain linter
-# is part of the package and always runs; ruff is skipped with a notice
-# when it is not installed (the offline image has no pip access).
-lint:
-	PYTHONPATH=src python -m repro.tooling.lint src/repro
+# Static-analysis gate (see docs/static-analysis.md): every TCAM rule in
+# one pass and one process — each file is parsed once — over the package
+# and both bench harnesses; exits non-zero on any unsuppressed finding.
+static:
+	PYTHONPATH=src python -m repro.cli check src/repro benchmarks/perf benchmarks/e2e
+
+# ruff is skipped with a notice when it is not installed (the offline
+# image has no pip access).
+ruff:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \
 		echo "ruff not installed; skipping (CI runs it)"; \
 	fi
 
-# Static concurrency-race analyzer (rules TCAM010-TCAM013); exits
-# non-zero on any unsuppressed finding, see docs/static-analysis.md.
+# The four rule families as presets of the same pass (`lint` also runs
+# ruff). Domain rules TCAM001-TCAM005.
+lint: ruff
+	PYTHONPATH=src python -m repro.tooling.lint src/repro
+
+# Concurrency-race rules TCAM010-TCAM013.
 analyze:
 	PYTHONPATH=src python -m repro.tooling.races src/repro
 
-# Resource-lifecycle & crash-consistency auditor (rules TCAM020-TCAM025);
-# also covers the bench harnesses, which spawn real server processes.
+# Resource-lifecycle & crash-consistency rules TCAM020-TCAM025; also
+# covers the bench harnesses, which spawn real server processes.
 audit:
 	PYTHONPATH=src python -m repro.tooling.lifecycle src/repro benchmarks/perf benchmarks/e2e
 
-# Determinism & dtype-flow verifier for the bitwise contracts (rules
-# TCAM030-TCAM035), rooted at @bit_deterministic markers; see
-# docs/static-analysis.md.
+# Determinism & dtype-flow rules TCAM030-TCAM035, rooted at
+# @bit_deterministic markers.
 prove:
 	PYTHONPATH=src python -m repro.tooling.determinism src/repro
 
@@ -44,7 +51,7 @@ typecheck:
 		echo "mypy not installed; skipping (CI runs it)"; \
 	fi
 
-check: lint analyze audit prove typecheck test
+check: static ruff typecheck test
 
 test-robustness:
 	pytest tests/robustness/

@@ -9,15 +9,12 @@ Covers the full offline/online loop from a shell:
 * ``tcam evaluate`` — run the paper's evaluation protocol on a file;
 * ``tcam report``   — render a topic/influence report card for a
   snapshot against its training data;
-* ``tcam lint``     — run the domain-aware linter (rules
-  TCAM001–TCAM005, see ``docs/static-analysis.md``);
-* ``tcam analyze``  — run the static concurrency-race analyzer (rules
-  TCAM010–TCAM013, see ``docs/static-analysis.md``);
-* ``tcam audit``    — run the resource-lifecycle and crash-consistency
-  auditor (rules TCAM020–TCAM025, see ``docs/static-analysis.md``);
-* ``tcam prove``    — run the static determinism & dtype-flow verifier
-  for the bitwise contracts (rules TCAM030–TCAM035, see
-  ``docs/static-analysis.md``);
+* ``tcam check``    — run every static-analysis rule in one pass (rules
+  TCAM001–TCAM035, see ``docs/static-analysis.md``); ``tcam lint``
+  (TCAM001–005, domain linter), ``tcam analyze`` (TCAM010–013,
+  concurrency races), ``tcam audit`` (TCAM020–025, resource lifecycle
+  and crash consistency) and ``tcam prove`` (TCAM030–035, determinism
+  and dtype flow of the bitwise contracts) are its presets;
 * ``tcam stream``   — the crash-safe streaming loop
   (``docs/robustness.md``): ``append`` dense events to the durable
   event log, ``run`` the incremental ingestor against a snapshot, and
@@ -41,6 +38,7 @@ from .data import generate, holdout_split, load_cuboid_csv, profile, save_cuboid
 from .data.profiles import PROFILES
 from .evaluation import build_queries, evaluate_ranking
 from .recommend import TemporalRecommender
+from .tooling.registry import TOOLS
 
 _MODEL_CHOICES = ("ttcam", "itcam", "w-ttcam", "w-itcam", "ut", "tt")
 
@@ -349,52 +347,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tool_argv(args: argparse.Namespace) -> list[str]:
-    """Re-assemble the shared static-analysis flags into a tool argv."""
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.format != "text":
-        argv.extend(["--format", args.format])
-    if args.select:
-        argv.extend(["--select", args.select])
-    if args.ignore:
-        argv.extend(["--ignore", args.ignore])
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.write_baseline:
-        argv.extend(["--write-baseline", args.write_baseline])
-    return argv
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the domain-aware linter (rules TCAM001–TCAM005)."""
-    from .tooling.lint import main as lint_main
-
-    return lint_main(_tool_argv(args))
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    """Run the static concurrency-race analyzer (rules TCAM010–TCAM013)."""
-    from .tooling.races import main as analyze_main
-
-    return analyze_main(_tool_argv(args))
-
-
-def cmd_audit(args: argparse.Namespace) -> int:
-    """Run the resource-lifecycle auditor (rules TCAM020–TCAM025)."""
-    from .tooling.lifecycle import main as audit_main
-
-    return audit_main(_tool_argv(args))
-
-
-def cmd_prove(args: argparse.Namespace) -> int:
-    """Run the determinism & dtype-flow verifier (rules TCAM030–TCAM035)."""
-    from .tooling.determinism import main as prove_main
-
-    return prove_main(_tool_argv(args))
-
-
 def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
     """Read dense ``user,interval,item[,score]`` rows from a CSV file."""
     import csv
@@ -668,62 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--max-topics", type=int, default=None)
     p_report.set_defaults(func=cmd_report)
 
-    def _add_tool_parser(name: str, help_text: str, func) -> None:
-        tool = sub.add_parser(name, help=help_text)
-        tool.add_argument(
-            "paths",
-            nargs="*",
-            default=[],
-            help="files or directories (default: src/repro)",
-        )
-        tool.add_argument(
-            "--list-rules",
-            action="store_true",
-            help="print the rule catalogue and exit",
-        )
-        tool.add_argument(
-            "--format",
-            choices=("text", "json", "sarif"),
-            default="text",
-            help="output format (json is stable-sorted for CI annotation; "
-            "sarif is a 2.1.0 log for code-scanning upload)",
-        )
-        tool.add_argument(
-            "--select", default="", help="comma-separated rule codes to keep"
-        )
-        tool.add_argument(
-            "--ignore", default="", help="comma-separated rule codes to drop"
-        )
-        tool.add_argument(
-            "--baseline",
-            default="",
-            metavar="FILE",
-            help="recorded-findings file; only findings not in it are reported",
-        )
-        tool.add_argument(
-            "--write-baseline",
-            default="",
-            metavar="FILE",
-            help="record the current findings to FILE and exit 0",
-        )
-        tool.set_defaults(func=func)
-
-    _add_tool_parser(
-        "lint", "domain-aware lint (determinism/numerical-safety rules)", cmd_lint
-    )
-    _add_tool_parser(
-        "analyze", "static concurrency-race analysis of the threaded layers", cmd_analyze
-    )
-    _add_tool_parser(
-        "audit",
-        "static resource-lifecycle and crash-consistency audit",
-        cmd_audit,
-    )
-    _add_tool_parser(
-        "prove",
-        "static determinism & dtype-flow verification of the bitwise contracts",
-        cmd_prove,
-    )
+    # Listed for ``tcam --help`` only: ``main`` hands everything after one
+    # of these names to the tools' own command line, unparsed.
+    for name, help_text in TOOLS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
 
     p_stream = sub.add_parser(
         "stream", help="crash-safe streaming ingestion (see docs/robustness.md)"
@@ -763,8 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in TOOLS:
+        from .tooling.core import main as check_main
+
+        return check_main(argv[1:], tool=argv[0])
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

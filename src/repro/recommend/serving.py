@@ -571,19 +571,24 @@ class BatchScorer:
     def _params_kind(self) -> tuple[str, Any]:
         """Classify the primary model for the split fast path.
 
-        Returns ``("ttcam" | "itcam", params)`` when the model exposes
-        fitted TCAM parameter containers (interest and context parts can
-        then be scored separately, with the context vector cached per
-        interval), or ``("generic", None)`` for any other
-        ``query_space`` provider.
+        Returns ``("ttcam" | "itcam", params)`` when the model's
+        ``query_space`` *is* that of its fitted TCAM parameter container
+        (interest and context parts can then be scored separately, with
+        the context vector cached per interval), or ``("generic", None)``
+        for any other ``query_space`` provider — including one that only
+        wraps such a container and reshapes its query space
+        (``BackgroundTTCAM`` appends a background row).  Called once per
+        group, never per row.
         """
+        from ..core import ITCAM, TTCAM, GibbsTTCAM, LoadedModel, StochasticTTCAM
         from ..core.params import ITCAMParameters, TTCAMParameters
 
-        params = getattr(self.model, "params_", None)
-        if isinstance(params, TTCAMParameters):
-            return "ttcam", params
-        if isinstance(params, ITCAMParameters):
-            return "itcam", params
+        if isinstance(self.model, (TTCAM, ITCAM, StochasticTTCAM, GibbsTTCAM, LoadedModel)):
+            params = self.model.params_
+            if isinstance(params, TTCAMParameters):
+                return "ttcam", params
+            if isinstance(params, ITCAMParameters):
+                return "itcam", params
         return "generic", None
 
     def _matrix_key(self, interval: int) -> Hashable:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..typing import FloatArray
+from ..typing import FloatArray, bit_deterministic
 
 from .errors import CheckpointError
 
@@ -156,8 +156,14 @@ class CheckpointManager:
                     found.append((int(match.group(1)), path))
         return sorted(found)
 
+    @bit_deterministic
     def load(self, path: str | Path) -> Checkpoint:
         """Load and verify one checkpoint file.
+
+        ``arrays`` comes back in archive order — the order :meth:`save`
+        was handed — so a health rollback, which re-jitters the restored
+        arrays from one RNG stream in dict order, replays identically in
+        every process.
 
         Raises :class:`~repro.robustness.errors.CheckpointError` on a
         truncated archive, a checksum mismatch, or missing bookkeeping.
@@ -165,11 +171,12 @@ class CheckpointManager:
         path = Path(path)
         try:
             with np.load(path, allow_pickle=False) as archive:
-                names = set(archive.files)
-                if not _RESERVED <= names:
+                if not _RESERVED <= set(archive.files):
                     raise CheckpointError(f"{path} is not a checkpoint archive")
                 arrays = {
-                    name: archive[name] for name in names - _RESERVED
+                    name: archive[name]
+                    for name in archive.files
+                    if name not in _RESERVED
                 }
                 expected = str(archive[_CHECKSUM_KEY])
                 actual = digest_arrays(arrays)

@@ -1,22 +1,26 @@
 """Developer tooling for the TCAM reproduction.
 
-Home to the domain-aware linter (:mod:`repro.tooling.lint`), the static
-concurrency-race analyzer (:mod:`repro.tooling.races`), the resource-
-lifecycle and crash-consistency auditor (:mod:`repro.tooling.lifecycle`),
-the determinism & dtype-flow verifier (:mod:`repro.tooling.determinism`)
-and the opt-in runtime sanitizer (:mod:`repro.tooling.sanitize`) —
-together they encode the determinism, numerical-safety, data-race and
+Home to the one static-analysis pass (:mod:`repro.tooling.core`, ``tcam
+check``) and the four rule families it runs — the domain linter
+(:mod:`repro.tooling.lint`), the concurrency-race analyzer
+(:mod:`repro.tooling.races`), the resource-lifecycle and
+crash-consistency auditor (:mod:`repro.tooling.lifecycle`), the
+determinism & dtype-flow verifier (:mod:`repro.tooling.determinism`) —
+and to the opt-in runtime sanitizer (:mod:`repro.tooling.sanitize`).
+Together they encode the determinism, numerical-safety, data-race and
 durability invariants the test suite otherwise only catches after the
-fact. All four static tools share one CLI surface
+fact. ``tcam check`` and its four presets share one CLI surface
 (:mod:`repro.tooling.output`): ``--format json`` emits the same
 stable-sorted schema from each (``--format sarif`` the same SARIF 2.1.0
 log), which CI turns into GitHub annotations and code-scanning uploads,
-and every rule code is declared once in :mod:`repro.tooling.registry`.
+and every rule code and every fact about this tree is declared once in
+:mod:`repro.tooling.registry`.
 
-The submodules are loaded lazily so that ``python -m repro.tooling.lint``
-(or ``...races``) does not import them twice (once as a package
-attribute, once as ``__main__``), which would trigger a runpy
-``RuntimeWarning``.
+The submodules are loaded lazily: ``repro.core`` and ``repro.recommend``
+import :mod:`repro.tooling.sanitize` and must not pay for the analyser,
+and ``python -m repro.tooling.lint`` (or ``...races``) must not import
+its module twice (once as a package attribute, once as ``__main__``),
+which would trigger a runpy ``RuntimeWarning``.
 """
 
 from typing import TYPE_CHECKING, Any

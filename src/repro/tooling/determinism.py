@@ -1,29 +1,40 @@
-"""Static determinism & dtype-flow verifier (``tcam prove``).
+"""Determinism & dtype-flow rules for the bitwise contracts (``tcam prove``).
 
 Every layer built since PR 1 stakes its correctness on *bitwise*
 contracts: checkpoint/resume identity, the fixed-order blocked
 reduction, quantized selection equal to the float64 path, micro-batch
 split invariance, WAL replay determinism.  The linter checks local
 idioms, the race analyzer checks sharing discipline, the auditor checks
-resource lifecycles — this fourth layer verifies the *determinism and
+resource lifecycles — this fourth family verifies the *determinism and
 dtype discipline* of the numerical core itself.
 
-The analyzer is rooted at functions carrying the zero-cost
-:func:`repro.typing.bit_deterministic` marker and propagates through
+The rules are rooted at functions carrying the zero-cost
+:func:`repro.typing.bit_deterministic` marker and propagate through
 their call graphs: any module-local function reachable (by bare-name
 resolution, like the race analyzer's descent) from a marked function is
-checked under the same contract.  ``@hot_path`` functions additionally
-get the dtype-flow rule — a silent upcast is a hidden allocation there.
+checked under the same contract — :class:`repro.tooling.core.Module`
+computes that reachability once per file.  ``@hot_path`` functions
+additionally get the dtype-flow rule — a silent upcast is a hidden
+allocation there.
+
+Two visitors here each serve a pair of codes.  TCAM005 (``tcam lint``)
+and TCAM030 both look for iteration over an unordered source, TCAM013
+(``tcam analyze``) and TCAM031 both for folds in completion order; the
+members of a pair walk the same sites (:func:`_iteration_sites`) and
+differ in where they look (the whole module, or the deterministic
+region only) and in which sources, loop bodies and consumers count.
 
 ========  ==================================================================
 TCAM030   Unordered iteration on a deterministic path.  Iterating a
           ``set``/``frozenset`` (literal, constructor, or a local bound
           to one), ``os.listdir``/``os.scandir``/``glob``/``iterdir``
-          results, or ``as_completed`` — where the loop accumulates or
-          emits a sequence, or where the unordered value feeds
-          ``sum``/``list``/``tuple``/``join`` or a list/generator/dict
-          comprehension.  Wrap the source in ``sorted(...)``.  (Dict
-          iteration is insertion-ordered in Python ≥3.7 and exempt.)
+          results, or ``as_completed`` — or set algebra over any of
+          them (``a - b``, ``a | b``, ``a & b``, ``a ^ b``) — where the
+          loop accumulates or emits a sequence, or where the unordered
+          value feeds ``sum``/``list``/``tuple``/``join`` or a
+          list/generator/dict comprehension.  Wrap the source in
+          ``sorted(...)``.  (Dict iteration is insertion-ordered in
+          Python ≥3.7 and exempt.)
 TCAM031   Scheduling/machine-dependent float reduction order: folding
           worker results in ``as_completed``/``imap_unordered`` order,
           or deriving chunk/worker counts from ``cpu_count()`` inside
@@ -52,8 +63,9 @@ TCAM034   Wall-clock or unseeded entropy reaching deterministic state:
           ``process_time``) are diagnostics-only by contract and exempt.
 TCAM035   Coverage: the documented contract functions (``run_em``, the
           blocked E-step, batch serving, the micro-batch worker loop,
-          WAL replay, streaming fold-in/resume) must carry
-          ``@bit_deterministic`` so the analyzer's roots cannot rot.
+          WAL replay, streaming fold-in/resume, checkpoint load — the
+          ``contracts`` column of :data:`repro.tooling.registry.TREE`)
+          must carry ``@bit_deterministic`` so the roots cannot rot.
 ========  ==================================================================
 
 Suppression reuses the linter's comment syntax: append
@@ -61,27 +73,30 @@ Suppression reuses the linter's comment syntax: append
 offending line; the real-tree meta-test keeps the tree at zero findings
 so every suppression is visible in review.
 
-Run as ``tcam prove [paths...]`` or ``python -m repro.tooling.determinism``.
+Run as ``tcam prove [paths...]`` or ``python -m repro.tooling.determinism``;
+the same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from .lint import (
+from .core import (
     Finding,
+    Module,
+    Scope,
+    Visitor,
     _attr_chain,
     _call_leaf,
-    _decorator_names,
     _Emitter,
-    _is_set_expr,
-    _iter_python_files,
     _keyword,
     _target_names,
-    _walk_own,
+    _walk,
+    check_paths,
+    check_source,
 )
-from .races import _FunctionIndex
+from .core import main as check_main
 from .registry import rules_for_tool
 
 __all__ = [
@@ -95,9 +110,6 @@ __all__ = [
 #: (:mod:`repro.tooling.registry`).
 RULES: dict[str, str] = rules_for_tool("prove")
 
-#: Interprocedural descent budget below a ``@bit_deterministic`` root.
-_MAX_DEPTH = 4
-
 #: Call leaves whose results have no reproducible order (TCAM030).
 _UNORDERED_PRODUCERS = frozenset(
     {"listdir", "scandir", "glob", "iglob", "rglob", "iterdir", "as_completed"}
@@ -106,24 +118,11 @@ _UNORDERED_PRODUCERS = frozenset(
 #: Call leaves that impose a stable order on their argument.
 _ORDERING_WRAPPERS = frozenset({"sorted", "lexsort"})
 
-#: Order-sensitive consumers of an iterable's element order.
-_ORDER_SENSITIVE_CALLS = frozenset({"sum", "list", "tuple", "fsum"})
-
-#: Iterators whose element order follows completion, not submission.
-_COMPLETION_ORDER_ITERS = frozenset({"as_completed", "imap_unordered"})
-
-#: Mutating calls that make a loop body order-sensitive.
-_ACCUMULATORS = frozenset({"append", "extend", "insert", "appendleft", "write"})
-
 #: Float dtypes the dtype-flow rule tracks, by canonical name.
 _FLOAT_DTYPES = frozenset({"float16", "float32", "float64"})
 
 #: Narrow float dtypes — casting down to these needs a blessed route.
 _NARROW_DTYPES = frozenset({"float16", "float32"})
-
-#: Files allowed to narrow dtypes: the proven-margin quantized-selection
-#: layer narrows by design (its error bound is the whole point).
-_BLESSED_NARROWING_SUFFIXES = ("recommend/quantize.py",)
 
 #: numpy binary ufuncs checked for mixed-dtype operands (TCAM033).
 _BINARY_UFUNCS = frozenset(
@@ -140,108 +139,17 @@ _WALL_CLOCK_LEAVES = frozenset({"time", "time_ns", "ctime", "asctime"})
 _DATETIME_LEAVES = frozenset({"now", "utcnow", "today"})
 _ENTROPY_LEAVES = frozenset({"uuid1", "uuid4", "urandom", "getrandbits", "token_bytes", "token_hex", "token_urlsafe"})
 
-#: The documented bitwise-contract functions (TCAM035): path suffix ->
-#: qualified names that must carry ``@bit_deterministic``.  This is the
-#: table that keeps the analyzer's roots honest — moving or renaming a
-#: contract function without updating it fails the real-tree meta-test.
-_CONTRACTS: dict[str, tuple[str, ...]] = {
-    "core/em.py": ("run_em",),
-    "core/engine.py": ("BlockedEStep.compute",),
-    "core/model.py": ("EMModel.fit",),
-    "recommend/recommender.py": ("TemporalRecommender.recommend_batch_with_status",),
-    "serving_service/worker.py": ("serve_requests",),
-    "streaming/wal.py": ("EventLog.read",),
-    "streaming/ingestor.py": ("StreamIngestor.run", "StreamIngestor._try_resume"),
-    "extensions/online.py": ("OnlineTTCAM.fold_in_user", "OnlineTTCAM.fold_in_interval"),
-    "extensions/social.py": ("build_homophilous_graph",),
-    "analysis/topics.py": ("match_topics",),
-}
-
-
-# -- scope collection and call-graph propagation ------------------------------
-
-
-class _Scope:
-    """One function definition plus its determinism/hot classification."""
-
-    def __init__(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        deterministic: bool,
-        hot: bool,
-    ) -> None:
-        self.node = node
-        self.qualname = qualname
-        self.deterministic = deterministic
-        self.hot = hot
-        #: Root qualname this scope's contract flows from (for messages).
-        self.root = qualname if deterministic else ""
-
-
-def _collect_scopes(tree: ast.Module) -> list[_Scope]:
-    """Qualify every function and classify marker-decorated ones.
-
-    ``deterministic``/``hot`` here reflect only the *lexical* evidence
-    (decorator or enclosing marked function); call-graph reachability is
-    layered on by :func:`_propagate`.
-    """
-
-    scopes: list[_Scope] = []
-
-    def visit(node: ast.AST, prefix: str, det: bool, hot: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}" if prefix else child.name
-                decorators = _decorator_names(child)
-                child_det = det or "bit_deterministic" in decorators
-                child_hot = hot or "hot_path" in decorators
-                scopes.append(_Scope(child, qualname, child_det, child_hot))
-                visit(child, f"{qualname}.<locals>.", child_det, child_hot)
-            elif isinstance(child, ast.ClassDef):
-                class_prefix = f"{prefix}{child.name}." if prefix else f"{child.name}."
-                visit(child, class_prefix, det, hot)
-            else:
-                visit(child, prefix, det, hot)
-
-    visit(tree, "", False, False)
-    return scopes
-
-
-def _propagate(scopes: list[_Scope], index: _FunctionIndex) -> None:
-    """Mark every scope reachable from a deterministic root, breadth-first.
-
-    Resolution is by bare callee name within the module (the race
-    analyzer's over-approximation): ``self.kernel.accumulate(...)``
-    descends into every ``accumulate`` defined in the file.  Cross-module
-    calls are not followed — each module's contract functions carry
-    their own marker (TCAM035 pins the documented ones).
-    """
-
-    by_node = {id(scope.node): scope for scope in scopes}
-    frontier = [
-        (scope, 0) for scope in scopes if scope.deterministic
-    ]
-    while frontier:
-        scope, depth = frontier.pop()
-        if depth >= _MAX_DEPTH:
-            continue
-        for node in _walk_own(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
-            leaf = _call_leaf(node.func)
-            if not leaf:
-                continue
-            for defn in index.resolve(leaf):
-                callee = by_node.get(id(defn))
-                if callee is None or callee.deterministic:
-                    continue
-                callee.deterministic = True
-                callee.root = scope.root or scope.qualname
-                frontier.append((callee, depth + 1))
-
-
 # -- small predicates ---------------------------------------------------------
+
+
+def _is_set_expr(node: ast.AST) -> bool:
+    """True for set/frozenset literals, comprehensions, and constructors."""
+
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in {"set", "frozenset"}
+    return False
 
 
 def _is_unordered_expr(node: ast.AST, unordered_locals: set[str]) -> bool:
@@ -251,6 +159,12 @@ def _is_unordered_expr(node: ast.AST, unordered_locals: set[str]) -> bool:
         return True
     if isinstance(node, ast.Name):
         return node.id in unordered_locals
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
+    ):  # set algebra: ``a - b`` is as unordered as its operands
+        return _is_unordered_expr(node.left, unordered_locals) or _is_unordered_expr(
+            node.right, unordered_locals
+        )
     if isinstance(node, ast.Call):
         leaf = _call_leaf(node.func)
         if leaf in _ORDERING_WRAPPERS:
@@ -266,11 +180,11 @@ def _is_unordered_expr(node: ast.AST, unordered_locals: set[str]) -> bool:
     return False
 
 
-def _unordered_locals(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _unordered_locals(func: ast.AST) -> set[str]:
     """Names bound to a set or an unordered producer inside ``func``."""
 
     names: set[str] = set()
-    for node in _walk_own(func):
+    for node in _walk(func):
         if isinstance(node, ast.Assign) and _is_unordered_expr(node.value, names):
             for target in node.targets:
                 names.update(_target_names(target))
@@ -282,171 +196,202 @@ def _unordered_locals(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     return names
 
 
-def _accumulates_or_emits(body: Sequence[ast.stmt]) -> bool:
-    """True when a loop body's effect depends on iteration order."""
+def _mentions_as_completed(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id == "as_completed":
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr == "as_completed":
+            return True
+    return False
+
+
+def _mentions_completion_iter(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and _call_leaf(sub.func) in ("as_completed", "imap_unordered"):
+            return True
+    return False
+
+
+def _where(scope: Scope) -> str:
+    return f"deterministic path rooted at '{scope.root}'"
+
+
+def _contract_calls(module: Module) -> Iterator[tuple[ast.Call, Scope]]:
+    """Every call in the deterministic region, with the scope it sits in."""
+
+    for scope in module.scopes:
+        if scope.deterministic:
+            for node in _walk(scope.node):
+                if isinstance(node, ast.Call):
+                    yield node, scope
+
+
+# -- TCAM005/030 and TCAM013/031: iteration order becoming data ----------------
+
+_COMPREHENSIONS: dict[type, str] = {
+    ast.ListComp: "list",
+    ast.SetComp: "set",
+    ast.GeneratorExp: "generator",
+    ast.DictComp: "dict",
+}
+
+_Site = tuple[ast.expr, str, str, Sequence[ast.stmt]]
+
+
+def _iteration_sites(nodes: Iterable[ast.AST]) -> Iterator[_Site]:
+    """Every place an iterable's element order can become data.
+
+    Yields ``(iterable, kind, detail, loop body)``: a ``"loop"`` over it,
+    a ``"comprehension"`` of it (detail: list/set/generator/dict), a
+    builtin ``"consumer"`` called on it (detail: the builtin's name), or
+    a ``sep.join`` of it.
+    """
+
+    for node in nodes:
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield node.iter, "loop", "", node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in node.generators:
+                yield gen.iter, "comprehension", _COMPREHENSIONS[type(node)], ()
+        elif isinstance(node, ast.Call) and node.args:
+            if isinstance(node.func, ast.Name):
+                yield node.args[0], "consumer", node.func.id, ()
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "join":
+                yield node.args[0], "join", "", ()
+
+
+def _accumulates(body: Sequence[ast.stmt], methods: Container[str], emits: bool) -> bool:
+    """True when a loop body's effect depends on iteration order.
+
+    An augmented assignment or a call of one of ``methods`` does; with
+    ``emits``, so does a ``yield``.
+    """
 
     for stmt in body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.AugAssign):
                 return True
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            if emits and isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return True
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ACCUMULATORS
+                and node.func.attr in methods
             ):
                 return True
     return False
 
 
-def _iter_comprehension_sites(
-    node: ast.AST,
-) -> Iterator[tuple[ast.expr, str]]:
-    """(iter expr, kind) for comprehensions that emit an ordered sequence.
+def _contract_sites(scope: Scope) -> Iterator[_Site]:
+    """The :func:`_iteration_sites` of a deterministic scope that bear order.
 
-    Set comprehensions are excluded (set in, set out — no order gained
-    or lost); dict comprehensions are included because the resulting
-    dict's insertion order *is* the unordered iteration order, which
-    every later loop over it inherits.
+    A loop must accumulate or emit, a set comprehension gains no order
+    to lose (set in, set out), and only the folding builtins count.
     """
 
-    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-        kind = "list" if isinstance(node, ast.ListComp) else "generator"
-        for gen in node.generators:
-            yield gen.iter, kind
-    elif isinstance(node, ast.DictComp):
-        for gen in node.generators:
-            yield gen.iter, "dict"
+    for site in _iteration_sites(_walk(scope.node)):
+        _, kind, detail, body = site
+        if kind == "loop":
+            bears = _accumulates(body, ("append", "extend", "insert", "appendleft", "write"), True)
+        elif kind == "comprehension":
+            bears = detail != "set"
+        else:
+            bears = kind == "join" or detail in ("sum", "list", "tuple", "fsum")
+        if bears:
+            yield site
 
 
-# -- TCAM030: unordered iteration ---------------------------------------------
+def _check_unordered_iteration(module: Module, emit: _Emitter) -> None:
+    """TCAM005/TCAM030: an unordered source must not drive ordered output.
 
+    TCAM005 holds anywhere in a module, for bare set expressions, whatever
+    the loop does; TCAM030 holds inside the deterministic region, for
+    every unordered source (directory listings, locals bound to sets, set
+    algebra, ...) where the order is actually borne.
+    """
 
-def _check_unordered_iteration(scope: _Scope, emit: _Emitter) -> None:
-    unordered = _unordered_locals(scope.node)
-    where = f"deterministic path rooted at '{scope.root or scope.qualname}'"
-    for node in _walk_own(scope.node):
-        # Completion-order iterators (as_completed/imap_unordered) are
-        # TCAM031's job — the scheduling-dependent-reduction rule gives
-        # the precise fix — so they are skipped here to avoid dual flags.
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            if _mentions_completion_iter(node.iter):
-                continue
-            if _is_unordered_expr(node.iter, unordered) and _accumulates_or_emits(
-                node.body
+    for expr, kind, detail, _ in _iteration_sites(module.nodes):
+        if _is_set_expr(expr) and (kind != "consumer" or detail in ("sum", "list", "tuple")):
+            emit(
+                expr,
+                "TCAM005",
+                "iterating a bare set is nondeterministic; wrap it in sorted(...) "
+                "to fix the reduction order",
+            )
+    for scope in module.scopes:
+        if not scope.deterministic:
+            continue
+        unordered = _unordered_locals(scope.node)
+        for expr, kind, detail, _ in _contract_sites(scope):
+            # Completion-order iterators (as_completed/imap_unordered) are
+            # TCAM031's job — it gives the precise fix — so they are skipped
+            # here to avoid dual flags (a str.join has no TCAM031 form).
+            if _is_unordered_expr(expr, unordered) and (
+                kind == "join" or not _mentions_completion_iter(expr)
             ):
-                emit(
-                    node.iter,
-                    "TCAM030",
-                    f"iteration order of this set/directory listing is not "
-                    f"reproducible and the loop accumulates ({where}); wrap "
-                    "the source in sorted(...)",
-                )
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for iter_expr, kind in _iter_comprehension_sites(node):
-                if _mentions_completion_iter(iter_expr):
-                    continue
-                if _is_unordered_expr(iter_expr, unordered):
-                    emit(
-                        iter_expr,
-                        "TCAM030",
-                        f"{kind} comprehension over an unordered source emits "
-                        f"a nondeterministic sequence ({where}); wrap the "
-                        "source in sorted(...)",
-                    )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            leaf = _call_leaf(func)
-            if (
-                isinstance(func, ast.Name)
-                and leaf in _ORDER_SENSITIVE_CALLS
-                and node.args
-                and not _mentions_completion_iter(node.args[0])
-                and _is_unordered_expr(node.args[0], unordered)
-            ):
-                emit(
-                    node.args[0],
-                    "TCAM030",
-                    f"{leaf}() over an unordered source folds elements in an "
-                    f"unreproducible order ({where}); wrap the source in "
-                    "sorted(...)",
-                )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "join"
-                and node.args
-                and _is_unordered_expr(node.args[0], unordered)
-            ):
-                emit(
-                    node.args[0],
-                    "TCAM030",
-                    f"str.join over an unordered source emits a "
-                    f"nondeterministic sequence ({where}); wrap the source "
-                    "in sorted(...)",
-                )
+                message = {
+                    "loop": "iteration order of this set/directory listing is not "
+                    "reproducible and the loop accumulates",
+                    "comprehension": f"{detail} comprehension over an unordered source "
+                    "emits a nondeterministic sequence",
+                    "consumer": f"{detail}() over an unordered source folds elements in "
+                    "an unreproducible order",
+                    "join": "str.join over an unordered source emits a "
+                    "nondeterministic sequence",
+                }[kind]
+                emit(expr, "TCAM030", f"{message} ({_where(scope)}); wrap the source in sorted(...)")
 
 
-# -- TCAM031: scheduling-dependent reductions ---------------------------------
+def _check_completion_order(module: Module, emit: _Emitter) -> None:
+    """TCAM013/TCAM031: folds must not follow scheduling or the machine.
 
+    TCAM013 holds anywhere in a module, for anything that mentions
+    ``as_completed``; TCAM031 holds inside the deterministic region, for
+    completion-order iterator *calls* (``imap_unordered`` too), the
+    folding builtins over them, and ``cpu_count()``-derived grids.
+    """
 
-def _mentions_completion_iter(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _call_leaf(sub.func) in _COMPLETION_ORDER_ITERS:
-            return True
-    return False
-
-
-def _check_reduction_order(scope: _Scope, emit: _Emitter) -> None:
-    where = f"deterministic path rooted at '{scope.root or scope.qualname}'"
-    for node in _walk_own(scope.node):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            if _mentions_completion_iter(node.iter) and _accumulates_or_emits(
-                node.body
-            ):
-                emit(
-                    node.iter,
-                    "TCAM031",
-                    f"folding worker results in completion order makes the "
-                    f"reduction depend on thread scheduling ({where}); "
+    for expr, kind, _, body in _iteration_sites(module.nodes):
+        if _mentions_as_completed(expr) and (
+            kind == "comprehension"
+            or (kind == "loop" and _accumulates(body, ("append", "extend", "add", "update", "insert"), False))
+        ):
+            emit(
+                expr,
+                "TCAM013",
+                "reduction over as_completed(...) folds worker results in "
+                "completion order, which thread scheduling can permute; collect "
+                "by index and reduce in fixed worker order instead",
+            )
+    for scope in module.scopes:
+        if not scope.deterministic:
+            continue
+        for expr, kind, detail, _ in _contract_sites(scope):
+            if kind != "join" and _mentions_completion_iter(expr):
+                message = {
+                    "loop": "folding worker results in completion order makes the "
+                    f"reduction depend on thread scheduling ({_where(scope)}); "
                     "collect partials in submission order "
                     "([f.result() for f in futures]) and reduce in fixed "
                     "worker order",
-                )
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _mentions_completion_iter(gen.iter):
-                    emit(
-                        gen.iter,
-                        "TCAM031",
-                        f"collecting worker results in completion order emits "
-                        f"a scheduling-dependent sequence ({where}); iterate "
-                        "the futures list in submission order instead",
-                    )
-        elif isinstance(node, ast.Call):
-            leaf = _call_leaf(node.func)
-            if (
-                isinstance(node.func, ast.Name)
-                and leaf in _ORDER_SENSITIVE_CALLS
-                and node.args
-                and _mentions_completion_iter(node.args[0])
-            ):
-                emit(
-                    node.args[0],
-                    "TCAM031",
-                    f"{leaf}() over completion-ordered worker results depends "
-                    f"on thread scheduling ({where}); collect partials in "
+                    "comprehension": "collecting worker results in completion order emits "
+                    f"a scheduling-dependent sequence ({_where(scope)}); iterate "
+                    "the futures list in submission order instead",
+                    "consumer": f"{detail}() over completion-ordered worker results depends "
+                    f"on thread scheduling ({_where(scope)}); collect partials in "
                     "submission order and reduce in fixed worker order",
-                )
-            elif leaf == "cpu_count":
-                emit(
-                    node,
-                    "TCAM031",
-                    f"cpu_count() inside the deterministic region makes the "
-                    f"chunk/worker grid — and therefore the float reduction "
-                    f"grouping — machine-dependent ({where}); resolve worker "
-                    "counts in configuration, outside the marked boundary",
-                )
+                }[kind]
+                emit(expr, "TCAM031", message)
+    for node, scope in _contract_calls(module):
+        if _call_leaf(node.func) == "cpu_count":
+            emit(
+                node,
+                "TCAM031",
+                f"cpu_count() inside the deterministic region makes the "
+                f"chunk/worker grid — and therefore the float reduction "
+                f"grouping — machine-dependent ({_where(scope)}); resolve worker "
+                "counts in configuration, outside the marked boundary",
+            )
 
 
 # -- TCAM032: unstable sorts --------------------------------------------------
@@ -457,11 +402,10 @@ def _sort_kind_is_stable(call: ast.Call) -> bool:
     return isinstance(kind, ast.Constant) and kind.value in ("stable", "mergesort")
 
 
-def _check_stable_sorts(scope: _Scope, emit: _Emitter) -> None:
-    where = f"deterministic path rooted at '{scope.root or scope.qualname}'"
-    for node in _walk_own(scope.node):
-        if not isinstance(node, ast.Call):
-            continue
+def _check_stable_sorts(module: Module, emit: _Emitter) -> None:
+    """TCAM032: sorts on a deterministic path must pin a stable kind."""
+
+    for node, scope in _contract_calls(module):
         chain = _attr_chain(node.func)
         leaf = _call_leaf(node.func)
         is_np_sort = (
@@ -474,7 +418,7 @@ def _check_stable_sorts(scope: _Scope, emit: _Emitter) -> None:
                 node,
                 "TCAM032",
                 f"{name} without kind=\"stable\" permutes tied keys "
-                f"unpredictably across platforms ({where}); pass "
+                f"unpredictably across platforms ({_where(scope)}); pass "
                 'kind="stable" so downstream order is contract-bearing',
             )
 
@@ -489,12 +433,8 @@ def _const_float_dtype(node: ast.AST | None) -> str | None:
         return None
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value if node.value in _FLOAT_DTYPES else None
-    chain = _attr_chain(node)
-    if chain:
-        leaf = chain[-1]
-        if leaf in _FLOAT_DTYPES:
-            return leaf
-    return None
+    leaf = _call_leaf(node)
+    return leaf if leaf in _FLOAT_DTYPES else None
 
 
 def _astype_dtype(call: ast.Call) -> str | None:
@@ -533,9 +473,7 @@ def _param_dtypes(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str
     for arg in params:
         if arg.annotation is None:
             continue
-        chain = _attr_chain(arg.annotation)
-        leaf = chain[-1] if chain else ""
-        dtype = _ANNOTATION_DTYPES.get(leaf)
+        dtype = _ANNOTATION_DTYPES.get(_call_leaf(arg.annotation))
         if dtype is not None:
             env[arg.arg] = dtype
     return env
@@ -550,7 +488,7 @@ def _local_dtypes(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str
 
     env = _param_dtypes(func)
     poisoned: set[str] = set()
-    for node in _walk_own(func):
+    for node in _walk(func):
         if not isinstance(node, ast.Assign):
             continue
         dtype = _call_result_dtype(node.value)
@@ -575,13 +513,19 @@ def _expr_dtype(node: ast.AST, env: dict[str, str]) -> str | None:
     return None
 
 
-def _check_dtype_flow(scope: _Scope, path: str, emit: _Emitter) -> None:
-    normalized = path.replace("\\", "/")
-    blessed_file = normalized.endswith(_BLESSED_NARROWING_SUFFIXES)
+def _check_dtype_flow(module: Module, emit: _Emitter) -> None:
+    """TCAM033: no silent float mixing or unblessed narrowing in marked code."""
+
+    for scope in module.scopes:
+        if scope.deterministic or scope.hot:
+            _check_scope_dtypes(scope, module.facts.narrowing, emit)
+
+
+def _check_scope_dtypes(scope: Scope, blessed_file: bool, emit: _Emitter) -> None:
     env = _local_dtypes(scope.node)
     kind = "hot path" if scope.hot and not scope.deterministic else "deterministic path"
     where = f"{kind} '{scope.qualname}'"
-    for node in _walk_own(scope.node):
+    for node in _walk(scope.node):
         if not isinstance(node, (ast.Call, ast.BinOp)):
             continue
         if isinstance(node, ast.BinOp):
@@ -665,18 +609,17 @@ def _entropy_violation(call: ast.Call) -> str | None:
     return None
 
 
-def _check_entropy(scope: _Scope, emit: _Emitter) -> None:
-    where = f"deterministic path rooted at '{scope.root or scope.qualname}'"
-    for node in _walk_own(scope.node):
-        if not isinstance(node, ast.Call):
-            continue
+def _check_entropy(module: Module, emit: _Emitter) -> None:
+    """TCAM034: no wall clock or unseeded entropy on a deterministic path."""
+
+    for node, scope in _contract_calls(module):
         reason = _entropy_violation(node)
         if reason is not None:
             emit(
                 node,
                 "TCAM034",
                 f"{reason}, so its value differs between bit-identical "
-                f"replays ({where}); thread seeds/timestamps in from "
+                f"replays ({_where(scope)}); thread seeds/timestamps in from "
                 "outside the deterministic boundary",
             )
 
@@ -684,32 +627,21 @@ def _check_entropy(scope: _Scope, emit: _Emitter) -> None:
 # -- TCAM035: contract coverage -----------------------------------------------
 
 
-def _contracts_for(path: str) -> tuple[str, ...]:
-    normalized = path.replace("\\", "/")
-    for suffix, qualnames in _CONTRACTS.items():
-        if normalized.endswith(suffix):
-            return qualnames
-    return ()
+def _check_coverage(module: Module, emit: _Emitter) -> None:
+    """TCAM035: the file's registered contract functions carry the marker."""
 
-
-def _check_coverage(
-    tree: ast.Module, scopes: list[_Scope], path: str, emit: _Emitter
-) -> None:
-    required = _contracts_for(path)
-    if not required:
-        return
-    by_qualname = {scope.qualname: scope for scope in scopes}
-    for qualname in required:
+    by_qualname = {scope.qualname: scope for scope in module.scopes}
+    for qualname in module.facts.contracts:
         scope = by_qualname.get(qualname)
         if scope is None:
             emit(
-                tree,
+                module.tree,
                 "TCAM035",
                 f"documented contract function '{qualname}' not found in "
                 "this module; update the analyzer's contract table "
                 "(repro.tooling.determinism._CONTRACTS) if it moved",
             )
-        elif "bit_deterministic" not in _decorator_names(scope.node):
+        elif "bit_deterministic" not in scope.decorators:
             emit(
                 scope.node,
                 "TCAM035",
@@ -719,60 +651,39 @@ def _check_coverage(
             )
 
 
-# -- driver ------------------------------------------------------------------
+# -- registration ------------------------------------------------------------
+
+#: Owned rule code(s) -> visitor.  TCAM005 (``tcam lint``) and TCAM013
+#: (``tcam analyze``) are served by their twins' visitors here.
+VISITORS: dict[tuple[str, ...], Visitor] = {
+    ("TCAM005", "TCAM030"): _check_unordered_iteration,
+    ("TCAM013", "TCAM031"): _check_completion_order,
+    ("TCAM032",): _check_stable_sorts,
+    ("TCAM033",): _check_dtype_flow,
+    ("TCAM034",): _check_entropy,
+    ("TCAM035",): _check_coverage,
+}
+
+
+# -- the preset --------------------------------------------------------------
 
 
 def prove_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Verify a single module's source text and return its findings."""
+    """Verify one module's source text: the one pass with this family's rules."""
 
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path, exc.lineno or 0, exc.offset or 0, "TCAM000", f"syntax error: {exc.msg}"
-            )
-        ]
-    emit = _Emitter(path, source)
-    scopes = _collect_scopes(tree)
-    _propagate(scopes, _FunctionIndex(tree))
-    for scope in scopes:
-        if scope.deterministic:
-            _check_unordered_iteration(scope, emit)
-            _check_reduction_order(scope, emit)
-            _check_stable_sorts(scope, emit)
-            _check_entropy(scope, emit)
-        if scope.deterministic or scope.hot:
-            _check_dtype_flow(scope, path, emit)
-    _check_coverage(tree, scopes, path, emit)
-    unique = sorted(set(emit.findings), key=lambda f: (f.line, f.col, f.rule, f.message))
-    return unique
+    return check_source(source, path, RULES)
 
 
 def prove_paths(paths: Sequence[str]) -> list[Finding]:
     """Verify every ``.py`` file under the given files/directories."""
 
-    findings: list[Finding] = []
-    for file_path in _iter_python_files(paths):
-        findings.extend(
-            prove_source(file_path.read_text(encoding="utf-8"), str(file_path))
-        )
-    return findings
+    return check_paths(paths, RULES)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a shell exit status (0 clean, 1 findings)."""
+    """CLI entry point of ``tcam prove``; returns a shell exit status (0 clean, 1 findings)."""
 
-    from .output import run_cli
-
-    return run_cli(
-        prog="tcam prove",
-        description="Static determinism & dtype-flow verifier for the "
-        "bitwise contracts (rules TCAM030-TCAM035).",
-        rules=RULES,
-        collect=prove_paths,
-        argv=argv,
-    )
+    return check_main(argv, "prove")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

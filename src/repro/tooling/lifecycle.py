@@ -1,4 +1,4 @@
-"""Static resource-lifecycle & crash-consistency analyzer (``tcam audit``).
+"""Resource-lifecycle & crash-consistency rules (``tcam audit``).
 
 PRs 6–8 made the TCAM reproduction a process that owns real OS state:
 WAL segments and checkpoint renames (:mod:`repro.streaming.wal`,
@@ -6,9 +6,12 @@ WAL segments and checkpoint renames (:mod:`repro.streaming.wal`,
 (:mod:`repro.recommend.paramstore`), client sockets, and spawned
 worker processes with duplex pipes.  The linter checks
 in-process numerics and the race analyzer checks concurrent access;
-this third layer checks that every acquired resource is *released* and
-that the durability protocols the crash-safety tests assume are
-actually followed at every publish site.
+this third family — visitors of the one analysis pass in
+:mod:`repro.tooling.core`, like the others — checks that every acquired
+resource is *released* and that the durability protocols the
+crash-safety tests assume are actually followed at every publish site.
+Which files promise crash-safe publishes is a column of
+:data:`repro.tooling.registry.TREE`.
 
 ========  ==================================================================
 TCAM020   Resource leak.  Every ``open``/``os.open``/``mmap``/``socket``/
@@ -64,7 +67,8 @@ Suppression reuses the linter's comment syntax: append
 ``# tcam-lint: disable=TCAM020`` (comma-separate several codes) to the
 offending line.
 
-Run as ``tcam audit [paths...]`` or ``python -m repro.tooling.lifecycle``.
+Run as ``tcam audit [paths...]`` or ``python -m repro.tooling.lifecycle``;
+the same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
@@ -73,16 +77,23 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .lint import (
+from .core import (
+    _SCOPES,
     Finding,
+    Module,
+    Scope,
+    Visitor,
     _attr_chain,
     _call_leaf,
     _Emitter,
-    _iter_python_files,
     _keyword,
     _target_names,
+    _walk,
+    check_paths,
+    check_source,
 )
-from .registry import rules_for_tool
+from .core import main as check_main
+from .registry import STORE_CONSTRUCTORS, rules_for_tool
 
 __all__ = [
     "RULES",
@@ -96,22 +107,6 @@ __all__ = [
 RULES: dict[str, str] = rules_for_tool("audit")
 
 # -- rule configuration ------------------------------------------------------
-
-#: Modules whose contract promises crash-safe publishes (TCAM021/022).
-#: Matched as path suffixes after normalising ``\\`` to ``/``.
-_DURABLE_SUFFIXES = (
-    "robustness/checkpoint.py",
-    "streaming/wal.py",
-    "streaming/publisher.py",
-    "recommend/paramstore.py",
-    "core/serialize.py",
-    "analysis/benchjson.py",
-)
-
-#: Durable modules whose contract additionally requires a directory
-#: fsync after the rename (multi-file stores: the rename itself must be
-#: durable before readers may rely on the directory entry).
-_DIR_FSYNC_SUFFIXES = ("recommend/paramstore.py",)
 
 #: Identifier substrings that mark a write target as a commit record.
 _COMMIT_TOKENS = ("manifest", "checksum", "generation")
@@ -151,9 +146,6 @@ _KIND_LABEL = {
     "process": "process",
 }
 
-#: Callables that construct lifecycle-tracked store objects (TCAM025).
-_STORE_CONSTRUCTORS = frozenset({"ParamStore", "for_snapshot", "attach"})
-
 #: Receivers whose ``kill``/``terminate`` is not a process handle.
 _KILL_EXEMPT_ROOTS = frozenset({"os", "signal"})
 
@@ -174,35 +166,20 @@ def _acquisition_kind(call: ast.Call) -> str | None:
     at construction and is live immediately.
     """
 
-    func = call.func
-    chain = _attr_chain(func)
-    leaf = chain[-1] if chain else ""
-    if isinstance(func, ast.Name):
-        name = func.id
-        if name == "open":
-            return "file"
-        if name in {"create_connection", "socket"}:
-            return "socket"
-        if name == "SharedMemory":
-            return "shm"
-        if name in {"Popen", "Process"}:
-            return "process"
-        if name in {"Pool", "ThreadPoolExecutor", "ProcessPoolExecutor"}:
-            return "pool"
-        if name == "Pipe":
-            return "pipe"
+    chain = _attr_chain(call.func)
+    if not chain:
         return None
-    if len(chain) < 2:
-        return None
+    leaf = chain[-1]
+    bare = len(chain) == 1  # ``open(...)`` rather than ``module.open(...)``
     if chain[:2] == ["os", "open"]:
         return "fd"
     if leaf == "open":
         return "file"
-    if leaf in {"create_connection", "socket"} and chain[0] == "socket":
+    if leaf in {"create_connection", "socket"} and (bare or chain[0] == "socket"):
         return "socket"
     if leaf == "SharedMemory":
         return "shm"
-    if leaf == "mmap" and chain[0] == "mmap":
+    if leaf == "mmap" and not bare and chain[0] == "mmap":
         return "mmap"
     if leaf in {"Process", "Popen"}:
         return "process"
@@ -216,10 +193,7 @@ def _acquisition_kind(call: ast.Call) -> str | None:
 def _is_inert_process_ctor(call: ast.Call) -> bool:
     """``Process(...)`` (not ``Popen``) — no OS resource until started."""
 
-    leaf = _call_leaf(call.func) or (
-        call.func.id if isinstance(call.func, ast.Name) else ""
-    )
-    return leaf == "Process"
+    return _call_leaf(call.func) == "Process"
 
 
 def _self_attr_targets(target: ast.AST) -> Iterator[str]:
@@ -233,97 +207,41 @@ def _self_attr_targets(target: ast.AST) -> Iterator[str]:
             yield from _self_attr_targets(element)
 
 
-def _walk_scope(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``root`` without descending into nested defs or classes."""
+def _calls(root: ast.AST) -> Iterator[ast.Call]:
+    """Every call made in ``root``'s own scope (nested defs and classes excluded)."""
 
-    stack: list[ast.AST] = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+    return (node for node in _walk(root, _SCOPES) if isinstance(node, ast.Call))
+
+
+def _scopes(module: Module) -> list[Scope]:
+    """Every scope these rules cover: the module top level, then each def."""
+
+    return [module.top, *module.scopes]
+
+
+def _released_attrs(module: Module) -> dict[ast.ClassDef, set[str]]:
+    """Class node -> attribute names some method verifiably releases."""
+
+    released_attrs: dict[ast.ClassDef, set[str]] = {}
+    for scope in module.scopes:
+        if scope.cls is None:
             continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _nested_defs(root: ast.AST) -> Iterator[ast.AST]:
-    """Yield the function/lambda definitions nested directly in ``root``'s scope."""
-
-    stack: list[ast.AST] = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield node
-            continue
-        if isinstance(node, ast.ClassDef):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-# -- module index ------------------------------------------------------------
-
-
-@dataclass
-class _Scope:
-    """One analysed scope: a function/method, or the module top level."""
-
-    node: ast.AST  # FunctionDef | AsyncFunctionDef | Module
-    qualname: str
-    cls: ast.ClassDef | None = None
-
-    @property
-    def is_init(self) -> bool:
-        return isinstance(self.node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            self.node.name == "__init__"
-        )
-
-
-class _ModuleIndex:
-    """Parent links, scope list, and per-class release facts for one module."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.tree = tree
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
-        self.scopes: list[_Scope] = [_Scope(tree, "<module>")]
-        self._collect(tree, "", None)
-        #: class node -> attribute names some method verifiably releases.
-        self.released_attrs: dict[ast.ClassDef, set[str]] = {}
-        #: class node -> attribute names assigned from attach-origin values.
-        self.attach_attrs: dict[ast.ClassDef, set[str]] = {}
-        for scope in self.scopes:
-            if scope.cls is None:
-                continue
-            released = self.released_attrs.setdefault(scope.cls, set())
-            for node in _walk_scope(scope.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                chain = _attr_chain(node.func)
-                if len(chain) == 3 and chain[0] == "self" and chain[2] in _ALL_RELEASERS:
-                    released.add(chain[1])
-                elif chain[:2] == ["os", "close"] and node.args:
-                    arg_chain = _attr_chain(node.args[0])
-                    if len(arg_chain) == 2 and arg_chain[0] == "self":
-                        released.add(arg_chain[1])
-
-    def _collect(self, node: ast.AST, prefix: str, cls: ast.ClassDef | None) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}" if prefix else child.name
-                self.scopes.append(_Scope(child, qualname, cls))
-                self._collect(child, f"{qualname}.<locals>.", None)
-            elif isinstance(child, ast.ClassDef):
-                class_prefix = f"{prefix}{child.name}." if prefix else f"{child.name}."
-                self._collect(child, class_prefix, child)
-            else:
-                self._collect(child, prefix, cls)
+        released = released_attrs.setdefault(scope.cls, set())
+        for node in _calls(scope.node):
+            chain = _attr_chain(node.func)
+            if len(chain) == 3 and chain[0] == "self" and chain[2] in _ALL_RELEASERS:
+                released.add(chain[1])
+            elif chain[:2] == ["os", "close"] and node.args:
+                arg_chain = _attr_chain(node.args[0])
+                if len(arg_chain) == 2 and arg_chain[0] == "self":
+                    released.add(arg_chain[1])
+    return released_attrs
 
 
 # -- TCAM020 / TCAM024: resource leaks ---------------------------------------
 
 
-def _binding_of(call: ast.Call, index: _ModuleIndex) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+def _binding_of(call: ast.Call, module: Module) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     """How an acquisition's result is consumed.
 
     Returns ``(mode, names, self_attrs)`` where mode is one of ``with``
@@ -337,7 +255,7 @@ def _binding_of(call: ast.Call, index: _ModuleIndex) -> tuple[str, tuple[str, ..
     through_call = False
     through_attr = False
     while True:
-        parent = index.parents.get(node)
+        parent = module.parents.get(node)
         if parent is None:
             return "escape", (), ()
         if isinstance(parent, ast.withitem):
@@ -446,7 +364,7 @@ def _escaping_names(expr: ast.expr) -> Iterator[str]:
         yield from _escaping_names(expr.value)
 
 
-def _scan_name_fates(scope: _Scope, tracked: list[_Tracked]) -> None:
+def _scan_name_fates(scope: Scope, tracked: list[_Tracked]) -> None:
     """Flow-lite fate scan: mark each tracked local released or escaped."""
 
     by_name: dict[str, list[_Tracked]] = {}
@@ -459,7 +377,7 @@ def _scan_name_fates(scope: _Scope, tracked: list[_Tracked]) -> None:
         for item in by_name.get(name, ()):
             setattr(item, attr, True)
 
-    for node in _walk_scope(scope.node):
+    for node in _walk(scope.node, _SCOPES):
         if isinstance(node, ast.withitem):
             ctx = node.context_expr
             if isinstance(ctx, ast.Name):
@@ -513,45 +431,49 @@ def _scan_name_fates(scope: _Scope, tracked: list[_Tracked]) -> None:
                         mark(name, "escaped")
 
     # A nested def capturing the name may own its release (callbacks).
-    for nested in _nested_defs(scope.node):
-        for sub in ast.walk(nested):
-            if isinstance(sub, ast.Name) and sub.id in by_name:
-                mark(sub.id, "escaped")
+    for node in (scope.node, *_walk(scope.node, _SCOPES)):
+        for nested in ast.iter_child_nodes(node):
+            if not isinstance(nested, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for sub in ast.walk(nested):
+                if isinstance(sub, ast.Name) and sub.id in by_name:
+                    mark(sub.id, "escaped")
 
 
-def _started_process_names(scope: _Scope) -> set[str]:
+def _started_process_names(scope: Scope) -> set[str]:
     """Receivers (``proc`` / ``self.process``) seeing a ``.start()`` call."""
 
     started: set[str] = set()
-    for node in _walk_scope(scope.node):
-        if isinstance(node, ast.Call):
-            chain = _attr_chain(node.func)
-            if len(chain) >= 2 and chain[-1] == "start":
-                started.add(_receiver_of(chain))
+    for node in _calls(scope.node):
+        chain = _attr_chain(node.func)
+        if len(chain) >= 2 and chain[-1] == "start":
+            started.add(_receiver_of(chain))
     return started
 
 
-def _ownership_ok(index: _ModuleIndex, scope: _Scope, attr: str) -> bool:
+def _ownership_ok(
+    released: dict[ast.ClassDef, set[str]], scope: Scope, attr: str
+) -> bool:
     """True when ``self.attr`` is released by some method of the class."""
 
     if scope.cls is None:
         return True  # not a method; cannot resolve the owner — assume handoff
-    return attr in index.released_attrs.get(scope.cls, set())
+    return attr in released.get(scope.cls, set())
 
 
-def _check_leaks(index: _ModuleIndex, emit: _Emitter) -> None:
+def _check_leaks(module: Module, emit: _Emitter) -> None:
     """TCAM020/TCAM024: every acquisition reaches a release or an owner."""
 
-    for scope in index.scopes:
+    _check_kill_reap(module, emit)
+    released = _released_attrs(module)
+    for scope in _scopes(module):
         tracked: list[_Tracked] = []
         started = _started_process_names(scope)
-        for node in _walk_scope(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in _calls(scope.node):
             kind = _acquisition_kind(node)
             if kind is None:
                 continue
-            mode, names, attrs = _binding_of(node, index)
+            mode, names, attrs = _binding_of(node, module)
             inert = kind == "process" and _is_inert_process_ctor(node)
             if mode in {"with", "escape"}:
                 continue
@@ -572,7 +494,7 @@ def _check_leaks(index: _ModuleIndex, emit: _Emitter) -> None:
             for attr in attrs:
                 if inert and f"self.{attr}" not in started:
                     continue
-                if not _ownership_ok(index, scope, attr):
+                if not _ownership_ok(released, scope, attr):
                     cls_name = scope.cls.name if scope.cls is not None else "?"
                     emit(
                         node,
@@ -589,7 +511,7 @@ def _check_leaks(index: _ModuleIndex, emit: _Emitter) -> None:
                 missing = [
                     attr
                     for attr in sorted(item.self_attrs)
-                    if not _ownership_ok(index, scope, attr)
+                    if not _ownership_ok(released, scope, attr)
                 ]
                 if not missing:
                     continue
@@ -610,14 +532,14 @@ def _check_leaks(index: _ModuleIndex, emit: _Emitter) -> None:
                 f"on any path; call {verb}, use a with block, or hand it to "
                 "an owning object",
             )
-        if scope.is_init:
-            _check_init_ordering(index, scope, emit)
+        if scope.name == "__init__":
+            _check_init_ordering(module, scope, emit)
 
 
 # -- constructor-failure ordering (part of TCAM020/024) ----------------------
 
 
-def _check_init_ordering(index: _ModuleIndex, scope: _Scope, emit: _Emitter) -> None:
+def _check_init_ordering(module: Module, scope: Scope, emit: _Emitter) -> None:
     """Flag fallible calls between an acquisition and ``__init__``'s end.
 
     ``__init__`` is the one place the flow-insensitive pass is blind: if
@@ -629,7 +551,6 @@ def _check_init_ordering(index: _ModuleIndex, scope: _Scope, emit: _Emitter) -> 
     releases the live resources.
     """
 
-    assert isinstance(scope.node, (ast.FunctionDef, ast.AsyncFunctionDef))
     live: dict[str, tuple[str, ast.Call]] = {}  # identifier -> (kind, acq site)
     #: identifier -> the set of identifiers aliasing the same resource
     #: (``self.conn = parent_conn`` makes the two share protection/release).
@@ -659,13 +580,11 @@ def _check_init_ordering(index: _ModuleIndex, scope: _Scope, emit: _Emitter) -> 
             for sub in stmt.finalbody:
                 scan_statement(sub, protected)
             return
-        calls = [node for node in _walk_scope(stmt) if isinstance(node, ast.Call)]
+        calls = list(_calls(stmt))
         # 1. risky calls endanger everything live and unprotected.
         for call in calls:
             chain = _attr_chain(call.func)
-            leaf = chain[-1] if chain else (
-                call.func.id if isinstance(call.func, ast.Name) else ""
-            )
+            leaf = _call_leaf(call.func)
             receiver = _receiver_of(chain) if len(chain) >= 2 else ""
             risky = (
                 _acquisition_kind(call) is not None
@@ -691,7 +610,7 @@ def _check_init_ordering(index: _ModuleIndex, scope: _Scope, emit: _Emitter) -> 
             kind = _acquisition_kind(call)
             if kind is None:
                 continue
-            mode, names, attrs = _binding_of(call, index)
+            mode, names, attrs = _binding_of(call, module)
             if mode != "bound":
                 continue
             inert = kind == "process" and _is_inert_process_ctor(call)
@@ -733,15 +652,13 @@ def _check_init_ordering(index: _ModuleIndex, scope: _Scope, emit: _Emitter) -> 
 # -- TCAM024: kill without reap ----------------------------------------------
 
 
-def _check_kill_reap(index: _ModuleIndex, emit: _Emitter) -> None:
+def _check_kill_reap(module: Module, emit: _Emitter) -> None:
     """A killed/terminated process must still be waited on afterwards."""
 
-    for scope in index.scopes:
+    for scope in _scopes(module):
         kills: list[tuple[str, ast.Call]] = []
         reaps: list[tuple[str, int]] = []
-        for node in _walk_scope(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in _calls(scope.node):
             chain = _attr_chain(node.func)
             if len(chain) < 2 or chain[0] in _KILL_EXEMPT_ROOTS:
                 continue
@@ -765,32 +682,18 @@ def _check_kill_reap(index: _ModuleIndex, emit: _Emitter) -> None:
 # -- TCAM021 / TCAM022: durability protocols ---------------------------------
 
 
-def _is_durable(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return any(normalized.endswith(suffix) for suffix in _DURABLE_SUFFIXES)
-
-
-def _needs_dir_fsync(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return any(normalized.endswith(suffix) for suffix in _DIR_FSYNC_SUFFIXES)
-
-
-def _check_atomic_publish(index: _ModuleIndex, path: str, emit: _Emitter) -> None:
+def _check_atomic_publish(module: Module, emit: _Emitter) -> None:
     """TCAM021: fsync before rename; directory fsync after where required."""
 
-    if not _is_durable(path):
+    if not module.facts.durable:
         return
-    for scope in index.scopes:
+    for scope in _scopes(module):
         renames: list[ast.Call] = []
         fsync_lines: list[int] = []
         dir_fsync_lines: list[int] = []
-        for node in _walk_scope(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in _calls(scope.node):
             chain = _attr_chain(node.func)
-            leaf = chain[-1] if chain else (
-                node.func.id if isinstance(node.func, ast.Name) else ""
-            )
+            leaf = _call_leaf(node.func)
             if chain[:1] == ["os"] and leaf in {"replace", "rename"}:
                 renames.append(node)
             elif chain[:2] == ["os", "fsync"]:
@@ -808,7 +711,7 @@ def _check_atomic_publish(index: _ModuleIndex, path: str, emit: _Emitter) -> Non
                     "before the rename or a crash can publish a truncated "
                     "file",
                 )
-            if _needs_dir_fsync(path) and not any(
+            if module.facts.dir_fsync and not any(
                 line > rename.lineno for line in dir_fsync_lines
             ):
                 emit(
@@ -839,21 +742,17 @@ def _mentions_commit_token(expr: ast.AST) -> str | None:
     return None
 
 
-def _check_commit_order(index: _ModuleIndex, path: str, emit: _Emitter) -> None:
+def _check_commit_order(module: Module, emit: _Emitter) -> None:
     """TCAM022: the commit record goes durable after the payload fsync."""
 
-    if not _is_durable(path):
+    if not module.facts.durable:
         return
-    for scope in index.scopes:
+    for scope in _scopes(module):
         fsync_lines: list[int] = []
         commit_writes: list[tuple[ast.Call, str]] = []
-        for node in _walk_scope(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in _calls(scope.node):
             chain = _attr_chain(node.func)
-            leaf = chain[-1] if chain else (
-                node.func.id if isinstance(node.func, ast.Name) else ""
-            )
+            leaf = _call_leaf(node.func)
             if chain[:2] == ["os", "fsync"]:
                 fsync_lines.append(node.lineno)
                 continue
@@ -895,10 +794,7 @@ def _check_commit_order(index: _ModuleIndex, path: str, emit: _Emitter) -> None:
 def _is_attach_call(call: ast.Call) -> bool:
     """An attach-form acquisition: names an existing segment, or ``attach*``."""
 
-    chain = _attr_chain(call.func)
-    leaf = chain[-1] if chain else (
-        call.func.id if isinstance(call.func, ast.Name) else ""
-    )
+    leaf = _call_leaf(call.func)
     if leaf == "SharedMemory":
         create = _keyword(call, "create")
         if isinstance(create, ast.Constant) and create.value:
@@ -907,20 +803,28 @@ def _is_attach_call(call: ast.Call) -> bool:
     return "attach" in leaf.lower()
 
 
-def _collect_attach_attrs(index: _ModuleIndex) -> None:
-    """Fill ``index.attach_attrs``: self attributes holding attached segments."""
+def _attach_locals(scope: Scope) -> set[str]:
+    """Locals of ``scope`` bound to an attach-form acquisition."""
 
-    for scope in index.scopes:
+    attach_locals: set[str] = set()
+    for node in _walk(scope.node, _SCOPES):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if _is_attach_call(node.value):
+                for target in node.targets:
+                    attach_locals.update(_target_names(target))
+    return attach_locals
+
+
+def _attach_attrs(module: Module) -> dict[ast.ClassDef, set[str]]:
+    """Class node -> self attributes holding attached segments."""
+
+    attach_attrs: dict[ast.ClassDef, set[str]] = {}
+    for scope in module.scopes:
         if scope.cls is None:
             continue
-        attach_locals: set[str] = set()
-        for node in _walk_scope(scope.node):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _is_attach_call(node.value):
-                    for target in node.targets:
-                        attach_locals.update(_target_names(target))
-        attrs = index.attach_attrs.setdefault(scope.cls, set())
-        for node in _walk_scope(scope.node):
+        attach_locals = _attach_locals(scope)
+        attrs = attach_attrs.setdefault(scope.cls, set())
+        for node in _walk(scope.node, _SCOPES):
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value
@@ -931,30 +835,24 @@ def _collect_attach_attrs(index: _ModuleIndex) -> None:
                 continue
             for target in node.targets:
                 attrs.update(_self_attr_targets(target))
+    return attach_attrs
 
 
-def _check_unlink_ownership(index: _ModuleIndex, emit: _Emitter) -> None:
+def _check_unlink_ownership(module: Module, emit: _Emitter) -> None:
     """TCAM023: attachers close; only the creating side unlinks."""
 
-    _collect_attach_attrs(index)
+    attach_attrs = _attach_attrs(module)
     message = (
         "unlink() from the attaching side destroys the segment under the "
         "creator and every sibling attacher; attachers may only close() — "
         "the creating side owns the unlink"
     )
-    for scope in index.scopes:
-        attach_locals: set[str] = set()
-        for node in _walk_scope(scope.node):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _is_attach_call(node.value):
-                    for target in node.targets:
-                        attach_locals.update(_target_names(target))
+    for scope in _scopes(module):
+        attach_locals = _attach_locals(scope)
         class_attrs = (
-            index.attach_attrs.get(scope.cls, set()) if scope.cls is not None else set()
+            attach_attrs.get(scope.cls, set()) if scope.cls is not None else set()
         )
-        for node in _walk_scope(scope.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in _calls(scope.node):
             chain = _attr_chain(node.func)
             if not chain or chain[-1] != "unlink":
                 continue
@@ -969,10 +867,8 @@ def _check_unlink_ownership(index: _ModuleIndex, emit: _Emitter) -> None:
 
 def _is_store_call(call: ast.Call) -> bool:
     chain = _attr_chain(call.func)
-    leaf = chain[-1] if chain else (
-        call.func.id if isinstance(call.func, ast.Name) else ""
-    )
-    if leaf in _STORE_CONSTRUCTORS:
+    leaf = _call_leaf(call.func)
+    if leaf in STORE_CONSTRUCTORS:
         return True
     if leaf == "load" and chain[:1] in (["np"], ["numpy"]):
         mmap_mode = _keyword(call, "mmap_mode")
@@ -1014,13 +910,13 @@ def _view_roots(expr: ast.expr) -> Iterator[str]:
         yield from _view_roots(expr.value)
 
 
-def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
+def _check_use_after_close(module: Module, emit: _Emitter) -> None:
     """TCAM025: mmap-backed views must not outlive their store."""
 
-    for scope in index.scopes:
+    for scope in _scopes(module):
         stores: set[str] = set()
         derived: dict[str, str] = {}  # derived name -> owning store
-        for node in _walk_scope(scope.node):
+        for node in _walk(scope.node, _SCOPES):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if _is_store_call(node.value):
                     for target in node.targets:
@@ -1035,7 +931,7 @@ def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
                     stores.add(node.optional_vars.id)
         if not stores:
             continue
-        for node in _walk_scope(scope.node):
+        for node in _walk(scope.node, _SCOPES):
             if not isinstance(node, ast.Assign):
                 continue
             owners = set(_view_roots(node.value)) & stores
@@ -1047,17 +943,16 @@ def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
                         derived[name] = sorted(owners)[0]
 
         close_lines: dict[str, int] = {}
-        for node in _walk_scope(scope.node):
-            if isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if len(chain) == 2 and chain[0] in stores and chain[1] == "close":
-                    line = close_lines.get(chain[0])
-                    close_lines[chain[0]] = (
-                        node.lineno if line is None else min(line, node.lineno)
-                    )
+        for node in _calls(scope.node):
+            chain = _attr_chain(node.func)
+            if len(chain) == 2 and chain[0] in stores and chain[1] == "close":
+                line = close_lines.get(chain[0])
+                close_lines[chain[0]] = (
+                    node.lineno if line is None else min(line, node.lineno)
+                )
 
         # (a) statement-order use after close().
-        for node in _walk_scope(scope.node):
+        for node in _walk(scope.node, _SCOPES):
             if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
                 continue
             store = node.id if node.id in stores else derived.get(node.id)
@@ -1075,9 +970,9 @@ def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
         # (b) returning a view out of a scope whose finally/with closes it.
         def _flag_escaping_returns(body: Sequence[ast.stmt], store: str) -> None:
             for stmt in body:
-                # _walk_scope yields children only, so include the statement
+                # _walk yields descendants only, so include the statement
                 # itself — a bare ``return view`` is the common violation.
-                for sub in (stmt, *_walk_scope(stmt)):
+                for sub in (stmt, *_walk(stmt, _SCOPES)):
                     if not isinstance(sub, ast.Return) or sub.value is None:
                         continue
                     for name in _view_roots(sub.value):
@@ -1091,7 +986,7 @@ def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
                             )
                             break
 
-        for node in _walk_scope(scope.node):
+        for node in _walk(scope.node, _SCOPES):
             if isinstance(node, ast.Try):
                 for receiver, method in _release_targets(
                     ast.Module(body=list(node.finalbody), type_ignores=[])
@@ -1112,55 +1007,37 @@ def _check_use_after_close(index: _ModuleIndex, emit: _Emitter) -> None:
                         _flag_escaping_returns(node.body, store_name)
 
 
-# -- driver ------------------------------------------------------------------
+# -- registration ------------------------------------------------------------
+
+#: Owned rule code(s) -> visitor.
+VISITORS: dict[tuple[str, ...], Visitor] = {
+    ("TCAM020", "TCAM024"): _check_leaks,
+    ("TCAM021",): _check_atomic_publish,
+    ("TCAM022",): _check_commit_order,
+    ("TCAM023",): _check_unlink_ownership,
+    ("TCAM025",): _check_use_after_close,
+}
+
+
+# -- the preset --------------------------------------------------------------
 
 
 def audit_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Audit a single module's source text and return its findings."""
+    """Audit one module's source text: the one pass with this family's rules."""
 
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path, exc.lineno or 0, exc.offset or 0, "TCAM000", f"syntax error: {exc.msg}"
-            )
-        ]
-    emit = _Emitter(path, source)
-    index = _ModuleIndex(tree)
-    _check_leaks(index, emit)
-    _check_kill_reap(index, emit)
-    _check_atomic_publish(index, path, emit)
-    _check_commit_order(index, path, emit)
-    _check_unlink_ownership(index, emit)
-    _check_use_after_close(index, emit)
-    return sorted(set(emit.findings), key=lambda f: (f.line, f.col, f.rule, f.message))
+    return check_source(source, path, RULES)
 
 
 def audit_paths(paths: Sequence[str]) -> list[Finding]:
     """Audit every ``.py`` file under the given files/directories."""
 
-    findings: list[Finding] = []
-    for file_path in _iter_python_files(paths):
-        findings.extend(
-            audit_source(file_path.read_text(encoding="utf-8"), str(file_path))
-        )
-    return findings
+    return check_paths(paths, RULES)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a shell exit status (0 clean, 1 findings)."""
+    """CLI entry point of ``tcam audit``; returns a shell exit status (0 clean, 1 findings)."""
 
-    from .output import run_cli
-
-    return run_cli(
-        prog="tcam audit",
-        description="Static resource-lifecycle and crash-consistency "
-        "analyzer (rules TCAM020-TCAM025).",
-        rules=RULES,
-        collect=audit_paths,
-        argv=argv,
-    )
+    return check_main(argv, "audit")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

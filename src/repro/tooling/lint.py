@@ -1,9 +1,10 @@
-"""Domain-aware AST linter for the TCAM stack (``tcam lint``).
+"""Domain rules of the TCAM stack (``tcam lint``).
 
 The reproduced guarantees — EM convergence, bit-deterministic
 checkpoint/resume, TA/batch-serving score identity — rest on a handful of
 coding invariants that generic linters cannot see.  This module encodes
-them as five AST rules:
+them as AST rules, visitors of the one analysis pass in
+:mod:`repro.tooling.core`:
 
 ========  ==================================================================
 TCAM001   No legacy/unseeded RNG.  ``np.random.<fn>()`` module-level calls
@@ -25,22 +26,35 @@ TCAM004   ``__all__`` consistency.  Every ``__all__`` entry must resolve to
 TCAM005   No nondeterministic iteration.  Bare ``set``/``frozenset``
           expressions must not feed loops, comprehensions, or order-
           sensitive reductions; wrap them in ``sorted(...)`` first.
+          (One visitor with TCAM030, in :mod:`repro.tooling.determinism`.)
 ========  ==================================================================
 
 Suppression: append ``# tcam-lint: disable=TCAM001`` (comma-separate for
 several rules) to the offending line.
 
-Run as ``tcam lint [paths...]`` or ``python -m repro.tooling.lint``.
+Run as ``tcam lint [paths...]`` or ``python -m repro.tooling.lint``; the
+same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
+from .core import (
+    Finding,
+    Module,
+    Visitor,
+    _attr_chain,
+    _call_leaf,
+    _Emitter,
+    _keyword,
+    _target_names,
+    _walk,
+    check_paths,
+    check_source,
+)
+from .core import main as check_main
 from .registry import rules_for_tool
 
 __all__ = [
@@ -52,8 +66,7 @@ __all__ = [
 ]
 
 #: Rule code -> one-line summary, derived from the shared registry
-#: (:mod:`repro.tooling.registry`) so ``--list-rules``, the docs and the
-#: SARIF rule metadata all agree on one catalogue.
+#: (:mod:`repro.tooling.registry`).
 RULES: dict[str, str] = rules_for_tool("lint")
 
 # -- rule configuration ------------------------------------------------------
@@ -112,69 +125,13 @@ _ALLOCATORS = frozenset(
     }
 )
 
-#: Built-in hot kernels, keyed by path suffix.  Entries match a function's
-#: qualified name exactly, or any qualname's final segment when the entry
-#: has no dot (``"accumulate"`` matches every ``*.accumulate`` method).
-_HOT_KERNELS: dict[str, frozenset[str]] = {
-    "core/engine.py": frozenset({"accumulate", "BlockedEStep._run_worker"}),
-    "recommend/serving.py": frozenset({"BatchScorer.serve_group"}),
-}
-
-#: Aggregator callables whose argument order affects the result enough to
-#: care about set nondeterminism (TCAM005).
-_ORDER_SENSITIVE = frozenset({"sum", "list", "tuple"})
-
-_SUPPRESS_RE = re.compile(r"#\s*tcam-lint:\s*disable=([A-Z0-9_,\s]+)")
-
-
-@dataclass(frozen=True)
-class Finding:
-    """A single lint violation at ``path:line:col``."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        """Format the finding the way compilers do (clickable in editors)."""
-
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
 # -- small AST helpers -------------------------------------------------------
-
-
-def _attr_chain(node: ast.AST) -> list[str]:
-    """Flatten ``np.random.default_rng`` into ``["np", "random", "default_rng"]``.
-
-    Returns an empty list for anything that is not a plain name/attribute
-    chain (calls, subscripts, ...).
-    """
-
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
 
 
 def _is_numpy_random_chain(chain: Sequence[str]) -> bool:
     """True for ``np.random.X`` / ``numpy.random.X`` style chains."""
 
     return len(chain) >= 2 and chain[0] in {"np", "numpy"} and chain[1] == "random"
-
-
-def _call_leaf(node: ast.AST) -> str:
-    """Final attribute/name of a call target (``np.log`` -> ``log``)."""
-
-    chain = _attr_chain(node)
-    return chain[-1] if chain else ""
 
 
 def _is_safe_name(name: str) -> bool:
@@ -199,47 +156,10 @@ def _expr_is_guarded(node: ast.AST) -> bool:
     return False
 
 
-def _target_names(target: ast.AST) -> Iterator[str]:
-    """Yield plain names bound by an assignment target."""
-
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)
-
-
-def _keyword(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    """True for set/frozenset literals, comprehensions, and constructors."""
-
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in {"set", "frozenset"}
-    return False
-
-
-def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    names: set[str] = set()
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        leaf = _call_leaf(target)
-        if leaf:
-            names.add(leaf)
-    return names
-
-
 # -- per-scope analysis ------------------------------------------------------
 
 
-def _guarded_locals(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _guarded_locals(func: ast.AST) -> set[str]:
     """Names that were EPS-guarded somewhere inside ``func``.
 
     Recognised shapes::
@@ -255,7 +175,7 @@ def _guarded_locals(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     """
 
     guarded: set[str] = set()
-    for sub in _walk_own(func):
+    for sub in _walk(func):
         if isinstance(sub, ast.Assign):
             if _expr_is_guarded(sub.value):
                 for target in sub.targets:
@@ -298,55 +218,13 @@ def _operand_is_guarded(operand: ast.expr, guarded: set[str]) -> bool:
     return False
 
 
-class _ScopeInfo:
-    """A function scope plus everything the rules need to know about it."""
-
-    def __init__(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        hot: bool,
-        parent: "_ScopeInfo | None" = None,
-    ) -> None:
-        self.node = node
-        self.qualname = qualname
-        self.hot = hot
-        self.parent = parent
-
-
-def _collect_scopes(tree: ast.Module, hot_kernels: frozenset[str]) -> list[_ScopeInfo]:
-    """Walk the module and qualify every function definition."""
-
-    scopes: list[_ScopeInfo] = []
-    bare_kernels = {entry for entry in hot_kernels if "." not in entry}
-
-    def visit(node: ast.AST, prefix: str, parent: _ScopeInfo | None) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}" if prefix else child.name
-                decorated = "hot_path" in _decorator_names(child)
-                listed = qualname in hot_kernels or child.name in bare_kernels
-                hot = decorated or listed or (parent is not None and parent.hot)
-                scope = _ScopeInfo(child, qualname, hot, parent)
-                scopes.append(scope)
-                visit(child, f"{qualname}.<locals>.", scope)
-            elif isinstance(child, ast.ClassDef):
-                class_prefix = f"{prefix}{child.name}." if prefix else f"{child.name}."
-                visit(child, class_prefix, parent)
-            else:
-                visit(child, prefix, parent)
-
-    visit(tree, "", None)
-    return scopes
-
-
 # -- the rules ---------------------------------------------------------------
 
 
-def _check_rng(tree: ast.Module, emit: "_Emitter") -> None:
+def _check_rng(module: Module, emit: _Emitter) -> None:
     """TCAM001: ban module-level np.random calls and RandomState."""
 
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Attribute) and node.attr == "RandomState":
             emit(node, "TCAM001", "RandomState is banned; use np.random.default_rng")
         elif isinstance(node, ast.Name) and node.id == "RandomState":
@@ -366,20 +244,8 @@ def _check_rng(tree: ast.Module, emit: "_Emitter") -> None:
                 )
 
 
-def _walk_own(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``root`` without descending into nested function definitions."""
-
-    stack: list[ast.AST] = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _check_calls_guarded(
-    nodes: Iterable[ast.AST], guarded: set[str], where: str, emit: "_Emitter"
+    nodes: Iterable[ast.AST], guarded: set[str], where: str, emit: _Emitter
 ) -> None:
     for node in nodes:
         if not isinstance(node, ast.Call):
@@ -400,11 +266,11 @@ def _check_calls_guarded(
             )
 
 
-def _check_safe_math(scopes: Iterable[_ScopeInfo], tree: ast.Module, emit: "_Emitter") -> None:
+def _check_safe_math(module: Module, emit: _Emitter) -> None:
     """TCAM002: np.log/np.divide operands must be visibly guarded."""
 
-    for scope in scopes:
-        if _is_safe_name(scope.node.name):
+    for scope in module.scopes:
+        if _is_safe_name(scope.name):
             continue  # blessed safe-math helper: the guard lives inside it
         guarded = _guarded_locals(scope.node)
         ancestor = scope.parent
@@ -412,13 +278,13 @@ def _check_safe_math(scopes: Iterable[_ScopeInfo], tree: ast.Module, emit: "_Emi
             guarded |= _guarded_locals(ancestor.node)
             ancestor = ancestor.parent
         _check_calls_guarded(
-            _walk_own(scope.node), guarded, f"'{scope.qualname}'", emit
+            _walk(scope.node), guarded, f"'{scope.qualname}'", emit
         )
 
     # Module-level statements (outside any def/class) get the same treatment.
     module_guarded: set[str] = set()
     top: list[ast.AST] = []
-    for node in tree.body:
+    for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         top.append(node)
@@ -427,11 +293,11 @@ def _check_safe_math(scopes: Iterable[_ScopeInfo], tree: ast.Module, emit: "_Emi
                 module_guarded.update(_target_names(target))
     for node in top:
         _check_calls_guarded(
-            [node, *_walk_own(node)], module_guarded, "module scope", emit
+            [node, *_walk(node)], module_guarded, "module scope", emit
         )
 
 
-def _numpy_aliases(tree: ast.Module) -> dict[str, str]:
+def _numpy_aliases(module: Module) -> dict[str, str]:
     """Local names bound by ``from numpy import ...`` -> numpy name.
 
     Lets TCAM003 see allocator calls that do not spell the ``np.``
@@ -439,20 +305,19 @@ def _numpy_aliases(tree: ast.Module) -> dict[str, str]:
     """
 
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "numpy":
             for alias in node.names:
                 aliases[alias.asname or alias.name] = alias.name
     return aliases
 
 
-def _check_hot_alloc(
-    scopes: Iterable[_ScopeInfo], aliases: dict[str, str], emit: "_Emitter"
-) -> None:
+def _check_hot_alloc(module: Module, emit: _Emitter) -> None:
     """TCAM003: no array allocation inside hot paths."""
 
-    for scope in scopes:
-        if not scope.hot:
+    aliases = _numpy_aliases(module)
+    for scope in module.scopes:
+        if not (scope.hot or scope.listed_hot):
             continue
         for node in ast.walk(scope.node):
             if not isinstance(node, ast.Call):
@@ -497,9 +362,10 @@ def _check_hot_alloc(
                     )
 
 
-def _check_all_exports(tree: ast.Module, emit: "_Emitter") -> None:
+def _check_all_exports(module: Module, emit: _Emitter) -> None:
     """TCAM004: __all__ and the public surface must agree."""
 
+    tree = module.tree
     all_node: ast.Assign | None = None
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -563,113 +429,36 @@ def _check_all_exports(tree: ast.Module, emit: "_Emitter") -> None:
             emit(node, "TCAM004", f"public definition '{name}' missing from __all__")
 
 
-def _check_set_iteration(tree: ast.Module, emit: "_Emitter") -> None:
-    """TCAM005: bare sets must not drive loops or order-sensitive reductions."""
+# -- registration ------------------------------------------------------------
 
-    message = (
-        "iterating a bare set is nondeterministic; wrap it in sorted(...) "
-        "to fix the reduction order"
-    )
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)) and _is_set_expr(node.iter):
-            emit(node.iter, "TCAM005", message)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _is_set_expr(gen.iter):
-                    emit(gen.iter, "TCAM005", message)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _ORDER_SENSITIVE:
-                if node.args and _is_set_expr(node.args[0]):
-                    emit(node.args[0], "TCAM005", message)
-            elif isinstance(func, ast.Attribute) and func.attr == "join":
-                if node.args and _is_set_expr(node.args[0]):
-                    emit(node.args[0], "TCAM005", message)
+#: Owned rule code(s) -> visitor.  TCAM005 shares TCAM030's visitor.
+VISITORS: dict[tuple[str, ...], Visitor] = {
+    ("TCAM001",): _check_rng,
+    ("TCAM002",): _check_safe_math,
+    ("TCAM003",): _check_hot_alloc,
+    ("TCAM004",): _check_all_exports,
+}
 
 
-# -- driver ------------------------------------------------------------------
-
-
-class _Emitter:
-    """Collects findings, honouring per-line suppression comments."""
-
-    def __init__(self, path: str, source: str) -> None:
-        self.path = path
-        self.findings: list[Finding] = []
-        self._suppressed: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match:
-                codes = {code.strip() for code in match.group(1).split(",")}
-                self._suppressed[lineno] = {code for code in codes if code}
-
-    def __call__(self, node: ast.AST, rule: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        if rule in self._suppressed.get(line, set()):
-            return
-        self.findings.append(Finding(self.path, line, col, rule, message))
-
-
-def _hot_kernels_for(path: str) -> frozenset[str]:
-    normalized = path.replace("\\", "/")
-    for suffix, kernels in _HOT_KERNELS.items():
-        if normalized.endswith(suffix):
-            return kernels
-    return frozenset()
+# -- the preset --------------------------------------------------------------
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint a single module's source text and return its findings."""
+    """Lint one module's source text: the one pass with this family's rules."""
 
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(path, exc.lineno or 0, exc.offset or 0, "TCAM000", f"syntax error: {exc.msg}")
-        ]
-    emit = _Emitter(path, source)
-    scopes = _collect_scopes(tree, _hot_kernels_for(path))
-    _check_rng(tree, emit)
-    _check_safe_math(scopes, tree, emit)
-    _check_hot_alloc(scopes, _numpy_aliases(tree), emit)
-    _check_all_exports(tree, emit)
-    _check_set_iteration(tree, emit)
-    emit.findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return emit.findings
-
-
-def _iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
+    return check_source(source, path, RULES)
 
 
 def lint_paths(paths: Sequence[str]) -> list[Finding]:
     """Lint every ``.py`` file under the given files/directories."""
 
-    findings: list[Finding] = []
-    for file_path in _iter_python_files(paths):
-        findings.extend(lint_source(file_path.read_text(encoding="utf-8"), str(file_path)))
-    return findings
+    return check_paths(paths, RULES)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a shell exit status (0 clean, 1 findings)."""
+    """CLI entry point of ``tcam lint``; returns a shell exit status (0 clean, 1 findings)."""
 
-    from .output import run_cli
-
-    return run_cli(
-        prog="tcam lint",
-        description="Domain-aware linter enforcing TCAM determinism and "
-        "numerical-safety invariants (rules TCAM001-TCAM005).",
-        rules=RULES,
-        collect=lint_paths,
-        argv=argv,
-    )
+    return check_main(argv, "lint")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,10 +1,11 @@
 """Shared CLI surface for the tcam static-analysis tools.
 
-``tcam lint`` (TCAM001–005), ``tcam analyze`` (TCAM010–013), ``tcam
-audit`` (TCAM020–025) and ``tcam prove`` (TCAM030–035) are four
-independent rule engines with one reporting contract: the same
+``tcam check`` (every rule) and its presets ``tcam lint`` (TCAM001–005),
+``tcam analyze`` (TCAM010–013), ``tcam audit`` (TCAM020–025) and ``tcam
+prove`` (TCAM030–035) are selections of one analysis pass
+(:mod:`repro.tooling.core`) with one reporting contract: the same
 ``Finding`` record, the same suppression comment, and — through this
-module — the same command line.  Every tool accepts::
+module — the same command line.  Every entry point accepts::
 
     <tool> [paths...] [--list-rules] [--format {text,json,sarif}]
            [--select CODES] [--ignore CODES]
@@ -27,10 +28,9 @@ ignoring line numbers so unrelated edits do not invalidate the
 baseline.  This is the incremental-adoption path for new rules: record,
 burn the debt down over time, delete the file.
 
-The module deliberately imports nothing from the rule engines at
-runtime — each engine passes its own collector callable into
-:func:`run_cli` — so the four tools stay independently importable (the
-shared rule registry is metadata, not an engine).
+The module deliberately imports nothing from the analysis pass at
+runtime — each preset passes its own collector callable into
+:func:`run_cli` (the shared rule registry is metadata, not an engine).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .registry import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .lint import Finding
+    from .core import Finding
 
 __all__ = [
     "apply_baseline",
@@ -236,7 +236,7 @@ def run_cli(
 
     ``collect`` maps the positional paths to a findings list; everything
     else (rule listing, filtering, baselines, text/JSON/SARIF rendering,
-    exit status) is identical across the four tools and lives here.
+    exit status) is identical across the entry points and lives here.
     """
 
     parser = argparse.ArgumentParser(prog=prog, description=description)

@@ -1,12 +1,13 @@
-"""Static concurrency-race analyzer for the TCAM stack (``tcam analyze``).
+"""Concurrency-race rules of the TCAM stack (``tcam analyze``).
 
 PRs 2–3 made the hot paths concurrent: the blocked E-step fans worker
 callables out on a :class:`~concurrent.futures.ThreadPoolExecutor` with
 shared workspace/statistic buffer lists, and the serving layer answers
 ``recommend_batch`` traffic through shared LRU caches. The domain linter
-(:mod:`repro.tooling.lint`) checks single-function properties only; this
-module adds the *interprocedural* pass that protects the concurrency
-invariants. It builds a call graph rooted at every callable submitted to
+(:mod:`repro.tooling.lint`) checks single-function properties only; these
+visitors of the one analysis pass (:mod:`repro.tooling.core`) add the
+*interprocedural* rules that protect the concurrency invariants. The
+worker rule builds a call graph rooted at every callable submitted to
 a thread pool, classifies how each value a worker can reach is shared
 (worker-local, unique-per-worker index, per-worker slot of a shared
 container, or fully shared), and follows calls to module-local functions
@@ -31,7 +32,8 @@ TCAM012   Cache/dict mutation reachable from the concurrent serving layer
           the ``serving_service`` package).
 TCAM013   Reduction over worker results whose order is not statically
           fixed (``for f in as_completed(...)`` accumulation), breaking
-          the fixed-order-reduce bit-determinism guarantee.
+          the fixed-order-reduce bit-determinism guarantee.  (One visitor
+          with TCAM031, in :mod:`repro.tooling.determinism`.)
 ========  ==================================================================
 
 Suppression reuses the linter's comment syntax: append
@@ -40,7 +42,8 @@ keeps the real tree at zero findings, so every suppression is visible in
 review). Lambdas submitted to pools are not descended into — submit a
 named function so the analyzer can see it.
 
-Run as ``tcam analyze [paths...]`` or ``python -m repro.tooling.races``.
+Run as ``tcam analyze [paths...]`` or ``python -m repro.tooling.races``;
+the same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
@@ -51,15 +54,20 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterator, Sequence
 
-from .lint import (
+from .core import (
+    MAX_DEPTH,
     Finding,
+    Module,
+    Visitor,
     _attr_chain,
     _call_leaf,
     _Emitter,
-    _iter_python_files,
     _keyword,
     _target_names,
+    check_paths,
+    check_source,
 )
+from .core import main as check_main
 from .registry import rules_for_tool
 
 __all__ = [
@@ -72,9 +80,6 @@ __all__ = [
 #: Rule code -> one-line summary, derived from the shared registry
 #: (:mod:`repro.tooling.registry`).
 RULES: dict[str, str] = rules_for_tool("analyze")
-
-#: Interprocedural descent budget below the submitted callable.
-_MAX_DEPTH = 4
 
 #: Method calls that mutate their receiver in place.
 _WORKER_MUTATORS = frozenset(
@@ -106,18 +111,6 @@ _DICT_MUTATORS = frozenset(
     {"pop", "popitem", "update", "setdefault", "move_to_end", "clear", "append", "extend"}
 )
 
-#: Files whose classes serve concurrent traffic: the recommend layer's
-#: ``recommend_batch`` engine plus the multi-process serving service's
-#: front-end, batching, worker and client modules.
-_SERVING_PATH_SUFFIXES = (
-    "recommend/serving.py",
-    "recommend/recommender.py",
-    "serving_service/service.py",
-    "serving_service/batching.py",
-    "serving_service/worker.py",
-    "serving_service/client.py",
-)
-
 #: Docstring phrases accepted as a documented concurrency contract.
 _CONTRACT_RE = re.compile(
     r"single[\s-]writer|not\s+(?:thread[\s-]?safe|safe\s+for\s+concurrent)",
@@ -143,31 +136,11 @@ _Binding = tuple[_Share, str]
 _LOCAL: _Binding = (_Share.LOCAL, "local")
 
 
-class _FunctionIndex:
-    """Bare-name index of every ``def`` in one module (methods included).
-
-    Resolution is by final attribute name, so ``self.kernel.accumulate``
-    descends into *every* ``accumulate`` defined in the module — an
-    over-approximation that matches how the kernel classes are actually
-    dispatched.
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self._defs: dict[str, list[ast.FunctionDef | ast.AsyncFunctionDef]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._defs.setdefault(node.name, []).append(node)
-
-    def resolve(self, name: str) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-        """Every function/method in the module with this bare name."""
-        return self._defs.get(name, [])
-
-
 @dataclass
 class _Ctx:
     """State threaded through one worker's interprocedural analysis."""
 
-    index: _FunctionIndex
+    module: Module
     emit: _Emitter
     func: str
     depth: int
@@ -305,12 +278,7 @@ def _spawn_target(call: ast.Call) -> ast.expr | None:
         name = callee.attr
     else:
         return None
-    if name != "Process":
-        return None
-    for kw in call.keywords:
-        if kw.arg == "target":
-            return kw.value
-    return None
+    return _keyword(call, "target") if name == "Process" else None
 
 
 def _spawn_arg_exprs(
@@ -513,8 +481,8 @@ def _descend_call(
     call: ast.Call, leaf: str, env: dict[str, _Binding], ctx: _Ctx
 ) -> None:
     """Follow a call into module-local definitions with mapped bindings."""
-    defs = ctx.index.resolve(leaf)
-    if not defs or ctx.depth >= _MAX_DEPTH:
+    defs = ctx.module.resolve(leaf)
+    if not defs or ctx.depth >= MAX_DEPTH:
         return
     arg_bindings = [_classify_expr(arg, env) for arg in call.args]
     kw_bindings = {
@@ -658,10 +626,10 @@ def _process_stmt(stmt: ast.stmt, env: dict[str, _Binding], ctx: _Ctx) -> None:
         return
 
 
-def _check_workers(tree: ast.Module, emit: _Emitter) -> None:
+def _check_workers(module: Module, emit: _Emitter) -> None:
     """TCAM010/TCAM011: analyze every pooled callable or process entrypoint."""
-    index = _FunctionIndex(tree)
-    for call, loopvars in _iter_worker_roots(tree):
+    _check_replicated_buffers(module, emit)  # TCAM011's construction half
+    for call, loopvars in _iter_worker_roots(module.tree):
         spawn_callable = _spawn_target(call)
         if spawn_callable is not None:
             callable_expr = spawn_callable
@@ -677,7 +645,7 @@ def _check_workers(tree: ast.Module, emit: _Emitter) -> None:
         leaf = _call_leaf(callable_expr)
         if not leaf:
             continue  # lambdas/partials: not descended into (see module doc)
-        defs = index.resolve(leaf)
+        defs = module.resolve(leaf)
         if not defs:
             continue
         arg_bindings = [
@@ -692,7 +660,7 @@ def _check_workers(tree: ast.Module, emit: _Emitter) -> None:
             chain = _attr_chain(callable_expr.value)
             origin = "self" if chain and chain[0] == "self" else "param"
             self_binding = (_Share.SHARED, origin)
-        ctx = _Ctx(index=index, emit=emit, func=leaf, depth=0, visited=set())
+        ctx = _Ctx(module=module, emit=emit, func=leaf, depth=0, visited=set())
         for defn in defs:
             child = _child_env(defn, arg_bindings, kw_bindings, self_binding)
             _analyze_function(defn, child, ctx)
@@ -701,8 +669,8 @@ def _check_workers(tree: ast.Module, emit: _Emitter) -> None:
 # -- TCAM011: aliasing buffer-list construction ------------------------------
 
 
-def _module_uses_pool(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _module_uses_pool(module: Module) -> bool:
+    for node in module.nodes:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr == "submit":
                 return True
@@ -725,15 +693,15 @@ def _is_replicating_operand(node: ast.AST) -> bool:
     )
 
 
-def _check_replicated_buffers(tree: ast.Module, emit: _Emitter) -> None:
+def _check_replicated_buffers(module: Module, emit: _Emitter) -> None:
     """TCAM011: ``[buf] * n`` / ``[buf for _ in ...]`` alias one object."""
-    if not _module_uses_pool(tree):
+    if not _module_uses_pool(module):
         return
     message = (
         "replicating one object across a worker buffer list aliases every "
         "worker's workspace; construct a fresh buffer per worker"
     )
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             if _is_replicating_operand(node.left) or _is_replicating_operand(node.right):
                 emit(node, "TCAM011", message)
@@ -750,11 +718,6 @@ def _check_replicated_buffers(tree: ast.Module, emit: _Emitter) -> None:
 
 
 # -- TCAM012: unlocked serving-layer mutation --------------------------------
-
-
-def _is_serving_path(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return normalized.endswith(_SERVING_PATH_SUFFIXES)
 
 
 def _is_lock_guard(item: ast.withitem) -> bool:
@@ -842,11 +805,11 @@ def _scan_serving_stmts(
     scan(stmts)
 
 
-def _check_serving_mutation(tree: ast.Module, path: str, emit: _Emitter) -> None:
+def _check_serving_mutation(module: Module, emit: _Emitter) -> None:
     """TCAM012: serving-layer classes must lock or document their writes."""
-    if not _is_serving_path(path):
+    if not module.facts.serving:
         return
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         class_doc = ast.get_docstring(node)
@@ -865,96 +828,34 @@ def _check_serving_mutation(tree: ast.Module, path: str, emit: _Emitter) -> None
             )
 
 
-# -- TCAM013: completion-order reductions ------------------------------------
+# -- registration ------------------------------------------------------------
+
+#: Owned rule code(s) -> visitor.  TCAM013 shares TCAM031's visitor.
+VISITORS: dict[tuple[str, ...], Visitor] = {
+    ("TCAM010", "TCAM011"): _check_workers,
+    ("TCAM012",): _check_serving_mutation,
+}
 
 
-def _mentions_as_completed(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "as_completed":
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "as_completed":
-            return True
-    return False
-
-
-_ACCUMULATORS = frozenset({"append", "extend", "add", "update", "insert"})
-
-
-def _body_accumulates(body: Sequence[ast.stmt]) -> bool:
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.AugAssign):
-                return True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ACCUMULATORS
-            ):
-                return True
-    return False
-
-
-def _check_unordered_reduce(tree: ast.Module, emit: _Emitter) -> None:
-    """TCAM013: accumulating over ``as_completed`` depends on scheduling."""
-    message = (
-        "reduction over as_completed(...) folds worker results in "
-        "completion order, which thread scheduling can permute; collect "
-        "by index and reduce in fixed worker order instead"
-    )
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            if _mentions_as_completed(node.iter) and _body_accumulates(node.body):
-                emit(node.iter, "TCAM013", message)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _mentions_as_completed(gen.iter):
-                    emit(gen.iter, "TCAM013", message)
-
-
-# -- driver ------------------------------------------------------------------
+# -- the preset --------------------------------------------------------------
 
 
 def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Analyze a single module's source text and return its findings."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path, exc.lineno or 0, exc.offset or 0, "TCAM000", f"syntax error: {exc.msg}"
-            )
-        ]
-    emit = _Emitter(path, source)
-    _check_workers(tree, emit)
-    _check_replicated_buffers(tree, emit)
-    _check_serving_mutation(tree, path, emit)
-    _check_unordered_reduce(tree, emit)
-    unique = sorted(set(emit.findings), key=lambda f: (f.line, f.col, f.rule, f.message))
-    return unique
+    """Analyze one module's source text: the one pass with this family's rules."""
+
+    return check_source(source, path, RULES)
 
 
 def analyze_paths(paths: Sequence[str]) -> list[Finding]:
     """Analyze every ``.py`` file under the given files/directories."""
-    findings: list[Finding] = []
-    for file_path in _iter_python_files(paths):
-        findings.extend(
-            analyze_source(file_path.read_text(encoding="utf-8"), str(file_path))
-        )
-    return findings
+
+    return check_paths(paths, RULES)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a shell exit status (0 clean, 1 findings)."""
-    from .output import run_cli
+    """CLI entry point of ``tcam analyze``; returns a shell exit status (0 clean, 1 findings)."""
 
-    return run_cli(
-        prog="tcam analyze",
-        description="Static concurrency-race analyzer for the threaded EM "
-        "engine and serving layer (rules TCAM010-TCAM013).",
-        rules=RULES,
-        collect=analyze_paths,
-        argv=argv,
-    )
+    return check_main(argv, "analyze")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,39 +1,63 @@
-"""Single source of truth for every TCAM rule ID.
+"""Single source of truth for every TCAM rule ID and every tree fact.
 
-Four independent rule engines share the ``TCAMxxx`` namespace: the
+One analysis pass (:mod:`repro.tooling.core`, ``tcam check``) runs the
+``TCAMxxx`` rules; four presets name the families they fall into: the
 domain linter (``tcam lint``, TCAM001–005), the concurrency-race
 analyzer (``tcam analyze``, TCAM010–013), the resource-lifecycle auditor
 (``tcam audit``, TCAM020–025) and the determinism & dtype-flow verifier
-(``tcam prove``, TCAM030–035).  Before this registry each tool kept its
-own ``RULES`` dict, and nothing stopped two tools from claiming the same
-code or a tool from inventing an unregistered one.
+(``tcam prove``, TCAM030–035).
 
 Every rule is declared *here* as a :class:`RuleSpec` — code, owning
 tool, rule class (the invariant family it protects), one-line summary,
-and the ``docs/static-analysis.md`` anchor — and each tool's ``RULES``
-mapping is derived via :func:`rules_for_tool`.  The registry test
-(``tests/tooling/test_registry.py``) fails on duplicate codes, on a tool
-shipping a rule that is not registered to it, and on a registered rule
-the tool no longer implements.
+and the ``docs/static-analysis.md`` anchor — and each preset's ``RULES``
+mapping is derived via :func:`rules_for_tool`.
 
-``TCAM000`` (syntax error while parsing a file) is shared by all four
-tools and registered to the pseudo-tool ``"shared"``; it never appears
-in a ``--list-rules`` catalogue.
+What the rules know about *this tree* beyond a file's own source is
+declared here too, once: :data:`TREE` maps a path suffix to the
+:class:`FileFacts` of that file (hot kernels, contract functions,
+serving / durable / dir-fsync / blessed-narrowing scope).  A rule reads
+them off ``module.facts``; nothing else in the package tests a path.
+
+:func:`registry_errors` checks all of it against the package: duplicate
+or malformed codes, a rule without exactly one visitor, a visitor for an
+unknown code, a :data:`TREE` row that matches no file (or two), a listed
+function that its file does not define.
+
+``TCAM000`` (syntax error while parsing a file) belongs to every preset
+and is registered to the pseudo-tool ``"shared"``; it never appears in a
+``--list-rules`` catalogue.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 __all__ = [
     "REGISTRY",
+    "STORE_CONSTRUCTORS",
+    "TOOLS",
+    "TREE",
+    "FileFacts",
     "RuleSpec",
+    "facts_for",
     "registry_errors",
     "rules_for_tool",
     "spec_for",
 ]
 
-#: The four CLI tools (plus the shared pseudo-tool for TCAM000).
+#: Command name -> what it runs: ``check`` is the whole pass, the other
+#: four are its presets and own the rules.
+TOOLS: dict[str, str] = {
+    "check": "every static-analysis rule in one pass",
+    "lint": "domain-aware lint (determinism/numerical-safety rules)",
+    "analyze": "static concurrency-race analysis of the threaded layers",
+    "audit": "static resource-lifecycle and crash-consistency audit",
+    "prove": "static determinism & dtype-flow verification of the bitwise contracts",
+}
+
+#: What a rule may be registered to: a preset, or ``shared`` (TCAM000).
 _TOOLS = ("lint", "analyze", "audit", "prove", "shared")
 
 
@@ -54,43 +78,39 @@ class RuleSpec:
         return f"docs/static-analysis.md#{self.doc_anchor}"
 
 
-def _spec(code: str, tool: str, rule_class: str, summary: str, anchor: str) -> RuleSpec:
-    return RuleSpec(code, tool, rule_class, summary, anchor)
-
-
 #: Every TCAM rule, in code order.  Append here first when adding a rule.
 _SPECS: tuple[RuleSpec, ...] = (
-    _spec("TCAM000", "shared", "parse", "syntax error while parsing a file", "suppressions"),
+    RuleSpec("TCAM000", "shared", "parse", "syntax error while parsing a file", "suppressions"),
     # -- tcam lint (domain linter) ----------------------------------------
-    _spec(
+    RuleSpec(
         "TCAM001",
         "lint",
         "determinism",
         "legacy/unseeded RNG (np.random.* module calls, RandomState)",
         "tcam001--no-legacyunseeded-rng",
     ),
-    _spec(
+    RuleSpec(
         "TCAM002",
         "lint",
         "numerical-safety",
         "unguarded np.log / np.divide on probability arrays",
         "tcam002--no-unguarded-nplog--npdivide",
     ),
-    _spec(
+    RuleSpec(
         "TCAM003",
         "lint",
         "performance",
         "array allocation inside @hot_path functions or hot kernels",
         "tcam003--no-allocation-in-hot-paths",
     ),
-    _spec(
+    RuleSpec(
         "TCAM004",
         "lint",
         "api-hygiene",
         "__all__ out of sync with public module definitions",
         "tcam004--__all__-consistency",
     ),
-    _spec(
+    RuleSpec(
         "TCAM005",
         "lint",
         "determinism",
@@ -98,28 +118,28 @@ _SPECS: tuple[RuleSpec, ...] = (
         "tcam005--no-nondeterministic-set-iteration",
     ),
     # -- tcam analyze (race analyzer) -------------------------------------
-    _spec(
+    RuleSpec(
         "TCAM010",
         "analyze",
         "concurrency",
         "write to shared mutable state from a pooled worker",
         "tcam010--write-to-shared-state-from-a-pooled-worker",
     ),
-    _spec(
+    RuleSpec(
         "TCAM011",
         "analyze",
         "concurrency",
         "pooled workers handed aliasing workspace/stat buffers",
         "tcam011--aliasing-buffers-handed-to-workers",
     ),
-    _spec(
+    RuleSpec(
         "TCAM012",
         "analyze",
         "concurrency",
         "unlocked cache mutation in the concurrent serving layer",
         "tcam012--unlocked-serving-cache-mutation",
     ),
-    _spec(
+    RuleSpec(
         "TCAM013",
         "analyze",
         "determinism",
@@ -127,42 +147,42 @@ _SPECS: tuple[RuleSpec, ...] = (
         "tcam013--completion-order-reduction",
     ),
     # -- tcam audit (lifecycle auditor) -----------------------------------
-    _spec(
+    RuleSpec(
         "TCAM020",
         "audit",
         "resource-lifecycle",
         "acquired resource never released or handed to an owner",
         "tcam020--resource-leak",
     ),
-    _spec(
+    RuleSpec(
         "TCAM021",
         "audit",
         "crash-consistency",
         "os.replace/rename publish without fsync (atomic-publish protocol)",
         "tcam021--atomic-publish-protocol",
     ),
-    _spec(
+    RuleSpec(
         "TCAM022",
         "audit",
         "crash-consistency",
         "manifest/checksum/generation write precedes payload fsync",
         "tcam022--commit-record-ordering",
     ),
-    _spec(
+    RuleSpec(
         "TCAM023",
         "audit",
         "resource-lifecycle",
         "shared-memory unlink from the attaching (non-owning) side",
         "tcam023--shared-memory-unlink-ownership",
     ),
-    _spec(
+    RuleSpec(
         "TCAM024",
         "audit",
         "resource-lifecycle",
         "spawned process not joined/reaped on every exit",
         "tcam024--process-lifecycle",
     ),
-    _spec(
+    RuleSpec(
         "TCAM025",
         "audit",
         "resource-lifecycle",
@@ -170,42 +190,42 @@ _SPECS: tuple[RuleSpec, ...] = (
         "tcam025--mmap-use-after-close",
     ),
     # -- tcam prove (determinism & dtype-flow verifier) --------------------
-    _spec(
+    RuleSpec(
         "TCAM030",
         "prove",
         "determinism",
         "unordered iteration feeding an accumulation or emitted sequence",
         "tcam030--unordered-iteration-on-a-deterministic-path",
     ),
-    _spec(
+    RuleSpec(
         "TCAM031",
         "prove",
         "determinism",
         "float reduction order depends on scheduling/worker/machine",
         "tcam031--scheduling-dependent-float-reduction",
     ),
-    _spec(
+    RuleSpec(
         "TCAM032",
         "prove",
         "determinism",
         "argsort/np.sort without kind='stable' where ties are possible",
         "tcam032--unstable-sort-on-a-deterministic-path",
     ),
-    _spec(
+    RuleSpec(
         "TCAM033",
         "prove",
         "dtype-flow",
         "silent float dtype mixing or unblessed narrowing cast",
         "tcam033--silent-float-dtype-mixing",
     ),
-    _spec(
+    RuleSpec(
         "TCAM034",
         "prove",
         "determinism",
         "wall-clock or unseeded entropy reaching deterministic state",
         "tcam034--wall-clock--unseeded-entropy",
     ),
-    _spec(
+    RuleSpec(
         "TCAM035",
         "prove",
         "coverage",
@@ -219,12 +239,17 @@ REGISTRY: dict[str, RuleSpec] = {spec.code: spec for spec in _SPECS}
 
 
 def rules_for_tool(tool: str) -> dict[str, str]:
-    """The ``RULES`` mapping (code -> summary) one tool should export."""
+    """The ``RULES`` mapping (code -> summary) one preset should export.
 
-    if tool not in _TOOLS:
+    ``"check"`` is the one-pass entry point and owns every tool's rules.
+    """
+
+    if tool != "check" and tool not in _TOOLS:
         raise ValueError(f"unknown tool {tool!r}; expected one of {_TOOLS}")
     return {
-        spec.code: spec.summary for spec in _SPECS if spec.tool == tool
+        spec.code: spec.summary
+        for spec in _SPECS
+        if spec.tool == tool or (tool == "check" and spec.tool != "shared")
     }
 
 
@@ -234,14 +259,118 @@ def spec_for(code: str) -> RuleSpec:
     return REGISTRY[code.upper()]
 
 
-def registry_errors() -> list[str]:
-    """Internal-consistency problems with the registry itself.
+# -- what the analyser knows about this tree ----------------------------------
+
+
+@dataclass(frozen=True)
+class FileFacts:
+    """What the rules know about one file beyond its own source."""
+
+    #: TCAM003 hot kernels besides ``@hot_path``: a qualified name, or a
+    #: bare name matching every ``*.name`` method of the file.
+    hot_kernels: tuple[str, ...] = ()
+    #: TCAM035: qualified names that must carry ``@bit_deterministic``.
+    contracts: tuple[str, ...] = ()
+    #: TCAM012: the file's classes serve concurrent traffic.
+    serving: bool = False
+    #: TCAM021/022: the file's contract promises crash-safe publishes.
+    durable: bool = False
+    #: TCAM021: ... and a directory fsync after each rename (multi-file
+    #: stores: the rename itself must be durable before readers rely on it).
+    dir_fsync: bool = False
+    #: TCAM033: may narrow float dtypes (the proven-margin quantized
+    #: selection layer narrows by design).
+    narrowing: bool = False
+
+
+#: Path suffix (``\\`` normalised to ``/``) -> facts.  A file the table
+#: does not list has none.  Moving or renaming a listed file, or a listed
+#: function, without updating its row fails :func:`registry_errors`.
+TREE: dict[str, FileFacts] = {
+    "analysis/benchjson.py": FileFacts(durable=True),
+    "analysis/topics.py": FileFacts(contracts=("match_topics",)),
+    "core/em.py": FileFacts(contracts=("run_em",)),
+    "core/engine.py": FileFacts(
+        hot_kernels=("accumulate", "BlockedEStep._run_worker"),
+        contracts=("BlockedEStep.compute",),
+    ),
+    "core/model.py": FileFacts(contracts=("EMModel.fit",)),
+    "core/serialize.py": FileFacts(durable=True),
+    "extensions/online.py": FileFacts(
+        contracts=("OnlineTTCAM.fold_in_user", "OnlineTTCAM.fold_in_interval")
+    ),
+    "extensions/social.py": FileFacts(contracts=("build_homophilous_graph",)),
+    "recommend/paramstore.py": FileFacts(durable=True, dir_fsync=True),
+    "recommend/quantize.py": FileFacts(narrowing=True),
+    "recommend/recommender.py": FileFacts(
+        serving=True,
+        contracts=("TemporalRecommender.recommend_batch_with_status",),
+    ),
+    "recommend/serving.py": FileFacts(hot_kernels=("BatchScorer.serve_group",), serving=True),
+    "robustness/checkpoint.py": FileFacts(durable=True, contracts=("CheckpointManager.load",)),
+    "serving_service/batching.py": FileFacts(serving=True),
+    "serving_service/client.py": FileFacts(serving=True),
+    "serving_service/service.py": FileFacts(serving=True),
+    "serving_service/worker.py": FileFacts(serving=True, contracts=("serve_requests",)),
+    "streaming/ingestor.py": FileFacts(
+        contracts=("StreamIngestor.run", "StreamIngestor._try_resume")
+    ),
+    "streaming/publisher.py": FileFacts(durable=True),
+    "streaming/wal.py": FileFacts(durable=True, contracts=("EventLog.read",)),
+}
+
+#: Callables that construct lifecycle-tracked mmap stores (TCAM025).
+STORE_CONSTRUCTORS = frozenset({"ParamStore", "for_snapshot"})
+
+
+def facts_for(path: str) -> FileFacts:
+    """The :data:`TREE` row whose suffix ``path`` ends with, if any."""
+
+    normalized = path.replace("\\", "/")
+    for suffix, facts in TREE.items():
+        if normalized.endswith(suffix):
+            return facts
+    return FileFacts()
+
+
+def _tree_errors(package: Path) -> list[str]:
+    """Rows of :data:`TREE` that no longer describe ``package``."""
+
+    from .core import Module  # lazy: core imports this module
+
+    errors: list[str] = []
+    files = sorted(path.as_posix() for path in package.rglob("*.py"))
+    for suffix, facts in TREE.items():
+        matches = [file for file in files if file.endswith(suffix)]
+        if len(matches) != 1:
+            errors.append(
+                f"tree row {suffix!r} matches {len(matches)} files under "
+                f"{package.name}/; expected exactly one"
+            )
+            continue
+        scopes = Module(Path(matches[0]).read_text(encoding="utf-8"), matches[0]).scopes
+        # A bare hot-kernel name matches any method; TCAM035 holds contracts
+        # to their full qualname.
+        defined = {scope.qualname for scope in scopes} | {scope.name for scope in scopes}
+        for name in (*facts.hot_kernels, *facts.contracts):
+            if name not in defined:
+                errors.append(f"tree row {suffix!r} lists {name!r}, which the file does not define")
+    return errors
+
+
+def registry_errors(package: Path | None = None) -> list[str]:
+    """Problems with the registry, checked against the package it describes.
 
     Returns human-readable complaints (empty when healthy): duplicate
     codes in the declaration tuple, malformed code strings, unknown
-    tools, or codes sorted out of declaration order.  The registry test
-    asserts this is empty, alongside its cross-tool checks.
+    tools, codes sorted out of declaration order, a rule without exactly
+    one visitor or a visitor for an unregistered code, and every
+    :data:`TREE` row that matches no file or several under ``package``
+    (default: the installed ``repro`` package) or lists a function its
+    file does not define.  The registry test asserts this is empty.
     """
+
+    from .core import visitors  # lazy: core imports this module
 
     errors: list[str] = []
     seen: set[str] = set()
@@ -262,4 +391,10 @@ def registry_errors() -> list[str]:
     codes = [spec.code for spec in _SPECS]
     if codes != sorted(codes):
         errors.append("registry is not declared in code order")
-    return errors
+    owners = Counter(code for owned, _ in visitors() for code in owned)
+    for code in sorted(owners.keys() - REGISTRY.keys()):
+        errors.append(f"a visitor is registered to unknown rule code {code}")
+    for spec in _SPECS:
+        if spec.tool != "shared" and owners[spec.code] != 1:
+            errors.append(f"{spec.code} has {owners[spec.code]} visitors; expected one")
+    return errors + _tree_errors(package or Path(__file__).resolve().parents[1])

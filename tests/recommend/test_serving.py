@@ -164,6 +164,83 @@ class TestBatchExactness:
                 call()
 
 
+def _fit_provider(name, cuboid, truth):
+    """One fitted model per ``query_space`` provider in the repo."""
+    from repro.baselines.sharedtopics import SharedTopicsTCAM
+    from repro.core import ITCAM, TTCAM, GibbsTTCAM, PartitionedTTCAM, StochasticTTCAM
+    from repro.extensions.background import BackgroundTTCAM
+    from repro.extensions.drift import DriftTTCAM
+    from repro.extensions.social import SocialTTCAM, build_homophilous_graph
+
+    if name == "LoadedModel":
+        return LoadedModel(TTCAM(3, 2, max_iter=4, seed=2).fit(cuboid).params_)
+    if name == "SocialTTCAM":
+        graph = build_homophilous_graph(truth.theta, avg_degree=4, seed=1)
+        return SocialTTCAM(graph, 3, 2, max_iter=4, seed=2).fit(cuboid)
+    makers = {
+        "TTCAM": lambda: TTCAM(3, 2, max_iter=4, seed=2),
+        "ITCAM": lambda: ITCAM(3, max_iter=4, seed=2),
+        "PartitionedTTCAM": lambda: PartitionedTTCAM(
+            3, 2, max_iter=4, seed=2, num_partitions=2, workers=1
+        ),
+        "StochasticTTCAM": lambda: StochasticTTCAM(3, 2, num_epochs=2, seed=2),
+        "GibbsTTCAM": lambda: GibbsTTCAM(3, 2, num_samples=2, burn_in=1, seed=2),
+        "BackgroundTTCAM": lambda: BackgroundTTCAM(3, 2, max_iter=4, seed=2),
+        "DriftTTCAM": lambda: DriftTTCAM(2, 3, 2, max_iter=4, seed=2),
+        "SharedTopicsTCAM": lambda: SharedTopicsTCAM(4, max_iter=4, seed=2),
+    }
+    return makers[name]().fit(cuboid)
+
+
+#: The six models whose ``query_space`` is their parameter container's
+#: (served through the split fast path), then the four that reshape it.
+QUERY_SPACE_PROVIDERS = [
+    "TTCAM",
+    "ITCAM",
+    "PartitionedTTCAM",
+    "StochasticTTCAM",
+    "GibbsTTCAM",
+    "LoadedModel",
+    "BackgroundTTCAM",
+    "SocialTTCAM",
+    "DriftTTCAM",
+    "SharedTopicsTCAM",
+]
+
+
+class TestEveryQuerySpaceProvider:
+    """``recommend_batch`` == TA == brute force for every model it can wrap.
+
+    Pins the ``BackgroundTTCAM`` defect: a model that holds a
+    ``TTCAMParameters`` but serves a reshaped query space (an extra
+    background row) was scored through the split TTCAM path and failed
+    every row with a matmul shape error.
+    """
+
+    @pytest.mark.parametrize("dtype", ["float64", "int8"])
+    @pytest.mark.parametrize("name", QUERY_SPACE_PROVIDERS)
+    def test_batch_equals_ta_and_brute_force(self, name, dtype, tiny_cuboid):
+        cuboid, truth = tiny_cuboid
+        rec = TemporalRecommender(_fit_provider(name, cuboid, truth))
+        rng = np.random.default_rng(3)
+        queries = [
+            (int(rng.integers(0, cuboid.num_users)), int(rng.integers(0, cuboid.num_intervals)))
+            for _ in range(12)
+        ]
+        queries += [queries[0], queries[5]]  # duplicates, mixed intervals
+        assert_batch_matches_per_query(rec, queries, k=5, dtype=dtype)
+
+    def test_split_path_only_for_container_query_spaces(self, tiny_cuboid):
+        cuboid, truth = tiny_cuboid
+        kinds = {
+            name: TemporalRecommender(_fit_provider(name, cuboid, truth))._scorer()._params_kind()[0]
+            for name in QUERY_SPACE_PROVIDERS
+        }
+        assert {name for name, kind in kinds.items() if kind != "generic"} == set(
+            QUERY_SPACE_PROVIDERS[:6]
+        )
+
+
 class TestInt8AtBenchScales:
     #: The three bench scales: (num_topics, num_items, k).
     BENCH_SCALES = [(16, 5_000, 10), (24, 20_000, 10), (32, 50_000, 20)]

@@ -8,6 +8,12 @@ seeded re-jitter, and the fit must still converge to healthy parameters
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +124,48 @@ class TestNaNRollback:
         second = poisoned_fit(tmp_path / "b")
         np.testing.assert_array_equal(first.params_.theta, second.params_.theta)
         np.testing.assert_array_equal(first.params_.phi, second.params_.phi)
+
+
+_HASH_SEED_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from repro.core import TTCAM
+from repro.data import generate, profile
+from repro.robustness import CheckpointManager, FaultInjector
+
+cuboid, _ = generate(profile("digg", scale=0.05, seed=3))
+manager = CheckpointManager(sys.argv[1], every=3)
+with FaultInjector(seed=5) as chaos:
+    chaos.poison_nan("em.state", iteration=5, cells=4, array="theta")
+    model = TTCAM(3, 3, max_iter=12, seed=7).fit(cuboid, checkpoint=manager, monitor=True)
+assert chaos.fired == 1
+digest = hashlib.sha256()
+for name, array in model.params_.arrays().items():
+    digest.update(name.encode() + np.ascontiguousarray(array).tobytes())
+print(json.dumps({
+    "order": list(manager.latest().arrays),
+    "fit": digest.hexdigest(),
+    "trace": model.trace_.log_likelihood,
+}))
+"""
+
+
+def test_rollback_is_reproducible_across_hash_seeds(tmp_path):
+    """A health rollback replays bit-identically in another process.
+
+    ``CheckpointManager.load`` used to order the restored arrays through
+    a ``set``, so their dict order — and with it the single RNG stream
+    ``rejitter_arrays`` draws over them — followed ``PYTHONHASHSEED``.
+    """
+    src = Path(__file__).resolve().parents[2] / "src"
+    runs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, str(tmp_path / seed)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    assert runs[0]["order"] == ["theta", "phi", "theta_time", "phi_time", "lambda_u"]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

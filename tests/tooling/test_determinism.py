@@ -249,6 +249,109 @@ def test_propagation_respects_the_depth_budget():
     assert "TCAM030" in rules_of("\n".join(shallow))
 
 
+# Set algebra over an unordered operand is as unordered as the operand.
+# The first fixture is ``CheckpointManager.load`` as it stood before it
+# iterated ``archive.files`` in archive order: the restored dict followed
+# PYTHONHASHSEED, and a health rollback re-jitters in dict order.
+TCAM030_SET_ALGEBRA_FLAGGED = [
+    """
+    from repro.typing import bit_deterministic
+
+    _RESERVED = {"__iteration__", "__checksum__"}
+
+    class CheckpointManager:
+        @bit_deterministic
+        def load(self, path):
+            with np.load(path, allow_pickle=False) as archive:
+                names = set(archive.files)
+                if not _RESERVED <= names:
+                    raise CheckpointError(f"{path} is not a checkpoint archive")
+                arrays = {
+                    name: archive[name] for name in names - _RESERVED
+                }
+                return arrays
+    """,
+    """
+    from repro.typing import bit_deterministic
+
+    @bit_deterministic
+    def merge(left, right):
+        out = []
+        for key in set(left) | set(right):
+            out.append(key)
+        return out
+    """,
+    """
+    from repro.typing import bit_deterministic
+
+    @bit_deterministic
+    def shared(left, right):
+        return list(frozenset(left) & right)
+    """,
+    """
+    from repro.typing import bit_deterministic
+
+    @bit_deterministic
+    def changed(before, after):
+        delta = set(before) ^ set(after)
+        return ",".join(delta)
+    """,
+]
+
+TCAM030_SET_ALGEBRA_CLEAN = [
+    # the fixed load: archive order, the set only answers membership
+    """
+    from repro.typing import bit_deterministic
+
+    _RESERVED = {"__iteration__", "__checksum__"}
+
+    @bit_deterministic
+    def load(path):
+        with np.load(path, allow_pickle=False) as archive:
+            if not _RESERVED <= set(archive.files):
+                raise CheckpointError(f"{path} is not a checkpoint archive")
+            return {
+                name: archive[name] for name in archive.files if name not in _RESERVED
+            }
+    """,
+    # sorted(...) pins set algebra like any other unordered source
+    """
+    from repro.typing import bit_deterministic
+
+    @bit_deterministic
+    def merge(left, right):
+        return [key for key in sorted(set(left) | set(right))]
+    """,
+    # arithmetic on ordered operands is not set algebra
+    """
+    from repro.typing import bit_deterministic
+
+    @bit_deterministic
+    def shifted(values, offset):
+        return [v for v in values - offset]
+    """,
+]
+
+
+@pytest.mark.parametrize("source", TCAM030_SET_ALGEBRA_FLAGGED)
+def test_tcam030_set_algebra_flagged(source):
+    assert rules_of(source) == ["TCAM030"]
+
+
+@pytest.mark.parametrize("source", TCAM030_SET_ALGEBRA_CLEAN)
+def test_tcam030_set_algebra_clean(source):
+    assert rules_of(source) == []
+
+
+def test_checkpoint_load_is_a_registered_contract():
+    source = (REPO_ROOT / "src/repro/robustness/checkpoint.py").read_text(encoding="utf-8")
+    path = "src/repro/robustness/checkpoint.py"
+    assert prove_source(source, path) == []
+    unmarked = source.replace("    @bit_deterministic\n    def load(", "    def load(")
+    assert unmarked != source
+    assert [f.rule for f in prove_source(unmarked, path)] == ["TCAM035"]
+
+
 # ---------------------------------------------------------------------------
 # TCAM031 — scheduling-dependent float reduction
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from repro.tooling import lint as lint_module
+from repro.tooling.core import main as check_main
+from repro.tooling.core import visitors
 from repro.tooling.determinism import RULES as PROVE_RULES
 from repro.tooling.determinism import main as prove_main
 from repro.tooling.lifecycle import RULES as AUDIT_RULES
@@ -33,10 +37,14 @@ from repro.tooling.races import RULES as ANALYZE_RULES
 from repro.tooling.races import main as analyze_main
 from repro.tooling.registry import (
     REGISTRY,
+    STORE_CONSTRUCTORS,
+    TREE,
+    facts_for,
     registry_errors,
     rules_for_tool,
     spec_for,
 )
+from repro.tooling.registry import TOOLS as COMMANDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -56,6 +64,98 @@ TOOL_RULES = {
 
 def test_registry_is_internally_consistent():
     assert registry_errors() == []
+
+
+# ---------------------------------------------------------------------------
+# The registry checked against the package it describes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def package_copy(tmp_path):
+    """A scratch copy of ``src/repro`` the tree-table checks can be run on."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro", copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    assert registry_errors(copy) == []
+    return copy
+
+
+def test_renamed_file_is_reported(package_copy):
+    (package_copy / "core" / "em.py").rename(package_copy / "core" / "em_loop.py")
+    errors = registry_errors(package_copy)
+    assert len(errors) == 1
+    assert "'core/em.py' matches 0 files" in errors[0]
+
+
+def test_ambiguous_suffix_is_reported(package_copy):
+    twin = package_copy / "extensions" / "core"
+    twin.mkdir()
+    shutil.copy(package_copy / "core" / "serialize.py", twin / "serialize.py")
+    errors = registry_errors(package_copy)
+    assert len(errors) == 1
+    assert "'core/serialize.py' matches 2 files" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, missing",
+    [
+        ("core/em.py", "def run_em(", "def run_em_loop(", "run_em"),
+        ("core/engine.py", "def _run_worker(", "def _work(", "BlockedEStep._run_worker"),
+        ("robustness/checkpoint.py", "def load(", "def restore(", "CheckpointManager.load"),
+    ],
+)
+def test_renamed_function_is_reported(package_copy, relative, old, new, missing):
+    target = package_copy / relative
+    source = target.read_text(encoding="utf-8")
+    assert old in source
+    target.write_text(source.replace(old, new), encoding="utf-8")
+    errors = registry_errors(package_copy)
+    assert len(errors) == 1
+    assert repr(missing) in errors[0] and repr(relative) in errors[0]
+
+
+def test_every_tree_row_resolves_to_one_real_file():
+    files = [path.as_posix() for path in (REPO_ROOT / "src" / "repro").rglob("*.py")]
+    for suffix, facts in TREE.items():
+        (match,) = [file for file in files if file.endswith(suffix)]
+        assert facts_for(match) is facts
+        assert facts_for(match.replace("/", "\\")) is facts  # Windows separators
+    assert facts_for("src/repro/data/io.py") == type(facts)()  # unlisted: no facts
+
+
+def test_store_constructors_name_live_code():
+    # ``attach`` (SharedDerivedStore.attach, deleted with the shared-memory
+    # pack) lingered here unnoticed; every entry must still be defined.
+    paramstore = (REPO_ROOT / "src" / "repro" / "recommend" / "paramstore.py").read_text(
+        encoding="utf-8"
+    )
+    for name in STORE_CONSTRUCTORS:
+        assert re.search(rf"^\s*(def|class) {name}\b", paramstore, re.MULTILINE), name
+
+
+def test_every_rule_has_exactly_one_visitor():
+    owned = [code for codes, _ in visitors() for code in codes]
+    assert sorted(owned) == sorted(code for code, spec in REGISTRY.items() if spec.tool != "shared")
+    # the two rule pairs share one visitor each
+    by_code = {code: visitor for codes, visitor in visitors() for code in codes}
+    assert by_code["TCAM005"] is by_code["TCAM030"]
+    assert by_code["TCAM013"] is by_code["TCAM031"]
+
+
+def test_visitor_registration_mistakes_are_reported(monkeypatch):
+    table = dict(lint_module.VISITORS)
+    orphan = table.pop(("TCAM001",))
+    monkeypatch.setattr(lint_module, "VISITORS", table)
+    assert registry_errors() == ["TCAM001 has 0 visitors; expected one"]
+    monkeypatch.setattr(
+        lint_module, "VISITORS", {**table, ("TCAM001", "TCAM002"): orphan, ("TCAM999",): orphan}
+    )
+    assert registry_errors() == [
+        "a visitor is registered to unknown rule code TCAM999",
+        "TCAM002 has 2 visitors; expected one",
+    ]
 
 
 def test_every_tool_exports_exactly_its_registered_rules():
@@ -119,6 +219,12 @@ def test_rules_for_unknown_tool_is_an_error():
         rules_for_tool("fuzz")
 
 
+def test_check_owns_every_presets_rules():
+    assert list(COMMANDS) == ["check", *TOOL_RULES]
+    merged = {code: summary for rules in TOOL_RULES.values() for code, summary in rules.items()}
+    assert rules_for_tool("check") == merged
+
+
 # ---------------------------------------------------------------------------
 # Cross-tool CLI parity
 # ---------------------------------------------------------------------------
@@ -165,6 +271,7 @@ TOOLS = [
     pytest.param(analyze_main, "analyze", ANALYZE_DIRTY, "TCAM010", id="analyze"),
     pytest.param(audit_main, "audit", AUDIT_DIRTY, "TCAM020", id="audit"),
     pytest.param(prove_main, "prove", PROVE_DIRTY, "TCAM030", id="prove"),
+    pytest.param(check_main, "check", AUDIT_DIRTY, "TCAM020", id="check"),
 ]
 
 
