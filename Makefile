@@ -1,6 +1,6 @@
 # Convenience targets for the TCAM reproduction.
 
-.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke static ruff lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke examples all
+.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke static ruff lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke bench-pair examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -120,6 +120,14 @@ bench-smoke:
 # BENCHMARK.json. Writes only under benchmarks/e2e/out/ (git-ignored).
 bench-e2e-smoke:
 	PYTHONPATH=src pytest -q benchmarks/e2e
+
+# Paired parent/change runs of one benchmarks/e2e workload (~1.5 min a
+# pair; run nothing else meanwhile): per end-to-end metric each side's
+# median and quartiles and the pair wins a performance claim must show.
+#   make bench-pair REF=HEAD~1 WORKLOAD=pipeline PAIRS=10
+PAIRS ?= 10
+bench-pair:
+	python3 scripts/bench_pair.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 examples:
 	@for script in examples/*.py; do \

@@ -407,7 +407,7 @@ def cmd_stream_run(args: argparse.Namespace) -> int:
             print(f"tcam stream run: {exc}", file=sys.stderr)
             return 2
         report = ingestor.run(max_batches=args.max_batches)
-        if report.batches:
+        if ingestor.checkpointed_batches != ingestor.batches:
             ingestor.checkpoint()
         if args.output is not None:
             final = save_params(ingestor.params, args.output)

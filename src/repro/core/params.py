@@ -26,12 +26,14 @@ recommendation layer consumes.
 from __future__ import annotations
 
 from dataclasses import Field, dataclass, fields
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Collection, TypeVar
 
 import numpy as np
 
 from ..typing import FloatArray
 from .em import EPS
+
+_P = TypeVar("_P", bound="TCAMParameters")
 
 
 def _check_stochastic(name: str, matrix: FloatArray, tol: float = 1e-6) -> None:
@@ -62,14 +64,45 @@ class TCAMParameters:
     lambda_u: FloatArray  # (N,)
 
     def __post_init__(self) -> None:
+        self._validate(self.field_names())
+
+    def _validate(self, entering: Collection[str]) -> None:
+        """Value checks on the ``entering`` fields, then every shape check.
+
+        An array is scanned once, when it enters a container; the
+        cross-field shape checks cost nothing and always run.
+        """
         for name in self.STOCHASTIC:
-            _check_stochastic(name, getattr(self, name))
-        if np.any(self.lambda_u < -EPS) or np.any(self.lambda_u > 1 + EPS):
+            if name in entering:
+                _check_stochastic(name, getattr(self, name))
+        if "lambda_u" in entering and (
+            np.any(self.lambda_u < -EPS) or np.any(self.lambda_u > 1 + EPS)
+        ):
             raise ValueError("lambda_u must lie in [0, 1]")
+        self._check_shapes()
+
+    def _check_shapes(self) -> None:
         if self.theta.shape[1] != self.phi.shape[0]:
             raise ValueError("theta / phi topic dimensions disagree")
         if self.theta.shape[0] != self.lambda_u.shape[0]:
             raise ValueError("theta / lambda_u user dimensions disagree")
+
+    def with_fields(self: _P, **changes: FloatArray) -> _P:
+        """Field-wise copy-on-write: a new container with ``changes`` applied.
+
+        Every array not named in ``changes`` is shared with ``self`` and
+        not scanned again — it was validated when it entered ``self`` —
+        so replacing a few ``θ′_t`` rows costs nothing in ``V``. The
+        replaced fields get the checks ``__post_init__`` gives them.
+        """
+        unknown = changes.keys() - set(self.field_names())
+        if unknown:
+            raise TypeError(f"unknown parameter field(s) {sorted(unknown)}")
+        new = object.__new__(type(self))
+        for name in self.field_names():
+            setattr(new, name, changes.get(name, getattr(self, name)))
+        new._validate(changes.keys())
+        return new
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -128,8 +161,8 @@ class ITCAMParameters(TCAMParameters):
     theta_time: FloatArray  # (T, V)
     lambda_u: FloatArray  # (N,)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check_shapes(self) -> None:
+        super()._check_shapes()
         if self.phi.shape[1] != self.theta_time.shape[1]:
             raise ValueError("phi / theta_time item dimensions disagree")
 
@@ -163,12 +196,21 @@ class TTCAMParameters(TCAMParameters):
     phi_time: FloatArray  # (K2, V)
     lambda_u: FloatArray  # (N,)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check_shapes(self) -> None:
+        super()._check_shapes()
         if self.theta_time.shape[1] != self.phi_time.shape[0]:
             raise ValueError("theta_time / phi_time topic dimensions disagree")
         if self.phi.shape[1] != self.phi_time.shape[1]:
             raise ValueError("phi / phi_time item dimensions disagree")
+
+    def with_fields(self: _P, **changes: FloatArray) -> _P:
+        """:meth:`TCAMParameters.with_fields`, carrying the ``[φ; φ′]`` memo
+        across when neither ``phi`` nor ``phi_time`` is replaced."""
+        new = super().with_fields(**changes)
+        memo = getattr(self, "_stacked_matrix", None)
+        if memo is not None and not {"phi", "phi_time"} & changes.keys():
+            object.__setattr__(new, "_stacked_matrix", memo)
+        return new
 
     @property
     def num_time_topics(self) -> int:

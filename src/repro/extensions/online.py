@@ -26,7 +26,6 @@ the condition is observable without crashing a serving path.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -240,8 +239,8 @@ class OnlineTTCAM:
         other parameters are shared with the base model.
         """
         theta_t = self.fold_in_interval(users, items, scores)
-        self.params = replace(
-            self.params, theta_time=np.vstack([self.params.theta_time, theta_t[None, :]])
+        self.params = self.params.with_fields(
+            theta_time=np.vstack([self.params.theta_time, theta_t[None, :]])
         )
         return self.params
 
@@ -259,8 +258,7 @@ class OnlineTTCAM:
         uses this to admit unseen user ids without a refit.
         """
         theta_u, lam = self.fold_in_user(items, intervals, scores)
-        self.params = replace(
-            self.params,
+        self.params = self.params.with_fields(
             theta=np.vstack([self.params.theta, theta_u[None, :]]),
             lambda_u=np.append(self.params.lambda_u, lam),
         )

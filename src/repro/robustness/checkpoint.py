@@ -4,10 +4,11 @@ A :class:`CheckpointManager` owns one directory of numbered checkpoint
 files. Each checkpoint is a single ``.npz`` archive holding the named
 parameter arrays of an EM run plus bookkeeping (iteration count, the
 log-likelihood trace so far, a JSON metadata blob and a content
-checksum). Writes go to a temporary file first and are published with
-:func:`os.replace`, so a crash mid-write can never leave a truncated
-file under a checkpoint name; loads verify the checksum, so a damaged
-file is skipped rather than resumed from.
+checksum). Writes go to a temporary file first — through the
+``checkpoint.write`` fault site, so the harness can tear them or fill the
+disk — and are published with :func:`os.replace`, so a crash mid-write
+can never leave a truncated file under a checkpoint name; loads verify
+the checksum, so a damaged file is skipped rather than resumed from.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
 from ..typing import FloatArray, bit_deterministic
 
 from .errors import CheckpointError
+from .faults import faulty_write
 
 _ITERATION_KEY = "__iteration__"
 _TRACE_KEY = "__log_likelihood__"
@@ -47,6 +50,31 @@ def digest_arrays(arrays: dict[str, FloatArray]) -> str:
         h.update(str(value.shape).encode())
         h.update(value.tobytes())
     return h.hexdigest()
+
+
+class _FaultSiteFile:
+    """A binary file whose ``write`` goes through the ``checkpoint.write`` site.
+
+    ``np.savez`` streams the archive through it, so the fault harness sees
+    each byte range without the archive being held in memory a second
+    time. (After an injected tear numpy still closes the zip into the
+    temporary file; that file is never renamed into place.)
+    """
+
+    def __init__(self, handle: IO[bytes], **context: object) -> None:
+        self._handle = handle
+        self._context = context
+
+    def write(self, data: "bytes | memoryview") -> int:
+        pending = memoryview(data).cast("B")
+        total = len(pending)
+        while pending:
+            written = faulty_write("checkpoint.write", self._handle, pending, **self._context)
+            pending = pending[written:]
+        return total
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(self._handle, name)
 
 
 @dataclass
@@ -120,8 +148,10 @@ class CheckpointManager:
         payload = {name: np.asarray(value) for name, value in arrays.items()}
         trace = np.asarray(log_likelihood if log_likelihood is not None else [], dtype=np.float64)
         with open(tmp, "wb") as handle:
-            np.savez_compressed(
-                handle,
+            # Stored, not deflated: float64 state does not compress; np.load
+            # reads either kind, so older compressed checkpoints still load.
+            np.savez(
+                _FaultSiteFile(handle, iteration=iteration),
                 **payload,
                 **{
                     _ITERATION_KEY: np.array(int(iteration)),
@@ -144,6 +174,16 @@ class CheckpointManager:
                 path.unlink()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+    def clear(self) -> None:
+        """Delete every checkpoint under this prefix.
+
+        A run that starts over calls this first: a leftover file with a
+        higher number would get the new run's saves pruned as "older"
+        and be what the next resume restores.
+        """
+        for _, path in self._list():
+            path.unlink()
 
     def _list(self) -> list[tuple[int, Path]]:
         """Checkpoint files in this directory, sorted by iteration."""

@@ -17,7 +17,10 @@ Sites instrumented in this package:
   ``segment``), targetable by the write-fault plans below;
 * ``stream.batch``   — top of every ingested micro-batch (context:
   ``batch``, ``offset``);
-* ``stream.checkpoint`` — just before the ingestor persists its state.
+* ``stream.checkpoint`` — just before the ingestor persists its state;
+* ``checkpoint.write`` — every byte range a
+  :class:`~repro.robustness.checkpoint.CheckpointManager` writes (context:
+  ``iteration``), targetable by the write-fault plans below.
 
 Write faults (:meth:`FaultInjector.torn_write`,
 :meth:`FaultInjector.short_write`, :meth:`FaultInjector.disk_full`)

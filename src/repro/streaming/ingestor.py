@@ -25,6 +25,11 @@ with the durable consumer ``offset`` stored inside each checkpoint,
 killing the ingestor at *any* point and resuming from the latest
 checkpoint replays the exact same micro-batches and reproduces
 bit-identical parameters — no event is ever double-applied or dropped.
+A checkpoint is an *overlay*: it holds only what folding mutates
+(``θ``, ``λ``, ``θ′``, drift state, offset, counters) plus a digest of
+the ``φ``/``φ′`` it was folded against, so its cost does not grow with
+the catalogue; resume re-attaches ``φ``/``φ′`` from the ``base`` it is
+given and refuses a ``base`` whose digest differs.
 Items beyond the fitted catalogue cannot be folded (φ has no column for
 them); such events are counted, warned about once per batch and skipped
 deterministically.
@@ -33,7 +38,7 @@ deterministically.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -41,8 +46,8 @@ import numpy as np
 
 from ..core.params import TTCAMParameters
 from ..extensions.online import OnlineTTCAM
-from ..robustness.checkpoint import CheckpointManager
-from ..typing import bit_deterministic
+from ..robustness.checkpoint import CheckpointManager, digest_arrays
+from ..typing import FloatArray, bit_deterministic
 from ..robustness.errors import CheckpointError
 from ..robustness.faults import fault_point
 from .drift import DriftTracker
@@ -51,6 +56,15 @@ from .wal import EventLog, StreamEvent
 #: Checkpoint keys for the drift tracker's state arrays.
 _DRIFT_VECTORS = "drift_vectors"
 _DRIFT_VALID = "drift_valid"
+#: The parameter fields folding mutates — what a checkpoint stores.
+_FOLDED = ("theta", "theta_time", "lambda_u")
+#: The fields folding holds fixed — a checkpoint stores their digest.
+_FIXED = ("phi", "phi_time")
+
+
+def _fixed_digest(arrays: Mapping[str, FloatArray]) -> str:
+    """Digest of the ``φ``/``φ′`` among ``arrays``."""
+    return digest_arrays({name: arrays[name] for name in _FIXED})
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +106,9 @@ class StreamIngestor:
     base:
         Fitted :class:`~repro.core.params.TTCAMParameters` to start from.
     checkpoint_dir:
-        Directory for consumer checkpoints (parameters + drift state +
-        offset). Sharing it across restarts is what makes resume work.
+        Directory for consumer checkpoints (folded parameters + drift
+        state + offset). Sharing it across restarts is what makes resume
+        work.
     batch_events:
         Events per micro-batch (the sliding consumption interval).
     fold_iterations:
@@ -111,10 +126,13 @@ class StreamIngestor:
         immediately regardless).
     resume:
         When true (default), restore the newest valid checkpoint in
-        ``checkpoint_dir`` — parameters, drift state and offset — and
-        continue from there. A checkpoint written under a different
-        configuration raises
-        :class:`~repro.robustness.errors.CheckpointError`.
+        ``checkpoint_dir`` — folded parameters, drift state and offset,
+        over ``base``'s ``φ``/``φ′`` — and continue from there. A
+        checkpoint written under a different configuration, folded
+        against other ``φ``/``φ′`` than ``base`` holds, or ahead of the
+        log raises :class:`~repro.robustness.errors.CheckpointError`.
+        When false, the stream checkpoints already in ``checkpoint_dir``
+        are deleted: the run starts over and owns the directory.
     """
 
     def __init__(
@@ -157,11 +175,16 @@ class StreamIngestor:
         self.skipped = 0
         self.boundaries = 0
         self.refits = 0
+        #: ``batches`` as of the newest durable checkpoint.
+        self.checkpointed_batches = 0
         self.manager = CheckpointManager(
             checkpoint_dir, every=checkpoint_every, keep=3, prefix="stream"
         )
+        self._base_digest = _fixed_digest(base.arrays())
         if resume:
             self._try_resume()
+        else:
+            self.manager.clear()
 
     # ------------------------------------------------------------------
     # state
@@ -188,14 +211,15 @@ class StreamIngestor:
         }
 
     def checkpoint(self) -> Path:
-        """Durably persist parameters, drift state and consumer offset."""
+        """Durably persist folded parameters, drift state and consumer offset."""
         fault_point("stream.checkpoint", offset=self.offset, batch=self.batches)
-        arrays = self.params.arrays() | {
+        arrays = {name: getattr(self.params, name) for name in _FOLDED} | {
             _DRIFT_VECTORS: self.tracker.vectors,
             _DRIFT_VALID: self.tracker.valid,
         }
         self.manager.meta = {
             "config": self._config(),
+            "base_digest": self._base_digest,
             "offset": self.offset,
             "counters": {
                 "batches": self.batches,
@@ -207,7 +231,9 @@ class StreamIngestor:
                 "tracker_boundaries": self.tracker.boundaries,
             },
         }
-        return self.manager.save(arrays, iteration=self.batches)
+        path = self.manager.save(arrays, iteration=self.batches)
+        self.checkpointed_batches = self.batches
+        return path
 
     @bit_deterministic
     def _try_resume(self) -> None:
@@ -222,10 +248,27 @@ class StreamIngestor:
                 "stream checkpoint was written under a different configuration "
                 f"(stored {stored!r})"
             )
-        self.online.params = TTCAMParameters(
+        # A checkpoint from before overlays carries φ/φ′ itself instead
+        # of their digest; they are held to the same check, then dropped.
+        digest = meta.get("base_digest") or _fixed_digest(checkpoint.arrays)
+        if digest != self._base_digest:
+            raise CheckpointError(
+                f"stream checkpoint {checkpoint.path} was folded against other "
+                "phi/phi_time than this base snapshot holds (a refit?); resume "
+                "with the snapshot it was written under or start a new "
+                "checkpoint directory"
+            )
+        offset = int(meta.get("offset", 0))  # type: ignore[arg-type]
+        if offset > self.log.next_offset:
+            raise CheckpointError(
+                f"stream checkpoint {checkpoint.path} is at offset {offset}, past "
+                f"the log's {self.log.next_offset} durable events: it belongs to "
+                "another log"
+            )
+        self.online.params = self.params.with_fields(
             **{
                 name: np.asarray(checkpoint.arrays[name], dtype=np.float64)
-                for name in TTCAMParameters.field_names()
+                for name in _FOLDED
             }
         )
         counters = meta.get("counters")
@@ -236,12 +279,13 @@ class StreamIngestor:
             boundaries=int(counters.get("tracker_boundaries", 0)),  # type: ignore[arg-type]
             updates=int(counters.get("tracker_updates", 0)),  # type: ignore[arg-type]
         )
-        self.offset = int(meta.get("offset", 0))  # type: ignore[arg-type]
+        self.offset = offset
         self.batches = int(counters.get("batches", 0))  # type: ignore[arg-type]
         self.applied = int(counters.get("applied", 0))  # type: ignore[arg-type]
         self.skipped = int(counters.get("skipped", 0))  # type: ignore[arg-type]
         self.boundaries = int(counters.get("boundaries", 0))  # type: ignore[arg-type]
         self.refits = int(counters.get("refits", 0))  # type: ignore[arg-type]
+        self.checkpointed_batches = self.batches
 
     # ------------------------------------------------------------------
     # micro-batch application
@@ -255,8 +299,8 @@ class StreamIngestor:
             return
         k2 = params.num_time_topics
         prior = np.full((missing, k2), 1.0 / k2)
-        self.online.params = replace(
-            params, theta_time=np.vstack([params.theta_time, prior])
+        self.online.params = params.with_fields(
+            theta_time=np.vstack([params.theta_time, prior])
         )
         self.tracker.ensure_intervals(max_interval + 1)
 
@@ -287,8 +331,7 @@ class StreamIngestor:
                 )
             else:
                 params = self.params
-                self.online.params = replace(
-                    params,
+                self.online.params = params.with_fields(
                     theta=np.vstack([params.theta, np.full((1, k1), 1.0 / k1)]),
                     lambda_u=np.append(params.lambda_u, 0.5),
                 )
@@ -298,7 +341,7 @@ class StreamIngestor:
         params = self.params
         theta_time = params.theta_time.copy()
         theta_time[interval] = row
-        self.online.params = replace(params, theta_time=theta_time)
+        self.online.params = params.with_fields(theta_time=theta_time)
 
     def _apply_batch(self, events: list[StreamEvent]) -> bool:
         """Fold one micro-batch into the model; True if a boundary hit.

@@ -51,6 +51,9 @@ _MAGIC = b"TCAMWAL1"
 _FRAME = struct.Struct("<II")
 #: Event payload: user, interval, item (i64 each) and score (f64).
 _EVENT = struct.Struct("<qqqd")
+#: Bytes per record. The payload is fixed-size, so record ``i`` of a
+#: segment starts at ``len(_MAGIC) + i * _RECORD_SIZE``.
+_RECORD_SIZE = _FRAME.size + _EVENT.size
 
 _SEGMENT_GLOB = "wal-*.log"
 
@@ -349,19 +352,27 @@ class EventLog:
     # reading
     # ------------------------------------------------------------------
 
-    def _iter_segment(self, segment: _Segment) -> Iterator[StreamEvent]:
-        """Yield the valid records of one segment, in order."""
-        data = segment.path.read_bytes()
-        pos = len(_MAGIC)
-        for _ in range(segment.events):
+    def _iter_segment(
+        self, segment: _Segment, start: int = 0, count: int | None = None
+    ) -> Iterator[StreamEvent]:
+        """Yield up to ``count`` records of one segment from index ``start``.
+
+        Records are fixed-size, so the read seeks straight to record
+        ``start`` and touches only the bytes of the records it yields;
+        each of those is length- and CRC-checked.
+        """
+        stop = segment.events if count is None else min(segment.events, start + count)
+        with segment.path.open("rb") as handle:
+            handle.seek(len(_MAGIC) + start * _RECORD_SIZE)
+            data = handle.read((stop - start) * _RECORD_SIZE)
+        for pos in range(0, (stop - start) * _RECORD_SIZE, _RECORD_SIZE):
             length, crc = _FRAME.unpack_from(data, pos)
-            payload = data[pos + _FRAME.size : pos + _FRAME.size + length]
-            if zlib.crc32(payload) != crc:  # pragma: no cover - recovery missed it
-                raise EventLogCorruptError(
-                    f"segment {segment.path.name} record failed its checksum"
+            payload = data[pos + _FRAME.size : pos + _RECORD_SIZE]
+            if length != _EVENT.size or zlib.crc32(payload) != crc:
+                raise EventLogCorruptError(  # pragma: no cover - recovery missed it
+                    f"segment {segment.path.name} record failed its length or checksum"
                 )
             yield StreamEvent.unpack(payload)
-            pos += _FRAME.size + length
 
     @bit_deterministic
     def read(self, start: int = 0, count: int | None = None) -> list[StreamEvent]:
@@ -382,13 +393,9 @@ class EventLog:
             if skip >= segment.events:
                 skip -= segment.events
                 continue
-            for index, event in enumerate(self._iter_segment(segment)):
-                if index < skip:
-                    continue
-                out.append(event)
-                remaining -= 1
-                if remaining == 0:
-                    break
+            events = list(self._iter_segment(segment, skip, remaining))
+            out.extend(events)
+            remaining -= len(events)
             skip = 0
         return out
 

@@ -156,3 +156,99 @@ class TestDeclaration:
         assert grown.num_intervals == 7 and grown.phi is params.phi
         with pytest.raises(ValueError, match="not normalised"):
             dataclasses.replace(params, theta_time=uniform(7, 2) * 2)
+
+
+class TestWithFields:
+    """Field-wise copy-on-write == ``dataclasses.replace`` minus the re-scans."""
+
+    @staticmethod
+    def fitted(n=4, k1=3, k2=2, t=5, v=6):
+        rng = np.random.default_rng(3)
+        return TTCAMParameters(
+            theta=rng.dirichlet(np.ones(k1), size=n),
+            phi=rng.dirichlet(np.ones(v), size=k1),
+            theta_time=rng.dirichlet(np.ones(k2), size=t),
+            phi_time=rng.dirichlet(np.ones(v), size=k2),
+            lambda_u=rng.uniform(0.1, 0.9, size=n),
+        )
+
+    #: The five call sites' change sets, as functions of the container.
+    SHAPES = {
+        # StreamIngestor._extend_intervals
+        "grow_intervals": lambda p: {
+            "theta_time": np.vstack([p.theta_time, uniform(2, p.num_time_topics)])
+        },
+        # StreamIngestor._extend_users (gap id)
+        "gap_user": lambda p: {
+            "theta": np.vstack([p.theta, uniform(1, p.num_user_topics)]),
+            "lambda_u": np.append(p.lambda_u, 0.5),
+        },
+        # StreamIngestor._set_context_row
+        "context_row": lambda p: {
+            "theta_time": np.vstack([p.theta_time[:-1], uniform(1, p.num_time_topics)])
+        },
+        # OnlineTTCAM.extend_with_interval
+        "fold_interval": lambda p: {"theta_time": np.vstack([p.theta_time, p.theta_time[:1]])},
+        # OnlineTTCAM.extend_with_user
+        "fold_user": lambda p: {
+            "theta": np.vstack([p.theta, p.theta[:1]]),
+            "lambda_u": np.append(p.lambda_u, 0.25),
+        },
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_equals_replace_and_shares_what_it_did_not_touch(self, shape):
+        params = self.fitted()
+        stacked = params.topic_item_matrix()
+        changes = self.SHAPES[shape](params)
+        new = params.with_fields(**changes)
+        old = dataclasses.replace(params, **changes)
+        assert type(new) is type(old)
+        for name in params.field_names():
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            if name in changes:
+                assert getattr(new, name) is changes[name]
+            else:
+                assert getattr(new, name) is getattr(params, name)
+        assert new.topic_item_matrix() is stacked  # memo carried, not rebuilt
+
+    def test_replacing_a_stacked_field_drops_the_memo(self):
+        params = self.fitted()
+        stacked = params.topic_item_matrix()
+        new = params.with_fields(phi=params.phi[::-1].copy())
+        assert new.topic_item_matrix() is not stacked
+        assert np.array_equal(new.topic_item_matrix()[: new.num_user_topics], new.phi)
+
+    def test_validates_what_enters_like_post_init(self):
+        params = self.fitted()
+        bad = {
+            "not normalised": {"theta_time": params.theta_time * 2},
+            "negative entries": {"theta": -params.theta},
+            "lambda_u must lie": {"lambda_u": params.lambda_u + 1.0},
+            "theta / lambda_u user dimensions": {"lambda_u": np.append(params.lambda_u, 0.5)},
+            "theta_time / phi_time topic dimensions": {"theta_time": uniform(5, 3)},
+            "phi / phi_time item dimensions": {"phi": uniform(3, 7)},
+        }
+        for message, changes in bad.items():
+            with pytest.raises(ValueError, match=message) as copy_on_write:
+                params.with_fields(**changes)
+            with pytest.raises(ValueError) as rebuilt:
+                dataclasses.replace(params, **changes)
+            assert str(copy_on_write.value) == str(rebuilt.value)
+        itcam = make_itcam()
+        with pytest.raises(ValueError, match="phi / theta_time item dimensions"):
+            itcam.with_fields(theta_time=uniform(5, 7))
+        with pytest.raises(TypeError, match="phi_time"):
+            itcam.with_fields(phi_time=uniform(2, 6))
+
+    def test_untouched_fields_are_not_scanned_again(self, monkeypatch):
+        from repro.core import params as module
+
+        params = self.fitted()
+        scanned = []
+        check = module._check_stochastic
+        monkeypatch.setattr(
+            module, "_check_stochastic", lambda name, matrix: (scanned.append(name), check(name, matrix))
+        )
+        params.with_fields(theta_time=params.theta_time.copy())
+        assert scanned == ["theta_time"]

@@ -1,5 +1,7 @@
 """Tests for model persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.params import VARIANTS
 from repro.core.serialize import LoadedModel, load_params, save_params, stored_checksum
 from repro.core.ttcam import TTCAM
 from repro.robustness.checkpoint import digest_arrays
+from repro.robustness.errors import SnapshotCorruptError
 import tests.conftest as c
 
 
@@ -27,6 +30,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.theta, ttcam.params_.theta)
         np.testing.assert_array_equal(loaded.phi_time, ttcam.params_.phi_time)
         np.testing.assert_array_equal(loaded.lambda_u, ttcam.params_.lambda_u)
+
+    def test_every_field_is_bit_exact(self, fitted_models, tmp_path):
+        for model in fitted_models[1:]:
+            params = model.params_
+            path = save_params(params, tmp_path / f"{params.VARIANT}.npz")
+            for name, array in load_params(path).arrays().items():
+                assert array.tobytes() == getattr(params, name).tobytes(), name
 
     def test_itcam_round_trip(self, fitted_models, tmp_path):
         _, _, itcam = fitted_models
@@ -97,6 +107,19 @@ class TestFormatIsDeclaredOnce:
         loaded = load_params(old)
         assert type(loaded) is type(params)
         assert digest_arrays(loaded.arrays()) == stored_checksum(old)
+
+    def test_stored_checksum_reads_only_the_checksum_member(self, fitted_models, tmp_path):
+        params = fitted_models[1].params_
+        path = save_params(params, tmp_path / "model.npz")
+        with zipfile.ZipFile(path) as archive:
+            phi = archive.getinfo("phi.npy")
+        raw = bytearray(path.read_bytes())
+        # The member's size past its local header lands inside its data.
+        raw[phi.header_offset + phi.compress_size] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        assert stored_checksum(path) == digest_arrays(params.arrays())
+        with pytest.raises(SnapshotCorruptError):
+            load_params(path)
 
     def test_unknown_format_tag_rejected(self, fitted_models, tmp_path):
         params = fitted_models[1].params_

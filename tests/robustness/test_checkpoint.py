@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ class TestSaveLoad:
         for name, value in arrays.items():
             np.testing.assert_array_equal(restored.arrays[name], value)
 
+    def test_archive_is_stored_and_keeps_save_order(self, tmp_path, arrays):
+        manager = CheckpointManager(tmp_path)
+        shuffled = {"zeta": arrays["phi"], **arrays, "alpha": arrays["theta"]}
+        path = manager.save(shuffled, iteration=1)
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
+        restored = manager.load(path).arrays
+        assert list(restored) == list(shuffled)
+        for name, value in shuffled.items():
+            assert restored[name].tobytes() == value.tobytes()
+            assert restored[name].dtype == value.dtype
+
     def test_no_temp_files_left_behind(self, tmp_path, arrays):
         manager = CheckpointManager(tmp_path)
         manager.save(arrays, iteration=5, log_likelihood=[-1.0])
@@ -62,7 +76,8 @@ class TestSaveLoad:
         manager = CheckpointManager(tmp_path)
         path = manager.save(arrays, iteration=2, log_likelihood=[-1.0])
         raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
+        # Archives are stored, so the array's bytes sit in the file as-is.
+        raw[raw.index(arrays["theta"].tobytes()) + 5] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             manager.load(path)
@@ -83,6 +98,20 @@ class TestLatestAndPrune:
         kept = sorted(p.name for p in tmp_path.glob("*.npz"))
         assert len(kept) == 2
         assert kept == ["em-000003.ckpt.npz", "em-000004.ckpt.npz"]
+
+    def test_clear_removes_only_this_prefix(self, tmp_path, arrays):
+        stream = CheckpointManager(tmp_path, prefix="stream")
+        other = CheckpointManager(tmp_path, prefix="em")
+        for iteration in (7, 9):
+            stream.save(arrays, iteration=iteration)
+        kept = other.save(arrays, iteration=3)
+        stream.clear()
+        assert list(tmp_path.iterdir()) == [kept]
+        stream.clear()  # nothing left, and a missing directory, are both fine
+        CheckpointManager(tmp_path / "absent").clear()
+        # Numbering starts over: an earlier iteration is no longer "old".
+        stream.save(arrays, iteration=1)
+        assert stream.latest().iteration == 1
 
     def test_latest_returns_newest(self, tmp_path, arrays):
         manager = CheckpointManager(tmp_path, keep=5)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.robustness import CheckpointError
+from repro.robustness import CheckpointError, FaultInjector, InjectedFault
 from repro.streaming import EventLog, StreamEvent, StreamIngestor
 
 pytestmark = pytest.mark.faults
@@ -154,11 +154,15 @@ class TestCheckpointResume:
         assert resumed.offset == 12
         assert resumed.batches == 2
         assert resumed.applied == first.applied
-        # The checkpoint holds the container's declared arrays plus the
-        # drift state, and the resumed container is rebuilt from them.
+        # The checkpoint is an overlay — what folding mutates plus the
+        # drift state — and the resumed container shares base's φ/φ′.
         saved = first.manager.latest().arrays
-        assert set(saved) == {*stream_base.field_names(), "drift_vectors", "drift_valid"}
+        assert set(saved) == {
+            "theta", "theta_time", "lambda_u", "drift_vectors", "drift_valid"
+        }
         assert_params_equal(resumed.params, first.params)
+        assert resumed.params.phi is stream_base.phi
+        assert resumed.params.phi_time is stream_base.phi_time
 
     def test_kill_between_checkpoints_replays_bit_identically(
         self, stream_base, tmp_path
@@ -215,6 +219,79 @@ class TestCheckpointResume:
                 batch_events=5,  # changed: replay would diverge
                 checkpoint_every=1,
             )
+
+    def test_refitted_base_refuses_to_resume(self, stream_base, tmp_path):
+        log = fill_log(tmp_path / "wal", in_range_events(stream_base, 12, seed=4))
+        StreamIngestor(
+            log, stream_base, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+        ).run()
+        refit = stream_base.with_fields(phi_time=stream_base.phi_time[::-1].copy())
+        with pytest.raises(CheckpointError, match="other phi/phi_time"):
+            StreamIngestor(
+                log, refit, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+            )
+
+    def test_checkpoint_ahead_of_the_log_refuses_to_resume(self, stream_base, tmp_path):
+        log = fill_log(tmp_path / "wal", in_range_events(stream_base, 12, seed=4))
+        StreamIngestor(
+            log, stream_base, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+        ).run()
+        shorter = fill_log(tmp_path / "wal2", in_range_events(stream_base, 8, seed=4))
+        with pytest.raises(CheckpointError, match="offset 12, past the log's 8"):
+            StreamIngestor(
+                shorter, stream_base, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+            )
+
+    def test_resume_false_discards_stale_checkpoints(self, stream_base, tmp_path):
+        # A longer earlier run left checkpoints numbered past anything the
+        # new run will write; they must neither get the new run's
+        # checkpoints pruned nor be what the next resume restores.
+        long_log = fill_log(tmp_path / "old", in_range_events(stream_base, 48, seed=5))
+        StreamIngestor(
+            long_log, stream_base, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+        ).run()
+        log = fill_log(tmp_path / "wal", in_range_events(stream_base, 8, seed=6))
+        fresh = StreamIngestor(
+            log,
+            stream_base,
+            tmp_path / "ckpt",
+            batch_events=4,
+            checkpoint_every=1,
+            resume=False,
+        )
+        assert fresh.offset == 0
+        report = fresh.run()
+        assert report.checkpoints == 2
+        assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) == [
+            "stream-000001.ckpt.npz",
+            "stream-000002.ckpt.npz",
+        ]
+        resumed = StreamIngestor(
+            log, stream_base, tmp_path / "ckpt", batch_events=4, checkpoint_every=1
+        )
+        assert resumed.offset == 8
+        assert_params_equal(resumed.params, fresh.params)
+
+    @pytest.mark.parametrize("fault", ["torn_write", "disk_full"])
+    def test_failed_overlay_write_keeps_the_previous_checkpoint(
+        self, stream_base, tmp_path, fault
+    ):
+        knobs = {"batch_events": 4, "checkpoint_every": 1, "drift_threshold": -1.0}
+        log = fill_log(tmp_path / "wal", in_range_events(stream_base, 12, seed=7))
+        baseline = StreamIngestor(log, stream_base, tmp_path / "ckpt_ok", **knobs)
+        baseline.run()
+        crashed = StreamIngestor(log, stream_base, tmp_path / "ckpt", **knobs)
+        with FaultInjector() as chaos:
+            getattr(chaos, fault)("checkpoint.write", iteration=2)
+            with pytest.raises((InjectedFault, OSError)):
+                crashed.run()
+            assert chaos.fired == 1
+        assert crashed.checkpointed_batches == 1
+        resumed = StreamIngestor(log, stream_base, tmp_path / "ckpt", **knobs)
+        assert (resumed.batches, resumed.offset) == (1, 4)
+        resumed.run()
+        assert_params_equal(resumed.params, baseline.params)
+        assert resumed.offset == baseline.offset == 12
 
     def test_fresh_directory_starts_from_zero(self, stream_base, tmp_path):
         log = fill_log(tmp_path / "wal", in_range_events(stream_base, 5))

@@ -3,10 +3,12 @@
 The crash-safety contract of the streaming pipeline, stated as one
 property and searched by Hypothesis: for *any* event sequence (including
 new users, new intervals, out-of-catalogue items, duplicates) and *any*
-kill point (before any micro-batch, or inside any checkpoint write), a
-run that crashes there and resumes from its durable state produces
+kill point (before any micro-batch, before any checkpoint write, or with
+an overlay checkpoint torn mid-write or refused by a full disk), a run
+that crashes there and resumes from its durable state produces
 bit-identical model parameters, drift state and consumer offset to a run
-that was never interrupted — no event double-applied, none dropped.
+that was never interrupted — no event double-applied, none dropped. And
+whatever it left behind refuses to resume over another ``φ``/``φ′``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.robustness import FaultInjector, InjectedFault
+from repro.robustness import CheckpointError, FaultInjector, InjectedFault
 from repro.streaming import EventLog, StreamEvent, StreamIngestor
 
 PARAM_FIELDS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
@@ -36,28 +39,26 @@ events_strategy = st.lists(
 )
 
 
+KNOBS = {"batch_events": 7, "checkpoint_every": 2, "drift_threshold": 0.98}
+
+
 def run_ingestor(log_dir: Path, params, checkpoint_dir: Path) -> StreamIngestor:
-    ingestor = StreamIngestor(
-        EventLog(log_dir),
-        params,
-        checkpoint_dir,
-        batch_events=7,
-        checkpoint_every=2,
-        drift_threshold=0.98,
-    )
+    ingestor = StreamIngestor(EventLog(log_dir), params, checkpoint_dir, **KNOBS)
     ingestor.run()
     return ingestor
 
 
 @settings(
-    max_examples=12,
+    max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
     rows=events_strategy,
     kill_batch=st.integers(0, 5),
-    kill_site=st.sampled_from(["stream.batch", "stream.checkpoint"]),
+    kill_site=st.sampled_from(
+        ["stream.batch", "stream.checkpoint", "torn_write", "disk_full"]
+    ),
 )
 def test_kill_anywhere_resume_is_bit_identical(
     stream_base, rows, kill_batch, kill_site
@@ -75,19 +76,21 @@ def test_kill_anywhere_resume_is_bit_identical(
             baseline = run_ingestor(root / "wal", stream_base, root / "ckpt_ok")
             # The run that dies at the drawn kill point...
             crashed = StreamIngestor(
-                EventLog(root / "wal"),
-                stream_base,
-                root / "ckpt_kill",
-                batch_events=7,
-                checkpoint_every=2,
-                drift_threshold=0.98,
+                EventLog(root / "wal"), stream_base, root / "ckpt_kill", **KNOBS
             )
             with FaultInjector() as chaos:
-                chaos.crash(kill_site, batch=kill_batch)
+                if kill_site in ("torn_write", "disk_full"):
+                    getattr(chaos, kill_site)("checkpoint.write", iteration=kill_batch)
+                else:
+                    chaos.crash(kill_site, batch=kill_batch)
                 try:
                     crashed.run()
-                except InjectedFault:
-                    pass  # the simulated kill -9
+                except (InjectedFault, OSError):
+                    pass  # the simulated kill -9 / ENOSPC
+            if crashed.manager.latest() is not None:
+                refit = stream_base.with_fields(phi=stream_base.phi[::-1].copy())
+                with pytest.raises(CheckpointError, match="other phi/phi_time"):
+                    StreamIngestor(EventLog(root / "wal"), refit, root / "ckpt_kill", **KNOBS)
             # ...and the process that replaces it, resuming durably.
             resumed = run_ingestor(root / "wal", stream_base, root / "ckpt_kill")
 

@@ -66,6 +66,67 @@ class TestAppendRead:
             assert log.append(make_events(2, start=100)) == 6
 
 
+class _CountingFrame:
+    """``wal._FRAME`` that counts the record frames a reader parses."""
+
+    def __init__(self, frame):
+        self._frame = frame
+        self.parsed = 0
+
+    def __getattr__(self, name):
+        return getattr(self._frame, name)
+
+    def unpack_from(self, *args):
+        self.parsed += 1
+        return self._frame.unpack_from(*args)
+
+
+class TestPositionedRead:
+    def test_reads_parse_only_the_records_they_return(self, tmp_path, monkeypatch):
+        from repro.streaming import wal
+
+        frames = _CountingFrame(wal._FRAME)
+        monkeypatch.setattr(wal, "_FRAME", frames)
+        events = make_events(40)
+        offset = 0
+        # A consumer keeping up with its producer, across two rotations.
+        with EventLog(tmp_path / "wal", segment_events=16) as log:
+            for chunk in range(0, 40, 8):
+                log.append(events[chunk : chunk + 8])
+                for count in (5, 3):
+                    frames.parsed = 0
+                    got = log.read(offset, count)
+                    assert frames.parsed == count
+                    fresh = EventLog(tmp_path / "wal", segment_events=16)
+                    assert got == events[offset : offset + count]
+                    assert [e.pack() for e in got] == [
+                        e.pack() for e in fresh.read(offset, count)
+                    ]
+                    offset += count
+            # Any start costs the same: backwards, mid-segment, across a rotation.
+            for start, count in ((20, 4), (3, 2), (14, 20), (39, 5)):
+                frames.parsed = 0
+                assert log.read(start, count) == events[start : start + count]
+                assert frames.parsed == len(events[start : start + count])
+
+    def test_reads_follow_recovery_and_rollback(self, tmp_path):
+        with EventLog(tmp_path / "wal") as log:
+            log.append(make_events(6))
+            assert log.read(0, 4) == make_events(6)[:4]
+        tail = sorted((tmp_path / "wal").glob("wal-*.log"))[-1]
+        tail.write_bytes(tail.read_bytes()[:-7])  # tear record 5
+        with pytest.warns(UserWarning, match="torn tail"):
+            recovered = EventLog(tmp_path / "wal")
+        assert recovered.read(4, 4) == make_events(6)[4:5]
+        with FaultInjector() as chaos:
+            chaos.disk_full("wal.write", times=1, segment=0)
+            with pytest.raises(OSError):
+                recovered.append(make_events(3, start=90))
+        assert recovered.read(4, 4) == make_events(6)[4:5]
+        assert recovered.append(make_events(2, start=50)) == 7
+        assert recovered.read(5, 4) == make_events(2, start=50)
+
+
 class TestRecovery:
     def test_torn_tail_is_truncated_with_warning(self, tmp_path):
         with EventLog(tmp_path / "wal") as log:

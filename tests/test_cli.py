@@ -1,11 +1,13 @@
 """Tests for the ``tcam`` command-line interface."""
 
 import io
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.serialize import load_params, save_params
 
 
 def assert_one_line_refusal(capsys, prefix):
@@ -635,6 +637,52 @@ class TestStream:
                 *extra,
             ]
         )
+
+    @pytest.mark.parametrize("every, saves", [("1", 2), ("100", 1)])
+    def test_run_ends_on_exactly_one_checkpoint_of_the_last_batch(
+        self, snapshot, events_csv, tmp_path, capsys, monkeypatch, every, saves
+    ):
+        from repro.robustness import CheckpointManager
+
+        written = []
+        save = CheckpointManager.save
+
+        def counting_save(self, arrays, iteration, log_likelihood=None):
+            written.append(iteration)
+            return save(self, arrays, iteration, log_likelihood)
+
+        monkeypatch.setattr(CheckpointManager, "save", counting_save)
+        log_dir = tmp_path / "wal"
+        assert main(["stream", "append", "--log", str(log_dir), "--input", str(events_csv)]) == 0
+        knobs = ("--batch-events", "2", "--checkpoint-every", every, "--drift-threshold", "-1")
+        mine = shutil.copy(snapshot, tmp_path / "mine.npz")
+        assert self._run(tmp_path, mine, *knobs) == 0
+        # Cadence 1 already checkpointed batch 2; cadence 100 left it to the CLI.
+        assert written == [1, 2][-saves:]
+        assert self._run(tmp_path, mine, *knobs) == 0  # nothing new: no write
+        assert len(written) == saves
+        # The overlay checkpoint answers `status` on its own.
+        mine.unlink()
+        capsys.readouterr()
+        assert main(
+            ["stream", "status", "--log", str(log_dir), "--checkpoints", str(tmp_path / "ckpt")]
+        ) == 0
+        assert "offset 4 after 2 micro-batches" in capsys.readouterr().out
+
+    def test_run_under_a_refitted_snapshot_is_refused_cleanly(
+        self, snapshot, events_csv, tmp_path, capsys
+    ):
+        log_dir = tmp_path / "wal"
+        assert main(["stream", "append", "--log", str(log_dir), "--input", str(events_csv)]) == 0
+        assert self._run(tmp_path, snapshot) == 0
+        capsys.readouterr()
+        params = load_params(snapshot)
+        refit = save_params(
+            params.with_fields(phi=params.phi[::-1].copy()), tmp_path / "refit.npz"
+        )
+        assert self._run(tmp_path, refit) == 2
+        line = assert_one_line_refusal(capsys, "tcam stream run: ")
+        assert "other phi/phi_time" in line
 
     def test_run_missing_snapshot_is_refused_cleanly(self, tmp_path, capsys):
         assert self._run(tmp_path, tmp_path / "missing.npz") == 2
