@@ -132,7 +132,7 @@ bench-pair:
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		python $$script || exit 1; \
+		PYTHONPATH=src python $$script || exit 1; \
 	done
 
 all: install test bench

@@ -110,11 +110,11 @@ def make_queries(num_queries: int, seed: int = 0) -> list[tuple[int, int]]:
 
 def verify_contracts(model: LoadedModel, queries, k: int) -> None:
     """Assert the batch engine's exactness against the per-query engine."""
-    rec = TemporalRecommender(model, method="ta")
+    rec = TemporalRecommender(model)
     sample = queries[:VERIFY_SAMPLE]
     batch64 = rec.recommend_batch(sample, k=k)
     for (user, interval), r64 in zip(sample, batch64):
-        single = rec.recommend(user, interval, k=k)
+        single = rec.recommend(user, interval, k=k, method="ta")
         assert r64.items == single.items and r64.scores == single.scores, (
             f"float64 batch diverged from ta_topk at query ({user}, {interval})"
         )
@@ -145,13 +145,13 @@ def _million_child(spec, snapshot, queries, k, repeats, queue) -> None:
 
     variant, dtype, use_mmap = spec
     model = LoadedModel.from_file(snapshot, mmap=use_mmap)
-    rec = TemporalRecommender(model, serve_dtype=dtype)
+    rec = TemporalRecommender(model)
     def run():
-        rec.recommend_batch(queries, k=k, row_block=MILLION_ROW_BLOCK)
+        rec.recommend_batch(queries, k=k, dtype=dtype, row_block=MILLION_ROW_BLOCK)
 
     elapsed = best_time(run, repeats)
     sample = rec.recommend_batch(
-        queries[:VERIFY_SAMPLE], k=k, row_block=MILLION_ROW_BLOCK
+        queries[:VERIFY_SAMPLE], k=k, dtype=dtype, row_block=MILLION_ROW_BLOCK
     )
     queue.put(
         {
@@ -371,8 +371,8 @@ def main(argv=None) -> int:
         single_queries = queries[:SINGLE_QUERY_SAMPLE]
         variants = {
             "single-ta": (
-                TemporalRecommender(model, method="ta"),
-                lambda r: [r.recommend(u, t, k=k) for u, t in single_queries],
+                TemporalRecommender(model),
+                lambda r: [r.recommend(u, t, k=k, method="ta") for u, t in single_queries],
                 len(single_queries),
                 "float64",
             ),

@@ -122,7 +122,6 @@ def test_fig8_online_recommendation_efficiency(benchmark, douban_data, movielens
     ):
         model = TTCAM(10, 10, max_iter=40, seed=0).fit(cuboid)
         recommender = TemporalRecommender(model)
-        recommender.precompute()
         users = rng.integers(0, cuboid.num_users, 100)
         intervals = rng.integers(0, cuboid.num_intervals, 100)
         fractions = []

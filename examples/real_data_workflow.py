@@ -80,7 +80,7 @@ def main() -> None:
 
         # 4. Serve from the snapshot (a different process would do this).
         serving = LoadedModel.from_file(snapshot)
-        recommender = TemporalRecommender(serving, method="batched-ta")
+        recommender = TemporalRecommender(serving)
         user = 0
         result = recommender.recommend(user, interval=12, k=5)
         labels = [int(cuboid.item_index.label_of(v)) for v in result.items]

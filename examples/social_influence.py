@@ -65,10 +65,10 @@ def main() -> None:
         f"(social weight +{gain:.2f})"
     )
 
-    # 4. Recommendations still serve through the standard engines.
+    # 4. Recommendations still serve through the standard query path.
     from repro.recommend import TemporalRecommender
 
-    recommender = TemporalRecommender(social_model, method="ta")
+    recommender = TemporalRecommender(social_model)
     result = recommender.recommend(user=5, interval=14, k=5)
     labels = [str(cuboid.item_index.label_of(v)) for v in result.items]
     print(f"\ntop-5 for user 5 (interest + friends + current events): {labels}")

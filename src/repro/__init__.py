@@ -20,6 +20,8 @@ Quickstart::
     model.fit(split.train)
     recommender = TemporalRecommender(model)
     result = recommender.recommend(user=0, interval=5, k=10)
+    # One query path: a batch of one through the batch scorer, bitwise
+    # equal to the paper's engine, recommend(..., method="ta").
 """
 
 from .baselines import (

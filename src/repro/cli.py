@@ -162,7 +162,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         fallbacks.append(GlobalPopularity().fit(load_cuboid_csv(args.fallback_input)))
     try:
         recommender = TemporalRecommender.from_snapshot(
-            args.model, method=args.engine, fallbacks=fallbacks, mmap=args.mmap
+            args.model, fallbacks=fallbacks, mmap=args.mmap
         )
     except SnapshotCorruptError as exc:
         print(f"snapshot unusable and no fallback given: {exc}", file=sys.stderr)
@@ -182,27 +182,15 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not fallbacks and recommender.model is not None:
-        params = recommender.model.params_
-        if not 0 <= args.user < params.num_users:
-            print(
-                f"user {args.user} out of range [0, {params.num_users})",
-                file=sys.stderr,
-            )
-            return 2
-        if not 0 <= args.interval < params.num_intervals:
-            print(
-                f"interval {args.interval} out of range "
-                f"[0, {params.num_intervals})",
-                file=sys.stderr,
-            )
-            return 2
     try:
         result, status = recommender.recommend_with_status(
-            args.user, args.interval, k=args.k
+            args.user, args.interval, k=args.k, method=args.engine
         )
     except ServingUnavailableError as exc:
         print(f"serving unavailable: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"invalid request: {exc}", file=sys.stderr)
         return 2
     for rank, rec in enumerate(result.recommendations, start=1):
         print(f"{rank:3d}. item {rec.item:6d}  score {rec.score:.6f}")
@@ -210,7 +198,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"[DEGRADED: served by {status.served_by} — {status.reason}]")
     else:
         print(
-            f"[{args.engine}: fully scored {result.items_scored} of "
+            f"[{args.engine or 'batch'}: fully scored {result.items_scored} of "
             f"{recommender.model.params_.num_items} items]"
         )
     return 0
@@ -526,7 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument("-k", type=int, default=10)
     p_rec.add_argument(
-        "--engine", choices=("ta", "batched-ta", "bf", "classic-ta"), default="ta"
+        "--engine",
+        choices=("ta", "bf"),
+        default=None,
+        help="answer a single query with the paper's reference engine "
+        "(TCAM-TA / TCAM-BF) instead of the batch scorer; same result",
     )
     p_rec.add_argument(
         "--fallback-input",

@@ -8,13 +8,7 @@ from .paramstore import ParamStore, write_store
 from .quantize import QuantizedMatrix, quantize_matrix, selection_margins
 from .ranking import QuerySpace, Recommendation, TopKResult, rank_order
 from .recommender import ServingStatus, TemporalRecommender
-from .serving import (
-    BatchScorer,
-    CacheStats,
-    LRUCache,
-    ServingCache,
-    ServingConfig,
-)
+from .serving import BatchScorer, CacheStats, LRUCache, ServingCache
 from .threshold import SortedTopicLists, batched_ta_topk, classic_ta_topk, ta_topk
 
 __all__ = [
@@ -34,7 +28,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "ServingCache",
-    "ServingConfig",
     "SortedTopicLists",
     "batched_ta_topk",
     "classic_ta_topk",

@@ -20,8 +20,6 @@ arrays that are expensive (in time or resident bytes) to rebuild online:
 
 * ``item_topic`` — the contiguous ``(V, K)`` rescore transpose (TTCAM,
   whose topic–item matrix is query-independent);
-* ``sorted_order`` / ``sorted_values`` — the Threshold-Algorithm
-  per-topic sorted lists for the same matrix;
 * ``context`` / ``context32`` (+ per-interval error statistics) — the
   per-interval context score vectors ``θ′_t·Φ`` in float64, and the
   float32 image the int8 selection path adds and bounds;
@@ -39,7 +37,11 @@ integrity matters more than start-up latency (tests do this; a paranoid
 deployment can too). The sidecar is *derived* data: the manifest records
 the checksum of the snapshot it was derived from, and if the sidecar is
 missing, damaged or describes another snapshot than the ``.npz`` beside
-it, loaders fall back to the checksummed ``.npz``.
+it, loaders fall back to the checksummed ``.npz``. Manifest entries the
+store does not know — the Threshold-Algorithm ``sorted_order`` /
+``sorted_values`` lists older writers persisted, which no serving path
+reads — are mapped and hash-checked like any other file and otherwise
+ignored, so such a sidecar still opens.
 
 **Atomicity.** :func:`write_store` builds the layout in a temporary
 sibling directory, fsyncs, and renames it into place; the manifest is
@@ -65,7 +67,6 @@ from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import AnyArray, FloatArray
 from .quantize import ContextVector, QuantizedMatrix, quantize_matrix
-from .threshold import SortedTopicLists
 
 __all__ = ["MANIFEST_NAME", "STORE_SUFFIX", "ParamStore", "store_dir", "write_store"]
 
@@ -128,7 +129,7 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
 
     This is an offline step run at publish time: it reads the full
     parameter set once, derives the serving arrays (rescore transpose,
-    sorted topic lists, context vectors, int8 selection form) and
+    context vectors, int8 selection form) and
     publishes everything with a rename. The manifest records the
     parameters' checksum — the one :func:`~repro.core.serialize.save_params`
     embeds in the ``.npz`` — so a sidecar left behind by an older save is
@@ -146,10 +147,7 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
     arrays: dict[str, AnyArray] = params.arrays()
     checksum = digest_arrays(arrays)  # the parameter fields only, as save_params
     if isinstance(params, TTCAMParameters):
-        lists = SortedTopicLists.build(params.topic_item_matrix())
-        arrays["item_topic"] = lists.item_topic
-        arrays["sorted_order"] = lists.order
-        arrays["sorted_values"] = lists.values
+        arrays["item_topic"] = np.ascontiguousarray(params.topic_item_matrix().T)
         # Row-by-row GEMV, the exact expression the online path evaluates
         # per interval — a single (T, K2) @ (K2, V) GEMM can differ from
         # it in the last ULP, and persisted context rows must be
@@ -220,7 +218,7 @@ class ParamStore:
     memory are both tiny regardless of catalogue size. Accessors hand
     out mmap-backed objects directly (memoised on the store, *not*
     copied), and the serving layer deliberately keeps them out of its
-    byte-budget caches: they are pageable, not resident.
+    caches' byte count: they are pageable, not resident.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -260,7 +258,6 @@ class ParamStore:
         self._check_structure()
         self._spot_check()
         self._params: ITCAMParameters | TTCAMParameters | None = None
-        self._lists: SortedTopicLists | None = None
         self._quantized: dict[str, QuantizedMatrix | None] = {}
 
     @classmethod
@@ -349,13 +346,6 @@ class ParamStore:
                     f"{self.directory}: item_topic shape {item_topic.shape} does not "
                     f"match ({num_items}, {stacked_topics})"
                 )
-            for name in ("sorted_order", "sorted_values"):
-                lists_array = self._require(name)
-                if tuple(lists_array.shape) != (stacked_topics, num_items):
-                    raise SnapshotCorruptError(
-                        f"{self.directory}: {name} shape {lists_array.shape} does not "
-                        f"match ({stacked_topics}, {num_items})"
-                    )
             context = self._require("context")
             if tuple(context.shape) != (int(theta_time.shape[0]), num_items):
                 raise SnapshotCorruptError(
@@ -383,10 +373,9 @@ class ParamStore:
         """Sampled invariant checks standing in for full validation.
 
         Pages only a handful of rows: the first and last rows of the
-        stochastic matrices must be normalised, ``lambda_u`` samples must
-        lie in ``[0, 1]`` and the first sorted-values row must be
-        non-increasing. Full construction-time validation is skipped on
-        purpose — it would fault in every byte of the mapping.
+        stochastic matrices must be normalised and ``lambda_u`` samples
+        must lie in ``[0, 1]``. Full construction-time validation is
+        skipped on purpose — it would fault in every byte of the mapping.
         """
         for name in VARIANTS[self.variant].STOCHASTIC:
             matrix = self._arrays[name]
@@ -402,13 +391,6 @@ class ParamStore:
             if not 0.0 <= value <= 1.0 + 1e-9:
                 raise SnapshotCorruptError(
                     f"{self.directory}: lambda_u[{row}] = {value!r} outside [0, 1]"
-                )
-        values = self._arrays.get("sorted_values")
-        if values is not None:
-            head = np.asarray(values[0, : min(1024, values.shape[1])])
-            if head.size > 1 and np.any(np.diff(head) > 0):
-                raise SnapshotCorruptError(
-                    f"{self.directory}: sorted_values row 0 is not non-increasing"
                 )
 
     def verify(self) -> None:
@@ -460,26 +442,6 @@ class ParamStore:
             return None
         result: FloatArray | None = self._arrays.get("item_topic")
         return result
-
-    def sorted_lists(self, key: Hashable) -> SortedTopicLists | None:
-        """Persisted Threshold-Algorithm index for a matrix cache key.
-
-        Memoised so repeat callers share one
-        :class:`~repro.recommend.threshold.SortedTopicLists` instance
-        (and therefore its reused per-query scratch buffers).
-        """
-        if self.variant != "ttcam" or key != "static":
-            return None
-        if self._lists is None:
-            order = self._arrays.get("sorted_order")
-            values = self._arrays.get("sorted_values")
-            item_topic = self._arrays.get("item_topic")
-            if order is None or values is None or item_topic is None:
-                return None
-            self._lists = SortedTopicLists(
-                order=order, values=values, item_topic=item_topic
-            )
-        return self._lists
 
     def quantized_selection(self, dtype: str) -> QuantizedMatrix | None:
         """Persisted quantized form of Φ for one selection dtype."""

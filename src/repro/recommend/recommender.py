@@ -2,19 +2,29 @@
 
 :class:`TemporalRecommender` wraps any fitted model that exposes
 ``query_space(user, interval)`` (both TCAM variants and the UT/TT
-baselines via adapters) and serves temporal queries ``q = (u, t)``
-through either retrieval engine:
+baselines via adapters) and serves temporal queries ``q = (u, t)``.
 
-* ``method="ta"`` — the paper's Threshold-Algorithm engine with
-  pre-computed per-topic sorted lists (TCAM-TA);
-* ``method="batched-ta"`` — same threshold semantics with
-  block-vectorised sorted access (fastest here on large catalogues);
-* ``method="bf"`` — brute-force scan (TCAM-BF);
-* ``method="classic-ta"`` — textbook round-robin TA (ablation).
+There is **one query path**. :meth:`TemporalRecommender.recommend` is
+row 0 of :meth:`TemporalRecommender.recommend_batch_with_status` on a
+batch of one, so single queries, batches, the CLI and the service share
+one range check, one degradation walk and one status stamp, and every
+query is scored by the GEMM-select / exact-rescore
+:class:`~repro.recommend.serving.BatchScorer`.
 
-For TTCAM the topic–item matrix is query-independent, so one sorted-list
-index serves every query. For ITCAM the temporal context row depends on
-the queried interval; indexes are built lazily per interval and cached.
+The paper's two retrieval engines stay as **references**: an explicit
+per-call ``recommend(..., method="ta")`` (TCAM-TA, Algorithm 1 over
+pre-computed per-topic sorted lists) or ``method="bf"`` (TCAM-BF, the
+brute-force scan) runs the real
+:func:`~repro.recommend.threshold.ta_topk` /
+:func:`~repro.recommend.bruteforce.bruteforce_topk` inside that same
+path — the bitwise oracle the tests and ``benchmarks/e2e`` hold the
+batch scorer against. The sorted-list index such a call needs is built
+lazily per topic–item matrix (one for TTCAM, one per queried interval
+for ITCAM) and cached; nothing else ever builds one.
+:func:`~repro.recommend.threshold.batched_ta_topk` (Fig. 8's timed
+engine) and :func:`~repro.recommend.threshold.classic_ta_topk` (the
+TA-variants ablation's baseline) are plain functions, not recommender
+engines.
 
 A production deployment also needs to keep answering when things go
 wrong, so the recommender accepts a **fallback chain** — simpler fitted
@@ -25,15 +35,15 @@ raises at serve time. Every answer carries a structured
 :class:`ServingStatus` saying who served it and why, so degradation is
 observable instead of silent.
 
-Batch traffic goes through :meth:`TemporalRecommender.recommend_batch`,
-which hands interval groups to the GEMM-based
-:class:`~repro.recommend.serving.BatchScorer` and degrades *per row*:
-one malformed or out-of-range query falls back (or raises) on its own
-while the rest of the batch is still served by the primary model. All
-cached serving state — sorted-list indexes, context vectors, exclusion
-masks — lives in a bounded :class:`~repro.recommend.serving.ServingCache`
-whose hit/miss/eviction counters ride along on every
-:class:`ServingStatus`.
+:meth:`TemporalRecommender.recommend_batch` hands interval groups to
+the scorer and degrades *per row*: one out-of-range query falls back (or
+raises) on its own while the rest of the batch is still served by the
+primary model. Caller errors — ``k ≤ 0``, a non-integral query id, an
+``exclude`` id outside the catalogue — raise :class:`ValueError` and are
+never turned into a degraded answer. All cached serving state — rescore
+transposes, context vectors, exclusion masks — lives in a bounded
+:class:`~repro.recommend.serving.ServingCache` whose hit/miss/eviction
+counters ride along on every :class:`ServingStatus`.
 
 **Hot swap.** The primary model, its serving cache and its batch scorer
 live together in one immutable *generation* object. Every query captures
@@ -66,10 +76,9 @@ from .serving import (
     BatchScorer,
     CacheStats,
     ServingCache,
-    ServingConfig,
     check_serve_dtype,
 )
-from .threshold import SortedTopicLists, batched_ta_topk, classic_ta_topk, ta_topk
+from .threshold import SortedTopicLists, ta_topk
 
 
 class SupportsQuerySpace(Protocol):
@@ -133,7 +142,7 @@ class _Generation:
     cache mutates internally, but it belongs to exactly one generation.
     """
 
-    __slots__ = ("model", "cache", "index", "_scorer")
+    __slots__ = ("model", "cache", "index", "scorer")
 
     def __init__(
         self, model: SupportsQuerySpace | None, cache: ServingCache, index: int
@@ -141,26 +150,63 @@ class _Generation:
         self.model = model
         self.cache = cache
         self.index = index
-        self._scorer: BatchScorer | None = None
-
-    def scorer(self) -> BatchScorer:
-        """The generation's lazily built batch scorer.
-
-        Benign-race lazy init: concurrent first callers may each build a
-        scorer, but both are equivalent (same model, same cache) and the
-        attribute store is atomic, so whichever lands last wins safely.
-        """
-        if self._scorer is None:
-            self._scorer = BatchScorer(self.model, self.cache)
-        scorer = self._scorer
-        assert scorer is not None
-        return scorer
+        self.scorer = BatchScorer(model, cache)
 
 
 def _model_name(model: object) -> str:
     """Best-effort display name for any model-like object."""
     name = getattr(model, "name", None)
     return name if isinstance(name, str) else type(model).__name__
+
+
+def query_pairs(queries: Sequence[Sequence[Any]] | IntArray) -> list[tuple[int, int]]:
+    """``(user, interval)`` pairs as plain ints, refusing non-integral ids.
+
+    ``int()`` alone would truncate ``0.7`` to user 0 and answer for the
+    wrong user; an id must already *be* an integer (``3`` or ``3.0``).
+    """
+    pairs: list[tuple[int, int]] = []
+    for user, interval in queries:
+        try:
+            pair = (int(user), int(interval))
+            integral = pair == (user, interval)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(
+                f"query ids must be integers, got (user={user!r}, interval={interval!r})"
+            )
+        pairs.append(pair)
+    return pairs
+
+
+def _check_exclude(
+    exclude: IntArray | Mapping[int, IntArray] | None,
+    users: Sequence[int],
+    num_items: int | None,
+) -> None:
+    """Refuse ``exclude`` ids outside ``[0, num_items)`` for the batch's users.
+
+    A negative id would wrap around and silently exclude another item;
+    an id past the catalogue would surface as an ``IndexError`` deep in
+    the scorer and be mistaken for a model failure. ``num_items=None``
+    (a model that exposes no fitted dimensions) checks the sign only.
+    """
+    if isinstance(exclude, Mapping):
+        lists = [exclude.get(user) for user in dict.fromkeys(users)]
+    else:
+        lists = [exclude]
+    for items in lists:
+        ids = np.asarray(() if items is None else items)
+        if ids.size and (
+            ids.dtype.kind not in "iu"
+            or ids.min() < 0
+            or (num_items is not None and ids.max() >= num_items)
+        ):
+            raise ValueError(
+                f"exclude ids must be integers in [0, {num_items or '∞'}), "
+                f"got {ids.tolist()}"
+            )
 
 
 class TemporalRecommender:
@@ -173,76 +219,43 @@ class TemporalRecommender:
         primary unavailable from the start (used by
         :meth:`from_snapshot` when the snapshot is corrupt), in which
         case every query is served by the fallback chain.
-    method:
-        Default retrieval engine: ``"ta"``, ``"batched-ta"``, ``"bf"``
-        or ``"classic-ta"``.
     fallbacks:
         Fitted degradation chain, consulted in order when the primary
-        cannot serve. Each entry needs ``query_space`` or ``score_items``
-        (any fitted baseline, e.g.
+        cannot serve. Each entry needs ``score_items`` (any fitted
+        baseline, e.g.
         :class:`~repro.baselines.popularity.GlobalPopularity`).
-    serve_dtype:
-        Default selection dtype for :meth:`recommend_batch` —
-        ``"float64"`` (the default) or ``"int8"`` (quantized selection
-        with a proven margin, bitwise identical to float64; see
-        :mod:`repro.recommend.quantize`).
     cache:
         A :class:`~repro.recommend.serving.ServingCache` to use (e.g.
         with custom capacities); one with defaults is created otherwise.
-    config:
-        A :class:`~repro.recommend.serving.ServingConfig` bundling the
-        serving knobs. When given, it supplies the selection dtype, the
-        default GEMM row block, and — unless an explicit ``cache`` is
-        passed — builds the (optionally byte-budgeted) serving cache for
-        this and every hot-swapped generation.
     """
 
-    _METHODS = ("ta", "batched-ta", "bf", "classic-ta")
+    #: The paper's reference engines, selectable per call only.
+    _METHODS = ("ta", "bf")
 
     def __init__(
         self,
         model: SupportsQuerySpace | None,
-        method: str = "ta",
         fallbacks: Sequence[object] = (),
         unavailable_reason: str | None = None,
-        serve_dtype: str = "float64",
         cache: ServingCache | None = None,
-        config: ServingConfig | None = None,
     ) -> None:
-        if method not in self._METHODS:
-            raise ValueError(f"method must be one of {self._METHODS}, got {method!r}")
         if model is None and not fallbacks:
             raise ValueError("a recommender needs a model or at least one fallback")
-        self.method = method
-        self.fallbacks = tuple(fallbacks)
+        self.fallbacks: tuple[Any, ...] = tuple(fallbacks)
         self.unavailable_reason = unavailable_reason
-        self.config = config
-        if config is not None:
-            serve_dtype = config.select_dtype
-        self.serve_dtype = check_serve_dtype(serve_dtype)
-        self.row_block = config.row_block if config is not None else DEFAULT_ROW_BLOCK
         self.last_status: ServingStatus | None = None
-        # Bounded serving state: sorted-list indexes keyed by the model's
-        # matrix cache key (TTCAM's topic–item matrix is query-independent
-        # — one entry; ITCAM's depends on the queried interval — one entry
-        # per recently queried interval), plus context vectors, dtype
-        # conversions and exclusion masks for the batch engine. The cache
-        # lives inside the generation so a hot swap retires it with the
-        # model it indexed.
+        # Bounded serving state — rescore transposes, context vectors,
+        # quantized selection forms, exclusion masks, and the sorted-list
+        # indexes of the reference engine — lives inside the generation
+        # so a hot swap retires it with the model it was derived from.
         self._generation = _Generation(
-            model, cache if cache is not None else self._build_cache(), 0
+            model, cache if cache is not None else ServingCache(), 0
         )
         self._swap_lock = threading.Lock()
         self._swaps = 0
         self._rollbacks = 0
         self._drift_events = 0
         self.last_rollback_reason: str | None = None
-
-    def _build_cache(self) -> ServingCache:
-        """A fresh serving cache honouring the configured byte budget."""
-        if self.config is not None:
-            return self.config.build_cache()
-        return ServingCache()
 
     # ------------------------------------------------------------------
     # generations (RCU hot swap)
@@ -286,7 +299,7 @@ class TemporalRecommender:
     ) -> int:
         """Atomically publish ``model`` as a new serving generation.
 
-        The new generation (model + fresh :class:`ServingCache` + lazy
+        The new generation (model + fresh :class:`ServingCache` + its
         scorer) becomes visible to queries that *start* after this call
         returns; queries already in flight finish against the generation
         they captured on entry, so no query is ever dropped or served a
@@ -299,7 +312,7 @@ class TemporalRecommender:
         with self._swap_lock:
             generation = _Generation(
                 model,
-                cache if cache is not None else self._build_cache(),
+                cache if cache is not None else ServingCache(),
                 self._generation.index + 1,
             )
             self._swaps += 1
@@ -323,15 +336,17 @@ class TemporalRecommender:
         served_by: str,
         reason: str | None = None,
         attempted: tuple[str, ...] = (),
-        cache: CacheStats | None = None,
     ) -> ServingStatus:
-        """Stamp one :class:`ServingStatus` with the generation counters."""
+        """One :class:`ServingStatus` with the generation counters.
+
+        ``cache`` stays unset here: the batch stamps one end-of-batch
+        counter snapshot on every row.
+        """
         return ServingStatus(
             degraded,
             served_by,
             reason,
             attempted,
-            cache=cache if cache is not None else generation.cache.stats(),
             generation=generation.index,
             swaps=self._swaps,
             rollbacks=self._rollbacks,
@@ -342,10 +357,8 @@ class TemporalRecommender:
     def from_snapshot(
         cls,
         path: str | Path,
-        method: str = "ta",
         fallbacks: Sequence[object] = (),
         mmap: bool = False,
-        config: ServingConfig | None = None,
     ) -> "TemporalRecommender":
         """Serve from a snapshot file, degrading instead of crashing.
 
@@ -371,13 +384,7 @@ class TemporalRecommender:
             if not fallbacks:
                 raise
             model, reason = None, f"snapshot unusable: {exc}"
-        return cls(
-            model,
-            method=method,
-            fallbacks=fallbacks,
-            unavailable_reason=reason,
-            config=config,
-        )
+        return cls(model, fallbacks=fallbacks, unavailable_reason=reason)
 
     def recommend(
         self,
@@ -396,7 +403,10 @@ class TemporalRecommender:
         k:
             Number of recommendations.
         method:
-            Override the recommender's default engine for this query.
+            ``None`` (the default) serves through the batch scorer like
+            every other query. ``"ta"`` / ``"bf"`` answer this one query
+            with the paper's reference engine instead — same items,
+            scores and tie order, used as the bitwise oracle.
         exclude:
             Item ids that must not be recommended (e.g. training items).
 
@@ -404,10 +414,9 @@ class TemporalRecommender:
         whether the result is degraded) is kept in :attr:`last_status`;
         use :meth:`recommend_with_status` to receive it explicitly.
         """
-        result, _ = self.recommend_with_status(
+        return self.recommend_with_status(
             user, interval, k=k, method=method, exclude=exclude
-        )
-        return result
+        )[0]
 
     def recommend_with_status(
         self,
@@ -419,40 +428,13 @@ class TemporalRecommender:
     ) -> tuple[TopKResult, ServingStatus]:
         """Top-k plus the structured :class:`ServingStatus` for the query.
 
-        The primary model serves when it can; otherwise the fallback
-        chain is walked in order. Only when *nothing* can answer does
-        :class:`~repro.robustness.errors.ServingUnavailableError` raise.
+        A batch of one: see :meth:`recommend_batch_with_status` for the
+        degradation contract.
         """
-        engine = method if method is not None else self.method
-        if engine not in self._METHODS:
-            raise ValueError(f"method must be one of {self._METHODS}, got {engine!r}")
-        # RCU read side: capture the generation once; every lookup below
-        # uses this capture, so a concurrent swap cannot tear the query.
-        generation = self._generation
-        attempted: list[str] = []
-        reason = self.unavailable_reason
-        if generation.model is not None:
-            range_problem = self._range_problem(generation.model, user, interval)
-            if range_problem is None:
-                try:
-                    result = self._serve_primary(
-                        generation, user, interval, k, engine, exclude
-                    )
-                    status = self._status(
-                        generation, False, _model_name(generation.model)
-                    )
-                    self.last_status = status
-                    return result, status
-                except Exception as exc:
-                    reason = f"primary model failed: {exc}"
-            else:
-                reason = range_problem
-            attempted.append(_model_name(generation.model))
-        result, status = self._serve_via_fallbacks(
-            generation, user, interval, k, exclude, reason, attempted
+        results, statuses = self._serve_batch(
+            [(user, interval)], k, exclude, "float64", DEFAULT_ROW_BLOCK, method
         )
-        self.last_status = status
-        return result, status
+        return results[0], statuses[0]
 
     def _serve_via_fallbacks(
         self,
@@ -467,19 +449,19 @@ class TemporalRecommender:
         """Walk the fallback chain for one query; raise when it runs dry."""
         attempted = list(attempted)
         for fallback in self.fallbacks:
-            try:
-                result = self._serve_fallback(fallback, user, interval, k, exclude)
+            try:  # a fallback answers from its dense score vector
+                scores = np.asarray(fallback.score_items(user, interval), dtype=np.float64)
+                top = rank_order(scores, k, exclude=exclude)
             except Exception:
                 attempted.append(_model_name(fallback))
                 continue
-            status = self._status(
-                generation,
-                True,
-                _model_name(fallback),
-                reason,
-                tuple(attempted),
+            result = TopKResult(
+                [Recommendation(item=int(v), score=float(scores[v])) for v in top],
+                items_scored=int(scores.shape[0]),
             )
-            return result, status
+            return result, self._status(
+                generation, True, _model_name(fallback), reason, tuple(attempted)
+            )
         raise ServingUnavailableError(
             f"no model could serve query (user={user}, interval={interval}): {reason}"
         )
@@ -489,23 +471,20 @@ class TemporalRecommender:
         queries: Sequence[tuple[int, int]] | IntArray,
         k: int = 10,
         exclude: IntArray | Mapping[int, IntArray] | None = None,
-        dtype: str | None = None,
-        row_block: int | None = None,
+        dtype: str = "float64",
+        row_block: int = DEFAULT_ROW_BLOCK,
     ) -> list[TopKResult]:
         """Top-k items for a batch of ``(user, interval)`` queries.
 
         Queries sharing an interval are scored together as blocked GEMMs
-        by the :class:`~repro.recommend.serving.BatchScorer`; in float64
-        mode (the default) each row's items, scores and tie order are
-        exactly what :meth:`recommend` returns for the same query.
-        Results are returned in query order. See
-        :meth:`recommend_batch_with_status` for parameters and the
-        per-row degradation contract.
+        by the :class:`~repro.recommend.serving.BatchScorer`; each row's
+        items, scores and tie order are exactly what
+        :func:`~repro.recommend.threshold.ta_topk` returns for the same
+        query, under either selection dtype. Results are returned in
+        query order. See :meth:`recommend_batch_with_status` for
+        parameters and the per-row degradation contract.
         """
-        results, _ = self.recommend_batch_with_status(
-            queries, k=k, exclude=exclude, dtype=dtype, row_block=row_block
-        )
-        return results
+        return self._serve_batch(queries, k, exclude, dtype, row_block, None)[0]
 
     @bit_deterministic
     def recommend_batch_with_status(
@@ -513,8 +492,8 @@ class TemporalRecommender:
         queries: Sequence[tuple[int, int]] | IntArray,
         k: int = 10,
         exclude: IntArray | Mapping[int, IntArray] | None = None,
-        dtype: str | None = None,
-        row_block: int | None = None,
+        dtype: str = "float64",
+        row_block: int = DEFAULT_ROW_BLOCK,
     ) -> tuple[list[TopKResult], list[ServingStatus]]:
         """Batch top-k plus one :class:`ServingStatus` per query.
 
@@ -530,38 +509,56 @@ class TemporalRecommender:
             mapping ``user -> item ids`` (per-user masks are cached in
             the serving cache).
         dtype:
-            Selection dtype override — ``"float64"`` or ``"int8"``;
-            defaults to the recommender's ``serve_dtype``.
+            Selection dtype — ``"float64"`` or ``"int8"`` (quantized
+            selection with a proven margin, bitwise identical to
+            float64; see :mod:`repro.recommend.quantize`).
         row_block:
-            Queries scored per GEMM block; defaults to the configured
-            (or package default) block size.
+            Queries scored per GEMM block.
 
         Degradation is **per row**: a query that is out of the primary's
         range — or whose interval group fails at serve time — walks the
         fallback chain on its own while the other rows are still served
         by the primary. :class:`~repro.robustness.errors.ServingUnavailableError`
-        raises only when some row cannot be answered by anything. Every
-        status carries the same end-of-batch cache counter snapshot.
+        raises only when some row cannot be answered by anything, and
+        :class:`ValueError` for a request no model could be blamed for
+        (``k ≤ 0``, non-integral query ids, ``exclude`` ids outside the
+        catalogue). Every status carries the same end-of-batch cache
+        counter snapshot.
         """
-        serve_dtype = check_serve_dtype(dtype if dtype is not None else self.serve_dtype)
-        block = row_block if row_block is not None else self.row_block
+        return self._serve_batch(queries, k, exclude, dtype, row_block, None)
+
+    def _serve_batch(
+        self,
+        queries: Sequence[tuple[int, int]] | IntArray,
+        k: int,
+        exclude: IntArray | Mapping[int, IntArray] | None,
+        dtype: str,
+        row_block: int,
+        method: str | None,
+    ) -> tuple[list[TopKResult], list[ServingStatus]]:
+        """The one query path behind every public ``recommend*`` method.
+
+        ``method`` is ``None`` for the batch scorer, or a reference
+        engine of :attr:`_METHODS` run query by query in its place.
+        """
+        check_serve_dtype(dtype)
+        if method is not None and method not in self._METHODS:
+            raise ValueError(f"method must be one of {self._METHODS}, got {method!r}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         # RCU read side: the whole batch serves from one captured
         # generation, so concurrent swaps can never produce a torn batch.
         generation = self._generation
         model = generation.model
-        pairs = [(int(user), int(interval)) for user, interval in queries]
-        count = len(pairs)
-        results: list[TopKResult | None] = [None] * count
-        statuses: list[ServingStatus | None] = [None] * count
-
+        pairs = query_pairs(queries)
+        num_items = getattr(getattr(model, "params_", None), "num_items", None)
+        _check_exclude(exclude, [user for user, _ in pairs], num_items)
+        rows: dict[int, tuple[TopKResult, ServingStatus]] = {}
         fallback_reason: dict[int, str] = {}
         groups: dict[int, list[int]] = {}
         if model is None:
             reason = self.unavailable_reason or "no primary model"
-            for i in range(count):
-                fallback_reason[i] = reason
+            fallback_reason = dict.fromkeys(range(len(pairs)), reason)
         else:
             for i, (user, interval) in enumerate(pairs):
                 problem = self._range_problem(model, user, interval)
@@ -573,47 +570,46 @@ class TemporalRecommender:
         for interval, indices in groups.items():
             users = [pairs[i][0] for i in indices]
             try:
-                group_results = generation.scorer().serve_group(
-                    interval, users, k, exclude, serve_dtype, block
-                )
+                if method is None:
+                    group_results = generation.scorer.serve_group(
+                        interval, users, k, exclude, dtype, row_block
+                    )
+                else:
+                    group_results = [
+                        self._reference_topk(
+                            generation, user, interval, k, method,
+                            self._exclude_items(user, exclude),
+                        )
+                        for user in users
+                    ]
             except Exception as exc:
                 for i in indices:
                     fallback_reason[i] = f"primary model failed: {exc}"
             else:
+                healthy = self._status(generation, False, _model_name(model))
                 for i, result in zip(indices, group_results):
-                    results[i] = result
-                    statuses[i] = self._status(
-                        generation, False, _model_name(model), cache=CacheStats()
-                    )
+                    rows[i] = (result, healthy)
 
         attempted = [_model_name(model)] if model is not None else []
         for i in sorted(fallback_reason):
             user, interval = pairs[i]
-            results[i], statuses[i] = self._serve_via_fallbacks(
-                generation,
-                user,
-                interval,
-                k,
-                self._exclude_items(user, exclude),
-                fallback_reason[i],
-                attempted,
+            rows[i] = self._serve_via_fallbacks(
+                generation, user, interval, k, self._exclude_items(user, exclude),
+                fallback_reason[i], attempted,
             )
 
+        # Every row was filled by the primary path or the fallback walk,
+        # and carries the same end-of-batch cache counter snapshot.
         snapshot = generation.cache.stats()
-        # Every index was filled by the primary path or the fallback walk.
-        assert all(r is not None for r in results)
-        assert all(s is not None for s in statuses)
-        final_results = [r for r in results if r is not None]
-        final_statuses = [
-            replace(s, cache=snapshot) for s in statuses if s is not None
-        ]
-        if final_statuses:
-            self.last_status = final_statuses[-1]
-        return final_results, final_statuses
+        results = [rows[i][0] for i in range(len(pairs))]
+        statuses = [replace(rows[i][1], cache=snapshot) for i in range(len(pairs))]
+        if statuses:
+            self.last_status = statuses[-1]
+        return results, statuses
 
     def _scorer(self) -> BatchScorer:
         """The current generation's batch scorer (tests and tooling hook)."""
-        return self._generation.scorer()
+        return self._generation.scorer
 
     @staticmethod
     def _exclude_items(
@@ -645,87 +641,34 @@ class TemporalRecommender:
             return f"unknown interval {interval} (model knows [0, {num_intervals}))"
         return None
 
-    def _serve_primary(
-        self,
+    @staticmethod
+    def _reference_topk(
         generation: "_Generation",
         user: int,
         interval: int,
         k: int,
-        engine: str,
+        method: str,
         exclude: IntArray | None,
     ) -> TopKResult:
-        """Answer with the generation's model through the selected engine."""
+        """One query through the paper's TCAM-TA or TCAM-BF engine.
+
+        The sorted-list index TA walks is cached per
+        ``matrix_cache_key(interval)`` — the model's statement of which
+        queries share a topic–item matrix; without it the index is
+        rebuilt per query (correct but slow).
+        """
         model = generation.model
-        assert model is not None  # callers check before dispatching here
+        assert model is not None  # only primary-served groups reach here
         weights, matrix = model.query_space(user, interval)
         query = QuerySpace(weights=weights, item_matrix=matrix)
-        if engine == "bf":
+        if method == "bf":
             return bruteforce_topk(query, k, exclude=exclude)
-        lists = self._lists_for(generation, matrix, interval)
-        if engine == "ta":
-            return ta_topk(query, lists, k, exclude=exclude)
-        if engine == "batched-ta":
-            return batched_ta_topk(query, lists, k, exclude=exclude)
-        return classic_ta_topk(query, lists, k, exclude=exclude)
-
-    def _serve_fallback(
-        self,
-        fallback: Any,
-        user: int,
-        interval: int,
-        k: int,
-        exclude: IntArray | None,
-    ) -> TopKResult:
-        """Answer with one fallback model via its dense score vector."""
-        scores = np.asarray(fallback.score_items(user, interval), dtype=np.float64)
-        top = rank_order(scores, k, exclude=exclude)
-        recommendations = [
-            Recommendation(item=int(item), score=float(scores[item])) for item in top
-        ]
-        return TopKResult(
-            recommendations=recommendations, items_scored=int(scores.shape[0])
-        )
-
-    @staticmethod
-    def _lists_for(
-        generation: "_Generation", matrix: FloatArray, interval: int
-    ) -> SortedTopicLists:
-        """Fetch or build the sorted-list index for a topic–item matrix.
-
-        Models expose ``matrix_cache_key(interval)`` saying which queries
-        share a topic–item matrix; without it the index is rebuilt per
-        query (correct but slow).
-        """
-        key_fn = getattr(generation.model, "matrix_cache_key", None)
+        key_fn = getattr(model, "matrix_cache_key", None)
         if key_fn is None:
-            return SortedTopicLists.build(matrix)
+            return ta_topk(query, SortedTopicLists.build(matrix), k, exclude=exclude)
         key = key_fn(interval)
-        store = getattr(generation.model, "param_store", None)
-        if store is not None:
-            stored = store.sorted_lists(key)
-            if stored is not None:
-                # mmap-backed and memoised by the store itself; kept out
-                # of the LRU so it never counts against a byte budget.
-                return stored  # type: ignore[no-any-return]
         lists = generation.cache.indexes.get(key)
         if lists is None:
             lists = SortedTopicLists.build(matrix)
             generation.cache.indexes.put(key, lists)
-        return lists
-
-    def precompute(self, intervals: IntArray | None = None, user: int = 0) -> int:
-        """Eagerly build sorted-list indexes (the paper's offline step).
-
-        For TTCAM one call suffices; for ITCAM pass the intervals you plan
-        to query. Returns the number of cached indexes. A recommender
-        whose primary model is unavailable has nothing to precompute.
-        """
-        generation = self._generation
-        if generation.model is None:
-            return 0
-        if intervals is None:
-            intervals = np.array([0])
-        for interval in np.asarray(intervals, dtype=np.int64):
-            _, matrix = generation.model.query_space(user, int(interval))
-            self._lists_for(generation, matrix, int(interval))
-        return len(generation.cache.indexes)
+        return ta_topk(query, lists, k, exclude=exclude)

@@ -4,8 +4,11 @@ The paper's online workload is temporal top-k retrieval for queries
 ``q = (u, t)`` with score ``S(u,t,v) = Σ_z ϑ_q[z]·ϕ[z,v]``. The
 Threshold-Algorithm engines in :mod:`repro.recommend.threshold` answer
 one query at a time through Python-level sorted-access loops — the right
-shape for the paper's efficiency study, the wrong shape for production
-traffic. This module amortises per-query cost across batches:
+shape for the paper's efficiency study (Fig. 8 times
+``batched_ta_topk``), the wrong shape for serving traffic. They are kept
+as references; every served query — a single ``recommend()`` included,
+as a batch of one — goes through this module, which amortises per-query
+cost across batches:
 
 * **Grouping.** All queries sharing an interval also share the
   topic–item matrix (and, for TCAM, the temporal-context score vector
@@ -25,10 +28,10 @@ traffic. This module amortises per-query cost across batches:
   In float64 mode the returned items, scores and tie order are exactly
   those of :func:`~repro.recommend.threshold.ta_topk`.
 * **Bounded caching.** A :class:`ServingCache` of small LRU regions
-  replaces the recommender's previously unbounded index dict: sorted
-  TA indexes, contiguous item–topic transposes, per-interval context
-  score vectors and per-user exclusion masks are all capped, with
-  hit/miss/eviction counters surfaced on
+  holds the derived serving state: contiguous item–topic transposes,
+  per-interval context score vectors, per-user exclusion masks and —
+  only for the reference engine — sorted TA indexes are all capped by
+  entry count, with hit/miss/eviction counters surfaced on
   :class:`~repro.recommend.recommender.ServingStatus`.
 * **int8 selection.** ``dtype="int8"`` runs selection through
   :mod:`repro.recommend.quantize`: a compressed copy of the selection
@@ -99,14 +102,12 @@ class CacheStats:
     hits, misses:
         Lookup outcomes since the cache was created.
     evictions:
-        Entries displaced by the LRU capacity or byte bounds.
+        Entries displaced by the LRU capacity bound.
     size, capacity:
         Current and maximum entry counts.
-    bytes, max_bytes:
+    bytes:
         Current accounted payload bytes (``ndarray.nbytes`` of the
-        cached values) and the byte budget (0 = entry-count bound only).
-    evicted_bytes:
-        Total payload bytes displaced by evictions so far.
+        cached values).
     """
 
     hits: int = 0
@@ -115,8 +116,6 @@ class CacheStats:
     size: int = 0
     capacity: int = 0
     bytes: int = 0
-    max_bytes: int = 0
-    evicted_bytes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -125,7 +124,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Combine two regions' counters (capacities and budgets add)."""
+        """Combine two regions' counters (capacities add)."""
         return CacheStats(
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
@@ -133,8 +132,6 @@ class CacheStats:
             size=self.size + other.size,
             capacity=self.capacity + other.capacity,
             bytes=self.bytes + other.bytes,
-            max_bytes=self.max_bytes + other.max_bytes,
-            evicted_bytes=self.evicted_bytes + other.evicted_bytes,
         )
 
 
@@ -142,11 +139,9 @@ def value_nbytes(value: object) -> int:
     """Accounted payload bytes of one cached value.
 
     Arrays (and anything exposing ``nbytes``, e.g.
-    :class:`~repro.recommend.quantize.QuantizedMatrix` or
-    :class:`~repro.recommend.threshold.SortedTopicLists`) report their
-    buffer size; other values are accounted as zero bytes — the byte
-    budget is a guard against large array payloads, not a general
-    memory profiler.
+    :class:`~repro.recommend.quantize.QuantizedMatrix`) report their
+    buffer size; other values are accounted as zero bytes — the count
+    tracks large array payloads, it is not a general memory profiler.
     """
     nbytes = getattr(value, "nbytes", None)
     if isinstance(nbytes, (int, np.integer)):
@@ -170,25 +165,17 @@ class LRUCache(Generic[_V]):
     read-only accessors (:meth:`peek`, ``cache[key]``, ``len``) stay
     lock-free: they never restructure the mapping.
 
-    ``max_bytes`` adds an optional byte budget on top of the entry
-    bound: payloads are accounted with :func:`value_nbytes` and the LRU
-    tail is evicted until the budget holds again. A single value larger
-    than the whole budget is evicted immediately (it is never worth the
-    entire cache). ``max_bytes=None`` (the default) keeps the original
-    entry-count-only behaviour.
+    Payload bytes are accounted with :func:`value_nbytes` and reported
+    in :class:`CacheStats`; only the entry count bounds the cache.
     """
 
-    def __init__(self, capacity: int, max_bytes: int | None = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive or None, got {max_bytes}")
         self.capacity = capacity
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.evicted_bytes = 0
         self._bytes = 0
         self._lock = threading.RLock()
         self._data: OrderedDict[Hashable, _V] = OrderedDict()
@@ -224,27 +211,17 @@ class LRUCache(Generic[_V]):
         return self._data.get(key, default)
 
     def put(self, key: Hashable, value: _V) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries while full.
-
-        Both bounds are enforced: the entry count, and — when
-        ``max_bytes`` is set — the accounted payload bytes.
-        """
+        """Insert (or refresh) an entry, evicting LRU entries while full."""
         with self._lock:
             previous = self._data.pop(key, None)
             if previous is not None:
                 self._bytes -= value_nbytes(previous)
             self._data[key] = value
             self._bytes += value_nbytes(value)
-            while len(self._data) > self.capacity or (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._data) > 0
-            ):
+            while len(self._data) > self.capacity:
                 _, evicted = self._data.popitem(last=False)
                 self.evictions += 1
-                freed = value_nbytes(evicted)
-                self.evicted_bytes += freed
-                self._bytes -= freed
+                self._bytes -= value_nbytes(evicted)
 
     def discard(self, key: Hashable) -> None:
         """Drop one entry if present (no counters touched)."""
@@ -277,8 +254,6 @@ class LRUCache(Generic[_V]):
             size=len(self._data),
             capacity=self.capacity,
             bytes=self._bytes,
-            max_bytes=self.max_bytes if self.max_bytes is not None else 0,
-            evicted_bytes=self.evicted_bytes,
         )
 
 
@@ -289,9 +264,10 @@ class ServingCache:
 
     ``indexes``
         :class:`~repro.recommend.threshold.SortedTopicLists` per
-        topic–item matrix key — TTCAM needs one entry ever, ITCAM one
-        per *distinct recently queried* interval (previously this grew
-        without bound).
+        topic–item matrix key, built only when a caller asks for the
+        reference engine (``recommend(method="ta")``) — TTCAM needs one
+        entry ever, ITCAM one per *distinct recently queried* interval.
+        The batch scorer never reads or fills this region.
     ``matrices``
         Contiguous ``(V, K)`` item–topic transposes used by the exact
         rescoring pass, plus the int8 selection matrices and the
@@ -312,12 +288,6 @@ class ServingCache:
         sizing guidance (roughly: indexes/matrices ≈ working set of hot
         intervals; contexts ≈ intervals per serving window; masks ≈
         concurrently active users).
-    index_max_bytes, matrix_max_bytes, context_max_bytes, mask_max_bytes:
-        Optional per-region byte budgets (``None`` = entry count only,
-        the default — existing behaviour is unchanged). Payloads are
-        accounted via ``ndarray.nbytes``; evicted bytes are surfaced in
-        :class:`CacheStats`. Budgets matter at million-item scale, where
-        one ``(V, K)`` rescore transpose is hundreds of megabytes.
     """
 
     def __init__(
@@ -326,23 +296,11 @@ class ServingCache:
         matrix_capacity: int = 8,
         context_capacity: int = 256,
         mask_capacity: int = 4096,
-        index_max_bytes: int | None = None,
-        matrix_max_bytes: int | None = None,
-        context_max_bytes: int | None = None,
-        mask_max_bytes: int | None = None,
     ) -> None:
-        self.indexes: LRUCache[SortedTopicLists] = LRUCache(
-            index_capacity, max_bytes=index_max_bytes
-        )
-        self.matrices: LRUCache[AnyArray | QuantizedMatrix] = LRUCache(
-            matrix_capacity, max_bytes=matrix_max_bytes
-        )
-        self.contexts: LRUCache[AnyArray | ContextVector] = LRUCache(
-            context_capacity, max_bytes=context_max_bytes
-        )
-        self.masks: LRUCache[BoolArray] = LRUCache(
-            mask_capacity, max_bytes=mask_max_bytes
-        )
+        self.indexes: LRUCache[SortedTopicLists] = LRUCache(index_capacity)
+        self.matrices: LRUCache[AnyArray | QuantizedMatrix] = LRUCache(matrix_capacity)
+        self.contexts: LRUCache[AnyArray | ContextVector] = LRUCache(context_capacity)
+        self.masks: LRUCache[BoolArray] = LRUCache(mask_capacity)
 
     def regions(self) -> dict[str, LRUCache[Any]]:
         """The four named regions."""
@@ -408,56 +366,6 @@ def check_serve_dtype(dtype: str) -> str:
     if dtype not in _SERVE_DTYPES:
         raise ValueError(f"serve dtype must be one of {_SERVE_DTYPES}, got {dtype!r}")
     return dtype
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Declarative serving knobs (the engine-config idiom, serving-side).
-
-    Bundles the levers of :class:`BatchScorer` / :class:`ServingCache`
-    the way :class:`~repro.core.engine.EMEngineConfig` bundles the EM
-    engine's, so deployments can pass one validated object instead of
-    loose keyword arguments::
-
-        config = ServingConfig(select_dtype="int8", cache_max_bytes=256 << 20)
-        recommender = TemporalRecommender(model, config=config)
-
-    Attributes
-    ----------
-    select_dtype:
-        Candidate-selection dtype: ``"float64"`` (fixed small margin)
-        or ``"int8"`` (quantized selection with a proven margin); both
-        return bitwise-identical results.
-    row_block:
-        Queries scored per GEMM block.
-    cache_max_bytes:
-        Optional total byte budget for the serving cache, split across
-        the two array-heavy regions (matrices and indexes get 3/8 each,
-        contexts 2/8); ``None`` keeps entry-count bounds only.
-    """
-
-    select_dtype: str = "float64"
-    row_block: int = DEFAULT_ROW_BLOCK
-    cache_max_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        check_serve_dtype(self.select_dtype)
-        if self.row_block <= 0:
-            raise ValueError(f"row_block must be positive, got {self.row_block}")
-        if self.cache_max_bytes is not None and self.cache_max_bytes <= 0:
-            raise ValueError(
-                f"cache_max_bytes must be positive or None, got {self.cache_max_bytes}"
-            )
-
-    def build_cache(self) -> ServingCache:
-        """A :class:`ServingCache` honouring the configured byte budget."""
-        if self.cache_max_bytes is None:
-            return ServingCache()
-        return ServingCache(
-            index_max_bytes=max(1, self.cache_max_bytes * 3 // 8),
-            matrix_max_bytes=max(1, self.cache_max_bytes * 3 // 8),
-            context_max_bytes=max(1, self.cache_max_bytes * 2 // 8),
-        )
 
 
 def exact_rescore(
@@ -617,10 +525,9 @@ class BatchScorer:
     def _item_topic(self, interval: int, users: Sequence[int]) -> FloatArray:
         """Contiguous ``(V, K)`` transpose used by the exact rescore pass.
 
-        Reuses the transpose already held by a cached
-        :class:`~repro.recommend.threshold.SortedTopicLists` when the TA
-        engines built one for the same matrix; otherwise builds and
-        caches it in the ``matrices`` region.
+        Served from the model's parameter store when it persists one,
+        otherwise built once per matrix key and cached in the
+        ``matrices`` region.
         """
         key = self._matrix_key(interval)
         if key is None:
@@ -630,9 +537,6 @@ class BatchScorer:
             stored = store.item_topic(key)
             if stored is not None:
                 return stored  # type: ignore[no-any-return]
-        lists = self.cache.indexes.peek(key)
-        if lists is not None:
-            return lists.item_topic
         cache_key = ("item_topic", key)
         item_topic = self.cache.matrices.get(cache_key)
         if item_topic is None:
@@ -678,8 +582,8 @@ class BatchScorer:
         float64 matrix, so it happens at most once per ``(key, dtype)``
         and the compact result lives in the ``matrices`` cache region.
         Store-backed forms are returned directly — the store memoises
-        its mmap-backed arrays and they should not count against the
-        cache byte budget (they are pageable, not resident).
+        its mmap-backed arrays and they stay out of the cache's byte
+        count (they are pageable, not resident).
         """
         store = self._store()
         if store is not None and tag == "qsel":

@@ -6,21 +6,26 @@ applies: pre-sort each topic's items by weight, walk the lists from the
 top, and stop as soon as the k-th best score found exceeds the largest
 score any unexamined item could still reach (Equation 23).
 
-Two engines are provided:
+Three engines are provided:
 
 * :func:`ta_topk` — the paper's Algorithm 1: a priority queue over lists
   keyed by the *full ranking score of each list's front item*, popping
-  from the most promising list first.
+  from the most promising list first. The bitwise oracle of the batch
+  scorer (``TemporalRecommender.recommend(..., method="ta")``).
 * :func:`classic_ta_topk` — textbook round-robin TA (Fagin, Lotem &
-  Naor), for the ablation comparing access strategies.
-* :func:`batched_ta_topk` — the production engine: identical threshold
+  Naor), the baseline of the TA-variants ablation.
+* :func:`batched_ta_topk` — Fig. 8's timed engine: identical threshold
   semantics, but sorted access proceeds in vectorised blocks so the
   per-item cost is a numpy kernel rather than interpreted Python. Still
   exact; examines at most one extra block per termination check.
 
-Both return exactly the brute-force top-k scores; the accompanying
+All return exactly the brute-force top-k scores; the accompanying
 :class:`~repro.recommend.ranking.TopKResult` reports how much of the
-catalogue was actually scored.
+catalogue was actually scored. They are reference implementations of
+Section 4.2: served queries go through
+:mod:`repro.recommend.serving`, and only ``ta_topk`` is reachable from
+the recommender (per call); the other two are imported directly by the
+Fig. 8 benchmark and the ablation.
 """
 
 from __future__ import annotations

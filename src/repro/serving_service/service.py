@@ -62,6 +62,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..recommend.recommender import query_pairs
 from ..robustness.errors import ServiceDrainingError
 from ..streaming.publisher import GenerationFile
 from .batching import BatchRequest, MicroBatchQueue
@@ -389,9 +390,9 @@ class ServingService:
         if not isinstance(raw, list) or not raw:
             return error_response(request_id, "queries must be a non-empty list")
         try:
-            queries = [(int(pair[0]), int(pair[1])) for pair in raw]
-        except (TypeError, ValueError, IndexError):
-            return error_response(request_id, "queries must be [user, interval] pairs")
+            queries = query_pairs(raw)
+        except (TypeError, ValueError):
+            return error_response(request_id, "queries must be [user, interval] integer pairs")
         k = int(message.get("k", self.config.default_k))
         if k <= 0:
             return error_response(request_id, "k must be positive")

@@ -105,9 +105,7 @@ def serve_requests(
         groups.setdefault(int(request["k"]), []).append(position)
     out: list[dict[str, Any]] = [{} for _ in requests]
     for k, positions in groups.items():
-        flat: list[tuple[int, int]] = []
-        for position in positions:
-            flat.extend((int(u), int(t)) for u, t in requests[position]["queries"])
+        flat = [pair for position in positions for pair in requests[position]["queries"]]
         try:
             results, statuses = recommender.recommend_batch_with_status(
                 flat, k=k, dtype=dtype

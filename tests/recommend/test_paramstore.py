@@ -7,6 +7,7 @@ loudly (``SnapshotCorruptError``) on any tampering, and — through
 eager path while degrading gracefully when the sidecar is missing.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -58,15 +59,14 @@ class TestRoundTrip:
         store = ParamStore.for_snapshot(snapshot)
         if hasattr(eager, "phi_time"):  # TTCAM: one static matrix
             lists = SortedTopicLists.build(eager.topic_item_matrix())
-            stored = store.sorted_lists("static")
-            assert stored is not None
-            assert np.array_equal(stored.order, lists.order)
-            assert np.array_equal(stored.values, lists.values)
-            assert np.array_equal(stored.item_topic, lists.item_topic)
             assert np.array_equal(store.item_topic("static"), lists.item_topic)
         else:  # ITCAM: per-interval matrices are not persisted
-            assert store.sorted_lists(0) is None
             assert store.item_topic(0) is None
+        # The TA sorted lists are no longer derived or persisted: no
+        # serving path reads them.
+        assert store.array("sorted_order") is None
+        assert store.array("sorted_values") is None
+        assert not list(store.directory.glob("sorted_*"))
         stored_q = store.quantized_selection("int8")
         fresh = quantize_matrix(np.asarray(eager.phi), "int8")
         assert stored_q is not None
@@ -232,6 +232,47 @@ class TestMmapServing:
             r_mmap = mapped.recommend(user, interval, k=5)
             assert r_mmap.items == r_eager.items
             assert r_mmap.scores == r_eager.scores
+
+    def test_sidecar_with_sorted_lists_still_opens_and_serves(self, tmp_path):
+        # The layout older writers produced: the same tcam-store-v2
+        # manifest plus sorted_order / sorted_values entries. The extra
+        # entries are mapped, hash-checked and otherwise ignored.
+        model = make_ttcam(np.random.default_rng(29), num_items=70)
+        path = save_params(model.params_, tmp_path / "old.npz", mmap_layout=True)
+        directory = store_dir(path)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == "tcam-store-v2"
+        lists = SortedTopicLists.build(model.params_.topic_item_matrix())
+        for name, array in (("sorted_order", lists.order), ("sorted_values", lists.values)):
+            np.save(directory / f"{name}.npy", array)
+            manifest["arrays"][name] = {
+                "file": f"{name}.npy",
+                "dtype": str(array.dtype),
+                "shape": list(array.shape),
+                "sha256": hashlib.sha256((directory / f"{name}.npy").read_bytes()).hexdigest(),
+            }
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+        store = ParamStore.for_snapshot(path)
+        store.verify()
+        assert np.array_equal(store.array("sorted_order"), lists.order)
+        eager = TemporalRecommender(LoadedModel.from_file(path))
+        mapped_model = LoadedModel.from_file(path, mmap=True)
+        assert mapped_model.param_store is not None
+        mapped = TemporalRecommender(mapped_model)
+        queries = [(u % 12, u % 5) for u in range(14)]
+        for dtype in ("float64", "int8"):
+            for want, got in zip(
+                eager.recommend_batch(queries, k=6),
+                mapped.recommend_batch(queries, k=6, dtype=dtype),
+            ):
+                assert got.items == want.items
+                assert [x.hex() for x in got.scores] == [x.hex() for x in want.scores]
+        for method in (None, "ta"):
+            want = eager.recommend(3, 2, k=5, method=method)
+            got = mapped.recommend(3, 2, k=5, method=method)
+            assert (got.items, got.scores) == (want.items, want.scores)
 
     def test_missing_sidecar_degrades_with_warning(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.itcam import ITCAM
 from repro.core.ttcam import TTCAM
+from repro.recommend.ranking import QuerySpace
 from repro.recommend.recommender import TemporalRecommender
+from repro.recommend.threshold import SortedTopicLists, batched_ta_topk
 import tests.conftest as c
 
 
@@ -23,7 +25,7 @@ class TestMethods:
         rec = TemporalRecommender(ttcam)
         for user, interval in [(0, 0), (7, 5), (30, 11)]:
             bf = rec.recommend(user, interval, k=8, method="bf")
-            for engine in ("ta", "classic-ta", "batched-ta"):
+            for engine in ("ta", None):
                 other = rec.recommend(user, interval, k=8, method=engine)
                 np.testing.assert_allclose(
                     sorted(bf.scores), sorted(other.scores), atol=1e-12
@@ -31,9 +33,15 @@ class TestMethods:
 
     def test_batched_ta_same_items_as_bruteforce(self, models):
         _, ttcam, _ = models
-        rec = TemporalRecommender(ttcam, method="batched-ta")
-        bf = rec.recommend(2, 3, k=10, method="bf")
-        bta = rec.recommend(2, 3, k=10)
+        # batched_ta_topk is a plain function (Fig. 8's timed engine),
+        # no longer a recommender engine: call it directly.
+        bf = TemporalRecommender(ttcam).recommend(2, 3, k=10, method="bf")
+        weights, matrix = ttcam.query_space(2, 3)
+        bta = batched_ta_topk(
+            QuerySpace(weights=weights, item_matrix=matrix),
+            SortedTopicLists.build(matrix),
+            10,
+        )
         assert bta.items == bf.items
 
     def test_itcam_engines_agree(self, models):
@@ -46,17 +54,24 @@ class TestMethods:
 
     def test_default_method_used(self, models):
         _, ttcam, _ = models
-        rec = TemporalRecommender(ttcam, method="bf")
+        # The default is the batch scorer — it rescores a candidate set,
+        # never the whole catalogue, and builds no TA index.
+        rec = TemporalRecommender(ttcam)
         result = rec.recommend(0, 0, k=3)
-        assert result.items_scored == ttcam.params_.num_items
+        assert result.items_scored < ttcam.params_.num_items
+        assert result.sorted_accesses == 0
+        assert len(rec.serving_cache.indexes) == 0
+        assert rec.recommend(0, 0, k=3, method="bf").items_scored == (
+            ttcam.params_.num_items
+        )
 
     def test_invalid_method_rejected(self, models):
         _, ttcam, _ = models
-        with pytest.raises(ValueError):
-            TemporalRecommender(ttcam, method="magic")
         rec = TemporalRecommender(ttcam)
-        with pytest.raises(ValueError):
-            rec.recommend(0, 0, method="magic")
+        for removed in ("magic", "batched-ta", "classic-ta"):
+            with pytest.raises(ValueError, match="method must be one of"):
+                rec.recommend(0, 0, method=removed)
+        assert TemporalRecommender._METHODS == ("ta", "bf")
 
     def test_exclusion_passthrough(self, models):
         _, ttcam, _ = models
@@ -97,14 +112,3 @@ class TestCaching:
         assert status.cache.misses >= 1
         _, status = rec.recommend_with_status(1, 0, k=3)
         assert status.cache.hits >= 1
-
-    def test_precompute_ttcam(self, models):
-        _, ttcam, _ = models
-        rec = TemporalRecommender(ttcam)
-        assert rec.precompute() == 1
-
-    def test_precompute_itcam_intervals(self, models):
-        _, _, itcam = models
-        rec = TemporalRecommender(itcam)
-        count = rec.precompute(intervals=np.array([0, 1, 2]))
-        assert count == 3

@@ -24,7 +24,6 @@ from repro.recommend.serving import (
     CacheStats,
     LRUCache,
     ServingCache,
-    ServingConfig,
     check_serve_dtype,
     select_candidates,
     value_nbytes,
@@ -144,8 +143,6 @@ class TestBatchExactness:
             rec.recommend_batch([(0, 0)], k=5, dtype="int4")
         with pytest.raises(ValueError):
             check_serve_dtype("bfloat16")
-        with pytest.raises(ValueError):
-            TemporalRecommender(rec.model, serve_dtype="bfloat16")
         assert check_serve_dtype("float64") == "float64"
         assert check_serve_dtype("int8") == "int8"
 
@@ -155,8 +152,6 @@ class TestBatchExactness:
         rec = TemporalRecommender(make_ttcam(np.random.default_rng(0)))
         for call in (
             lambda: check_serve_dtype(dtype),
-            lambda: ServingConfig(select_dtype=dtype),
-            lambda: TemporalRecommender(rec.model, serve_dtype=dtype),
             lambda: rec.recommend_batch([(0, 0)], k=5, dtype=dtype),
             lambda: rec._scorer().serve_group(0, [0], 5, None, dtype),
         ):
@@ -382,6 +377,184 @@ class TestPerRowDegradation:
             rec.recommend_batch([(0, 0), (999, 0)], k=3)
 
 
+class _Flaky:
+    """A ``query_space`` provider whose primary raises for one interval."""
+
+    def __init__(self, inner, bad_interval):
+        self.inner = inner
+        self.params_ = inner.params_
+        self.name = f"flaky-{inner.name}"
+        self.bad_interval = bad_interval
+
+    def query_space(self, user, interval):
+        """The wrapped model's query space, or a serve-time failure."""
+        if interval == self.bad_interval:
+            raise RuntimeError("boom")
+        return self.inner.query_space(user, interval)
+
+    def matrix_cache_key(self, interval):
+        """Delegates, so TA's index is cached like the wrapped model's."""
+        return self.inner.matrix_cache_key(interval)
+
+
+_ONE_PATH_KINDS = ["ttcam", "itcam", "background"]
+
+
+def _one_path_model(kind, seed, tiny_cuboid):
+    """TTCAM, ITCAM (split fast paths) or BackgroundTTCAM (generic path)."""
+    if kind == "background":
+        from repro.extensions.background import BackgroundTTCAM
+
+        return BackgroundTTCAM(3, 2, max_iter=3, seed=seed % 3).fit(tiny_cuboid[0])
+    maker = make_ttcam if kind == "ttcam" else make_itcam
+    return maker(np.random.default_rng(seed))
+
+
+def _status_key(status):
+    return (status.degraded, status.served_by, status.reason, status.attempted)
+
+
+class TestOneQueryPath:
+    """``recommend`` is a batch of one; TA and BF are references inside it."""
+
+    @given(seed=st.integers(0, 5_000), kind=st.sampled_from(_ONE_PATH_KINDS))
+    @settings(max_examples=20, deadline=None)
+    def test_four_spellings_agree_on_answer_and_status(self, tiny_cuboid, seed, kind):
+        model = _one_path_model(kind, seed, tiny_cuboid)
+        num_users = model.params_.num_users
+        num_intervals = model.params_.num_intervals
+        num_items = model.params_.num_items
+        rng = np.random.default_rng(seed)
+        bad_interval = int(rng.integers(0, num_intervals))
+        fallback = _ArangeFallback(num_items)
+        healthy = TemporalRecommender(model, fallbacks=[fallback])
+        flaky = TemporalRecommender(_Flaky(model, bad_interval), fallbacks=[fallback])
+        cases = [  # (recommender, user, interval): in range, out of range, raises
+            (healthy, int(rng.integers(0, num_users)), int(rng.integers(0, num_intervals))),
+            (healthy, num_users + 3, 0),
+            (healthy, 0, num_intervals + 1),
+            (flaky, int(rng.integers(0, num_users)), bad_interval),
+        ]
+        for rec, user, interval in cases:
+            for k in (1, 5):
+                for exclude in (None, rng.choice(num_items, size=4, replace=False)):
+                    answers = {
+                        "single": rec.recommend_with_status(user, interval, k=k, exclude=exclude),
+                        "ta": rec.recommend_with_status(
+                            user, interval, k=k, exclude=exclude, method="ta"
+                        ),
+                        "bf": rec.recommend_with_status(
+                            user, interval, k=k, exclude=exclude, method="bf"
+                        ),
+                    }
+                    rows, statuses = rec.recommend_batch_with_status(
+                        [(user, interval)], k=k, exclude=exclude
+                    )
+                    answers["batch"] = (rows[0], statuses[0])
+                    want, want_status = answers["ta"]
+                    for name, (got, status) in answers.items():
+                        assert got.items == want.items, (name, user, interval)
+                        if name == "bf" and not status.degraded:
+                            # bruteforce_topk scores by one GEMV — ULPs away
+                            # from the per-item dot TA and the rescore share.
+                            np.testing.assert_allclose(got.scores, want.scores, atol=1e-12)
+                        else:
+                            assert [x.hex() for x in got.scores] == [
+                                x.hex() for x in want.scores
+                            ], (name, user, interval)
+                        assert _status_key(status) == _status_key(want_status), name
+                    if exclude is not None:
+                        assert not set(want.items) & set(exclude.tolist())
+        assert _status_key(answers["ta"][1]) == (
+            True, "arange-fallback", "primary model failed: boom", (flaky.model.name,)
+        )
+
+    @pytest.mark.parametrize("kind", _ONE_PATH_KINDS)
+    def test_default_recommend_builds_no_ta_index(self, kind, tiny_cuboid):
+        rec = TemporalRecommender(_one_path_model(kind, 1, tiny_cuboid))
+        rec.recommend(0, 0, k=5)
+        rec.recommend_batch([(1, 1), (2, 0)], k=5)
+        assert len(rec.serving_cache.indexes) == 0
+        # Only the explicit reference engine builds (and then caches) one.
+        rec.recommend(0, 0, k=5, method="bf")
+        assert len(rec.serving_cache.indexes) == 0
+        rec.recommend(0, 0, k=5, method="ta")
+        built = rec.serving_cache.indexes.peek(rec.model.matrix_cache_key(0))
+        assert built is not None
+        rec.recommend(1, 0, k=5, method="ta")
+        assert rec.serving_cache.indexes.peek(rec.model.matrix_cache_key(0)) is built
+
+
+class TestCallerErrors:
+    """Bad caller input is a ``ValueError``, never a degraded answer."""
+
+    BAD_EXCLUDES = [
+        np.array([60]),  # == V
+        np.array([3, 999]),
+        np.array([-1]),  # would wrap around to item V-1
+        [5, -2],
+        {0: np.array([999])},
+        {0: [-1], 1: [2]},
+    ]
+
+    @pytest.mark.parametrize("with_fallback", [False, True])
+    @pytest.mark.parametrize("exclude", BAD_EXCLUDES)
+    def test_out_of_range_exclude_ids(self, exclude, with_fallback):
+        model = make_ttcam(np.random.default_rng(0))  # V = 60
+        fallbacks = [_ArangeFallback(60)] if with_fallback else []
+        rec = TemporalRecommender(model, fallbacks=fallbacks)
+        with pytest.raises(ValueError, match=r"exclude ids must be integers in \[0, 60\)"):
+            rec.recommend_batch([(0, 0), (1, 1)], k=3, exclude=exclude)
+        if not isinstance(exclude, dict):
+            for method in (None, "ta", "bf"):
+                with pytest.raises(ValueError, match="exclude ids"):
+                    rec.recommend(0, 0, k=3, exclude=exclude, method=method)
+        assert rec.last_status is None  # nothing was served, degraded or not
+
+    def test_exclude_of_users_outside_the_batch_is_not_inspected(self):
+        rec = TemporalRecommender(make_ttcam(np.random.default_rng(0)))
+        rows = rec.recommend_batch([(0, 0)], k=3, exclude={0: [1, 59], 7: [999]})
+        assert not {1, 59} & set(rows[0].items)
+        assert rec.recommend_batch([(0, 0)], k=3, exclude=[]) is not None
+
+    def test_negative_exclude_id_refused_without_fitted_dimensions(self):
+        # A fallback-only recommender knows no catalogue size; the sign
+        # check still applies.
+        rec = TemporalRecommender(None, fallbacks=[_ArangeFallback(30)])
+        with pytest.raises(ValueError, match="exclude ids"):
+            rec.recommend(0, 0, k=3, exclude=np.array([-1]))
+
+    @pytest.mark.parametrize(
+        "queries",
+        [[(0.7, 0)], [(0, 1.5)], [(0, 0), (float("nan"), 0)], [("0", 0)], np.array([[0.5, 1.0]])],
+    )
+    def test_non_integral_query_ids(self, queries):
+        rec = TemporalRecommender(
+            make_ttcam(np.random.default_rng(0)), fallbacks=[_ArangeFallback(60)]
+        )
+        with pytest.raises(ValueError, match="query ids must be integers"):
+            rec.recommend_batch(queries, k=3)
+
+    def test_integral_valued_ids_of_any_numeric_type_are_accepted(self):
+        rec = TemporalRecommender(make_ttcam(np.random.default_rng(0)))
+        want = rec.recommend_batch([(3, 2)], k=3)[0]
+        for queries in ([(3.0, 2.0)], np.array([[3, 2]]), [(np.int32(3), np.int64(2))]):
+            assert rec.recommend_batch(queries, k=3)[0].items == want.items
+
+    def test_nonpositive_k_is_the_same_error_on_every_spelling(self):
+        rec = TemporalRecommender(
+            make_ttcam(np.random.default_rng(0)), fallbacks=[_ArangeFallback(60)]
+        )
+        for call in (
+            lambda: rec.recommend(0, 0, k=0),
+            lambda: rec.recommend(0, 0, k=0, method="ta"),
+            lambda: rec.recommend_with_status(0, 0, k=-1),
+            lambda: rec.recommend_batch([(0, 0)], k=0),
+        ):
+            with pytest.raises(ValueError, match="k must be positive"):
+                call()
+
+
 class TestScratchReuse:
     def test_repeated_queries_are_isolated(self):
         rng = np.random.default_rng(2)
@@ -488,39 +661,30 @@ class TestWallClockCeiling:
 
 
 class TestLRUCacheByteBudget:
+    """Payload bytes are accounted and reported; only entries bound the cache."""
+
     def test_byte_eviction_order_and_counters(self):
-        cache = LRUCache(capacity=10, max_bytes=100)
+        cache = LRUCache(capacity=2)
         cache.put("a", np.zeros(5))  # 40 bytes
         cache.put("b", np.zeros(5))  # 80 bytes total
         assert cache.bytes == 80
-        cache.put("c", np.zeros(5))  # 120 → evict LRU "a"
+        cache.put("c", np.zeros(10))  # third entry → evict LRU "a"
         assert cache.peek("a") is None
         assert cache.peek("b") is not None
         stats = cache.stats()
-        assert stats.bytes == 80
-        assert stats.max_bytes == 100
+        assert stats.bytes == 120
         assert stats.evictions == 1
-        assert stats.evicted_bytes == 40
 
     def test_replacement_reaccounts_bytes(self):
-        cache = LRUCache(capacity=4, max_bytes=1000)
+        cache = LRUCache(capacity=4)
         cache.put("k", np.zeros(10))
         cache.put("k", np.zeros(5))
         assert cache.bytes == 40
         cache.discard("k")
         assert cache.bytes == 0
 
-    def test_oversize_value_never_worth_the_cache(self):
-        cache = LRUCache(capacity=4, max_bytes=64)
-        cache.put("small", np.zeros(4))  # 32 bytes, fits
-        cache.put("big", np.zeros(100))  # 800 bytes, over the whole budget
-        assert cache.peek("big") is None
-        stats = cache.stats()
-        assert stats.bytes <= 64
-        assert stats.evicted_bytes >= 800
-
     def test_clear_resets_bytes(self):
-        cache = LRUCache(capacity=4, max_bytes=1000)
+        cache = LRUCache(capacity=4)
         cache.put("a", np.zeros(10))
         cache.clear()
         assert cache.bytes == 0
@@ -531,52 +695,17 @@ class TestLRUCacheByteBudget:
         cache.put("a", np.zeros(1_000))
         cache.put("b", np.zeros(1_000))
         assert len(cache) == 2  # far over any plausible byte budget
-        assert cache.stats().max_bytes == 0
+        assert cache.bytes == 16_000
         cache.put("c", np.zeros(1_000))
         assert len(cache) == 2  # the entry bound still evicts
-
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            LRUCache(capacity=2, max_bytes=0)
+        # The byte budgets are gone, not defaulted off.
+        with pytest.raises(TypeError):
+            LRUCache(capacity=2, max_bytes=100)
+        with pytest.raises(TypeError):
+            ServingCache(context_max_bytes=200)
+        assert not hasattr(cache.stats(), "max_bytes")
+        assert not hasattr(cache.stats(), "evicted_bytes")
 
     def test_value_nbytes_accounting(self):
         assert value_nbytes(np.zeros(8)) == 64
         assert value_nbytes("not an array") == 0
-
-    def test_serving_cache_budgets_bound_resident_arrays(self):
-        cache = ServingCache(context_capacity=64, context_max_bytes=200)
-        for interval in range(16):
-            cache.contexts.put(("ctx", interval), np.zeros(5))
-        assert cache.contexts.bytes <= 200
-        assert cache.stats().evicted_bytes > 0
-
-
-class TestServingConfig:
-    def test_build_cache_splits_budget(self):
-        cache = ServingConfig(cache_max_bytes=8_000).build_cache()
-        assert cache.indexes.max_bytes == 3_000
-        assert cache.matrices.max_bytes == 3_000
-        assert cache.contexts.max_bytes == 2_000
-        assert ServingConfig().build_cache().matrices.max_bytes is None
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="dtype"):
-            ServingConfig(select_dtype="int4")
-        with pytest.raises(ValueError, match="cache_max_bytes"):
-            ServingConfig(cache_max_bytes=0)
-        with pytest.raises(ValueError, match="row_block"):
-            ServingConfig(row_block=0)
-
-    def test_recommender_honours_config(self):
-        rng = np.random.default_rng(13)
-        model = make_ttcam(rng)
-        config = ServingConfig(select_dtype="int8", cache_max_bytes=1 << 20)
-        rec = TemporalRecommender(model, config=config)
-        reference = TemporalRecommender(model)
-        queries = [(u, u % 5) for u in range(12)]
-        batch = rec.recommend_batch(queries, k=5)  # int8 via config default
-        expected = reference.recommend_batch(queries, k=5)
-        for got, want in zip(batch, expected):
-            assert got.items == want.items
-            assert got.scores == want.scores
-        assert rec.serving_cache.contexts.max_bytes is not None

@@ -150,9 +150,3 @@ class TestFallbackChain:
         expected = np.sort(popularity.score_items(10_000, 0))[::-1][:5]
         np.testing.assert_allclose(scores, expected)
 
-    def test_degraded_precompute_is_a_noop(self, snapshot, popularity):
-        truncate_file(snapshot, keep_fraction=0.4)
-        recommender = TemporalRecommender.from_snapshot(
-            snapshot, fallbacks=[popularity]
-        )
-        assert recommender.precompute() == 0

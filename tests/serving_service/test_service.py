@@ -111,6 +111,10 @@ class TestReadPath:
                 client.request({"queries": []})
             with pytest.raises(ServiceError, match="pairs"):
                 client.request({"queries": ["nope"]})
+            # a non-integral id is refused, never truncated to user 0
+            for bad in ([[0.7, 0]], [[0, 0], [1, 2.5]], [[0, "1"]], [[0, 0, 0]]):
+                with pytest.raises(ServiceError, match="integer pairs"):
+                    client.request({"queries": bad})
             with pytest.raises(ServiceError, match="k must be positive"):
                 client.request({"queries": [[0, 0]], "k": 0})
             with pytest.raises(ServiceError, match="unknown op"):

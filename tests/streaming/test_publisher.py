@@ -31,7 +31,7 @@ def perturbed(params, seed):
 
 @pytest.fixture()
 def recommender(stream_base):
-    return TemporalRecommender(LoadedModel(stream_base), method="bf")
+    return TemporalRecommender(LoadedModel(stream_base))
 
 
 class TestGate:

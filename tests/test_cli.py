@@ -168,21 +168,29 @@ class TestRecommend:
         assert code == 2
 
     def test_engine_choices(self, snapshot, capsys):
-        for engine in ("bf", "batched-ta"):
-            code = main(
-                [
-                    "recommend",
-                    "--model",
-                    str(snapshot),
-                    "--user",
-                    "1",
-                    "--interval",
-                    "2",
-                    "--engine",
-                    engine,
-                ]
-            )
-            assert code == 0
+        base = ["recommend", "--model", str(snapshot), "--user", "1", "--interval", "2"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert "[batch: fully scored" in default
+        for engine in ("bf", "ta"):
+            assert main(base + ["--engine", engine]) == 0
+            out = capsys.readouterr().out
+            assert f"[{engine}: fully scored" in out
+            # the reference engines print the batch scorer's ranking
+            assert [line.split()[2] for line in out.splitlines()[:10]] == [
+                line.split()[2] for line in default.splitlines()[:10]
+            ]
+        for removed in ("batched-ta", "classic-ta"):
+            with pytest.raises(SystemExit) as refused:
+                main(base + ["--engine", removed])
+            assert refused.value.code == 2
+
+    def test_nonpositive_k_is_a_clean_error(self, snapshot, capsys):
+        code = main(
+            ["recommend", "--model", str(snapshot), "--user", "1", "--interval", "2", "-k", "0"]
+        )
+        assert code == 2
+        assert "k must be positive" in capsys.readouterr().err
 
     def test_missing_query_and_batch_file_rejected(self, snapshot, capsys):
         code = main(["recommend", "--model", str(snapshot)])
