@@ -62,7 +62,7 @@ SMOKE_SCALES = [(6, 500, 5, 32)]
 #: variant's resident footprint. Same tuple shape as ``SCALES``.
 MILLION_SCALE = (16, 1_000_000, 10, 256)
 SMOKE_MILLION_SCALE = (6, 2_000, 5, 48)
-#: (variant name, selection dtype, serve from the mmap sidecar).
+#: (variant name, selection dtype, open the snapshot saved with a sidecar).
 MILLION_VARIANTS = (
     ("eager-f64", "float64", False),
     ("mmap-f64", "float64", True),
@@ -133,18 +133,20 @@ def _params_nbytes(model: LoadedModel) -> int:
     )
 
 
-def _million_child(spec, snapshot, queries, k, repeats, queue) -> None:
+def _million_child(spec, snapshots, queries, k, repeats, queue) -> None:
     """One million-tier variant, measured in a fresh process.
 
-    Loads the snapshot (eagerly or through the mmap sidecar), serves the
-    workload, and reports throughput, cache hit rate, this process's
-    peak RSS, and a bitwise sample of results for the parent to
-    cross-check against the eager float64 reference.
+    Opens ``snapshots[use_mmap]`` — the archive saved without a sidecar
+    (loaded eagerly) or the one saved with ``mmap_layout=True`` (mapped)
+    — serves the workload, and reports throughput, cache hit rate, this
+    process's peak RSS, and a bitwise sample of results for the parent
+    to cross-check against the eager float64 reference.
     """
     from repro.analysis.benchjson import peak_rss_bytes
 
     variant, dtype, use_mmap = spec
-    model = LoadedModel.from_file(snapshot, mmap=use_mmap)
+    model = LoadedModel.from_file(snapshots[use_mmap])
+    assert (model.param_store is not None) is use_mmap
     rec = TemporalRecommender(model)
     def run():
         rec.recommend_batch(queries, k=k, dtype=dtype, row_block=MILLION_ROW_BLOCK)
@@ -172,8 +174,9 @@ def _million_child(spec, snapshot, queries, k, repeats, queue) -> None:
 def million_tier(args, smoke: bool, context: dict) -> list[BenchEntry]:
     """Run the mmap + quantized serving tier, one process per variant.
 
-    Writes a snapshot with its mmap sidecar to a temporary directory,
-    then spawns each variant as its own process: ``ru_maxrss`` is a
+    Writes the same parameters twice to a temporary directory — one
+    snapshot saved with its mmap sidecar, one without — then spawns each
+    variant as its own process: ``ru_maxrss`` is a
     process-lifetime high-water mark, so sharing a process would let the
     first variant's footprint mask every later one. The parent asserts
     all variants return bitwise-identical top-k (items, scores, order)
@@ -188,7 +191,12 @@ def million_tier(args, smoke: bool, context: dict) -> list[BenchEntry]:
     entries = []
     try:
         model = make_model(num_topics, num_items, seed=17)
-        snapshot = save_params(model.params_, workdir / "model.npz", mmap_layout=True)
+        snapshots = {
+            layout: str(
+                save_params(model.params_, workdir / f"layout-{layout}.npz", mmap_layout=layout)
+            )
+            for layout in (False, True)
+        }
         del model
         spawn = multiprocessing.get_context("spawn")
         results = []
@@ -196,7 +204,7 @@ def million_tier(args, smoke: bool, context: dict) -> list[BenchEntry]:
             queue = spawn.SimpleQueue()
             proc = spawn.Process(
                 target=_million_child,
-                args=(spec, str(snapshot), queries, k, args.repeats, queue),
+                args=(spec, snapshots, queries, k, args.repeats, queue),
             )
             proc.start()
             proc.join()
@@ -279,7 +287,8 @@ def _pagein_child(snapshot, queries, k, queue) -> None:
             os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
         finally:
             os.close(fd)
-    model = LoadedModel.from_file(snapshot, mmap=True)
+    model = LoadedModel.from_file(snapshot)
+    assert model.param_store is not None
     rec = TemporalRecommender(model)
 
     def timed_pass():

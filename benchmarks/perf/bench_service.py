@@ -3,9 +3,11 @@
 Measures the end-to-end ``tcam serve`` stack — asyncio front-end,
 busy-aware micro-batching, ``N`` spawned worker processes on one
 snapshot — under a concurrent closed-loop client workload. Each worker
-count runs twice: plain (every worker loads the ``.npz`` eagerly,
-``wN``) and on the snapshot's mmap sidecar (``tcam serve --mmap``,
-``wN-mmap`` — the one cross-worker sharing path). For each the script
+count runs twice, on two snapshots of the same parameters: one saved
+plain (every worker loads the ``.npz`` eagerly, ``wN``) and one saved
+with its mmap sidecar (``mmap_layout=True``; every worker maps it,
+``wN-mmap`` — the one cross-worker sharing path). ``tcam serve`` is
+started the same way on both. For each the script
 records requests/sec plus client-side p50/p99 request latency, the
 front-end's peak RSS (``VmHWM``) and every worker's resident footprint
 in both RSS and PSS (proportional set size: shared pages divided among
@@ -20,7 +22,8 @@ The script *verifies* while it measures:
   highest worker count must be materially below the single-worker PSS —
   memory grows sub-linearly in workers or the zero-copy claim is false
   (the plain rows claim no sharing);
-* every worker's ``status`` must report ``"mmap"`` as launched;
+* every worker's ``status`` must report ``"mmap"`` as the snapshot was
+  saved;
 * one fleet-wide hot swap is exercised under the live service, and every
   run must end in a clean SIGTERM drain (exit 0, "drained cleanly").
 
@@ -98,9 +101,7 @@ def make_queries(num_queries: int, seed: int) -> list[tuple[int, int]]:
 class ServeProcess:
     """One ``tcam serve`` subprocess; parses its bound port at start-up."""
 
-    def __init__(
-        self, snapshot: str, workers: int, generation_file: str, mmap: bool
-    ) -> None:
+    def __init__(self, snapshot: str, workers: int, generation_file: str) -> None:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -122,7 +123,6 @@ class ServeProcess:
                 str(workers),
                 "--generation-file",
                 generation_file,
-                *(["--mmap"] if mmap else []),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -212,9 +212,13 @@ def measure_worker_count(
     rounds: int,
     swap_snapshot: str | None,
 ) -> dict:
-    """One worker count and attach path: start, load, verify, optionally swap, drain."""
+    """One worker count and snapshot layout: start, load, verify, optionally swap, drain.
+
+    ``mmap`` says how ``snapshot`` (and ``swap_snapshot``) were saved —
+    what every worker's status must therefore report.
+    """
     tag = f"w{workers}-mmap" if mmap else f"w{workers}"
-    service = ServeProcess(snapshot, workers, str(workdir / f"gen-{tag}.json"), mmap)
+    service = ServeProcess(snapshot, workers, str(workdir / f"gen-{tag}.json"))
     try:
         queries = make_queries(256, seed=29)
         verify_bitwise(service.port, params, queries, k)
@@ -245,7 +249,7 @@ def measure_worker_count(
         with ServiceClient("127.0.0.1", service.port, timeout=120) as client:
             status = client.status()
             if any(w["mmap"] is not mmap for w in status["workers"]):
-                raise RuntimeError(f"workers are not serving as launched: {status}")
+                raise RuntimeError(f"workers are not serving as the snapshot was saved: {status}")
             frontend_peak = service.peak_rss_bytes()
             if swap_snapshot is not None:
                 swap = client.publish(swap_snapshot)
@@ -288,17 +292,20 @@ def main(argv=None) -> int:
     entries = []
     try:
         params = make_params(num_topics, num_items, seed=17)
-        snapshot = save_params(params, workdir / "model.npz", mmap_layout=True)
-        swap_candidate = save_params(
-            make_params(num_topics, num_items, seed=23),
-            workdir / "candidate.npz",
-            mmap_layout=True,
+        candidate = make_params(num_topics, num_items, seed=23)
+        # Each parameter set twice: saved plain, and saved with its sidecar.
+        snapshots, swap_candidates = (
+            {
+                layout: str(save_params(p, workdir / f"{stem}-{layout}.npz", mmap_layout=layout))
+                for layout in (False, True)
+            }
+            for p, stem in ((params, "model"), (candidate, "candidate"))
         )
         measurements = []
         for workers, mmap in itertools.product(worker_counts, (False, True)):
-            swap = str(swap_candidate) if workers == max(worker_counts) else None
+            swap = swap_candidates[mmap] if workers == max(worker_counts) else None
             result = measure_worker_count(
-                str(snapshot), workdir, params, workers, mmap, k, clients, rounds, swap
+                snapshots[mmap], workdir, params, workers, mmap, k, clients, rounds, swap
             )
             measurements.append(result)
             name = f"service/v{num_items}-z{num_topics}-k{k}/{result['tag']}"

@@ -4,7 +4,7 @@ Measures the three rates that bound the streaming pipeline of
 :mod:`repro.streaming`:
 
 * **append** — durable events/sec into the write-ahead log (fsync per
-  batch append, the WAL's ``sync="always"`` contract);
+  batch append, the WAL's acknowledged-append contract);
 * **ingest** — events/sec folded into a fitted TTCAM by the
   :class:`StreamIngestor` (micro-batched partial EM with drift
   tracking and cadence checkpoints);

@@ -29,18 +29,30 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baselines import TimeTopicModel, UserTopicModel
-from .core import ITCAM, TTCAM, EMEngineConfig, LoadedModel, save_params
+from .core import ITCAM, TTCAM, EMEngineConfig, load_params, save_params
 from .data import generate, holdout_split, load_cuboid_csv, profile, save_cuboid_csv
 from .data.profiles import PROFILES
 from .evaluation import build_queries, evaluate_ranking
 from .recommend import TemporalRecommender
 from .tooling.registry import TOOLS
 
-_MODEL_CHOICES = ("ttcam", "itcam", "w-ttcam", "w-itcam", "ut", "tt")
+_Model = TTCAM | ITCAM | UserTopicModel | TimeTopicModel
+
+#: ``--model`` name → constructor over ``(k1, k2, **EM controls)``.
+_MODELS: dict[str, Callable[..., _Model]] = {
+    "ttcam": lambda k1, k2, **em: TTCAM(k1, k2, **em),
+    "itcam": lambda k1, k2, **em: ITCAM(k1, **em),
+    "w-ttcam": lambda k1, k2, **em: TTCAM(k1, k2, weighted=True, **em),
+    "w-itcam": lambda k1, k2, **em: ITCAM(k1, weighted=True, **em),
+    "ut": lambda k1, k2, **em: UserTopicModel(num_topics=k1, **em),
+    "tt": lambda k1, k2, **em: TimeTopicModel(num_topics=k2, **em),
+}
+_MODEL_CHOICES = tuple(_MODELS)
 
 
 def _build_model(
@@ -50,21 +62,11 @@ def _build_model(
     iters: int,
     seed: int,
     engine: EMEngineConfig = EMEngineConfig(),
-) -> TTCAM | ITCAM | UserTopicModel | TimeTopicModel:
+) -> _Model:
     """Instantiate a model by CLI name."""
-    if name == "ttcam":
-        return TTCAM(k1, k2, max_iter=iters, seed=seed, engine=engine)
-    if name == "w-ttcam":
-        return TTCAM(k1, k2, max_iter=iters, weighted=True, seed=seed, engine=engine)
-    if name == "itcam":
-        return ITCAM(k1, max_iter=iters, seed=seed, engine=engine)
-    if name == "w-itcam":
-        return ITCAM(k1, max_iter=iters, weighted=True, seed=seed, engine=engine)
-    if name == "ut":
-        return UserTopicModel(num_topics=k1, max_iter=iters, seed=seed, engine=engine)
-    if name == "tt":
-        return TimeTopicModel(num_topics=k2, max_iter=iters, seed=seed, engine=engine)
-    raise ValueError(f"unknown model {name!r}")
+    if name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return _MODELS[name](k1, k2, max_iter=iters, seed=seed, engine=engine)
 
 
 def _positive_int(text: str) -> int:
@@ -161,9 +163,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
         fallbacks.append(GlobalPopularity().fit(load_cuboid_csv(args.fallback_input)))
     try:
-        recommender = TemporalRecommender.from_snapshot(
-            args.model, fallbacks=fallbacks, mmap=args.mmap
-        )
+        recommender = TemporalRecommender.from_snapshot(args.model, fallbacks=fallbacks)
     except SnapshotCorruptError as exc:
         print(f"snapshot unusable and no fallback given: {exc}", file=sys.stderr)
         return 2
@@ -268,7 +268,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        mmap=args.mmap,
         serve_dtype=args.serve_dtype,
         max_batch=args.max_batch,
         generation_file=args.generation_file,
@@ -302,12 +301,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .core.params import TTCAMParameters
     from .data.cuboid import RatingCuboid
 
-    model = LoadedModel.from_file(args.model)
-    if not isinstance(model.params_, TTCAMParameters):
+    params = load_params(args.model)
+    if not isinstance(params, TTCAMParameters):
         print("report currently supports TTCAM snapshots only", file=sys.stderr)
         return 2
     cuboid = load_cuboid_csv(args.input)
-    params = model.params_
     if (
         cuboid.num_items > params.num_items
         or cuboid.num_intervals > params.num_intervals
@@ -336,7 +334,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
-    """Read dense ``user,interval,item[,score]`` rows from a CSV file."""
+    """Read dense ``user,interval,item[,score]`` rows from a CSV file.
+
+    Raises :class:`ValueError` (one line, naming ``file:line`` for a bad
+    row) when the header lacks a column or a field is not a number.
+    """
     import csv
 
     events: list[tuple[int, int, int, float]] = []
@@ -345,12 +347,15 @@ def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
         required = {"user", "interval", "item"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             missing = sorted(required - set(reader.fieldnames or ()))
-            raise SystemExit(f"error: {path} is missing columns {missing}")
+            raise ValueError(f"{path} is missing columns {missing}")
         for row in reader:
-            score = float(row["score"]) if row.get("score") else 1.0
-            events.append(
-                (int(row["user"]), int(row["interval"]), int(row["item"]), score)
-            )
+            try:
+                score = float(row["score"]) if row.get("score") else 1.0
+                events.append(
+                    (int(row["user"]), int(row["interval"]), int(row["item"]), score)
+                )
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return events
 
 
@@ -358,7 +363,11 @@ def cmd_stream_append(args: argparse.Namespace) -> int:
     """Durably append dense CSV events to a streaming event log."""
     from .streaming import EventLog, StreamEvent
 
-    rows = _read_dense_events(Path(args.input))
+    try:
+        rows = _read_dense_events(Path(args.input))
+    except (OSError, ValueError) as exc:
+        print(f"tcam stream append: {exc}", file=sys.stderr)
+        return 2
     with EventLog(args.log, segment_events=args.segment_events) as log:
         before = log.next_offset
         offset = log.append(
@@ -375,12 +384,13 @@ def cmd_stream_run(args: argparse.Namespace) -> int:
     from .streaming import EventLog, StreamIngestor
 
     try:
-        params = LoadedModel.from_file(args.snapshot).params_
+        params = load_params(args.snapshot)
     except (SnapshotCorruptError, FileNotFoundError) as exc:
         print(f"tcam stream run: {exc}", file=sys.stderr)
         return 2
     if not isinstance(params, TTCAMParameters):
-        raise SystemExit("error: streaming ingestion needs a TTCAM snapshot")
+        print("tcam stream run: streaming ingestion needs a TTCAM snapshot", file=sys.stderr)
+        return 2
     with EventLog(args.log) as log:
         try:
             ingestor = StreamIngestor(
@@ -499,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mmap-layout",
         action="store_true",
         help="also publish the memory-mapped sidecar layout "
-        "(<output>.arrays/) so `tcam recommend --mmap` can page "
-        "parameters instead of loading them eagerly",
+        "(<output>.arrays/); `tcam recommend` / `tcam serve` then page "
+        "parameters in instead of loading them eagerly",
     )
     p_fit.set_defaults(func=cmd_fit)
 
@@ -546,13 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch candidate-selection dtype: int8 quantizes selection with a "
         "proven margin and stays bitwise identical to float64 (batch mode only)",
     )
-    p_rec.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve from the snapshot's memory-mapped sidecar layout "
-        "(written by `tcam fit --mmap-layout`); parameters page in on "
-        "demand instead of loading eagerly",
-    )
     p_rec.set_defaults(func=cmd_recommend)
 
     p_serve = sub.add_parser(
@@ -580,13 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float64", "int8"),
         default="float64",
         help="candidate-selection dtype workers score with",
-    )
-    p_serve.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve through the snapshot's memory-mapped sidecar layout; "
-        "workers then share one kernel page cache instead of per-process "
-        "parameter copies",
     )
     p_serve.add_argument(
         "--generation-file",

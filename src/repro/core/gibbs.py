@@ -26,10 +26,10 @@ import numpy as np
 
 from ..data.cuboid import RatingCuboid
 from ..typing import FloatArray, IntArray
-from .params import TTCAMParameters
+from .params import ParamsBackedModel, TTCAMParameters
 
 
-class GibbsTTCAM:
+class GibbsTTCAM(ParamsBackedModel):
     """TTCAM fit by collapsed Gibbs sampling.
 
     Parameters
@@ -233,19 +233,3 @@ class GibbsTTCAM:
             / (n_x + v_dim * self.beta_time)
         )
         return np.concatenate([interest, context])
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Posterior-mean mixture likelihood for every item."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector / topic matrix, as in the EM model."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> str:
-        """The stacked topic–item matrix is query-independent."""
-        return "static"

@@ -13,8 +13,9 @@ Setting ``weighted=True`` trains on the item-weighted cuboid of
 Section 3.3, yielding the paper's **W-ITCAM** variant.
 
 This file holds what is ITCAM's own: its state declaration, kernel,
-random initialisation, M-step and prediction surface. The fit itself is
-:meth:`repro.core.model.EMModel.fit`.
+random initialisation and M-step. The fit itself is
+:meth:`repro.core.model.EMModel.fit`, the prediction surface
+:class:`~repro.core.params.ParamsBackedModel`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
-from ..typing import RNG, ArrayState, FloatArray
+from ..typing import RNG, ArrayState
 from .engine import EMEngineConfig, ITCAMKernel
-from .em import EPS, normalize_rows, random_stochastic, scatter_sum_1d
+from .em import normalize_rows, random_stochastic, scatter_sum_1d
 from .model import EMModel, MStep
-from .params import ITCAMParameters
+from .params import ITCAMParameters, ParamsBackedModel
 from .weighting import apply_item_weighting
 
 
-class ITCAM(EMModel):
+class ITCAM(ParamsBackedModel, EMModel):
     """Item-based temporal context-aware mixture model.
 
     Parameters
@@ -139,34 +140,3 @@ class ITCAM(EMModel):
 
     def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
         self.params_ = ITCAMParameters(**state)
-
-    # ------------------------------------------------------------------
-    # prediction API (shared across all models in this library)
-    # ------------------------------------------------------------------
-
-    def _require_fitted(self) -> ITCAMParameters:
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Ranking scores ``P(v | u, t)`` for every item (Equation 1)."""
-        return self._require_fitted().score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector and topic–item matrix for the TA engine."""
-        return self._require_fitted().query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> int:
-        """ITCAM's topic–item matrix embeds θ′_t, so it varies by interval."""
-        return interval
-
-    def log_likelihood(self, cuboid: RatingCuboid) -> float:
-        """Log likelihood of a (held-out or training) cuboid (Equation 3)."""
-        params = self._require_fitted()
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
-        p_interest = np.einsum("rk,kr->r", params.theta[u], params.phi[:, v])
-        p_context = params.theta_time[t, v]
-        lam_r = params.lambda_u[u]
-        prob = lam_r * p_interest + (1 - lam_r) * p_context
-        return float(np.dot(c, np.log(prob + EPS)))

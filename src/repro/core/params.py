@@ -30,7 +30,8 @@ from typing import Any, ClassVar, Collection, TypeVar
 
 import numpy as np
 
-from ..typing import FloatArray
+from ..data.cuboid import RatingCuboid
+from ..typing import FloatArray, IntArray
 from .em import EPS
 
 _P = TypeVar("_P", bound="TCAMParameters")
@@ -51,11 +52,15 @@ class TCAMParameters:
     A variant is a dataclass deriving from this base: its fields are its
     parameter arrays (in the order snapshots store them), ``VARIANT`` its
     tag in archives and manifests, ``STOCHASTIC`` the fields whose rows
-    are probability distributions.
+    are probability distributions, ``STATIC_MATRIX`` whether one
+    topic–item matrix serves every interval (the temporal context is a
+    mixture over shared topics) or each interval has its own (the
+    context is an item distribution, stacked under ``φ`` as one more row).
     """
 
     VARIANT: ClassVar[str]
     STOCHASTIC: ClassVar[tuple[str, ...]]
+    STATIC_MATRIX: ClassVar[bool]
     __dataclass_fields__: ClassVar[dict[str, Field[Any]]]  # set by @dataclass
 
     theta: FloatArray  # (N, K1)
@@ -148,6 +153,39 @@ class TCAMParameters:
             interval
         )
 
+    def query_weights(self, user: int, interval: int) -> FloatArray:
+        """The expanded query vector ``ϑ_q`` of Equation 21."""
+        raise NotImplementedError
+
+    def topic_item_matrix(self, interval: int) -> FloatArray:
+        """The expanded topic–item matrix ``ϕ`` of Equation 22 for an interval."""
+        raise NotImplementedError
+
+    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
+        """Expanded query vector and topic–item matrix (Equations 21–22).
+
+        ``score_items(u, t) = ϑ_q @ ϕ`` up to rounding; the Threshold
+        Algorithm and the batch scorer both rank by that product.
+        """
+        return self.query_weights(user, interval), self.topic_item_matrix(interval)
+
+    def matrix_cache_key(self, interval: int) -> str | int:
+        """Which queries share :meth:`topic_item_matrix`: all, or one interval's."""
+        return "static" if self.STATIC_MATRIX else interval
+
+    def _rating_context(self, intervals: IntArray, items: IntArray) -> FloatArray:
+        """``P(v | θ′_t)`` of each ``(t, v)`` pair, without forming ``(T, V)``."""
+        raise NotImplementedError
+
+    def log_likelihood(self, cuboid: RatingCuboid) -> float:
+        """Log likelihood of a (held-out or training) cuboid (Equation 3)."""
+        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
+        p_interest = np.einsum("rk,kr->r", self.theta[u], self.phi[:, v])
+        p_context = self._rating_context(t, v)
+        lam_r = self.lambda_u[u]
+        prob = lam_r * p_interest + (1 - lam_r) * p_context
+        return float(np.dot(c, np.log(prob + EPS)))
+
 
 @dataclass
 class ITCAMParameters(TCAMParameters):
@@ -155,6 +193,7 @@ class ITCAMParameters(TCAMParameters):
 
     VARIANT: ClassVar[str] = "itcam"
     STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time")
+    STATIC_MATRIX: ClassVar[bool] = False
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
@@ -170,17 +209,17 @@ class ITCAMParameters(TCAMParameters):
         """``P(v | θ′_t)`` for all items."""
         return self.theta_time[interval]
 
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector and topic–item matrix (Equations 21–22).
-
-        For ITCAM the temporal context of interval ``t`` acts as one extra
-        "topic", so the expanded space has ``K1 + 1`` dimensions and the
-        topic–item matrix depends on the queried interval.
-        """
+    def query_weights(self, user: int, interval: int) -> FloatArray:
+        """``ϑ_q = ⟨λ_u·θ_u, 1−λ_u⟩``: the context of ``t`` is one extra "topic"."""
         lam = self.lambda_u[user]
-        weights = np.concatenate([lam * self.theta[user], [1 - lam]])
-        matrix = np.vstack([self.phi, self.theta_time[interval][None, :]])
-        return weights, matrix
+        return np.concatenate([lam * self.theta[user], [1 - lam]])
+
+    def topic_item_matrix(self, interval: int) -> FloatArray:
+        """``(K1 + 1, V)``: ``φ`` with ``θ′_t`` as its last row, built per call."""
+        return np.vstack([self.phi, self.theta_time[interval][None, :]])
+
+    def _rating_context(self, intervals: IntArray, items: IntArray) -> FloatArray:
+        return self.theta_time[intervals, items]
 
 
 @dataclass
@@ -189,6 +228,7 @@ class TTCAMParameters(TCAMParameters):
 
     VARIANT: ClassVar[str] = "ttcam"
     STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time", "phi_time")
+    STATIC_MATRIX: ClassVar[bool] = True
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
@@ -221,30 +261,71 @@ class TTCAMParameters(TCAMParameters):
         """``P(v | θ′_t)`` for all items (Equation 12)."""
         return self.theta_time[interval] @ self.phi_time
 
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector over the ``K1 + K2`` topic space (Eq. 21–22).
-
-        ``ϑ_q = ⟨λ_u·θ_u, (1−λ_u)·θ′_t⟩`` paired with the stacked
-        topic–item matrix ``[φ; φ′]``. The matrix is query-independent,
-        which is what makes the Threshold Algorithm's per-topic sorted
-        lists precomputable.
-        """
+    def query_weights(self, user: int, interval: int) -> FloatArray:
+        """``ϑ_q = ⟨λ_u·θ_u, (1−λ_u)·θ′_t⟩`` over the ``K1 + K2`` topics."""
         lam = self.lambda_u[user]
-        weights = np.concatenate(
+        return np.concatenate(
             [lam * self.theta[user], (1 - lam) * self.theta_time[interval]]
         )
-        return weights, self.topic_item_matrix()
 
-    def topic_item_matrix(self) -> FloatArray:
-        """Stacked ``(K1 + K2, V)`` topic–item matrix ``[φ; φ′]`` (memoised)."""
+    def topic_item_matrix(self, interval: int = 0) -> FloatArray:
+        """Stacked ``(K1 + K2, V)`` topic–item matrix ``[φ; φ′]`` (memoised).
+
+        Query-independent — ``interval`` is accepted for the shared
+        signature and ignored — which is what makes the Threshold
+        Algorithm's per-topic sorted lists precomputable.
+        """
         cached: FloatArray | None = getattr(self, "_stacked_matrix", None)
         if cached is None:
             cached = np.vstack([self.phi, self.phi_time])
             object.__setattr__(self, "_stacked_matrix", cached)
         return cached
 
+    def _rating_context(self, intervals: IntArray, items: IntArray) -> FloatArray:
+        context: FloatArray = np.einsum(
+            "rk,kr->r", self.theta_time[intervals], self.phi_time[:, items]
+        )
+        return context
+
 
 #: Every parameter-set variant by its ``VARIANT`` tag.
 VARIANTS: dict[str, type[ITCAMParameters] | type[TTCAMParameters]] = {
     cls.VARIANT: cls for cls in (TTCAMParameters, ITCAMParameters)
 }
+
+
+class ParamsBackedModel:
+    """Prediction surface of a model whose query space *is* its container's.
+
+    A class deriving from this promises that ``params_`` — a fitted
+    :class:`TCAMParameters`, or ``None`` before :meth:`fit` — answers
+    every prediction exactly as the model would. The batch scorer relies
+    on that promise to score interest and context separately (one
+    ``isinstance`` against this base); a model that reshapes its
+    container's query space
+    (:class:`~repro.extensions.background.BackgroundTTCAM`) must not
+    derive from it.
+    """
+
+    params_: TCAMParameters | None
+
+    def _require_fitted(self) -> TCAMParameters:
+        if self.params_ is None:
+            raise RuntimeError("model is not fitted; call fit() first")
+        return self.params_
+
+    def score_items(self, user: int, interval: int) -> FloatArray:
+        """Ranking scores ``P(v | u, t)`` for every item (Equation 1)."""
+        return self._require_fitted().score_items(user, interval)
+
+    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
+        """Expanded query vector and topic–item matrix (Equations 21–22)."""
+        return self._require_fitted().query_space(user, interval)
+
+    def matrix_cache_key(self, interval: int) -> str | int:
+        """Which queries share a topic–item matrix (see the container)."""
+        return self._require_fitted().matrix_cache_key(interval)
+
+    def log_likelihood(self, cuboid: RatingCuboid) -> float:
+        """Log likelihood of a cuboid under the fitted model (Equation 3)."""
+        return self._require_fitted().log_likelihood(cuboid)

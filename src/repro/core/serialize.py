@@ -25,8 +25,13 @@ import numpy as np
 
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
-from ..typing import FloatArray
-from .params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
+from .params import (
+    VARIANTS,
+    ITCAMParameters,
+    ParamsBackedModel,
+    TCAMParameters,
+    TTCAMParameters,
+)
 
 _FORMAT_KEY = "tcam_format"
 _CHECKSUM_KEY = "tcam_checksum"
@@ -144,17 +149,17 @@ def stored_checksum(path: str | Path) -> str | None:
         return None
 
 
-class LoadedModel:
+class LoadedModel(ParamsBackedModel):
     """Serving adapter around loaded parameters.
 
     Exposes the same prediction surface as a fitted model
-    (``score_items`` / ``query_space`` / ``matrix_cache_key``) so a
+    (:class:`~repro.core.params.ParamsBackedModel`) so a
     :class:`~repro.recommend.recommender.TemporalRecommender` can serve
-    straight from a snapshot. When constructed from an mmap sidecar
-    layout, :attr:`param_store` carries the open
+    straight from a snapshot. When opened through an mmap sidecar,
+    :attr:`param_store` carries the open
     :class:`~repro.recommend.paramstore.ParamStore`, and the serving
     layer prefers its persisted derived arrays (rescore transpose,
-    sorted lists, quantized selection forms) over rebuilding them.
+    context vectors, quantized selection form) over rebuilding them.
     """
 
     def __init__(
@@ -162,24 +167,26 @@ class LoadedModel:
         params: ITCAMParameters | TTCAMParameters,
         param_store: object | None = None,
     ) -> None:
-        self.params_ = params
+        self.params_: ITCAMParameters | TTCAMParameters = params
         self.param_store = param_store
 
     @classmethod
-    def from_file(cls, path: str | Path, mmap: bool = False) -> "LoadedModel":
-        """Load a snapshot and wrap it for serving.
+    def from_file(cls, path: str | Path) -> "LoadedModel":
+        """Open a snapshot for serving — the one way to open one.
 
-        ``mmap=True`` serves from the sidecar store published by
-        ``save_params(..., mmap_layout=True)``: parameters page in on
-        demand and never fully materialise. A missing, damaged or stale
-        sidecar (one derived from other parameters than the ``.npz`` now
-        holds) degrades to the eager checksummed load with a
-        :class:`RuntimeWarning` — mmap is an optimisation, not a second
-        source of truth.
+        How it is served follows from what is on disk, decided where the
+        snapshot was written (``save_params(..., mmap_layout=True)``):
+        beside a sidecar directory derived from the ``.npz`` now at
+        ``path`` the parameters are memory-mapped and page in on demand;
+        without one they are loaded eagerly. A sidecar that is present
+        but torn, damaged or stale (derived from other parameters than
+        the ``.npz`` holds) degrades to the eager checksummed load with a
+        :class:`RuntimeWarning` — the sidecar is an optimisation, not a
+        second source of truth.
         """
-        if mmap:
-            from ..recommend.paramstore import ParamStore
+        from ..recommend.paramstore import ParamStore, store_dir
 
+        if store_dir(path).is_dir():
             try:
                 store = ParamStore.for_snapshot(path)
                 return cls(store.params(), param_store=store)
@@ -196,17 +203,3 @@ class LoadedModel:
     def name(self) -> str:
         """Display name used in evaluation tables."""
         return f"Loaded-{self.params_.VARIANT.upper()}"
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Ranking scores for every item."""
-        return self.params_.score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector and topic–item matrix."""
-        return self.params_.query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> str | int:
-        """TTCAM snapshots share one matrix; ITCAM's varies by interval."""
-        if isinstance(self.params_, TTCAMParameters):
-            return "static"
-        return interval

@@ -24,11 +24,11 @@ import numpy as np
 from ..data.cuboid import RatingCuboid
 from ..typing import FloatArray
 from .em import EPS, EMTrace, normalize_rows, random_stochastic, scatter_sum, scatter_sum_1d
-from .params import TTCAMParameters
+from .params import ParamsBackedModel, TTCAMParameters
 from .weighting import apply_item_weighting
 
 
-class StochasticTTCAM:
+class StochasticTTCAM(ParamsBackedModel):
     """TTCAM fit by stepwise EM over mini-batches.
 
     Parameters
@@ -189,19 +189,3 @@ class StochasticTTCAM:
         lam_r = lam[u]
         prob = lam_r * p_interest + (1 - lam_r) * p_context
         return float(np.dot(c, np.log(prob + EPS)))
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Ranking scores for every item, as in the batch model."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded query vector / topic matrix, as in the batch model."""
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_.query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> str:
-        """The stacked topic–item matrix is query-independent."""
-        return "static"

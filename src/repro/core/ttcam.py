@@ -14,9 +14,12 @@ best model.
 
 This file holds what is TTCAM's own: its state declaration, the
 :class:`~repro.core.engine.TTCAMKernel` it hands the engine, its random
-initialisation, its M-step and its prediction surface. The fit itself —
-restarts, checkpoint/resume, health rollback — is
-:meth:`repro.core.model.EMModel.fit`.
+initialisation and its M-step. The fit itself — restarts,
+checkpoint/resume, health rollback — is
+:meth:`repro.core.model.EMModel.fit`; the prediction surface
+(``score_items`` / ``query_space`` / ``matrix_cache_key`` /
+``log_likelihood``) is :class:`~repro.core.params.ParamsBackedModel` over
+the fitted container.
 """
 
 from __future__ import annotations
@@ -24,15 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
-from ..typing import RNG, ArrayState, FloatArray
+from ..typing import RNG, ArrayState
 from .engine import EMEngineConfig, TTCAMKernel
-from .em import EPS, normalize_rows, random_stochastic, scatter_sum_1d
+from .em import normalize_rows, random_stochastic, scatter_sum_1d
 from .model import EMModel, MStep
-from .params import TTCAMParameters
+from .params import ParamsBackedModel, TTCAMParameters
 from .weighting import apply_item_weighting
 
 
-class TTCAM(EMModel):
+class TTCAM(ParamsBackedModel, EMModel):
     """Topic-based temporal context-aware mixture model.
 
     Parameters
@@ -158,34 +161,3 @@ class TTCAM(EMModel):
 
     def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
         self.params_ = TTCAMParameters(**state)
-
-    # ------------------------------------------------------------------
-    # prediction API
-    # ------------------------------------------------------------------
-
-    def _require_fitted(self) -> TTCAMParameters:
-        if self.params_ is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self.params_
-
-    def score_items(self, user: int, interval: int) -> FloatArray:
-        """Ranking scores ``P(v | u, t)`` for every item (Equation 1)."""
-        return self._require_fitted().score_items(user, interval)
-
-    def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
-        """Expanded ``K1 + K2`` query vector and stacked topic–item matrix."""
-        return self._require_fitted().query_space(user, interval)
-
-    def matrix_cache_key(self, interval: int) -> str:
-        """TTCAM's stacked ``[φ; φ′]`` matrix is query-independent."""
-        return "static"
-
-    def log_likelihood(self, cuboid: RatingCuboid) -> float:
-        """Log likelihood of a cuboid under the fitted model (Equation 3)."""
-        params = self._require_fitted()
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
-        p_interest = np.einsum("rk,kr->r", params.theta[u], params.phi[:, v])
-        p_context = np.einsum("rk,kr->r", params.theta_time[t], params.phi_time[:, v])
-        lam_r = params.lambda_u[u]
-        prob = lam_r * p_interest + (1 - lam_r) * p_context
-        return float(np.dot(c, np.log(prob + EPS)))

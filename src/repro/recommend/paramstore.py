@@ -18,11 +18,12 @@ not its size.
 Beyond the raw parameters the layout persists the derived serving
 arrays that are expensive (in time or resident bytes) to rebuild online:
 
-* ``item_topic`` — the contiguous ``(V, K)`` rescore transpose (TTCAM,
-  whose topic–item matrix is query-independent);
+* ``item_topic`` — the contiguous ``(V, K)`` rescore transpose (for a
+  container whose topic–item matrix is query-independent — TTCAM);
 * ``context`` / ``context32`` (+ per-interval error statistics) — the
-  per-interval context score vectors ``θ′_t·Φ`` in float64, and the
-  float32 image the int8 selection path adds and bounds;
+  per-interval context score vectors ``P(v | θ′_t)`` in float64 (same
+  condition: otherwise they are ``theta_time`` itself), and the float32
+  image the int8 selection path adds and bounds;
 * ``qsel_int8_*`` — the int8 selection form of Φ with its measured
   per-topic error bounds (see :mod:`repro.recommend.quantize`).
 
@@ -111,19 +112,6 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _context_stats(context: FloatArray) -> tuple[AnyArray, FloatArray, FloatArray]:
-    """Float32 image of a ``(T, V)`` context block plus per-row stats."""
-    rows = context.shape[0]
-    values = context.astype(np.float32)
-    delta = np.empty(rows, dtype=np.float64)
-    abs_max = np.empty(rows, dtype=np.float64)
-    for t in range(rows):
-        vector = ContextVector.from_exact(context[t])
-        delta[t] = vector.delta
-        abs_max[t] = vector.abs_max
-    return values, delta, abs_max
-
-
 def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path) -> Path:
     """Write the mmap sidecar layout for ``params`` next to ``snapshot``.
 
@@ -146,25 +134,29 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
     arrays: dict[str, AnyArray] = params.arrays()
     checksum = digest_arrays(arrays)  # the parameter fields only, as save_params
-    if isinstance(params, TTCAMParameters):
-        arrays["item_topic"] = np.ascontiguousarray(params.topic_item_matrix().T)
-        # Row-by-row GEMV, the exact expression the online path evaluates
-        # per interval — a single (T, K2) @ (K2, V) GEMM can differ from
-        # it in the last ULP, and persisted context rows must be
-        # bit-identical to freshly computed ones.
-        intervals = int(params.theta_time.shape[0])
-        context = np.empty((intervals, params.num_items), dtype=np.float64)
-        for t in range(intervals):
-            context[t] = params.theta_time[t] @ params.phi_time
-        arrays["context"] = context
-    else:
-        # ITCAM's context *is* theta_time; only the float32 image and
-        # its statistics are additional. The per-interval topic–item
-        # matrix (phi + one theta_time row) is cheap to assemble online,
-        # so no per-interval transposes are persisted.
-        context = np.asarray(params.theta_time, dtype=np.float64)
-
-    context32, context_delta, context_abs_max = _context_stats(context)
+    intervals, num_items = params.num_intervals, params.num_items
+    if params.STATIC_MATRIX:
+        # One topic–item matrix for every interval: its transpose and the
+        # float64 context products are worth persisting. Otherwise the
+        # context rows *are* theta_time and the per-interval matrix (phi +
+        # one such row) is cheap to assemble online, so neither is stored.
+        arrays["item_topic"] = np.ascontiguousarray(params.topic_item_matrix(0).T)
+        arrays["context"] = np.empty((intervals, num_items), dtype=np.float64)
+    context32 = np.empty((intervals, num_items), dtype=np.float32)
+    context_delta = np.empty(intervals, dtype=np.float64)
+    context_abs_max = np.empty(intervals, dtype=np.float64)
+    for t in range(intervals):
+        # Row by row through the container, the exact expression the
+        # online path evaluates per interval — a single (T, K2) @ (K2, V)
+        # GEMM can differ from it in the last ULP, and persisted context
+        # rows must be bit-identical to freshly computed ones.
+        row = params.context_scores(t)
+        if "context" in arrays:
+            arrays["context"][t] = row
+        vector = ContextVector.from_exact(row)
+        context32[t] = vector.values
+        context_delta[t] = vector.delta
+        context_abs_max[t] = vector.abs_max
     arrays["context32"] = context32
     arrays["context_delta"] = context_delta
     arrays["context_absmax"] = context_abs_max
@@ -255,9 +247,9 @@ class ParamStore:
         self._arrays: dict[str, AnyArray] = {}
         for name, entry in self._entries.items():
             self._arrays[name] = self._open_array(name, entry)
+        self._params: ITCAMParameters | TTCAMParameters | None = None
         self._check_structure()
         self._spot_check()
-        self._params: ITCAMParameters | TTCAMParameters | None = None
         self._quantized: dict[str, QuantizedMatrix | None] = {}
 
     @classmethod
@@ -313,50 +305,34 @@ class ParamStore:
         return array
 
     def _check_structure(self) -> None:
-        """Cross-array shape consistency (reads headers only, no paging)."""
-        theta = self._require("theta")
-        phi = self._require("phi")
-        lambda_u = self._require("lambda_u")
-        theta_time = self._require("theta_time")
-        if theta.ndim != 2 or phi.ndim != 2 or lambda_u.ndim != 1:
+        """Cross-array shape consistency (reads headers only, no paging).
+
+        The parameter fields are held to the container's own
+        ``_check_shapes``; only the derived arrays this layout adds are
+        checked here.
+        """
+        params = self.params()
+        ranks = {name: array.ndim for name, array in params.arrays().items()}
+        if ranks.pop("lambda_u") != 1 or set(ranks.values()) != {2}:
             raise SnapshotCorruptError(f"{self.directory}: parameter ranks are wrong")
-        if theta.shape[1] != phi.shape[0]:
-            raise SnapshotCorruptError(
-                f"{self.directory}: theta / phi topic dimensions disagree"
-            )
-        if theta.shape[0] != lambda_u.shape[0]:
-            raise SnapshotCorruptError(
-                f"{self.directory}: theta / lambda_u user dimensions disagree"
-            )
-        num_items = int(phi.shape[1])
-        if self.variant == "ttcam":
-            phi_time = self._require("phi_time")
-            if theta_time.shape[1] != phi_time.shape[0]:
-                raise SnapshotCorruptError(
-                    f"{self.directory}: theta_time / phi_time dimensions disagree"
-                )
-            if phi_time.shape[1] != num_items:
-                raise SnapshotCorruptError(
-                    f"{self.directory}: phi / phi_time item dimensions disagree"
-                )
-            stacked_topics = int(phi.shape[0] + phi_time.shape[0])
+        try:
+            params._check_shapes()
+        except ValueError as exc:
+            raise SnapshotCorruptError(f"{self.directory}: {exc}") from exc
+        intervals, num_items = params.num_intervals, params.num_items
+        if params.STATIC_MATRIX:
+            topics = int(params.query_weights(0, 0).shape[0])
             item_topic = self._require("item_topic")
-            if tuple(item_topic.shape) != (num_items, stacked_topics):
+            if tuple(item_topic.shape) != (num_items, topics):
                 raise SnapshotCorruptError(
                     f"{self.directory}: item_topic shape {item_topic.shape} does not "
-                    f"match ({num_items}, {stacked_topics})"
+                    f"match ({num_items}, {topics})"
                 )
             context = self._require("context")
-            if tuple(context.shape) != (int(theta_time.shape[0]), num_items):
+            if tuple(context.shape) != (intervals, num_items):
                 raise SnapshotCorruptError(
                     f"{self.directory}: context shape {context.shape} is wrong"
                 )
-        else:
-            if theta_time.shape[1] != num_items:
-                raise SnapshotCorruptError(
-                    f"{self.directory}: phi / theta_time item dimensions disagree"
-                )
-        intervals = int(theta_time.shape[0])
         context32 = self._require("context32")
         if tuple(context32.shape) != (intervals, num_items):
             raise SnapshotCorruptError(
@@ -434,11 +410,12 @@ class ParamStore:
     def item_topic(self, key: Hashable) -> FloatArray | None:
         """Persisted ``(V, K)`` rescore transpose for a matrix cache key.
 
-        Only the TTCAM layout persists one (its topic–item matrix is
-        query-independent, key ``"static"``); ITCAM callers get ``None``
-        and build their per-interval transpose as before.
+        Only a layout whose container has one query-independent
+        topic–item matrix persists one; per-interval keys get ``None``
+        and the caller builds that interval's transpose as before.
         """
-        if self.variant != "ttcam" or key != "static":
+        params = self.params()
+        if not params.STATIC_MATRIX or key != params.matrix_cache_key(0):
             return None
         result: FloatArray | None = self._arrays.get("item_topic")
         return result
@@ -465,11 +442,18 @@ class ParamStore:
         return quantized
 
     def context_row(self, interval: int) -> FloatArray | None:
-        """One interval's persisted float64 context score vector ``θ′_t·Φ``."""
-        source = self._arrays.get("context" if self.variant == "ttcam" else "theta_time")
-        if source is None or not 0 <= interval < source.shape[0]:
+        """One interval's float64 context score vector ``P(v | θ′_t)``.
+
+        The persisted product where the layout holds one, otherwise the
+        container's own answer (a mapped ``theta_time`` row).
+        """
+        params = self.params()
+        if not 0 <= interval < params.num_intervals:
             return None
-        row: FloatArray = source[interval]
+        context = self._arrays.get("context")
+        row: FloatArray = (
+            params.context_scores(interval) if context is None else context[interval]
+        )
         return row
 
     def context_vector(self, interval: int) -> ContextVector | None:

@@ -358,7 +358,6 @@ class TemporalRecommender:
         cls,
         path: str | Path,
         fallbacks: Sequence[object] = (),
-        mmap: bool = False,
     ) -> "TemporalRecommender":
         """Serve from a snapshot file, degrading instead of crashing.
 
@@ -369,16 +368,17 @@ class TemporalRecommender:
         each :class:`ServingStatus`. Without fallbacks the error
         propagates.
 
-        ``mmap=True`` serves from the snapshot's sidecar store (see
-        :mod:`repro.recommend.paramstore`): parameters page in on
-        demand instead of being materialised, and a missing, damaged or
+        Beside a fresh sidecar store (see
+        :mod:`repro.recommend.paramstore`) the parameters are mapped and
+        page in on demand instead of being materialised; a damaged or
         stale sidecar falls back to the eager checksummed load with a
-        :class:`RuntimeWarning` rather than failing the start-up.
+        :class:`RuntimeWarning` rather than failing the start-up
+        (:meth:`~repro.core.serialize.LoadedModel.from_file`).
         """
         from ..core.serialize import LoadedModel
 
         try:
-            model: SupportsQuerySpace | None = LoadedModel.from_file(path, mmap=mmap)
+            model: SupportsQuerySpace | None = LoadedModel.from_file(path)
             reason = None
         except (ValueError, OSError) as exc:
             if not fallbacks:

@@ -12,8 +12,10 @@ cost across batches:
 
 * **Grouping.** All queries sharing an interval also share the
   topic–item matrix (and, for TCAM, the temporal-context score vector
-  ``θ′_t·Φ``), so a batch is grouped by interval and each group is
-  scored together.
+  ``P(v | θ′_t)``), so a batch is grouped by interval and each group is
+  scored together. What differs between the TCAM variants — query
+  weights, matrix, context, cache key — is asked of the model's
+  parameter container (:mod:`repro.core.params`), never re-derived here.
 * **Blocked GEMM scoring.** Each group's query weight vectors are
   stacked into ``Θ_batch`` and scored as one ``Θ_batch @ Φ`` matrix
   product per row block, into preallocated, reused workspaces (the same
@@ -63,6 +65,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.params import ParamsBackedModel
 from ..tooling.sanitize import Sanitizer, check_topk_finite, sanitize_enabled
 from ..typing import AnyArray, BoolArray, FloatArray, IntArray, hot_path
 from .quantize import (
@@ -477,26 +480,20 @@ class BatchScorer:
     # -- model structure -------------------------------------------------
 
     def _params_kind(self) -> tuple[str, Any]:
-        """Classify the primary model for the split fast path.
+        """Is the primary model's query space exactly its container's?
 
-        Returns ``("ttcam" | "itcam", params)`` when the model's
-        ``query_space`` *is* that of its fitted TCAM parameter container
-        (interest and context parts can then be scored separately, with
-        the context vector cached per interval), or ``("generic", None)``
-        for any other ``query_space`` provider — including one that only
-        wraps such a container and reshapes its query space
-        (``BackgroundTTCAM`` appends a background row).  Called once per
-        group, never per row.
+        Returns ``(container tag, params)`` when it is — the model derives
+        from :class:`~repro.core.params.ParamsBackedModel` and is fitted —
+        so interest and context parts can be scored separately, with the
+        context vector cached per interval and every variant-specific
+        term asked of ``params``; or ``("generic", None)`` for any other
+        ``query_space`` provider, including one that only wraps such a
+        container and reshapes its query space (``BackgroundTTCAM``
+        appends a background row). Called once per group, never per row.
         """
-        from ..core import ITCAM, TTCAM, GibbsTTCAM, LoadedModel, StochasticTTCAM
-        from ..core.params import ITCAMParameters, TTCAMParameters
-
-        if isinstance(self.model, (TTCAM, ITCAM, StochasticTTCAM, GibbsTTCAM, LoadedModel)):
+        if isinstance(self.model, ParamsBackedModel) and self.model.params_ is not None:
             params = self.model.params_
-            if isinstance(params, TTCAMParameters):
-                return "ttcam", params
-            if isinstance(params, ITCAMParameters):
-                return "itcam", params
+            return params.VARIANT, params
         return "generic", None
 
     def _matrix_key(self, interval: int) -> Hashable:
@@ -510,14 +507,9 @@ class BatchScorer:
 
     def _stacked_matrix(self, interval: int, users: Sequence[int]) -> FloatArray:
         """The full ``(K, V)`` topic–item matrix for one interval."""
-        kind, params = self._params_kind()
-        if kind == "ttcam":
-            matrix: FloatArray = params.topic_item_matrix()
-            return matrix
-        if kind == "itcam":
-            stacked: FloatArray = np.vstack(
-                [params.phi, params.theta_time[interval][None, :]]
-            )
+        _, params = self._params_kind()
+        if params is not None:
+            stacked: FloatArray = params.topic_item_matrix(interval)
             return stacked
         generic: FloatArray = self.model.query_space(int(users[0]), interval)[1]
         return generic
@@ -600,7 +592,7 @@ class BatchScorer:
         self.cache.matrices.put(cache_key, quantized)
         return quantized
 
-    def _quantized_context(self, interval: int, kind: str, params: Any) -> ContextVector:
+    def _quantized_context(self, interval: int, params: Any) -> ContextVector:
         """Float32 context vector with measured error stats, per interval.
 
         Wraps :meth:`_context_vector`'s exact float64 vector in a
@@ -618,14 +610,13 @@ class BatchScorer:
         cached = self.cache.contexts.get(cache_key)
         if isinstance(cached, ContextVector):
             return cached
-        exact = np.asarray(self._context_vector(interval, kind, params), dtype=np.float64)
+        exact = np.asarray(self._context_vector(interval, params), dtype=np.float64)
         vector = ContextVector.from_exact(exact)
         self.cache.contexts.put(cache_key, vector)
         return vector
 
     def _block_margins(
         self,
-        kind: str,
         params: Any,
         block_users: Sequence[int],
         weights_f64: Sequence[FloatArray],
@@ -635,12 +626,13 @@ class BatchScorer:
         """Per-row ``2·ε_r`` candidate margins of one quantized block.
 
         Cold helper of :meth:`serve_group` — allocates only small
-        ``(rows,)`` / ``(rows, K)`` temporaries. The split path derives
-        the weight magnitudes from the parameter containers directly
-        (``λ_u·θ_u ≥ 0`` elementwise); the generic path takes absolute
-        values of the models' stacked query vectors.
+        ``(rows,)`` / ``(rows, K)`` temporaries. The split path
+        (``params`` given) derives the weight magnitudes from the
+        parameter container directly (``λ_u·θ_u ≥ 0`` elementwise); the
+        generic path takes absolute values of the models' stacked query
+        vectors.
         """
-        if kind == "generic":
+        if params is None:
             abs_weights = np.abs(np.asarray(weights_f64, dtype=np.float64))
             eps = selection_margins(abs_weights, qsel)
         else:
@@ -661,14 +653,12 @@ class BatchScorer:
         margins: FloatArray = 2.0 * eps
         return margins
 
-    def _context_vector(self, interval: int, kind: str, params: Any) -> AnyArray:
-        """Cached per-interval float64 context score vector ``θ′_t·Φ``.
+    def _context_vector(self, interval: int, params: Any) -> AnyArray:
+        """Cached per-interval float64 context score vector ``P(v | θ′_t)``.
 
         This is the part of every query's selection score shared by all
-        users of the interval: for TTCAM the ``(V,)`` product
-        ``θ′_t @ φ′``, for ITCAM the raw item distribution ``θ′_t``. A
-        repeat-interval query therefore only pays for the small
-        user-interest GEMM.
+        users of the interval — the container's ``context_scores`` — so a
+        repeat-interval query only pays for the small user-interest GEMM.
         """
         store = self._store()
         if store is not None:
@@ -678,10 +668,7 @@ class BatchScorer:
         cache_key = ("ctx", interval)
         context = self.cache.contexts.get(cache_key)
         if context is None:
-            if kind == "ttcam":
-                context = params.theta_time[interval] @ params.phi_time
-            else:
-                context = params.theta_time[interval]
+            context = params.context_scores(interval)
             self.cache.contexts.put(cache_key, context)
         return context
 
@@ -715,24 +702,6 @@ class BatchScorer:
         mask[items] = True
         return mask
 
-    # -- per-query weight vectors ----------------------------------------
-
-    def _stacked_weights(
-        self, kind: str, params: Any, user: int, interval: int
-    ) -> FloatArray:
-        """The exact query vector ``ϑ_q``, bit-identical to ``query_space``.
-
-        Replicates the parameter containers' expression directly so the
-        split path never materialises the per-query stacked matrix (for
-        ITCAM, ``query_space`` vstacks a ``(K1+1, V)`` matrix per call).
-        """
-        lam = params.lambda_u[user]
-        if kind == "ttcam":
-            return np.concatenate(
-                [lam * params.theta[user], (1 - lam) * params.theta_time[interval]]
-            )
-        return np.concatenate([lam * params.theta[user], [1 - lam]])
-
     # -- group serving ---------------------------------------------------
 
     @hot_path
@@ -757,7 +726,7 @@ class BatchScorer:
             raise ValueError(f"k must be positive, got {k}")
         if row_block <= 0:
             raise ValueError(f"row_block must be positive, got {row_block}")
-        kind, params = self._params_kind()
+        _, params = self._params_kind()  # None: no split path, score query_space whole
         key = self._matrix_key(interval)
         item_topic = self._item_topic(interval, users)
         num_items = item_topic.shape[0]
@@ -770,7 +739,7 @@ class BatchScorer:
         qcontext: ContextVector | None = None
         sel_matrix: AnyArray | None = None
         context: AnyArray | None = None
-        if kind == "generic":
+        if params is None:
             if quantized:
                 qsel = self._quantized_selection(
                     self._stacked_matrix(interval, users), key, "qstack", dtype
@@ -782,11 +751,11 @@ class BatchScorer:
         else:
             if quantized:
                 qsel = self._quantized_selection(params.phi, (key, "phi"), "qsel", dtype)
-                qcontext = self._quantized_context(interval, kind, params)
+                qcontext = self._quantized_context(interval, params)
                 k_dim = qsel.shape[0]
             else:
                 sel_matrix = params.phi
-                context = self._context_vector(interval, kind, params)
+                context = self._context_vector(interval, params)
                 k_dim = sel_matrix.shape[0]
 
         results: list[TopKResult] = []
@@ -796,7 +765,7 @@ class BatchScorer:
             scores = self.workspace.get("scores", (rows, num_items), compute)
             weights_f64: list[FloatArray] = []
 
-            if kind == "generic":
+            if params is None:
                 qweights = self.workspace.get("qweights", (rows, k_dim), compute)
                 for r, user in enumerate(block_users):
                     w, _ = self.model.query_space(user, interval)
@@ -828,9 +797,7 @@ class BatchScorer:
                     np.multiply(ctx_values, 1 - lam[r], out=ctx_row, casting="same_kind")
                     scores[r] += ctx_row
                 for user in block_users:
-                    weights_f64.append(
-                        self._stacked_weights(kind, params, user, interval)
-                    )
+                    weights_f64.append(params.query_weights(user, interval))
 
             masks = [
                 self.exclusion_mask(user, exclude, num_items) for user in block_users
@@ -841,7 +808,7 @@ class BatchScorer:
 
             if qsel is not None:
                 margins = self._block_margins(
-                    kind, params, block_users, weights_f64, qsel, qcontext
+                    params, block_users, weights_f64, qsel, qcontext
                 )
                 cand_mask = select_candidates_margin(scores, k, margins)
             else:

@@ -8,8 +8,9 @@ batch of queries quickly; this package turns it into a *service*:
   split one request across flushes;
 * :mod:`.worker` — the spawned worker process: its own recommender +
   publish gate, driven over a strict request/response pipe; workers
-  opened on a snapshot's mmap sidecar
-  (:mod:`repro.recommend.paramstore`) share one page cache;
+  map a snapshot saved with an mmap sidecar
+  (:mod:`repro.recommend.paramstore`) and share one page cache — the
+  snapshot says so, no launch flag does;
 * :mod:`.service` — the one-thread asyncio TCP front-end: user-sharded
   routing, fleet-wide RCU hot swaps with rollback, SIGTERM drain;
 * :mod:`.client` / :mod:`.protocol` — the newline-JSON wire protocol

@@ -81,20 +81,11 @@ class ServiceClient:
         """Front-end counters plus per-worker serving state."""
         return self.request({"op": "status"})
 
-    def publish(
-        self, path: str, mmap: bool | None = None, drift: bool = False
-    ) -> dict[str, Any]:
+    def publish(self, path: str, drift: bool = False) -> dict[str, Any]:
         """Fleet-wide hot swap; the reply reports accept/reject/revert.
 
         A fleet-rejected publish is a *successful* exchange (the reply
         carries ``published: false`` and the per-worker reasons), so it
         returns normally rather than raising.
         """
-        message: dict[str, Any] = {
-            "op": "publish",
-            "path": str(path),
-            "drift": bool(drift),
-        }
-        if mmap is not None:
-            message["mmap"] = bool(mmap)
-        return self.request(message)
+        return self.request({"op": "publish", "path": str(path), "drift": bool(drift)})

@@ -12,8 +12,11 @@ Request objects::
 
     {"id": 7, "queries": [[user, interval], ...], "k": 10}
     {"id": 8, "op": "status"}
-    {"id": 9, "op": "publish", "path": "/path/to/snapshot.npz",
-     "mmap": true, "drift": false}
+    {"id": 9, "op": "publish", "path": "/path/to/snapshot.npz", "drift": false}
+
+Keys an op does not know — the ``"mmap"`` an older client sent with
+``publish`` — are ignored, not refused: whether a snapshot is mapped
+follows from the sidecar beside it.
 
 Responses always echo ``id``. A query response carries parallel per-row
 lists so a client can check batch integrity::

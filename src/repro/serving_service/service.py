@@ -25,9 +25,9 @@ Architecture
   rows, so a user's repeat queries always hit the worker whose serving
   caches (exclusion masks, interval contexts) are already warm for
   them.
-* **Zero-copy snapshots**: with an mmap sidecar
-  (:mod:`repro.recommend.paramstore`, ``tcam fit --mmap-layout`` +
-  ``tcam serve --mmap``) every worker maps the same files and the
+* **Zero-copy snapshots**: a snapshot saved with an mmap sidecar
+  (:mod:`repro.recommend.paramstore`, ``tcam fit --mmap-layout``) is
+  mapped by every worker — nothing to ask for at serve time — and the
   kernel keeps one shared page cache, so per-worker *proportional*
   memory (PSS) grows sub-linearly with the worker count — across hot
   swaps too. Without a sidecar each worker loads the ``.npz`` eagerly
@@ -88,8 +88,6 @@ class ServiceConfig:
         :attr:`ServingService.port` after :meth:`~ServingService.start`).
     workers:
         Worker process count (= user shards).
-    mmap:
-        Serve through the snapshot's mmap sidecar store.
     serve_dtype:
         Selection dtype workers score with.
     max_batch:
@@ -107,7 +105,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
-    mmap: bool = False
     serve_dtype: str = "float64"
     max_batch: int = 64
     generation_file: str | None = None
@@ -282,7 +279,6 @@ class ServingService:
                     index=index,
                     num_workers=config.workers,
                     snapshot=config.snapshot,
-                    mmap=config.mmap,
                     serve_dtype=config.serve_dtype,
                     generation_file=config.generation_path(),
                     probes=config.probes,
@@ -432,9 +428,7 @@ class ServingService:
     # control plane
     # ------------------------------------------------------------------
 
-    async def publish(
-        self, path: str, mmap: bool | None = None, drift: bool = False
-    ) -> dict[str, Any]:
+    async def publish(self, path: str, drift: bool = False) -> dict[str, Any]:
         """Hot-swap a snapshot across the fleet, or roll it back whole.
 
         Every worker gates the candidate independently; a fleet where
@@ -442,14 +436,8 @@ class ServingService:
         snapshots, so any rejection reverts the workers that accepted.
         Fleet-wide success is durably recorded in the generation file.
         """
-        mmap_flag = self.config.mmap if mmap is None else bool(mmap)
         async with self._publish_lock:
-            command = {
-                "type": "publish",
-                "path": str(path),
-                "mmap": mmap_flag,
-                "drift": bool(drift),
-            }
+            command = {"type": "publish", "path": str(path), "drift": bool(drift)}
             for handle in self.handles:
                 handle.hold_core(True)
             try:
@@ -541,11 +529,7 @@ class ServingService:
             path = message.get("path")
             if not isinstance(path, str) or not path:
                 return error_response(request_id, "publish needs a snapshot path")
-            reply = await self.publish(
-                path,
-                mmap=message.get("mmap"),
-                drift=bool(message.get("drift", False)),
-            )
+            reply = await self.publish(path, drift=bool(message.get("drift", False)))
             reply["id"] = request_id
             return reply
         return error_response(request_id, f"unknown op {op!r}")

@@ -1,8 +1,8 @@
 """Worker-process side of the serving service.
 
 Each worker is a spawned child running :func:`worker_main`: it opens the
-*same* snapshot as every sibling (through the mmap sidecar all workers
-share one page cache; without a sidecar each worker builds the derived
+*same* snapshot as every sibling (beside an mmap sidecar all workers map
+it and share one page cache; without one each worker builds the derived
 arrays it is asked for into its own serving cache), builds its own
 :class:`~repro.recommend.recommender.TemporalRecommender`, and then
 serves a strict request/response loop over its end of a
@@ -52,8 +52,6 @@ class WorkerConfig:
     snapshot:
         Path of the snapshot to open at start-up (superseded by a newer
         :class:`GenerationFile` record, if one exists).
-    mmap:
-        Open the snapshot through its mmap sidecar store.
     serve_dtype:
         Selection dtype for every batch this worker scores.
     generation_file:
@@ -66,7 +64,6 @@ class WorkerConfig:
     index: int
     num_workers: int
     snapshot: str
-    mmap: bool = False
     serve_dtype: str = "float64"
     generation_file: str | None = None
     probes: tuple[tuple[int, int], ...] = ((0, 0),)
@@ -141,7 +138,7 @@ def _open_recommender(config: WorkerConfig) -> tuple[TemporalRecommender, str]:
         record = GenerationFile(config.generation_file).read()
         if record is not None and record["snapshot"]:
             snapshot = record["snapshot"]
-    recommender = TemporalRecommender.from_snapshot(snapshot, mmap=config.mmap)
+    recommender = TemporalRecommender.from_snapshot(snapshot)
     return recommender, snapshot
 
 
@@ -181,9 +178,7 @@ def _handle(state: _WorkerState, message: Mapping[str, Any]) -> dict[str, Any] |
         }
     if kind == "publish":
         result = state.publisher.publish_file(
-            str(message["path"]),
-            drift=bool(message.get("drift", False)),
-            mmap=bool(message.get("mmap", state.config.mmap)),
+            str(message["path"]), drift=bool(message.get("drift", False))
         )
         if result.published:
             state.snapshot = str(message["path"])

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.params import ITCAMParameters, TTCAMParameters
-from ..core.serialize import LoadedModel, load_params
+from ..core.serialize import LoadedModel
 from ..recommend.recommender import TemporalRecommender
 from ..robustness.errors import SnapshotCorruptError
 from ..robustness.health import HealthMonitor
@@ -168,9 +168,7 @@ class SnapshotPublisher:
         self._previous, self._current = self._current, model
         return PublishResult(published=True, generation=generation, drift=drift)
 
-    def publish_file(
-        self, path: str | Path, drift: bool = False, mmap: bool = False
-    ) -> PublishResult:
+    def publish_file(self, path: str | Path, drift: bool = False) -> PublishResult:
         """Load, gate and hot-swap a snapshot file.
 
         A corrupt archive (torn write, checksum mismatch, invalid
@@ -178,23 +176,18 @@ class SnapshotPublisher:
         raised — the serving path never goes down because a publish
         failed.
 
-        ``mmap=True`` publishes the snapshot's sidecar store (see
-        :mod:`repro.recommend.paramstore`) so the swapped-in generation
-        serves from memory-mapped parameters. The health gate still
-        reads every array once (in this publisher process); the resident
-        win applies to the serving side. A missing or damaged sidecar
-        degrades to the eager load with a :class:`RuntimeWarning`.
+        The file is opened the one way there is
+        (:meth:`~repro.core.serialize.LoadedModel.from_file`): beside a
+        fresh sidecar store the swapped-in generation serves from
+        memory-mapped parameters. The health gate still reads every
+        array once (in this publisher process); the resident win applies
+        to the serving side.
         """
         try:
-            if mmap:
-                model: LoadedModel | None = LoadedModel.from_file(path, mmap=True)
-                params = model.params_
-            else:
-                model = None
-                params = load_params(path)
+            model = LoadedModel.from_file(path)
         except (SnapshotCorruptError, FileNotFoundError) as exc:
             return self._reject(f"snapshot rejected: {exc}")
-        return self.publish(params, drift=drift, model=model)
+        return self.publish(model.params_, drift=drift, model=model)
 
     def revert(self) -> PublishResult:
         """Re-publish the previous healthy snapshot (counted as rollback).

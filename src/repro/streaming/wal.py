@@ -147,11 +147,10 @@ class EventLog:
         docstring for the torn-tail contract).
     segment_events:
         Records per segment before rotation.
-    sync:
-        ``"always"`` (default) fsyncs on every append — an acknowledged
-        append survives an immediate power cut; ``"rotate"`` fsyncs only
-        on segment rotation and close, trading the tail's durability for
-        append throughput.
+
+    Every append is fsynced before it returns: an acknowledged append
+    survives an immediate power cut, which is what the ingestor's replay
+    guarantee rests on.
 
     A single :class:`EventLog` instance is a **single-writer** object:
     appends must come from one thread/process. Readers
@@ -160,21 +159,11 @@ class EventLog:
     ingestor ever consumes.
     """
 
-    _SYNC_MODES = ("always", "rotate")
-
-    def __init__(
-        self,
-        directory: str | Path,
-        segment_events: int = 4096,
-        sync: str = "always",
-    ) -> None:
+    def __init__(self, directory: str | Path, segment_events: int = 4096) -> None:
         if segment_events <= 0:
             raise ValueError(f"segment_events must be positive, got {segment_events}")
-        if sync not in self._SYNC_MODES:
-            raise ValueError(f"sync must be one of {self._SYNC_MODES}, got {sync!r}")
         self.directory = Path(directory)
         self.segment_events = segment_events
-        self.sync = sync
         self.directory.mkdir(parents=True, exist_ok=True)
         self._segments: list[_Segment] = []
         self._handle: IO[bytes] | None = None
@@ -305,8 +294,7 @@ class EventLog:
         handle = self._handle
         if handle is not None:
             handle.flush()
-            if self.sync == "always":
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         return self.next_offset
 
     def _rollback_batch(

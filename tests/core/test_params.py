@@ -4,7 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ITCAM, TTCAM
+from repro.core.em import EPS
 from repro.core.params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
 
 
@@ -117,6 +121,74 @@ class TestScoring:
         params = make_ttcam()
         weights, _ = params.query_space(0, 0)
         assert weights.sum() == pytest.approx(1.0)
+
+
+def random_params(variant, seed, n, k1, k2, t, v):
+    """A Dirichlet-drawn container of either variant."""
+    rng = np.random.default_rng(seed)
+    shared = dict(
+        theta=rng.dirichlet(np.ones(k1), size=n),
+        phi=rng.dirichlet(np.ones(v), size=k1),
+        lambda_u=rng.uniform(0.0, 1.0, size=n),
+    )
+    if variant == "itcam":
+        return ITCAMParameters(theta_time=rng.dirichlet(np.ones(v), size=t), **shared)
+    return TTCAMParameters(
+        theta_time=rng.dirichlet(np.ones(k2), size=t),
+        phi_time=rng.dirichlet(np.ones(v), size=k2),
+        **shared,
+    )
+
+
+class TestReadSide:
+    """Equations 21–22 and 3 have one definition, on the container."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(VARIANTS)),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(1, 9),
+    )
+    def test_query_space_is_weights_and_matrix(self, variant, seed, n, k1, k2, t, v):
+        params = random_params(variant, seed, n, k1, k2, t, v)
+        user, interval = seed % n, seed % t
+        weights, matrix = params.query_space(user, interval)
+        assert np.array_equal(weights, params.query_weights(user, interval))
+        assert np.array_equal(matrix, params.topic_item_matrix(interval))
+        assert matrix.shape == (weights.shape[0], v)
+        np.testing.assert_allclose(
+            params.score_items(user, interval), weights @ matrix, rtol=0, atol=1e-12
+        )
+        assert np.array_equal(matrix[:k1], params.phi)
+        # one matrix for every interval, or one per interval — and the
+        # cache key says which
+        static = matrix is params.topic_item_matrix((interval + 1) % t)
+        assert static is params.STATIC_MATRIX
+        assert params.matrix_cache_key(interval) == ("static" if static else interval)
+        grown = params.with_fields(theta_time=np.vstack([params.theta_time] * 2))
+        assert (grown.topic_item_matrix(interval) is matrix) is static  # memo carried
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_log_likelihood_is_bitwise_the_models_former_body(self, variant, tiny_cuboid):
+        cuboid, _ = tiny_cuboid
+        model = {"ttcam": TTCAM(4, 3, max_iter=6, seed=2), "itcam": ITCAM(4, max_iter=6, seed=2)}[
+            variant
+        ].fit(cuboid)
+        p = model.params_
+        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
+        p_interest = np.einsum("rk,kr->r", p.theta[u], p.phi[:, v])
+        if variant == "ttcam":  # TTCAM.log_likelihood as it stood
+            p_context = np.einsum("rk,kr->r", p.theta_time[t], p.phi_time[:, v])
+        else:  # ITCAM.log_likelihood as it stood
+            p_context = p.theta_time[t, v]
+        prob = p.lambda_u[u] * p_interest + (1 - p.lambda_u[u]) * p_context
+        expected = float(np.dot(c, np.log(prob + EPS)))
+        assert model.log_likelihood(cuboid) == expected
+        assert p.log_likelihood(cuboid) == expected
 
 
 class TestDeclaration:

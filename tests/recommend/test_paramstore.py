@@ -3,12 +3,14 @@
 The sidecar layout is a derived serving artifact: it must reproduce the
 snapshot's parameters and every persisted derived array *bitwise*, fail
 loudly (``SnapshotCorruptError``) on any tampering, and — through
-``LoadedModel.from_file(mmap=True)`` — serve results identical to the
-eager path while degrading gracefully when the sidecar is missing.
+``LoadedModel.from_file``, which maps whenever a fresh sidecar is there —
+serve results identical to the eager path while degrading gracefully
+when the sidecar is damaged or stale.
 """
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +103,20 @@ class TestRoundTrip:
         restored = ParamStore.for_snapshot(snapshot).params()
         assert tuple(vars(restored)) == eager.field_names()
 
+    def test_mapped_container_answers_the_read_side_bitwise(self, snapshot):
+        eager = load_params(snapshot)
+        mapped = ParamStore.for_snapshot(snapshot).params()
+        assert mapped.matrix_cache_key(2) == eager.matrix_cache_key(2)
+        for interval in range(eager.num_intervals):
+            assert np.array_equal(mapped.context_scores(interval), eager.context_scores(interval))
+            assert np.array_equal(
+                mapped.topic_item_matrix(interval), eager.topic_item_matrix(interval)
+            )
+            for user in range(eager.num_users):
+                assert np.array_equal(
+                    mapped.query_weights(user, interval), eager.query_weights(user, interval)
+                )
+
     def test_verify_passes_and_nbytes_positive(self, snapshot):
         store = ParamStore.for_snapshot(snapshot)
         store.verify()
@@ -154,7 +170,7 @@ class TestCorruption:
         with pytest.raises(SnapshotCorruptError, match="tcam-store-v2"):
             ParamStore.for_snapshot(copy)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert LoadedModel.from_file(copy, mmap=True).param_store is None
+            assert LoadedModel.from_file(copy).param_store is None
 
     def test_tampered_parameters_fail_spot_check(self, snapshot, tmp_path):
         copy = self._copy_store(snapshot, tmp_path)
@@ -183,7 +199,7 @@ class TestStaleSidecar:
         with pytest.raises(SnapshotCorruptError, match="stale"):
             ParamStore.for_snapshot(path)
         with pytest.warns(RuntimeWarning, match="stale.*falling back"):
-            loaded = LoadedModel.from_file(path, mmap=True)
+            loaded = LoadedModel.from_file(path)
         assert loaded.param_store is None
         assert np.array_equal(loaded.params_.theta, new.params_.theta)
         assert not np.array_equal(loaded.params_.theta, old.params_.theta)
@@ -205,17 +221,17 @@ class TestStaleSidecar:
             raise AssertionError("for_snapshot decoded the parameter arrays")
 
         monkeypatch.setattr(serialize, "load_params", no_eager_load)
-        loaded = LoadedModel.from_file(snapshot, mmap=True)
+        loaded = LoadedModel.from_file(snapshot)
         assert loaded.param_store is not None
         assert loaded.param_store.snapshot_checksum == serialize.stored_checksum(snapshot)
 
 
 class TestMmapServing:
     def test_mmap_batch_identical_to_eager(self, snapshot):
-        eager = TemporalRecommender(LoadedModel.from_file(snapshot))
+        eager = TemporalRecommender(LoadedModel(load_params(snapshot)))
         queries = [(u % 10, u % 4) for u in range(16)] + [(0, 0)]
         expected = eager.recommend_batch(queries, k=6)
-        mapped_model = LoadedModel.from_file(snapshot, mmap=True)
+        mapped_model = LoadedModel.from_file(snapshot)
         assert mapped_model.param_store is not None
         for dtype in ("float64", "int8"):
             mapped = TemporalRecommender(mapped_model)
@@ -225,8 +241,8 @@ class TestMmapServing:
                 assert r_mmap.scores == r_eager.scores, dtype
 
     def test_mmap_single_query_identical_to_eager(self, snapshot):
-        eager = TemporalRecommender(LoadedModel.from_file(snapshot))
-        mapped = TemporalRecommender(LoadedModel.from_file(snapshot, mmap=True))
+        eager = TemporalRecommender(LoadedModel(load_params(snapshot)))
+        mapped = TemporalRecommender(LoadedModel.from_file(snapshot))
         for user, interval in [(0, 0), (3, 2), (9, 3)]:
             r_eager = eager.recommend(user, interval, k=5)
             r_mmap = mapped.recommend(user, interval, k=5)
@@ -257,8 +273,8 @@ class TestMmapServing:
         store = ParamStore.for_snapshot(path)
         store.verify()
         assert np.array_equal(store.array("sorted_order"), lists.order)
-        eager = TemporalRecommender(LoadedModel.from_file(path))
-        mapped_model = LoadedModel.from_file(path, mmap=True)
+        eager = TemporalRecommender(LoadedModel(load_params(path)))
+        mapped_model = LoadedModel.from_file(path)
         assert mapped_model.param_store is not None
         mapped = TemporalRecommender(mapped_model)
         queries = [(u % 12, u % 5) for u in range(14)]
@@ -274,12 +290,32 @@ class TestMmapServing:
             got = mapped.recommend(3, 2, k=5, method=method)
             assert (got.items, got.scores) == (want.items, want.scores)
 
-    def test_missing_sidecar_degrades_with_warning(self, tmp_path):
+
+
+class TestOneOpener:
+    """``from_file`` takes no switch: what is on disk decides how it opens."""
+
+    @pytest.mark.parametrize(
+        "sidecar, mapped, warns",
+        [("none", False, False), ("fresh", True, False), ("stale", False, True), ("torn", False, True)],
+    )
+    def test_from_file_follows_what_is_on_disk(self, tmp_path, sidecar, mapped, warns):
         rng = np.random.default_rng(23)
-        model = make_ttcam(rng)
-        path = save_params(model.params_, tmp_path / "plain.npz")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            loaded = LoadedModel.from_file(path, mmap=True)
-        assert loaded.param_store is None
-        rec = TemporalRecommender(loaded)
-        assert rec.recommend(0, 0, k=3).items
+        old, new = make_ttcam(rng), make_ttcam(rng)
+        path = tmp_path / "model.npz"
+        if sidecar == "stale":
+            save_params(old.params_, path, mmap_layout=True)
+        save_params(new.params_, path, mmap_layout=sidecar == "fresh")
+        if sidecar == "torn":  # a publish that died before its manifest
+            store_dir(path).mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = LoadedModel.from_file(path)
+        assert (loaded.param_store is not None) is mapped
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert bool(messages) is warns, messages
+        assert all("falling back" in message for message in messages)
+        assert np.array_equal(loaded.params_.theta, new.params_.theta)
+        want = TemporalRecommender(LoadedModel(new.params_)).recommend(0, 0, k=3)
+        got = TemporalRecommender(loaded).recommend(0, 0, k=3)
+        assert (got.items, got.scores) == (want.items, want.scores)

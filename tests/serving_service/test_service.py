@@ -86,7 +86,7 @@ class TestReadPath:
         for entry in status["workers"]:
             assert entry["generation"] == 0
             assert "shared" not in entry
-            assert entry["mmap"] is False  # launched without --mmap: eager models
+            assert entry["mmap"] is False  # no sidecar beside the snapshot: eager models
             assert entry["rss_bytes"] is None or entry["rss_bytes"] > 0
         # an idle fleet: nothing in flight or parked when the status was taken
         assert status["service"]["inflight"] == [0, 0]
@@ -275,7 +275,7 @@ class TestSidecarFleet:
         def mmap_flags(client):
             return [entry["mmap"] for entry in client.status()["workers"]]
 
-        config = _config(first_path, tmp_path, mmap=True, serve_dtype=serve_dtype)
+        config = _config(first_path, tmp_path, serve_dtype=serve_dtype)
         with running_service(config) as service:
             with ServiceClient("127.0.0.1", service.port, timeout=120) as client:
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(first))
@@ -285,16 +285,18 @@ class TestSidecarFleet:
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(second))
                 assert mmap_flags(client) == [True, True]  # the sidecar survives a swap
 
-                # no sidecar beside this one: every worker falls back to the
-                # eager load, and status says so although --mmap was given
+                # no sidecar beside this one: every worker loads it eagerly,
+                # and status says so
                 assert client.publish(str(plain_path))["published"] is True
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(plain))
                 assert mmap_flags(client) == [False, False]
 
-                # an explicit mmap=false publish of a sidecar'd snapshot
-                assert client.publish(str(first_path), mmap=False)["published"] is True
+                # an older client's "mmap" key is ignored, not an error: the
+                # sidecar beside the snapshot decides
+                old_style = {"op": "publish", "path": str(first_path), "mmap": False}
+                assert client.request(old_style)["published"] is True
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(first))
-                assert mmap_flags(client) == [False, False]
+                assert mmap_flags(client) == [True, True]
 
 
 class TestDrain:

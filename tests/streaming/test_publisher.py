@@ -83,7 +83,7 @@ class TestGate:
     ):
         candidate = perturbed(stream_base, 6)
         path = save_params(candidate, tmp_path / "snap.npz", mmap_layout=True)
-        result = SnapshotPublisher(recommender).publish_file(path, mmap=True)
+        result = SnapshotPublisher(recommender).publish_file(path)
         assert result.published
         model = recommender.model
         assert model.param_store is not None

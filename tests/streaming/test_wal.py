@@ -230,11 +230,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="segment_events"):
             EventLog(tmp_path / "wal", segment_events=0)
 
-    def test_rejects_bad_sync_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="sync"):
-            EventLog(tmp_path / "wal", sync="sometimes")
-
-    def test_rotate_sync_mode_still_durable_after_close(self, tmp_path):
-        with EventLog(tmp_path / "wal", sync="rotate") as log:
-            log.append(make_events(5))
-        assert len(EventLog(tmp_path / "wal")) == 5

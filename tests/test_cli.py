@@ -285,7 +285,6 @@ class TestRecommendMmapQuantized:
                 [
                     "recommend",
                     "--model", str(mmap_snapshot),
-                    "--mmap",
                     "--batch-file", str(batch),
                     "-k", "5",
                     "--select-dtype", mode,
@@ -347,7 +346,6 @@ class TestRecommendMmapQuantized:
             [
                 "recommend",
                 "--model", str(mmap_snapshot),
-                "--mmap",
                 "--user", "0",
                 "--interval", "3",
                 "-k", "5",
@@ -356,18 +354,12 @@ class TestRecommendMmapQuantized:
         assert code == 0
         assert "fully scored" in capsys.readouterr().out
 
-    def test_mmap_without_sidecar_warns_and_degrades(self, snapshot, capsys):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            code = main(
-                [
-                    "recommend",
-                    "--model", str(snapshot),  # fitted without --mmap-layout
-                    "--mmap",
-                    "--user", "0",
-                    "--interval", "3",
-                ]
-            )
-        assert code == 0
+    def test_mmap_flag_is_gone(self, mmap_snapshot, capsys):
+        for command in (["recommend", "--user", "0", "--interval", "0"], ["serve"]):
+            with pytest.raises(SystemExit) as refused:
+                main(command + ["--model", str(mmap_snapshot), "--mmap"])
+            assert refused.value.code == 2
+            assert "unrecognized arguments: --mmap" in capsys.readouterr().err
 
 
 class TestServeStartupFailure:
@@ -598,11 +590,28 @@ class TestStream:
         assert "4 durable events" in out
         assert "offset 4" in out
 
-    def test_append_rejects_missing_columns(self, tmp_path):
+    def _refused_append(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
-        bad.write_text("who,when\n1,2\n")
-        with pytest.raises(SystemExit, match="missing columns"):
-            main(["stream", "append", "--log", str(tmp_path / "wal"), "--input", str(bad)])
+        bad.write_text(text)
+        code = main(["stream", "append", "--log", str(tmp_path / "wal"), "--input", str(bad)])
+        assert code == 2
+        assert not (tmp_path / "wal").exists()  # refused before touching the log
+        return assert_one_line_refusal(capsys, "tcam stream append: ")
+
+    def test_append_rejects_missing_columns(self, tmp_path, capsys):
+        line = self._refused_append(tmp_path, capsys, "who,when\n1,2\n")
+        assert "missing columns ['interval', 'item', 'user']" in line
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("user,interval,item,score\n0,0,1,1.0\n1,zero,2,2.0\n", "bad.csv:3: "),
+            ("user,interval,item\n0,0\n", "bad.csv:2: "),
+        ],
+        ids=["non-numeric-field", "short-row"],
+    )
+    def test_append_names_the_line_of_a_bad_field(self, tmp_path, capsys, text, where):
+        assert where in self._refused_append(tmp_path, capsys, text)
 
     def test_status_without_checkpoints_reports_log_only(self, tmp_path, capsys):
         log_dir = tmp_path / "wal"
@@ -610,7 +619,7 @@ class TestStream:
         assert main(["stream", "status", "--log", str(log_dir)]) == 0
         assert "0 durable events" in capsys.readouterr().out
 
-    def test_run_rejects_itcam_snapshot(self, dataset_csv, tmp_path):
+    def test_run_rejects_itcam_snapshot(self, dataset_csv, tmp_path, capsys):
         snap = tmp_path / "itcam.npz"
         assert (
             main(
@@ -625,15 +634,10 @@ class TestStream:
             )
             == 0
         )
-        with pytest.raises(SystemExit, match="TTCAM snapshot"):
-            main(
-                [
-                    "stream", "run",
-                    "--log", str(tmp_path / "wal"),
-                    "--snapshot", str(snap),
-                    "--checkpoints", str(tmp_path / "ckpt"),
-                ]
-            )
+        capsys.readouterr()
+        assert self._run(tmp_path, snap) == 2
+        assert "TTCAM snapshot" in assert_one_line_refusal(capsys, "tcam stream run: ")
+        assert not (tmp_path / "wal").exists()  # refused before touching the log
 
     def _run(self, tmp_path, snapshot, *extra):
         return main(
