@@ -15,7 +15,9 @@ a metric is unresolved when either side's quartile spread exceeds the
 bound taken as a share of the *parent's* median — the driver's reading,
 with no exception for a change whose every run beats the parent's, so a
 rate that rises g-fold passes only while its relative spread stays under
-bound / g. Run nothing else on the host meanwhile.
+bound / g; under each higher-is-better metric the table therefore also
+prints the change side's quartile spread as a share of that limit. Run
+nothing else on the host meanwhile.
 """
 
 from __future__ import annotations
@@ -80,6 +82,12 @@ def report(spec: dict, runs: dict[str, list[dict]]) -> None:
             verdict = "holds"
         print(f"{name:18s} {pm:12.4g} [{p1:9.4g},{p3:9.4g}] {cm:12.4g} [{c1:9.4g},{c3:9.4g}] "
               f"{wins:3d}/{pairs:<2d} {ties:5d}  {verdict} ({metric['unit']})")
+        if not lower and limit > 0:
+            # A rate that rises g-fold carries its spread up g-fold with it:
+            # how much of the limit the change side has used, before the
+            # driver reads the same number as `unresolved`.
+            print(f"{'':18s} change q3-q1 = {c3 - c1:.4g}, {(c3 - c1) / limit:.0%} of the "
+                  f"{limit:.4g} limit ({metric['bound']:.2f} x parent median)")
     for side in ("parent", "change"):
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])

@@ -1,5 +1,6 @@
-"""Shared EM machinery: scatter sums, normalisation, convergence tracking,
-and the fault-tolerant iteration driver.
+"""Shared EM machinery: scatter sums (the one-shot flat ``bincount`` and
+the plan-once CSR reduce), normalisation, convergence tracking, and the
+fault-tolerant iteration driver.
 
 Both TCAM variants (and the UT/TT baselines) are latent-class mixture
 models fit by expectation–maximisation over the sparse rating cuboid. The
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..robustness.checkpoint import Checkpoint, CheckpointManager
 from ..robustness.errors import HealthViolation
@@ -48,38 +50,68 @@ def safe_divide(
     return np.divide(numerator, denominator + eps)
 
 
-class ScatterPlan:
-    """Reusable index workspace for :func:`scatter_sum`.
+def _check_scatter_rows(rows: IntArray, num_rows: int) -> None:
+    """Raise a ``ValueError`` naming the first row index outside ``[0, num_rows)``."""
+    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        bad = rows[(rows < 0) | (rows >= num_rows)][0]
+        raise ValueError(
+            f"scatter row index {int(bad)} is out of range for num_rows={num_rows}"
+        )
 
-    A plan hoists the ``np.arange(k)`` column offsets and the
-    ``(capacity, k)`` flat-index buffer out of the per-call path, so a
-    caller that scatters many same-width batches (the blocked EM engine
-    scatters four per block per iteration) performs no index allocation
-    after construction. ``capacity`` bounds the batch length the plan can
-    serve; shorter batches use a leading slice of the buffer.
+
+class ScatterPlan:
+    """Plan-once, multiply-many scatter-add over one *fixed* index array.
+
+    A caller that reduces through the same ``rows`` many times (the
+    blocked EM engine scatters every block's index arrays once per
+    iteration, and they never change during a fit) pays for the index
+    work once: construction stably argsorts ``rows`` into the
+    ``(num_rows, R)`` CSR indicator matrix ``S`` with
+    ``S[i, r] = 1 ⇔ rows[r] == i``, and :meth:`sum` is then the sparse
+    product ``S @ values`` — no flat index, no ``num_rows · K``-bin count.
+
+    The stable order makes each bin add its rows in ascending row index,
+    starting from ``0.0`` — the order of the flat ``bincount`` in
+    :func:`scatter_sum` — so the two are bit-identical, not merely close.
+    The plan is immutable after construction (its arrays are read-only),
+    so any number of threads may share one.
     """
 
-    def __init__(self, k: int, capacity: int) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.k = int(k)
-        self.capacity = int(capacity)
-        self._cols = np.arange(self.k, dtype=np.int64)
-        self._flat = np.empty((self.capacity, self.k), dtype=np.int64)
+    def __init__(self, rows: IntArray, num_rows: int) -> None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ValueError(f"rows must be one-dimensional, got shape {rows.shape}")
+        if num_rows <= 0:
+            raise ValueError(f"num_rows must be positive, got {num_rows}")
+        _check_scatter_rows(rows, num_rows)
+        self.size = int(rows.shape[0])
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+        order = np.argsort(rows, kind="stable")
+        self._indicator = csr_matrix(
+            (np.ones(self.size), order, indptr), shape=(num_rows, self.size)
+        )
+        for array in (self._indicator.data, self._indicator.indices, self._indicator.indptr):
+            array.flags.writeable = False
 
-    def flat_index(self, rows: IntArray) -> IntArray:
-        """``rows[:, None] * k + arange(k)`` raveled, without allocating."""
-        r = rows.shape[0]
-        if r > self.capacity:
+    def sum(self, values: FloatArray, out: FloatArray | None = None) -> FloatArray:
+        """Sum the ``(R, K)`` ``values`` rows into the plan's ``num_rows`` bins.
+
+        Returns the ``(num_rows, K)`` result, or accumulates it into
+        ``out`` (``out += ...``) and returns ``out`` — exactly
+        :func:`scatter_sum` with the plan's ``rows``.
+        """
+        if values.ndim != 2 or values.shape[0] != self.size:
             raise ValueError(
-                f"batch of {r} rows exceeds plan capacity {self.capacity}"
+                f"values shape {values.shape} incompatible with a plan over {self.size} rows"
             )
-        buffer = self._flat[:r]
-        np.multiply(rows[:, None], self.k, out=buffer)
-        buffer += self._cols
-        return buffer.ravel()
+        result: FloatArray = self._indicator @ values
+        if out is None:
+            return result
+        if out.shape != result.shape:
+            raise ValueError(f"out shape {out.shape} incompatible with {result.shape}")
+        out += result
+        return out
 
 
 def scatter_sum(
@@ -87,32 +119,27 @@ def scatter_sum(
     values: FloatArray,
     num_rows: int,
     out: FloatArray | None = None,
-    plan: ScatterPlan | None = None,
 ) -> FloatArray:
     """Row-indexed scatter-add: sum ``values`` rows into ``num_rows`` bins.
 
     ``rows`` is ``(R,)`` int; ``values`` is ``(R, K)``. Returns the
     ``(num_rows, K)`` matrix whose row ``i`` is the sum of all ``values``
     rows with ``rows == i``. Implemented with a single flat ``bincount``,
-    which is far faster than ``np.add.at`` for large ``R``.
+    which is far faster than ``np.add.at`` for large ``R``. This is the
+    one-shot path, for an index set that is used once; a caller that
+    scatters through the same ``rows`` repeatedly builds a
+    :class:`ScatterPlan` instead.
 
     ``out`` accumulates the result into a caller-provided ``(num_rows, K)``
-    array (``out += ...``) and returns it, so a blocked caller can fold
-    many partial scatters into one statistics buffer. ``plan`` supplies a
-    preallocated :class:`ScatterPlan`, hoisting the flat-index
-    construction out of the call. Both default to the legacy
-    allocate-and-return behaviour.
+    array (``out += ...``) and returns it, so a caller can fold many
+    partial scatters into one statistics buffer.
     """
     values = np.atleast_2d(values)
     r, k = values.shape
     if rows.shape != (r,):
         raise ValueError(f"rows shape {rows.shape} incompatible with values {values.shape}")
-    if plan is not None:
-        if plan.k != k:
-            raise ValueError(f"plan was built for k={plan.k}, values have k={k}")
-        flat_index = plan.flat_index(rows)
-    else:
-        flat_index = (rows[:, None] * k + np.arange(k, dtype=np.int64)).ravel()
+    _check_scatter_rows(rows, num_rows)
+    flat_index = (rows[:, None] * k + np.arange(k, dtype=np.int64)).ravel()
     flat = np.bincount(flat_index, weights=values.ravel(), minlength=num_rows * k)
     result = flat.reshape(num_rows, k)
     if out is None:

@@ -17,12 +17,19 @@ This module restructures that pass without changing the math:
 * :class:`BlockedEStep` — iterates the triples in fixed-size blocks,
   computing each block's responsibilities in **preallocated, reused
   buffers** (``np.take(..., out=...)`` gathers, in-place ufuncs, fused
-  ``c · resp`` scaling, and :class:`~repro.core.em.ScatterPlan`-backed
-  scatters), accumulating per-worker statistics, and reducing the worker
+  ``c · resp`` scaling), reducing them into per-worker statistics
+  through the kernel's **plan-once scatters**, and reducing the worker
   partials in a **deterministic fixed order**.
 * Model kernels (:class:`TTCAMKernel`, :class:`ITCAMKernel`,
   :class:`UserTopicKernel`, :class:`TimeTopicKernel`) — the per-block
-  E-step equations of each model family.
+  E-step equations of each model family. The index arrays of a fit never
+  change, so a kernel holds one :class:`~repro.core.em.ScatterPlan` per
+  (index array, block of the grid): built once when an engine is
+  constructed over it, never inside :meth:`BlockedEStep.compute`, and
+  immutable afterwards, so worker threads and re-executed shard mappers
+  share them without a lock. Each plan sums a bin's rows in the order of
+  the flat ``bincount`` of :func:`~repro.core.em.scatter_sum`, so a fit
+  is bit-identical to one scattered through that.
 
 This is the only E-step of TTCAM, ITCAM, ``PartitionedTTCAM`` and the
 UT/TT baselines: each model builds its kernel, hands it to a
@@ -73,7 +80,7 @@ from ..typing import (
     bit_deterministic,
     hot_path,
 )
-from .em import EPS, ScatterPlan, scatter_sum, scatter_sum_1d
+from .em import EPS, ScatterPlan, scatter_sum_1d
 
 #: Default block length when the config leaves ``block_size`` unset.
 #: 32k rows × 64 topics × 8 bytes ≈ 16 MB of hot workspace — comfortably
@@ -132,8 +139,10 @@ class _Kernel:
     """Shared plumbing of the per-model blocked E-step kernels.
 
     A kernel owns the (immutable) rating triples plus the model
-    dimensions, and exposes three hooks to :class:`BlockedEStep`:
+    dimensions, and exposes four hooks to :class:`BlockedEStep`:
 
+    * :meth:`plan_blocks` — build the scatter plans of a block grid,
+      once, before the first pass over it;
     * :meth:`stat_arrays` — freshly zeroed accumulator arrays, one set
       per worker;
     * :meth:`make_workspace` — preallocated scratch buffers sized to one
@@ -153,6 +162,7 @@ class _Kernel:
         self.t = intervals
         self.v = items
         self.c = scores
+        self._plans: dict[tuple[int, int], tuple[ScatterPlan, ...]] = {}
 
     @property
     def num_ratings(self) -> int:
@@ -162,6 +172,21 @@ class _Kernel:
     def _scalars(self, capacity: int, names: tuple[str, ...]) -> dict[str, AnyArray]:
         """One ``(capacity,)`` scratch vector per name."""
         return {name: np.empty(capacity) for name in names}
+
+    def plan_blocks(self, blocks: list[tuple[int, int]]) -> None:
+        """Build the scatter plans of every block not planned yet.
+
+        Cold and idempotent: :class:`BlockedEStep` calls it at
+        construction, so a second engine over the same kernel and grid
+        (a shard mapper's throwaway one) finds its plans and builds none.
+        """
+        for lo, hi in blocks:
+            if (lo, hi) not in self._plans:
+                self._plans[lo, hi] = self._block_plans(lo, hi)
+
+    def _block_plans(self, lo: int, hi: int) -> tuple[ScatterPlan, ...]:
+        """One plan per index array the kernel scatters rows ``[lo, hi)`` through."""
+        raise NotImplementedError
 
     def stat_arrays(self) -> ArrayState:
         raise NotImplementedError
@@ -208,6 +233,14 @@ class TTCAMKernel(_Kernel):
             "lam_num": np.zeros(self.n),
         }
 
+    def _block_plans(self, lo: int, hi: int) -> tuple[ScatterPlan, ...]:
+        """The block's by-user, by-item and by-interval scatters."""
+        return (
+            ScatterPlan(self.u[lo:hi], self.n),
+            ScatterPlan(self.v[lo:hi], self.v_dim),
+            ScatterPlan(self.t[lo:hi], self.t_dim),
+        )
+
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
@@ -215,8 +248,6 @@ class TTCAMKernel(_Kernel):
             "phi_v": np.empty((self.k1, capacity)),
             "x": np.empty((capacity, self.k2)),
             "phi_time_v": np.empty((self.k2, capacity)),
-            "plan1": ScatterPlan(self.k1, capacity),
-            "plan2": ScatterPlan(self.k2, capacity),
         }
         ws.update(self._scalars(capacity, ("p_int", "p_ctx", "lam", "den", "ps1", "a", "b")))
         return ws
@@ -235,6 +266,7 @@ class TTCAMKernel(_Kernel):
         p_int, p_ctx = ws["p_int"][:b], ws["p_ctx"][:b]
         lam_r, den, ps1 = ws["lam"][:b], ws["den"][:b], ws["ps1"][:b]
         s1, s2 = ws["a"][:b], ws["b"][:b]
+        by_user, by_item, by_interval = self._plans[lo, hi]
 
         # joint_z[r, z] = θ[u_r, z] · φ[z, v_r] (numerator of Eq. 5)
         np.take(state["theta"], u, axis=0, out=z, mode="clip")
@@ -263,15 +295,15 @@ class TTCAMKernel(_Kernel):
         np.add(p_int, EPS, out=s2)
         np.divide(s1, s2, out=s2)
         z *= s2[:, None]
-        scatter_sum(u, z, self.n, out=stats["theta_num"], plan=ws["plan1"])
-        scatter_sum(v, z, self.v_dim, out=stats["phi_num"], plan=ws["plan1"])
+        by_user.sum(z, out=stats["theta_num"])
+        by_item.sum(z, out=stats["phi_num"])
         # Fused c · resp_x with c·(1-ps1) = c - c·ps1.
         np.subtract(c, s1, out=s1)
         np.add(p_ctx, EPS, out=s2)
         np.divide(s1, s2, out=s2)
         x *= s2[:, None]
-        scatter_sum(t, x, self.t_dim, out=stats["theta_time_num"], plan=ws["plan2"])
-        scatter_sum(v, x, self.v_dim, out=stats["phi_time_num"], plan=ws["plan2"])
+        by_interval.sum(x, out=stats["theta_time_num"])
+        by_item.sum(x, out=stats["phi_time_num"])
         return log_likelihood
 
 
@@ -302,13 +334,16 @@ class ITCAMKernel(_Kernel):
             "lam_num": np.zeros(self.n),
         }
 
+    def _block_plans(self, lo: int, hi: int) -> tuple[ScatterPlan, ...]:
+        """The block's by-user and by-item scatters."""
+        return ScatterPlan(self.u[lo:hi], self.n), ScatterPlan(self.v[lo:hi], self.v_dim)
+
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
             "z": np.empty((capacity, self.k1)),
             "phi_v": np.empty((self.k1, capacity)),
             "tv": np.empty(capacity, dtype=np.int64),
-            "plan1": ScatterPlan(self.k1, capacity),
         }
         ws.update(self._scalars(capacity, ("p_int", "p_ctx", "lam", "den", "ps1", "a", "b")))
         return ws
@@ -326,6 +361,7 @@ class ITCAMKernel(_Kernel):
         p_int, p_ctx = ws["p_int"][:b], ws["p_ctx"][:b]
         lam_r, den, ps1 = ws["lam"][:b], ws["den"][:b], ws["ps1"][:b]
         s1, s2 = ws["a"][:b], ws["b"][:b]
+        by_user, by_item = self._plans[lo, hi]
 
         np.take(state["theta"], u, axis=0, out=z, mode="clip")
         np.take(state["phi"], v, axis=1, out=phi_v, mode="clip")
@@ -352,8 +388,8 @@ class ITCAMKernel(_Kernel):
         np.add(p_int, EPS, out=s2)
         np.divide(s1, s2, out=s2)
         z *= s2[:, None]
-        scatter_sum(u, z, self.n, out=stats["theta_num"], plan=ws["plan1"])
-        scatter_sum(v, z, self.v_dim, out=stats["phi_num"], plan=ws["plan1"])
+        by_user.sum(z, out=stats["theta_num"])
+        by_item.sum(z, out=stats["phi_num"])
         np.subtract(c, s1, out=s1)  # c·(1-ps1)
         scatter_sum_1d(tv, s1, self.t_dim * self.v_dim, out=stats["time_num"])
         return log_likelihood
@@ -391,12 +427,18 @@ class UserTopicKernel(_Kernel):
             "phi_num": np.zeros((self.v_dim, self.k)),
         }
 
+    def _block_plans(self, lo: int, hi: int) -> tuple[ScatterPlan, ...]:
+        """The block's by-document and by-item scatters."""
+        return (
+            ScatterPlan(self._doc_ids(lo, hi), self.stat_arrays_rows()),
+            ScatterPlan(self.v[lo:hi], self.v_dim),
+        )
+
     def make_workspace(self, capacity: int) -> Workspace:
         """One worker's preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
             "z": np.empty((capacity, self.k)),
             "phi_v": np.empty((self.k, capacity)),
-            "plan": ScatterPlan(self.k, capacity),
         }
         ws.update(self._scalars(capacity, ("p", "den", "a")))
         return ws
@@ -415,6 +457,7 @@ class UserTopicKernel(_Kernel):
         z = ws["z"][:b]
         phi_v = ws["phi_v"][:, :b]
         p, den, s1 = ws["p"][:b], ws["den"][:b], ws["a"][:b]
+        by_doc, by_item = self._plans[lo, hi]
 
         np.take(state[self.doc_topics_key], doc, axis=0, out=z, mode="clip")
         np.take(state[self.topic_items_key], v, axis=1, out=phi_v, mode="clip")
@@ -431,8 +474,8 @@ class UserTopicKernel(_Kernel):
         # Fused c · resp = joint · (c / denom).
         np.divide(c, den, out=s1)
         z *= s1[:, None]
-        scatter_sum(doc, z, self.stat_arrays_rows(), out=stats["theta_num"], plan=ws["plan"])
-        scatter_sum(v, z, self.v_dim, out=stats["phi_num"], plan=ws["plan"])
+        by_doc.sum(z, out=stats["theta_num"])
+        by_item.sum(z, out=stats["phi_num"])
         return log_likelihood
 
     def stat_arrays_rows(self) -> int:
@@ -461,10 +504,11 @@ class BlockedEStep:
     Built once per fit from a model kernel and an
     :class:`EMEngineConfig`; :meth:`compute` is then called every
     iteration with the current parameter state and returns the reduced
-    sufficient statistics plus the iteration's log-likelihood. All
-    workspace and statistic buffers are allocated at first use and reused
-    for the lifetime of the engine — the steady-state iteration performs
-    no ``(R, K)``-sized allocations.
+    sufficient statistics plus the iteration's log-likelihood. The
+    kernel's scatter plans are built here, at construction; workspace and
+    statistic buffers are allocated at first use and reused for the
+    lifetime of the engine — the steady-state iteration performs no
+    ``(R, K)``-sized allocations and no index work.
 
     The block grid and the block→worker assignment are fixed at
     construction (worker ``w`` owns a contiguous run of blocks), and the
@@ -491,6 +535,7 @@ class BlockedEStep:
             self.blocks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
         self.block_size = block
+        kernel.plan_blocks(self.blocks)
         self._workspaces: list[Workspace] | None = None
         self._stats: list[ArrayState] | None = None
         self._sanitizer = (

@@ -128,11 +128,17 @@ class PartitionedTTCAM(TTCAM):
 
     def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
         """Map the shards, reduce their partials in fixed shard order."""
-        shards = self._partition(cuboid)
-        shape = cuboid.shape
+        kernels = [
+            TTCAMKernel(*shard, cuboid.shape, self.num_user_topics, self.num_time_topics)
+            for shard in self._partition(cuboid)
+        ]
+        # An engine built over a kernel plans the kernel's scatters. Doing
+        # that here, once per shard, leaves the mappers' throwaway engines
+        # only immutable plans to share and none to build.
+        block_size = max(self._shard_engine(kernel).block_size for kernel in kernels)
 
         def compute(state: ArrayState) -> Partial:
-            partials = self._run_map(shards, state, shape)
+            partials = self._run_map(kernels, state)
             total, log_likelihood = partials[0]
             for stats, shard_log_likelihood in partials[1:]:
                 for name, array in total.items():
@@ -140,26 +146,27 @@ class PartitionedTTCAM(TTCAM):
                 log_likelihood += shard_log_likelihood
             return total, log_likelihood
 
-        largest = max(len(scores) for *_, scores in shards)
         grid: dict[str, object] = {
-            "block_size": self.engine.resolved_block_size(largest),
+            "block_size": block_size,
             "workers": 1,
-            "partitions": len(shards),
+            "partitions": len(kernels),
         }
         return compute, grid
 
-    def _map_shard(
-        self, shard: Shard, state: ArrayState, shape: tuple[int, int, int]
-    ) -> Partial:
+    def _shard_engine(self, kernel: TTCAMKernel) -> BlockedEStep:
+        """A fresh engine over one shard; threads apply at the shard-map level."""
+        return BlockedEStep(kernel, replace(self.engine, threads=1))
+
+    def _map_shard(self, kernel: TTCAMKernel, state: ArrayState) -> Partial:
         """E-step + partial sufficient statistics for one shard (the mapper).
 
-        A throwaway engine per call keeps the mapper pure (safe to
-        re-execute concurrently with a straggling first attempt) while
-        still reusing buffers across the shard's blocks. Threads apply at
-        the shard-map level.
+        The shard's kernel — its triples and scatter plans — is built once
+        per fit and only read here. A throwaway engine (the buffers) per
+        call keeps the mapper pure, safe to re-execute concurrently with a
+        straggling first attempt, while still reusing buffers across the
+        shard's blocks.
         """
-        kernel = TTCAMKernel(*shard, shape, self.num_user_topics, self.num_time_topics)
-        return BlockedEStep(kernel, replace(self.engine, threads=1)).compute(state)
+        return self._shard_engine(kernel).compute(state)
 
     def _partition(self, cuboid: RatingCuboid) -> list[Shard]:
         """Split the cuboid's entries into contiguous shards."""
@@ -177,9 +184,7 @@ class PartitionedTTCAM(TTCAM):
                 )
         return shards
 
-    def _run_map(
-        self, shards: list[Shard], state: ArrayState, shape: tuple[int, int, int]
-    ) -> list[Partial]:
+    def _run_map(self, kernels: list[TTCAMKernel], state: ArrayState) -> list[Partial]:
         """Run the mapper over all shards with per-shard retry.
 
         The mapper is a pure function of the broadcast parameters, so a
@@ -188,26 +193,26 @@ class PartitionedTTCAM(TTCAM):
         unaffected by which attempt finally succeeded.
         """
 
-        def attempt_shard(index: int, shard: Shard, attempt: int) -> Partial:
+        def attempt_shard(index: int, kernel: TTCAMKernel, attempt: int) -> Partial:
             fault_point("parallel.shard", shard=index, attempt=attempt)
-            return self._map_shard(shard, state, shape)
+            return self._map_shard(kernel, state)
 
-        def guarded(index: int, shard: Shard) -> Partial:
+        def guarded(index: int, kernel: TTCAMKernel) -> Partial:
             return run_with_retry(
-                lambda attempt: attempt_shard(index, shard, attempt),
+                lambda attempt: attempt_shard(index, kernel, attempt),
                 retries=self.max_shard_retries,
                 backoff=self.retry_backoff,
                 label=f"E-step shard {index}",
                 error=ShardFailedError,
             )
 
-        if self.workers == 1 or len(shards) == 1:
-            return [guarded(i, s) for i, s in enumerate(shards)]
+        if self.workers == 1 or len(kernels) == 1:
+            return [guarded(i, k) for i, k in enumerate(kernels)]
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [
-                pool.submit(attempt_shard, i, s, 0) for i, s in enumerate(shards)
+                pool.submit(attempt_shard, i, k, 0) for i, k in enumerate(kernels)
             ]
-            results: list[Partial | None] = [None] * len(shards)
+            results: list[Partial | None] = [None] * len(kernels)
             stragglers: list[int] = []
             for index, future in enumerate(futures):
                 try:
@@ -218,6 +223,6 @@ class PartitionedTTCAM(TTCAM):
             for index in stragglers:
                 # Attempt 0 already failed; replay it against the retry
                 # budget so fault plans keyed on attempt numbers line up.
-                results[index] = guarded(index, shards[index])
+                results[index] = guarded(index, kernels[index])
             assert all(stats is not None for stats in results)
             return [stats for stats in results if stats is not None]

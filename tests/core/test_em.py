@@ -1,5 +1,8 @@
 """Tests for the shared EM machinery."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -70,38 +73,92 @@ class TestScatterSumOut:
 
 class TestScatterPlan:
     def test_matches_planless_result(self, rng):
-        plan = ScatterPlan(k=5, capacity=100)
-        for batch in (100, 37, 1):  # full capacity and leading slices
+        for batch in (100, 37, 1):
             rows = rng.integers(0, 8, size=batch)
-            values = rng.random((batch, 5))
-            np.testing.assert_array_equal(
-                scatter_sum(rows, values, 8, plan=plan),
-                scatter_sum(rows, values, 8),
-            )
+            plan = ScatterPlan(rows, 8)
+            for width in (5, 1):  # one plan serves values of any width
+                values = rng.random((batch, width))
+                np.testing.assert_array_equal(
+                    plan.sum(values), scatter_sum(rows, values, 8)
+                )
 
-    def test_flat_index_allocates_nothing_after_init(self, rng):
-        plan = ScatterPlan(k=3, capacity=10)
+    def test_out_accumulates_across_calls(self, rng):
+        rows = rng.integers(0, 6, size=80)
+        values = rng.random((80, 3))
+        plan = ScatterPlan(rows, 6)
+        out = np.zeros((6, 3))
+        assert plan.sum(values, out=out) is out
+        plan.sum(values, out=out)
+        expected = scatter_sum(rows, values, 6)
+        np.testing.assert_array_equal(out, expected + expected)
+
+    def test_plan_is_immutable_and_reusable(self, rng):
         rows = rng.integers(0, 4, size=10)
-        first = plan.flat_index(rows)
-        second = plan.flat_index(rows)
-        assert first.base is plan._flat or first is plan._flat
-        np.testing.assert_array_equal(first, second)
+        plan = ScatterPlan(rows, 4)
+        values = rng.random((10, 3))
+        first = plan.sum(values)
+        rows[:] = 0  # the plan keeps no view of the caller's index array
+        np.testing.assert_array_equal(plan.sum(values), first)
+        indicator = plan._indicator
+        for array in (indicator.data, indicator.indices, indicator.indptr):
+            assert not array.flags.writeable
 
-    def test_over_capacity_rejected(self):
-        plan = ScatterPlan(k=2, capacity=4)
-        with pytest.raises(ValueError, match="capacity"):
-            plan.flat_index(np.zeros(5, dtype=np.int64))
+    def test_one_plan_shared_by_many_threads(self, rng):
+        """The engine's workers share plans without a lock: eight threads
+        (more than the cores) summing through one, switching often."""
+        rows = rng.integers(0, 50, size=2000)
+        plan = ScatterPlan(rows, 50)
+        batches = [rng.random((2000, 4)) for _ in range(8)]
+        expected = [scatter_sum(rows, values, 50).tobytes() for values in batches]
 
-    def test_wrong_width_rejected(self, rng):
-        plan = ScatterPlan(k=3, capacity=10)
-        with pytest.raises(ValueError, match="k=3"):
-            scatter_sum(np.array([0, 1]), np.ones((2, 4)), 2, plan=plan)
+        def work(values):
+            return [plan.sum(values).tobytes() for _ in range(25)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, batches, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert set(got) == {want}
+
+    def test_wrong_length_rejected(self):
+        plan = ScatterPlan(np.array([0, 1, 1, 3]), 4)
+        with pytest.raises(ValueError, match="plan over 4 rows"):
+            plan.sum(np.ones((5, 2)))
+        with pytest.raises(ValueError, match="plan over 4 rows"):
+            plan.sum(np.ones(4))
+
+    def test_wrong_width_rejected(self):
+        plan = ScatterPlan(np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="out shape"):
+            plan.sum(np.ones((2, 4)), out=np.zeros((2, 3)))
 
     def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            ScatterPlan(k=0, capacity=4)
-        with pytest.raises(ValueError):
-            ScatterPlan(k=2, capacity=0)
+        with pytest.raises(ValueError, match="num_rows"):
+            ScatterPlan(np.array([0]), 0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ScatterPlan(np.zeros((2, 2), dtype=np.int64), 4)
+
+    def test_empty_index_array_sums_to_zeros(self):
+        plan = ScatterPlan(np.zeros(0, dtype=np.int64), 3)
+        np.testing.assert_array_equal(plan.sum(np.zeros((0, 2))), np.zeros((3, 2)))
+
+
+class TestOutOfRangeRows:
+    """An index outside ``[0, num_rows)`` is named, not left to ``bincount``."""
+
+    @pytest.mark.parametrize("bad", [6, 4, -1])
+    def test_plan_construction_names_the_index(self, bad):
+        with pytest.raises(ValueError, match=rf"index {bad} is out of range for num_rows=4"):
+            ScatterPlan(np.array([0, 3, bad, 1, 9]), 4)
+
+    @pytest.mark.parametrize("bad", [6, 4, -1])
+    def test_planless_scatter_names_the_index(self, bad):
+        with pytest.raises(ValueError, match=rf"index {bad} is out of range for num_rows=4"):
+            scatter_sum(np.array([0, 3, bad, 1, 9]), np.ones((5, 3)), 4)
 
 
 class TestNormalizeRows:

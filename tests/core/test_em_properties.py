@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.em import normalize_rows, scatter_sum
+from repro.core.em import ScatterPlan, normalize_rows, scatter_sum
 from repro.core.weighting import bursty_degree, compute_item_weights, inverse_user_frequency
 from repro.data.cuboid import RatingCuboid
 
@@ -60,6 +60,44 @@ class TestScatterSumProperties:
         assert np.isclose(out.sum(), values.sum())
         doubled = scatter_sum(index, 2 * values, bins)
         np.testing.assert_allclose(doubled, 2 * out)
+
+
+class TestScatterPlanProperties:
+    """A planned scatter is the flat ``bincount``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),  # distinct row values drawn from
+        st.integers(0, 6),  # bins past rows.max() that stay empty
+        st.integers(0, 60),
+        st.integers(1, 5),  # K, including 1
+        st.sampled_from(["c", "fortran", "strided", "reversed"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_sum_is_bitwise_the_flat_bincount(self, spread, slack, size, cols, layout, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values over many rows: repeats and empty bins both occur.
+        rows = rng.integers(0, spread, size=size)
+        bins = spread + slack
+        # Magnitudes 1e-8…1e8 make the sum order visible in the low bits.
+        dense = rng.standard_normal((size, cols)) * 10.0 ** rng.integers(-8, 9, (size, cols))
+        if layout == "fortran":
+            values = np.asfortranarray(dense)
+        elif layout == "strided":
+            values = np.repeat(dense, 2, axis=1)[:, ::2]
+        elif layout == "reversed":
+            values = dense[:, ::-1]  # negative column stride
+        else:
+            values = dense
+        plan = ScatterPlan(rows, bins)
+        expected = scatter_sum(rows, values, bins)
+        assert plan.sum(values).tobytes() == expected.tobytes()
+
+        # ``out=`` accumulation over two calls: the same two additions.
+        out = rng.standard_normal((bins, cols))
+        planned = plan.sum(values, out=plan.sum(values, out=out.copy()))
+        flat = scatter_sum(rows, values, bins, out=scatter_sum(rows, values, bins, out=out.copy()))
+        assert planned.tobytes() == flat.tobytes()
 
 
 @st.composite

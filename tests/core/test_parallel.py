@@ -1,9 +1,13 @@
 """Tests for the partitioned (MapReduce-style) EM."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core.engine import EMEngineConfig
+import repro.core.engine as engine_module
+from repro.core.em import ScatterPlan
+from repro.core.engine import EMEngineConfig, TTCAMKernel
 from repro.core.parallel import PartitionedTTCAM
 from repro.core.ttcam import TTCAM
 import tests.conftest as c
@@ -94,3 +98,74 @@ class TestBehaviour:
     def test_name(self):
         assert "partitioned" in PartitionedTTCAM().name
         assert PartitionedTTCAM(weighted=True).name.startswith("W-")
+
+
+class TestShardPlans:
+    """The shard kernels and their scatter plans are built once per fit."""
+
+    ENGINE = EMEngineConfig(block_size=64)
+
+    def _state(self, model, cuboid):
+        return model._init_state(np.random.default_rng(3), cuboid.shape)
+
+    def test_concurrent_reexecution_reproduces_the_statistics(self, cuboid, monkeypatch):
+        model = PartitionedTTCAM(3, 3, num_partitions=2, engine=self.ENGINE)
+        kernel = TTCAMKernel(*model._partition(cuboid)[0], cuboid.shape, 3, 3)
+        assert model._shard_engine(kernel).num_blocks > 2  # plans the shard, as a fit does
+        state = self._state(model, cuboid)
+        stats, expected_ll = model._map_shard(kernel, state)
+        expected = {name: array.copy() for name, array in stats.items()}
+
+        # The first attempt stalls after its first block, holding the
+        # shard's plans mid-pass, until the re-execution has run to the end.
+        stalled, resume = threading.Event(), threading.Event()
+        accumulate = kernel.accumulate
+
+        def straggling(state, lo, hi, ws, stats):
+            result = accumulate(state, lo, hi, ws, stats)
+            if threading.current_thread() is straggler and lo == 0:
+                stalled.set()
+                assert resume.wait(timeout=30)
+            return result
+
+        monkeypatch.setattr(kernel, "accumulate", straggling)
+        attempts = {}
+        straggler = threading.Thread(
+            target=lambda: attempts.update(first=model._map_shard(kernel, state))
+        )
+        straggler.start()
+        assert stalled.wait(timeout=30)
+        attempts["retry"] = model._map_shard(kernel, state)
+        resume.set()
+        straggler.join(timeout=30)
+
+        assert set(attempts) == {"first", "retry"}
+        for stats, log_likelihood in attempts.values():
+            assert log_likelihood == expected_ll
+            for name, array in expected.items():
+                assert stats[name].tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_plan_is_built_after_the_estep_is(self, cuboid, monkeypatch, workers):
+        built = []
+
+        def counting(rows, num_rows):
+            built.append(num_rows)
+            return ScatterPlan(rows, num_rows)
+
+        monkeypatch.setattr(engine_module, "ScatterPlan", counting)
+        model = PartitionedTTCAM(
+            3, 3, num_partitions=3, workers=workers, engine=self.ENGINE
+        )
+        compute, grid = model._build_estep(cuboid)
+        blocks = sum(
+            -(-len(scores) // grid["block_size"]) for *_, scores in model._partition(cuboid)
+        )
+        assert len(built) == 3 * blocks  # by user, by item, by interval
+        state = self._state(model, cuboid)
+        first = {name: array.copy() for name, array in compute(state)[0].items()}
+        for _ in range(2):
+            again, _ = compute(state)
+            for name, array in first.items():
+                assert again[name].tobytes() == array.tobytes(), name
+        assert len(built) == 3 * blocks
