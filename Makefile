@@ -74,7 +74,9 @@ test-service:
 
 # End-to-end service smoke (seconds): starts a real `tcam serve`
 # subprocess, bursts concurrent clients against it, hot-swaps a
-# candidate snapshot once, and requires a clean SIGTERM drain.
+# same-φ snapshot (opened by delta) and then a refitted one (opened in
+# full), answers held bitwise to recommend_batch after each, and
+# requires a clean SIGTERM drain.
 service-smoke:
 	PYTHONPATH=src python benchmarks/perf/bench_service.py --smoke --output-dir $${TMPDIR:-/tmp}/tcam-service-smoke
 

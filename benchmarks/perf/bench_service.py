@@ -24,8 +24,12 @@ The script *verifies* while it measures:
   (the plain rows claim no sharing);
 * every worker's ``status`` must report ``"mmap"`` as the snapshot was
   saved;
-* one fleet-wide hot swap is exercised under the live service, and every
-  run must end in a clean SIGTERM drain (exit 0, "drained cleanly").
+* two fleet-wide hot swaps are exercised under the live service — a
+  snapshot over the same ``φ``/``φ′`` (which every worker must open by
+  delta when it serves a plain ``.npz``), then a refitted one (which none
+  may) — each answered bitwise like a direct ``recommend_batch``, and
+  every run must end in a clean SIGTERM drain (exit 0, "drained
+  cleanly").
 
 Run ``python benchmarks/perf/bench_service.py`` (with ``src`` on
 ``PYTHONPATH``), or ``make bench-service``; ``--smoke`` runs a tiny
@@ -210,12 +214,13 @@ def measure_worker_count(
     k: int,
     clients: int,
     rounds: int,
-    swap_snapshot: str | None,
+    swaps: list[tuple[str, TTCAMParameters, bool]],
 ) -> dict:
     """One worker count and snapshot layout: start, load, verify, optionally swap, drain.
 
-    ``mmap`` says how ``snapshot`` (and ``swap_snapshot``) were saved —
-    what every worker's status must therefore report.
+    ``mmap`` says how ``snapshot`` (and the ``swaps``) were saved — what
+    every worker's status must therefore report. ``swaps`` are
+    ``(path, parameters, opened by delta?)`` published in order.
     """
     tag = f"w{workers}-mmap" if mmap else f"w{workers}"
     service = ServeProcess(snapshot, workers, str(workdir / f"gen-{tag}.json"))
@@ -251,13 +256,17 @@ def measure_worker_count(
             if any(w["mmap"] is not mmap for w in status["workers"]):
                 raise RuntimeError(f"workers are not serving as the snapshot was saved: {status}")
             frontend_peak = service.peak_rss_bytes()
-            if swap_snapshot is not None:
-                swap = client.publish(swap_snapshot)
-                if not swap["published"]:
-                    raise RuntimeError(f"fleet hot swap failed: {swap}")
+            for done, (path, swapped, delta) in enumerate(swaps, start=1):
+                swap = client.publish(path)
+                if not swap["published"] or swap["delta"] != [delta] * workers:
+                    raise RuntimeError(f"fleet hot swap failed (delta={delta}): {swap}")
                 after = client.status()
-                if any(w["swaps"] != 1 or w["mmap"] is not mmap for w in after["workers"]):
+                if any(
+                    w["swaps"] != done or w["mmap"] is not mmap or w["delta"] is not delta
+                    for w in after["workers"]
+                ):
                     raise RuntimeError(f"swap did not land fleet-wide: {after}")
+                verify_bitwise(service.port, swapped, queries, k)
     finally:
         service.drain()
 
@@ -274,7 +283,7 @@ def measure_worker_count(
         "rss_bytes": [w["rss_bytes"] for w in status["workers"]],
         "pss_bytes": [w["pss_bytes"] for w in status["workers"]],
         "frontend_peak_rss_bytes": frontend_peak,
-        "swapped": swap_snapshot is not None,
+        "swapped": bool(swaps),
     }
 
 
@@ -293,19 +302,28 @@ def main(argv=None) -> int:
     try:
         params = make_params(num_topics, num_items, seed=17)
         candidate = make_params(num_topics, num_items, seed=23)
+        # What fold-in publishes: other θ/θ′/λ over the same φ/φ′.
+        folded = params.with_fields(theta=candidate.theta, lambda_u=candidate.lambda_u)
         # Each parameter set twice: saved plain, and saved with its sidecar.
-        snapshots, swap_candidates = (
+        snapshots, swap_folded, swap_candidates = (
             {
                 layout: str(save_params(p, workdir / f"{stem}-{layout}.npz", mmap_layout=layout))
                 for layout in (False, True)
             }
-            for p, stem in ((params, "model"), (candidate, "candidate"))
+            for p, stem in ((params, "model"), (folded, "folded"), (candidate, "candidate"))
         )
         measurements = []
         for workers, mmap in itertools.product(worker_counts, (False, True)):
-            swap = swap_candidates[mmap] if workers == max(worker_counts) else None
+            swaps = []
+            if workers == max(worker_counts):
+                # A plain .npz over the serving base is opened by delta; a
+                # mapped one and a refit are not.
+                swaps = [
+                    (swap_folded[mmap], folded, not mmap),
+                    (swap_candidates[mmap], candidate, False),
+                ]
             result = measure_worker_count(
-                snapshots[mmap], workdir, params, workers, mmap, k, clients, rounds, swap
+                snapshots[mmap], workdir, params, workers, mmap, k, clients, rounds, swaps
             )
             measurements.append(result)
             name = f"service/v{num_items}-z{num_topics}-k{k}/{result['tag']}"

@@ -16,7 +16,11 @@ order. Everything that persists, checkpoints, validates or rebuilds one
 :mod:`repro.streaming`) asks the container through
 :meth:`TCAMParameters.arrays` / :meth:`~TCAMParameters.field_names`,
 :attr:`~TCAMParameters.VARIANT`, :attr:`~TCAMParameters.STOCHASTIC` and
-the :data:`VARIANTS` registry.
+the :data:`VARIANTS` registry. The same declaration splits the set into
+the *base* (:attr:`~TCAMParameters.BASE_FIELDS`: ``φ``, ``φ′`` — what
+incremental fold-in holds fixed) and the rest, and owns the digest of
+each part, so a stream checkpoint, a snapshot and a serving process
+agree on one string for "the same ``φ``/``φ′``".
 
 Each container also knows how to expand a query ``(u, t)`` into the
 concatenated topic space of Section 4.1 (Equations 21–22), which the
@@ -26,11 +30,12 @@ recommendation layer consumes.
 from __future__ import annotations
 
 from dataclasses import Field, dataclass, fields
-from typing import Any, ClassVar, Collection, TypeVar
+from typing import Any, ClassVar, Collection, Mapping, TypeVar
 
 import numpy as np
 
 from ..data.cuboid import RatingCuboid
+from ..robustness.checkpoint import digest_arrays
 from ..typing import FloatArray, IntArray
 from .em import EPS
 
@@ -56,17 +61,26 @@ class TCAMParameters:
     topic–item matrix serves every interval (the temporal context is a
     mixture over shared topics) or each interval has its own (the
     context is an item distribution, stacked under ``φ`` as one more row).
+    ``BASE_FIELDS`` names the *base*: the fields incremental fold-in holds
+    fixed (Section 4's offline part), so a stream checkpoint, a snapshot
+    and a serving process can tell by one digest that they did not change.
     """
 
     VARIANT: ClassVar[str]
     STOCHASTIC: ClassVar[tuple[str, ...]]
     STATIC_MATRIX: ClassVar[bool]
+    BASE_FIELDS: ClassVar[tuple[str, ...]]
     __dataclass_fields__: ClassVar[dict[str, Field[Any]]]  # set by @dataclass
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
     theta_time: FloatArray  # (T, V) or (T, K2)
     lambda_u: FloatArray  # (N,)
+
+    #: Digest of the base fields, once this process has hashed exactly
+    #: these arrays (a checksummed load sets it, :meth:`with_fields`
+    #: carries it); ``None`` for a container that was built directly.
+    base_digest: str | None = None
 
     def __post_init__(self) -> None:
         self._validate(self.field_names())
@@ -107,12 +121,47 @@ class TCAMParameters:
         for name in self.field_names():
             setattr(new, name, changes.get(name, getattr(self, name)))
         new._validate(changes.keys())
+        if not changes.keys() & set(self.BASE_FIELDS):
+            new._carry_base(self)
         return new
+
+    def _carry_base(self, source: "TCAMParameters") -> None:
+        """Take over what ``source`` knows of the base fields it shares with us."""
+        self.base_digest = source.base_digest
+
+    def shares_base(self, other: "TCAMParameters | None") -> bool:
+        """Whether ``other`` is this variant over these very base arrays (``is``).
+
+        True between a container and what :meth:`with_fields` derived
+        from it without replacing a base field — a delta-opened
+        generation and the one it replaced — so whatever was validated
+        on, or derived from, the base of one holds for the other.
+        """
+        return type(other) is type(self) and all(
+            getattr(self, name) is getattr(other, name) for name in self.BASE_FIELDS
+        )
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         """The variant's parameter array names, in dataclass (archive) order."""
         return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def delta_fields(cls) -> tuple[str, ...]:
+        """The fields that are not base — what fold-in replaces."""
+        return tuple(n for n in cls.field_names() if n not in cls.BASE_FIELDS)
+
+    @classmethod
+    def digest_base(cls, arrays: Mapping[str, FloatArray]) -> str:
+        """SHA-256 of the base fields among ``arrays`` — the one string a
+        stream checkpoint, a snapshot and a serving process compare."""
+        return digest_arrays({name: arrays[name] for name in cls.BASE_FIELDS})
+
+    @classmethod
+    def digest_delta(cls, arrays: Mapping[str, FloatArray]) -> str:
+        """SHA-256 of the delta fields among ``arrays``; with
+        :meth:`digest_base` it covers every parameter byte exactly once."""
+        return digest_arrays({name: arrays[name] for name in cls.delta_fields()})
 
     def arrays(self) -> dict[str, FloatArray]:
         """The parameter arrays by field name, in :meth:`field_names` order."""
@@ -194,6 +243,7 @@ class ITCAMParameters(TCAMParameters):
     VARIANT: ClassVar[str] = "itcam"
     STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time")
     STATIC_MATRIX: ClassVar[bool] = False
+    BASE_FIELDS: ClassVar[tuple[str, ...]] = ("phi",)
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
@@ -229,6 +279,7 @@ class TTCAMParameters(TCAMParameters):
     VARIANT: ClassVar[str] = "ttcam"
     STOCHASTIC: ClassVar[tuple[str, ...]] = ("theta", "phi", "theta_time", "phi_time")
     STATIC_MATRIX: ClassVar[bool] = True
+    BASE_FIELDS: ClassVar[tuple[str, ...]] = ("phi", "phi_time")
 
     theta: FloatArray  # (N, K1)
     phi: FloatArray  # (K1, V)
@@ -243,14 +294,12 @@ class TTCAMParameters(TCAMParameters):
         if self.phi.shape[1] != self.phi_time.shape[1]:
             raise ValueError("phi / phi_time item dimensions disagree")
 
-    def with_fields(self: _P, **changes: FloatArray) -> _P:
-        """:meth:`TCAMParameters.with_fields`, carrying the ``[φ; φ′]`` memo
-        across when neither ``phi`` nor ``phi_time`` is replaced."""
-        new = super().with_fields(**changes)
-        memo = getattr(self, "_stacked_matrix", None)
-        if memo is not None and not {"phi", "phi_time"} & changes.keys():
-            object.__setattr__(new, "_stacked_matrix", memo)
-        return new
+    def _carry_base(self, source: TCAMParameters) -> None:
+        """The digest, and the ``[φ; φ′]`` memo when ``source`` built one."""
+        super()._carry_base(source)
+        memo = getattr(source, "_stacked_matrix", None)
+        if memo is not None:
+            object.__setattr__(self, "_stacked_matrix", memo)
 
     @property
     def num_time_topics(self) -> int:

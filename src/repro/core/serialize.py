@@ -12,11 +12,21 @@ ever sees a half-written archive) and embeds a SHA-256 content checksum;
 :func:`load_params` verifies the checksum and wraps every decoding
 failure — truncated file, bad zip, missing array, tampered parameters —
 in :class:`~repro.robustness.errors.SnapshotCorruptError` instead of
-leaking raw numpy/zipfile tracebacks.
+leaking raw numpy/zipfile tracebacks. The bytes go through the
+``snapshot.write`` fault site, so the harness can tear a save or fill
+the disk under it.
+
+The checksum is split along the container's ``BASE_FIELDS``: one digest
+for the base (``φ``, ``φ′`` — what incremental fold-in holds fixed), one
+for the rest, and ``tcam_checksum`` over the two. A serving process that
+already holds — and has itself hashed — the base a snapshot names opens
+that snapshot by *delta*: it reads, verifies and validates the remaining
+fields only (:func:`load_params` with ``serving``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 from pathlib import Path
@@ -25,6 +35,7 @@ import numpy as np
 
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
+from ..robustness.faults import FaultSiteFile
 from .params import (
     VARIANTS,
     ITCAMParameters,
@@ -35,9 +46,29 @@ from .params import (
 
 _FORMAT_KEY = "tcam_format"
 _CHECKSUM_KEY = "tcam_checksum"
+#: Digests of the base fields and of the remaining ones. An archive that
+#: carries them stores the digest of the two as its checksum; one without
+#: (every snapshot written before the split) stores one flat digest.
+_BASE_KEY = "tcam_base_digest"
+_DELTA_KEY = "tcam_delta_digest"
 #: Archive format tag = the container's ``VARIANT`` + this suffix.
 _TAG_SUFFIX = "-v1"
 _BY_TAG = {variant + _TAG_SUFFIX: cls for variant, cls in VARIANTS.items()}
+
+
+def _root_checksum(base: str, delta: str) -> str:
+    """The archive checksum over its two part digests."""
+    return hashlib.sha256(f"{base}:{delta}".encode()).hexdigest()
+
+
+def params_checksum(params: TCAMParameters) -> str:
+    """The checksum :func:`save_params` embeds for ``params``.
+
+    What derived data (the mmap sidecar) records to stay tied to the
+    snapshot it was built from.
+    """
+    arrays = params.arrays()
+    return _root_checksum(params.digest_base(arrays), params.digest_delta(arrays))
 
 
 def save_params(
@@ -48,10 +79,12 @@ def save_params(
     """Persist fitted parameters to ``path`` (.npz), atomically.
 
     The variant is recorded in the archive, so :func:`load_params`
-    reconstructs the right container without being told, and a SHA-256
-    checksum over the parameter arrays lets it detect corruption. The
-    archive is written to a temporary file and renamed into place, so a
-    crash mid-save never leaves a truncated snapshot at ``path``.
+    reconstructs the right container without being told, and SHA-256
+    digests over the parameter arrays — base fields, the rest, and the
+    checksum over both; every byte is hashed once — let it detect
+    corruption. The archive is written to a temporary file and renamed
+    into place, so a crash mid-save never leaves a truncated snapshot at
+    ``path``.
 
     ``mmap_layout=True`` additionally publishes the memory-mapped
     sidecar directory ``<path>.arrays/`` (per-array ``.npy`` files plus
@@ -64,16 +97,19 @@ def save_params(
     if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
     arrays = params.arrays()
+    base, delta = params.digest_base(arrays), params.digest_delta(arrays)
     # np.savez appends .npz when missing; resolve the real location first.
     final = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.parent / (final.name + ".tmp")
     with open(tmp, "wb") as handle:
         np.savez_compressed(
-            handle,
+            FaultSiteFile(handle, "snapshot.write"),
             **{
                 _FORMAT_KEY: np.array(params.VARIANT + _TAG_SUFFIX),
-                _CHECKSUM_KEY: np.array(digest_arrays(arrays)),
+                _CHECKSUM_KEY: np.array(_root_checksum(base, delta)),
+                _BASE_KEY: np.array(base),
+                _DELTA_KEY: np.array(delta),
             },
             **arrays,
         )
@@ -89,14 +125,29 @@ def save_params(
     return final
 
 
-def load_params(path: str | Path) -> ITCAMParameters | TTCAMParameters:
+def load_params(
+    path: str | Path,
+    serving: ITCAMParameters | TTCAMParameters | None = None,
+) -> ITCAMParameters | TTCAMParameters:
     """Load fitted parameters saved by :func:`save_params`.
 
     The embedded checksum is verified and the parameter containers
     re-validate their invariants on construction, so a truncated,
     bit-flipped or hand-edited archive raises
     :class:`~repro.robustness.errors.SnapshotCorruptError` (a
-    :class:`ValueError` subclass) rather than serving nonsense.
+    :class:`ValueError` subclass) rather than serving nonsense. The
+    returned container remembers the base digest it was verified under.
+
+    ``serving`` is the container a serving process answers from now.
+    When the archive names the base digest ``serving`` was verified
+    under, the load is a *delta*: only the remaining fields are read,
+    hashed and validated, and the result is
+    ``serving.with_fields(**delta)`` — the base arrays are ``serving``'s
+    own, and the file's copies of them are not inflated (damage confined
+    to those members goes unseen until the next full load of the file;
+    nothing read from them is served). Any other archive — another
+    variant or base, one written before the digests were split — is
+    loaded in full, as without ``serving``.
     """
     path = Path(path)
     try:
@@ -113,21 +164,49 @@ def load_params(path: str | Path) -> ITCAMParameters | TTCAMParameters:
             missing = [name for name in fields if name not in archive]
             if missing:
                 raise SnapshotCorruptError(f"{path} is missing arrays {missing}")
-            arrays = {name: archive[name] for name in fields}
-            if _CHECKSUM_KEY in archive:
-                expected = str(archive[_CHECKSUM_KEY])
-                actual = digest_arrays(arrays)
-                if actual != expected:
-                    raise SnapshotCorruptError(
-                        f"{path} failed its checksum (stored {expected[:12]}…, "
-                        f"recomputed {actual[:12]}…)"
-                    )
+            stored = {
+                key: str(archive[key])
+                for key in (_CHECKSUM_KEY, _BASE_KEY, _DELTA_KEY)
+                if key in archive
+            }
+            split = bool(stored.keys() & {_BASE_KEY, _DELTA_KEY})
+            delta_open = (
+                serving is not None
+                and type(serving) is cls
+                and serving.base_digest is not None  # only ever set from hashed bytes
+                and serving.base_digest == stored.get(_BASE_KEY)
+            )
+            arrays = {
+                name: archive[name]
+                for name in (cls.delta_fields() if delta_open else fields)
+            }
+            base: str | None = None
+            if split:
+                base = serving.base_digest if delta_open else cls.digest_base(arrays)
+                delta = cls.digest_delta(arrays)
+                actual = {
+                    _CHECKSUM_KEY: _root_checksum(base, delta),
+                    _BASE_KEY: base,
+                    _DELTA_KEY: delta,
+                }
+            else:
+                actual = {_CHECKSUM_KEY: digest_arrays(arrays)} if stored else {}
+            if actual != stored:
+                raise SnapshotCorruptError(
+                    f"{path} failed its checksum (stored "
+                    f"{stored.get(_CHECKSUM_KEY, '')[:12]}…, recomputed "
+                    f"{actual[_CHECKSUM_KEY][:12]}…)"
+                )
             try:
-                return cls(**arrays)
+                if delta_open:
+                    return serving.with_fields(**arrays)
+                params = cls(**arrays)
             except ValueError as exc:
                 raise SnapshotCorruptError(
                     f"{path} holds invalid parameters: {exc}"
                 ) from exc
+            params.base_digest = base
+            return params
     except (SnapshotCorruptError, FileNotFoundError):
         raise
     except Exception as exc:  # zipfile.BadZipFile, OSError, EOFError, ...
@@ -171,7 +250,9 @@ class LoadedModel(ParamsBackedModel):
         self.param_store = param_store
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "LoadedModel":
+    def from_file(
+        cls, path: str | Path, serving: "LoadedModel | None" = None
+    ) -> "LoadedModel":
         """Open a snapshot for serving — the one way to open one.
 
         How it is served follows from what is on disk, decided where the
@@ -183,6 +264,11 @@ class LoadedModel(ParamsBackedModel):
         the ``.npz`` holds) degrades to the eager checksummed load with a
         :class:`RuntimeWarning` — the sidecar is an optimisation, not a
         second source of truth.
+
+        ``serving`` is the model this process answers from now (a
+        publish passes it): an eager open whose archive names the base
+        that model was verified under reads only what changed — see
+        :func:`load_params`. What comes back is the same either way.
         """
         from ..recommend.paramstore import ParamStore, store_dir
 
@@ -197,7 +283,7 @@ class LoadedModel(ParamsBackedModel):
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        return cls(load_params(path))
+        return cls(load_params(path, serving.params_ if serving is not None else None))
 
     @property
     def name(self) -> str:

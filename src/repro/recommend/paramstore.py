@@ -63,8 +63,7 @@ from typing import Any, Hashable, Mapping
 import numpy as np
 
 from ..core.params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
-from ..core.serialize import stored_checksum
-from ..robustness.checkpoint import digest_arrays
+from ..core.serialize import params_checksum, stored_checksum
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import AnyArray, FloatArray
 from .quantize import ContextVector, QuantizedMatrix, quantize_matrix
@@ -133,7 +132,7 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
     if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
     arrays: dict[str, AnyArray] = params.arrays()
-    checksum = digest_arrays(arrays)  # the parameter fields only, as save_params
+    checksum = params_checksum(params)
     intervals, num_items = params.num_intervals, params.num_items
     if params.STATIC_MATRIX:
         # One topic–item matrix for every interval: its transpose and the

@@ -299,7 +299,9 @@ class TemporalRecommender:
     ) -> int:
         """Atomically publish ``model`` as a new serving generation.
 
-        The new generation (model + fresh :class:`ServingCache` + its
+        The new generation (model + ``cache``, or a fresh
+        :class:`ServingCache` — the publisher passes the serving cache's
+        :meth:`~repro.recommend.serving.ServingCache.successor` — + its
         scorer) becomes visible to queries that *start* after this call
         returns; queries already in flight finish against the generation
         they captured on entry, so no query is ever dropped or served a

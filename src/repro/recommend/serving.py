@@ -65,7 +65,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.params import ParamsBackedModel
+from ..core.params import ParamsBackedModel, TCAMParameters
 from ..tooling.sanitize import Sanitizer, check_topk_finite, sanitize_enabled
 from ..typing import AnyArray, BoolArray, FloatArray, IntArray, hot_path
 from .quantize import (
@@ -237,6 +237,11 @@ class LRUCache(Generic[_V]):
         """Current keys, least- to most-recently used."""
         return self._data.keys()
 
+    def items(self) -> list[tuple[Hashable, _V]]:
+        """A snapshot of the entries, least- to most-recently used (uncounted)."""
+        with self._lock:
+            return list(self._data.items())
+
     def clear(self) -> None:
         """Drop every entry (counters are retained)."""
         with self._lock:
@@ -333,6 +338,54 @@ class ServingCache:
     def invalidate_user(self, user: int) -> None:
         """Forget a user's cached exclusion mask (call when it changes)."""
         self.masks.discard(user)
+
+    def successor(
+        self, served: TCAMParameters | None, incoming: TCAMParameters
+    ) -> "ServingCache":
+        """The cache of the generation that replaces this one's.
+
+        ``served`` / ``incoming`` are the parameter containers of the two
+        generations (``served=None`` for a model without one). Returns a
+        new cache of the same capacities. When ``incoming`` shares its
+        base arrays with ``served`` (``is`` — what a delta publish
+        carries) it is seeded with the entries that hang off them, so a
+        swap that replaced a few ``θ′_t`` rows does not rebuild what
+        ``φ``/``φ′`` own: the rescore transposes, quantized selection
+        forms and TA indexes of a container with one static topic–item
+        matrix, its ``("ctx", t)`` / ``("qctx", t)`` rows whose ``θ′_t``
+        is bitwise unchanged, the ``φ``-only ``qsel`` form of any
+        container, and the exclusion masks (same catalogue).
+        ``("theta", …)`` images follow the replaced ``θ`` and start cold,
+        as does everything of a per-interval matrix (``θ′_t`` is a row
+        of it, and its context rows are views of the replaced ``θ′``).
+        This cache is left as it is — batches in flight on the old
+        generation keep using it.
+        """
+        new = ServingCache(
+            self.indexes.capacity,
+            self.matrices.capacity,
+            self.contexts.capacity,
+            self.masks.capacity,
+        )
+        if served is None or not incoming.shares_base(served):
+            return new
+        static = incoming.STATIC_MATRIX
+        for key, matrix in self.matrices.items():
+            tag = key[0]  # type: ignore[index]
+            if tag == "qsel" or (static and tag != "theta"):
+                new.matrices.put(key, matrix)
+        for user, mask in self.masks.items():
+            new.masks.put(user, mask)
+        if static:
+            for key, index in self.indexes.items():
+                new.indexes.put(key, index)
+            old_rows, new_rows = served.theta_time, incoming.theta_time
+            shared = min(old_rows.shape[0], new_rows.shape[0])
+            for key, context in self.contexts.items():
+                t = key[1]  # type: ignore[index]
+                if t < shared and np.array_equal(old_rows[t], new_rows[t]):
+                    new.contexts.put(key, context)
+        return new
 
 
 class _Workspace:

@@ -20,14 +20,13 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
 from ..typing import FloatArray, bit_deterministic
 
 from .errors import CheckpointError
-from .faults import faulty_write
+from .faults import FaultSiteFile
 
 _ITERATION_KEY = "__iteration__"
 _TRACE_KEY = "__log_likelihood__"
@@ -50,31 +49,6 @@ def digest_arrays(arrays: dict[str, FloatArray]) -> str:
         h.update(str(value.shape).encode())
         h.update(value.tobytes())
     return h.hexdigest()
-
-
-class _FaultSiteFile:
-    """A binary file whose ``write`` goes through the ``checkpoint.write`` site.
-
-    ``np.savez`` streams the archive through it, so the fault harness sees
-    each byte range without the archive being held in memory a second
-    time. (After an injected tear numpy still closes the zip into the
-    temporary file; that file is never renamed into place.)
-    """
-
-    def __init__(self, handle: IO[bytes], **context: object) -> None:
-        self._handle = handle
-        self._context = context
-
-    def write(self, data: "bytes | memoryview") -> int:
-        pending = memoryview(data).cast("B")
-        total = len(pending)
-        while pending:
-            written = faulty_write("checkpoint.write", self._handle, pending, **self._context)
-            pending = pending[written:]
-        return total
-
-    def __getattr__(self, name: str) -> object:
-        return getattr(self._handle, name)
 
 
 @dataclass
@@ -151,7 +125,7 @@ class CheckpointManager:
             # Stored, not deflated: float64 state does not compress; np.load
             # reads either kind, so older compressed checkpoints still load.
             np.savez(
-                _FaultSiteFile(handle, iteration=iteration),
+                FaultSiteFile(handle, "checkpoint.write", iteration=iteration),
                 **payload,
                 **{
                     _ITERATION_KEY: np.array(int(iteration)),

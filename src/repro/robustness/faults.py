@@ -20,7 +20,9 @@ Sites instrumented in this package:
 * ``stream.checkpoint`` — just before the ingestor persists its state;
 * ``checkpoint.write`` — every byte range a
   :class:`~repro.robustness.checkpoint.CheckpointManager` writes (context:
-  ``iteration``), targetable by the write-fault plans below.
+  ``iteration``), targetable by the write-fault plans below;
+* ``snapshot.write`` — every byte range
+  :func:`~repro.core.serialize.save_params` writes, likewise.
 
 Write faults (:meth:`FaultInjector.torn_write`,
 :meth:`FaultInjector.short_write`, :meth:`FaultInjector.disk_full`)
@@ -88,6 +90,33 @@ def faulty_write(site: str, handle: IO[bytes], data: "bytes | memoryview", **con
     if injector is None:
         return handle.write(data)
     return injector._write(site, handle, data, context)
+
+
+class FaultSiteFile:
+    """A binary file whose ``write`` goes through the fault site ``site``.
+
+    ``np.savez`` streams the archive through it, so the fault harness sees
+    each byte range without the archive being held in memory a second
+    time. (After an injected tear numpy still closes the zip into the
+    temporary file; that file is never renamed into place.)
+    """
+
+    def __init__(self, handle: IO[bytes], site: str, **context: object) -> None:
+        self._handle = handle
+        self._site = site
+        self._context = context
+
+    def write(self, data: "bytes | memoryview") -> int:
+        """Write all of ``data`` through the site, looping over short writes."""
+        pending = memoryview(data).cast("B")
+        total = len(pending)
+        while pending:
+            written = faulty_write(self._site, self._handle, pending, **self._context)
+            pending = pending[written:]
+        return total
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(self._handle, name)
 
 
 def truncate_file(path: str | Path, keep_fraction: float = 0.5) -> Path:

@@ -25,6 +25,13 @@ lists so a client can check batch integrity::
      "generation": [g0, g1, ...], "worker": [w0, w1, ...],
      "degraded": [false, ...]}
 
+A ``publish`` response says per worker whether the snapshot was opened
+by ``"delta"`` (the base arrays ``φ``/``φ′`` carried over from the
+serving generation) or in full; ``status`` carries the same flag and the
+first 12 hex digits of each worker's ``"base_digest"``, and counts
+``"delta_publishes"`` / ``"full_publishes"``. Clients ignore response
+keys they do not know.
+
 A service that is draining answers every new request with
 ``{"id": ..., "error": "draining"}`` and closes the connection once the
 line is flushed; queries already admitted still complete.

@@ -241,6 +241,8 @@ class _ServiceState:
     queries: int = 0
     refused: int = 0
     publishes: int = 0
+    #: Of ``publishes``, those every worker opened by delta (carried ``φ``/``φ′``).
+    delta_publishes: int = 0
     rollbacks: int = 0
 
 
@@ -456,6 +458,8 @@ class ServingService:
             }
             if not rejected:
                 self.stats.publishes += 1
+                delta = [bool(reply.get("delta")) for reply in replies]
+                self.stats.delta_publishes += all(delta)
                 generations = [int(reply["generation"]) for reply in replies]
                 await asyncio.to_thread(
                     self._generation_file.write, max(generations), str(path), bool(drift)
@@ -465,6 +469,7 @@ class ServingService:
                     "generation": generations,
                     "rejected": {},
                     "reverted": [],
+                    "delta": delta,
                 }
             self.stats.rollbacks += 1
             reverted: list[int] = []
@@ -502,6 +507,8 @@ class ServingService:
                 "queries": self.stats.queries,
                 "refused": self.stats.refused,
                 "publishes": self.stats.publishes,
+                "delta_publishes": self.stats.delta_publishes,
+                "full_publishes": self.stats.publishes - self.stats.delta_publishes,
                 "rollbacks": self.stats.rollbacks,
                 "max_batch": self.config.max_batch,
                 "inflight": inflight,

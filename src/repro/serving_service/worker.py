@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 from ..analysis.benchjson import pss_bytes, rss_bytes
 from ..recommend.recommender import TemporalRecommender
 from ..typing import bit_deterministic
-from ..streaming.publisher import GenerationFile, SnapshotPublisher
+from ..streaming.publisher import GenerationFile, PublishResult, SnapshotPublisher
 
 __all__ = ["WorkerConfig", "serve_requests", "worker_main"]
 
@@ -77,6 +77,10 @@ class _WorkerState:
     recommender: TemporalRecommender
     publisher: SnapshotPublisher
     snapshot: str
+    #: The snapshot path a ``revert`` brings back (the one ``snapshot``
+    #: replaced), and whether the serving generation was opened by delta.
+    previous_snapshot: str | None = None
+    delta: bool = False
     batches: int = 0
     queries: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
@@ -142,6 +146,12 @@ def _open_recommender(config: WorkerConfig) -> tuple[TemporalRecommender, str]:
     return recommender, snapshot
 
 
+def _base_digest(recommender: TemporalRecommender) -> str | None:
+    """First 12 hex digits of the base digest the serving model was verified under."""
+    digest = getattr(getattr(recommender.model, "params_", None), "base_digest", None)
+    return digest[:12] if digest else None
+
+
 def _status_payload(state: _WorkerState) -> dict[str, Any]:
     """The worker's observable serving state for ``status`` replies."""
     recommender = state.recommender
@@ -159,6 +169,21 @@ def _status_payload(state: _WorkerState) -> dict[str, Any]:
         "rss_bytes": rss_bytes(),
         "pss_bytes": pss_bytes(),
         "mmap": getattr(recommender.model, "param_store", None) is not None,
+        "delta": state.delta,
+        "base_digest": _base_digest(recommender),
+    }
+
+
+def _published_reply(state: _WorkerState, result: PublishResult) -> dict[str, Any]:
+    """The reply to a ``publish`` or ``revert``, after ``state`` took its outcome."""
+    return {
+        "type": "published",
+        "worker": state.config.index,
+        "published": bool(result.published),
+        "generation": int(result.generation),
+        "reason": result.reason,
+        "delta": bool(result.delta),
+        "base_digest": _base_digest(state.recommender),
     }
 
 
@@ -181,23 +206,15 @@ def _handle(state: _WorkerState, message: Mapping[str, Any]) -> dict[str, Any] |
             str(message["path"]), drift=bool(message.get("drift", False))
         )
         if result.published:
-            state.snapshot = str(message["path"])
-        return {
-            "type": "published",
-            "worker": state.config.index,
-            "published": bool(result.published),
-            "generation": int(result.generation),
-            "reason": result.reason,
-        }
+            state.previous_snapshot, state.snapshot = state.snapshot, str(message["path"])
+            state.delta = result.delta
+        return _published_reply(state, result)
     if kind == "revert":
         result = state.publisher.revert()
-        return {
-            "type": "published",
-            "worker": state.config.index,
-            "published": bool(result.published),
-            "generation": int(result.generation),
-            "reason": result.reason,
-        }
+        if result.published and state.previous_snapshot is not None:
+            state.snapshot, state.previous_snapshot = state.previous_snapshot, None
+            state.delta = result.delta
+        return _published_reply(state, result)
     if kind == "status":
         return _status_payload(state)
     if kind == "shutdown":

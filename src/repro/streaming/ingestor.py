@@ -46,8 +46,8 @@ import numpy as np
 
 from ..core.params import TTCAMParameters
 from ..extensions.online import OnlineTTCAM
-from ..robustness.checkpoint import CheckpointManager, digest_arrays
-from ..typing import FloatArray, bit_deterministic
+from ..robustness.checkpoint import CheckpointManager
+from ..typing import bit_deterministic
 from ..robustness.errors import CheckpointError
 from ..robustness.faults import fault_point
 from .drift import DriftTracker
@@ -56,15 +56,10 @@ from .wal import EventLog, StreamEvent
 #: Checkpoint keys for the drift tracker's state arrays.
 _DRIFT_VECTORS = "drift_vectors"
 _DRIFT_VALID = "drift_valid"
-#: The parameter fields folding mutates — what a checkpoint stores.
-_FOLDED = ("theta", "theta_time", "lambda_u")
-#: The fields folding holds fixed — a checkpoint stores their digest.
-_FIXED = ("phi", "phi_time")
-
-
-def _fixed_digest(arrays: Mapping[str, FloatArray]) -> str:
-    """Digest of the ``φ``/``φ′`` among ``arrays``."""
-    return digest_arrays({name: arrays[name] for name in _FIXED})
+#: The parameter fields folding mutates — what a checkpoint stores. The
+#: ones it holds fixed are the container's ``BASE_FIELDS``; a checkpoint
+#: stores their digest, the one a snapshot of the same base carries.
+_FOLDED = TTCAMParameters.delta_fields()
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +175,9 @@ class StreamIngestor:
         self.manager = CheckpointManager(
             checkpoint_dir, every=checkpoint_every, keep=3, prefix="stream"
         )
-        self._base_digest = _fixed_digest(base.arrays())
+        # A checksummed load already hashed φ/φ′; only a directly built
+        # container is hashed here.
+        self._base_digest = base.base_digest or base.digest_base(base.arrays())
         if resume:
             self._try_resume()
         else:
@@ -250,7 +247,9 @@ class StreamIngestor:
             )
         # A checkpoint from before overlays carries φ/φ′ itself instead
         # of their digest; they are held to the same check, then dropped.
-        digest = meta.get("base_digest") or _fixed_digest(checkpoint.arrays)
+        digest = meta.get("base_digest") or TTCAMParameters.digest_base(
+            checkpoint.arrays
+        )
         if digest != self._base_digest:
             raise CheckpointError(
                 f"stream checkpoint {checkpoint.path} was folded against other "

@@ -19,6 +19,16 @@ Every candidate goes through the same gate before it can serve:
 3. **Probes** — a configurable set of ``(user, interval)`` probe
    queries must produce finite scores end to end.
 
+A snapshot file is opened against the generation serving now
+(:meth:`~repro.core.serialize.LoadedModel.from_file`): one over the base
+arrays (``φ``, ``φ′``) that generation was verified under is opened by
+*delta* — only the other fields are read and checksummed, the gate scans
+only them (arrays shared with the serving generation were validated when
+they entered it; every probe still runs), and the new generation's
+serving cache starts with what the old one derived from the shared
+arrays. A refit, another variant or an older archive takes the same
+calls through a full open.
+
 Only a candidate that passes all three is published, through the
 recommender's read-copy-update :meth:`~repro.recommend.recommender.TemporalRecommender.swap_model`
 — one atomic generation swap, so in-flight queries finish on the old
@@ -69,12 +79,17 @@ class PublishResult:
         Why the candidate was rejected (``None`` on success).
     drift:
         Whether this publish was escalated by a drift boundary.
+    delta:
+        Whether the new generation carries the base arrays (``φ``,
+        ``φ′``) of the one it replaced — only the other fields were
+        read, gated and re-derived.
     """
 
     published: bool
     generation: int
     reason: str | None = None
     drift: bool = False
+    delta: bool = False
 
 
 class SnapshotPublisher:
@@ -104,10 +119,6 @@ class SnapshotPublisher:
         self.probes = tuple((int(user), int(interval)) for user, interval in probes)
         self.monitor = monitor if monitor is not None else _MONITOR
         self._previous: LoadedModel | None = None
-        current = recommender.model
-        self._current: LoadedModel | None = (
-            current if isinstance(current, LoadedModel) else None
-        )
 
     # ------------------------------------------------------------------
     # validation gate
@@ -122,9 +133,26 @@ class SnapshotPublisher:
             reason=reason,
         )
 
+    def _serving(self) -> LoadedModel | None:
+        """The snapshot model serving now (the revert target of the next swap)."""
+        model = self.recommender.model
+        return model if isinstance(model, LoadedModel) else None
+
     def _validate(self, params: ITCAMParameters | TTCAMParameters) -> str | None:
-        """Why the candidate must not serve, or ``None`` when healthy."""
-        problems = self.monitor.violations(params.arrays())
+        """Why the candidate must not serve, or ``None`` when healthy.
+
+        Arrays the candidate shares (``is``) with the serving generation
+        are not scanned again: they were validated when they entered it.
+        Every probe still runs.
+        """
+        serving = self._serving()
+        problems = self.monitor.violations(
+            {
+                name: array
+                for name, array in params.arrays().items()
+                if serving is None or array is not getattr(serving.params_, name, None)
+            }
+        )
         if problems:
             return "unhealthy snapshot: " + "; ".join(problems)
         for user, interval in self.probes:
@@ -164,9 +192,27 @@ class SnapshotPublisher:
             return self._reject(problem)
         if model is None:
             model = LoadedModel(params)
-        generation = self.recommender.swap_model(model, drift=drift)
-        self._previous, self._current = self._current, model
-        return PublishResult(published=True, generation=generation, drift=drift)
+        return self._swap(model, drift)
+
+    def _swap(self, model: LoadedModel, drift: bool = False) -> PublishResult:
+        """Swap ``model`` in over a cache seeded from the serving generation's.
+
+        The hand-over keeps what hangs off arrays the two generations
+        share (:meth:`~repro.recommend.serving.ServingCache.successor`);
+        the old generation keeps its own cache object, and its model
+        becomes the revert target.
+        """
+        serving = self._serving()
+        served = serving.params_ if serving is not None else None
+        cache = self.recommender.serving_cache.successor(served, model.params_)
+        generation = self.recommender.swap_model(model, cache=cache, drift=drift)
+        self._previous = serving
+        return PublishResult(
+            published=True,
+            generation=generation,
+            drift=drift,
+            delta=model.params_.shares_base(served),
+        )
 
     def publish_file(self, path: str | Path, drift: bool = False) -> PublishResult:
         """Load, gate and hot-swap a snapshot file.
@@ -177,14 +223,18 @@ class SnapshotPublisher:
         failed.
 
         The file is opened the one way there is
-        (:meth:`~repro.core.serialize.LoadedModel.from_file`): beside a
-        fresh sidecar store the swapped-in generation serves from
-        memory-mapped parameters. The health gate still reads every
-        array once (in this publisher process); the resident win applies
-        to the serving side.
+        (:meth:`~repro.core.serialize.LoadedModel.from_file`), against
+        the generation serving now: an archive over the same ``φ``/``φ′``
+        (a fold-in snapshot) is opened by delta — only ``θ``, ``θ′`` and
+        ``λ`` are read, verified and gated, and the new generation shares
+        the base arrays and what the serving cache derived from them.
+        Beside a fresh sidecar store the swapped-in generation serves
+        from memory-mapped parameters; the health gate then still reads
+        every array once (in this publisher process) and the resident win
+        applies to the serving side.
         """
         try:
-            model = LoadedModel.from_file(path)
+            model = LoadedModel.from_file(path, serving=self._serving())
         except (SnapshotCorruptError, FileNotFoundError) as exc:
             return self._reject(f"snapshot rejected: {exc}")
         return self.publish(model.params_, drift=drift, model=model)
@@ -199,11 +249,10 @@ class SnapshotPublisher:
         """
         if self._previous is None:
             return self._reject("no previous snapshot to revert to")
-        model = self._previous
         self.recommender.note_rollback("reverted to previous snapshot")
-        generation = self.recommender.swap_model(model)
-        self._previous, self._current = None, model
-        return PublishResult(published=True, generation=generation)
+        result = self._swap(self._previous)
+        self._previous = None  # one level of history: no revert of a revert
+        return result
 
 
 class GenerationFile:

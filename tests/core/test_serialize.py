@@ -7,7 +7,13 @@ import pytest
 
 from repro.core.itcam import ITCAM
 from repro.core.params import VARIANTS
-from repro.core.serialize import LoadedModel, load_params, save_params, stored_checksum
+from repro.core.serialize import (
+    LoadedModel,
+    load_params,
+    params_checksum,
+    save_params,
+    stored_checksum,
+)
 from repro.core.ttcam import TTCAM
 from repro.robustness.checkpoint import digest_arrays
 from repro.robustness.errors import SnapshotCorruptError
@@ -64,7 +70,7 @@ class TestRoundTrip:
 class TestFormatIsDeclaredOnce:
     """Archive members and tags follow the containers' own declaration."""
 
-    RESERVED = {"tcam_format", "tcam_checksum"}
+    RESERVED = {"tcam_format", "tcam_checksum", "tcam_base_digest", "tcam_delta_digest"}
 
     def test_archive_members_are_the_declared_fields(self, fitted_models, tmp_path):
         for model in fitted_models[1:]:
@@ -72,10 +78,20 @@ class TestFormatIsDeclaredOnce:
             path = save_params(params, tmp_path / f"{params.VARIANT}.npz")
             with np.load(path) as archive:
                 assert set(archive.files) - self.RESERVED == set(params.arrays())
+                assert self.RESERVED <= set(archive.files)
                 assert str(archive["tcam_format"]) == f"{params.VARIANT}-v1"
+                # the part digests split the fields along the container's declaration
+                arrays = params.arrays()
+                assert str(archive["tcam_base_digest"]) == digest_arrays(
+                    {name: arrays[name] for name in params.BASE_FIELDS}
+                )
+                assert str(archive["tcam_delta_digest"]) == digest_arrays(
+                    {name: arrays[name] for name in params.delta_fields()}
+                )
             loaded = load_params(path)
             assert type(loaded) is VARIANTS[params.VARIANT]
-            assert stored_checksum(path) == digest_arrays(loaded.arrays())
+            assert stored_checksum(path) == params_checksum(loaded)
+            assert loaded.base_digest == params.digest_base(arrays)
 
     @pytest.mark.parametrize(
         "tag, order",
@@ -87,8 +103,9 @@ class TestFormatIsDeclaredOnce:
     def test_snapshot_in_the_previous_writers_field_order_still_loads(
         self, fitted_models, tmp_path, tag, order
     ):
-        # What save_params wrote while the field lists were private tuples
-        # of serialize.py: the same members, tag and checksum, byte for byte.
+        # What save_params wrote before the checksum was split into a base
+        # and a delta digest: one flat digest. Today's writer adds the two
+        # part-digest members and keeps every other member byte for byte.
         params = fitted_models[1 if tag == "ttcam-v1" else 2].params_
         arrays = {name: np.asarray(getattr(params, name)) for name in order}
         old = tmp_path / "old.npz"
@@ -99,14 +116,18 @@ class TestFormatIsDeclaredOnce:
             **arrays,
         )
         new = save_params(params, tmp_path / "new.npz")
-        assert stored_checksum(new) == stored_checksum(old)
         with np.load(old) as before, np.load(new) as after:
-            assert before.files == after.files
-            for member in before.files:
+            added = ["tcam_base_digest", "tcam_delta_digest"]
+            assert [m for m in after.files if m not in added] == before.files
+            for member in set(before.files) - {"tcam_checksum"}:
                 assert before[member].tobytes() == after[member].tobytes(), member
         loaded = load_params(old)
         assert type(loaded) is type(params)
         assert digest_arrays(loaded.arrays()) == stored_checksum(old)
+        assert loaded.base_digest is None  # a flat checksum hashes no base digest
+        renewed = load_params(new)
+        for name in order:
+            assert np.array_equal(getattr(renewed, name), getattr(loaded, name)), name
 
     def test_stored_checksum_reads_only_the_checksum_member(self, fitted_models, tmp_path):
         params = fitted_models[1].params_
@@ -117,7 +138,7 @@ class TestFormatIsDeclaredOnce:
         # The member's size past its local header lands inside its data.
         raw[phi.header_offset + phi.compress_size] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert stored_checksum(path) == digest_arrays(params.arrays())
+        assert stored_checksum(path) == params_checksum(params)
         with pytest.raises(SnapshotCorruptError):
             load_params(path)
 

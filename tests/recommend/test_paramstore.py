@@ -15,7 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.serialize import LoadedModel, load_params, save_params
+from repro.core.serialize import (
+    LoadedModel,
+    load_params,
+    params_checksum,
+    save_params,
+    stored_checksum,
+)
 from repro.recommend import TemporalRecommender
 from repro.recommend.paramstore import (
     MANIFEST_NAME,
@@ -25,7 +31,6 @@ from repro.recommend.paramstore import (
 )
 from repro.recommend.quantize import quantize_matrix
 from repro.recommend.threshold import SortedTopicLists
-from repro.robustness.checkpoint import digest_arrays
 from repro.robustness.errors import SnapshotCorruptError
 
 from .test_serving import make_itcam, make_ttcam
@@ -98,7 +103,8 @@ class TestRoundTrip:
         eager = load_params(snapshot)
         manifest = json.loads((store_dir(snapshot) / MANIFEST_NAME).read_text())
         assert manifest["variant"] == eager.VARIANT
-        assert manifest["snapshot_checksum"] == digest_arrays(eager.arrays())
+        assert manifest["snapshot_checksum"] == params_checksum(eager)
+        assert manifest["snapshot_checksum"] == stored_checksum(snapshot)
         assert set(eager.arrays()) <= set(manifest["arrays"])
         restored = ParamStore.for_snapshot(snapshot).params()
         assert tuple(vars(restored)) == eager.field_names()

@@ -98,3 +98,38 @@ def test_mmap_is_not_an_input():
     from repro.core.serialize import save_params
 
     assert "mmap_layout" in save_params.__annotations__
+
+
+def test_base_is_declared_on_the_container_only():
+    """Which fields fold-in holds fixed, and their digest, have one home.
+
+    No ``("phi", "phi_time")`` tuple outside the container module, and
+    ``digest_arrays`` — the hash a base digest and a snapshot checksum
+    are made of — is called on parameter fields only by the container
+    and the serializer (the checkpoint module defines it and hashes its
+    own, non-parameter payloads).
+    """
+    base = {cls.BASE_FIELDS for cls in VARIANTS.values()}
+    assert base == {("phi", "phi_time"), ("phi",)}
+    may_hash = {"core/params.py", "core/serialize.py", "robustness/checkpoint.py"}
+    literals, hashers = [], set()
+    for path, tree in _sources():
+        where = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and len(node.elts) > 1
+                and all(isinstance(e, ast.Constant) for e in node.elts)
+                and tuple(e.value for e in node.elts) in base
+                and path != DECLARATION
+            ):
+                literals.append(f"{where}:{node.lineno}")
+            if isinstance(node, ast.Call) and _mentions(node.func, {"digest_arrays"}):
+                hashers.add(where)
+    assert not literals, literals
+    assert hashers <= may_hash, sorted(hashers - may_hash)
+    # one string: the ingestor's checkpoint digest is the container's
+    from repro.streaming import ingestor
+
+    assert not hasattr(ingestor, "_FIXED") and not hasattr(ingestor, "_fixed_digest")
+    assert ingestor._FOLDED == VARIANTS["ttcam"].delta_fields()
