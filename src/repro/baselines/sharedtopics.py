@@ -13,6 +13,12 @@ becomes measurable: a mixture with the same ``s ~ Bernoulli(λ_u)``
 switch, but both branches generate the item from a single topic set φ —
 ``s = 1``: ``z ~ θ_u``, ``s = 0``: ``z ~ θ′_t``, then ``v ~ φ_z``.
 
+That is TTCAM with ``φ′`` tied to ``φ``, and it is declared as exactly
+that over :class:`~repro.core.ttcam.TTCAMDeclaration`: TTCAM's kernel
+with ``K1 = K2 = K`` reads ``φ`` in both branches, and TTCAM's M-step
+normalises both branches' item counts into the one ``φ``. The model has
+no kernel of its own.
+
 The ablation bench (`benchmarks/test_ablation_shared_topics.py`)
 compares it against TTCAM on both accuracy and the temporal coherence
 of the learned topics.
@@ -22,11 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.em import EPS, EMTrace, normalize_rows, random_stochastic, scatter_sum, scatter_sum_1d
+from ..core.em import normalize_rows, random_stochastic
+from ..core.engine import EStep
+from ..core.ttcam import TTCAMDeclaration
 from ..data.cuboid import RatingCuboid
+from ..typing import RNG, ArrayState
 
 
-class SharedTopicsTCAM:
+class SharedTopicsTCAM(TTCAMDeclaration):
     """TCAM-style mixture with one topic set shared by both factors.
 
     Parameters
@@ -48,6 +57,9 @@ class SharedTopicsTCAM:
         ``(N,)`` per-user mixing weights.
     """
 
+    _model = "shared-topics"
+    _stochastic = ("theta", "theta_time", "phi")  # initialisation order
+
     def __init__(
         self,
         num_topics: int = 60,
@@ -58,74 +70,47 @@ class SharedTopicsTCAM:
     ) -> None:
         if num_topics <= 0:
             raise ValueError(f"num_topics must be positive, got {num_topics}")
-        if max_iter <= 0:
-            raise ValueError(f"max_iter must be positive, got {max_iter}")
+        super().__init__(num_topics, num_topics, max_iter, tol, smoothing, seed)
         self.num_topics = num_topics
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.seed = seed
         self.theta_: np.ndarray | None = None
         self.theta_time_: np.ndarray | None = None
         self.phi_: np.ndarray | None = None
         self.lambda_: np.ndarray | None = None
-        self.trace_: EMTrace | None = None
 
     @property
     def name(self) -> str:
         """Display name used in evaluation tables."""
         return "SharedTCAM"
 
-    def fit(self, cuboid: RatingCuboid) -> "SharedTopicsTCAM":
-        """Fit by EM; both branches' responsibilities update one φ."""
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        rng = np.random.default_rng(self.seed)
-        n, t_dim, v_dim = cuboid.shape
-        k = self.num_topics
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
+    def _hyper(self) -> dict[str, object]:
+        return {"k": self.num_topics}
 
-        theta = random_stochastic(rng, n, k)
-        theta_time = random_stochastic(rng, t_dim, k)
-        phi = random_stochastic(rng, k, v_dim)
-        lam = np.full(n, 0.5)
+    def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
+        """TTCAM's E-step, its time-oriented topics read from ``φ``."""
+        compute, grid = super()._build_estep(cuboid)
+        return (lambda state: compute(state | {"phi_time": state["phi"]})), grid
 
-        trace = EMTrace()
-        user_mass = scatter_sum_1d(u, c, n)
-        safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
+    def _init_state(self, rng: RNG, shape: tuple[int, int, int]) -> ArrayState:
+        n, t_dim, v_dim = shape
+        return {
+            "theta": random_stochastic(rng, n, self.num_topics),
+            "theta_time": random_stochastic(rng, t_dim, self.num_topics),
+            "phi": random_stochastic(rng, self.num_topics, v_dim),
+            "lambda_u": np.full(n, 0.5),
+        }
 
-        for _ in range(self.max_iter):
-            phi_v = phi[:, v].T  # (R, K), shared by both branches
-            joint_interest = theta[u] * phi_v
-            p_interest = joint_interest.sum(axis=1)
-            joint_context = theta_time[t] * phi_v
-            p_context = joint_context.sum(axis=1)
-            lam_r = lam[u]
-            denom = lam_r * p_interest + (1 - lam_r) * p_context + EPS
-            ps1 = lam_r * p_interest / denom
-            resp_interest = joint_interest * (ps1 / (p_interest + EPS))[:, None]
-            resp_context = joint_context * ((1 - ps1) / (p_context + EPS))[:, None]
+    def _topics(self, stats: ArrayState) -> ArrayState:
+        """The conflation: one ``φ`` absorbs both branches' item counts."""
+        return {
+            "theta": normalize_rows(stats["theta_num"], self.smoothing),
+            "theta_time": normalize_rows(stats["theta_time_num"], self.smoothing),
+            "phi": normalize_rows((stats["phi_num"] + stats["phi_time_num"]).T, self.smoothing),
+        }
 
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            if trace.record(log_likelihood, self.tol):
-                break
-
-            c_interest = c[:, None] * resp_interest
-            c_context = c[:, None] * resp_context
-            theta = normalize_rows(scatter_sum(u, c_interest, n), self.smoothing)
-            theta_time = normalize_rows(scatter_sum(t, c_context, t_dim), self.smoothing)
-            # The conflation: one φ absorbs both branches' counts.
-            phi = normalize_rows(
-                scatter_sum(v, c_interest + c_context, v_dim).T, self.smoothing
-            )
-            lam = np.clip(scatter_sum_1d(u, c * ps1, n) / safe_user_mass, 0.0, 1.0)
-
-        self.theta_ = theta
-        self.theta_time_ = theta_time
-        self.phi_ = phi
-        self.lambda_ = lam
-        self.trace_ = trace
-        return self
+    def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
+        self.theta_, self.theta_time_, self.phi_, self.lambda_ = (
+            state[name] for name in self._stochastic + self._unit_interval
+        )
 
     def _require_fitted(self) -> None:
         if self.phi_ is None:

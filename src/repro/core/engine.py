@@ -31,8 +31,10 @@ This module restructures that pass without changing the math:
   the flat ``bincount`` of :func:`~repro.core.em.scatter_sum`, so a fit
   is bit-identical to one scattered through that.
 
-This is the only E-step of TTCAM, ITCAM, ``PartitionedTTCAM`` and the
-UT/TT baselines: each model builds its kernel, hands it to a
+This is the only E-step of every EM model — TTCAM, ITCAM,
+``PartitionedTTCAM``, the UT/TT baselines and the shared-topic,
+background, drift and social variants: each model builds its kernel
+(the last two define small ones in their own modules), hands it to a
 :class:`BlockedEStep`, and applies its M-step to the returned statistics.
 The dense, one-formula-per-equation version lives in
 ``tests/core/reference_em.py`` as the oracle the kernels are tested
@@ -207,7 +209,13 @@ class _Kernel:
 
 class TTCAMKernel(_Kernel):
     """Blocked E-step of TTCAM (Equations 4–6 and 13–14, plus the λ and
-    sufficient-statistics numerators of Equations 8, 9, 11, 15, 16)."""
+    sufficient-statistics numerators of Equations 8, 9, 11, 15, 16).
+
+    ``interest_rows`` — ``(index, count)`` — names the ``θ`` row each
+    rating reads and whose ``theta_num`` row it feeds, out of ``count``
+    rows: ``DriftTTCAM``'s (epoch, user) rows. It defaults to
+    ``(users, N)``, TTCAM itself; ``λ`` stays keyed by user either way.
+    """
 
     def __init__(
         self,
@@ -218,15 +226,17 @@ class TTCAMKernel(_Kernel):
         shape: tuple[int, int, int],
         k1: int,
         k2: int,
+        interest_rows: tuple[IntArray, int] | None = None,
     ) -> None:
         super().__init__(users, intervals, items, scores)
         self.n, self.t_dim, self.v_dim = shape
         self.k1, self.k2 = k1, k2
+        self.rows, self.num_rows = interest_rows or (users, self.n)
 
     def stat_arrays(self) -> ArrayState:
         """Zeroed TTCAM sufficient-statistic accumulators."""
         return {
-            "theta_num": np.zeros((self.n, self.k1)),
+            "theta_num": np.zeros((self.num_rows, self.k1)),
             "phi_num": np.zeros((self.v_dim, self.k1)),
             "theta_time_num": np.zeros((self.t_dim, self.k2)),
             "phi_time_num": np.zeros((self.v_dim, self.k2)),
@@ -234,9 +244,9 @@ class TTCAMKernel(_Kernel):
         }
 
     def _block_plans(self, lo: int, hi: int) -> tuple[ScatterPlan, ...]:
-        """The block's by-user, by-item and by-interval scatters."""
+        """The block's by-interest-row, by-item and by-interval scatters."""
         return (
-            ScatterPlan(self.u[lo:hi], self.n),
+            ScatterPlan(self.rows[lo:hi], self.num_rows),
             ScatterPlan(self.v[lo:hi], self.v_dim),
             ScatterPlan(self.t[lo:hi], self.t_dim),
         )
@@ -266,10 +276,10 @@ class TTCAMKernel(_Kernel):
         p_int, p_ctx = ws["p_int"][:b], ws["p_ctx"][:b]
         lam_r, den, ps1 = ws["lam"][:b], ws["den"][:b], ws["ps1"][:b]
         s1, s2 = ws["a"][:b], ws["b"][:b]
-        by_user, by_item, by_interval = self._plans[lo, hi]
+        by_row, by_item, by_interval = self._plans[lo, hi]
 
         # joint_z[r, z] = θ[u_r, z] · φ[z, v_r] (numerator of Eq. 5)
-        np.take(state["theta"], u, axis=0, out=z, mode="clip")
+        np.take(state["theta"], self.rows[lo:hi], axis=0, out=z, mode="clip")
         np.take(state["phi"], v, axis=1, out=phi_v, mode="clip")
         z *= phi_v.T
         z.sum(axis=1, out=p_int)  # P(v|θ_u), Eq. 2
@@ -295,7 +305,7 @@ class TTCAMKernel(_Kernel):
         np.add(p_int, EPS, out=s2)
         np.divide(s1, s2, out=s2)
         z *= s2[:, None]
-        by_user.sum(z, out=stats["theta_num"])
+        by_row.sum(z, out=stats["theta_num"])
         by_item.sum(z, out=stats["phi_num"])
         # Fused c · resp_x with c·(1-ps1) = c - c·ps1.
         np.subtract(c, s1, out=s1)

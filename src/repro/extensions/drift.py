@@ -8,6 +8,10 @@ grouped into *epochs* of ``epoch_length`` intervals and each user gets a
 per-epoch interest distribution ``θ_{u,e}``, coupled across consecutive
 epochs by a smoothing kernel (a discrete random-walk prior), so sparse
 epochs borrow strength from their neighbours instead of going uniform.
+:class:`DriftTTCAM` is a declaration over
+:class:`~repro.core.model.EMModel`: TTCAM's own kernel, whose interest
+rows are (epoch, user) pairs, and an M-step that blends neighbouring
+epochs' counts.
 
 A companion generator, :func:`generate_drifting`, produces data whose
 users *actually* drift: their true interests random-walk on the topic
@@ -20,9 +24,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.em import EPS, EMTrace, normalize_rows, random_stochastic, scatter_sum, scatter_sum_1d
+from ..core.engine import TTCAMKernel
+from ..core.model import MStep
+from ..core.params import TTCAMParameters
+from ..core.ttcam import TTCAMDeclaration
 from ..data.cuboid import RatingCuboid
 from ..data.synthetic import GroundTruth, SyntheticConfig, generate
+from ..typing import RNG, ArrayState
 
 
 def drift_interests(
@@ -145,8 +153,13 @@ def _generate_with_theta(
     return new_cuboid, new_truth
 
 
-class DriftTTCAM:
+class DriftTTCAM(TTCAMDeclaration):
     """TTCAM with per-epoch user interests and a random-walk coupling.
+
+    TTCAM whose interest rows are (epoch, user) pairs: inside the fit
+    ``θ`` is ``(E·N, K1)`` (row ``e·N + u``), read and counted by TTCAM's
+    kernel through its ``interest_rows``; ``λ`` stays per user. The
+    M-step blends neighbouring epochs' interest counts before TTCAM's.
 
     Parameters
     ----------
@@ -157,7 +170,18 @@ class DriftTTCAM:
         counts (0 = independent epochs; larger = stiffer interests).
     num_user_topics, num_time_topics, max_iter, tol, smoothing, seed:
         As in :class:`~repro.core.ttcam.TTCAM`.
+
+    Attributes (after :meth:`fit`)
+    ------------------------------
+    theta_:
+        ``(E, N, K1)`` per-epoch user interests.
+    phi_, theta_time_, phi_time_, lambda_:
+        TTCAM's ``phi``, ``theta_time``, ``phi_time`` and ``lambda_u``.
+    num_epochs_:
+        ``E``, the number of epochs the fitted timeline spans.
     """
+
+    _model = "drift-ttcam"
 
     def __init__(
         self,
@@ -174,21 +198,16 @@ class DriftTTCAM:
             raise ValueError(f"epoch_length must be positive, got {epoch_length}")
         if epoch_coupling < 0:
             raise ValueError(f"epoch_coupling must be >= 0, got {epoch_coupling}")
+        super().__init__(num_user_topics, num_time_topics, max_iter, tol, smoothing, seed)
         self.epoch_length = epoch_length
-        self.num_user_topics = num_user_topics
-        self.num_time_topics = num_time_topics
         self.epoch_coupling = epoch_coupling
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.seed = seed
         self.theta_: np.ndarray | None = None  # (E, N, K1)
         self.phi_: np.ndarray | None = None
         self.theta_time_: np.ndarray | None = None
         self.phi_time_: np.ndarray | None = None
         self.lambda_: np.ndarray | None = None
         self.num_epochs_: int = 0
-        self.trace_: EMTrace | None = None
+        self._by_epoch: list[TTCAMParameters] = []
 
     @property
     def name(self) -> str:
@@ -199,95 +218,68 @@ class DriftTTCAM:
         """Map interval id(s) to epoch id(s)."""
         return np.asarray(interval) // self.epoch_length
 
-    def fit(self, cuboid: RatingCuboid) -> "DriftTTCAM":
-        """Fit with per-epoch interests smoothed across epochs."""
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        rng = np.random.default_rng(self.seed)
-        n, t_dim, v_dim = cuboid.shape
+    def _hyper(self) -> dict[str, object]:
+        return super()._hyper() | {
+            "epoch_length": self.epoch_length,
+            "epoch_coupling": self.epoch_coupling,
+        }
+
+    def _epochs(self, num_intervals: int) -> int:
+        return -(-num_intervals // self.epoch_length)
+
+    def _kernel(self, cuboid: RatingCuboid) -> TTCAMKernel:
+        n = cuboid.num_users
+        rows = self.epoch_of(cuboid.intervals).astype(np.int64) * n + cuboid.users
+        interest_rows = rows, self._epochs(cuboid.num_intervals) * n
+        triples = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
         k1, k2 = self.num_user_topics, self.num_time_topics
-        num_epochs = -(-t_dim // self.epoch_length)
-        self.num_epochs_ = num_epochs
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
-        epoch = (t // self.epoch_length).astype(np.int64)
-        user_epoch = epoch * n + u  # flat (epoch, user) index
+        return TTCAMKernel(*triples, cuboid.shape, k1, k2, interest_rows=interest_rows)
 
-        theta = np.stack([random_stochastic(rng, n, k1) for _ in range(num_epochs)])
-        phi = random_stochastic(rng, k1, v_dim)
-        theta_time = random_stochastic(rng, t_dim, k2)
-        phi_time = random_stochastic(rng, k2, v_dim)
-        lam = np.full(n, 0.5)
+    def _init_state(self, rng: RNG, shape: tuple[int, int, int]) -> ArrayState:
+        n, t_dim, v_dim = shape
+        # TTCAM's draws with E·N interest rows: one (E·N, K1) draw is E
+        # stacked (N, K1) draws, epoch by epoch. λ is not drawn.
+        state = super()._init_state(rng, (self._epochs(t_dim) * n, t_dim, v_dim))
+        return state | {"lambda_u": np.full(n, 0.5)}
 
-        trace = EMTrace()
-        user_mass = scatter_sum_1d(u, c, n)
-        safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
+    def _m_step(self, cuboid: RatingCuboid) -> MStep:
+        ttcam_m_step, n = super()._m_step(cuboid), cuboid.num_users
 
-        for _ in range(self.max_iter):
-            theta_flat = theta.reshape(num_epochs * n, k1)
-            joint_z = theta_flat[user_epoch] * phi[:, v].T
-            p_interest = joint_z.sum(axis=1)
-            joint_x = theta_time[t] * phi_time[:, v].T
-            p_context = joint_x.sum(axis=1)
-            lam_r = lam[u]
-            denom = lam_r * p_interest + (1 - lam_r) * p_context + EPS
-            ps1 = lam_r * p_interest / denom
-            resp_z = joint_z * (ps1 / (p_interest + EPS))[:, None]
-            resp_x = joint_x * ((1 - ps1) / (p_context + EPS))[:, None]
+        def m_step(stats: ArrayState) -> ArrayState:
+            # Random-walk coupling: blend in neighbouring epochs' counts.
+            counts = stats["theta_num"].reshape(-1, n, self.num_user_topics)
+            coupled = counts.copy()
+            coupled[1:] += self.epoch_coupling * counts[:-1]
+            coupled[:-1] += self.epoch_coupling * counts[1:]
+            return ttcam_m_step(stats | {"theta_num": coupled.reshape(-1, self.num_user_topics)})
 
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            if trace.record(log_likelihood, self.tol):
-                break
+        return m_step
 
-            c_z = c[:, None] * resp_z
-            c_x = c[:, None] * resp_x
-            counts = scatter_sum(user_epoch, c_z, num_epochs * n).reshape(
-                num_epochs, n, k1
-            )
-            if self.epoch_coupling > 0 and num_epochs > 1:
-                # Random-walk coupling: blend in neighbouring epochs'
-                # counts before normalising.
-                coupled = counts.copy()
-                coupled[1:] += self.epoch_coupling * counts[:-1]
-                coupled[:-1] += self.epoch_coupling * counts[1:]
-                counts = coupled
-            theta = np.stack(
-                [normalize_rows(counts[e], self.smoothing) for e in range(num_epochs)]
-            )
-            phi = normalize_rows(scatter_sum(v, c_z, v_dim).T, self.smoothing)
-            theta_time = normalize_rows(scatter_sum(t, c_x, t_dim), self.smoothing)
-            phi_time = normalize_rows(scatter_sum(v, c_x, v_dim).T, self.smoothing)
-            lam = np.clip(scatter_sum_1d(u, c * ps1, n) / safe_user_mass, 0.0, 1.0)
+    def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
+        self.num_epochs_ = self._epochs(cuboid.num_intervals)
+        self.theta_ = state["theta"].reshape(self.num_epochs_, cuboid.num_users, -1)
+        self.phi_, self.theta_time_, self.phi_time_, self.lambda_ = (
+            state[name] for name in ("phi", "theta_time", "phi_time", "lambda_u")
+        )
+        self._by_epoch = [TTCAMParameters(**state | {"theta": theta}) for theta in self.theta_]
 
-        self.theta_ = theta
-        self.phi_ = phi
-        self.theta_time_ = theta_time
-        self.phi_time_ = phi_time
-        self.lambda_ = lam
-        self.trace_ = trace
-        return self
-
-    def _require_fitted(self) -> None:
-        if self.phi_ is None:
+    def _require_fitted(self) -> list[TTCAMParameters]:
+        if not self._by_epoch:
             raise RuntimeError("model is not fitted; call fit() first")
+        return self._by_epoch
+
+    def _at(self, interval: int) -> TTCAMParameters:
+        """TTCAM's parameters with the interests of ``interval``'s epoch."""
+        by_epoch = self._require_fitted()
+        return by_epoch[min(int(self.epoch_of(interval)), len(by_epoch) - 1)]
 
     def score_items(self, user: int, interval: int) -> np.ndarray:
         """Mixture likelihood using the queried interval's epoch interest."""
-        self._require_fitted()
-        e = min(int(self.epoch_of(interval)), self.num_epochs_ - 1)
-        lam = self.lambda_[user]
-        interest = self.theta_[e, user] @ self.phi_
-        context = self.theta_time_[interval] @ self.phi_time_
-        return lam * interest + (1 - lam) * context
+        return self._at(interval).score_items(user, interval)
 
     def query_space(self, user: int, interval: int) -> tuple[np.ndarray, np.ndarray]:
         """Expanded query over the stacked topic space."""
-        self._require_fitted()
-        e = min(int(self.epoch_of(interval)), self.num_epochs_ - 1)
-        lam = self.lambda_[user]
-        weights = np.concatenate(
-            [lam * self.theta_[e, user], (1 - lam) * self.theta_time_[interval]]
-        )
-        return weights, np.vstack([self.phi_, self.phi_time_])
+        return self._at(interval).query_space(user, interval)
 
     def matrix_cache_key(self, interval: int) -> str:
         """The stacked topic–item matrix is query-independent."""

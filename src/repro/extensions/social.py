@@ -19,17 +19,29 @@ design:
   where ``θ̄_{N(u)}`` is the (fixed-per-iteration) average interest of
   ``u``'s friends over the same user-oriented topics. Per-user influence
   weights are learned by EM like TCAM's λ.
+
+``θ̄_{N(u)}`` has one definition, :func:`social_interest`: the
+row-normalised friendship matrix of :func:`social_adjacency` applied to
+``θ``, shared by the imitation generator and the model. The model is
+TTCAM's declaration over :class:`~repro.core.model.EMModel` with its own
+small kernel, :class:`SocialKernel`.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from ..core.em import EPS, EMTrace, normalize_rows, random_stochastic, scatter_sum, scatter_sum_1d
+from ..core.em import EPS, scatter_sum_1d
+from ..core.engine import EStep, TTCAMKernel
+from ..core.model import MStep
+from ..core.ttcam import TTCAMDeclaration
 from ..data.cuboid import RatingCuboid
 from ..data.synthetic import GroundTruth, sample_rows
-from ..typing import bit_deterministic
+from ..typing import RNG, ArrayState, Workspace, bit_deterministic
 
 
 @bit_deterministic
@@ -76,7 +88,17 @@ def build_homophilous_graph(
 
 
 def adjacency_lists(graph: nx.Graph, num_users: int) -> list[np.ndarray]:
-    """Friend-id arrays per user (empty array for isolated users)."""
+    """Friend-id arrays per user (empty array for isolated users).
+
+    The graph is outside input, checked here once: a node that is not a
+    user id in ``[0, num_users)`` raises a ``ValueError`` naming it.
+    """
+    strangers = [
+        node for node in graph.nodes
+        if not isinstance(node, (int, np.integer)) or not 0 <= node < num_users
+    ]
+    if strangers:
+        raise ValueError(f"graph node {strangers[0]!r} is not a user id in [0, {num_users})")
     return [
         np.fromiter((int(v) for v in graph.neighbors(u)), dtype=np.int64)
         if graph.has_node(u)
@@ -85,15 +107,27 @@ def adjacency_lists(graph: nx.Graph, num_users: int) -> list[np.ndarray]:
     ]
 
 
-def social_interest(theta: np.ndarray, friends: list[np.ndarray]) -> np.ndarray:
-    """``θ̄_{N(u)}``: average interest of each user's friends.
+def social_adjacency(graph: nx.Graph, num_users: int) -> csr_matrix:
+    """Row-normalised ``(N, N)`` friendship matrix ``A``: row ``u`` averages
+    ``u``'s friends, and an isolated user's row is its own."""
+    friends = [
+        neighbours if neighbours.size else np.array([u])
+        for u, neighbours in enumerate(adjacency_lists(graph, num_users))
+    ]
+    sizes = np.array([neighbours.size for neighbours in friends])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    weights = np.repeat(1.0 / sizes, sizes)
+    return csr_matrix((weights, np.concatenate(friends), indptr), shape=(num_users,) * 2)
 
-    Users without friends fall back to their own interest (so the social
-    component degenerates gracefully instead of going uniform).
+
+def social_interest(theta: np.ndarray, adjacency: csr_matrix) -> np.ndarray:
+    """``θ̄_{N(u)} = (A @ θ)[u]``: average interest of each user's friends.
+
+    ``adjacency`` is :func:`social_adjacency`'s matrix, so users without
+    friends fall back to their own interest (the social component
+    degenerates gracefully instead of going uniform).
     """
-    social = np.empty_like(theta)
-    for u, neighbours in enumerate(friends):
-        social[u] = theta[neighbours].mean(axis=0) if neighbours.size else theta[u]
+    social: np.ndarray = adjacency @ theta
     return social
 
 
@@ -116,8 +150,7 @@ def add_social_ratings(
     if imitation_rate == 0:
         return cuboid
     rng = np.random.default_rng(seed)
-    friends = adjacency_lists(graph, cuboid.num_users)
-    social_theta = social_interest(truth.theta, friends)
+    social_theta = social_interest(truth.theta, social_adjacency(graph, cuboid.num_users))
 
     volumes = np.maximum(
         rng.poisson(imitation_rate * cuboid.user_activity().astype(float)), 0
@@ -142,8 +175,60 @@ def add_social_ratings(
     ).coalesce()
 
 
-class SocialTTCAM:
+class SocialKernel(TTCAMKernel):
+    """TTCAM's E-step with a third, social, branch over the same ``φ``.
+
+    Reads ``θ̄_{N(u)}`` as ``state["social"]``; replaces TTCAM's
+    ``lam_num`` with ``influence_num``, the ``(N, 3)`` per-user
+    responsibility mass of (interest, social, context).
+    """
+
+    def stat_arrays(self) -> ArrayState:
+        """TTCAM's topic accumulators plus the per-user branch masses."""
+        stats = super().stat_arrays()
+        del stats["lam_num"]
+        return stats | {"influence_num": np.zeros((self.n, 3))}
+
+    def make_workspace(self, capacity: int) -> Workspace:
+        """No preallocated buffers: each block's expressions allocate their own."""
+        return {}
+
+    def accumulate(
+        self, state: ArrayState, lo: int, hi: int, ws: Workspace, stats: ArrayState
+    ) -> float:
+        """Fold rows ``[lo, hi)`` into ``stats``; return the block's LL."""
+        u, t, v, c = self.u[lo:hi], self.t[lo:hi], self.v[lo:hi], self.c[lo:hi]
+        by_user, by_item, by_interval = self._plans[lo, hi]
+        phi_v = state["phi"][:, v].T
+        joint = [
+            state["theta"][u] * phi_v,
+            state["social"][u] * phi_v,
+            state["theta_time"][t] * state["phi_time"][:, v].T,
+        ]
+        p = np.stack([branch.sum(axis=1) for branch in joint], axis=1)
+        parts = state["influence"][u] * p
+        denom = parts.sum(axis=1) + EPS
+        c_branch = c[:, None] * parts / denom[:, None]  # c · P(branch | u, t, v)
+        by_user.sum(c_branch, out=stats["influence_num"])
+        for i, branch in enumerate(joint):
+            branch *= (c_branch[:, i] / (p[:, i] + EPS))[:, None]
+        interest, social, context = joint
+        by_user.sum(interest, out=stats["theta_num"])
+        # A friend's influence is expressed through the same topics: the
+        # social counts update φ but not θ_u.
+        by_item.sum(interest + social, out=stats["phi_num"])
+        by_interval.sum(context, out=stats["theta_time_num"])
+        by_item.sum(context, out=stats["phi_time_num"])
+        return float(np.dot(c, np.log(denom)))
+
+
+class SocialTTCAM(TTCAMDeclaration):
     """TCAM with a third, social, influence component.
+
+    TTCAM's declaration with :class:`SocialKernel` and a per-user
+    influence vector in place of ``λ``; ``θ̄_{N(u)}`` is recomputed from
+    the current ``θ`` once per E-step (a mean-field treatment of the
+    neighbourhood coupling) through :func:`social_interest`.
 
     Parameters
     ----------
@@ -163,6 +248,9 @@ class SocialTTCAM:
 
     COMPONENTS = ("interest", "social", "context")
 
+    _model = "social-ttcam"
+    _unit_interval = ("influence",)  # a user without ratings keeps a zero row
+
     def __init__(
         self,
         graph: nx.Graph,
@@ -173,21 +261,13 @@ class SocialTTCAM:
         smoothing: float = 1e-6,
         seed: int = 0,
     ) -> None:
-        if num_user_topics <= 0 or num_time_topics <= 0:
-            raise ValueError("topic counts must be positive")
+        super().__init__(num_user_topics, num_time_topics, max_iter, tol, smoothing, seed)
         self.graph = graph
-        self.num_user_topics = num_user_topics
-        self.num_time_topics = num_time_topics
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.seed = seed
         self.theta_: np.ndarray | None = None
         self.phi_: np.ndarray | None = None
         self.theta_time_: np.ndarray | None = None
         self.phi_time_: np.ndarray | None = None
         self.influence_: np.ndarray | None = None
-        self.trace_: EMTrace | None = None
         self._social_theta: np.ndarray | None = None
 
     @property
@@ -195,93 +275,47 @@ class SocialTTCAM:
         """Display name used in evaluation tables."""
         return "Social-TTCAM"
 
-    def fit(self, cuboid: RatingCuboid) -> "SocialTTCAM":
-        """Fit the three-way mixture by EM.
+    def _hyper(self) -> dict[str, object]:
+        edges = sorted((min(a, b), max(a, b)) for a, b in self.graph.edges())
+        digest = hashlib.sha256(np.array(edges, dtype=np.int64).tobytes()).hexdigest()
+        return super()._hyper() | {"graph": digest}
 
-        The social component's topic mixture ``θ̄_{N(u)}`` is recomputed
-        from the current ``θ`` at the start of every iteration (a
-        mean-field treatment of the neighbourhood coupling).
-        """
-        if cuboid.nnz == 0:
-            raise ValueError("cannot fit on an empty cuboid")
-        rng = np.random.default_rng(self.seed)
-        n, t_dim, v_dim = cuboid.shape
-        k1, k2 = self.num_user_topics, self.num_time_topics
-        u, t, v, c = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
-        friends = adjacency_lists(self.graph, n)
+    def _kernel(self, cuboid: RatingCuboid) -> SocialKernel:
+        triples = cuboid.users, cuboid.intervals, cuboid.items, cuboid.scores
+        return SocialKernel(*triples, cuboid.shape, self.num_user_topics, self.num_time_topics)
 
-        theta = random_stochastic(rng, n, k1)
-        phi = random_stochastic(rng, k1, v_dim)
-        theta_time = random_stochastic(rng, t_dim, k2)
-        phi_time = random_stochastic(rng, k2, v_dim)
-        influence = np.full((n, 3), 1.0 / 3.0)
+    def _build_estep(self, cuboid: RatingCuboid) -> tuple[EStep, dict[str, object]]:
+        """The kernel's E-step, fed ``θ̄_{N(u)}`` of the state it is given."""
+        adjacency = social_adjacency(self.graph, cuboid.num_users)
+        compute, grid = super()._build_estep(cuboid)
 
-        trace = EMTrace()
-        user_mass = scatter_sum_1d(u, c, n)
+        def social_compute(state: ArrayState) -> tuple[ArrayState, float]:
+            return compute(state | {"social": social_interest(state["theta"], adjacency)})
+
+        return social_compute, grid
+
+    def _init_state(self, rng: RNG, shape: tuple[int, int, int]) -> ArrayState:
+        state = super()._init_state(rng, shape)
+        del state["lambda_u"]
+        return state | {"influence": np.full((shape[0], 3), 1.0 / 3.0)}
+
+    def _m_step(self, cuboid: RatingCuboid) -> MStep:
+        user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, cuboid.num_users)
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
 
-        for _ in range(self.max_iter):
-            social_theta = social_interest(theta, friends)
-
-            phi_v = phi[:, v].T  # (R, K1)
-            joint_interest = theta[u] * phi_v
-            p_interest = joint_interest.sum(axis=1)
-            joint_social = social_theta[u] * phi_v
-            p_social = joint_social.sum(axis=1)
-            joint_context = theta_time[t] * phi_time[:, v].T
-            p_context = joint_context.sum(axis=1)
-
-            w = influence[u]  # (R, 3)
-            parts = np.stack(
-                [w[:, 0] * p_interest, w[:, 1] * p_social, w[:, 2] * p_context],
-                axis=1,
-            )
-            denom = parts.sum(axis=1) + EPS
-            resp_branch = parts / denom[:, None]  # (R, 3)
-
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            if trace.record(log_likelihood, self.tol):
-                break
-
-            resp_z = joint_interest * (
-                resp_branch[:, 0] / (p_interest + EPS)
-            )[:, None]
-            resp_z_social = joint_social * (
-                resp_branch[:, 1] / (p_social + EPS)
-            )[:, None]
-            resp_x = joint_context * (resp_branch[:, 2] / (p_context + EPS))[:, None]
-
-            # M-step: social responsibilities update the *shared*
-            # user-oriented item distributions φ (a friend's influence is
-            # expressed through the same topics) but not θ_u directly.
-            c_z = c[:, None] * resp_z
-            c_z_social = c[:, None] * resp_z_social
-            c_x = c[:, None] * resp_x
-            theta = normalize_rows(scatter_sum(u, c_z, n), self.smoothing)
-            phi = normalize_rows(
-                scatter_sum(v, c_z + c_z_social, v_dim).T, self.smoothing
-            )
-            theta_time = normalize_rows(scatter_sum(t, c_x, t_dim), self.smoothing)
-            phi_time = normalize_rows(scatter_sum(v, c_x, v_dim).T, self.smoothing)
-            branch_mass = np.stack(
-                [
-                    scatter_sum_1d(u, c * resp_branch[:, i], n)
-                    for i in range(3)
-                ],
-                axis=1,
-            )
-            influence = branch_mass / safe_user_mass[:, None]
-            influence = np.clip(influence, 0.0, 1.0)
+        def m_step(stats: ArrayState) -> ArrayState:
+            influence = np.clip(stats["influence_num"] / safe_user_mass[:, None], 0.0, 1.0)
             influence /= influence.sum(axis=1, keepdims=True) + EPS
+            return self._topics(stats) | {"influence": influence}
 
-        self.theta_ = theta
-        self.phi_ = phi
-        self.theta_time_ = theta_time
-        self.phi_time_ = phi_time
-        self.influence_ = influence
-        self.trace_ = trace
-        self._social_theta = social_interest(theta, friends)
-        return self
+        return m_step
+
+    def _store(self, state: ArrayState, cuboid: RatingCuboid) -> None:
+        self.theta_, self.phi_, self.theta_time_, self.phi_time_, self.influence_ = (
+            state[name] for name in self._stochastic + self._unit_interval
+        )
+        adjacency = social_adjacency(self.graph, cuboid.num_users)
+        self._social_theta = social_interest(self.theta_, adjacency)
 
     def _require_fitted(self) -> None:
         if self.phi_ is None:

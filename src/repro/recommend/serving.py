@@ -532,22 +532,21 @@ class BatchScorer:
 
     # -- model structure -------------------------------------------------
 
-    def _params_kind(self) -> tuple[str, Any]:
-        """Is the primary model's query space exactly its container's?
+    def _params(self) -> TCAMParameters | None:
+        """The container that *is* the primary model's query space, if any.
 
-        Returns ``(container tag, params)`` when it is — the model derives
-        from :class:`~repro.core.params.ParamsBackedModel` and is fitted —
-        so interest and context parts can be scored separately, with the
+        Returns ``params`` when the model derives from
+        :class:`~repro.core.params.ParamsBackedModel` and is fitted — so
+        interest and context parts can be scored separately, with the
         context vector cached per interval and every variant-specific
-        term asked of ``params``; or ``("generic", None)`` for any other
+        term asked of ``params`` — or ``None`` for any other
         ``query_space`` provider, including one that only wraps such a
         container and reshapes its query space (``BackgroundTTCAM``
         appends a background row). Called once per group, never per row.
         """
-        if isinstance(self.model, ParamsBackedModel) and self.model.params_ is not None:
-            params = self.model.params_
-            return params.VARIANT, params
-        return "generic", None
+        if isinstance(self.model, ParamsBackedModel):
+            return self.model.params_
+        return None
 
     def _matrix_key(self, interval: int) -> Hashable:
         """The model's matrix cache key for an interval (``None`` = uncachable)."""
@@ -560,7 +559,7 @@ class BatchScorer:
 
     def _stacked_matrix(self, interval: int, users: Sequence[int]) -> FloatArray:
         """The full ``(K, V)`` topic–item matrix for one interval."""
-        _, params = self._params_kind()
+        params = self._params()
         if params is not None:
             stacked: FloatArray = params.topic_item_matrix(interval)
             return stacked
@@ -779,7 +778,7 @@ class BatchScorer:
             raise ValueError(f"k must be positive, got {k}")
         if row_block <= 0:
             raise ValueError(f"row_block must be positive, got {row_block}")
-        _, params = self._params_kind()  # None: no split path, score query_space whole
+        params = self._params()  # None: no split path, score query_space whole
         key = self._matrix_key(interval)
         item_topic = self._item_topic(interval, users)
         num_items = item_topic.shape[0]

@@ -178,6 +178,175 @@ def tt_mstep(stats, smoothing):
     }
 
 
+# -- shared topics (Section 2's TimeUserLDA-style alternative) ---------------
+
+
+def shared_estep(triples, shape, state):
+    """Both branches emit from one φ: s=1 draws z ~ θ_u, s=0 draws z ~ θ′_t."""
+    u, t, v, c = triples
+    n, t_dim, v_dim = shape
+    phi_v = state["phi"][:, v].T
+    joint_z = state["theta"][u] * phi_v
+    joint_x = state["theta_time"][t] * phi_v
+    p_interest, p_context = joint_z.sum(axis=1), joint_x.sum(axis=1)
+    ps1, prob = _mixture_posterior(state["lambda_u"][u], p_interest, p_context)
+    resp_z = joint_z / (p_interest + EPS)[:, None] * ps1[:, None]
+    resp_x = joint_x / (p_context + EPS)[:, None] * (1 - ps1)[:, None]
+    stats = {
+        "theta_num": _scatter(u, c[:, None] * resp_z, n),
+        "phi_num": _scatter(v, c[:, None] * resp_z, v_dim),
+        "theta_time_num": _scatter(t, c[:, None] * resp_x, t_dim),
+        "phi_time_num": _scatter(v, c[:, None] * resp_x, v_dim),
+        "lam_num": _scatter(u, c * ps1, n),
+    }
+    return stats, float(np.sum(c * np.log(prob)))
+
+
+def shared_mstep(stats, triples, shape, smoothing):
+    """TTCAM's M-step with both branches' item counts pooled into the one φ."""
+    return {
+        "theta": _normalize(stats["theta_num"], smoothing),
+        "theta_time": _normalize(stats["theta_time_num"], smoothing),
+        "phi": _normalize((stats["phi_num"] + stats["phi_time_num"]).T, smoothing),
+        "lambda_u": _user_lambda(stats["lam_num"], triples, shape[0]),
+    }
+
+
+# -- background TTCAM (Section 6, item 3) -------------------------------------
+
+
+def background_estep(triples, shape, state, background, lam_b):
+    """P(v|u,t) = λ_B·θ_B[v] + (1-λ_B)·[λ_u·P(v|θ_u) + (1-λ_u)·P(v|θ′_t)]."""
+    u, t, v, c = triples
+    n, t_dim, v_dim = shape
+    joint_z = state["theta"][u] * state["phi"][:, v].T
+    joint_x = state["theta_time"][t] * state["phi_time"][:, v].T
+    p_interest, p_context = joint_z.sum(axis=1), joint_x.sum(axis=1)
+    lam_r = state["lambda_u"][u]
+    part_interest = (1 - lam_b) * lam_r * p_interest
+    part_context = (1 - lam_b) * (1 - lam_r) * p_context
+    prob = lam_b * background[v] + part_interest + part_context + EPS
+    r_interest, r_context = part_interest / prob, part_context / prob
+    resp_z = joint_z / (p_interest + EPS)[:, None] * r_interest[:, None]
+    resp_x = joint_x / (p_context + EPS)[:, None] * r_context[:, None]
+    stats = {
+        "theta_num": _scatter(u, c[:, None] * resp_z, n),
+        "phi_num": _scatter(v, c[:, None] * resp_z, v_dim),
+        "theta_time_num": _scatter(t, c[:, None] * resp_x, t_dim),
+        "phi_time_num": _scatter(v, c[:, None] * resp_x, v_dim),
+        "lam_num": _scatter(u, c * r_interest, n),
+        "nonbg_num": _scatter(u, c * (r_interest + r_context), n),
+    }
+    return stats, float(np.sum(c * np.log(prob)))
+
+
+def background_mstep(stats, smoothing):
+    """TTCAM's M-step; λ_u is the interest share of the non-background mass."""
+    nonbg = stats["nonbg_num"]
+    return {
+        "theta": _normalize(stats["theta_num"], smoothing),
+        "phi": _normalize(stats["phi_num"].T, smoothing),
+        "theta_time": _normalize(stats["theta_time_num"], smoothing),
+        "phi_time": _normalize(stats["phi_time_num"].T, smoothing),
+        "lambda_u": np.clip(stats["lam_num"] / np.where(nonbg <= 0, 1.0, nonbg), 0.0, 1.0),
+    }
+
+
+# -- drifting interests (Section 6, item 2) -----------------------------------
+
+
+def drift_estep(triples, shape, state, epoch_length):
+    """TTCAM with θ_{u,e} for the rating's epoch e = t // epoch_length.
+
+    ``state["theta"]`` is ``(E, N, K1)``; λ stays per user.
+    """
+    u, t, v, c = triples
+    n, t_dim, v_dim = shape
+    theta = state["theta"]
+    epoch = t // epoch_length
+    joint_z = theta[epoch, u] * state["phi"][:, v].T
+    joint_x = state["theta_time"][t] * state["phi_time"][:, v].T
+    p_interest, p_context = joint_z.sum(axis=1), joint_x.sum(axis=1)
+    ps1, prob = _mixture_posterior(state["lambda_u"][u], p_interest, p_context)
+    resp_z = joint_z / (p_interest + EPS)[:, None] * ps1[:, None]
+    resp_x = joint_x / (p_context + EPS)[:, None] * (1 - ps1)[:, None]
+    theta_num = np.zeros(theta.shape)
+    np.add.at(theta_num, (epoch, u), c[:, None] * resp_z)
+    stats = {
+        "theta_num": theta_num,
+        "phi_num": _scatter(v, c[:, None] * resp_z, v_dim),
+        "theta_time_num": _scatter(t, c[:, None] * resp_x, t_dim),
+        "phi_time_num": _scatter(v, c[:, None] * resp_x, v_dim),
+        "lam_num": _scatter(u, c * ps1, n),
+    }
+    return stats, float(np.sum(c * np.log(prob)))
+
+
+def drift_mstep(stats, triples, shape, smoothing, coupling):
+    """TTCAM's M-step; each epoch's interest counts first take in ``coupling``
+    times those of the epochs before and after it."""
+    counts = stats["theta_num"]
+    coupled = counts.copy()
+    coupled[1:] += coupling * counts[:-1]
+    coupled[:-1] += coupling * counts[1:]
+    return {
+        "theta": np.stack([_normalize(epoch, smoothing) for epoch in coupled]),
+        "phi": _normalize(stats["phi_num"].T, smoothing),
+        "theta_time": _normalize(stats["theta_time_num"], smoothing),
+        "phi_time": _normalize(stats["phi_time_num"].T, smoothing),
+        "lambda_u": _user_lambda(stats["lam_num"], triples, shape[0]),
+    }
+
+
+# -- social influence (Section 6, item 1) -------------------------------------
+
+
+def social_estep(triples, shape, state, friends):
+    """P(v|u,t) = w_u0·P(v|θ_u) + w_u1·P(v|θ̄_{N(u)}) + w_u2·P(v|θ′_t).
+
+    ``friends[u]`` lists u's friends; θ̄_{N(u)} is their mean interest,
+    or θ_u for a user without friends.
+    """
+    u, t, v, c = triples
+    n, t_dim, v_dim = shape
+    theta = state["theta"]
+    social = np.array([theta[f].mean(axis=0) if len(f) else theta[i] for i, f in enumerate(friends)])
+    phi_v = state["phi"][:, v].T
+    joint = [
+        theta[u] * phi_v,
+        social[u] * phi_v,
+        state["theta_time"][t] * state["phi_time"][:, v].T,
+    ]
+    p = np.stack([branch.sum(axis=1) for branch in joint], axis=1)
+    weighted = state["influence"][u] * p
+    prob = weighted.sum(axis=1) + EPS
+    r = weighted / prob[:, None]  # P(branch | u, t, v)
+    resp = [joint[i] / (p[:, i] + EPS)[:, None] * r[:, i][:, None] for i in range(3)]
+    stats = {
+        "theta_num": _scatter(u, c[:, None] * resp[0], n),
+        "phi_num": _scatter(v, c[:, None] * (resp[0] + resp[1]), v_dim),
+        "theta_time_num": _scatter(t, c[:, None] * resp[2], t_dim),
+        "phi_time_num": _scatter(v, c[:, None] * resp[2], v_dim),
+        "influence_num": _scatter(u, c[:, None] * r, n),
+    }
+    return stats, float(np.sum(c * np.log(prob)))
+
+
+def social_mstep(stats, triples, shape, smoothing):
+    """TTCAM's topic updates; the influence vector is each user's branch
+    share of their rating mass (a user without ratings keeps a zero row)."""
+    u, _, _, c = triples
+    mass = _scatter(u, c, shape[0])
+    influence = np.clip(stats["influence_num"] / np.where(mass <= 0, 1.0, mass)[:, None], 0, 1)
+    return {
+        "theta": _normalize(stats["theta_num"], smoothing),
+        "phi": _normalize(stats["phi_num"].T, smoothing),
+        "theta_time": _normalize(stats["theta_time_num"], smoothing),
+        "phi_time": _normalize(stats["phi_time_num"].T, smoothing),
+        "influence": influence / (influence.sum(axis=1, keepdims=True) + EPS),
+    }
+
+
 # -- the loop -----------------------------------------------------------------
 
 

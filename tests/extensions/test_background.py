@@ -27,6 +27,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             BackgroundTTCAM(num_user_topics=0)
 
+    def test_rejects_zero_max_iter(self):
+        # Used to "fit" to the random initialisation with an empty trace.
+        with pytest.raises(ValueError, match="max_iter"):
+            BackgroundTTCAM(max_iter=0)
+
+    def test_rejects_negative_smoothing(self):
+        # Used to die mid-fit with a non-finite log likelihood.
+        with pytest.raises(ValueError, match="smoothing"):
+            BackgroundTTCAM(smoothing=-1.0)
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             BackgroundTTCAM().score_items(0, 0)

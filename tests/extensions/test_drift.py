@@ -70,6 +70,16 @@ class TestDriftTTCAM:
         with pytest.raises(RuntimeError):
             DriftTTCAM(epoch_length=4).score_items(0, 0)
 
+    def test_rejects_zero_topics(self):
+        # Used to die mid-fit with a numpy UFuncTypeError.
+        with pytest.raises(ValueError, match="num_user_topics"):
+            DriftTTCAM(4, 0, 2)
+
+    def test_rejects_zero_max_iter(self):
+        # Used to "fit" to the random initialisation with an empty trace.
+        with pytest.raises(ValueError, match="max_iter"):
+            DriftTTCAM(4, max_iter=0)
+
     def test_fit_monotone(self, drifting_world):
         config, cuboid, _, _ = drifting_world
         model = DriftTTCAM(

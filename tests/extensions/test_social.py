@@ -9,6 +9,7 @@ from repro.extensions.social import (
     add_social_ratings,
     adjacency_lists,
     build_homophilous_graph,
+    social_adjacency,
     social_interest,
 )
 import tests.conftest as c
@@ -63,13 +64,36 @@ class TestGraph:
 
 class TestSocialInterest:
     def test_average_of_friends(self):
-        theta = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        friends = [np.array([1, 2]), np.array([0]), np.array([], dtype=np.int64)]
-        social = social_interest(theta, friends)
+        import networkx as nx
+
+        theta = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]])
+        graph = nx.Graph([(0, 1), (0, 2)])  # user 3 is not in the graph
+        social = social_interest(theta, social_adjacency(graph, 4))
         np.testing.assert_allclose(social[0], [0.25, 0.75])
         np.testing.assert_allclose(social[1], [1.0, 0.0])
         # Isolated user falls back to own interest.
-        np.testing.assert_allclose(social[2], theta[2])
+        np.testing.assert_allclose(social[3], theta[3])
+
+    def test_adjacency_rows_average_friends_or_self(self):
+        import networkx as nx
+
+        graph = nx.Graph([(0, 1), (0, 2)])
+        graph.add_node(3)
+        dense = social_adjacency(graph, 5).toarray()
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0)
+        np.testing.assert_allclose(dense[0], [0, 0.5, 0.5, 0, 0])
+        np.testing.assert_allclose(dense[[3, 4], [3, 4]], 1.0)  # isolated, and absent
+
+    def test_matches_a_per_user_loop(self, social_world):
+        _, truth, graph, _ = social_world
+        n = truth.theta.shape[0]
+        expected = [
+            truth.theta[friends].mean(axis=0) if friends.size else truth.theta[u]
+            for u, friends in enumerate(adjacency_lists(graph, n))
+        ]
+        np.testing.assert_allclose(
+            social_interest(truth.theta, social_adjacency(graph, n)), expected, atol=1e-15
+        )
 
 
 class TestAddSocialRatings:
@@ -87,6 +111,15 @@ class TestAddSocialRatings:
         cuboid, truth, graph, _ = social_world
         with pytest.raises(ValueError):
             add_social_ratings(cuboid, truth, graph, imitation_rate=-1.0)
+
+    def test_graph_over_unknown_users_rejected(self, social_world):
+        # Used to raise an IndexError from deep inside the averaging.
+        import networkx as nx
+
+        cuboid, truth, _, _ = social_world
+        graph = nx.path_graph(cuboid.num_users + 5)
+        with pytest.raises(ValueError, match=f"graph node {cuboid.num_users} "):
+            add_social_ratings(cuboid, truth, graph, imitation_rate=0.5)
 
 
 class TestSocialTTCAM:
@@ -125,6 +158,22 @@ class TestSocialTTCAM:
         _, _, graph, _ = social_world
         with pytest.raises(RuntimeError):
             SocialTTCAM(graph).score_items(0, 0)
+
+    def test_rejects_zero_max_iter(self, social_world):
+        # Used to "fit" to the random initialisation with an empty trace.
+        _, _, graph, _ = social_world
+        with pytest.raises(ValueError, match="max_iter"):
+            SocialTTCAM(graph, max_iter=0)
+
+    def test_fit_rejects_a_graph_over_unknown_users(self, social_world):
+        # Used to raise an IndexError from deep inside the first E-step.
+        import networkx as nx
+
+        cuboid, _, _, _ = social_world
+        model = SocialTTCAM(nx.path_graph(cuboid.num_users + 5), 3, 2, max_iter=3)
+        with pytest.raises(ValueError, match=f"graph node {cuboid.num_users} "):
+            model.fit(cuboid)
+        assert model.trace_ is None
 
     def test_works_with_ta_engine(self, social_world):
         from repro.recommend import TemporalRecommender

@@ -227,13 +227,13 @@ class TestEveryQuerySpaceProvider:
 
     def test_split_path_only_for_container_query_spaces(self, tiny_cuboid):
         cuboid, truth = tiny_cuboid
-        kinds = {
-            name: TemporalRecommender(_fit_provider(name, cuboid, truth))._scorer()._params_kind()[0]
+        split = {
+            name
             for name in QUERY_SPACE_PROVIDERS
+            if TemporalRecommender(_fit_provider(name, cuboid, truth))._scorer()._params()
+            is not None
         }
-        assert {name for name, kind in kinds.items() if kind != "generic"} == set(
-            QUERY_SPACE_PROVIDERS[:6]
-        )
+        assert split == set(QUERY_SPACE_PROVIDERS[:6])
 
 
 class TestInt8AtBenchScales:
