@@ -56,12 +56,13 @@ check: static ruff typecheck test
 test-robustness:
 	pytest tests/robustness/
 
-# Tier-1 model + serving tests with the runtime sanitizer armed: the
-# blocked engine is every EM model's E-step (the Section 6 extensions
-# included), so each fit in these suites verifies disjoint writes,
-# simplex invariants and fixed-order reduction.
+# Tier-1 model + serving + streaming tests with the runtime sanitizer
+# armed: the blocked engine is every EM model's E-step (the Section 6
+# extensions and stream fold-in included), so each fit and fold in these
+# suites verifies disjoint writes, simplex invariants and fixed-order
+# reduction.
 test-sanitize:
-	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend tests/baselines tests/robustness tests/extensions
+	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend tests/baselines tests/robustness tests/extensions tests/streaming
 
 # Streaming fault-injection suite (WAL torn writes, kill/resume, swap
 # gate) with the runtime sanitizer armed — the crash-safety gate CI runs.

@@ -3,21 +3,23 @@
 The :class:`StreamIngestor` is the consumer side of the streaming
 pipeline: it reads acknowledged events from an :class:`~repro.streaming.wal.EventLog`
 in fixed-size micro-batches and folds them into a fitted model without a
-full refit, using the partial-EM estimators of
-:class:`~repro.extensions.online.OnlineTTCAM`:
+full refit. A micro-batch is four event columns and at most three passes
+of :func:`~repro.extensions.online.fold_in` — each one batched partial-EM
+fit over the batch's compacted cuboid, ``φ``/``φ′`` held:
 
-* **New intervals** get uniform-prior context rows appended to
-  ``θ′`` before anything else, so every event in the batch is in range.
-* **New users** are admitted in ascending id order — ids that actually
-  appear in the batch are folded in from their own events, gap ids in
-  between get the cold-start prior directly.
-* **Per-interval context updates**: each interval's events produce a
-  fresh context estimate; a :class:`~repro.streaming.drift.DriftTracker`
-  compares it (unit-norm cosine) with the interval's tracked vector.
-  Within the threshold, the published context takes a small *blend* step
-  toward the estimate; below it — a temporal boundary — the ingestor
-  escalates to a **partial refit** (a longer fold of that interval,
-  re-anchoring its context outright) and checkpoints immediately.
+* **New intervals and users** get prior rows first (uniform context;
+  uniform interests and ``λ=0.5``), so every event is in range and gap
+  ids keep the prior; one pass over the new users' events then folds
+  in their ``θ``/``λ``.
+* **Context updates**: one pass over all of the batch's events estimates
+  every touched interval's context; a
+  :class:`~repro.streaming.drift.DriftTracker` compares each estimate,
+  in ascending interval order, with the interval's tracked vector
+  (unit-norm cosine). Within the threshold, the published context takes
+  a small *blend* step toward the estimate; below it — a temporal
+  boundary — the ingestor escalates to a **partial refit** (one longer
+  pass from the prior over the boundary intervals' events, re-anchoring
+  their contexts outright) and checkpoints immediately.
 
 Every micro-batch application is a pure function of ``(model state,
 events)``: no clocks, no randomness, fixed iteration order. Combined
@@ -45,7 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core.params import TTCAMParameters
-from ..extensions.online import OnlineTTCAM
+from ..extensions.online import fold_in
 from ..robustness.checkpoint import CheckpointManager
 from ..typing import bit_deterministic
 from ..robustness.errors import CheckpointError
@@ -144,12 +146,13 @@ class StreamIngestor:
         checkpoint_every: int = 4,
         resume: bool = True,
     ) -> None:
-        if batch_events <= 0:
-            raise ValueError(f"batch_events must be positive, got {batch_events}")
-        if refit_iterations <= 0:
-            raise ValueError(
-                f"refit_iterations must be positive, got {refit_iterations}"
-            )
+        for name, value in (
+            ("batch_events", batch_events),
+            ("fold_iterations", fold_iterations),
+            ("refit_iterations", refit_iterations),
+        ):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < blend <= 1.0:
             raise ValueError(f"blend must be in (0, 1], got {blend}")
         self.log = log
@@ -157,7 +160,7 @@ class StreamIngestor:
         self.fold_iterations = fold_iterations
         self.refit_iterations = refit_iterations
         self.blend = blend
-        self.online = OnlineTTCAM(base, fold_iterations=fold_iterations)
+        self._params = base
         self.tracker = DriftTracker(
             dim=base.num_time_topics,
             drift_rate=drift_rate,
@@ -190,7 +193,7 @@ class StreamIngestor:
     @property
     def params(self) -> TTCAMParameters:
         """The current folded parameters (a fresh container per batch)."""
-        return self.online.params
+        return self._params
 
     def _config(self) -> dict[str, object]:
         """The knobs a checkpoint must match to be resumable."""
@@ -264,7 +267,7 @@ class StreamIngestor:
                 f"the log's {self.log.next_offset} durable events: it belongs to "
                 "another log"
             )
-        self.online.params = self.params.with_fields(
+        self._params = self.params.with_fields(
             **{
                 name: np.asarray(checkpoint.arrays[name], dtype=np.float64)
                 for name in _FOLDED
@@ -290,112 +293,71 @@ class StreamIngestor:
     # micro-batch application
     # ------------------------------------------------------------------
 
-    def _extend_intervals(self, max_interval: int) -> None:
-        """Append uniform-prior context rows up to ``max_interval``."""
-        params = self.params
-        missing = max_interval + 1 - params.num_intervals
-        if missing <= 0:
-            return
-        k2 = params.num_time_topics
-        prior = np.full((missing, k2), 1.0 / k2)
-        self.online.params = params.with_fields(
-            theta_time=np.vstack([params.theta_time, prior])
-        )
-        self.tracker.ensure_intervals(max_interval + 1)
-
-    def _extend_users(self, events: list[StreamEvent]) -> None:
-        """Admit every unseen user id, in ascending order.
-
-        Ids that appear in the batch fold in from their own events; gap
-        ids below the maximum get the cold-start prior row directly
-        (uniform interests, ``λ=0.5``) without a warning, because their
-        absence from this batch is expected, not anomalous.
-        """
-        params = self.params
-        max_user = max(event.user for event in events)
-        if max_user < params.num_users:
-            return
-        by_user: dict[int, list[StreamEvent]] = {}
-        for event in events:
-            if event.user >= params.num_users:
-                by_user.setdefault(event.user, []).append(event)
-        k1 = params.num_user_topics
-        for user in range(params.num_users, max_user + 1):
-            mine = by_user.get(user)
-            if mine:
-                self.online.extend_with_user(
-                    np.array([event.item for event in mine], dtype=np.int64),
-                    np.array([event.interval for event in mine], dtype=np.int64),
-                    np.array([event.score for event in mine], dtype=np.float64),
-                )
-            else:
-                params = self.params
-                self.online.params = params.with_fields(
-                    theta=np.vstack([params.theta, np.full((1, k1), 1.0 / k1)]),
-                    lambda_u=np.append(params.lambda_u, 0.5),
-                )
-
-    def _set_context_row(self, interval: int, row: np.ndarray) -> None:
-        """Publish one interval's context via copy-on-write."""
-        params = self.params
-        theta_time = params.theta_time.copy()
-        theta_time[interval] = row
-        self.online.params = params.with_fields(theta_time=theta_time)
-
     def _apply_batch(self, events: list[StreamEvent]) -> bool:
         """Fold one micro-batch into the model; True if a boundary hit.
 
-        Deterministic application order — extend intervals, admit users
-        ascending, update interval contexts ascending — so replaying the
-        same events over the same state reproduces identical bits.
+        Deterministic application order — prior rows for new intervals
+        and users, a pass freeing the new users, a pass freeing every
+        touched interval (its estimates fed to the tracker in ascending
+        interval order), a refit pass freeing the boundary intervals — so
+        replaying the same events over the same state reproduces
+        identical bits.
         """
-        catalogue = self.params.num_items
-        usable = [event for event in events if event.item < catalogue]
-        dropped = len(events) - len(usable)
+        params = self.params
+        users, intervals, items = np.array(
+            [(event.user, event.interval, event.item) for event in events], dtype=np.int64
+        ).T
+        usable = items < params.num_items
+        dropped = len(events) - int(np.count_nonzero(usable))
         if dropped:
             self.skipped += dropped
             warnings.warn(
                 f"stream batch skipped {dropped} event(s) whose items are "
-                f"outside the fitted catalogue (< {catalogue}); folding "
+                f"outside the fitted catalogue (< {params.num_items}); folding "
                 "cannot invent topic–item columns — retrain to admit them",
                 UserWarning,
                 stacklevel=3,
             )
-        if not usable:
+        if dropped == len(events):
             return False
-        self._extend_intervals(max(event.interval for event in usable))
-        self._extend_users(usable)
-
-        by_interval: dict[int, list[StreamEvent]] = {}
-        for event in usable:
-            by_interval.setdefault(event.interval, []).append(event)
-        boundary_hit = False
-        for interval in sorted(by_interval):
-            group = by_interval[interval]
-            users = np.array([event.user for event in group], dtype=np.int64)
-            items = np.array([event.item for event in group], dtype=np.int64)
-            scores = np.array([event.score for event in group], dtype=np.float64)
-            estimate = self.online.fold_in_interval(users, items, scores)
-            verdict = self.tracker.update(interval, estimate)
-            if verdict.boundary:
-                # Temporal boundary: the context jumped. Re-anchor the
-                # interval with a longer partial refit instead of a blend.
-                boundary_hit = True
-                self.boundaries += 1
-                refit = OnlineTTCAM(
-                    self.params, fold_iterations=self.refit_iterations
-                )
-                self._set_context_row(
-                    interval, refit.fold_in_interval(users, items, scores)
-                )
-                self.refits += 1
-            else:
-                old = self.params.theta_time[interval]
-                self._set_context_row(
-                    interval, (1.0 - self.blend) * old + self.blend * estimate
-                )
-        self.applied += len(usable)
-        return boundary_hit
+        scores = np.array([event.score for event in events], dtype=np.float64)
+        chunk = [column[usable] for column in (users, intervals, items, scores)]
+        users, intervals = chunk[0], chunk[1]
+        k1, k2 = params.num_user_topics, params.num_time_topics
+        new_intervals = max(int(intervals.max()) + 1 - params.num_intervals, 0)
+        # The batch's one copy of θ′, with prior rows for new intervals.
+        theta_time = np.vstack([params.theta_time, np.full((new_intervals, k2), 1.0 / k2)])
+        self.tracker.ensure_intervals(len(theta_time))
+        fields = params.arrays() | {"theta_time": theta_time}
+        new_users = users >= params.num_users
+        if new_users.any():
+            extra = int(users.max()) + 1 - params.num_users
+            fields["theta"] = np.vstack([params.theta, np.full((extra, k1), 1.0 / k1)])
+            fields["lambda_u"] = np.append(params.lambda_u, np.full(extra, 0.5))
+            ids, rows = fold_in(
+                fields, "theta", self.fold_iterations, *(column[new_users] for column in chunk)
+            )
+            fields["theta"][ids] = rows["theta"]
+            fields["lambda_u"][ids] = rows["lambda_u"]
+        ids, rows = fold_in(fields, "theta_time", self.fold_iterations, *chunk)
+        estimates = rows["theta_time"]
+        boundary = np.array(
+            [self.tracker.update(int(t), row).boundary for t, row in zip(ids, estimates)]
+        )
+        theta_time[ids] = (1.0 - self.blend) * theta_time[ids] + self.blend * estimates
+        if boundary.any():
+            # Temporal boundary: the context jumped. Re-anchor those
+            # intervals with a longer partial refit instead of a blend.
+            refit = np.isin(intervals, ids[boundary])
+            ids, rows = fold_in(
+                fields, "theta_time", self.refit_iterations, *(column[refit] for column in chunk)
+            )
+            theta_time[ids] = rows["theta_time"]
+        self.boundaries += int(boundary.sum())
+        self.refits += int(boundary.sum())
+        self._params = params.with_fields(**{name: fields[name] for name in _FOLDED})
+        self.applied += len(users)
+        return bool(boundary.any())
 
     # ------------------------------------------------------------------
     # consumption loop

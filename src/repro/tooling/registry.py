@@ -297,7 +297,7 @@ TREE: dict[str, FileFacts] = {
     "core/model.py": FileFacts(contracts=("EMModel.fit",)),
     "core/serialize.py": FileFacts(durable=True),
     "extensions/online.py": FileFacts(
-        contracts=("OnlineTTCAM.fold_in_user", "OnlineTTCAM.fold_in_interval")
+        contracts=("fold_in", "OnlineTTCAM.fold_in_user", "OnlineTTCAM.fold_in_interval")
     ),
     "extensions/social.py": FileFacts(contracts=("build_homophilous_graph",)),
     "recommend/paramstore.py": FileFacts(durable=True, dir_fsync=True),

@@ -246,16 +246,16 @@ class TestWithFields:
 
     #: The five call sites' change sets, as functions of the container.
     SHAPES = {
-        # StreamIngestor._extend_intervals
+        # StreamIngestor._apply_batch: prior rows for new intervals
         "grow_intervals": lambda p: {
             "theta_time": np.vstack([p.theta_time, uniform(2, p.num_time_topics)])
         },
-        # StreamIngestor._extend_users (gap id)
+        # StreamIngestor._apply_batch: the prior row of a gap user id
         "gap_user": lambda p: {
             "theta": np.vstack([p.theta, uniform(1, p.num_user_topics)]),
             "lambda_u": np.append(p.lambda_u, 0.5),
         },
-        # StreamIngestor._set_context_row
+        # StreamIngestor._apply_batch: a re-estimated context row
         "context_row": lambda p: {
             "theta_time": np.vstack([p.theta_time[:-1], uniform(1, p.num_time_topics)])
         },

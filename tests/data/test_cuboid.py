@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             RatingCuboid.from_arrays([0], [0], [0], scores=[0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            RatingCuboid.from_arrays([0, 1], [0, 0], [0, 1], scores=[bad, 1.0])
+
     def test_from_ratings_builds_indexers(self, simple_ratings):
         cub = RatingCuboid.from_ratings(simple_ratings)
         assert cub.num_users == 3
