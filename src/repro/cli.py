@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .data.profiles import PROFILES
 from .evaluation import build_queries, evaluate_ranking
 from .recommend import TemporalRecommender
 from .tooling.registry import TOOLS
+
+if TYPE_CHECKING:
+    from .streaming import StreamEvent
 
 _Model = TTCAM | ITCAM | UserTopicModel | TimeTopicModel
 
@@ -333,15 +336,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
+def _read_dense_events(path: Path) -> list[StreamEvent]:
     """Read dense ``user,interval,item[,score]`` rows from a CSV file.
 
     Raises :class:`ValueError` (one line, naming ``file:line`` for a bad
-    row) when the header lacks a column or a field is not a number.
+    row) when the header lacks a column, a field is not a number, or a
+    row is not a valid event (a negative id, a score that is not finite
+    and positive).
     """
     import csv
 
-    events: list[tuple[int, int, int, float]] = []
+    from .streaming import StreamEvent
+
+    events: list[StreamEvent] = []
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"user", "interval", "item"}
@@ -352,7 +359,7 @@ def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
             try:
                 score = float(row["score"]) if row.get("score") else 1.0
                 events.append(
-                    (int(row["user"]), int(row["interval"]), int(row["item"]), score)
+                    StreamEvent(int(row["user"]), int(row["interval"]), int(row["item"]), score)
                 )
             except (TypeError, ValueError) as exc:  # TypeError: a short row's None
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
@@ -361,18 +368,16 @@ def _read_dense_events(path: Path) -> list[tuple[int, int, int, float]]:
 
 def cmd_stream_append(args: argparse.Namespace) -> int:
     """Durably append dense CSV events to a streaming event log."""
-    from .streaming import EventLog, StreamEvent
+    from .streaming import EventLog
 
     try:
-        rows = _read_dense_events(Path(args.input))
+        events = _read_dense_events(Path(args.input))
     except (OSError, ValueError) as exc:
         print(f"tcam stream append: {exc}", file=sys.stderr)
         return 2
     with EventLog(args.log, segment_events=args.segment_events) as log:
         before = log.next_offset
-        offset = log.append(
-            StreamEvent(user=u, interval=t, item=i, score=s) for u, t, i, s in rows
-        )
+        offset = log.append(events)
     print(f"appended {offset - before} events; log now holds {offset}")
     return 0
 

@@ -34,6 +34,7 @@ model state from any checkpointed offset.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -80,8 +81,8 @@ class StreamEvent:
                 f"event ids must be non-negative, got "
                 f"({self.user}, {self.interval}, {self.item})"
             )
-        if not self.score > 0:
-            raise ValueError(f"score must be positive, got {self.score}")
+        if not 0 < self.score < math.inf:  # NaN fails this too
+            raise ValueError(f"score must be finite and positive, got {self.score}")
 
     def pack(self) -> bytes:
         """Encode this event as one framed, checksummed WAL record."""

@@ -31,6 +31,11 @@ class TestEvents:
         with pytest.raises(ValueError, match="score"):
             StreamEvent(user=0, interval=0, item=0, score=0.0)
 
+    @pytest.mark.parametrize("score", [float("inf"), float("nan")])
+    def test_rejects_non_finite_score(self, score):
+        with pytest.raises(ValueError, match="finite and positive"):
+            StreamEvent(user=0, interval=0, item=0, score=score)
+
 
 class TestAppendRead:
     def test_roundtrip_in_order(self, tmp_path):

@@ -607,8 +607,11 @@ class TestStream:
         [
             ("user,interval,item,score\n0,0,1,1.0\n1,zero,2,2.0\n", "bad.csv:3: "),
             ("user,interval,item\n0,0\n", "bad.csv:2: "),
+            ("user,interval,item,score\n0,0,1,1.0\n1,0,2,inf\n", "bad.csv:3: score"),
+            ("user,interval,item,score\n0,0,1,nan\n", "bad.csv:2: score"),
+            ("user,interval,item,score\n0,0,1,-2\n", "bad.csv:2: score"),
         ],
-        ids=["non-numeric-field", "short-row"],
+        ids=["non-numeric-field", "short-row", "infinite-score", "nan-score", "negative-score"],
     )
     def test_append_names_the_line_of_a_bad_field(self, tmp_path, capsys, text, where):
         assert where in self._refused_append(tmp_path, capsys, text)
