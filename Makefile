@@ -1,6 +1,6 @@
 # Convenience targets for the TCAM reproduction.
 
-.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke static ruff lint analyze audit prove typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke bench-pair loc examples all
+.PHONY: install test test-robustness test-sanitize test-stream-faults test-service service-smoke static ruff typecheck check bench bench-perf bench-serve bench-service bench-stream bench-smoke bench-e2e-smoke bench-pair loc examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -22,25 +22,6 @@ ruff:
 	else \
 		echo "ruff not installed; skipping (CI runs it)"; \
 	fi
-
-# The four rule families as presets of the same pass (`lint` also runs
-# ruff). Domain rules TCAM001-TCAM005.
-lint: ruff
-	PYTHONPATH=src python -m repro.tooling.lint src/repro
-
-# Concurrency-race rules TCAM010-TCAM013.
-analyze:
-	PYTHONPATH=src python -m repro.tooling.races src/repro
-
-# Resource-lifecycle & crash-consistency rules TCAM020-TCAM025; also
-# covers the bench harnesses, which spawn real server processes.
-audit:
-	PYTHONPATH=src python -m repro.tooling.lifecycle src/repro benchmarks/perf benchmarks/e2e
-
-# Determinism & dtype-flow rules TCAM030-TCAM035, rooted at
-# @bit_deterministic markers.
-prove:
-	PYTHONPATH=src python -m repro.tooling.determinism src/repro
 
 # mypy --strict over src/repro, configured in pyproject.toml. Skipped
 # with a notice when mypy is not installed locally; CI always runs it.

@@ -10,11 +10,7 @@ Covers the full offline/online loop from a shell:
 * ``tcam report``   — render a topic/influence report card for a
   snapshot against its training data;
 * ``tcam check``    — run every static-analysis rule in one pass (rules
-  TCAM001–TCAM035, see ``docs/static-analysis.md``); ``tcam lint``
-  (TCAM001–005, domain linter), ``tcam analyze`` (TCAM010–013,
-  concurrency races), ``tcam audit`` (TCAM020–025, resource lifecycle
-  and crash consistency) and ``tcam prove`` (TCAM030–035, determinism
-  and dtype flow of the bitwise contracts) are its presets;
+  TCAM001–TCAM035, see ``docs/static-analysis.md``);
 * ``tcam stream``   — the crash-safe streaming loop
   (``docs/robustness.md``): ``append`` dense events to the durable
   event log, ``run`` the incremental ingestor against a snapshot, and
@@ -27,6 +23,7 @@ CLI interoperates with any timestamped-rating export.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -39,7 +36,6 @@ from .data import generate, holdout_split, load_cuboid_csv, profile, save_cuboid
 from .data.profiles import PROFILES
 from .evaluation import build_queries, evaluate_ranking
 from .recommend import TemporalRecommender
-from .tooling.registry import TOOLS
 
 if TYPE_CHECKING:
     from .streaming import StreamEvent
@@ -77,6 +73,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for a finite factor greater than 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     p_gen.add_argument("--profile", choices=sorted(PROFILES), default="digg")
-    p_gen.add_argument("--scale", type=float, default=0.5)
+    p_gen.add_argument("--scale", type=_positive_float, default=0.5)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -466,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="train a model and snapshot it")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--model", choices=_MODEL_CHOICES, default="ttcam")
-    p_fit.add_argument("--k1", type=int, default=10, help="user-oriented topics")
-    p_fit.add_argument("--k2", type=int, default=10, help="time-oriented topics")
-    p_fit.add_argument("--iters", type=int, default=60)
+    p_fit.add_argument("--k1", type=_positive_int, default=10, help="user-oriented topics")
+    p_fit.add_argument("--k2", type=_positive_int, default=10, help="time-oriented topics")
+    p_fit.add_argument("--iters", type=_positive_int, default=60)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument(
@@ -599,11 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="run the evaluation protocol")
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--model", choices=_MODEL_CHOICES, default="ttcam")
-    p_eval.add_argument("--k1", type=int, default=10)
-    p_eval.add_argument("--k2", type=int, default=10)
-    p_eval.add_argument("--iters", type=int, default=60)
+    p_eval.add_argument("--k1", type=_positive_int, default=10)
+    p_eval.add_argument("--k2", type=_positive_int, default=10)
+    p_eval.add_argument("--iters", type=_positive_int, default=60)
     p_eval.add_argument("--ks", default="1,5,10")
-    p_eval.add_argument("--max-queries", type=int, default=300)
+    p_eval.add_argument("--max-queries", type=_positive_int, default=300)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -613,10 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--max-topics", type=int, default=None)
     p_report.set_defaults(func=cmd_report)
 
-    # Listed for ``tcam --help`` only: ``main`` hands everything after one
-    # of these names to the tools' own command line, unparsed.
-    for name, help_text in TOOLS.items():
-        sub.add_parser(name, help=help_text, add_help=False)
+    # Listed for ``tcam --help`` only: ``main`` hands everything after
+    # ``check`` to the analyser's own command line, unparsed.
+    sub.add_parser("check", help="every static-analysis rule in one pass", add_help=False)
 
     p_stream = sub.add_parser(
         "stream", help="crash-safe streaming ingestion (see docs/robustness.md)"
@@ -657,10 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in TOOLS:
+    if argv and argv[0] == "check":
         from .tooling.core import main as check_main
 
-        return check_main(argv[1:], tool=argv[0])
+        return check_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -35,6 +35,7 @@ engagement-count inflation on popular items.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .synthetic import EventSpec, SyntheticConfig, auto_events
@@ -223,8 +224,10 @@ def profile(name: str, scale: float = 1.0, seed: int | None = None) -> Synthetic
     """Look up a dataset profile by name.
 
     ``seed=None`` keeps the profile's default seed so results are
-    reproducible across runs.
+    reproducible across runs.  ``scale`` must be finite and positive.
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     try:
         factory = PROFILES[name]
     except KeyError:

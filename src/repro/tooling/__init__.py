@@ -9,45 +9,31 @@ determinism & dtype-flow verifier (:mod:`repro.tooling.determinism`) —
 and to the opt-in runtime sanitizer (:mod:`repro.tooling.sanitize`).
 Together they encode the determinism, numerical-safety, data-race and
 durability invariants the test suite otherwise only catches after the
-fact. ``tcam check`` and its four presets share one CLI surface
-(:mod:`repro.tooling.output`): ``--format json`` emits the same
-stable-sorted schema from each (``--format sarif`` the same SARIF 2.1.0
-log), which CI turns into GitHub annotations and code-scanning uploads,
-and every rule code and every fact about this tree is declared once in
+fact. ``tcam check --format json`` emits a stable-sorted schema and
+``--format sarif`` a SARIF 2.1.0 log (:mod:`repro.tooling.output`),
+which CI turns into GitHub annotations and code-scanning uploads, and
+every rule code and every fact about this tree is declared once in
 :mod:`repro.tooling.registry`.
 
 The submodules are loaded lazily: ``repro.core`` and ``repro.recommend``
-import :mod:`repro.tooling.sanitize` and must not pay for the analyser,
-and ``python -m repro.tooling.lint`` (or ``...races``) must not import
-its module twice (once as a package attribute, once as ``__main__``),
-which would trigger a runpy ``RuntimeWarning``.
+import :mod:`repro.tooling.sanitize` and must not pay for the analyser.
 """
 
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .determinism import prove_paths, prove_source
-    from .lifecycle import audit_paths, audit_source
-    from .lint import Finding, lint_paths, lint_source, main
-    from .races import analyze_paths, analyze_source
-    from .registry import REGISTRY, RuleSpec, rules_for_tool
+    from .core import Finding, check_paths, check_source, main
+    from .registry import REGISTRY, RuleSpec
     from .sanitize import Sanitizer, SanitizerError, sanitize_enabled
 
 #: Lazily exported name -> owning submodule.
 _SUBMODULE_EXPORTS = {
-    "Finding": "lint",
-    "lint_paths": "lint",
-    "lint_source": "lint",
-    "main": "lint",
-    "analyze_paths": "races",
-    "analyze_source": "races",
-    "audit_paths": "lifecycle",
-    "audit_source": "lifecycle",
-    "prove_paths": "determinism",
-    "prove_source": "determinism",
+    "Finding": "core",
+    "check_paths": "core",
+    "check_source": "core",
+    "main": "core",
     "REGISTRY": "registry",
     "RuleSpec": "registry",
-    "rules_for_tool": "registry",
     "Sanitizer": "sanitize",
     "SanitizerError": "sanitize",
     "sanitize_enabled": "sanitize",
@@ -55,18 +41,11 @@ _SUBMODULE_EXPORTS = {
 
 __all__ = [
     "Finding",
-    "lint_paths",
-    "lint_source",
+    "check_paths",
+    "check_source",
     "main",
-    "analyze_paths",
-    "analyze_source",
-    "audit_paths",
-    "audit_source",
-    "prove_paths",
-    "prove_source",
     "REGISTRY",
     "RuleSpec",
-    "rules_for_tool",
     "Sanitizer",
     "SanitizerError",
     "sanitize_enabled",

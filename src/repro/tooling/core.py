@@ -11,10 +11,8 @@ each of which lists its visitors in a ``VISITORS`` mapping keyed by the
 code(s) a visitor owns; this module knows nothing about any rule.
 
 :func:`check_source` / :func:`check_paths` run the visitors whose codes
-are selected (all of them by default).  ``tcam lint``, ``tcam analyze``,
-``tcam audit`` and ``tcam prove`` are presets of that one pass —
-``lint_source(s, p)`` *is* ``check_source(s, p, lint.RULES)`` — and
-``tcam check`` (:func:`main`) runs all of them together.
+are selected (all of them by default); ``tcam check`` (:func:`main`) is
+their command line.
 
 Suppression: append ``# tcam-lint: disable=TCAM001`` (comma-separate for
 several rules) to the offending line.
@@ -22,15 +20,17 @@ several rules) to the offending line.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
+import sys
 from dataclasses import dataclass
-from functools import partial
 from importlib import import_module
 from pathlib import Path
 from typing import Callable, Container, Iterator, Sequence
 
-from .registry import REGISTRY, TOOLS, facts_for, rules_for_tool
+from .output import filter_findings, parse_codes, render_json, render_sarif
+from .registry import REGISTRY, facts_for
 
 __all__ = [
     "MAX_DEPTH",
@@ -344,21 +344,67 @@ def check_paths(
     return findings
 
 
-def main(argv: Sequence[str] | None = None, tool: str = "check") -> int:
-    """CLI entry point of ``tcam <tool>``; returns a shell exit status.
+def _usage_error(message: str) -> int:
+    print(f"tcam check: {message}", file=sys.stderr)
+    return 2
 
-    ``check`` runs every rule; the other names of
-    :data:`~repro.tooling.registry.TOOLS` select their own (0 clean, 1
-    findings, 2 usage).
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point of ``tcam check``; returns a shell exit status.
+
+    0 clean, 1 findings, 2 usage: a rule code ``--select`` or ``--ignore``
+    names that is not registered, or a path that does not exist or is
+    neither a directory nor a ``.py`` file — a run that would check
+    nothing must not pass.  A bad flag exits 2 through argparse.
     """
 
-    from .output import run_cli
-
-    rules = rules_for_tool(tool)
-    return run_cli(
-        prog=f"tcam {tool}",
-        description=f"{TOOLS[tool]} (rules {min(rules)}-{max(rules)}).",
-        rules=rules,
-        collect=partial(check_paths, select=rules),
-        argv=argv,
+    parser = argparse.ArgumentParser(
+        prog="tcam check", description="Every TCAM static-analysis rule in one pass."
     )
+    parser.add_argument(
+        "paths", nargs="*", default=["src/repro"], help="files or directories (default: src/repro)"
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="print the rule catalogue and exit"
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "sarif"),
+        default="text",
+        dest="format_",
+        help="findings output: compiler-style text (default), the stable-sorted "
+        "JSON schema, or a SARIF 2.1.0 log",
+    )
+    parser.add_argument(
+        "--select", default="", help="comma-separated rule codes to keep (default: all)"
+    )
+    parser.add_argument("--ignore", default="", help="comma-separated rule codes to drop")
+    args = parser.parse_args(argv)
+
+    if args.list_rules:
+        for code, spec in REGISTRY.items():
+            if spec.tool != "shared":
+                print(f"{code}  {spec.summary}")
+        return 0
+    unknown = sorted((parse_codes(args.select) | parse_codes(args.ignore)) - REGISTRY.keys())
+    if unknown:
+        return _usage_error(f"unknown rule code(s): {', '.join(unknown)}")
+    for raw in args.paths:
+        path = Path(raw)
+        if not path.exists():
+            return _usage_error(f"no such file or directory: {raw}")
+        if not path.is_dir() and path.suffix != ".py":
+            return _usage_error(f"not a Python file or directory: {raw}")
+
+    findings = filter_findings(check_paths(args.paths), args.select, args.ignore)
+    if args.format_ == "json":
+        print(render_json(findings))
+    elif args.format_ == "sarif":
+        print(render_sarif(findings))
+    else:
+        for finding in findings:
+            print(finding.render())
+    if findings:
+        print(f"tcam check: {len(findings)} finding(s)", file=sys.stderr)
+        return 1
+    return 0

@@ -1,4 +1,4 @@
-"""Determinism & dtype-flow rules for the bitwise contracts (``tcam prove``).
+"""Determinism & dtype-flow rules for the bitwise contracts (``prove`` family).
 
 Every layer built since PR 1 stakes its correctness on *bitwise*
 contracts: checkpoint/resume identity, the fixed-order blocked
@@ -17,31 +17,33 @@ computes that reachability once per file.  ``@hot_path`` functions
 additionally get the dtype-flow rule — a silent upcast is a hidden
 allocation there.
 
-Two visitors here each serve a pair of codes.  TCAM005 (``tcam lint``)
-and TCAM030 both look for iteration over an unordered source, TCAM013
-(``tcam analyze``) and TCAM031 both for folds in completion order; the
-members of a pair walk the same sites (:func:`_iteration_sites`) and
-differ in where they look (the whole module, or the deterministic
-region only) and in which sources, loop bodies and consumers count.
+TCAM030 and TCAM031 share one visitor: both ask whether an iteration
+order becomes data, at the same sites (:func:`_iteration_sites`), and
+each site gets at most one finding between them.  Two of their checks
+hold anywhere in a module, not just in the deterministic region: a bare
+``set`` expression iterated (TCAM030) and a fold over ``as_completed``
+(TCAM031).
 
 ========  ==================================================================
-TCAM030   Unordered iteration on a deterministic path.  Iterating a
-          ``set``/``frozenset`` (literal, constructor, or a local bound
-          to one), ``os.listdir``/``os.scandir``/``glob``/``iterdir``
-          results, or ``as_completed`` — or set algebra over any of
-          them (``a - b``, ``a | b``, ``a & b``, ``a ^ b``) — where the
-          loop accumulates or emits a sequence, or where the unordered
-          value feeds ``sum``/``list``/``tuple``/``join`` or a
-          list/generator/dict comprehension.  Wrap the source in
-          ``sorted(...)``.  (Dict iteration is insertion-ordered in
-          Python ≥3.7 and exempt.)
-TCAM031   Scheduling/machine-dependent float reduction order: folding
-          worker results in ``as_completed``/``imap_unordered`` order,
-          or deriving chunk/worker counts from ``cpu_count()`` inside
-          the deterministic region (operand grouping then depends on
-          the machine).  The blessed pattern is the engine's: a fixed
-          block grid, partials collected in submission order
-          (``[f.result() for f in futures]``), reduced in worker order.
+TCAM030   Unordered iteration.  Anywhere: a bare ``set``/``frozenset``
+          expression feeding a loop, a comprehension, ``sum``/``list``/
+          ``tuple`` or ``join``.  On a deterministic path, also a local
+          bound to a set, ``os.listdir``/``os.scandir``/``glob``/
+          ``iterdir`` results, or set algebra over any of them (``a - b``,
+          ``a | b``, ``a & b``, ``a ^ b``) — where the loop accumulates or
+          emits a sequence, or where the unordered value feeds ``sum``/
+          ``list``/``tuple``/``join`` or a list/generator/dict
+          comprehension.  Wrap the source in ``sorted(...)``.  (Dict
+          iteration is insertion-ordered in Python ≥3.7 and exempt.)
+TCAM031   Scheduling/machine-dependent reduction order.  Anywhere: a
+          comprehension or an accumulating loop over ``as_completed``.
+          On a deterministic path, also any fold of worker results in
+          ``as_completed``/``imap_unordered`` order, and chunk/worker
+          counts derived from ``cpu_count()`` (operand grouping then
+          depends on the machine).  The blessed pattern is the
+          engine's: a fixed block grid, partials collected in
+          submission order (``[f.result() for f in futures]``), reduced
+          in worker order.
 TCAM032   ``np.argsort``/``np.sort`` without ``kind="stable"`` (or
           ``"mergesort"``).  numpy's default introsort permutes equal
           keys unpredictably across platforms, so any downstream order
@@ -72,9 +74,6 @@ Suppression reuses the linter's comment syntax: append
 ``# tcam-lint: disable=TCAM030`` (comma-separate several codes) to the
 offending line; the real-tree meta-test keeps the tree at zero findings
 so every suppression is visible in review.
-
-Run as ``tcam prove [paths...]`` or ``python -m repro.tooling.determinism``;
-the same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ import ast
 from typing import Container, Iterable, Iterator, Sequence
 
 from .core import (
-    Finding,
     Module,
     Scope,
     Visitor,
@@ -93,22 +91,9 @@ from .core import (
     _keyword,
     _target_names,
     _walk,
-    check_paths,
-    check_source,
 )
-from .core import main as check_main
-from .registry import rules_for_tool
 
-__all__ = [
-    "RULES",
-    "prove_source",
-    "prove_paths",
-    "main",
-]
-
-#: Rule code -> one-line summary, derived from the shared registry
-#: (:mod:`repro.tooling.registry`).
-RULES: dict[str, str] = rules_for_tool("prove")
+__all__ = ["VISITORS"]
 
 #: Call leaves whose results have no reproducible order (TCAM030).
 _UNORDERED_PRODUCERS = frozenset(
@@ -226,7 +211,7 @@ def _contract_calls(module: Module) -> Iterator[tuple[ast.Call, Scope]]:
                     yield node, scope
 
 
-# -- TCAM005/030 and TCAM013/031: iteration order becoming data ----------------
+# -- TCAM030/031: iteration order becoming data -------------------------------
 
 _COMPREHENSIONS: dict[type, str] = {
     ast.ListComp: "list",
@@ -301,87 +286,70 @@ def _contract_sites(scope: Scope) -> Iterator[_Site]:
             yield site
 
 
-def _check_unordered_iteration(module: Module, emit: _Emitter) -> None:
-    """TCAM005/TCAM030: an unordered source must not drive ordered output.
+def _check_iteration_order(module: Module, emit: _Emitter) -> None:
+    """TCAM030/TCAM031: iteration order must not become data.
 
-    TCAM005 holds anywhere in a module, for bare set expressions, whatever
-    the loop does; TCAM030 holds inside the deterministic region, for
-    every unordered source (directory listings, locals bound to sets, set
-    algebra, ...) where the order is actually borne.
+    One finding per site, decided in this order: a completion-order fold
+    on a deterministic path, then a fold over ``as_completed`` anywhere
+    (TCAM031); an unordered source on a deterministic path, then a bare
+    set expression anywhere (TCAM030).  Deterministic-path sites count
+    only where the order is borne (:func:`_contract_sites`).  Last,
+    ``cpu_count()`` grids on a deterministic path (TCAM031).
     """
 
-    for expr, kind, detail, _ in _iteration_sites(module.nodes):
-        if _is_set_expr(expr) and (kind != "consumer" or detail in ("sum", "list", "tuple")):
-            emit(
-                expr,
-                "TCAM005",
-                "iterating a bare set is nondeterministic; wrap it in sorted(...) "
-                "to fix the reduction order",
-            )
+    contract: dict[int, tuple[Scope, set[str]]] = {}
     for scope in module.scopes:
-        if not scope.deterministic:
-            continue
-        unordered = _unordered_locals(scope.node)
-        for expr, kind, detail, _ in _contract_sites(scope):
-            # Completion-order iterators (as_completed/imap_unordered) are
-            # TCAM031's job — it gives the precise fix — so they are skipped
-            # here to avoid dual flags (a str.join has no TCAM031 form).
-            if _is_unordered_expr(expr, unordered) and (
-                kind == "join" or not _mentions_completion_iter(expr)
-            ):
-                message = {
-                    "loop": "iteration order of this set/directory listing is not "
-                    "reproducible and the loop accumulates",
-                    "comprehension": f"{detail} comprehension over an unordered source "
-                    "emits a nondeterministic sequence",
-                    "consumer": f"{detail}() over an unordered source folds elements in "
-                    "an unreproducible order",
-                    "join": "str.join over an unordered source emits a "
-                    "nondeterministic sequence",
-                }[kind]
-                emit(expr, "TCAM030", f"{message} ({_where(scope)}); wrap the source in sorted(...)")
-
-
-def _check_completion_order(module: Module, emit: _Emitter) -> None:
-    """TCAM013/TCAM031: folds must not follow scheduling or the machine.
-
-    TCAM013 holds anywhere in a module, for anything that mentions
-    ``as_completed``; TCAM031 holds inside the deterministic region, for
-    completion-order iterator *calls* (``imap_unordered`` too), the
-    folding builtins over them, and ``cpu_count()``-derived grids.
-    """
-
-    for expr, kind, _, body in _iteration_sites(module.nodes):
-        if _mentions_as_completed(expr) and (
+        if scope.deterministic:
+            unordered = _unordered_locals(scope.node)
+            for expr, *_ in _contract_sites(scope):
+                contract[id(expr)] = (scope, unordered)
+    for expr, kind, detail, body in _iteration_sites(module.nodes):
+        scope, unordered = contract.get(id(expr), (None, set()))
+        if scope is not None and kind != "join" and _mentions_completion_iter(expr):
+            message = {
+                "loop": "folding worker results in completion order makes the "
+                f"reduction depend on thread scheduling ({_where(scope)}); "
+                "collect partials in submission order "
+                "([f.result() for f in futures]) and reduce in fixed "
+                "worker order",
+                "comprehension": "collecting worker results in completion order emits "
+                f"a scheduling-dependent sequence ({_where(scope)}); iterate "
+                "the futures list in submission order instead",
+                "consumer": f"{detail}() over completion-ordered worker results depends "
+                f"on thread scheduling ({_where(scope)}); collect partials in "
+                "submission order and reduce in fixed worker order",
+            }[kind]
+            emit(expr, "TCAM031", message)
+        elif _mentions_as_completed(expr) and (
             kind == "comprehension"
             or (kind == "loop" and _accumulates(body, ("append", "extend", "add", "update", "insert"), False))
         ):
             emit(
                 expr,
-                "TCAM013",
+                "TCAM031",
                 "reduction over as_completed(...) folds worker results in "
                 "completion order, which thread scheduling can permute; collect "
                 "by index and reduce in fixed worker order instead",
             )
-    for scope in module.scopes:
-        if not scope.deterministic:
-            continue
-        for expr, kind, detail, _ in _contract_sites(scope):
-            if kind != "join" and _mentions_completion_iter(expr):
-                message = {
-                    "loop": "folding worker results in completion order makes the "
-                    f"reduction depend on thread scheduling ({_where(scope)}); "
-                    "collect partials in submission order "
-                    "([f.result() for f in futures]) and reduce in fixed "
-                    "worker order",
-                    "comprehension": "collecting worker results in completion order emits "
-                    f"a scheduling-dependent sequence ({_where(scope)}); iterate "
-                    "the futures list in submission order instead",
-                    "consumer": f"{detail}() over completion-ordered worker results depends "
-                    f"on thread scheduling ({_where(scope)}); collect partials in "
-                    "submission order and reduce in fixed worker order",
-                }[kind]
-                emit(expr, "TCAM031", message)
+        elif scope is not None and _is_unordered_expr(expr, unordered):
+            message = {
+                "loop": "iteration order of this set/directory listing is not "
+                "reproducible and the loop accumulates",
+                "comprehension": f"{detail} comprehension over an unordered source "
+                "emits a nondeterministic sequence",
+                "consumer": f"{detail}() over an unordered source folds elements in "
+                "an unreproducible order",
+                "join": "str.join over an unordered source emits a "
+                "nondeterministic sequence",
+            }[kind]
+            emit(expr, "TCAM030", f"{message} ({_where(scope)}); wrap the source in sorted(...)")
+        elif _is_set_expr(expr) and (kind != "consumer" or detail in ("sum", "list", "tuple")):
+            emit(
+                expr,
+                "TCAM030",
+                "iterating a bare set is nondeterministic; wrap it in sorted(...) "
+                "to fix the reduction order",
+            )
     for node, scope in _contract_calls(module):
         if _call_leaf(node.func) == "cpu_count":
             emit(
@@ -638,8 +606,8 @@ def _check_coverage(module: Module, emit: _Emitter) -> None:
                 module.tree,
                 "TCAM035",
                 f"documented contract function '{qualname}' not found in "
-                "this module; update the analyzer's contract table "
-                "(repro.tooling.determinism._CONTRACTS) if it moved",
+                "this module; update the contracts column of "
+                "repro.tooling.registry.TREE if it moved",
             )
         elif "bit_deterministic" not in scope.decorators:
             emit(
@@ -653,38 +621,11 @@ def _check_coverage(module: Module, emit: _Emitter) -> None:
 
 # -- registration ------------------------------------------------------------
 
-#: Owned rule code(s) -> visitor.  TCAM005 (``tcam lint``) and TCAM013
-#: (``tcam analyze``) are served by their twins' visitors here.
+#: Owned rule code(s) -> visitor.
 VISITORS: dict[tuple[str, ...], Visitor] = {
-    ("TCAM005", "TCAM030"): _check_unordered_iteration,
-    ("TCAM013", "TCAM031"): _check_completion_order,
+    ("TCAM030", "TCAM031"): _check_iteration_order,
     ("TCAM032",): _check_stable_sorts,
     ("TCAM033",): _check_dtype_flow,
     ("TCAM034",): _check_entropy,
     ("TCAM035",): _check_coverage,
 }
-
-
-# -- the preset --------------------------------------------------------------
-
-
-def prove_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Verify one module's source text: the one pass with this family's rules."""
-
-    return check_source(source, path, RULES)
-
-
-def prove_paths(paths: Sequence[str]) -> list[Finding]:
-    """Verify every ``.py`` file under the given files/directories."""
-
-    return check_paths(paths, RULES)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point of ``tcam prove``; returns a shell exit status (0 clean, 1 findings)."""
-
-    return check_main(argv, "prove")
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

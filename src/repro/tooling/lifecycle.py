@@ -1,4 +1,4 @@
-"""Resource-lifecycle & crash-consistency rules (``tcam audit``).
+"""Resource-lifecycle & crash-consistency rules (the ``audit`` family).
 
 PRs 6–8 made the TCAM reproduction a process that owns real OS state:
 WAL segments and checkpoint renames (:mod:`repro.streaming.wal`,
@@ -34,11 +34,6 @@ TCAM022   Commit-record ordering.  In durability-scoped modules, writes to
           manifest/checksum/generation files must post-date a payload
           ``os.fsync`` in the call order: the commit record goes durable
           *after* the data it describes.
-TCAM023   Shared-memory unlink ownership.  Only the creating side of a
-          ``SharedMemory`` segment may ``unlink()``; attachers (opened via
-          ``SharedMemory(name=...)`` or an ``attach*`` helper) may only
-          ``close()`` — the creator owns the segment's lifetime, and an
-          attacher that unlinks destroys it under every sibling.
 TCAM024   Process lifecycle.  Every spawned/started ``Process``/``Popen``
           must reach ``join()``/``wait()``/``communicate()`` (directly, in
           a ``finally``, or via a releasing owner class), and a process
@@ -66,9 +61,6 @@ release of that exact attribute.
 Suppression reuses the linter's comment syntax: append
 ``# tcam-lint: disable=TCAM020`` (comma-separate several codes) to the
 offending line.
-
-Run as ``tcam audit [paths...]`` or ``python -m repro.tooling.lifecycle``;
-the same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
@@ -79,7 +71,6 @@ from typing import Iterator, Sequence
 
 from .core import (
     _SCOPES,
-    Finding,
     Module,
     Scope,
     Visitor,
@@ -89,22 +80,10 @@ from .core import (
     _keyword,
     _target_names,
     _walk,
-    check_paths,
-    check_source,
 )
-from .core import main as check_main
-from .registry import STORE_CONSTRUCTORS, rules_for_tool
+from .registry import STORE_CONSTRUCTORS
 
-__all__ = [
-    "RULES",
-    "audit_source",
-    "audit_paths",
-    "main",
-]
-
-#: Rule code -> one-line summary, derived from the shared registry
-#: (:mod:`repro.tooling.registry`).
-RULES: dict[str, str] = rules_for_tool("audit")
+__all__ = ["VISITORS"]
 
 # -- rule configuration ------------------------------------------------------
 
@@ -788,80 +767,6 @@ def _check_commit_order(module: Module, emit: _Emitter) -> None:
                 )
 
 
-# -- TCAM023: shared-memory unlink ownership ---------------------------------
-
-
-def _is_attach_call(call: ast.Call) -> bool:
-    """An attach-form acquisition: names an existing segment, or ``attach*``."""
-
-    leaf = _call_leaf(call.func)
-    if leaf == "SharedMemory":
-        create = _keyword(call, "create")
-        if isinstance(create, ast.Constant) and create.value:
-            return False
-        return _keyword(call, "name") is not None
-    return "attach" in leaf.lower()
-
-
-def _attach_locals(scope: Scope) -> set[str]:
-    """Locals of ``scope`` bound to an attach-form acquisition."""
-
-    attach_locals: set[str] = set()
-    for node in _walk(scope.node, _SCOPES):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _is_attach_call(node.value):
-                for target in node.targets:
-                    attach_locals.update(_target_names(target))
-    return attach_locals
-
-
-def _attach_attrs(module: Module) -> dict[ast.ClassDef, set[str]]:
-    """Class node -> self attributes holding attached segments."""
-
-    attach_attrs: dict[ast.ClassDef, set[str]] = {}
-    for scope in module.scopes:
-        if scope.cls is None:
-            continue
-        attach_locals = _attach_locals(scope)
-        attrs = attach_attrs.setdefault(scope.cls, set())
-        for node in _walk(scope.node, _SCOPES):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            attach_origin = (
-                isinstance(value, ast.Call) and _is_attach_call(value)
-            ) or (isinstance(value, ast.Name) and value.id in attach_locals)
-            if not attach_origin:
-                continue
-            for target in node.targets:
-                attrs.update(_self_attr_targets(target))
-    return attach_attrs
-
-
-def _check_unlink_ownership(module: Module, emit: _Emitter) -> None:
-    """TCAM023: attachers close; only the creating side unlinks."""
-
-    attach_attrs = _attach_attrs(module)
-    message = (
-        "unlink() from the attaching side destroys the segment under the "
-        "creator and every sibling attacher; attachers may only close() — "
-        "the creating side owns the unlink"
-    )
-    for scope in _scopes(module):
-        attach_locals = _attach_locals(scope)
-        class_attrs = (
-            attach_attrs.get(scope.cls, set()) if scope.cls is not None else set()
-        )
-        for node in _calls(scope.node):
-            chain = _attr_chain(node.func)
-            if not chain or chain[-1] != "unlink":
-                continue
-            if len(chain) == 2 and chain[0] in attach_locals:
-                emit(node, "TCAM023", message)
-            elif len(chain) == 3 and chain[0] == "self" and chain[1] in class_attrs:
-                emit(node, "TCAM023", message)
-
-
 # -- TCAM025: mmap use-after-close -------------------------------------------
 
 
@@ -1014,31 +919,5 @@ VISITORS: dict[tuple[str, ...], Visitor] = {
     ("TCAM020", "TCAM024"): _check_leaks,
     ("TCAM021",): _check_atomic_publish,
     ("TCAM022",): _check_commit_order,
-    ("TCAM023",): _check_unlink_ownership,
     ("TCAM025",): _check_use_after_close,
 }
-
-
-# -- the preset --------------------------------------------------------------
-
-
-def audit_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Audit one module's source text: the one pass with this family's rules."""
-
-    return check_source(source, path, RULES)
-
-
-def audit_paths(paths: Sequence[str]) -> list[Finding]:
-    """Audit every ``.py`` file under the given files/directories."""
-
-    return check_paths(paths, RULES)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point of ``tcam audit``; returns a shell exit status (0 clean, 1 findings)."""
-
-    return check_main(argv, "audit")
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

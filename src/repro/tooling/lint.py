@@ -1,4 +1,4 @@
-"""Domain rules of the TCAM stack (``tcam lint``).
+"""Domain rules of the TCAM stack (the ``lint`` family).
 
 The reproduced guarantees — EM convergence, bit-deterministic
 checkpoint/resume, TA/batch-serving score identity — rest on a handful of
@@ -23,17 +23,10 @@ TCAM003   No array allocation inside hot paths.  Functions decorated with
 TCAM004   ``__all__`` consistency.  Every ``__all__`` entry must resolve to
           a module-level binding, every public top-level ``def``/``class``
           must be exported, and duplicates are flagged.
-TCAM005   No nondeterministic iteration.  Bare ``set``/``frozenset``
-          expressions must not feed loops, comprehensions, or order-
-          sensitive reductions; wrap them in ``sorted(...)`` first.
-          (One visitor with TCAM030, in :mod:`repro.tooling.determinism`.)
 ========  ==================================================================
 
 Suppression: append ``# tcam-lint: disable=TCAM001`` (comma-separate for
 several rules) to the offending line.
-
-Run as ``tcam lint [paths...]`` or ``python -m repro.tooling.lint``; the
-same rules run inside ``tcam check``.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import ast
 from typing import Iterable, Sequence
 
 from .core import (
-    Finding,
     Module,
     Visitor,
     _attr_chain,
@@ -51,23 +43,9 @@ from .core import (
     _keyword,
     _target_names,
     _walk,
-    check_paths,
-    check_source,
 )
-from .core import main as check_main
-from .registry import rules_for_tool
 
-__all__ = [
-    "RULES",
-    "Finding",
-    "lint_source",
-    "lint_paths",
-    "main",
-]
-
-#: Rule code -> one-line summary, derived from the shared registry
-#: (:mod:`repro.tooling.registry`).
-RULES: dict[str, str] = rules_for_tool("lint")
+__all__ = ["VISITORS"]
 
 # -- rule configuration ------------------------------------------------------
 
@@ -431,35 +409,10 @@ def _check_all_exports(module: Module, emit: _Emitter) -> None:
 
 # -- registration ------------------------------------------------------------
 
-#: Owned rule code(s) -> visitor.  TCAM005 shares TCAM030's visitor.
+#: Owned rule code(s) -> visitor.
 VISITORS: dict[tuple[str, ...], Visitor] = {
     ("TCAM001",): _check_rng,
     ("TCAM002",): _check_safe_math,
     ("TCAM003",): _check_hot_alloc,
     ("TCAM004",): _check_all_exports,
 }
-
-
-# -- the preset --------------------------------------------------------------
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text: the one pass with this family's rules."""
-
-    return check_source(source, path, RULES)
-
-
-def lint_paths(paths: Sequence[str]) -> list[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-
-    return check_paths(paths, RULES)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point of ``tcam lint``; returns a shell exit status (0 clean, 1 findings)."""
-
-    return check_main(argv, "lint")
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

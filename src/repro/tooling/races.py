@@ -1,4 +1,4 @@
-"""Concurrency-race rules of the TCAM stack (``tcam analyze``).
+"""Concurrency-race rules of the TCAM stack (the ``analyze`` family).
 
 PRs 2–3 made the hot paths concurrent: the blocked E-step fans worker
 callables out on a :class:`~concurrent.futures.ThreadPoolExecutor` with
@@ -30,20 +30,15 @@ TCAM012   Cache/dict mutation reachable from the concurrent serving layer
           without a lock or a documented single-writer contract (scoped
           to ``recommend/serving.py`` / ``recommend/recommender.py`` and
           the ``serving_service`` package).
-TCAM013   Reduction over worker results whose order is not statically
-          fixed (``for f in as_completed(...)`` accumulation), breaking
-          the fixed-order-reduce bit-determinism guarantee.  (One visitor
-          with TCAM031, in :mod:`repro.tooling.determinism`.)
 ========  ==================================================================
 
 Suppression reuses the linter's comment syntax: append
 ``# tcam-lint: disable=TCAM010`` to the offending line (the meta-test
 keeps the real tree at zero findings, so every suppression is visible in
 review). Lambdas submitted to pools are not descended into — submit a
-named function so the analyzer can see it.
-
-Run as ``tcam analyze [paths...]`` or ``python -m repro.tooling.races``;
-the same rules run inside ``tcam check``.
+named function so the analyzer can see it.  A fold over worker
+results in completion order is TCAM031's, in
+:mod:`repro.tooling.determinism`.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from typing import Iterator, Sequence
 
 from .core import (
     MAX_DEPTH,
-    Finding,
     Module,
     Visitor,
     _attr_chain,
@@ -64,22 +58,9 @@ from .core import (
     _Emitter,
     _keyword,
     _target_names,
-    check_paths,
-    check_source,
 )
-from .core import main as check_main
-from .registry import rules_for_tool
 
-__all__ = [
-    "RULES",
-    "analyze_source",
-    "analyze_paths",
-    "main",
-]
-
-#: Rule code -> one-line summary, derived from the shared registry
-#: (:mod:`repro.tooling.registry`).
-RULES: dict[str, str] = rules_for_tool("analyze")
+__all__ = ["VISITORS"]
 
 #: Method calls that mutate their receiver in place.
 _WORKER_MUTATORS = frozenset(
@@ -830,33 +811,8 @@ def _check_serving_mutation(module: Module, emit: _Emitter) -> None:
 
 # -- registration ------------------------------------------------------------
 
-#: Owned rule code(s) -> visitor.  TCAM013 shares TCAM031's visitor.
+#: Owned rule code(s) -> visitor.
 VISITORS: dict[tuple[str, ...], Visitor] = {
     ("TCAM010", "TCAM011"): _check_workers,
     ("TCAM012",): _check_serving_mutation,
 }
-
-
-# -- the preset --------------------------------------------------------------
-
-
-def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Analyze one module's source text: the one pass with this family's rules."""
-
-    return check_source(source, path, RULES)
-
-
-def analyze_paths(paths: Sequence[str]) -> list[Finding]:
-    """Analyze every ``.py`` file under the given files/directories."""
-
-    return check_paths(paths, RULES)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point of ``tcam analyze``; returns a shell exit status (0 clean, 1 findings)."""
-
-    return check_main(argv, "analyze")
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

@@ -1,16 +1,16 @@
 """Single source of truth for every TCAM rule ID and every tree fact.
 
 One analysis pass (:mod:`repro.tooling.core`, ``tcam check``) runs the
-``TCAMxxx`` rules; four presets name the families they fall into: the
-domain linter (``tcam lint``, TCAM001–005), the concurrency-race
-analyzer (``tcam analyze``, TCAM010–013), the resource-lifecycle auditor
-(``tcam audit``, TCAM020–025) and the determinism & dtype-flow verifier
-(``tcam prove``, TCAM030–035).
+``TCAMxxx`` rules.  They fall into four families, one rule module each:
+the domain linter (``lint``, TCAM001–004), the concurrency-race analyzer
+(``analyze``, TCAM010–012), the resource-lifecycle auditor (``audit``,
+TCAM020–025) and the determinism & dtype-flow verifier (``prove``,
+TCAM030–035).
 
-Every rule is declared *here* as a :class:`RuleSpec` — code, owning
-tool, rule class (the invariant family it protects), one-line summary,
-and the ``docs/static-analysis.md`` anchor — and each preset's ``RULES``
-mapping is derived via :func:`rules_for_tool`.
+Every rule is declared *here* as a :class:`RuleSpec` — code, family,
+rule class (the invariant it protects), one-line summary, and the
+``docs/static-analysis.md`` anchor — and ``tcam check --list-rules``
+prints them.
 
 What the rules know about *this tree* beyond a file's own source is
 declared here too, once: :data:`TREE` maps a path suffix to the
@@ -23,9 +23,9 @@ or malformed codes, a rule without exactly one visitor, a visitor for an
 unknown code, a :data:`TREE` row that matches no file (or two), a listed
 function that its file does not define.
 
-``TCAM000`` (syntax error while parsing a file) belongs to every preset
-and is registered to the pseudo-tool ``"shared"``; it never appears in a
-``--list-rules`` catalogue.
+``TCAM000`` (syntax error while parsing a file) belongs to every family
+and is registered to the pseudo-family ``"shared"``; it never appears in
+the ``--list-rules`` catalogue.
 """
 
 from __future__ import annotations
@@ -37,35 +37,25 @@ from pathlib import Path
 __all__ = [
     "REGISTRY",
     "STORE_CONSTRUCTORS",
-    "TOOLS",
     "TREE",
     "FileFacts",
     "RuleSpec",
     "facts_for",
     "registry_errors",
-    "rules_for_tool",
     "spec_for",
 ]
 
-#: Command name -> what it runs: ``check`` is the whole pass, the other
-#: four are its presets and own the rules.
-TOOLS: dict[str, str] = {
-    "check": "every static-analysis rule in one pass",
-    "lint": "domain-aware lint (determinism/numerical-safety rules)",
-    "analyze": "static concurrency-race analysis of the threaded layers",
-    "audit": "static resource-lifecycle and crash-consistency audit",
-    "prove": "static determinism & dtype-flow verification of the bitwise contracts",
-}
-
-#: What a rule may be registered to: a preset, or ``shared`` (TCAM000).
-_TOOLS = ("lint", "analyze", "audit", "prove", "shared")
+#: What a rule may be registered to: a family, or ``shared`` (TCAM000).
+_FAMILIES = ("lint", "analyze", "audit", "prove", "shared")
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """One registered rule: identity, owner, classification and docs."""
+    """One registered rule: identity, family, classification and docs."""
 
     code: str
+    #: The rule's family (``lint``/``analyze``/``audit``/``prove``), which
+    #: SARIF reports and the per-site finding order reads.
     tool: str
     rule_class: str
     summary: str
@@ -81,7 +71,7 @@ class RuleSpec:
 #: Every TCAM rule, in code order.  Append here first when adding a rule.
 _SPECS: tuple[RuleSpec, ...] = (
     RuleSpec("TCAM000", "shared", "parse", "syntax error while parsing a file", "suppressions"),
-    # -- tcam lint (domain linter) ----------------------------------------
+    # -- lint family (domain linter) --------------------------------------
     RuleSpec(
         "TCAM001",
         "lint",
@@ -110,14 +100,7 @@ _SPECS: tuple[RuleSpec, ...] = (
         "__all__ out of sync with public module definitions",
         "tcam004--__all__-consistency",
     ),
-    RuleSpec(
-        "TCAM005",
-        "lint",
-        "determinism",
-        "nondeterministic iteration over a bare set",
-        "tcam005--no-nondeterministic-set-iteration",
-    ),
-    # -- tcam analyze (race analyzer) -------------------------------------
+    # -- analyze family (race analyzer) -----------------------------------
     RuleSpec(
         "TCAM010",
         "analyze",
@@ -139,14 +122,7 @@ _SPECS: tuple[RuleSpec, ...] = (
         "unlocked cache mutation in the concurrent serving layer",
         "tcam012--unlocked-serving-cache-mutation",
     ),
-    RuleSpec(
-        "TCAM013",
-        "analyze",
-        "determinism",
-        "reduction over worker results in completion (unfixed) order",
-        "tcam013--completion-order-reduction",
-    ),
-    # -- tcam audit (lifecycle auditor) -----------------------------------
+    # -- audit family (lifecycle auditor) ---------------------------------
     RuleSpec(
         "TCAM020",
         "audit",
@@ -169,13 +145,6 @@ _SPECS: tuple[RuleSpec, ...] = (
         "tcam022--commit-record-ordering",
     ),
     RuleSpec(
-        "TCAM023",
-        "audit",
-        "resource-lifecycle",
-        "shared-memory unlink from the attaching (non-owning) side",
-        "tcam023--shared-memory-unlink-ownership",
-    ),
-    RuleSpec(
         "TCAM024",
         "audit",
         "resource-lifecycle",
@@ -189,7 +158,7 @@ _SPECS: tuple[RuleSpec, ...] = (
         "mmap-backed array used or returned past its store's close",
         "tcam025--mmap-use-after-close",
     ),
-    # -- tcam prove (determinism & dtype-flow verifier) --------------------
+    # -- prove family (determinism & dtype-flow verifier) ------------------
     RuleSpec(
         "TCAM030",
         "prove",
@@ -236,21 +205,6 @@ _SPECS: tuple[RuleSpec, ...] = (
 
 #: Rule code -> spec, in declaration (= code) order.
 REGISTRY: dict[str, RuleSpec] = {spec.code: spec for spec in _SPECS}
-
-
-def rules_for_tool(tool: str) -> dict[str, str]:
-    """The ``RULES`` mapping (code -> summary) one preset should export.
-
-    ``"check"`` is the one-pass entry point and owns every tool's rules.
-    """
-
-    if tool != "check" and tool not in _TOOLS:
-        raise ValueError(f"unknown tool {tool!r}; expected one of {_TOOLS}")
-    return {
-        spec.code: spec.summary
-        for spec in _SPECS
-        if spec.tool == tool or (tool == "check" and spec.tool != "shared")
-    }
 
 
 def spec_for(code: str) -> RuleSpec:
@@ -363,7 +317,7 @@ def registry_errors(package: Path | None = None) -> list[str]:
 
     Returns human-readable complaints (empty when healthy): duplicate
     codes in the declaration tuple, malformed code strings, unknown
-    tools, codes sorted out of declaration order, a rule without exactly
+    families, codes sorted out of declaration order, a rule without exactly
     one visitor or a visitor for an unregistered code, and every
     :data:`TREE` row that matches no file or several under ``package``
     (default: the installed ``repro`` package) or lists a function its
@@ -384,8 +338,8 @@ def registry_errors(package: Path | None = None) -> list[str]:
             and spec.code[4:].isdigit()
         ):
             errors.append(f"malformed rule code {spec.code!r}")
-        if spec.tool not in _TOOLS:
-            errors.append(f"{spec.code} registered to unknown tool {spec.tool!r}")
+        if spec.tool not in _FAMILIES:
+            errors.append(f"{spec.code} registered to unknown family {spec.tool!r}")
         if not spec.summary or not spec.doc_anchor:
             errors.append(f"{spec.code} is missing a summary or doc anchor")
     codes = [spec.code for spec in _SPECS]

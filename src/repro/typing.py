@@ -186,7 +186,7 @@ def bit_deterministic(func: _F) -> _F:
 
     The decorator is zero-cost at runtime — it only stamps an attribute —
     but it roots the static determinism analyzer
-    (:mod:`repro.tooling.determinism`, ``tcam prove``): every function
+    (:mod:`repro.tooling.determinism`, run by ``tcam check``): every function
     carrying this marker, and everything reachable from it through
     module-local calls, must be free of unordered iteration feeding
     reductions (TCAM030), scheduling/machine-dependent float reduction

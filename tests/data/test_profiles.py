@@ -18,6 +18,11 @@ class TestProfiles:
         with pytest.raises(KeyError, match="unknown profile"):
             profile("netflix")
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_scale_raises(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            profile("digg", scale=scale)
+
     def test_scale_grows_users(self):
         small = profile("digg", scale=0.2)
         large = profile("digg", scale=0.5)

@@ -71,6 +71,16 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             main(["generate", "--profile", "netflix", "--output", str(tmp_path / "x.csv")])
 
+    def test_invalid_scale_is_a_usage_error(self, tmp_path, capsys):
+        output = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--scale", "nan", "--output", str(output)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale: must be finite and positive, got nan" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+
 
 class TestInfo:
     def test_prints_statistics(self, dataset_csv, capsys):
@@ -437,10 +447,12 @@ class TestEvaluate:
 
 
 class TestAnalyze:
+    """Race analysis runs as one rule family of ``tcam check``."""
+
     def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("TCAM010", "TCAM011", "TCAM012", "TCAM013"):
+        for code in ("TCAM010", "TCAM011", "TCAM012"):
             assert code in out
 
     def test_exit_codes(self, tmp_path, capsys):
@@ -452,12 +464,20 @@ class TestAnalyze:
             "    return [f.result() for f in as_completed(pending)]\n",
             encoding="utf-8",
         )
-        assert main(["analyze", str(dirty)]) == 1
-        assert "TCAM013" in capsys.readouterr().out
+        assert main(["check", str(dirty)]) == 1
+        assert "TCAM031" in capsys.readouterr().out
+        assert main(["check", "--select", "TCAM010,TCAM011,TCAM012", str(dirty)]) == 0
 
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n", encoding="utf-8")
-        assert main(["analyze", str(clean)]) == 0
+        assert main(["check", str(clean)]) == 0
+
+    @pytest.mark.parametrize("preset", ["lint", "analyze", "audit", "prove"])
+    def test_preset_commands_are_unknown(self, preset, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([preset])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFitSanitize:
@@ -501,6 +521,30 @@ class TestFitSanitize:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {flag}: must be a positive integer" in err
+
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("fit", "--k1"),
+            ("fit", "--k2"),
+            ("fit", "--iters"),
+            ("evaluate", "--k1"),
+            ("evaluate", "--k2"),
+            ("evaluate", "--iters"),
+            ("evaluate", "--max-queries"),
+        ],
+    )
+    def test_zero_counts_are_usage_errors(self, dataset_csv, tmp_path, capsys, command, flag):
+        argv = [command, "--input", str(dataset_csv), flag, "0"]
+        if command == "fit":
+            argv += ["--output", str(tmp_path / "model.npz")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err
 
 
 class TestFitResumeRefusal:

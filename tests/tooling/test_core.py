@@ -4,13 +4,16 @@ Zero findings on the real tree is also what a broken scope classifier
 or a stale path table reports, so this module pins the pass from the
 other side:
 
-* **live rules** — for each preset, and for every rule whose reach comes
-  from the registry's tree table, one in-memory edit of a *real*
+* **live rules** — for each family, and for every rule whose reach
+  comes from the registry's tree table, one in-memory edit of a *real*
   ``src/repro`` file must produce that rule's code;
-* **parse once** — ``check_paths`` parses each file once, where the four
-  presets run one after another parse it four times;
-* **preset identity** — over the four tools' fixture corpora, the union
-  of the presets' findings is exactly ``check_source``'s;
+* **parse once** — ``check_paths`` parses each file once, where four
+  family selections run one after another parse it four times;
+* **family identity** — over the four families' fixture corpora, the
+  union of the ``select=``-by-family findings is exactly the whole
+  pass's;
+* **usage errors** — a missing path, a non-Python file and an
+  unregistered rule code exit 2 instead of checking nothing;
 * **laziness** — importing the model core or the serving layer (which
   use ``repro.tooling.sanitize``) does not import the analyser.
 """
@@ -27,22 +30,14 @@ from pathlib import Path
 import pytest
 
 from repro.tooling.core import Module, check_paths, check_source, main
-from repro.tooling.determinism import prove_paths, prove_source
-from repro.tooling.lifecycle import audit_paths, audit_source
-from repro.tooling.lint import lint_paths, lint_source
-from repro.tooling.races import analyze_paths, analyze_source
 from repro.tooling.registry import REGISTRY
-from tests.tooling import test_determinism, test_lifecycle, test_lint, test_races
+from tests.tooling import family, test_determinism, test_lifecycle, test_lint, test_races
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
-PRESETS = {
-    "lint": lint_source,
-    "analyze": analyze_source,
-    "audit": audit_source,
-    "prove": prove_source,
-}
+#: Family -> its rule codes.
+FAMILIES = {name: family(name) for name in ("lint", "analyze", "audit", "prove")}
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +140,10 @@ def test_mutating_a_real_file_fires_the_rule(rule, relative, old, new):
     assert check_source(original, path) == []
     fired = {finding.rule for finding in check_source(mutated, path)}
     assert rule in fired
-    # ... and through the rule's own preset, and only there.
-    for tool, preset in PRESETS.items():
-        rules = {finding.rule for finding in preset(mutated, path)}
-        assert (rule in rules) == (REGISTRY[rule].tool == tool), tool
+    # ... and through the rule's own family, and only there.
+    for name, codes in FAMILIES.items():
+        rules = {finding.rule for finding in check_source(mutated, path, codes)}
+        assert (rule in rules) == (REGISTRY[rule].tool == name), name
 
 
 def test_tree_facts_follow_the_path_not_the_source():
@@ -192,11 +187,12 @@ def test_propagated_contract_reaches_helpers_through_the_shared_index():
         "Engine.helper.<locals>.inner": (False, "", False),
         "bystander": (False, "", False),
     }
-    assert [(f.rule, f.line) for f in check_source(source, "fixture.py")] == [
-        ("TCAM005", 9),
-        ("TCAM030", 9),
-        ("TCAM005", 11),
-    ]
+    # one finding per site: the deterministic path's message at line 9,
+    # the bare-set one (which holds anywhere) at line 11
+    findings = check_source(source, "fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("TCAM030", 9), ("TCAM030", 11)]
+    assert "rooted at 'Engine.root'" in findings[0].message
+    assert "bare set" in findings[1].message
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +217,16 @@ def test_one_pass_parses_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ast, "parse", counting_parse)
     findings = check_paths([str(tmp_path)])
     assert len(parsed) == 3 and len(set(parsed)) == 3
-    assert {f.rule for f in findings} == {"TCAM005"}
+    assert {f.rule for f in findings} == {"TCAM030"}
 
     parsed.clear()
-    for paths in (lint_paths, analyze_paths, audit_paths, prove_paths):
-        paths([str(tmp_path)])
+    for codes in FAMILIES.values():
+        check_paths([str(tmp_path)], codes)
     assert len(parsed) == 12
 
 
 # ---------------------------------------------------------------------------
-# Preset identity over the fixture corpora
+# Family identity over the fixture corpora
 # ---------------------------------------------------------------------------
 
 
@@ -276,14 +272,16 @@ def test_fixture_corpus_is_substantial():
 
 @pytest.mark.parametrize("path", CORPUS_PATHS)
 def test_union_of_presets_is_the_one_pass(path):
+    # A family selection runs only its visitors; together they are the pass.
     for source in CORPUS:
         text = textwrap.dedent(source)
         whole = check_source(text, path)
-        parts = [finding for preset in PRESETS.values() for finding in preset(text, path)]
-        assert sorted(parts, key=_full_key) == sorted(whole, key=_full_key)
-        # ... and each preset is the pass restricted to its own codes, in order.
-        for tool, preset in PRESETS.items():
-            assert preset(text, path) == [f for f in whole if REGISTRY[f.rule].tool == tool]
+        parts = {name: check_source(text, path, codes) for name, codes in FAMILIES.items()}
+        union = [finding for found in parts.values() for finding in found]
+        assert sorted(union, key=_full_key) == sorted(whole, key=_full_key)
+        # ... and each selection is the pass restricted to its own codes, in order.
+        for name, found in parts.items():
+            assert found == [f for f in whole if REGISTRY[f.rule].tool == name]
 
 
 def _full_key(finding):
@@ -293,14 +291,14 @@ def _full_key(finding):
 def test_every_preset_reports_a_syntax_error_once():
     whole = check_source("def broken(:\n", "bad.py")
     assert [f.rule for f in whole] == ["TCAM000"]
-    for preset in PRESETS.values():
-        assert preset("def broken(:\n", "bad.py") == whole
+    for codes in FAMILIES.values():
+        assert check_source("def broken(:\n", "bad.py", codes) == whole
 
 
 def test_select_runs_only_the_selected_rules():
     source = "import numpy as np\nx = np.random.rand(3)\nfor v in {1, 2}:\n    print(v)\n"
-    assert {f.rule for f in check_source(source, "fixture.py")} == {"TCAM001", "TCAM005"}
-    assert {f.rule for f in check_source(source, "fixture.py", select={"TCAM005"})} == {"TCAM005"}
+    assert {f.rule for f in check_source(source, "fixture.py")} == {"TCAM001", "TCAM030"}
+    assert {f.rule for f in check_source(source, "fixture.py", select={"TCAM030"})} == {"TCAM030"}
     assert check_source(source, "fixture.py", select=()) == []
 
 
@@ -316,6 +314,45 @@ def test_check_entry_point_lists_all_rules_and_gates(tmp_path, capsys):
     assert "TCAM001" in capsys.readouterr().out
     assert main([str(dirty), "--ignore", "TCAM001"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Usage errors: a check that checks nothing must not pass
+# ---------------------------------------------------------------------------
+
+
+def test_missing_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    clean = tmp_path / "clean.py"
+    clean.write_text("VALUE = 1\n", encoding="utf-8")
+    assert main([str(clean), str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tcam check: no such file or directory: {missing}\n"
+
+
+def test_default_path_outside_the_repo_root_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([]) == 2
+    assert capsys.readouterr().err == "tcam check: no such file or directory: src/repro\n"
+
+
+def test_non_python_file_is_a_usage_error(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("import numpy as np\nx = np.random.rand(3)\n", encoding="utf-8")
+    assert main([str(notes)]) == 2
+    assert capsys.readouterr().err == f"tcam check: not a Python file or directory: {notes}\n"
+
+
+@pytest.mark.parametrize("flag", ["--select", "--ignore"])
+@pytest.mark.parametrize("code", ["TCAM999", "TCAM005", "TCAM013", "TCAM023"])
+def test_unregistered_rule_code_is_a_usage_error(flag, code, tmp_path, capsys):
+    # TCAM005/TCAM013 folded into TCAM030/TCAM031, and TCAM023 was deleted:
+    # naming one must not silently select (or ignore) nothing.
+    clean = tmp_path / "clean.py"
+    clean.write_text("VALUE = 1\n", encoding="utf-8")
+    assert main([str(clean), flag, f"TCAM001,{code.lower()}"]) == 2
+    assert capsys.readouterr().err == f"tcam check: unknown rule code(s): {code}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ rule gets snippets it must *flag*, snippets where
 ``# tcam-lint: disable=...`` *suppresses* the finding, and *clean*
 snippets encoding the blessed idioms the real tree uses (sorted
 directory listings, submission-order reduction, stable sorts, matched
-dtypes, seeded generators). The meta-test at the bottom runs the
-verifier over the actual ``src/repro`` tree and requires zero findings
-— the same gate ``make prove`` and CI enforce.
+dtypes, seeded generators). ``select=PROVE`` narrows the one pass to
+this family. The meta-test at the bottom runs the family over the
+actual ``src/repro`` tree and requires zero findings — the gate ``tcam
+check`` and CI enforce.
 
 The dynamic cross-checks at the end close the loop between the static
 rule and the bit-level failure it predicts: the TCAM030-flagged
@@ -18,8 +19,7 @@ completion-order fold produces different float bits across completion
 orders while the submission-order fold does not.
 
 The SARIF tests validate ``--format sarif`` output against a vendored
-structural subset of the 2.1.0 schema (``sarif-2.1.0-subset.json``);
-the baseline tests exercise the record-then-gate-on-new workflow.
+structural subset of the 2.1.0 schema (``sarif-2.1.0-subset.json``).
 """
 
 from __future__ import annotations
@@ -35,17 +35,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repro.tooling.determinism import RULES, main, prove_paths, prove_source
-from repro.tooling.lint import Finding
-from repro.tooling.output import (
-    SARIF_SCHEMA_URI,
-    apply_baseline,
-    load_baseline,
-    render_sarif,
-)
+from repro.tooling.core import Finding, check_paths, check_source, main
+from repro.tooling.output import SARIF_SCHEMA_URI, render_sarif
+from repro.tooling.registry import REGISTRY
 from repro.typing import bit_deterministic, is_bit_deterministic
+from tests.tooling import family
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+PROVE = family("prove")
 
 #: Path that puts a fixture inside a TCAM035 contract module.
 CONTRACT_PATH = "src/repro/core/em.py"
@@ -55,7 +53,7 @@ BLESSED_PATH = "src/repro/recommend/quantize.py"
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:
     """Verify a dedented snippet and return the rule codes found."""
-    return [f.rule for f in prove_source(textwrap.dedent(source), path)]
+    return [f.rule for f in check_source(textwrap.dedent(source), path, PROVE)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +188,12 @@ TCAM030_CLEAN = [
         allowed_set = set(allowed)
         return [item for item in items if item in allowed_set]
     """,
-    # unmarked functions are outside the contract
+    # unmarked functions are outside the contract (a bare set is not: it
+    # is flagged anywhere, see TCAM030_BARE_SET_FLAGGED)
     """
     def replay(events):
         out = []
-        for event in set(events):
+        for event in os.listdir(events):
             out.append(event)
         return out
     """,
@@ -216,14 +215,72 @@ def test_tcam030_clean(source):
     assert rules_of(source) == []
 
 
+#: Outside any contract, a bare set expression still may not feed ordered output.
+TCAM030_BARE_SET_FLAGGED = [
+    """
+    def f(items):
+        for x in set(items):
+            print(x)
+    """,
+    """
+    def f(items):
+        return [x * 2 for x in {1, 2, 3}]
+    """,
+    """
+    def f(values):
+        return sum(set(values))
+    """,
+    """
+    def f(names):
+        return ", ".join({n.strip() for n in names})
+    """,
+]
+
+TCAM030_BARE_SET_CLEAN = [
+    """
+    def f(items):
+        for x in sorted(set(items)):
+            print(x)
+    """,
+    # membership tests and len() on sets are order-free and fine
+    """
+    def f(items, probe):
+        seen = set(items)
+        return probe in seen and len(seen) > 2
+    """,
+]
+
+
+@pytest.mark.parametrize("source", TCAM030_BARE_SET_FLAGGED)
+def test_tcam030_flags_bare_set_iteration(source):
+    assert rules_of(source) == ["TCAM030"]
+
+
+@pytest.mark.parametrize("source", TCAM030_BARE_SET_CLEAN)
+def test_tcam030_accepts_sorted_sets(source):
+    assert rules_of(source) == []
+
+
+def test_tcam030_bare_set_suppressible():
+    source = """
+    def f(values):
+        return sum(set(values))  # tcam-lint: disable=TCAM030
+    """
+    assert rules_of(source) == []
+
+
 def test_tcam030_message_names_the_root():
     """Propagated findings attribute the contract to the marked root."""
-    findings = prove_source(textwrap.dedent(TCAM030_FLAGGED[-1]), "fixture.py")
+    findings = check_source(textwrap.dedent(TCAM030_FLAGGED[-1]), "fixture.py", PROVE)
     assert any("rooted at 'run'" in f.message for f in findings)
 
 
 def test_propagation_respects_the_depth_budget():
-    """The descent stops at _MAX_DEPTH, so f4 is checked but f5 is not."""
+    """The descent stops at _MAX_DEPTH, so f4 is checked but f5 is not.
+
+    The source is a local bound to a set: unlike a bare set expression,
+    which TCAM030 flags anywhere, it counts on a deterministic path only.
+    """
     chain = ["from repro.typing import bit_deterministic\n"]
     chain.append("@bit_deterministic\ndef f0(items):\n    return f1(items)\n")
     for depth in range(1, 5):
@@ -233,7 +290,8 @@ def test_propagation_respects_the_depth_budget():
     chain.append(
         "def f5(items):\n"
         "    out = []\n"
-        "    for item in set(items):\n"
+        "    seen = set(items)\n"
+        "    for item in seen:\n"
         "        out.append(item)\n"
         "    return out\n"
     )
@@ -242,7 +300,8 @@ def test_propagation_respects_the_depth_budget():
     shallow = chain[:5] + [
         "def f4(items):\n"
         "    out = []\n"
-        "    for item in set(items):\n"
+        "    seen = set(items)\n"
+        "    for item in seen:\n"
         "        out.append(item)\n"
         "    return out\n"
     ]
@@ -346,10 +405,10 @@ def test_tcam030_set_algebra_clean(source):
 def test_checkpoint_load_is_a_registered_contract():
     source = (REPO_ROOT / "src/repro/robustness/checkpoint.py").read_text(encoding="utf-8")
     path = "src/repro/robustness/checkpoint.py"
-    assert prove_source(source, path) == []
+    assert check_source(source, path, PROVE) == []
     unmarked = source.replace("    @bit_deterministic\n    def load(", "    def load(")
     assert unmarked != source
-    assert [f.rule for f in prove_source(unmarked, path)] == ["TCAM035"]
+    assert [f.rule for f in check_source(unmarked, path, PROVE)] == ["TCAM035"]
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +487,57 @@ TCAM031_CLEAN = [
             total += value
         return total
     """,
-    # unmarked code is outside the contract
+    # as_completed purely for progress (no accumulation) is fine anywhere
     """
     from concurrent.futures import as_completed
 
-    def reduce_parallel(futures):
+    def wait_all(futures):
+        for fut in as_completed(futures):
+            fut.result()
+    """,
+]
+
+#: Outside any contract, a fold over as_completed is still flagged.
+TCAM031_AS_COMPLETED_FLAGGED = [
+    """
+    from concurrent.futures import as_completed
+
+    def reduce_results(futures):
         total = 0.0
         for fut in as_completed(futures):
             total += fut.result()
         return total
+    """,
+    """
+    from concurrent import futures
+
+    def collect(pending):
+        results = []
+        for fut in futures.as_completed(pending):
+            results.append(fut.result())
+        return results
+    """,
+    """
+    from concurrent.futures import as_completed
+
+    def gather(pending):
+        return [f.result() for f in as_completed(pending)]
+    """,
+]
+
+#: Outside any contract, submission order — or imap_unordered — is fine.
+TCAM031_AS_COMPLETED_CLEAN = [
+    """
+    def reduce_results(futures):
+        partials = [f.result() for f in futures]
+        total = 0.0
+        for value in partials:
+            total += value
+        return total
+    """,
+    """
+    def fold(pool, chunks):
+        return sum(pool.imap_unordered(work, chunks))
     """,
 ]
 
@@ -453,6 +554,29 @@ def test_tcam031_suppressed(source):
 
 @pytest.mark.parametrize("source", TCAM031_CLEAN)
 def test_tcam031_clean(source):
+    assert rules_of(source) == []
+
+
+@pytest.mark.parametrize("source", TCAM031_AS_COMPLETED_FLAGGED)
+def test_tcam031_flags_completion_order_reduction(source):
+    assert rules_of(source) == ["TCAM031"]
+
+
+@pytest.mark.parametrize("source", TCAM031_AS_COMPLETED_CLEAN)
+def test_tcam031_accepts_fixed_order_reduction(source):
+    assert rules_of(source) == []
+
+
+def test_tcam031_as_completed_suppressible():
+    source = """
+    from concurrent.futures import as_completed
+
+    def reduce_results(futures):
+        total = 0.0
+        for fut in as_completed(futures):  # tcam-lint: disable=TCAM031
+            total += fut.result()
+        return total
+    """
     assert rules_of(source) == []
 
 
@@ -891,7 +1015,7 @@ DIRTY_SOURCE = textwrap.dedent(
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == [
+    assert sorted(PROVE) == [
         "TCAM030",
         "TCAM031",
         "TCAM032",
@@ -901,12 +1025,12 @@ def test_rule_catalogue_is_complete():
     ]
 
 
-def test_prove_paths_walks_directories(tmp_path):
+def test_check_paths_walks_directories(tmp_path):
     (tmp_path / "dirty.py").write_text(DIRTY_SOURCE, encoding="utf-8")
     sub = tmp_path / "nested"
     sub.mkdir()
     (sub / "clean.py").write_text("VALUE = 1\n", encoding="utf-8")
-    findings = prove_paths([str(tmp_path)])
+    findings = check_paths([str(tmp_path)], PROVE)
     assert [f.rule for f in findings] == ["TCAM030"]
     assert findings[0].path.endswith("dirty.py")
 
@@ -926,14 +1050,14 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in RULES:
+    for code in PROVE:
         assert code in out
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    findings = prove_paths([str(bad)])
+    findings = check_paths([str(bad)], PROVE)
     assert [f.rule for f in findings] == ["TCAM000"]
 
 
@@ -956,7 +1080,7 @@ def _dirty_findings(tmp_path: Path) -> list[Finding]:
         "    return np.argsort(scores)\n",
         encoding="utf-8",
     )
-    return prove_paths([str(dirty)])
+    return check_paths([str(dirty)], PROVE)
 
 
 def test_sarif_log_validates_against_the_schema(tmp_path):
@@ -964,25 +1088,23 @@ def test_sarif_log_validates_against_the_schema(tmp_path):
     jsonschema.Draft7Validator.check_schema(schema)
     findings = _dirty_findings(tmp_path)
     assert findings, "fixture must produce findings"
-    log = json.loads(render_sarif(findings, "tcam prove"))
+    log = json.loads(render_sarif(findings))
     jsonschema.validate(log, schema)
 
 
 def test_sarif_empty_log_validates_too():
-    log = json.loads(render_sarif([], "tcam prove"))
+    log = json.loads(render_sarif([]))
     jsonschema.validate(log, _sarif_schema())
     assert log["runs"][0]["results"] == []
 
 
 def test_sarif_structure_and_rule_metadata(tmp_path):
-    from repro.tooling.registry import REGISTRY
-
     findings = _dirty_findings(tmp_path)
-    log = json.loads(render_sarif(findings, "tcam prove"))
+    log = json.loads(render_sarif(findings))
     assert log["$schema"] == SARIF_SCHEMA_URI
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "tcam prove"
+    assert run["tool"]["driver"]["name"] == "tcam check"
     rules = run["tool"]["driver"]["rules"]
     fired = sorted({f.rule for f in findings})
     assert [r["id"] for r in rules] == fired
@@ -1011,61 +1133,6 @@ def test_sarif_cli_roundtrip(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-def test_apply_baseline_matches_with_multiplicity():
-    first = Finding("a.py", 3, 0, "TCAM030", "same message")
-    second = Finding("a.py", 9, 0, "TCAM030", "same message")
-    moved = Finding("a.py", 40, 4, "TCAM030", "same message")
-    other = Finding("b.py", 1, 0, "TCAM032", "different")
-
-    one_recorded = apply_baseline([first, second], {("a.py", "TCAM030", "same message"): 1})
-    assert len(one_recorded) == 1  # the second identical occurrence is new
-
-    # line numbers are ignored: a moved finding still matches
-    assert apply_baseline([moved], {("a.py", "TCAM030", "same message"): 1}) == []
-    # unrecorded findings always surface
-    assert apply_baseline([other], {("a.py", "TCAM030", "same message"): 1}) == [other]
-
-
-def test_baseline_workflow_end_to_end(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text(DIRTY_SOURCE, encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-
-    # 1. record the debt: exit 0, findings land in the file
-    assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    recorded = load_baseline(baseline)
-    assert sum(recorded.values()) == 1
-
-    # 2. gate on the baseline: the recorded finding no longer fails the run
-    assert main([str(dirty), "--baseline", str(baseline)]) == 0
-    assert capsys.readouterr().out.strip() == ""
-
-    # 3. a NEW finding still fails, and only the new one is reported
-    dirty.write_text(
-        DIRTY_SOURCE + "\nimport numpy as np\n\n"
-        "@bit_deterministic\n"
-        "def ranking(scores):\n"
-        "    return np.argsort(scores)\n",
-        encoding="utf-8",
-    )
-    assert main([str(dirty), "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "TCAM032" in out
-    assert "TCAM030" not in out
-
-
-def test_missing_baseline_is_an_error_not_an_empty_baseline(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text("VALUE = 1\n", encoding="utf-8")
-    assert main([str(clean), "--baseline", str(tmp_path / "nope.json")]) == 2
-
-
-# ---------------------------------------------------------------------------
 # Meta-test: the real tree must prove clean
 # ---------------------------------------------------------------------------
 
@@ -1074,9 +1141,9 @@ def test_real_tree_proves_clean():
     """The gate CI enforces: zero findings across src/repro."""
     src = REPO_ROOT / "src" / "repro"
     assert src.is_dir(), f"expected source tree at {src}"
-    findings = prove_paths([str(src)])
+    findings = check_paths([str(src)], PROVE)
     rendered = "\n".join(f.render() for f in findings)
-    assert findings == [], f"tcam prove found violations:\n{rendered}"
+    assert findings == [], f"tcam check found determinism violations:\n{rendered}"
 
 
 def test_contract_functions_really_carry_the_marker():

@@ -5,9 +5,10 @@ must *flag*, snippets where ``# tcam-lint: disable=...`` *suppresses*
 the finding, and *clean* snippets encoding the blessed idioms the real
 tree uses (with blocks, try/finally releases, constructor rollback,
 owner classes that verifiably release their attributes, fsync-before-
-rename publishes). The meta-test at the bottom runs the auditor over
-the actual ``src/repro`` tree *and* ``benchmarks/perf`` and requires
-zero findings — the same gate ``make audit`` and CI enforce.
+rename publishes). ``select=AUDIT`` narrows the one pass to this
+family. The meta-test at the bottom runs the family over the actual
+``src/repro`` tree *and* ``benchmarks/perf`` and requires zero
+findings — the gate ``tcam check`` and CI enforce.
 
 The cross-check tests at the end close the loop between the static rule
 and the runtime failure it predicts: a TCAM021-violating writer is
@@ -27,10 +28,13 @@ import pytest
 
 from repro.robustness.errors import InjectedFault
 from repro.robustness.faults import FaultInjector, faulty_write
-from repro.tooling.lifecycle import RULES, audit_paths, audit_source, main
+from repro.tooling.core import Finding, check_paths, check_source, main
 from repro.tooling.output import filter_findings, parse_codes, render_json
+from tests.tooling import family
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+AUDIT = family("audit")
 
 #: Path that puts a fixture inside the TCAM021/022 durability scope.
 DURABLE_PATH = "src/repro/streaming/publisher.py"
@@ -40,7 +44,7 @@ DIR_FSYNC_PATH = "src/repro/recommend/paramstore.py"
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:
     """Audit a dedented snippet and return the rule codes found."""
-    return [f.rule for f in audit_source(textwrap.dedent(source), path)]
+    return [f.rule for f in check_source(textwrap.dedent(source), path, AUDIT)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,93 +355,6 @@ def test_tcam022_clean(source):
 
 
 # ---------------------------------------------------------------------------
-# TCAM023 — shared-memory unlink ownership
-# ---------------------------------------------------------------------------
-
-TCAM023_FLAGGED = [
-    # attacher (name=..., no create=True) must not unlink
-    """
-    from multiprocessing import shared_memory
-
-    def attach_and_drop(manifest):
-        segment = shared_memory.SharedMemory(name=manifest["segment"])
-        segment.close()
-        segment.unlink()
-    """,
-    # attach-origin attribute unlinked in a class method
-    """
-    from multiprocessing import shared_memory
-
-    class Store:
-        def __init__(self, manifest):
-            self._segment = shared_memory.SharedMemory(name=manifest["segment"])
-
-        def close(self):
-            self._segment.close()
-            self._segment.unlink()
-    """,
-    # attach-helper origin is tracked through the local binding
-    """
-    def drop(manifest):
-        segment, arrays = attach_arrays(manifest)
-        segment.unlink()
-    """,
-]
-
-TCAM023_SUPPRESSED = [
-    """
-    from multiprocessing import shared_memory
-
-    def attach_and_drop(manifest):
-        segment = shared_memory.SharedMemory(name=manifest["segment"])
-        segment.close()
-        segment.unlink()  # tcam-lint: disable=TCAM023
-    """,
-]
-
-TCAM023_CLEAN = [
-    # the creating side owns the unlink
-    """
-    from multiprocessing import shared_memory
-
-    class Snapshot:
-        def __init__(self, nbytes):
-            self._segment = shared_memory.SharedMemory(create=True, size=nbytes)
-
-        def close(self):
-            self._segment.close()
-            self._segment.unlink()
-    """,
-    # attacher that only closes
-    """
-    from multiprocessing import shared_memory
-
-    class Store:
-        def __init__(self, manifest):
-            self._segment = shared_memory.SharedMemory(name=manifest["segment"])
-
-        def close(self):
-            self._segment.close()
-    """,
-]
-
-
-@pytest.mark.parametrize("source", TCAM023_FLAGGED)
-def test_tcam023_flagged(source):
-    assert "TCAM023" in rules_of(source)
-
-
-@pytest.mark.parametrize("source", TCAM023_SUPPRESSED)
-def test_tcam023_suppressed(source):
-    assert "TCAM023" not in rules_of(source)
-
-
-@pytest.mark.parametrize("source", TCAM023_CLEAN)
-def test_tcam023_clean(source):
-    assert rules_of(source) == []
-
-
-# ---------------------------------------------------------------------------
 # TCAM024 — process lifecycle
 # ---------------------------------------------------------------------------
 
@@ -651,24 +568,17 @@ def test_tcam025_clean(source):
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == [
-        "TCAM020",
-        "TCAM021",
-        "TCAM022",
-        "TCAM023",
-        "TCAM024",
-        "TCAM025",
-    ]
+    assert sorted(AUDIT) == ["TCAM020", "TCAM021", "TCAM022", "TCAM024", "TCAM025"]
 
 
-def test_audit_paths_walks_directories(tmp_path):
+def test_check_paths_walks_directories(tmp_path):
     (tmp_path / "dirty.py").write_text(
         "def f(p):\n    h = open(p)\n    return h.read()\n", encoding="utf-8"
     )
     sub = tmp_path / "nested"
     sub.mkdir()
     (sub / "clean.py").write_text("VALUE = 1\n", encoding="utf-8")
-    findings = audit_paths([str(tmp_path)])
+    findings = check_paths([str(tmp_path)], AUDIT)
     assert [f.rule for f in findings] == ["TCAM020"]
     assert findings[0].path.endswith("dirty.py")
 
@@ -688,7 +598,7 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in RULES:
+    for code in AUDIT:
         assert code in out
 
 
@@ -714,7 +624,7 @@ def test_filter_findings_select_and_ignore(tmp_path):
         ).lstrip(),
         encoding="utf-8",
     )
-    findings = audit_paths([str(dirty)])
+    findings = check_paths([str(dirty)], AUDIT)
     codes = {f.rule for f in findings}
     assert codes == {"TCAM024"}  # h escapes by return; proc never joined
     assert filter_findings(findings, select="TCAM020") == []
@@ -723,10 +633,7 @@ def test_filter_findings_select_and_ignore(tmp_path):
 
 
 def test_json_schema_is_shared_and_stable(tmp_path, capsys):
-    """All three tools emit the same stable-sorted JSON schema."""
-    from repro.tooling.lint import main as lint_main
-    from repro.tooling.races import main as races_main
-
+    """Every family's findings share one stable-sorted JSON schema."""
     dirty = tmp_path / "dirty.py"
     dirty.write_text(
         "import numpy as np\n"
@@ -735,8 +642,9 @@ def test_json_schema_is_shared_and_stable(tmp_path, capsys):
         encoding="utf-8",
     )
     payloads = []
-    for tool in (lint_main, main, races_main):
-        assert tool([str(dirty), "--format", "json"]) in (0, 1)
+    for name in ("lint", "audit", "analyze"):
+        select = ",".join(sorted(family(name)))
+        assert main([str(dirty), "--format", "json", "--select", select]) in (0, 1)
         payloads.append(json.loads(capsys.readouterr().out))
     assert [f["rule"] for f in payloads[0]] == ["TCAM001"]
     assert [f["rule"] for f in payloads[1]] == ["TCAM020"]
@@ -752,8 +660,6 @@ def test_json_schema_is_shared_and_stable(tmp_path, capsys):
 
 
 def test_render_json_sorts_by_path_line_rule():
-    from repro.tooling.lint import Finding
-
     unsorted = [
         Finding("b.py", 2, 0, "TCAM021", "later"),
         Finding("a.py", 9, 4, "TCAM020", "earlier path"),
@@ -777,16 +683,16 @@ def test_real_tree_is_audit_clean():
     src = REPO_ROOT / "src" / "repro"
     bench = REPO_ROOT / "benchmarks" / "perf"
     assert src.is_dir(), f"expected source tree at {src}"
-    findings = audit_paths([str(src), str(bench)])
+    findings = check_paths([str(src), str(bench)], AUDIT)
     rendered = "\n".join(f.render() for f in findings)
-    assert findings == [], f"tcam audit found violations:\n{rendered}"
+    assert findings == [], f"tcam check found lifecycle violations:\n{rendered}"
 
 
 # ---------------------------------------------------------------------------
 # Cross-check: the static rule predicts a real data-loss mode
 # ---------------------------------------------------------------------------
 
-#: Writer that tcam audit flags (TCAM021): no fsync, and the faulty_write
+#: Writer that the auditor flags (TCAM021): no fsync, and the faulty_write
 #: return value is ignored, so a short write publishes a truncated file.
 VIOLATING_WRITER = """
 import os
@@ -802,7 +708,7 @@ def publish(path, payload):
 """
 
 #: The blessed protocol: loop until every byte is written, flush, fsync,
-#: then rename. tcam audit accepts it and the faults cannot corrupt it.
+#: then rename. The auditor accepts it and the faults cannot corrupt it.
 COMPLIANT_WRITER = """
 import os
 

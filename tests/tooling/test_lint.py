@@ -3,9 +3,9 @@
 Each rule gets three kinds of fixtures: snippets it must *flag*,
 snippets where a ``# tcam-lint: disable=...`` comment *suppresses* the
 finding, and *clean* snippets encoding the blessed idioms the real tree
-uses. The meta-test at the bottom then runs the linter over the actual
-``src/repro`` tree and requires zero findings — the same gate `make
-lint` and CI enforce.
+uses. ``select=LINT`` narrows the one pass to this family. The meta-test
+at the bottom then runs the family over the actual ``src/repro`` tree
+and requires zero findings — the gate ``tcam check`` and CI enforce.
 """
 
 from __future__ import annotations
@@ -15,14 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.tooling.lint import RULES, Finding, lint_paths, lint_source, main
+from repro.tooling.core import Finding, check_paths, check_source, main
+from tests.tooling import family
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+LINT = family("lint")
 
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:
     """Lint a dedented snippet and return the rule codes found."""
-    return [f.rule for f in lint_source(textwrap.dedent(source), path)]
+    return [f.rule for f in check_source(textwrap.dedent(source), path, LINT)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def test_tcam002_suppressible():
             return float(np.dot(c, np.log(prob)))  # tcam-lint: disable=TCAM002
         """
     )
-    assert lint_source(source, "fixture.py") == []
+    assert check_source(source, "fixture.py", LINT) == []
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +248,10 @@ def test_tcam003_builtin_kernel_config_applies_by_path():
                 return np.zeros(4)
         """
     )
-    flagged = lint_source(source, "src/repro/core/engine.py")
+    flagged = check_source(source, "src/repro/core/engine.py", LINT)
     assert [f.rule for f in flagged] == ["TCAM003"]
     # The same source under a different path is not a hot kernel.
-    assert lint_source(source, "src/repro/data/io.py") == []
+    assert check_source(source, "src/repro/data/io.py", LINT) == []
 
 
 @pytest.mark.parametrize(
@@ -323,7 +326,7 @@ def test_tcam003_suppressible():
             return np.zeros(10)  # tcam-lint: disable=TCAM003
         """
     )
-    assert lint_source(source, "fixture.py") == []
+    assert check_source(source, "fixture.py", LINT) == []
 
 
 # ---------------------------------------------------------------------------
@@ -388,71 +391,12 @@ def test_tcam004_silent_without_all():
 
 
 # ---------------------------------------------------------------------------
-# TCAM005 — nondeterministic bare-set iteration
-# ---------------------------------------------------------------------------
-
-TCAM005_FLAGGED = [
-    """
-    def f(items):
-        for x in set(items):
-            print(x)
-    """,
-    """
-    def f(items):
-        return [x * 2 for x in {1, 2, 3}]
-    """,
-    """
-    def f(values):
-        return sum(set(values))
-    """,
-    """
-    def f(names):
-        return ", ".join({n.strip() for n in names})
-    """,
-]
-
-TCAM005_CLEAN = [
-    """
-    def f(items):
-        for x in sorted(set(items)):
-            print(x)
-    """,
-    # membership tests and len() on sets are order-free and fine
-    """
-    def f(items, probe):
-        seen = set(items)
-        return probe in seen and len(seen) > 2
-    """,
-]
-
-
-@pytest.mark.parametrize("source", TCAM005_FLAGGED)
-def test_tcam005_flags_bare_set_iteration(source):
-    assert "TCAM005" in rules_of(source)
-
-
-@pytest.mark.parametrize("source", TCAM005_CLEAN)
-def test_tcam005_accepts_sorted_sets(source):
-    assert "TCAM005" not in rules_of(source)
-
-
-def test_tcam005_suppressible():
-    source = textwrap.dedent(
-        """
-        def f(values):
-            return sum(set(values))  # tcam-lint: disable=TCAM005
-        """
-    )
-    assert lint_source(source, "fixture.py") == []
-
-
-# ---------------------------------------------------------------------------
 # Driver behaviour
 # ---------------------------------------------------------------------------
 
 
 def test_syntax_error_reported_as_tcam000():
-    findings = lint_source("def broken(:\n", "bad.py")
+    findings = check_source("def broken(:\n", "bad.py", LINT)
     assert [f.rule for f in findings] == ["TCAM000"]
 
 
@@ -466,7 +410,7 @@ def test_multi_rule_suppression_on_one_line():
         "import numpy as np\n"
         "x = np.random.rand(3)  # tcam-lint: disable=TCAM001, TCAM002\n"
     )
-    assert lint_source(source, "fixture.py") == []
+    assert check_source(source, "fixture.py", LINT) == []
 
 
 def test_findings_sorted_by_position():
@@ -480,23 +424,23 @@ def test_findings_sorted_by_position():
         x = np.random.rand(3)
         """
     )
-    findings = lint_source(source, "fixture.py")
+    findings = check_source(source, "fixture.py", LINT)
     assert [f.rule for f in findings] == ["TCAM002", "TCAM001"]
     assert findings[0].line < findings[1].line
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == ["TCAM001", "TCAM002", "TCAM003", "TCAM004", "TCAM005"]
+    assert sorted(LINT) == ["TCAM001", "TCAM002", "TCAM003", "TCAM004"]
 
 
-def test_lint_paths_walks_directories(tmp_path):
+def test_check_paths_walks_directories(tmp_path):
     (tmp_path / "dirty.py").write_text(
         "import numpy as np\nx = np.random.rand()\n", encoding="utf-8"
     )
     sub = tmp_path / "nested"
     sub.mkdir()
     (sub / "clean.py").write_text("VALUE = 1\n", encoding="utf-8")
-    findings = lint_paths([str(tmp_path)])
+    findings = check_paths([str(tmp_path)], LINT)
     assert [f.rule for f in findings] == ["TCAM001"]
     assert findings[0].path.endswith("dirty.py")
 
@@ -516,12 +460,12 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in RULES:
+    for code in LINT:
         assert code in out
 
 
 def test_main_json_and_filters(tmp_path, capsys):
-    """The shared CLI surface: --format json schema and --select/--ignore."""
+    """The CLI surface: --format json schema and --select/--ignore."""
     import json
 
     dirty = tmp_path / "dirty.py"
@@ -545,6 +489,6 @@ def test_real_tree_is_lint_clean():
     """The gate CI enforces: zero findings across src/repro."""
     src = REPO_ROOT / "src" / "repro"
     assert src.is_dir(), f"expected source tree at {src}"
-    findings = lint_paths([str(src)])
+    findings = check_paths([str(src)], LINT)
     rendered = "\n".join(f.render() for f in findings)
-    assert findings == [], f"tcam lint found violations:\n{rendered}"
+    assert findings == [], f"tcam check found lint violations:\n{rendered}"

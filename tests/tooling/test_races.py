@@ -4,9 +4,10 @@ Mirrors ``test_lint.py``: every rule gets snippets it must *flag*,
 snippets where ``# tcam-lint: disable=...`` *suppresses* the finding,
 and *clean* snippets encoding the blessed concurrency idioms the real
 tree uses (per-worker buffer slots, locked caches, fixed-order
-reduction). The meta-test at the bottom runs the analyzer over the
-actual ``src/repro`` tree and requires zero findings — the same gate
-``make analyze`` and CI enforce.
+reduction). ``select=ANALYZE`` narrows the one pass to this family.
+The meta-test at the bottom runs the family over the actual
+``src/repro`` tree and requires zero findings — the gate ``tcam check``
+and CI enforce.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.tooling.races import RULES, analyze_paths, analyze_source, main
+from repro.tooling.core import check_paths, check_source, main
+from tests.tooling import family
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+ANALYZE = family("analyze")
 
 #: Path that puts a fixture inside the TCAM012 serving scope.
 SERVING_PATH = "src/repro/recommend/serving.py"
@@ -26,7 +30,7 @@ SERVING_PATH = "src/repro/recommend/serving.py"
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:
     """Analyze a dedented snippet and return the rule codes found."""
-    return [f.rule for f in analyze_source(textwrap.dedent(source), path)]
+    return [f.rule for f in check_source(textwrap.dedent(source), path, ANALYZE)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,92 +378,17 @@ def test_tcam012_suppressible():
 
 
 # ---------------------------------------------------------------------------
-# TCAM013 — completion-order reduction
-# ---------------------------------------------------------------------------
-
-TCAM013_FLAGGED = [
-    """
-    from concurrent.futures import as_completed
-
-    def reduce_results(futures):
-        total = 0.0
-        for fut in as_completed(futures):
-            total += fut.result()
-        return total
-    """,
-    """
-    from concurrent import futures
-
-    def collect(pending):
-        results = []
-        for fut in futures.as_completed(pending):
-            results.append(fut.result())
-        return results
-    """,
-    """
-    from concurrent.futures import as_completed
-
-    def gather(pending):
-        return [f.result() for f in as_completed(pending)]
-    """,
-]
-
-TCAM013_CLEAN = [
-    # submission-order collection then fixed-order fold
-    """
-    def reduce_results(futures):
-        partials = [f.result() for f in futures]
-        total = 0.0
-        for value in partials:
-            total += value
-        return total
-    """,
-    # as_completed purely for progress (no accumulation) is fine
-    """
-    from concurrent.futures import as_completed
-
-    def wait_all(futures):
-        for fut in as_completed(futures):
-            fut.result()
-    """,
-]
-
-
-@pytest.mark.parametrize("source", TCAM013_FLAGGED)
-def test_tcam013_flags_completion_order_reduction(source):
-    assert "TCAM013" in rules_of(source)
-
-
-@pytest.mark.parametrize("source", TCAM013_CLEAN)
-def test_tcam013_accepts_fixed_order_reduction(source):
-    assert "TCAM013" not in rules_of(source)
-
-
-def test_tcam013_suppressible():
-    source = """
-    from concurrent.futures import as_completed
-
-    def reduce_results(futures):
-        total = 0.0
-        for fut in as_completed(futures):  # tcam-lint: disable=TCAM013
-            total += fut.result()
-        return total
-    """
-    assert rules_of(source) == []
-
-
-# ---------------------------------------------------------------------------
 # Driver behaviour
 # ---------------------------------------------------------------------------
 
 
 def test_syntax_error_reported_as_tcam000():
-    findings = analyze_source("def broken(:\n", "bad.py")
+    findings = check_source("def broken(:\n", "bad.py", ANALYZE)
     assert [f.rule for f in findings] == ["TCAM000"]
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == ["TCAM010", "TCAM011", "TCAM012", "TCAM013"]
+    assert sorted(ANALYZE) == ["TCAM010", "TCAM011", "TCAM012"]
 
 
 def test_lambda_submissions_are_skipped():
@@ -473,42 +402,37 @@ def test_lambda_submissions_are_skipped():
     assert rules_of(source) == []
 
 
-def test_analyze_paths_walks_directories(tmp_path):
-    (tmp_path / "dirty.py").write_text(
-        textwrap.dedent(
-            """
-            from concurrent.futures import as_completed
+#: A worker writing shared state: the family's one-finding dirty file.
+DIRTY_SOURCE = """
+from concurrent.futures import ThreadPoolExecutor
 
-            def gather(pending):
-                return [f.result() for f in as_completed(pending)]
-            """
-        ),
-        encoding="utf-8",
-    )
+class Engine:
+    def run(self, chunks):
+        with ThreadPoolExecutor() as pool:
+            for chunk in chunks:
+                pool.submit(self.work, chunk)
+
+    def work(self, chunk):
+        self.total = chunk.sum()
+"""
+
+
+def test_check_paths_walks_directories(tmp_path):
+    (tmp_path / "dirty.py").write_text(DIRTY_SOURCE, encoding="utf-8")
     sub = tmp_path / "nested"
     sub.mkdir()
     (sub / "clean.py").write_text("VALUE = 1\n", encoding="utf-8")
-    findings = analyze_paths([str(tmp_path)])
-    assert [f.rule for f in findings] == ["TCAM013"]
+    findings = check_paths([str(tmp_path)], ANALYZE)
+    assert [f.rule for f in findings] == ["TCAM010"]
     assert findings[0].path.endswith("dirty.py")
 
 
 def test_main_exit_codes(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
-    dirty.write_text(
-        textwrap.dedent(
-            """
-            from concurrent.futures import as_completed
-
-            def gather(pending):
-                return [f.result() for f in as_completed(pending)]
-            """
-        ),
-        encoding="utf-8",
-    )
+    dirty.write_text(DIRTY_SOURCE, encoding="utf-8")
     assert main([str(dirty)]) == 1
     out = capsys.readouterr()
-    assert "TCAM013" in out.out
+    assert "TCAM010" in out.out
 
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n", encoding="utf-8")
@@ -518,7 +442,7 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in RULES:
+    for code in ANALYZE:
         assert code in out
 
 
@@ -626,27 +550,11 @@ def test_tcam012_covers_the_serving_service_package():
 
 
 def test_main_json_and_filters(tmp_path, capsys):
-    """The shared CLI surface: --format json schema and --select/--ignore."""
+    """The CLI surface: --format json schema and --select/--ignore."""
     import json
 
     dirty = tmp_path / "dirty.py"
-    dirty.write_text(
-        textwrap.dedent(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Engine:
-                def run(self, chunks):
-                    with ThreadPoolExecutor() as pool:
-                        for chunk in chunks:
-                            pool.submit(self.work, chunk)
-
-                def work(self, chunk):
-                    self.total = chunk.sum()
-            """
-        ).lstrip(),
-        encoding="utf-8",
-    )
+    dirty.write_text(DIRTY_SOURCE.lstrip(), encoding="utf-8")
     assert main([str(dirty), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [f["rule"] for f in payload] == ["TCAM010"]
@@ -664,6 +572,6 @@ def test_real_tree_is_race_clean():
     """The gate CI enforces: zero findings across src/repro."""
     src = REPO_ROOT / "src" / "repro"
     assert src.is_dir(), f"expected source tree at {src}"
-    findings = analyze_paths([str(src)])
+    findings = check_paths([str(src)], ANALYZE)
     rendered = "\n".join(f.render() for f in findings)
-    assert findings == [], f"tcam analyze found violations:\n{rendered}"
+    assert findings == [], f"tcam check found race violations:\n{rendered}"

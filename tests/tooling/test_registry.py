@@ -1,17 +1,17 @@
-"""The shared rule registry and the cross-tool CLI parity contract.
+"""The shared rule registry and the one command line over every family.
 
 Registry side: every ``TCAMxxx`` code is declared exactly once in
-``repro.tooling.registry``, each tool's ``RULES`` mapping is derived
-from it (no duplicate, unregistered, or orphaned codes anywhere), and
-every rule's ``doc_anchor`` resolves to a real heading in
-``docs/static-analysis.md`` (using GitHub's heading-slug convention).
+``repro.tooling.registry``, each family's rule module owns exactly the
+codes registered to that family (no duplicate, unregistered, or
+orphaned codes anywhere), and every rule's ``doc_anchor`` resolves to a
+real heading in ``docs/static-analysis.md`` (using GitHub's
+heading-slug convention).
 
-Parity side: the four tools — ``tcam lint``, ``tcam analyze``,
-``tcam audit``, ``tcam prove`` — are one CLI surface. The parametrized
-tests drive each tool's ``main`` through the shared flags (``--format
-json``, ``--select``, ``--ignore``, ``--list-rules``, exit codes,
-stable sort) against a per-tool dirty fixture and assert identical
-behaviour everywhere.
+CLI side: ``tcam check`` is the one command. The parametrized tests
+drive its ``main`` through the flags (``--format json``, ``--select``,
+``--ignore``, ``--list-rules``, exit codes, stable sort) against one
+dirty fixture per family — lint, analyze, audit, prove, and the whole
+pass — and assert the same behaviour for each.
 """
 
 from __future__ import annotations
@@ -24,37 +24,41 @@ from pathlib import Path
 
 import pytest
 
-from repro.tooling import lint as lint_module
-from repro.tooling.core import main as check_main
-from repro.tooling.core import visitors
-from repro.tooling.determinism import RULES as PROVE_RULES
-from repro.tooling.determinism import main as prove_main
-from repro.tooling.lifecycle import RULES as AUDIT_RULES
-from repro.tooling.lifecycle import main as audit_main
-from repro.tooling.lint import RULES as LINT_RULES
-from repro.tooling.lint import main as lint_main
-from repro.tooling.races import RULES as ANALYZE_RULES
-from repro.tooling.races import main as analyze_main
+from repro.tooling import determinism, lifecycle, lint, races, registry
+from repro.tooling.core import main, visitors
 from repro.tooling.registry import (
     REGISTRY,
     STORE_CONSTRUCTORS,
     TREE,
+    RuleSpec,
     facts_for,
     registry_errors,
-    rules_for_tool,
     spec_for,
 )
-from repro.tooling.registry import TOOLS as COMMANDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: tool name -> the RULES mapping that tool actually exports.
-TOOL_RULES = {
-    "lint": LINT_RULES,
-    "analyze": ANALYZE_RULES,
-    "audit": AUDIT_RULES,
-    "prove": PROVE_RULES,
+#: Family -> the rule module whose ``VISITORS`` own its codes.
+FAMILY_MODULES = {
+    "lint": lint,
+    "analyze": races,
+    "audit": lifecycle,
+    "prove": determinism,
 }
+
+
+def family_codes(family: str) -> set[str]:
+    """The codes registered to one family (``check``: every listed rule)."""
+    return {
+        code
+        for code, spec in REGISTRY.items()
+        if spec.tool == family or (family == "check" and spec.tool != "shared")
+    }
+
+
+def module_codes(module) -> set[str]:
+    """The codes a rule module's visitors own."""
+    return {code for codes in module.VISITORS for code in codes}
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +144,17 @@ def test_every_rule_has_exactly_one_visitor():
     assert sorted(owned) == sorted(code for code, spec in REGISTRY.items() if spec.tool != "shared")
     # the two rule pairs share one visitor each
     by_code = {code: visitor for codes, visitor in visitors() for code in codes}
-    assert by_code["TCAM005"] is by_code["TCAM030"]
-    assert by_code["TCAM013"] is by_code["TCAM031"]
+    assert by_code["TCAM020"] is by_code["TCAM024"]
+    assert by_code["TCAM030"] is by_code["TCAM031"]
 
 
 def test_visitor_registration_mistakes_are_reported(monkeypatch):
-    table = dict(lint_module.VISITORS)
+    table = dict(lint.VISITORS)
     orphan = table.pop(("TCAM001",))
-    monkeypatch.setattr(lint_module, "VISITORS", table)
+    monkeypatch.setattr(lint, "VISITORS", table)
     assert registry_errors() == ["TCAM001 has 0 visitors; expected one"]
     monkeypatch.setattr(
-        lint_module, "VISITORS", {**table, ("TCAM001", "TCAM002"): orphan, ("TCAM999",): orphan}
+        lint, "VISITORS", {**table, ("TCAM001", "TCAM002"): orphan, ("TCAM999",): orphan}
     )
     assert registry_errors() == [
         "a visitor is registered to unknown rule code TCAM999",
@@ -159,31 +163,28 @@ def test_visitor_registration_mistakes_are_reported(monkeypatch):
 
 
 def test_every_tool_exports_exactly_its_registered_rules():
-    for tool, rules in TOOL_RULES.items():
-        assert rules == rules_for_tool(tool), (
-            f"{tool}'s RULES mapping disagrees with the registry"
+    for family, module in FAMILY_MODULES.items():
+        assert module_codes(module) == family_codes(family), (
+            f"{module.__name__}'s visitors disagree with the {family} family's registry rows"
         )
 
 
 def test_no_code_is_claimed_by_two_tools():
     seen: dict[str, str] = {}
-    for tool, rules in TOOL_RULES.items():
-        for code in rules:
+    for family, module in FAMILY_MODULES.items():
+        for code in module_codes(module):
             assert code not in seen, (
-                f"{code} claimed by both {seen[code]} and {tool}"
+                f"{code} claimed by both {seen[code]} and {family}"
             )
-            seen[code] = tool
+            seen[code] = family
 
 
 def test_registry_covers_all_tools_and_nothing_else():
-    tool_codes = {code for rules in TOOL_RULES.values() for code in rules}
-    registered = {
-        code for code, spec in REGISTRY.items() if spec.tool != "shared"
-    }
-    assert tool_codes == registered
-    # the shared parse-failure pseudo-rule exists but belongs to no tool
+    owned = set().union(*(module_codes(module) for module in FAMILY_MODULES.values()))
+    assert owned == family_codes("check")
+    # the shared parse-failure pseudo-rule exists but belongs to no family
     assert spec_for("TCAM000").tool == "shared"
-    assert "TCAM000" not in tool_codes
+    assert "TCAM000" not in owned
 
 
 def test_spec_lookup_is_case_insensitive_and_strict():
@@ -214,22 +215,24 @@ def test_every_doc_anchor_resolves_to_a_real_heading():
         assert spec.doc_url == f"docs/static-analysis.md#{spec.doc_anchor}"
 
 
-def test_rules_for_unknown_tool_is_an_error():
-    with pytest.raises(ValueError):
-        rules_for_tool("fuzz")
+def test_rules_for_unknown_tool_is_an_error(monkeypatch):
+    stray = RuleSpec("TCAM036", "fuzz", "determinism", "a stray rule", "suppressions")
+    monkeypatch.setattr(registry, "_SPECS", (*registry._SPECS, stray))
+    assert "TCAM036 registered to unknown family 'fuzz'" in registry_errors()
 
 
-def test_check_owns_every_presets_rules():
-    assert list(COMMANDS) == ["check", *TOOL_RULES]
-    merged = {code: summary for rules in TOOL_RULES.values() for code, summary in rules.items()}
-    assert rules_for_tool("check") == merged
+def test_check_owns_every_presets_rules(capsys):
+    # The family selections are the old presets; --list-rules holds them all.
+    assert main(["--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(set().union(*map(module_codes, FAMILY_MODULES.values())))
 
 
 # ---------------------------------------------------------------------------
-# Cross-tool CLI parity
+# One CLI over every family
 # ---------------------------------------------------------------------------
 
-#: Per-tool minimal dirty fixture and the single rule it must trigger.
+#: Per-family minimal dirty fixture and the single rule it must trigger.
 LINT_DIRTY = """
 import numpy as np
 
@@ -266,12 +269,12 @@ def replay(events):
     return out
 """
 
-TOOLS = [
-    pytest.param(lint_main, "lint", LINT_DIRTY, "TCAM001", id="lint"),
-    pytest.param(analyze_main, "analyze", ANALYZE_DIRTY, "TCAM010", id="analyze"),
-    pytest.param(audit_main, "audit", AUDIT_DIRTY, "TCAM020", id="audit"),
-    pytest.param(prove_main, "prove", PROVE_DIRTY, "TCAM030", id="prove"),
-    pytest.param(check_main, "check", AUDIT_DIRTY, "TCAM020", id="check"),
+FAMILIES = [
+    pytest.param("lint", LINT_DIRTY, "TCAM001", id="lint"),
+    pytest.param("analyze", ANALYZE_DIRTY, "TCAM010", id="analyze"),
+    pytest.param("audit", AUDIT_DIRTY, "TCAM020", id="audit"),
+    pytest.param("prove", PROVE_DIRTY, "TCAM030", id="prove"),
+    pytest.param("check", AUDIT_DIRTY, "TCAM020", id="check"),
 ]
 
 
@@ -281,73 +284,65 @@ def _write_dirty(tmp_path: Path, source: str) -> Path:
     return dirty
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_exit_codes_are_uniform(tool_main, tool, dirty_source, expected_rule, tmp_path):
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_exit_codes_are_uniform(family, dirty_source, expected_rule, tmp_path):
     dirty = _write_dirty(tmp_path, dirty_source)
-    assert tool_main([str(dirty)]) == 1
+    assert main([str(dirty)]) == 1
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n", encoding="utf-8")
-    assert tool_main([str(clean)]) == 0
+    assert main([str(clean)]) == 0
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_json_schema_is_shared(tool_main, tool, dirty_source, expected_rule, tmp_path, capsys):
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_json_schema_is_shared(family, dirty_source, expected_rule, tmp_path, capsys):
     dirty = _write_dirty(tmp_path, dirty_source)
-    assert tool_main([str(dirty), "--format", "json"]) == 1
+    assert main([str(dirty), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [f["rule"] for f in payload] == [expected_rule]
     for finding in payload:
         assert sorted(finding) == ["col", "line", "message", "path", "rule"]
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_json_output_is_stable_across_runs(tool_main, tool, dirty_source, expected_rule, tmp_path, capsys):
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_json_output_is_stable_across_runs(family, dirty_source, expected_rule, tmp_path, capsys):
     dirty = _write_dirty(tmp_path, dirty_source)
-    assert tool_main([str(dirty), "--format", "json"]) == 1
+    assert main([str(dirty), "--format", "json"]) == 1
     first = capsys.readouterr().out
-    assert tool_main([str(dirty), "--format", "json"]) == 1
+    assert main([str(dirty), "--format", "json"]) == 1
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_select_and_ignore_filters(tool_main, tool, dirty_source, expected_rule, tmp_path, capsys):
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_select_and_ignore_filters(family, dirty_source, expected_rule, tmp_path, capsys):
     dirty = _write_dirty(tmp_path, dirty_source)
     # selecting an unrelated rule drops the finding and the failure
-    assert tool_main([str(dirty), "--select", "TCAM999"]) == 0
+    assert main([str(dirty), "--select", "TCAM032"]) == 0
+    # ... but selecting an unregistered code is a usage error, not a pass
+    assert main([str(dirty), "--select", "TCAM999"]) == 2
+    assert "TCAM999" in capsys.readouterr().err
     # ignoring the expected rule likewise
-    assert tool_main([str(dirty), "--ignore", expected_rule]) == 0
+    assert main([str(dirty), "--ignore", expected_rule]) == 0
     # selecting the expected rule keeps it
-    assert tool_main([str(dirty), "--select", expected_rule]) == 1
+    assert main([str(dirty), "--select", expected_rule]) == 1
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_list_rules_prints_the_registry_catalogue(tool_main, tool, dirty_source, expected_rule, capsys):
-    assert tool_main(["--list-rules"]) == 0
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_list_rules_prints_the_registry_catalogue(family, dirty_source, expected_rule, capsys):
+    assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code, summary in rules_for_tool(tool).items():
-        assert code in out
-        assert summary in out
+    for code in family_codes(family):
+        assert f"{code}  {REGISTRY[code].summary}" in out
 
 
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_sarif_format_names_the_tool(tool_main, tool, dirty_source, expected_rule, tmp_path, capsys):
+@pytest.mark.parametrize("family, dirty_source, expected_rule", FAMILIES)
+def test_sarif_format_names_the_tool(family, dirty_source, expected_rule, tmp_path, capsys):
     dirty = _write_dirty(tmp_path, dirty_source)
-    assert tool_main([str(dirty), "--format", "sarif"]) == 1
+    assert main([str(dirty), "--format", "sarif"]) == 1
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
     driver = log["runs"][0]["tool"]["driver"]
-    assert driver["name"] == f"tcam {tool}"
+    assert driver["name"] == "tcam check"
     assert [r["ruleId"] for r in log["runs"][0]["results"]] == [expected_rule]
     rule = log["runs"][0]["tool"]["driver"]["rules"][0]
     assert rule["helpUri"] == spec_for(expected_rule).doc_url
-
-
-@pytest.mark.parametrize("tool_main, tool, dirty_source, expected_rule", TOOLS)
-def test_baseline_flags_work_everywhere(tool_main, tool, dirty_source, expected_rule, tmp_path, capsys):
-    dirty = _write_dirty(tmp_path, dirty_source)
-    baseline = tmp_path / "baseline.json"
-    assert tool_main([str(dirty), "--write-baseline", str(baseline)]) == 0
-    assert tool_main([str(dirty), "--baseline", str(baseline)]) == 0
-    assert tool_main([str(dirty), "--baseline", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
