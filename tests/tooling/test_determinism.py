@@ -525,7 +525,8 @@ TCAM031_AS_COMPLETED_FLAGGED = [
     """,
 ]
 
-#: Outside any contract, submission order — or imap_unordered — is fine.
+#: Outside any contract, submission order — or imap_unordered — is fine,
+#: and so is as_completed used only to wait before a fixed-order fold.
 TCAM031_AS_COMPLETED_CLEAN = [
     """
     def reduce_results(futures):
@@ -533,6 +534,17 @@ TCAM031_AS_COMPLETED_CLEAN = [
         total = 0.0
         for value in partials:
             total += value
+        return total
+    """,
+    """
+    from concurrent.futures import as_completed
+
+    def reduce_results(futures):
+        for fut in as_completed(futures):
+            fut.result()
+        total = 0.0
+        for fut in futures:
+            total += fut.result()
         return total
     """,
     """
