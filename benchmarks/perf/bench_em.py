@@ -3,26 +3,21 @@
 Measures full EM-iteration throughput (ratings processed per second,
 E-step plus the cheap M-step normalisation) of each blocked-engine model
 — TTCAM, ITCAM and the UT/TT baselines — at several ``(R, K1, K2)``
-scales, on one worker and on N threads:
+scales. The engine runs on one thread; its entries are named
+``em/<model>/r<R>-k<K>/blocked-t1``. Earlier ``.../legacy`` and
+``.../blocked-tN`` entries in the committed trajectory are the record of
+the dense single-pass step the engine replaced and of the threaded E-step
+it no longer has.
 
-* ``blocked-t1``  — the blocked engine, one worker;
-* ``blocked-tN``  — the blocked engine on N threads.
-
-Entries are named ``em/<model>/r<R>-k<K>/blocked-tN``. Earlier
-``em/ttcam/.../legacy`` entries in the committed trajectory are the
-record of the dense single-pass step the engine replaced.
-
-In ``--smoke`` mode a third variant, ``blocked-t1-sanitize``, runs the
+In ``--smoke`` mode a second variant, ``blocked-t1-sanitize``, runs the
 blocked engine under the runtime sanitizer and the harness asserts the
-sanitize-off variants constructed no ``Sanitizer`` at all — the
+sanitize-off variant constructed no ``Sanitizer`` at all — the
 structural "zero overhead when off" guarantee from
 ``docs/static-analysis.md``.
 
-Each configuration appends one entry to the ``BENCH_em.json`` trajectory.
-The acceptance bar for the engine (≥1.5× threaded over single-thread at
-the largest scale) is only reachable on a multi-core host — every entry
-records ``cpu_count`` so trajectories from different machines are never
-naively compared.
+Each configuration appends one entry to the ``BENCH_em.json`` trajectory;
+every entry records ``cpu_count`` so trajectories from different
+machines are never naively compared.
 
 Run ``python benchmarks/perf/bench_em.py`` (with ``src`` on
 ``PYTHONPATH``), or ``make bench-perf``.
@@ -30,7 +25,6 @@ Run ``python benchmarks/perf/bench_em.py`` (with ``src`` on
 
 from __future__ import annotations
 
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -77,26 +71,18 @@ def fit_throughput(build, cuboid, iters, engine, repeats) -> float:
 def main(argv=None) -> int:
     parser = make_parser(__doc__.splitlines()[0])
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=min(4, os.cpu_count() or 1),
-        help="worker threads for the threaded variant",
-    )
-    parser.add_argument(
         "--block-size", type=int, default=32_768, help="engine block size"
     )
     args = parser.parse_args(argv)
 
     scales = SMOKE_SCALES if args.smoke else SCALES
     iters = SMOKE_ITERS if args.smoke else EM_ITERS
-    threads = max(2, args.threads)
     context = default_context()
     context["em_iters"] = iters
     entries = []
 
     variants = {
         "blocked-t1": EMEngineConfig(block_size=args.block_size),
-        f"blocked-t{threads}": EMEngineConfig(block_size=args.block_size, threads=threads),
     }
     if args.smoke:
         variants["blocked-t1-sanitize"] = EMEngineConfig(
@@ -127,15 +113,13 @@ def main(argv=None) -> int:
                             "k1": k1,
                             "k2": k2,
                             "block_size": args.block_size,
-                            "threads": engine.threads,
+                            "threads": 1,
                             "variant": variant,
                         },
                         context=context,
                     )
                 )
                 print(f"{name:55s} {rate/1e6:8.3f} M ratings/sec")
-            threaded_gain = rates[f"blocked-t{threads}"] / rates["blocked-t1"]
-            print(f"  -> threaded({threads})/blocked {threaded_gain:.2f}x [{os.cpu_count()} cpu]")
             if "blocked-t1-sanitize" in rates:
                 overhead = rates["blocked-t1"] / rates["blocked-t1-sanitize"]
                 print(f"  -> sanitizer overhead when ON: {overhead:.2f}x slower")

@@ -84,6 +84,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _cosine_threshold(text: str) -> float:
+    """argparse ``type=`` for a finite cosine threshold in ``[-1, 1]``."""
+    value = float(text)
+    if not -1.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be finite and in [-1, 1], got {text}")
+    return value
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     """Write a synthetic dataset profile to CSV."""
     config = profile(args.profile, scale=args.scale, seed=args.seed)
@@ -118,9 +126,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit snapshots support the TCAM variants only", file=sys.stderr)
         return 2
     cuboid = load_cuboid_csv(args.input)
-    engine = EMEngineConfig(
-        block_size=args.block_size, threads=args.threads, sanitize=args.sanitize
-    )
+    engine = EMEngineConfig(block_size=args.block_size, sanitize=args.sanitize)
     model = _build_model(args.model, args.k1, args.k2, args.iters, args.seed, engine)
     checkpoint = resume_from = None
     if args.checkpoint_dir is not None:
@@ -267,9 +273,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the process-parallel serving service until SIGTERM/SIGINT."""
     from .serving_service import ServiceConfig, run_service
 
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         snapshot=args.model,
         host=args.host,
@@ -482,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=5,
         help="checkpoint every N EM iterations",
     )
@@ -503,16 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="ratings per E-step block (default: 32768, capped at the dataset)",
     )
     p_fit.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="E-step worker threads",
-    )
-    p_fit.add_argument(
         "--sanitize",
         action="store_true",
         help="run the EM engine under the runtime sanitizer "
-        "(write-disjointness, simplex and reduce-order checks)",
+        "(finite-value and simplex checks)",
     )
     p_fit.add_argument(
         "--mmap-layout",
@@ -552,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=64,
         help="queries scored per GEMM block in batch mode",
     )
@@ -577,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7315, help="TCP port (0 picks a free port)"
     )
     p_serve.add_argument(
-        "--workers", type=int, default=2, help="worker process count (= user shards)"
+        "--workers", type=_positive_int, default=2, help="worker process count (= user shards)"
     )
     p_serve.add_argument(
         "--max-batch",
-        type=int,
+        type=_positive_int,
         default=64,
         help="most queries one micro-batch coalesces, per worker",
     )
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="topic/influence report card")
     p_report.add_argument("--model", required=True)
     p_report.add_argument("--input", required=True, help="training ratings CSV")
-    p_report.add_argument("--max-topics", type=int, default=None)
+    p_report.add_argument("--max-topics", type=_positive_int, default=None)
     p_report.set_defaults(func=cmd_report)
 
     # Listed for ``tcam --help`` only: ``main`` hands everything after
@@ -631,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sa.add_argument("--log", required=True, help="event-log directory")
     p_sa.add_argument("--input", required=True, help="CSV with user,interval,item[,score]")
-    p_sa.add_argument("--segment-events", type=int, default=4096)
+    p_sa.add_argument("--segment-events", type=_positive_int, default=4096)
     p_sa.set_defaults(func=cmd_stream_append)
 
     p_sr = stream_sub.add_parser(
@@ -641,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sr.add_argument("--snapshot", required=True, help="fitted TTCAM .npz snapshot")
     p_sr.add_argument("--checkpoints", required=True, help="consumer checkpoint directory")
     p_sr.add_argument("--output", default=None, help="write the folded snapshot here")
-    p_sr.add_argument("--batch-events", type=int, default=256)
-    p_sr.add_argument("--drift-threshold", type=float, default=0.85)
-    p_sr.add_argument("--checkpoint-every", type=int, default=4)
+    p_sr.add_argument("--batch-events", type=_positive_int, default=256)
+    p_sr.add_argument("--drift-threshold", type=_cosine_threshold, default=0.85)
+    p_sr.add_argument("--checkpoint-every", type=_positive_int, default=4)
     p_sr.add_argument("--max-batches", type=int, default=None)
     p_sr.set_defaults(func=cmd_stream_run)
 

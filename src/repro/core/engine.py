@@ -1,35 +1,33 @@
-"""Blocked, thread-parallel EM execution engine.
+"""Blocked EM execution engine.
 
-Every EM iteration of the TCAM family is dominated by the E-step: an
-embarrassingly-parallel pass over the ``R`` rating triples that computes
-posterior responsibilities and folds them into a handful of sufficient-
-statistics matrices. The naive vectorised implementation materialises
-five-plus fresh ``(R, K)`` temporaries per iteration, so at production
-scale it is allocation- and memory-bandwidth-bound rather than FLOP-bound
-— the same observation that motivates blocked/distributed LDA inference
-(Newman et al., "Distributed inference for LDA"; Hoffman et al., "Online
-learning for LDA").
+Every EM iteration of the TCAM family is dominated by the E-step: a pass
+over the ``R`` rating triples that computes posterior responsibilities
+and folds them into a handful of sufficient-statistics matrices. The
+naive vectorised implementation materialises five-plus fresh ``(R, K)``
+temporaries per iteration, so at production scale it is allocation- and
+memory-bandwidth-bound rather than FLOP-bound — the same observation that
+motivates blocked/distributed LDA inference (Newman et al., "Distributed
+inference for LDA"; Hoffman et al., "Online learning for LDA").
 
 This module restructures that pass without changing the math:
 
-* :class:`EMEngineConfig` — the shared knobs (block size, threads,
-  sanitizer) accepted by every model's ``engine=`` argument.
-* :class:`BlockedEStep` — iterates the triples in fixed-size blocks,
-  computing each block's responsibilities in **preallocated, reused
-  buffers** (``np.take(..., out=...)`` gathers, in-place ufuncs, fused
-  ``c · resp`` scaling), reducing them into per-worker statistics
-  through the kernel's **plan-once scatters**, and reducing the worker
-  partials in a **deterministic fixed order**.
+* :class:`EMEngineConfig` — the shared knobs (block size, sanitizer)
+  accepted by every model's ``engine=`` argument.
+* :class:`BlockedEStep` — iterates the triples in fixed-size blocks, in
+  order, on one thread, computing each block's responsibilities in
+  **preallocated, reused buffers** (``np.take(..., out=...)`` gathers,
+  in-place ufuncs, fused ``c · resp`` scaling) and reducing them into one
+  set of statistics through the kernel's **plan-once scatters**.
 * Model kernels (:class:`TTCAMKernel`, :class:`ITCAMKernel`,
   :class:`UserTopicKernel`, :class:`TimeTopicKernel`) — the per-block
   E-step equations of each model family. The index arrays of a fit never
   change, so a kernel holds one :class:`~repro.core.em.ScatterPlan` per
   (index array, block of the grid): built once when an engine is
   constructed over it, never inside :meth:`BlockedEStep.compute`, and
-  immutable afterwards, so worker threads and re-executed shard mappers
-  share them without a lock. Each plan sums a bin's rows in the order of
-  the flat ``bincount`` of :func:`~repro.core.em.scatter_sum`, so a fit
-  is bit-identical to one scattered through that.
+  immutable afterwards, so re-executed shard mappers share them. Each
+  plan sums a bin's rows in the order of the flat ``bincount`` of
+  :func:`~repro.core.em.scatter_sum`, so a fit is bit-identical to one
+  scattered through that.
 
 This is the only E-step of every EM model — TTCAM, ITCAM,
 ``PartitionedTTCAM``, the UT/TT baselines and the shared-topic,
@@ -43,36 +41,28 @@ against.
 Numerical contract
 ------------------
 For a fixed configuration the engine is **bit-deterministic**: the block
-grid and the block→worker assignment are static (contiguous runs of
-blocks per worker, reduced in worker order), so thread scheduling can
-never reorder a floating-point sum, and a checkpointed run resumed
-mid-training finishes bit-identically to an uninterrupted one. Engine
-buffers hold no model state, so the engine composes with the
+grid is static and its blocks are folded in order, so a checkpointed run
+resumed mid-training finishes bit-identically to an uninterrupted one.
+Engine buffers hold no model state, so the engine composes with the
 checkpoint/health runtime unchanged. Each model records the grid
 (:attr:`BlockedEStep.grid`) in its checkpoint metadata, so a resume under
 a different grid is refused instead of silently voiding that guarantee.
 
-Against the dense test oracle, and between different
-``block_size``/``threads`` settings, the results agree to
-``allclose(atol=1e-12)`` rather than bit-for-bit: blocking re-associates
-the floating-point summation of the sufficient statistics ((a+b)+c versus
-a+(b+c)), which perturbs sums by a few ULPs. The test suite pins both
-contracts.
-
-``threads > 1`` runs the workers on a :class:`ThreadPoolExecutor`; the
-numpy kernels doing the heavy lifting release the GIL, so blocks execute
-truly concurrently on multi-core hosts.
+Against the dense test oracle, and between different ``block_size``
+settings, the results agree to ``allclose(atol=1e-12)`` rather than
+bit-for-bit: blocking re-associates the floating-point summation of the
+sufficient statistics ((a+b)+c versus a+(b+c)), which perturbs sums by a
+few ULPs. The test suite pins both contracts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..tooling.sanitize import Sanitizer, sanitize_enabled
+from ..tooling.sanitize import Sanitizer, check_finite, check_state, sanitize_enabled
 from ..typing import (
     AnyArray,
     ArrayState,
@@ -106,30 +96,20 @@ class EMEngineConfig:
         :data:`DEFAULT_BLOCK_SIZE` (capped at the dataset size). Smaller
         blocks cap peak workspace memory; larger blocks amortise
         per-block dispatch overhead.
-    threads:
-        Worker threads for the E-step. Blocks are split into ``threads``
-        contiguous runs, one per worker, and worker partials are reduced
-        in worker order — results are bit-reproducible for a fixed
-        configuration regardless of scheduling.
     sanitize:
-        Opt into the runtime sanitizer
-        (:mod:`repro.tooling.sanitize`): per-worker write intervals are
-        recorded and checked for disjointness, buffers for aliasing,
-        state/stats for NaN/Inf and simplex violations, and the reduce
-        for completion-order independence. Also enabled process-wide by
-        ``TCAM_SANITIZE=1``. Off (the default) adds no work to the hot
-        path beyond one ``None`` test per block.
+        Opt into the runtime sanitizer (:mod:`repro.tooling.sanitize`):
+        the state entering each E-step is checked for NaN/Inf and simplex
+        violations, and the statistics leaving it for NaN/Inf. Also
+        enabled process-wide by ``TCAM_SANITIZE=1``. Off (the default)
+        adds no work beyond one ``None`` test per E-step.
     """
 
     block_size: int | None = None
-    threads: int = 1
     sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size is not None and self.block_size <= 0:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
-        if self.threads <= 0:
-            raise ValueError(f"threads must be positive, got {self.threads}")
 
     def resolved_block_size(self, num_ratings: int) -> int:
         """The effective block length for a dataset of ``num_ratings`` rows."""
@@ -145,10 +125,9 @@ class _Kernel:
 
     * :meth:`plan_blocks` — build the scatter plans of a block grid,
       once, before the first pass over it;
-    * :meth:`stat_arrays` — freshly zeroed accumulator arrays, one set
-      per worker;
+    * :meth:`stat_arrays` — freshly zeroed accumulator arrays;
     * :meth:`make_workspace` — preallocated scratch buffers sized to one
-      block, one set per worker;
+      block;
     * :meth:`accumulate` — fold rows ``[lo, hi)`` into a stats set and
       return the block's log-likelihood contribution.
     """
@@ -252,7 +231,7 @@ class TTCAMKernel(_Kernel):
         )
 
     def make_workspace(self, capacity: int) -> Workspace:
-        """One worker's preallocated scratch buffers for ``capacity`` rows."""
+        """Preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
             "z": np.empty((capacity, self.k1)),
             "phi_v": np.empty((self.k1, capacity)),
@@ -349,7 +328,7 @@ class ITCAMKernel(_Kernel):
         return ScatterPlan(self.u[lo:hi], self.n), ScatterPlan(self.v[lo:hi], self.v_dim)
 
     def make_workspace(self, capacity: int) -> Workspace:
-        """One worker's preallocated scratch buffers for ``capacity`` rows."""
+        """Preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
             "z": np.empty((capacity, self.k1)),
             "phi_v": np.empty((self.k1, capacity)),
@@ -445,7 +424,7 @@ class UserTopicKernel(_Kernel):
         )
 
     def make_workspace(self, capacity: int) -> Workspace:
-        """One worker's preallocated scratch buffers for ``capacity`` rows."""
+        """Preallocated scratch buffers for ``capacity`` rows."""
         ws: Workspace = {
             "z": np.empty((capacity, self.k)),
             "phi_v": np.empty((self.k, capacity)),
@@ -509,23 +488,20 @@ class TimeTopicKernel(UserTopicKernel):
 
 
 class BlockedEStep:
-    """Blocked, optionally threaded E-step executor for one EM fit.
+    """Blocked E-step executor for one EM fit.
 
     Built once per fit from a model kernel and an
     :class:`EMEngineConfig`; :meth:`compute` is then called every
-    iteration with the current parameter state and returns the reduced
-    sufficient statistics plus the iteration's log-likelihood. The
-    kernel's scatter plans are built here, at construction; workspace and
-    statistic buffers are allocated at first use and reused for the
-    lifetime of the engine — the steady-state iteration performs no
-    ``(R, K)``-sized allocations and no index work.
+    iteration with the current parameter state and returns the sufficient
+    statistics plus the iteration's log-likelihood. The kernel's scatter
+    plans are built here, at construction; the workspace and statistic
+    buffers are allocated at first use and reused for the lifetime of the
+    engine — the steady-state iteration performs no ``(R, K)``-sized
+    allocations and no index work.
 
-    The block grid and the block→worker assignment are fixed at
-    construction (worker ``w`` owns a contiguous run of blocks), and the
-    per-worker partials are reduced in worker order, so results are a
-    pure function of ``(kernel, config, state)`` — thread scheduling
-    cannot perturb them. See the module docstring for the numerical
-    contract.
+    The block grid is fixed at construction and folded in order, so
+    results are a pure function of ``(kernel, config, state)``. See the
+    module docstring for the numerical contract.
     """
 
     def __init__(self, kernel: _Kernel, config: EMEngineConfig) -> None:
@@ -539,15 +515,9 @@ class BlockedEStep:
             (lo, min(lo + block, num_ratings))
             for lo in range(0, num_ratings, block)
         ]
-        workers = max(1, min(config.threads, len(self.blocks)))
-        bounds = np.linspace(0, len(self.blocks), workers + 1).astype(int)
-        self.runs = [
-            self.blocks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
         self.block_size = block
         kernel.plan_blocks(self.blocks)
-        self._workspaces: list[Workspace] | None = None
-        self._stats: list[ArrayState] | None = None
+        self._buffers: tuple[Workspace, ArrayState] | None = None
         self._sanitizer = (
             Sanitizer("engine") if config.sanitize or sanitize_enabled() else None
         )
@@ -558,44 +528,20 @@ class BlockedEStep:
         return len(self.blocks)
 
     @property
-    def num_workers(self) -> int:
-        """Number of worker slots (≤ configured threads)."""
-        return len(self.runs)
-
-    @property
     def grid(self) -> dict[str, object]:
-        """The resolved block size and worker count — what fixes the
-        summation order, and so what checkpoint metadata must record."""
-        return {"block_size": self.block_size, "workers": self.num_workers}
+        """The resolved block size — what fixes the summation order, and
+        so what checkpoint metadata must record. ``workers`` is always 1:
+        a checkpoint whose grid names more workers was summed in another
+        order and is refused on resume."""
+        return {"block_size": self.block_size, "workers": 1}
 
-    def _ensure_buffers(self) -> tuple[list[Workspace], list[ArrayState]]:
-        if self._workspaces is None or self._stats is None:
-            self._workspaces = [
-                self.kernel.make_workspace(self.block_size) for _ in self.runs
-            ]
-            self._stats = [self.kernel.stat_arrays() for _ in self.runs]
-        return self._workspaces, self._stats
-
-    @hot_path
-    def _run_worker(
-        self,
-        worker: int,
-        state: ArrayState,
-        workspaces: list[Workspace],
-        worker_stats: list[ArrayState],
-    ) -> float:
-        ws = workspaces[worker]
-        stats = worker_stats[worker]
-        for array in stats.values():
-            array.fill(0.0)
-        log_likelihood = 0.0
-        for lo, hi in self.runs[worker]:
-            if self._sanitizer is not None:
-                self._sanitizer.record_write(worker, lo, hi)
-            log_likelihood += self.kernel.accumulate(state, lo, hi, ws, stats)
-        if self._sanitizer is not None:
-            self._sanitizer.record_completion(worker)
-        return log_likelihood
+    def _ensure_buffers(self) -> tuple[Workspace, ArrayState]:
+        if self._buffers is None:
+            self._buffers = (
+                self.kernel.make_workspace(self.block_size),
+                self.kernel.stat_arrays(),
+            )
+        return self._buffers
 
     @bit_deterministic
     def compute(self, state: ArrayState) -> tuple[ArrayState, float]:
@@ -606,26 +552,15 @@ class BlockedEStep:
         :meth:`compute` call; callers consume them immediately (the
         models' M-steps allocate fresh parameter arrays from them).
         """
-        workspaces, worker_stats = self._ensure_buffers()
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_pass(state, workspaces, worker_stats)
-        if len(self.runs) == 1:
-            partial_lls = [self._run_worker(0, state, workspaces, worker_stats)]
-        else:
-            with ThreadPoolExecutor(max_workers=len(self.runs)) as pool:
-                futures = [
-                    pool.submit(self._run_worker, worker, state, workspaces, worker_stats)
-                    for worker in range(len(self.runs))
-                ]
-                partial_lls = [future.result() for future in futures]
-        partials = (
-            sanitizer.snapshot_partials(worker_stats) if sanitizer is not None else None
-        )
-        total = worker_stats[0]
-        for stats in worker_stats[1:]:
-            for name, array in total.items():
-                array += stats[name]
-        if sanitizer is not None and partials is not None:
-            sanitizer.end_pass(total, partials, self.kernel.num_ratings)
-        return total, float(sum(partial_lls))
+        ws, stats = self._ensure_buffers()
+        if self._sanitizer is not None:
+            check_state(state)
+        for array in stats.values():
+            array.fill(0.0)
+        log_likelihood = 0.0
+        for lo, hi in self.blocks:
+            log_likelihood += self.kernel.accumulate(state, lo, hi, ws, stats)
+        if self._sanitizer is not None:
+            for name, array in stats.items():
+                check_finite(f"stats[{name}]", array)
+        return stats, log_likelihood

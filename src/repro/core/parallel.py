@@ -11,22 +11,18 @@ the M-step, checkpoint metadata, health invariants, prediction — is the
 serial model's. With a fixed seed it reproduces the serial fit up to
 floating-point summation order, which the test suite verifies.
 
-The shard map runs sequentially with one worker (or in a thread pool
-with more; the heavy numpy kernels release the GIL), but the point is
-the *algebraic* decomposition — any map/reduce substrate can run it.
+The shard map runs sequentially, one shard after another, on one thread:
+the point is the *algebraic* decomposition — any map/reduce substrate
+can run it.
 
-Like a real MapReduce substrate, the shard map tolerates worker
-failures: a crashed or timed-out shard is re-executed with exponential
-backoff (the mapper is a pure function of the broadcast parameters, so
-re-execution is bit-deterministic), and a shard that keeps failing
-raises :class:`~repro.robustness.errors.ShardFailedError`.
+Like a real MapReduce substrate, the shard map tolerates mapper
+failures: a crashed shard is re-executed with exponential backoff (the
+mapper is a pure function of the broadcast parameters, so re-execution
+is bit-deterministic), and a shard that keeps failing raises
+:class:`~repro.robustness.errors.ShardFailedError`.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import replace
 
 import numpy as np
 
@@ -49,32 +45,22 @@ class PartitionedTTCAM(TTCAM):
     """TTCAM fit by partitioned EM (map over shards, reduce, normalise).
 
     Accepts the same hyper-parameters as :class:`~repro.core.ttcam.TTCAM`
-    plus the number of shards, the shard-map worker count, and the shard
-    fault-tolerance controls:
+    plus the number of shards and the shard fault-tolerance controls:
 
     Parameters
     ----------
     num_partitions:
         Contiguous shards the cuboid's entries are split into.
-    workers:
-        Threads running the shard map; ``None`` (the default) uses
-        ``engine.threads``. The reduce is in fixed shard order, so the
-        worker count never changes the result.
     max_shard_retries:
         Re-executions allowed per shard per iteration before the fit
         fails with :class:`~repro.robustness.errors.ShardFailedError`.
     retry_backoff:
         Base of the deterministic exponential backoff (seconds) between
         shard re-executions.
-    shard_timeout:
-        Per-shard wall-clock budget (seconds) in threaded mode; a shard
-        exceeding it is treated as failed and re-executed. ``None``
-        disables the timeout. (Sequential mode cannot preempt a running
-        shard, so the timeout applies only with more than one worker.)
     engine:
         :class:`~repro.core.engine.EMEngineConfig` of each shard's
         blocked E-step: ``block_size`` and ``sanitize`` apply within the
-        shard, ``threads`` at the shard-map level (see ``workers``).
+        shard.
     """
 
     def __init__(
@@ -87,10 +73,8 @@ class PartitionedTTCAM(TTCAM):
         weighted: bool = False,
         seed: int = 0,
         num_partitions: int = 4,
-        workers: int | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
-        shard_timeout: float | None = None,
         engine: EMEngineConfig = EMEngineConfig(),
         personalized_lambda: bool = True,
         n_init: int = 1,
@@ -109,17 +93,11 @@ class PartitionedTTCAM(TTCAM):
         )
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
-        if workers is not None and workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
         if max_shard_retries < 0:
             raise ValueError(f"max_shard_retries must be >= 0, got {max_shard_retries}")
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         self.num_partitions = num_partitions
-        self.workers = workers if workers is not None else engine.threads
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
-        self.shard_timeout = shard_timeout
 
     @property
     def name(self) -> str:
@@ -154,17 +132,17 @@ class PartitionedTTCAM(TTCAM):
         return compute, grid
 
     def _shard_engine(self, kernel: TTCAMKernel) -> BlockedEStep:
-        """A fresh engine over one shard; threads apply at the shard-map level."""
-        return BlockedEStep(kernel, replace(self.engine, threads=1))
+        """A fresh engine over one shard."""
+        return BlockedEStep(kernel, self.engine)
 
     def _map_shard(self, kernel: TTCAMKernel, state: ArrayState) -> Partial:
         """E-step + partial sufficient statistics for one shard (the mapper).
 
         The shard's kernel — its triples and scatter plans — is built once
         per fit and only read here. A throwaway engine (the buffers) per
-        call keeps the mapper pure, safe to re-execute concurrently with a
-        straggling first attempt, while still reusing buffers across the
-        shard's blocks.
+        call keeps the mapper pure, so a re-executed attempt starts from
+        nothing the failed one left behind, while still reusing buffers
+        across the shard's blocks.
         """
         return self._shard_engine(kernel).compute(state)
 
@@ -185,7 +163,7 @@ class PartitionedTTCAM(TTCAM):
         return shards
 
     def _run_map(self, kernels: list[TTCAMKernel], state: ArrayState) -> list[Partial]:
-        """Run the mapper over all shards with per-shard retry.
+        """Run the mapper over all shards in order, with per-shard retry.
 
         The mapper is a pure function of the broadcast parameters, so a
         re-executed shard reproduces its statistics bit-for-bit and the
@@ -193,36 +171,17 @@ class PartitionedTTCAM(TTCAM):
         unaffected by which attempt finally succeeded.
         """
 
-        def attempt_shard(index: int, kernel: TTCAMKernel, attempt: int) -> Partial:
-            fault_point("parallel.shard", shard=index, attempt=attempt)
-            return self._map_shard(kernel, state)
+        def map_with_retry(index: int, kernel: TTCAMKernel) -> Partial:
+            def attempt_shard(attempt: int) -> Partial:
+                fault_point("parallel.shard", shard=index, attempt=attempt)
+                return self._map_shard(kernel, state)
 
-        def guarded(index: int, kernel: TTCAMKernel) -> Partial:
             return run_with_retry(
-                lambda attempt: attempt_shard(index, kernel, attempt),
+                attempt_shard,
                 retries=self.max_shard_retries,
                 backoff=self.retry_backoff,
                 label=f"E-step shard {index}",
                 error=ShardFailedError,
             )
 
-        if self.workers == 1 or len(kernels) == 1:
-            return [guarded(i, k) for i, k in enumerate(kernels)]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(attempt_shard, i, k, 0) for i, k in enumerate(kernels)
-            ]
-            results: list[Partial | None] = [None] * len(kernels)
-            stragglers: list[int] = []
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result(timeout=self.shard_timeout)
-                except (Exception, FutureTimeoutError):
-                    # Crashed or overran its budget — re-execute below.
-                    stragglers.append(index)
-            for index in stragglers:
-                # Attempt 0 already failed; replay it against the retry
-                # budget so fault plans keyed on attempt numbers line up.
-                results[index] = guarded(index, kernels[index])
-            assert all(stats is not None for stats in results)
-            return [stats for stats in results if stats is not None]
+        return [map_with_retry(index, kernel) for index, kernel in enumerate(kernels)]

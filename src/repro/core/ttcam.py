@@ -142,7 +142,7 @@ class TTCAM(ParamsBackedModel, TTCAMDeclaration):
         restarts are usually worth the variance reduction.
     engine:
         :class:`~repro.core.engine.EMEngineConfig` of the blocked E-step
-        (block size, worker threads, runtime sanitizer). Results are
+        (block size, runtime sanitizer). Results are
         bit-deterministic for a fixed configuration and agree to
         ``allclose(atol=1e-12)`` across configurations (see
         :mod:`repro.core.engine`).

@@ -548,6 +548,8 @@ class TemporalRecommender:
             raise ValueError(f"method must be one of {self._METHODS}, got {method!r}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if row_block <= 0:
+            raise ValueError(f"row_block must be positive, got {row_block}")
         # RCU read side: the whole batch serves from one captured
         # generation, so concurrent swaps can never produce a torn batch.
         generation = self._generation

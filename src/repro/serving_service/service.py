@@ -20,11 +20,9 @@ Architecture
   message goes out, so a send never waits on an unread pipe. The FIFO
   makes a ``publish`` a serialization point between micro-batches.
 * **User-sharded routing**: query ``(user, interval)`` lands on worker
-  ``user % num_workers`` — the same deterministic modulo sharding
-  :class:`~repro.core.parallel.PartitionedTTCAM` uses for its E-step
-  rows, so a user's repeat queries always hit the worker whose serving
-  caches (exclusion masks, interval contexts) are already warm for
-  them.
+  ``user % num_workers``, a deterministic modulo sharding, so a user's
+  repeat queries always hit the worker whose serving caches (exclusion
+  masks, interval contexts) are already warm for them.
 * **Zero-copy snapshots**: a snapshot saved with an mmap sidecar
   (:mod:`repro.recommend.paramstore`, ``tcam fit --mmap-layout``) is
   mapped by every worker — nothing to ask for at serve time — and the
@@ -391,9 +389,9 @@ class ServingService:
             queries = query_pairs(raw)
         except (TypeError, ValueError):
             return error_response(request_id, "queries must be [user, interval] integer pairs")
-        k = int(message.get("k", self.config.default_k))
-        if k <= 0:
-            return error_response(request_id, "k must be positive")
+        k = message.get("k", self.config.default_k)
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+            return error_response(request_id, "k must be a positive integer")
         self.stats.requests += 1
         self.stats.queries += len(queries)
         shards: dict[int, list[int]] = {}

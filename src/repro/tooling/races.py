@@ -1,9 +1,9 @@
 """Concurrency-race rules of the TCAM stack (the ``analyze`` family).
 
-PRs 2–3 made the hot paths concurrent: the blocked E-step fans worker
-callables out on a :class:`~concurrent.futures.ThreadPoolExecutor` with
-shared workspace/statistic buffer lists, and the serving layer answers
-``recommend_batch`` traffic through shared LRU caches. The domain linter
+The serving layer is the concurrent part of the stack: it answers
+``recommend_batch`` traffic through shared LRU caches from spawned
+worker processes, and benchmark harnesses fan callables out on thread
+pools. The domain linter
 (:mod:`repro.tooling.lint`) checks single-function properties only; these
 visitors of the one analysis pass (:mod:`repro.tooling.core`) add the
 *interprocedural* rules that protect the concurrency invariants. The

@@ -245,7 +245,7 @@ TREE: dict[str, FileFacts] = {
     "analysis/topics.py": FileFacts(contracts=("match_topics",)),
     "core/em.py": FileFacts(contracts=("run_em",)),
     "core/engine.py": FileFacts(
-        hot_kernels=("accumulate", "BlockedEStep._run_worker"),
+        hot_kernels=("accumulate", "BlockedEStep.compute"),
         contracts=("BlockedEStep.compute",),
     ),
     "core/model.py": FileFacts(contracts=("EMModel.fit",)),

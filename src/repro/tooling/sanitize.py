@@ -1,24 +1,14 @@
-"""Opt-in runtime sanitizer for the threaded EM engine and serving layer.
+"""Opt-in runtime sanitizer for the EM engine and serving layer.
 
-The static analyzer (:mod:`repro.tooling.races`) proves properties of the
-code it can see; this module checks the same invariants *dynamically*, in
-the spirit of happens-before race detectors (FastTrack, Flanagan &
-Freund, PLDI 2009) specialised to the repo's narrow worker-pool idiom:
+The static analyzer (:mod:`repro.tooling.core`) proves properties of the
+code it can see; this module checks the numerical invariants the EM
+contract promises *dynamically*:
 
-* **Write-interval disjointness** — every pooled E-step worker records
-  the ``[lo, hi)`` rating-row intervals it writes; after the join the
-  sanitizer asserts the intervals are pairwise disjoint across workers
-  and exactly cover the dataset.
-* **Buffer privacy** — the per-worker workspace and statistic buffers
-  must be pairwise distinct objects (no aliasing handoff).
-* **Numerical invariants** — model state entering the E-step must be
-  finite, row-stochastic where the model contract says so, and the
-  mixing weights must live in ``[0, 1]``; the reduced statistics must be
-  finite.
-* **Fixed-order reduce** — the post-reduce totals are recomputed from
-  per-worker partial snapshots folded in worker order and compared
-  *bitwise*, so a reduce that depended on completion order can never
-  slip through.
+* **Model state** entering the E-step must be finite, row-stochastic
+  where the model contract says so, and the mixing weights must live in
+  ``[0, 1]``;
+* the **sufficient statistics** leaving it must be finite;
+* every **served score** must be finite.
 
 Enablement is opt-in: set the environment variable ``TCAM_SANITIZE=1``
 or pass ``EMEngineConfig(sanitize=True)``. When disabled, the
@@ -36,12 +26,11 @@ ordinary assertions.
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..typing import ArrayState, FloatArray, Workspace
+from ..typing import ArrayState, FloatArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..recommend.ranking import TopKResult
@@ -143,15 +132,12 @@ def check_topk_finite(results: Iterable["TopKResult"]) -> None:
 
 
 class Sanitizer:
-    """Per-engine recorder that asserts the worker-pool invariants.
+    """The marker a sanitizing :class:`BlockedEStep` or
+    :class:`BatchScorer` holds; its presence arms that owner's checks.
 
-    One instance is owned by each sanitizing :class:`BlockedEStep` (or
-    :class:`BatchScorer`). Workers call :meth:`record_write` /
-    :meth:`record_completion` under an internal lock; the engine drives
-    :meth:`begin_pass`, :meth:`snapshot_partials` and :meth:`end_pass`
-    around each E-step. The class-level :attr:`constructed` counter backs
-    the zero-overhead-when-off guarantee: a sanitize-off run constructs
-    no instances, which the benchmark harness asserts.
+    The class-level :attr:`constructed` counter backs the
+    zero-overhead-when-off guarantee: a sanitize-off run constructs no
+    instances, which the benchmark harness asserts.
     """
 
     #: Total instances ever constructed in this process.
@@ -160,145 +146,3 @@ class Sanitizer:
     def __init__(self, label: str) -> None:
         type(self).constructed += 1
         self.label = label
-        self._lock = threading.Lock()
-        self._writes: dict[int, list[tuple[int, int]]] = {}
-        self._completions: list[int] = []
-
-    # -- worker-side hooks (called concurrently, lock-guarded) -----------
-
-    def record_write(self, worker: int, lo: int, hi: int) -> None:
-        """Record that ``worker`` is writing rating rows ``[lo, hi)``."""
-        with self._lock:
-            self._writes.setdefault(worker, []).append((lo, hi))
-
-    def record_completion(self, worker: int) -> None:
-        """Record that ``worker`` finished its run of blocks."""
-        with self._lock:
-            self._completions.append(worker)
-
-    # -- engine-side orchestration ----------------------------------------
-
-    def begin_pass(
-        self,
-        state: ArrayState,
-        workspaces: list[Workspace],
-        worker_stats: list[ArrayState],
-    ) -> None:
-        """Reset the recorders and validate the pass preconditions."""
-        with self._lock:
-            self._writes = {}
-            self._completions = []
-        check_state(state)
-        self.assert_private_buffers(workspaces, worker_stats)
-
-    def snapshot_partials(self, worker_stats: list[ArrayState]) -> list[ArrayState]:
-        """Deep-copy every worker's partial statistics (pre-reduce)."""
-        return [
-            {name: array.copy() for name, array in stats.items()}
-            for stats in worker_stats
-        ]
-
-    def end_pass(
-        self,
-        total: ArrayState,
-        partials: list[ArrayState],
-        num_ratings: int,
-    ) -> None:
-        """Validate the pass postconditions after the fixed-order reduce."""
-        self.assert_disjoint_writes()
-        self.assert_covers(num_ratings)
-        self.verify_fixed_order_reduce(total, partials)
-        for name, array in total.items():
-            check_finite(f"stats[{name}]", array)
-
-    # -- the individual assertions ----------------------------------------
-
-    def assert_private_buffers(
-        self, workspaces: list[Workspace], worker_stats: list[ArrayState]
-    ) -> None:
-        """Raise if any buffer object is shared between two workers."""
-        owners: dict[int, int] = {}
-        per_worker: list[dict[str, object]] = [
-            {**dict(ws), **stats} for ws, stats in zip(workspaces, worker_stats)
-        ]
-        for worker, buffers in enumerate(per_worker):
-            for name, buffer in buffers.items():
-                owner = owners.get(id(buffer))
-                if owner is not None and owner != worker:
-                    raise SanitizerError(
-                        f"sanitizer[{self.label}]: buffer '{name}' of worker "
-                        f"{worker} aliases a buffer of worker {owner}"
-                    )
-                owners[id(buffer)] = worker
-
-    def assert_disjoint_writes(self) -> None:
-        """Raise if two workers recorded overlapping write intervals."""
-        with self._lock:
-            intervals = sorted(
-                (lo, hi, worker)
-                for worker, spans in self._writes.items()
-                for lo, hi in spans
-            )
-        for (lo_a, hi_a, worker_a), (lo_b, _hi_b, worker_b) in zip(
-            intervals, intervals[1:]
-        ):
-            if lo_b < hi_a:
-                raise SanitizerError(
-                    f"sanitizer[{self.label}]: workers {worker_a} and "
-                    f"{worker_b} both wrote rows "
-                    f"[{lo_b}, {min(hi_a, _hi_b)}) — overlapping writes"
-                )
-
-    def assert_covers(self, num_ratings: int) -> None:
-        """Raise unless the recorded intervals exactly tile the dataset."""
-        with self._lock:
-            intervals = sorted(
-                (lo, hi)
-                for spans in self._writes.values()
-                for lo, hi in spans
-            )
-        if not intervals:
-            raise SanitizerError(
-                f"sanitizer[{self.label}]: no write intervals were recorded"
-            )
-        cursor = 0
-        for lo, hi in intervals:
-            if lo > cursor:
-                raise SanitizerError(
-                    f"sanitizer[{self.label}]: rows [{cursor}, {lo}) were "
-                    "never written — the block grid has a gap"
-                )
-            cursor = max(cursor, hi)
-        if cursor != num_ratings:
-            raise SanitizerError(
-                f"sanitizer[{self.label}]: writes cover rows [0, {cursor}) "
-                f"but the dataset has {num_ratings} rows"
-            )
-
-    def verify_fixed_order_reduce(
-        self, total: ArrayState, partials: list[ArrayState]
-    ) -> None:
-        """Raise unless ``total`` equals the worker-order fold, bitwise.
-
-        The partial snapshots are taken after every worker joined, so the
-        fold below is a pure function of the worker partition — if the
-        engine's in-place reduce matches it bit-for-bit, the result is
-        provably independent of worker completion order.
-        """
-        if not partials:
-            raise SanitizerError(
-                f"sanitizer[{self.label}]: no partial snapshots to verify"
-            )
-        expected = {
-            name: array.copy() for name, array in partials[0].items()
-        }
-        for stats in partials[1:]:
-            for name, array in expected.items():
-                array += stats[name]
-        for name, array in expected.items():
-            if not np.array_equal(total[name], array, equal_nan=True):
-                raise SanitizerError(
-                    f"sanitizer[{self.label}]: reduced stats['{name}'] is "
-                    "not the fixed worker-order fold of the partials — the "
-                    "reduce depends on completion order"
-                )

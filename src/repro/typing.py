@@ -66,7 +66,7 @@ RNG = np.random.Generator
 #: Named bundle of model state arrays, e.g. ``{"theta": ..., "phi": ...}``.
 ArrayState = dict[str, FloatArray]
 
-#: Preallocated per-thread scratch buffers used by the blocked E-step.
+#: Preallocated scratch buffers used by the blocked E-step.
 #: Heterogeneous on purpose: arrays plus reusable index plans.
 Workspace = dict[str, Any]
 

@@ -136,7 +136,7 @@ def test_estep_matches_reference(name, seed, grid_name):
         )
 
 
-@pytest.mark.parametrize("grid_name", ["one_block", "blocks_of_97_threads_2"])
+@pytest.mark.parametrize("grid_name", ["one_block", "blocks_of_97"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_fit_matches_reference_em(name, grid_name):
     cuboid = tiny_cuboid()

@@ -1,4 +1,4 @@
-"""Tests of the blocked, thread-parallel EM execution engine.
+"""Tests of the blocked EM execution engine.
 
 Two contracts are pinned (see the :mod:`repro.core.engine` docstring):
 
@@ -7,9 +7,9 @@ Two contracts are pinned (see the :mod:`repro.core.engine` docstring):
   grid — blocking re-associates floating-point sums, so bit-identity
   against the oracle or across grids is not promised;
 * for a **fixed** configuration the engine is bit-deterministic, across
-  repeated calls, fresh engine instances, and thread counts ≥ 1 with the
-  same block→worker grid — and therefore under checkpoint/resume, which
-  refuses a checkpoint written under another grid.
+  repeated calls and fresh engine instances — and therefore under
+  checkpoint/resume, which refuses a checkpoint written under another
+  grid.
 """
 
 from __future__ import annotations
@@ -45,18 +45,17 @@ class TestEMEngineConfig:
     def test_defaults(self):
         config = EMEngineConfig()
         assert config.block_size is None
-        assert config.threads == 1
         assert config.sanitize is False
+
+    def test_threads_is_not_an_option(self):
+        # The E-step runs on one thread; there is no knob to ask for more.
+        with pytest.raises(TypeError, match="threads"):
+            EMEngineConfig(threads=2)
 
     @pytest.mark.parametrize("block_size", [0, -1])
     def test_nonpositive_block_size_rejected(self, block_size):
         with pytest.raises(ValueError, match="block_size"):
             EMEngineConfig(block_size=block_size)
-
-    @pytest.mark.parametrize("threads", [0, -2])
-    def test_nonpositive_threads_rejected(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            EMEngineConfig(threads=threads)
 
     def test_resolved_block_size_default_caps_at_dataset(self):
         config = EMEngineConfig()
@@ -131,9 +130,9 @@ def _engine_estep(triples, shape, topics, state, config):
 
 
 class TestBlockedEquivalence:
-    """Property: every kernel's blocked/threaded statistics match the
-    dense oracle for any block grid — blocks smaller than, equal to and
-    larger than R, R not divisible by the block size, any thread count."""
+    """Property: every kernel's blocked statistics match the dense oracle
+    for any block grid — blocks smaller than, equal to and larger than R,
+    R not divisible by the block size."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -141,10 +140,9 @@ class TestBlockedEquivalence:
         seed=st.integers(0, 2**31 - 1),
         num_ratings=st.integers(1, 400),
         block_size=st.one_of(st.none(), st.integers(1, 500)),
-        threads=st.integers(1, 5),
     )
-    def test_matches_reference(self, case, seed, num_ratings, block_size, threads):
-        config = EMEngineConfig(block_size=block_size, threads=threads)
+    def test_matches_reference(self, case, seed, num_ratings, block_size):
+        config = EMEngineConfig(block_size=block_size)
         _assert_matches_oracle(case, seed, num_ratings, config)
 
     @pytest.mark.parametrize(
@@ -153,7 +151,7 @@ class TestBlockedEquivalence:
     )
     def test_block_grid_edge_cases(self, block_size):
         for case in CASES:
-            _assert_matches_oracle(case, 3, 250, EMEngineConfig(block_size=block_size, threads=3))
+            _assert_matches_oracle(case, 3, 250, EMEngineConfig(block_size=block_size))
 
     def test_zero_ratings_rejected(self):
         triples, shape, topics, _ = _random_problem(0, 1)
@@ -166,7 +164,7 @@ class TestBlockedEquivalence:
 class TestDeterminism:
     def test_repeated_compute_is_bit_identical(self):
         triples, shape, topics, state = _random_problem(9, 300)
-        config = EMEngineConfig(block_size=64, threads=3)
+        config = EMEngineConfig(block_size=64)
         kernel = TTCAMKernel(*triples, shape, *topics)
         estep = BlockedEStep(kernel, config)
         first, ll1 = estep.compute(state)
@@ -178,7 +176,7 @@ class TestDeterminism:
 
     def test_fresh_engine_is_bit_identical(self):
         triples, shape, topics, state = _random_problem(9, 300)
-        config = EMEngineConfig(block_size=64, threads=4)
+        config = EMEngineConfig(block_size=64)
         a, ll_a = _engine_estep(triples, shape, topics, state, config)
         b, ll_b = _engine_estep(triples, shape, topics, state, config)
         assert ll_a == ll_b
@@ -186,7 +184,7 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
 
-ENGINE = EMEngineConfig(block_size=500, threads=2)
+ENGINE = EMEngineConfig(block_size=500)
 SMOOTHING = 1e-6  # the models' default
 
 
@@ -299,7 +297,7 @@ class TestFittedModelEquivalence:
             max_iter=8,
             seed=7,
             num_partitions=3,
-            engine=EMEngineConfig(block_size=200, threads=2),
+            engine=EMEngineConfig(block_size=200),
         ).fit(cuboid)
         expected, _ = _ttcam_oracle(cuboid, 3, 3, seed=7, max_iter=8)
         # Shards re-associate sums on top of the blocks, so the partitioned
@@ -332,7 +330,7 @@ class TestResumeWithEngine:
 
     def test_resumed_engine_run_is_bit_identical(self, tiny_cuboid, tmp_path):
         cuboid, _ = tiny_cuboid
-        grid = dict(block_size=400, threads=2)
+        grid = dict(block_size=400)
         baseline = self._make(**grid).fit(cuboid)
         manager = self._interrupted(cuboid, tmp_path, **grid)
 
@@ -345,23 +343,34 @@ class TestResumeWithEngine:
             )
         assert resumed.trace_.log_likelihood == baseline.trace_.log_likelihood
 
-    @pytest.mark.parametrize(
-        "grid", [dict(block_size=200, threads=2), dict(block_size=400, threads=1)]
-    )
+    @pytest.mark.parametrize("grid", [dict(block_size=200), dict(block_size=100)])
     def test_resume_under_another_grid_is_refused(self, tiny_cuboid, tmp_path, grid):
         # Another grid sums in another order: the resumed run would be
         # bit-equal to neither uninterrupted run, so it must not start.
         cuboid, _ = tiny_cuboid
-        manager = self._interrupted(cuboid, tmp_path, block_size=400, threads=2)
+        manager = self._interrupted(cuboid, tmp_path, block_size=400)
         with pytest.raises(CheckpointError, match="different configuration"):
             self._make(**grid).fit(cuboid, resume_from=manager)
+
+    def test_threaded_checkpoint_is_refused(self, tiny_cuboid, tmp_path):
+        # A fit with two E-step workers summed each iteration's statistics
+        # as two partials: its checkpoint records "workers": 2, and no
+        # serial run lands on its bits, so resuming from it must not start.
+        cuboid, _ = tiny_cuboid
+        manager = self._interrupted(cuboid, tmp_path, block_size=400)
+        latest = manager.latest()
+        assert manager.meta["workers"] == 1
+        manager.meta["workers"] = 2
+        manager.save(latest.arrays, latest.iteration, latest.log_likelihood)
+        with pytest.raises(CheckpointError, match="different configuration"):
+            self._make(block_size=400).fit(cuboid, resume_from=manager)
 
     def test_checkpoint_without_grid_keys_still_resumes(self, tiny_cuboid, tmp_path):
         # Checkpoints written before the grid (PR 14) or the smoothing,
         # personalized_lambda and cuboid shape/nnz keys (EMModel) were
         # recorded carry none of them; absent keys are not a mismatch.
         cuboid, _ = tiny_cuboid
-        manager = self._interrupted(cuboid, tmp_path, block_size=400, threads=2)
+        manager = self._interrupted(cuboid, tmp_path, block_size=400)
         latest = manager.latest()
         for key in (
             "block_size", "workers", "smoothing", "personalized_lambda", "shape", "nnz"

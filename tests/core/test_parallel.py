@@ -40,11 +40,6 @@ class TestEquivalence:
         many = PartitionedTTCAM(3, 3, max_iter=10, seed=1, num_partitions=7).fit(cuboid)
         np.testing.assert_allclose(one.params_.theta, many.params_.theta, atol=1e-9)
 
-    def test_threaded_matches_sequential(self, cuboid):
-        seq = PartitionedTTCAM(3, 3, max_iter=8, seed=2, num_partitions=4, workers=1).fit(cuboid)
-        par = PartitionedTTCAM(3, 3, max_iter=8, seed=2, num_partitions=4, workers=4).fit(cuboid)
-        np.testing.assert_allclose(seq.params_.theta, par.params_.theta, atol=1e-9)
-
     def test_log_likelihood_matches_serial(self, cuboid):
         serial = TTCAM(3, 3, max_iter=10, seed=4).fit(cuboid)
         partitioned = PartitionedTTCAM(3, 3, max_iter=10, seed=4, num_partitions=3).fit(cuboid)
@@ -74,19 +69,14 @@ class TestBehaviour:
     def test_validation(self):
         with pytest.raises(ValueError):
             PartitionedTTCAM(num_partitions=0)
-        with pytest.raises(ValueError):
-            PartitionedTTCAM(workers=0)
         with pytest.raises(RuntimeError):
             PartitionedTTCAM().score_items(0, 0)
 
-    def test_workers_default_to_engine_threads(self):
-        assert PartitionedTTCAM().workers == 1
-        assert PartitionedTTCAM(engine=EMEngineConfig(threads=4)).workers == 4
-
-    def test_explicit_workers_win_over_engine_threads(self):
-        engine = EMEngineConfig(threads=4)
-        assert PartitionedTTCAM(workers=1, engine=engine).workers == 1
-        assert PartitionedTTCAM(workers=2, engine=engine).workers == 2
+    @pytest.mark.parametrize("option", ["workers", "shard_timeout"])
+    def test_shard_map_has_no_thread_options(self, option):
+        # The shard map runs on one thread: no pool size, no straggler budget.
+        with pytest.raises(TypeError, match=option):
+            PartitionedTTCAM(**{option: 2})
 
     def test_inherits_the_serial_models_options(self, cuboid):
         shared = PartitionedTTCAM(
@@ -145,8 +135,7 @@ class TestShardPlans:
             for name, array in expected.items():
                 assert stats[name].tobytes() == array.tobytes(), name
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_plan_is_built_after_the_estep_is(self, cuboid, monkeypatch, workers):
+    def test_no_plan_is_built_after_the_estep_is(self, cuboid, monkeypatch):
         built = []
 
         def counting(rows, num_rows):
@@ -154,9 +143,7 @@ class TestShardPlans:
             return ScatterPlan(rows, num_rows)
 
         monkeypatch.setattr(engine_module, "ScatterPlan", counting)
-        model = PartitionedTTCAM(
-            3, 3, num_partitions=3, workers=workers, engine=self.ENGINE
-        )
+        model = PartitionedTTCAM(3, 3, num_partitions=3, engine=self.ENGINE)
         compute, grid = model._build_estep(cuboid)
         blocks = sum(
             -(-len(scores) // grid["block_size"]) for *_, scores in model._partition(cuboid)

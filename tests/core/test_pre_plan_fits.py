@@ -9,7 +9,10 @@ by running this module as a script against that commit's sources::
 It holds the SHA-256 of every fitted array and the hex log-likelihood
 trace of the five engine models on a tiny seeded cuboid under three block
 grids. The planned CSR scatter adds each bin's rows in the same order as
-``bincount`` did, so this tree must land on the same bits.
+``bincount`` did, so this tree must land on the same bits under the two
+serial grids. The third grid's rows (``blocks_of_97_threads_2``) were
+summed as two worker partials by a threaded E-step this tree no longer
+has; they stay in the file as written and are not checked.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from repro.data import RatingCuboid
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pre_plan" / "fits.json"
 
-#: One block, several blocks (the last one ragged), two worker threads.
+#: One block, several blocks (the last one ragged).
 GRIDS = {
     "one_block": EMEngineConfig(),
     "blocks_of_97": EMEngineConfig(block_size=97),
-    "blocks_of_97_threads_2": EMEngineConfig(block_size=97, threads=2),
 }
 
 MODELS = {
@@ -89,7 +91,7 @@ def test_fit_lands_on_the_recorded_bits(recorded, model_name, grid_name):
 
 
 def test_fixture_covers_every_model_and_grid(recorded):
-    assert set(recorded) == {f"{m}/{g}" for m in MODELS for g in GRIDS}
+    assert {f"{m}/{g}" for m in MODELS for g in GRIDS} <= set(recorded)
 
 
 def _write_fixture() -> None:

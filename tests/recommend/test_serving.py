@@ -176,7 +176,7 @@ def _fit_provider(name, cuboid, truth):
         "TTCAM": lambda: TTCAM(3, 2, max_iter=4, seed=2),
         "ITCAM": lambda: ITCAM(3, max_iter=4, seed=2),
         "PartitionedTTCAM": lambda: PartitionedTTCAM(
-            3, 2, max_iter=4, seed=2, num_partitions=2, workers=1
+            3, 2, max_iter=4, seed=2, num_partitions=2
         ),
         "BackgroundTTCAM": lambda: BackgroundTTCAM(3, 2, max_iter=4, seed=2),
         "DriftTTCAM": lambda: DriftTTCAM(2, 3, 2, max_iter=4, seed=2),
@@ -548,6 +548,20 @@ class TestCallerErrors:
             lambda: rec.recommend_batch([(0, 0)], k=0),
         ):
             with pytest.raises(ValueError, match="k must be positive"):
+                call()
+
+    @pytest.mark.parametrize("row_block", [0, -4])
+    def test_nonpositive_row_block_is_a_caller_error_not_a_degraded_answer(self, row_block):
+        # With a fallback chain a failure inside the primary model is
+        # served degraded; a bad row_block is the caller's and must raise.
+        rec = TemporalRecommender(
+            make_ttcam(np.random.default_rng(0)), fallbacks=[_ArangeFallback(60)]
+        )
+        for call in (
+            lambda: rec.recommend_batch_with_status([(0, 0)], k=3, row_block=row_block),
+            lambda: rec.recommend_batch([(0, 0), (1, 1)], k=3, row_block=row_block),
+        ):
+            with pytest.raises(ValueError, match="row_block must be positive"):
                 call()
 
 

@@ -185,21 +185,3 @@ class TestShardFaults:
 
     def test_parallel_kill_and_resume(self, tiny_cuboid, tmp_path):
         assert_kill_and_resume_is_bit_identical("partitioned", tiny_cuboid[0], tmp_path)
-
-    def test_threaded_crash_retry_matches_serial(self, tiny_cuboid):
-        cuboid, _ = tiny_cuboid
-        make = lambda workers: PartitionedTTCAM(
-            num_user_topics=3,
-            num_time_topics=3,
-            max_iter=8,
-            seed=7,
-            num_partitions=3,
-            workers=workers,
-            retry_backoff=0.0,
-        )
-        baseline = make(1).fit(cuboid)
-        with FaultInjector() as chaos:
-            chaos.crash("parallel.shard", shard=2, attempt=0)
-            threaded = make(2).fit(cuboid)
-        assert chaos.fired == 1
-        _assert_same_params(baseline.params_, threaded.params_)

@@ -115,8 +115,10 @@ class TestReadPath:
             for bad in ([[0.7, 0]], [[0, 0], [1, 2.5]], [[0, "1"]], [[0, 0, 0]]):
                 with pytest.raises(ServiceError, match="integer pairs"):
                     client.request({"queries": bad})
-            with pytest.raises(ServiceError, match="k must be positive"):
-                client.request({"queries": [[0, 0]], "k": 0})
+            # a non-integral k is refused, never truncated
+            for bad_k in (0, 2.7, True, "3"):
+                with pytest.raises(ServiceError, match="k must be a positive integer"):
+                    client.request({"queries": [[0, 0]], "k": bad_k})
             with pytest.raises(ServiceError, match="unknown op"):
                 client.request({"op": "frobnicate"})
             # the connection survives every error above

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.serialize import load_params, save_params
 
 
@@ -504,7 +504,7 @@ class TestFitSanitize:
         assert code == 0
         assert path.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--block-size", "-5")])
+    @pytest.mark.parametrize("flag, value", [("--block-size", "-5")])
     def test_nonpositive_engine_flags_are_usage_errors(
         self, dataset_csv, tmp_path, capsys, flag, value
     ):
@@ -529,6 +529,7 @@ class TestFitSanitize:
             ("fit", "--k1"),
             ("fit", "--k2"),
             ("fit", "--iters"),
+            ("fit", "--checkpoint-every"),
             ("evaluate", "--k1"),
             ("evaluate", "--k2"),
             ("evaluate", "--iters"),
@@ -545,6 +546,58 @@ class TestFitSanitize:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer" in err
         assert "Traceback" not in err
+
+    def test_threads_flag_is_gone(self, dataset_csv, tmp_path, capsys):
+        argv = ["fit", "--input", str(dataset_csv), "--output", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+STREAM_RUN = ["stream", "run", "--log", "wal", "--snapshot", "m.npz", "--checkpoints", "c"]
+
+#: Count flag -> the rest of a command line it belongs to.
+COUNT_FLAGS = {
+    "--segment-events": ["stream", "append", "--log", "wal", "--input", "e.csv"],
+    "--batch-events": STREAM_RUN,
+    "--checkpoint-every": STREAM_RUN,
+    "--max-batch": ["serve", "--model", "m.npz"],
+    "--workers": ["serve", "--model", "m.npz"],
+    "--batch-size": ["recommend", "--model", "m.npz", "--batch-file", "q.csv"],
+    "--max-topics": ["report", "--model", "m.npz", "--input", "r.csv"],
+}
+
+
+class TestOutOfRangeOptions:
+    """Counts and thresholds are checked by argparse: usage error, exit 2."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", list(COUNT_FLAGS))
+    def test_nonpositive_counts(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*COUNT_FLAGS[flag], flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "wal").exists()  # refused before touching the log
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1.01"])
+    def test_drift_threshold_outside_cosine_range(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*STREAM_RUN, "--drift-threshold", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --drift-threshold: must be finite and in [-1, 1]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "1", "0.85"])
+    def test_drift_threshold_inside_cosine_range_parses(self, value):
+        args = build_parser().parse_args([*STREAM_RUN, "--drift-threshold", value])
+        assert args.drift_threshold == float(value)
 
 
 class TestFitResumeRefusal:

@@ -106,7 +106,7 @@ def test_ambiguous_suffix_is_reported(package_copy):
     "relative, old, new, missing",
     [
         ("core/em.py", "def run_em(", "def run_em_loop(", "run_em"),
-        ("core/engine.py", "def _run_worker(", "def _work(", "BlockedEStep._run_worker"),
+        ("core/engine.py", "def accumulate(", "def fold(", "accumulate"),
         ("robustness/checkpoint.py", "def load(", "def restore(", "CheckpointManager.load"),
     ],
 )
