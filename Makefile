@@ -40,8 +40,8 @@ test-robustness:
 # Tier-1 model + serving + streaming tests with the runtime sanitizer
 # armed: the blocked engine is every EM model's E-step (the Section 6
 # extensions and stream fold-in included), so each fit and fold in these
-# suites verifies disjoint writes, simplex invariants and fixed-order
-# reduction.
+# suites checks finite, row-stochastic state and finite statistics, and
+# every batch served checks finite scores.
 test-sanitize:
 	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend tests/baselines tests/robustness tests/extensions tests/streaming
 

@@ -76,6 +76,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for seeds, which numpy takes only from 0 up."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse ``type=`` for a finite factor greater than 0."""
     value = float(text)
@@ -126,7 +134,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit snapshots support the TCAM variants only", file=sys.stderr)
         return 2
     cuboid = load_cuboid_csv(args.input)
-    engine = EMEngineConfig(block_size=args.block_size, sanitize=args.sanitize)
+    engine = EMEngineConfig(block_size=args.block_size)
     model = _build_model(args.model, args.k1, args.k2, args.iters, args.seed, engine)
     checkpoint = resume_from = None
     if args.checkpoint_dir is not None:
@@ -462,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     p_gen.add_argument("--profile", choices=sorted(PROFILES), default="digg")
     p_gen.add_argument("--scale", type=_positive_float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=_non_negative_int, default=None)
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -476,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--k1", type=_positive_int, default=10, help="user-oriented topics")
     p_fit.add_argument("--k2", type=_positive_int, default=10, help="time-oriented topics")
     p_fit.add_argument("--iters", type=_positive_int, default=60)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_non_negative_int, default=0)
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument(
         "--checkpoint-dir",
@@ -504,12 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="ratings per E-step block (default: 32768, capped at the dataset)",
-    )
-    p_fit.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the EM engine under the runtime sanitizer "
-        "(finite-value and simplex checks)",
     )
     p_fit.add_argument(
         "--mmap-layout",
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--iters", type=_positive_int, default=60)
     p_eval.add_argument("--ks", default="1,5,10")
     p_eval.add_argument("--max-queries", type=_positive_int, default=300)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_non_negative_int, default=0)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_report = sub.add_parser("report", help="topic/influence report card")
@@ -641,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sr.add_argument("--batch-events", type=_positive_int, default=256)
     p_sr.add_argument("--drift-threshold", type=_cosine_threshold, default=0.85)
     p_sr.add_argument("--checkpoint-every", type=_positive_int, default=4)
-    p_sr.add_argument("--max-batches", type=int, default=None)
+    p_sr.add_argument("--max-batches", type=_positive_int, default=None)
     p_sr.set_defaults(func=cmd_stream_run)
 
     p_ss = stream_sub.add_parser(

@@ -11,7 +11,7 @@ inference for LDA"; Hoffman et al., "Online learning for LDA").
 
 This module restructures that pass without changing the math:
 
-* :class:`EMEngineConfig` — the shared knobs (block size, sanitizer)
+* :class:`EMEngineConfig` — the shared knob (block size)
   accepted by every model's ``engine=`` argument.
 * :class:`BlockedEStep` — iterates the triples in fixed-size blocks, in
   order, on one thread, computing each block's responsibilities in
@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..tooling.sanitize import Sanitizer, check_finite, check_state, sanitize_enabled
+from ..tooling.sanitize import check_finite, check_state, sanitize_enabled
 from ..typing import (
     AnyArray,
     ArrayState,
@@ -96,16 +96,13 @@ class EMEngineConfig:
         :data:`DEFAULT_BLOCK_SIZE` (capped at the dataset size). Smaller
         blocks cap peak workspace memory; larger blocks amortise
         per-block dispatch overhead.
-    sanitize:
-        Opt into the runtime sanitizer (:mod:`repro.tooling.sanitize`):
-        the state entering each E-step is checked for NaN/Inf and simplex
-        violations, and the statistics leaving it for NaN/Inf. Also
-        enabled process-wide by ``TCAM_SANITIZE=1``. Off (the default)
-        adds no work beyond one ``None`` test per E-step.
+
+    The runtime sanitizer (:mod:`repro.tooling.sanitize`) is not a knob
+    here: ``TCAM_SANITIZE=1`` arms it process-wide, and an engine reads
+    it once when it is built.
     """
 
     block_size: int | None = None
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size is not None and self.block_size <= 0:
@@ -518,9 +515,9 @@ class BlockedEStep:
         self.block_size = block
         kernel.plan_blocks(self.blocks)
         self._buffers: tuple[Workspace, ArrayState] | None = None
-        self._sanitizer = (
-            Sanitizer("engine") if config.sanitize or sanitize_enabled() else None
-        )
+        #: ``TCAM_SANITIZE`` at construction: check the state entering each
+        #: E-step and the statistics leaving it (off: one truth test each).
+        self._sanitize = sanitize_enabled()
 
     @property
     def num_blocks(self) -> int:
@@ -553,14 +550,14 @@ class BlockedEStep:
         models' M-steps allocate fresh parameter arrays from them).
         """
         ws, stats = self._ensure_buffers()
-        if self._sanitizer is not None:
+        if self._sanitize:
             check_state(state)
         for array in stats.values():
             array.fill(0.0)
         log_likelihood = 0.0
         for lo, hi in self.blocks:
             log_likelihood += self.kernel.accumulate(state, lo, hi, ws, stats)
-        if self._sanitizer is not None:
+        if self._sanitize:
             for name, array in stats.items():
                 check_finite(f"stats[{name}]", array)
         return stats, log_likelihood

@@ -66,7 +66,7 @@ from typing import (
 import numpy as np
 
 from ..core.params import ParamsBackedModel, TCAMParameters
-from ..tooling.sanitize import Sanitizer, check_topk_finite, sanitize_enabled
+from ..tooling.sanitize import check_topk_finite, sanitize_enabled
 from ..typing import AnyArray, BoolArray, FloatArray, IntArray, hot_path
 from .quantize import (
     STAGE_COLUMNS,
@@ -528,7 +528,8 @@ class BatchScorer:
         self.model = model
         self.cache = cache
         self.workspace = _Workspace()
-        self._sanitizer = Sanitizer("serving") if sanitize_enabled() else None
+        #: ``TCAM_SANITIZE`` at construction: check every served score.
+        self._sanitize = sanitize_enabled()
 
     # -- model structure -------------------------------------------------
 
@@ -870,6 +871,6 @@ class BatchScorer:
                 if masks[r] is not None:
                     candidates = candidates[~masks[r][candidates]]
                 results.append(exact_rescore(item_topic, weights_f64[r], candidates, k))
-        if self._sanitizer is not None:
+        if self._sanitize:
             check_topk_finite(results)
         return results

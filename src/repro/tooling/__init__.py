@@ -1,13 +1,13 @@
 """Developer tooling for the TCAM reproduction.
 
 Home to the one static-analysis pass (:mod:`repro.tooling.core`, ``tcam
-check``) and the four rule families it runs — the domain linter
-(:mod:`repro.tooling.lint`), the concurrency-race analyzer
-(:mod:`repro.tooling.races`), the resource-lifecycle and
-crash-consistency auditor (:mod:`repro.tooling.lifecycle`), the
-determinism & dtype-flow verifier (:mod:`repro.tooling.determinism`) —
-and to the opt-in runtime sanitizer (:mod:`repro.tooling.sanitize`).
-Together they encode the determinism, numerical-safety, data-race and
+check``) and the three rule families it runs — the domain linter with
+the serving-layer lock rule (:mod:`repro.tooling.lint`), the
+resource-lifecycle and crash-consistency auditor
+(:mod:`repro.tooling.lifecycle`), the determinism & dtype-flow verifier
+(:mod:`repro.tooling.determinism`) — and to the opt-in runtime sanitizer
+(:mod:`repro.tooling.sanitize`, switched on by ``TCAM_SANITIZE=1``).
+Together they encode the determinism, numerical-safety, locking and
 durability invariants the test suite otherwise only catches after the
 fact. ``tcam check --format json`` emits a stable-sorted schema and
 ``--format sarif`` a SARIF 2.1.0 log (:mod:`repro.tooling.output`),
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Finding, check_paths, check_source, main
     from .registry import REGISTRY, RuleSpec
-    from .sanitize import Sanitizer, SanitizerError, sanitize_enabled
+    from .sanitize import SanitizerError, sanitize_enabled
 
 #: Lazily exported name -> owning submodule.
 _SUBMODULE_EXPORTS = {
@@ -34,7 +34,6 @@ _SUBMODULE_EXPORTS = {
     "main": "core",
     "REGISTRY": "registry",
     "RuleSpec": "registry",
-    "Sanitizer": "sanitize",
     "SanitizerError": "sanitize",
     "sanitize_enabled": "sanitize",
 }
@@ -46,7 +45,6 @@ __all__ = [
     "main",
     "REGISTRY",
     "RuleSpec",
-    "Sanitizer",
     "SanitizerError",
     "sanitize_enabled",
 ]

@@ -4,8 +4,8 @@ A file is read and parsed **once** into a :class:`Module` — tree,
 parent links, the per-line suppression map, one list of function
 :class:`Scope` records, the bare-name function index and the file's row
 of the registry's tree table — and every rule is a *visitor*
-``(module, emit) -> None`` over it.  The rule bodies live in the four
-rule modules (:mod:`~repro.tooling.lint`, :mod:`~repro.tooling.races`,
+``(module, emit) -> None`` over it.  The rule bodies live in the three
+rule modules (:mod:`~repro.tooling.lint`,
 :mod:`~repro.tooling.lifecycle`, :mod:`~repro.tooling.determinism`),
 each of which lists its visitors in a ``VISITORS`` mapping keyed by the
 code(s) a visitor owns; this module knows nothing about any rule.
@@ -43,8 +43,8 @@ __all__ = [
     "visitors",
 ]
 
-#: How far the interprocedural rules (worker descent, deterministic
-#: reachability) follow bare-name calls below their roots.
+#: How far deterministic reachability follows bare-name calls below a
+#: ``@bit_deterministic`` root.
 MAX_DEPTH = 4
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -53,7 +53,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (*_DEFS, ast.ClassDef, ast.Lambda)
 
 #: The modules whose ``VISITORS`` make up the pass, in run order.
-_RULE_MODULES = ("lint", "races", "lifecycle", "determinism")
+_RULE_MODULES = ("lint", "lifecycle", "determinism")
 
 _SUPPRESS_RE = re.compile(r"#\s*tcam-lint:\s*disable=([A-Z0-9_,\s]+)")
 

@@ -23,6 +23,13 @@ TCAM003   No array allocation inside hot paths.  Functions decorated with
 TCAM004   ``__all__`` consistency.  Every ``__all__`` entry must resolve to
           a module-level binding, every public top-level ``def``/``class``
           must be exported, and duplicates are flagged.
+TCAM012   No unlocked mutation in the concurrent serving layer.  A
+          serving-layer method (the registry's ``serving`` files) that
+          writes ``self``-rooted state — a subscript store, an augmented
+          update, a dict/list mutator call — must do it under a ``with
+          ...lock...:`` block, or its class or method docstring must
+          document a single-writer / not-thread-safe contract.
+          ``__init__`` is exempt: construction happens before sharing.
 ========  ==================================================================
 
 Suppression: append ``# tcam-lint: disable=TCAM001`` (comma-separate for
@@ -32,6 +39,7 @@ several rules) to the offending line.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, Sequence
 
 from .core import (
@@ -103,7 +111,30 @@ _ALLOCATORS = frozenset(
     }
 )
 
+#: Dict/cache mutators checked by TCAM012 in the serving layer. The
+#: counted ``get``/``put``/``discard`` cache API is deliberately absent:
+#: those entry points carry the lock themselves.
+_DICT_MUTATORS = frozenset(
+    {"pop", "popitem", "update", "setdefault", "move_to_end", "clear", "append", "extend"}
+)
+
+#: Docstring phrases accepted as a documented concurrency contract.
+_CONTRACT_RE = re.compile(
+    r"single[\s-]writer|not\s+(?:thread[\s-]?safe|safe\s+for\s+concurrent)",
+    re.IGNORECASE,
+)
+
 # -- small AST helpers -------------------------------------------------------
+
+
+def _describe(node: ast.AST) -> str:
+    chain = _attr_chain(node)
+    if chain:
+        return ".".join(chain)
+    try:
+        return ast.unparse(node)  # pragma: no cover - exotic targets only
+    except Exception:  # pragma: no cover - defensive
+        return "<expression>"
 
 
 def _is_numpy_random_chain(chain: Sequence[str]) -> bool:
@@ -407,6 +438,114 @@ def _check_all_exports(module: Module, emit: _Emitter) -> None:
             emit(node, "TCAM004", f"public definition '{name}' missing from __all__")
 
 
+def _is_lock_guard(item: ast.withitem) -> bool:
+    for sub in ast.walk(item.context_expr):
+        if isinstance(sub, ast.Name) and "lock" in sub.id.lower():
+            return True
+        if isinstance(sub, ast.Attribute) and "lock" in sub.attr.lower():
+            return True
+    return False
+
+
+def _self_rooted(node: ast.AST) -> bool:
+    chain = _attr_chain(node)
+    return bool(chain) and chain[0] == "self"
+
+
+def _scan_serving_stmts(
+    stmts: Sequence[ast.stmt], method: str, emit: _Emitter
+) -> None:
+    """Flag unlocked self-rooted container mutation in serving methods."""
+
+    def flag(node: ast.AST, desc: str) -> None:
+        emit(
+            node,
+            "TCAM012",
+            f"'{method}' mutates shared serving state '{desc}' without a "
+            "lock; guard it with the instance lock or document a "
+            "single-writer contract in the class docstring",
+        )
+
+    def check_stmt(stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Subscript) and _self_rooted(target.value):
+                    flag(target, _describe(target.value))
+        elif isinstance(stmt, ast.AugAssign):
+            if isinstance(stmt.target, ast.Attribute) and _self_rooted(stmt.target):
+                flag(stmt.target, _describe(stmt.target))
+            elif isinstance(stmt.target, ast.Subscript) and _self_rooted(
+                stmt.target.value
+            ):
+                flag(stmt.target, _describe(stmt.target.value))
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                if isinstance(target, ast.Subscript) and _self_rooted(target.value):
+                    flag(target, _describe(target.value))
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_MUTATORS
+                and _self_rooted(node.func.value)
+            ):
+                flag(node, _describe(node.func.value))
+
+    def scan(body: Sequence[ast.stmt]) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.With, ast.AsyncWith)):
+                if any(_is_lock_guard(item) for item in stmt.items):
+                    continue  # everything under the lock is accounted for
+                scan(stmt.body)
+                continue
+            if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                check_stmt(stmt)
+                scan(stmt.body)
+                scan(stmt.orelse)
+                continue
+            if isinstance(stmt, ast.If):
+                check_stmt(stmt)
+                scan(stmt.body)
+                scan(stmt.orelse)
+                continue
+            if isinstance(stmt, ast.Try):
+                scan(stmt.body)
+                for handler in stmt.handlers:
+                    scan(handler.body)
+                scan(stmt.orelse)
+                scan(stmt.finalbody)
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(stmt.body)
+                continue
+            check_stmt(stmt)
+
+    scan(stmts)
+
+
+def _check_serving_mutation(module: Module, emit: _Emitter) -> None:
+    """TCAM012: serving-layer classes must lock or document their writes."""
+    if not module.facts.serving:
+        return
+    for node in module.nodes:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        class_doc = ast.get_docstring(node)
+        if class_doc and _CONTRACT_RE.search(class_doc):
+            continue
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name == "__init__":
+                continue  # construction happens-before any sharing
+            method_doc = ast.get_docstring(method)
+            if method_doc and _CONTRACT_RE.search(method_doc):
+                continue
+            _scan_serving_stmts(
+                method.body, f"{node.name}.{method.name}", emit
+            )
+
+
 # -- registration ------------------------------------------------------------
 
 #: Owned rule code(s) -> visitor.
@@ -415,4 +554,5 @@ VISITORS: dict[tuple[str, ...], Visitor] = {
     ("TCAM002",): _check_safe_math,
     ("TCAM003",): _check_hot_alloc,
     ("TCAM004",): _check_all_exports,
+    ("TCAM012",): _check_serving_mutation,
 }

@@ -1,11 +1,10 @@
 """Single source of truth for every TCAM rule ID and every tree fact.
 
 One analysis pass (:mod:`repro.tooling.core`, ``tcam check``) runs the
-``TCAMxxx`` rules.  They fall into four families, one rule module each:
-the domain linter (``lint``, TCAM001–004), the concurrency-race analyzer
-(``analyze``, TCAM010–012), the resource-lifecycle auditor (``audit``,
-TCAM020–025) and the determinism & dtype-flow verifier (``prove``,
-TCAM030–035).
+``TCAMxxx`` rules.  They fall into three families, one rule module each:
+the domain linter (``lint``, TCAM001–004 and the serving-layer lock rule
+TCAM012), the resource-lifecycle auditor (``audit``, TCAM020–025) and the
+determinism & dtype-flow verifier (``prove``, TCAM030–035).
 
 Every rule is declared *here* as a :class:`RuleSpec` — code, family,
 rule class (the invariant it protects), one-line summary, and the
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 #: What a rule may be registered to: a family, or ``shared`` (TCAM000).
-_FAMILIES = ("lint", "analyze", "audit", "prove", "shared")
+_FAMILIES = ("lint", "audit", "prove", "shared")
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class RuleSpec:
     """One registered rule: identity, family, classification and docs."""
 
     code: str
-    #: The rule's family (``lint``/``analyze``/``audit``/``prove``), which
+    #: The rule's family (``lint``/``audit``/``prove``), which
     #: SARIF reports and the per-site finding order reads.
     tool: str
     rule_class: str
@@ -100,24 +99,9 @@ _SPECS: tuple[RuleSpec, ...] = (
         "__all__ out of sync with public module definitions",
         "tcam004--__all__-consistency",
     ),
-    # -- analyze family (race analyzer) -----------------------------------
-    RuleSpec(
-        "TCAM010",
-        "analyze",
-        "concurrency",
-        "write to shared mutable state from a pooled worker",
-        "tcam010--write-to-shared-state-from-a-pooled-worker",
-    ),
-    RuleSpec(
-        "TCAM011",
-        "analyze",
-        "concurrency",
-        "pooled workers handed aliasing workspace/stat buffers",
-        "tcam011--aliasing-buffers-handed-to-workers",
-    ),
     RuleSpec(
         "TCAM012",
-        "analyze",
+        "lint",
         "concurrency",
         "unlocked cache mutation in the concurrent serving layer",
         "tcam012--unlocked-serving-cache-mutation",

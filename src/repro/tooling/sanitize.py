@@ -10,13 +10,12 @@ contract promises *dynamically*:
 * the **sufficient statistics** leaving it must be finite;
 * every **served score** must be finite.
 
-Enablement is opt-in: set the environment variable ``TCAM_SANITIZE=1``
-or pass ``EMEngineConfig(sanitize=True)``. When disabled, the
-instrumented call sites hold a ``None`` sanitizer and skip every check
-behind a single attribute test — no :class:`Sanitizer` is ever
-constructed (the class-level :attr:`Sanitizer.constructed` counter
-proves it, and the benchmark harness asserts it), so the sanitize-off
-hot path performs zero additional allocations or per-row work.
+Enablement is opt-in and has one switch: the environment variable
+``TCAM_SANITIZE=1``. A :class:`~repro.core.engine.BlockedEStep` or
+:class:`~repro.recommend.serving.BatchScorer` reads it once, when it is
+built, into a plain ``bool``; when that is false every check is skipped
+behind one truth test, so the sanitize-off hot path calls none of the
+checks below and performs no additional allocations or per-row work.
 
 Violations raise :class:`SanitizerError`, an :class:`AssertionError`
 subclass, so they fail tests loudly while remaining distinguishable from
@@ -38,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ENV_FLAG",
     "SanitizerError",
-    "Sanitizer",
     "sanitize_enabled",
     "check_finite",
     "check_simplex",
@@ -129,20 +127,3 @@ def check_topk_finite(results: Iterable["TopKResult"]) -> None:
                     f"sanitizer: served item {rec.item} with non-finite "
                     f"score {rec.score!r}"
                 )
-
-
-class Sanitizer:
-    """The marker a sanitizing :class:`BlockedEStep` or
-    :class:`BatchScorer` holds; its presence arms that owner's checks.
-
-    The class-level :attr:`constructed` counter backs the
-    zero-overhead-when-off guarantee: a sanitize-off run constructs no
-    instances, which the benchmark harness asserts.
-    """
-
-    #: Total instances ever constructed in this process.
-    constructed: int = 0
-
-    def __init__(self, label: str) -> None:
-        type(self).constructed += 1
-        self.label = label

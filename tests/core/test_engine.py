@@ -45,7 +45,11 @@ class TestEMEngineConfig:
     def test_defaults(self):
         config = EMEngineConfig()
         assert config.block_size is None
-        assert config.sanitize is False
+
+    def test_sanitize_is_not_an_option(self):
+        # TCAM_SANITIZE is the one sanitizer switch; the config has none.
+        with pytest.raises(TypeError, match="sanitize"):
+            EMEngineConfig(sanitize=True)
 
     def test_threads_is_not_an_option(self):
         # The E-step runs on one thread; there is no knob to ask for more.

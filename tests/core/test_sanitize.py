@@ -4,8 +4,8 @@ Two layers: the check helpers in isolation, and the instrumented engine /
 serving layers end-to-end — a sanitized fit must be bit-identical to an
 unsanitized one, broken state entering the E-step and non-finite
 statistics leaving it must raise :class:`SanitizerError`, and a
-sanitize-off run must never construct a :class:`Sanitizer` at all (the
-zero-overhead-when-off guarantee).
+sanitize-off run must never call a check at all (the
+zero-overhead-when-off guarantee). ``TCAM_SANITIZE`` is the one switch.
 """
 
 from __future__ import annotations
@@ -13,15 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TTCAM
+from repro.core import ITCAM, TTCAM
 from repro.core.engine import BlockedEStep, EMEngineConfig, TTCAMKernel
 from repro.core.params import TTCAMParameters
 from repro.core.serialize import LoadedModel
+from repro.recommend import TemporalRecommender
 from repro.recommend.ranking import Recommendation, TopKResult
 from repro.recommend.serving import BatchScorer, ServingCache
+from repro.robustness.errors import ServingUnavailableError
 from repro.tooling.sanitize import (
     ENV_FLAG,
-    Sanitizer,
     SanitizerError,
     check_finite,
     check_simplex,
@@ -56,7 +57,7 @@ def _random_problem(seed=11, num_ratings=200):
     return (u, t, v, c), (n, t_dim, v_dim), (k1, k2), state
 
 
-def _build_estep(config, seed=11, num_ratings=200):
+def _build_estep(config=EMEngineConfig(block_size=32), seed=11, num_ratings=200):
     triples, shape, topics, state = _random_problem(seed, num_ratings)
     kernel = TTCAMKernel(*triples, shape, *topics)
     return BlockedEStep(kernel, config), state
@@ -83,29 +84,50 @@ class TestEnablement:
 
     def test_engine_off_by_default(self):
         estep, _ = _build_estep(EMEngineConfig(block_size=64))
-        assert estep._sanitizer is None
-
-    def test_engine_config_knob(self):
-        estep, _ = _build_estep(EMEngineConfig(block_size=64, sanitize=True))
-        assert estep._sanitizer is not None
+        assert estep._sanitize is False
 
     def test_engine_env_var(self, monkeypatch):
         monkeypatch.setenv(ENV_FLAG, "1")
         estep, _ = _build_estep(EMEngineConfig(block_size=64))
-        assert estep._sanitizer is not None
+        assert estep._sanitize is True
 
     def test_scorer_follows_env(self, monkeypatch):
         model = _make_serving_model()
-        assert BatchScorer(model, ServingCache())._sanitizer is None
+        assert BatchScorer(model, ServingCache())._sanitize is False
         monkeypatch.setenv(ENV_FLAG, "1")
-        assert BatchScorer(model, ServingCache())._sanitizer is not None
+        assert BatchScorer(model, ServingCache())._sanitize is True
 
-    def test_no_sanitizer_constructed_when_off(self):
-        before = Sanitizer.constructed
-        estep, state = _build_estep(EMEngineConfig(block_size=32))
-        estep.compute(state)
-        estep.compute(state)
-        assert Sanitizer.constructed == before
+    @pytest.mark.parametrize("armed", [False, True], ids=["off", "on"])
+    def test_off_calls_no_check(self, monkeypatch, tiny_cuboid, armed):
+        # Every check the engine and the scorer can call raises; off, a
+        # TTCAM fit, an ITCAM fit and a batch of queries never reach one.
+        calls = []
+
+        def tripwire(*args, **kwargs):
+            calls.append(args)
+            raise SanitizerError("tripwire")
+
+        for name in ("check_state", "check_finite"):
+            monkeypatch.setattr(f"repro.core.engine.{name}", tripwire)
+        monkeypatch.setattr("repro.recommend.serving.check_topk_finite", tripwire)
+        if armed:
+            monkeypatch.setenv(ENV_FLAG, "1")
+        cuboid, _ = tiny_cuboid
+        runs = [
+            lambda: TTCAM(3, 2, max_iter=2, seed=7).fit(cuboid),
+            lambda: ITCAM(3, max_iter=2, seed=7).fit(cuboid),
+            lambda: TemporalRecommender(_make_serving_model()).recommend_batch(
+                [(0, 0), (1, 0), (2, 3)], k=4
+            ),
+        ]
+        for run in runs:
+            before = len(calls)
+            if armed:  # the recommender reports a failed primary as unavailable
+                with pytest.raises((SanitizerError, ServingUnavailableError), match="tripwire"):
+                    run()
+            else:
+                run()
+            assert (len(calls) > before) == armed
 
 
 # ---------------------------------------------------------------------------
@@ -171,48 +193,37 @@ class TestCheckHelpers:
 
 
 # ---------------------------------------------------------------------------
-# The Sanitizer marker
-# ---------------------------------------------------------------------------
-
-
-class TestSanitizerRecorder:
-    def test_constructed_counter_increments(self):
-        before = Sanitizer.constructed
-        Sanitizer("a")
-        Sanitizer("b")
-        assert Sanitizer.constructed == before + 2
-
-
-# ---------------------------------------------------------------------------
 # Engine integration
 # ---------------------------------------------------------------------------
 
 
 class TestEngineIntegration:
-    def test_sanitized_compute_is_bit_identical(self):
-        plain, state = _build_estep(EMEngineConfig(block_size=32))
-        sanitized, _ = _build_estep(EMEngineConfig(block_size=32, sanitize=True))
+    def test_sanitized_compute_is_bit_identical(self, monkeypatch):
+        plain, state = _build_estep()
+        monkeypatch.setenv(ENV_FLAG, "1")
+        sanitized, _ = _build_estep()
         expected, expected_ll = plain.compute(state)
         stats, ll = sanitized.compute(state)
         assert ll == expected_ll
         for name, array in expected.items():
             assert np.array_equal(stats[name], array), name
 
-    def test_clean_pass_raises_nothing(self):
-        estep, state = _build_estep(EMEngineConfig(block_size=32, sanitize=True))
+    def test_clean_pass_raises_nothing(self, monkeypatch):
+        monkeypatch.setenv(ENV_FLAG, "1")
+        estep, state = _build_estep()
         estep.compute(state)
         estep.compute(state)  # buffer-reuse steady state stays clean
 
-    def test_invalid_state_detected(self):
-        estep, state = _build_estep(
-            EMEngineConfig(block_size=32, sanitize=True)
-        )
+    def test_invalid_state_detected(self, monkeypatch):
+        monkeypatch.setenv(ENV_FLAG, "1")
+        estep, state = _build_estep()
         state["theta"] = state["theta"] * 2.0
         with pytest.raises(SanitizerError, match="theta"):
             estep.compute(state)
 
     def test_non_finite_stats_detected(self, monkeypatch):
-        estep, state = _build_estep(EMEngineConfig(block_size=32, sanitize=True))
+        monkeypatch.setenv(ENV_FLAG, "1")
+        estep, state = _build_estep()
         accumulate = estep.kernel.accumulate
 
         def poisoned(state, lo, hi, ws, stats):
@@ -224,12 +235,12 @@ class TestEngineIntegration:
         with pytest.raises(SanitizerError, match=r"stats\[lam_num\]"):
             estep.compute(state)
 
-    def test_sanitized_fit_matches_plain_fit(self, tiny_cuboid):
+    def test_sanitized_fit_matches_plain_fit(self, tiny_cuboid, monkeypatch):
         cuboid, _ = tiny_cuboid
-        plain = TTCAM(3, 2, max_iter=3, tol=-1.0, seed=7,
-                      engine=EMEngineConfig(block_size=64)).fit(cuboid)
-        sanitized = TTCAM(3, 2, max_iter=3, tol=-1.0, seed=7,
-                          engine=EMEngineConfig(block_size=64, sanitize=True)).fit(cuboid)
+        engine = EMEngineConfig(block_size=64)
+        plain = TTCAM(3, 2, max_iter=3, tol=-1.0, seed=7, engine=engine).fit(cuboid)
+        monkeypatch.setenv(ENV_FLAG, "1")
+        sanitized = TTCAM(3, 2, max_iter=3, tol=-1.0, seed=7, engine=engine).fit(cuboid)
         assert np.array_equal(plain.params_.theta, sanitized.params_.theta)
         assert np.array_equal(plain.params_.phi, sanitized.params_.phi)
         assert np.array_equal(plain.params_.lambda_u, sanitized.params_.lambda_u)
@@ -256,7 +267,7 @@ class TestServingIntegration:
     def test_serve_group_flags_non_finite_scores(self, monkeypatch):
         monkeypatch.setenv(ENV_FLAG, "1")
         scorer = BatchScorer(_make_serving_model(), ServingCache())
-        assert scorer._sanitizer is not None
+        assert scorer._sanitize is True
         bad = TopKResult(
             recommendations=[Recommendation(item=0, score=float("nan"))],
             items_scored=1,
@@ -271,7 +282,7 @@ class TestServingIntegration:
 
     def test_serve_group_unsanitized_does_not_check(self, monkeypatch):
         scorer = BatchScorer(_make_serving_model(), ServingCache())
-        assert scorer._sanitizer is None
+        assert scorer._sanitize is False
         bad = TopKResult(
             recommendations=[Recommendation(item=0, score=float("nan"))],
             items_scored=1,

@@ -447,26 +447,29 @@ class TestEvaluate:
 
 
 class TestAnalyze:
-    """Race analysis runs as one rule family of ``tcam check``."""
+    """The former ``tcam analyze`` surface: its pool rules are gone, its
+    serving-layer lock rule TCAM012 runs in ``tcam check``'s lint family."""
 
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("TCAM010", "TCAM011", "TCAM012"):
-            assert code in out
+        assert "TCAM012" in out
+        for code in ("TCAM010", "TCAM011"):
+            assert code not in out
 
     def test_exit_codes(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
+        # TCAM012 reads its scope off the path: a file named like a serving one.
+        dirty = tmp_path / "recommend" / "serving.py"
+        dirty.parent.mkdir()
         dirty.write_text(
-            "from concurrent.futures import as_completed\n"
-            "\n"
-            "def gather(pending):\n"
-            "    return [f.result() for f in as_completed(pending)]\n",
+            "class Cache:\n"
+            "    def put(self, key, value):\n"
+            "        self._entries[key] = value\n",
             encoding="utf-8",
         )
         assert main(["check", str(dirty)]) == 1
-        assert "TCAM031" in capsys.readouterr().out
-        assert main(["check", "--select", "TCAM010,TCAM011,TCAM012", str(dirty)]) == 0
+        assert "TCAM012" in capsys.readouterr().out
+        assert main(["check", "--ignore", "TCAM012", str(dirty)]) == 0
 
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n", encoding="utf-8")
@@ -481,7 +484,10 @@ class TestAnalyze:
 
 
 class TestFitSanitize:
-    def test_fit_under_sanitizer(self, dataset_csv, tmp_path, capsys):
+    """``TCAM_SANITIZE=1`` is the one sanitizer switch of ``tcam fit``."""
+
+    def test_fit_under_sanitizer(self, dataset_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TCAM_SANITIZE", "1")
         path = tmp_path / "model.npz"
         code = main(
             [
@@ -496,13 +502,19 @@ class TestFitSanitize:
                 "4",
                 "--iters",
                 "3",
-                "--sanitize",
                 "--output",
                 str(path),
             ]
         )
         assert code == 0
         assert path.exists()
+
+    def test_sanitize_flag_is_gone(self, dataset_csv, tmp_path, capsys):
+        argv = ["fit", "--input", str(dataset_csv), "--output", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--sanitize"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --sanitize" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--block-size", "-5")])
     def test_nonpositive_engine_flags_are_usage_errors(
@@ -562,10 +574,19 @@ COUNT_FLAGS = {
     "--segment-events": ["stream", "append", "--log", "wal", "--input", "e.csv"],
     "--batch-events": STREAM_RUN,
     "--checkpoint-every": STREAM_RUN,
+    "--max-batches": STREAM_RUN,
     "--max-batch": ["serve", "--model", "m.npz"],
     "--workers": ["serve", "--model", "m.npz"],
     "--batch-size": ["recommend", "--model", "m.npz", "--batch-file", "q.csv"],
     "--max-topics": ["report", "--model", "m.npz", "--input", "r.csv"],
+}
+
+
+#: Seeded command -> the rest of its command line.
+SEED_COMMANDS = {
+    "generate": ["generate", "--output", "r.csv"],
+    "fit": ["fit", "--input", "r.csv", "--output", "m.npz"],
+    "evaluate": ["evaluate", "--input", "r.csv"],
 }
 
 
@@ -583,6 +604,17 @@ class TestOutOfRangeOptions:
         assert f"argument {flag}: must be a positive integer" in err
         assert "Traceback" not in err
         assert not (tmp_path / "wal").exists()  # refused before touching the log
+
+    @pytest.mark.parametrize("command", list(SEED_COMMANDS))
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*SEED_COMMANDS[command], "--seed", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())  # refused before writing anything
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1.01"])
     def test_drift_threshold_outside_cosine_range(self, tmp_path, monkeypatch, capsys, value):

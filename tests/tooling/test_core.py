@@ -7,9 +7,9 @@ other side:
 * **live rules** — for each family, and for every rule whose reach
   comes from the registry's tree table, one in-memory edit of a *real*
   ``src/repro`` file must produce that rule's code;
-* **parse once** — ``check_paths`` parses each file once, where four
-  family selections run one after another parse it four times;
-* **family identity** — over the four families' fixture corpora, the
+* **parse once** — ``check_paths`` parses each file once, where three
+  family selections run one after another parse it three times;
+* **family identity** — over the three families' fixture corpora, the
   union of the ``select=``-by-family findings is exactly the whole
   pass's;
 * **usage errors** — a missing path, a non-Python file and an
@@ -31,13 +31,13 @@ import pytest
 
 from repro.tooling.core import Module, check_paths, check_source, main
 from repro.tooling.registry import REGISTRY
-from tests.tooling import family, test_determinism, test_lifecycle, test_lint, test_races
+from tests.tooling import family, test_determinism, test_lifecycle, test_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
 #: Family -> its rule codes.
-FAMILIES = {name: family(name) for name in ("lint", "analyze", "audit", "prove")}
+FAMILIES = {name: family(name) for name in ("lint", "audit", "prove")}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_one_pass_parses_each_file_once(tmp_path, monkeypatch):
     parsed.clear()
     for codes in FAMILIES.values():
         check_paths([str(tmp_path)], codes)
-    assert len(parsed) == 12
+    assert len(parsed) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _fixture_sources(module: types.ModuleType) -> list[str]:
 CORPUS = sorted(
     {
         source
-        for module in (test_lint, test_races, test_lifecycle, test_determinism)
+        for module in (test_lint, test_lifecycle, test_determinism)
         for source in _fixture_sources(module)
     }
 )
@@ -259,7 +259,7 @@ CORPUS_PATHS = (
 
 
 def test_fixture_corpus_is_substantial():
-    assert len(CORPUS) >= 150
+    assert len(CORPUS) >= 130
     fired = {
         finding.rule
         for source in CORPUS
@@ -345,10 +345,12 @@ def test_non_python_file_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--select", "--ignore"])
-@pytest.mark.parametrize("code", ["TCAM999", "TCAM005", "TCAM013", "TCAM023"])
+@pytest.mark.parametrize(
+    "code", ["TCAM999", "TCAM005", "TCAM010", "TCAM011", "TCAM013", "TCAM023"]
+)
 def test_unregistered_rule_code_is_a_usage_error(flag, code, tmp_path, capsys):
-    # TCAM005/TCAM013 folded into TCAM030/TCAM031, and TCAM023 was deleted:
-    # naming one must not silently select (or ignore) nothing.
+    # TCAM005/TCAM013 folded into TCAM030/TCAM031, and TCAM010/TCAM011/TCAM023
+    # were deleted: naming one must not silently select (or ignore) nothing.
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n", encoding="utf-8")
     assert main([str(clean), flag, f"TCAM001,{code.lower()}"]) == 2
@@ -372,6 +374,6 @@ def test_model_and_serving_imports_do_not_load_the_analyser():
         capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = ast.literal_eval(done.stdout.strip())
-    for name in ("core", "lint", "races", "lifecycle", "determinism", "output"):
+    for name in ("core", "lint", "lifecycle", "determinism", "output"):
         assert f"repro.tooling.{name}" not in loaded, loaded
     assert "repro.tooling.sanitize" in loaded

@@ -1,6 +1,6 @@
 """Fixture corpus for the determinism verifier (``repro.tooling.determinism``).
 
-Mirrors ``test_lint.py``/``test_races.py``/``test_lifecycle.py``: every
+Mirrors ``test_lint.py``/``test_lifecycle.py``: every
 rule gets snippets it must *flag*, snippets where
 ``# tcam-lint: disable=...`` *suppresses* the finding, and *clean*
 snippets encoding the blessed idioms the real tree uses (sorted

@@ -1,6 +1,6 @@
 """Fixture corpus for the lifecycle auditor (``repro.tooling.lifecycle``).
 
-Mirrors ``test_lint.py``/``test_races.py``: every rule gets snippets it
+Mirrors ``test_lint.py``: every rule gets snippets it
 must *flag*, snippets where ``# tcam-lint: disable=...`` *suppresses*
 the finding, and *clean* snippets encoding the blessed idioms the real
 tree uses (with blocks, try/finally releases, constructor rollback,
@@ -642,7 +642,7 @@ def test_json_schema_is_shared_and_stable(tmp_path, capsys):
         encoding="utf-8",
     )
     payloads = []
-    for name in ("lint", "audit", "analyze"):
+    for name in ("lint", "audit", "prove"):
         select = ",".join(sorted(family(name)))
         assert main([str(dirty), "--format", "json", "--select", select]) in (0, 1)
         payloads.append(json.loads(capsys.readouterr().out))

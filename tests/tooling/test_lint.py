@@ -22,6 +22,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 LINT = family("lint")
 
+#: Path that puts a fixture inside the TCAM012 serving scope.
+SERVING_PATH = "src/repro/recommend/serving.py"
+
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:
     """Lint a dedented snippet and return the rule codes found."""
@@ -391,6 +394,113 @@ def test_tcam004_silent_without_all():
 
 
 # ---------------------------------------------------------------------------
+# TCAM012 — unlocked serving-cache mutation
+# ---------------------------------------------------------------------------
+
+TCAM012_FLAGGED = [
+    # bare subscript store on shared instance state
+    """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def put(self, key, value):
+            self._entries[key] = value
+    """,
+    # dict mutator call without the lock
+    """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def evict(self, key):
+            self._entries.pop(key, None)
+    """,
+    # augmented counter update races the same way
+    """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def touch(self):
+            self.hits += 1
+    """,
+]
+
+TCAM012_CLEAN = [
+    # mutation under the instance lock
+    """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def put(self, key, value):
+            with self._lock:
+                self._entries[key] = value
+    """,
+    # a documented single-writer contract on the class opts out
+    """
+    class Workspace:
+        \"\"\"Per-scorer scratch. Not safe for concurrent use.\"\"\"
+
+        def reset(self):
+            self._entries["rows"] = 0
+    """,
+    # __init__ happens-before any sharing
+    """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def __init__(self):
+            self._entries = {}
+            self._entries["seed"] = 1
+    """,
+]
+
+
+@pytest.mark.parametrize("source", TCAM012_FLAGGED)
+def test_tcam012_flags_unlocked_cache_mutation(source):
+    assert "TCAM012" in rules_of(source, SERVING_PATH)
+
+
+@pytest.mark.parametrize("source", TCAM012_CLEAN)
+def test_tcam012_accepts_locked_or_documented_writes(source):
+    assert "TCAM012" not in rules_of(source, SERVING_PATH)
+
+
+@pytest.mark.parametrize("source", TCAM012_FLAGGED)
+def test_tcam012_scoped_to_serving_paths(source):
+    # The same mutation outside the serving layer's files is no finding.
+    assert rules_of(source, "src/repro/core/engine.py") == []
+
+
+def test_tcam012_suppressible():
+    source = """
+    class Cache:
+        \"\"\"A serving cache.\"\"\"
+
+        def put(self, key, value):
+            self._entries[key] = value  # tcam-lint: disable=TCAM012
+    """
+    assert rules_of(source, SERVING_PATH) == []
+
+
+def test_tcam012_covers_the_serving_service_package():
+    source = """
+    class Router:
+        \"\"\"Maps users to workers.\"\"\"
+
+        def route(self, user, worker):
+            self.table[user] = worker
+    """
+    assert "TCAM012" in rules_of(source, "src/repro/serving_service/service.py")
+    # a documented single-writer contract opts out, as in the recommend layer
+    documented = source.replace(
+        "Maps users to workers.",
+        "Maps users to workers. Single-writer: event-loop only.",
+    )
+    assert "TCAM012" not in rules_of(
+        documented, "src/repro/serving_service/service.py"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Driver behaviour
 # ---------------------------------------------------------------------------
 
@@ -430,7 +540,7 @@ def test_findings_sorted_by_position():
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(LINT) == ["TCAM001", "TCAM002", "TCAM003", "TCAM004"]
+    assert sorted(LINT) == ["TCAM001", "TCAM002", "TCAM003", "TCAM004", "TCAM012"]
 
 
 def test_check_paths_walks_directories(tmp_path):

@@ -11,12 +11,13 @@ sources and tests::
 It holds every source of that commit's fixture corpus
 (``test_core.CORPUS`` and the CLI tests' dirty files) with the
 ``(line, col, rule)`` of each finding under each ``CORPUS_PATHS`` entry.
-TCAM005 folded into TCAM030 and TCAM013 into TCAM031, and TCAM023 went
-with the shared-memory code it guarded, so after mapping the twins onto
+TCAM005 folded into TCAM030 and TCAM013 into TCAM031. TCAM023 went with
+the shared-memory code it guarded, and the pool rules TCAM010/TCAM011
+with the thread pools they guarded. So after mapping the twins onto
 their survivors (in the findings and in the suppression comments alike,
-so a row the merged code's comment silences drops out) and dropping
-TCAM023 rows, this tree must flag the same sites — and each under one of
-the codes the site had.
+so a row the merged code's comment silences drops out) and dropping the
+deleted codes' rows, this tree must flag the same sites — and each under
+one of the codes the site had.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ FIXTURE = Path(__file__).parent / "fixtures" / "pre_merge_sites.json"
 
 #: Twin code -> the code it folded into.
 MERGED = {"TCAM005": "TCAM030", "TCAM013": "TCAM031"}
+
+#: Codes deleted with their subject: their rows drop out.
+DELETED = frozenset({"TCAM010", "TCAM011", "TCAM023"})
 
 #: The dirty files the CLI tests write, which the corpus does not hold.
 DIRTY = (
@@ -83,7 +87,7 @@ def _merged(source: str) -> str:
 
 
 def _expected(source: str, rows: list[list]) -> dict[tuple[int, int], set[str]]:
-    """Site -> the codes the parent flagged it with, mapped, unsilenced, TCAM023 dropped."""
+    """Site -> the codes the parent flagged it with, mapped, unsilenced, deleted codes dropped."""
     silenced = {
         line: match.group(1)
         for line, text in enumerate(source.splitlines(), start=1)
@@ -92,14 +96,14 @@ def _expected(source: str, rows: list[list]) -> dict[tuple[int, int], set[str]]:
     sites: dict[tuple[int, int], set[str]] = defaultdict(set)
     for line, col, rule in rows:
         rule = MERGED.get(rule, rule)
-        if rule != "TCAM023" and rule not in silenced.get(line, ""):
+        if rule not in DELETED and rule not in silenced.get(line, ""):
             sites[line, col].add(rule)
     return sites
 
 
 def test_fixture_covers_every_merged_and_dropped_code():
     fired = {rule for case in CASES for rows in case["sites"].values() for _, _, rule in rows}
-    assert {"TCAM005", "TCAM013", "TCAM023", "TCAM030", "TCAM031"} <= fired
+    assert {"TCAM005", "TCAM013", "TCAM030", "TCAM031"} | DELETED <= fired
     assert len(CASES) >= 150
 
 

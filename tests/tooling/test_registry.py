@@ -10,7 +10,7 @@ heading-slug convention).
 CLI side: ``tcam check`` is the one command. The parametrized tests
 drive its ``main`` through the flags (``--format json``, ``--select``,
 ``--ignore``, ``--list-rules``, exit codes, stable sort) against one
-dirty fixture per family — lint, analyze, audit, prove, and the whole
+dirty fixture per family — lint, audit, prove, and the whole
 pass — and assert the same behaviour for each.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tooling import determinism, lifecycle, lint, races, registry
+from repro.tooling import determinism, lifecycle, lint, registry
 from repro.tooling.core import main, visitors
 from repro.tooling.registry import (
     REGISTRY,
@@ -41,7 +41,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Family -> the rule module whose ``VISITORS`` own its codes.
 FAMILY_MODULES = {
     "lint": lint,
-    "analyze": races,
     "audit": lifecycle,
     "prove": determinism,
 }
@@ -239,19 +238,6 @@ import numpy as np
 x = np.random.rand(3)
 """
 
-ANALYZE_DIRTY = """
-from concurrent.futures import ThreadPoolExecutor
-
-class Engine:
-    def run(self, n):
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(self._worker, w) for w in range(n)]
-        return [f.result() for f in futures]
-
-    def _worker(self, worker):
-        self.total += worker
-"""
-
 AUDIT_DIRTY = """
 def read_header(path):
     handle = open(path, "rb")
@@ -271,7 +257,6 @@ def replay(events):
 
 FAMILIES = [
     pytest.param("lint", LINT_DIRTY, "TCAM001", id="lint"),
-    pytest.param("analyze", ANALYZE_DIRTY, "TCAM010", id="analyze"),
     pytest.param("audit", AUDIT_DIRTY, "TCAM020", id="audit"),
     pytest.param("prove", PROVE_DIRTY, "TCAM030", id="prove"),
     pytest.param("check", AUDIT_DIRTY, "TCAM020", id="check"),
