@@ -76,6 +76,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """argparse ``type=`` for a comma-separated list of positive integers."""
+    try:
+        return tuple(_positive_int(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of positive integers, got {text!r}"
+        ) from None
+
+
 def _non_negative_int(text: str) -> int:
     """argparse ``type=`` for seeds, which numpy takes only from 0 up."""
     value = int(text)
@@ -300,8 +310,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     queries = build_queries(split, max_queries=args.max_queries, seed=args.seed)
     model = _build_model(args.model, args.k1, args.k2, args.iters, args.seed)
     model.fit(split.train)
-    ks = tuple(int(k) for k in args.ks.split(","))
-    report = evaluate_ranking(model, queries, ks=ks)
+    report = evaluate_ranking(model, queries, ks=args.ks)
     print(f"model: {model.name}; {report.num_queries} temporal queries")
     header = "metric    " + "".join(f"@{k:<7d}" for k in report.ks)
     print(header)
@@ -605,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k1", type=_positive_int, default=10)
     p_eval.add_argument("--k2", type=_positive_int, default=10)
     p_eval.add_argument("--iters", type=_positive_int, default=60)
-    p_eval.add_argument("--ks", default="1,5,10")
+    p_eval.add_argument("--ks", type=_positive_ints, default="1,5,10")
     p_eval.add_argument("--max-queries", type=_positive_int, default=300)
     p_eval.add_argument("--seed", type=_non_negative_int, default=0)
     p_eval.set_defaults(func=cmd_evaluate)

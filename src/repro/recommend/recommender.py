@@ -68,6 +68,7 @@ from typing import Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from ..robustness.errors import ServingUnavailableError
+from ..tooling.sanitize import SanitizerError
 from ..typing import FloatArray, IntArray, bit_deterministic
 from .bruteforce import bruteforce_topk
 from .ranking import QuerySpace, Recommendation, TopKResult, rank_order
@@ -586,6 +587,8 @@ class TemporalRecommender:
                         )
                         for user in users
                     ]
+            except SanitizerError:
+                raise  # a broken invariant is a bug to surface, not a row to degrade
             except Exception as exc:
                 for i in indices:
                     fallback_reason[i] = f"primary model failed: {exc}"

@@ -20,7 +20,6 @@ from repro.core.serialize import LoadedModel
 from repro.recommend import TemporalRecommender
 from repro.recommend.ranking import Recommendation, TopKResult
 from repro.recommend.serving import BatchScorer, ServingCache
-from repro.robustness.errors import ServingUnavailableError
 from repro.tooling.sanitize import (
     ENV_FLAG,
     SanitizerError,
@@ -122,8 +121,8 @@ class TestEnablement:
         ]
         for run in runs:
             before = len(calls)
-            if armed:  # the recommender reports a failed primary as unavailable
-                with pytest.raises((SanitizerError, ServingUnavailableError), match="tripwire"):
+            if armed:  # a sanitizer failure surfaces; it is never served degraded
+                with pytest.raises(SanitizerError, match="tripwire"):
                     run()
             else:
                 run()
@@ -294,6 +293,24 @@ class TestServingIntegration:
         )
         results = scorer.serve_group(0, [0], 3, None, "float64")
         assert results == [bad]
+
+    def test_non_finite_primary_raises_despite_a_fallback(self, monkeypatch):
+        # The fallback could answer every row; the primary's non-finite
+        # score must still raise instead of being served as degraded.
+        monkeypatch.setenv(ENV_FLAG, "1")
+        model = _make_serving_model()
+        bad = TopKResult(
+            recommendations=[Recommendation(item=0, score=float("nan"))],
+            items_scored=1,
+            sorted_accesses=0,
+        )
+        monkeypatch.setattr(
+            "repro.recommend.serving.exact_rescore",
+            lambda *args, **kwargs: bad,
+        )
+        recommender = TemporalRecommender(model, fallbacks=[_make_serving_model(seed=6)])
+        with pytest.raises(SanitizerError, match="non-finite"):
+            recommender.recommend_batch([(0, 0), (1, 2)], k=3)
 
     def test_clean_serving_passes_under_sanitizer(self, monkeypatch):
         monkeypatch.setenv(ENV_FLAG, "1")

@@ -367,12 +367,13 @@ class TestDeltaPublish:
         assert new is not old
         assert len(old.matrices) and len(old.contexts)  # the old generation keeps its own
         assert new.matrices[("item_topic", "static")] is old.matrices[("item_topic", "static")]
+        assert new.matrices[("blocks", "phi")] is old.matrices[("blocks", "phi")]
         assert new.indexes["static"] is old.indexes["static"]
         assert {key for key, _ in new.matrices.items()} == {
             key for key, _ in old.matrices.items() if key[0] != "theta"
         }
         assert {key for key, _ in new.contexts.items()} == {
-            (tag, t) for tag in ("ctx", "qctx") for t in (0, 2)
+            (tag, t) for tag in ("ctx", "qctx", "cmax") for t in (0, 2)
         }
         assert dict(new.masks.items()).keys() == dict(old.masks.items()).keys()
         assert new.stats().hits == new.stats().misses == 0  # seeded, not counted

@@ -616,6 +616,17 @@ class TestOutOfRangeOptions:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())  # refused before writing anything
 
+    @pytest.mark.parametrize("value", ["0", "-1", "a", "", "1,,2"])
+    def test_malformed_evaluate_ks(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*SEED_COMMANDS["evaluate"], "--ks", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --ks: must be a comma-separated list of positive integers" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())  # refused before reading the input
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1.01"])
     def test_drift_threshold_outside_cosine_range(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.chdir(tmp_path)
