@@ -23,7 +23,7 @@ mmap+int8 must peak materially below eager loading. ``--smoke`` runs the
 same tier at V=2000.
 
 A **page-in tier** records the cold-start cost the serving service's
-workers pay: a spawned process evicts the sidecar from the page cache
+workers pay: a spawned process evicts the snapshot from the page cache
 (``posix_fadvise(DONTNEED)``), maps a fresh ParamStore and reports
 first-touch per-query p50/p99 latency against a warm second pass.
 
@@ -62,7 +62,7 @@ SMOKE_SCALES = [(6, 500, 5, 32)]
 #: variant's resident footprint. Same tuple shape as ``SCALES``.
 MILLION_SCALE = (16, 1_000_000, 10, 256)
 SMOKE_MILLION_SCALE = (6, 2_000, 5, 48)
-#: (variant name, selection dtype, open the snapshot saved with a sidecar).
+#: (variant name, selection dtype, open the snapshot saved with derived members).
 MILLION_VARIANTS = (
     ("eager-f64", "float64", False),
     ("mmap-f64", "float64", True),
@@ -136,8 +136,8 @@ def _params_nbytes(model: LoadedModel) -> int:
 def _million_child(spec, snapshots, queries, k, repeats, queue) -> None:
     """One million-tier variant, measured in a fresh process.
 
-    Opens ``snapshots[use_mmap]`` — the archive saved without a sidecar
-    (loaded eagerly) or the one saved with ``mmap_layout=True`` (mapped)
+    Opens ``snapshots[use_mmap]`` — the archive saved without derived
+    members (loaded eagerly) or the one saved with ``mmap_layout=True`` (mapped)
     — serves the workload, and reports throughput, cache hit rate, this
     process's peak RSS, and a bitwise sample of results for the parent
     to cross-check against the eager float64 reference.
@@ -175,7 +175,7 @@ def million_tier(args, smoke: bool, context: dict) -> list[BenchEntry]:
     """Run the mmap + quantized serving tier, one process per variant.
 
     Writes the same parameters twice to a temporary directory — one
-    snapshot saved with its mmap sidecar, one without — then spawns each
+    snapshot saved with its derived members, one without — then spawns each
     variant as its own process: ``ru_maxrss`` is a
     process-lifetime high-water mark, so sharing a process would let the
     first variant's footprint mask every later one. The parent asserts
@@ -269,7 +269,7 @@ def _pagein_child(snapshot, queries, k, queue) -> None:
     """Cold-vs-warm first-touch latency on a fresh mmap ParamStore.
 
     Runs in its own spawned process so no parent mapping keeps the store
-    warm. Evicts the sidecar's page-cache residency with
+    warm. Evicts the snapshot's page-cache residency with
     ``posix_fadvise(DONTNEED)`` (best-effort; clean pages drop without
     privileges), then times every query of a first pass over the freshly
     mapped store — the early queries pay the page-in cost — and a second
@@ -278,15 +278,11 @@ def _pagein_child(snapshot, queries, k, queue) -> None:
     import os
     import time
 
-    from repro.recommend.paramstore import store_dir
-
-    sidecar = store_dir(snapshot)
-    for path in sorted(sidecar.glob("*")):
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
-        finally:
-            os.close(fd)
+    fd = os.open(snapshot, os.O_RDONLY)
+    try:
+        os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+    finally:
+        os.close(fd)
     model = LoadedModel.from_file(snapshot)
     assert model.param_store is not None
     rec = TemporalRecommender(model)

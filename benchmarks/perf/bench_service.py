@@ -5,7 +5,7 @@ busy-aware micro-batching, ``N`` spawned worker processes on one
 snapshot — under a concurrent closed-loop client workload. Each worker
 count runs twice, on two snapshots of the same parameters: one saved
 plain (every worker loads the ``.npz`` eagerly, ``wN``) and one saved
-with its mmap sidecar (``mmap_layout=True``; every worker maps it,
+with its derived serving members (``mmap_layout=True``; every worker maps it,
 ``wN-mmap`` — the one cross-worker sharing path). ``tcam serve`` is
 started the same way on both. For each the script
 records requests/sec plus client-side p50/p99 request latency, the
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         candidate = make_params(num_topics, num_items, seed=23)
         # What fold-in publishes: other θ/θ′/λ over the same φ/φ′.
         folded = params.with_fields(theta=candidate.theta, lambda_u=candidate.lambda_u)
-        # Each parameter set twice: saved plain, and saved with its sidecar.
+        # Each parameter set twice: saved plain, and saved with derived members.
         snapshots, swap_folded, swap_candidates = (
             {
                 layout: str(save_params(p, workdir / f"{stem}-{layout}.npz", mmap_layout=layout))
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
                 )
                 assert ratio <= 0.9, (
                     f"per-worker PSS barely shrank ({ratio:.2f}x) at "
-                    f"{worker_counts[-1]} workers on the mmap sidecar: "
+                    f"{worker_counts[-1]} workers on the mapped snapshot: "
                     "snapshot sharing is not zero-copy (need <= 0.9x)"
                 )
     finally:

@@ -178,9 +178,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"mean personal-interest influence λ̄ = {lam.mean():.3f}")
     print(f"snapshot written to {path}")
     if args.mmap_layout:
-        from .recommend.paramstore import store_dir
-
-        print(f"mmap sidecar written to {store_dir(path)}")
+        print("derived serving members written: the snapshot is mapped in place when served")
     return 0
 
 
@@ -525,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--mmap-layout",
         action="store_true",
-        help="also publish the memory-mapped sidecar layout "
-        "(<output>.arrays/); `tcam recommend` / `tcam serve` then page "
+        help="also store the derived serving arrays (rescore transpose, "
+        "context vectors, int8 selection form) in the snapshot; `tcam "
+        "recommend` / `tcam serve` then map it in place and page "
         "parameters in instead of loading them eagerly",
     )
     p_fit.set_defaults(func=cmd_fit)

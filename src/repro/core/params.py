@@ -206,8 +206,14 @@ class TCAMParameters:
         """The expanded query vector ``ϑ_q`` of Equation 21."""
         raise NotImplementedError
 
-    def topic_item_matrix(self, interval: int) -> FloatArray:
-        """The expanded topic–item matrix ``ϕ`` of Equation 22 for an interval."""
+    def topic_item_matrix(self, interval: int, memo: bool = True) -> FloatArray:
+        """The expanded topic–item matrix ``ϕ`` of Equation 22 for an interval.
+
+        A container whose matrix is query-independent keeps it once
+        built; ``memo=False`` builds it (or hands out the kept one)
+        without keeping it — for a caller that only derives something
+        from it.
+        """
         raise NotImplementedError
 
     def query_space(self, user: int, interval: int) -> tuple[FloatArray, FloatArray]:
@@ -264,7 +270,7 @@ class ITCAMParameters(TCAMParameters):
         lam = self.lambda_u[user]
         return np.concatenate([lam * self.theta[user], [1 - lam]])
 
-    def topic_item_matrix(self, interval: int) -> FloatArray:
+    def topic_item_matrix(self, interval: int, memo: bool = True) -> FloatArray:
         """``(K1 + 1, V)``: ``φ`` with ``θ′_t`` as its last row, built per call."""
         return np.vstack([self.phi, self.theta_time[interval][None, :]])
 
@@ -317,7 +323,7 @@ class TTCAMParameters(TCAMParameters):
             [lam * self.theta[user], (1 - lam) * self.theta_time[interval]]
         )
 
-    def topic_item_matrix(self, interval: int = 0) -> FloatArray:
+    def topic_item_matrix(self, interval: int = 0, memo: bool = True) -> FloatArray:
         """Stacked ``(K1 + K2, V)`` topic–item matrix ``[φ; φ′]`` (memoised).
 
         Query-independent — ``interval`` is accepted for the shared
@@ -327,7 +333,8 @@ class TTCAMParameters(TCAMParameters):
         cached: FloatArray | None = getattr(self, "_stacked_matrix", None)
         if cached is None:
             cached = np.vstack([self.phi, self.phi_time])
-            object.__setattr__(self, "_stacked_matrix", cached)
+            if memo:
+                object.__setattr__(self, "_stacked_matrix", cached)
         return cached
 
     def _rating_context(self, intervals: IntArray, items: IntArray) -> FloatArray:

@@ -2,19 +2,39 @@
 
 A production recommender trains offline and serves online from a
 snapshot. This module persists fitted parameter containers to a single
-``.npz`` file (numpy's zipped archive) with a format tag, and restores
-them with full validation — a loaded model scores identically to the
-one that was saved, which the tests verify bit-for-bit.
+``.npz`` file with a format tag, and restores them with full validation
+— a loaded model scores identically to the one that was saved, which
+the tests verify bit-for-bit.
+
+The file is the repository's one archive format
+(:mod:`repro.robustness.archive`): a zip of ``.npy`` members, each
+member's data 64-byte aligned, which ``np.load`` reads. Saved with
+``mmap_layout=True`` the members are stored, so a serving process maps
+the file in place; a plain snapshot, which is only ever loaded eagerly,
+is deflated.
+
+==========================  ===============================================
+member                      holds
+==========================  ===============================================
+``tcam_format``             variant tag, ``<variant>-v1``
+``tcam_base_digest``        SHA-256 of the base fields (``φ``, ``φ′``)
+``tcam_delta_digest``       SHA-256 of the remaining fields
+``tcam_checksum``           SHA-256 over the two digests
+the container's fields      ``theta``, ``phi``, ``theta_time`` (, ``phi_time``), ``lambda_u``
+derived serving members     only with ``mmap_layout=True`` — see
+                            :mod:`repro.recommend.paramstore`
+==========================  ===============================================
 
 Snapshots are crash- and corruption-safe: :func:`save_params` writes to
 a temporary sibling and publishes it with :func:`os.replace` (no reader
-ever sees a half-written archive) and embeds a SHA-256 content checksum;
-:func:`load_params` verifies the checksum and wraps every decoding
-failure — truncated file, bad zip, missing array, tampered parameters —
-in :class:`~repro.robustness.errors.SnapshotCorruptError` instead of
+ever sees a half-written archive); :func:`load_params` verifies the
+checksum and wraps every decoding failure — truncated file, bad zip,
+missing array, tampered parameters — in
+:class:`~repro.robustness.errors.SnapshotCorruptError` instead of
 leaking raw numpy/zipfile tracebacks. The bytes go through the
 ``snapshot.write`` fault site, so the harness can tear a save or fill
-the disk under it.
+the disk under it. Snapshots written by older versions (``np.savez``
+archives, unpadded) load exactly as before.
 
 The checksum is split along the container's ``BASE_FIELDS``: one digest
 for the base (``φ``, ``φ′`` — what incremental fold-in holds fixed), one
@@ -27,15 +47,14 @@ fields only (:func:`load_params` with ``serving``).
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ..robustness.archive import write_archive
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
-from ..robustness.faults import FaultSiteFile
 from .params import (
     VARIANTS,
     ITCAMParameters,
@@ -61,16 +80,6 @@ def _root_checksum(base: str, delta: str) -> str:
     return hashlib.sha256(f"{base}:{delta}".encode()).hexdigest()
 
 
-def params_checksum(params: TCAMParameters) -> str:
-    """The checksum :func:`save_params` embeds for ``params``.
-
-    What derived data (the mmap sidecar) records to stay tied to the
-    snapshot it was built from.
-    """
-    arrays = params.arrays()
-    return _root_checksum(params.digest_base(arrays), params.digest_delta(arrays))
-
-
 def save_params(
     params: ITCAMParameters | TTCAMParameters,
     path: str | Path,
@@ -86,43 +95,32 @@ def save_params(
     into place, so a crash mid-save never leaves a truncated snapshot at
     ``path``.
 
-    ``mmap_layout=True`` additionally publishes the memory-mapped
-    sidecar directory ``<path>.arrays/`` (per-array ``.npy`` files plus
-    derived serving arrays — see :mod:`repro.recommend.paramstore`), so
-    serving processes can page parameters in instead of materialising
-    them. The ``.npz`` remains the source of truth; the sidecar is
-    derived and re-creatable.
+    ``mmap_layout=True`` adds the derived serving arrays (rescore
+    transpose, context vectors, int8 selection form) and their digests
+    as further members of the same file — see
+    :mod:`repro.recommend.paramstore` — so serving processes map the
+    parameters in place instead of materialising them.
     """
     path = Path(path)
     if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
     arrays = params.arrays()
     base, delta = params.digest_base(arrays), params.digest_delta(arrays)
-    # np.savez appends .npz when missing; resolve the real location first.
-    final = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-    final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.parent / (final.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.savez_compressed(
-            FaultSiteFile(handle, "snapshot.write"),
-            **{
-                _FORMAT_KEY: np.array(params.VARIANT + _TAG_SUFFIX),
-                _CHECKSUM_KEY: np.array(_root_checksum(base, delta)),
-                _BASE_KEY: np.array(base),
-                _DELTA_KEY: np.array(delta),
-            },
-            **arrays,
-        )
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
+    members = {
+        _FORMAT_KEY: np.array(params.VARIANT + _TAG_SUFFIX),
+        _CHECKSUM_KEY: np.array(_root_checksum(base, delta)),
+        _BASE_KEY: np.array(base),
+        _DELTA_KEY: np.array(delta),
+        **arrays,
+    }
     if mmap_layout:
         # Imported lazily: core must stay importable without the
         # recommend package (and vice versa) at module-load time.
-        from ..recommend.paramstore import write_store
+        from ..recommend.paramstore import layout_members
 
-        write_store(params, final)
-    return final
+        members.update(layout_members(params))
+    final = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    return write_archive(final, members, "snapshot.write", deflate=not mmap_layout)
 
 
 def load_params(
@@ -143,7 +141,7 @@ def load_params(
     under, the load is a *delta*: only the remaining fields are read,
     hashed and validated, and the result is
     ``serving.with_fields(**delta)`` — the base arrays are ``serving``'s
-    own, and the file's copies of them are not inflated (damage confined
+    own, and the file's copies of them are not read (damage confined
     to those members goes unseen until the next full load of the file;
     nothing read from them is served). Any other archive — another
     variant or base, one written before the digests were split — is
@@ -213,32 +211,17 @@ def load_params(
         raise SnapshotCorruptError(f"snapshot {path} is unreadable: {exc}") from exc
 
 
-def stored_checksum(path: str | Path) -> str | None:
-    """The parameter checksum embedded in the snapshot at ``path``.
-
-    Decodes only the checksum member of the archive — no parameter array
-    is read — so derived data (the mmap sidecar) can be tied to the
-    snapshot it was built from cheaply. ``None`` means the archive is
-    missing, unreadable or carries no checksum.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            return str(archive[_CHECKSUM_KEY]) if _CHECKSUM_KEY in archive else None
-    except Exception:  # zipfile.BadZipFile, OSError, EOFError, ...
-        return None
-
-
 class LoadedModel(ParamsBackedModel):
     """Serving adapter around loaded parameters.
 
     Exposes the same prediction surface as a fitted model
     (:class:`~repro.core.params.ParamsBackedModel`) so a
     :class:`~repro.recommend.recommender.TemporalRecommender` can serve
-    straight from a snapshot. When opened through an mmap sidecar,
+    straight from a snapshot. When the snapshot was mapped in place,
     :attr:`param_store` carries the open
     :class:`~repro.recommend.paramstore.ParamStore`, and the serving
-    layer prefers its persisted derived arrays (rescore transpose,
-    context vectors, quantized selection form) over rebuilding them.
+    layer prefers its derived members (rescore transpose, context
+    vectors, quantized selection form) over rebuilding them.
     """
 
     def __init__(
@@ -256,29 +239,27 @@ class LoadedModel(ParamsBackedModel):
         """Open a snapshot for serving — the one way to open one.
 
         How it is served follows from what is on disk, decided where the
-        snapshot was written (``save_params(..., mmap_layout=True)``):
-        beside a sidecar directory derived from the ``.npz`` now at
-        ``path`` the parameters are memory-mapped and page in on demand;
-        without one they are loaded eagerly. A sidecar that is present
-        but torn, damaged or stale (derived from other parameters than
-        the ``.npz`` holds) degrades to the eager checksummed load with a
-        :class:`RuntimeWarning` — the sidecar is an optimisation, not a
-        second source of truth.
+        snapshot was written (``save_params(..., mmap_layout=True)``): an
+        archive that carries derived serving members is mapped in place
+        and pages in on demand; any other archive is loaded eagerly. A
+        mapped open that fails its checks (see the trust model in
+        :mod:`repro.recommend.paramstore`) degrades to the eager
+        checksummed load of the same file with a :class:`RuntimeWarning`.
 
         ``serving`` is the model this process answers from now (a
         publish passes it): an eager open whose archive names the base
         that model was verified under reads only what changed — see
         :func:`load_params`. What comes back is the same either way.
         """
-        from ..recommend.paramstore import ParamStore, store_dir
+        from ..recommend.paramstore import ParamStore, carries_layout
 
-        if store_dir(path).is_dir():
+        if carries_layout(path):
             try:
-                store = ParamStore.for_snapshot(path)
+                store = ParamStore(path)
                 return cls(store.params(), param_store=store)
             except SnapshotCorruptError as exc:
                 warnings.warn(
-                    f"mmap sidecar for {path} unusable ({exc}); "
+                    f"mapped open of {path} failed ({exc}); "
                     "falling back to eager snapshot load",
                     RuntimeWarning,
                     stacklevel=2,

@@ -1,146 +1,118 @@
-"""Memory-mapped parameter store for million-item serving.
+"""Mapping a snapshot in place for million-item serving.
 
 A fitted snapshot (`.npz`, see :mod:`repro.core.serialize`) is the
-durable, checksummed source of truth — but serving from it means
-decompressing every array into resident memory. At ``V ≥ 10⁶`` items
-that is gigabytes of float64 before the first query is answered, most of
+durable, checksummed source of truth — but loading it eagerly
+materialises every array in resident memory. At ``V ≥ 10⁶`` items that
+is gigabytes of float64 before the first query is answered, most of
 which a real query mix never touches (cold users, cold items, cold
 intervals).
 
-This module adds an **mmap sidecar layout** next to the snapshot: a
-directory ``<snapshot>.arrays/`` holding one raw ``.npy`` file per array
-plus a ``manifest.json`` with per-file SHA-256 digests, shapes and
-dtypes. Serving opens every array with ``np.load(..., mmap_mode="r")``,
-so the kernel pages in exactly the rows a query touches — a recommender
-process's resident set scales with the *hot* fraction of the catalogue,
-not its size.
+Every member of a snapshot starts on a 64-byte boundary
+(:mod:`repro.robustness.archive`). ``save_params(..., mmap_layout=True)``
+makes a snapshot mappable: its members are stored, not deflated, so each
+can be mapped where it lies, and it adds the derived serving arrays that are expensive (in time or resident bytes) to rebuild
+online, and a manifest of per-member digests, as further members of the
+*same* file (:func:`layout_members`):
 
-Beyond the raw parameters the layout persists the derived serving
-arrays that are expensive (in time or resident bytes) to rebuild online:
+=====================  ====================  ===================================
+member                 when                  holds
+=====================  ====================  ===================================
+``item_topic``         one static matrix     the contiguous ``(V, K)`` rescore
+                       (TTCAM)               transpose
+``context``            one static matrix     per-interval context scores
+                                             ``P(v | θ′_t)``, float64 ``(T, V)``
+``context32``          always                their float32 image ``(T, V)`` ...
+``context_delta``,     always                ... with its per-interval error
+``context_absmax``                           statistics ``(T,)``
+``qsel_int8_*``        always                the int8 selection form of ``Φ``:
+                                             ``storage``, ``scale``, ``delta``,
+                                             ``absmax`` (:mod:`.quantize`)
+``tcam_manifest``      always                JSON: layout format, variant, and
+                                             the SHA-256 digest
+                                             (:func:`~repro.robustness.checkpoint.digest_arrays`)
+                                             of every member above and of every
+                                             parameter field
+=====================  ====================  ===================================
 
-* ``item_topic`` — the contiguous ``(V, K)`` rescore transpose (for a
-  container whose topic–item matrix is query-independent — TTCAM);
-* ``context`` / ``context32`` (+ per-interval error statistics) — the
-  per-interval context score vectors ``P(v | θ′_t)`` in float64 (same
-  condition: otherwise they are ``theta_time`` itself), and the float32
-  image the int8 selection path adds and bounds;
-* ``qsel_int8_*`` — the int8 selection form of Φ with its measured
-  per-topic error bounds (see :mod:`repro.recommend.quantize`).
+Every member's data — parameters and derived alike — starts on a
+64-byte boundary. :meth:`repro.core.serialize.LoadedModel.from_file`
+maps an archive that carries ``tcam_manifest`` through a
+:class:`ParamStore` (one read-only ``mmap`` of the file), so the kernel
+pages in exactly the rows a query touches — a recommender process's
+resident set scales with the *hot* fraction of the catalogue, not its
+size. Any other archive loads eagerly.
 
 **Trust model.** ``__post_init__`` validation of the parameter
 containers would page every byte of every array — defeating the point —
 so :meth:`ParamStore.params` constructs them *without* validation and
-the store instead (a) verifies manifest structure, shapes and dtypes
-against the mapped files, (b) fully hashes every file small enough to be
-cheap, and (c) spot-checks sampled rows for the stochastic invariants.
-:meth:`ParamStore.verify` performs the full every-byte hash check when
-integrity matters more than start-up latency (tests do this; a paranoid
-deployment can too). The sidecar is *derived* data: the manifest records
-the checksum of the snapshot it was derived from, and if the sidecar is
-missing, damaged or describes another snapshot than the ``.npz`` beside
-it, loaders fall back to the checksummed ``.npz``. Manifest entries the
-store does not know — the Threshold-Algorithm ``sorted_order`` /
+the store instead (a) checks that every member is stored, aligned and
+the size its ``.npy`` header says, and every shape against the
+container's, (b) fully hashes every member small enough to be cheap,
+and (c) spot-checks sampled rows for the stochastic invariants.
+:meth:`ParamStore.verify` hashes every member when integrity matters
+more than start-up latency (tests do this; a paranoid deployment can
+too). A mapped open that fails (a) – (c) falls back to the eager,
+fully checksummed load of the same file. Manifest entries the store
+does not know — the Threshold-Algorithm ``sorted_order`` /
 ``sorted_values`` lists older writers persisted, which no serving path
-reads — are mapped and hash-checked like any other file and otherwise
-ignored, so such a sidecar still opens.
+reads — are mapped and hash-checked like any other member and otherwise
+ignored.
 
-**Atomicity.** :func:`write_store` builds the layout in a temporary
-sibling directory, fsyncs, and renames it into place; the manifest is
-written last, so a torn publish leaves a directory without a manifest —
-which :class:`ParamStore` rejects cleanly — never a plausible-looking
-store with half-written arrays.
+The derived members live in the file they were derived from and are
+replaced with it, atomically: they cannot be stale or torn apart from
+the parameters.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import shutil
+import zipfile
 from pathlib import Path
-from typing import Any, Hashable, Mapping
+from typing import Hashable
 
 import numpy as np
 
 from ..core.params import VARIANTS, ITCAMParameters, TCAMParameters, TTCAMParameters
-from ..core.serialize import params_checksum, stored_checksum
+from ..robustness.archive import map_members
+from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import AnyArray, FloatArray
 from .quantize import ContextVector, QuantizedMatrix, quantize_matrix
 
-__all__ = ["MANIFEST_NAME", "STORE_SUFFIX", "ParamStore", "store_dir", "write_store"]
+__all__ = ["ParamStore", "carries_layout", "layout_members"]
 
-#: Name of the manifest file inside a store directory.
-MANIFEST_NAME = "manifest.json"
+#: The member holding the layout's manifest (format, variant, digests).
+_MANIFEST = "tcam_manifest"
 
-#: Suffix appended to the snapshot filename to form the sidecar directory.
-STORE_SUFFIX = ".arrays"
+_FORMAT = "tcam-store-v3"
 
-_FORMAT = "tcam-store-v2"
-
-#: Files up to this size are fully hashed at load time; larger ones are
+#: Members up to this size are fully hashed at open; larger ones are
 #: only hashed by :meth:`ParamStore.verify` (reading them would page the
-#: whole layout in, defeating the mmap win).
+#: whole file in, defeating the mmap win).
 _EAGER_HASH_LIMIT = 1 << 20
 
 
-def store_dir(snapshot: str | Path) -> Path:
-    """The sidecar store directory belonging to a snapshot path."""
-    snapshot = Path(snapshot)
-    return snapshot.with_name(snapshot.name + STORE_SUFFIX)
+def layout_members(params: ITCAMParameters | TTCAMParameters) -> dict[str, AnyArray]:
+    """The derived serving members ``save_params(mmap_layout=True)`` adds.
 
-
-def _file_sha256(path: Path) -> str:
-    """Chunked SHA-256 of one file (3.10-compatible, bounded memory)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush directory metadata so renames survive a crash (POSIX)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path) -> Path:
-    """Write the mmap sidecar layout for ``params`` next to ``snapshot``.
-
-    This is an offline step run at publish time: it reads the full
-    parameter set once, derives the serving arrays (rescore transpose,
-    context vectors, int8 selection form) and
-    publishes everything with a rename. The manifest records the
-    parameters' checksum — the one :func:`~repro.core.serialize.save_params`
-    embeds in the ``.npz`` — so a sidecar left behind by an older save is
-    recognised as stale. Returns the store directory. An existing store
-    at the same location is replaced.
+    Reads the full parameter set once and derives the serving arrays
+    (rescore transpose, context vectors, int8 selection form), plus the
+    ``tcam_manifest`` member that records the format, the variant and a
+    digest of every parameter field and derived array.
     """
-    final = store_dir(snapshot)
-    tmp = final.with_name(final.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
-
     if not isinstance(params, TCAMParameters):
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
-    arrays: dict[str, AnyArray] = params.arrays()
-    checksum = params_checksum(params)
+    derived: dict[str, AnyArray] = {}
     intervals, num_items = params.num_intervals, params.num_items
     if params.STATIC_MATRIX:
         # One topic–item matrix for every interval: its transpose and the
         # float64 context products are worth persisting. Otherwise the
         # context rows *are* theta_time and the per-interval matrix (phi +
         # one such row) is cheap to assemble online, so neither is stored.
-        arrays["item_topic"] = np.ascontiguousarray(params.topic_item_matrix(0).T)
-        arrays["context"] = np.empty((intervals, num_items), dtype=np.float64)
+        derived["item_topic"] = np.ascontiguousarray(
+            params.topic_item_matrix(0, memo=False).T
+        )
+        derived["context"] = np.empty((intervals, num_items), dtype=np.float64)
     context32 = np.empty((intervals, num_items), dtype=np.float32)
     context_delta = np.empty(intervals, dtype=np.float64)
     context_abs_max = np.empty(intervals, dtype=np.float64)
@@ -150,157 +122,101 @@ def write_store(params: ITCAMParameters | TTCAMParameters, snapshot: str | Path)
         # GEMM can differ from it in the last ULP, and persisted context
         # rows must be bit-identical to freshly computed ones.
         row = params.context_scores(t)
-        if "context" in arrays:
-            arrays["context"][t] = row
+        if "context" in derived:
+            derived["context"][t] = row
         vector = ContextVector.from_exact(row)
         context32[t] = vector.values
         context_delta[t] = vector.delta
         context_abs_max[t] = vector.abs_max
-    arrays["context32"] = context32
-    arrays["context_delta"] = context_delta
-    arrays["context_absmax"] = context_abs_max
+    derived["context32"] = context32
+    derived["context_delta"] = context_delta
+    derived["context_absmax"] = context_abs_max
 
     quantized = quantize_matrix(np.asarray(params.phi, dtype=np.float64), "int8")
-    arrays["qsel_int8_storage"] = quantized.storage
-    arrays["qsel_int8_scale"] = quantized.scale
-    arrays["qsel_int8_delta"] = quantized.delta
-    arrays["qsel_int8_absmax"] = quantized.row_abs_max
+    derived["qsel_int8_storage"] = quantized.storage
+    derived["qsel_int8_scale"] = quantized.scale
+    derived["qsel_int8_delta"] = quantized.delta
+    derived["qsel_int8_absmax"] = quantized.row_abs_max
 
-    entries: dict[str, dict[str, Any]] = {}
-    for name, array in arrays.items():
-        filename = f"{name}.npy"
-        path = tmp / filename
-        with open(path, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(array))
-            handle.flush()
-            os.fsync(handle.fileno())
-        entries[name] = {
-            "file": filename,
-            "dtype": str(array.dtype),
-            "shape": list(array.shape),
-            "sha256": _file_sha256(path),
-        }
-
+    mapped = {**params.arrays(), **derived}
     manifest = {
         "format": _FORMAT,
         "variant": params.VARIANT,
-        "snapshot_checksum": checksum,
-        "arrays": entries,
+        "digests": {name: digest_arrays({name: array}) for name, array in mapped.items()},
     }
-    manifest_path = tmp / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as text:
-        json.dump(manifest, text, indent=2, sort_keys=True)
-        text.flush()
-        os.fsync(text.fileno())
-    _fsync_dir(tmp)
+    derived[_MANIFEST] = np.array(json.dumps(manifest, sort_keys=True))
+    return derived
 
-    if final.exists():
-        shutil.rmtree(final)
-    os.rename(tmp, final)
-    _fsync_dir(final.parent)
-    return final
+
+def carries_layout(path: str | Path) -> bool:
+    """Whether the archive at ``path`` carries derived serving members.
+
+    Reads the zip directory only. An unreadable or missing file is
+    ``False``: the eager load then reports what is wrong with it.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            return f"{_MANIFEST}.npy" in archive.NameToInfo
+    except Exception:  # zipfile.BadZipFile, OSError, ...
+        return False
 
 
 class ParamStore:
-    """Memory-mapped view of one published parameter store directory.
+    """Memory-mapped view of one snapshot saved with ``mmap_layout=True``.
 
-    All arrays are opened with ``mmap_mode="r"`` — constructing a store
-    maps files without reading them, so start-up cost and resident
-    memory are both tiny regardless of catalogue size. Accessors hand
-    out mmap-backed objects directly (memoised on the store, *not*
-    copied), and the serving layer deliberately keeps them out of its
-    caches' byte count: they are pageable, not resident.
+    Every member is mapped read-only where it lies in the archive —
+    constructing a store reads the zip directory and the small members,
+    not the parameters, so start-up cost and resident memory are both
+    tiny regardless of catalogue size. Accessors hand out mmap-backed
+    objects directly (memoised on the store, *not* copied), and the
+    serving layer deliberately keeps them out of its caches' byte count:
+    they are pageable, not resident. Any failed check raises
+    :class:`~repro.robustness.errors.SnapshotCorruptError` naming the
+    file.
     """
 
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        manifest_path = self.directory / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise SnapshotCorruptError(
-                f"parameter store {self.directory} has no {MANIFEST_NAME} "
-                "(missing or torn publish)"
-            )
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as text:
-                manifest = json.load(text)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SnapshotCorruptError(
-                f"parameter store manifest {manifest_path} is unreadable: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
-            raise SnapshotCorruptError(
-                f"{manifest_path} is not a {_FORMAT} manifest"
-            )
-        self.snapshot_checksum = manifest.get("snapshot_checksum")
-        self.variant = str(manifest.get("variant"))
-        if self.variant not in VARIANTS:
-            raise SnapshotCorruptError(
-                f"unknown parameter-store variant {self.variant!r} in {manifest_path}"
-            )
-        entries = manifest.get("arrays")
-        if not isinstance(entries, Mapping) or not entries:
-            raise SnapshotCorruptError(f"{manifest_path} lists no arrays")
-        self._entries: dict[str, dict[str, Any]] = {
-            str(name): dict(entry) for name, entry in entries.items()
-        }
-        self._arrays: dict[str, AnyArray] = {}
-        for name, entry in self._entries.items():
-            self._arrays[name] = self._open_array(name, entry)
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._params: ITCAMParameters | TTCAMParameters | None = None
+        self._quantized: dict[str, QuantizedMatrix | None] = {}
+        try:
+            self._open()
+        except SnapshotCorruptError:
+            raise
+        except Exception as exc:  # zipfile.BadZipFile, ValueError, KeyError, ...
+            raise SnapshotCorruptError(f"snapshot {self.path} cannot be mapped: {exc}") from exc
+
+    def _open(self) -> None:
+        members = map_members(self.path)
+        if _MANIFEST not in members:
+            raise SnapshotCorruptError(f"{self.path} carries no derived serving members")
+        manifest = json.loads(str(members[_MANIFEST][()]))
+        if manifest.get("format") != _FORMAT:
+            raise SnapshotCorruptError(f"{self.path} is not a {_FORMAT} layout")
+        self.variant = str(manifest["variant"])
+        if self.variant not in VARIANTS:
+            raise SnapshotCorruptError(f"unknown variant {self.variant!r} in {self.path}")
+        self._digests: dict[str, str] = dict(manifest["digests"])
+        missing = sorted(set(self._digests) - set(members))
+        if missing:
+            raise SnapshotCorruptError(f"{self.path} is missing members {missing}")
+        self._arrays: dict[str, AnyArray] = {name: members[name] for name in self._digests}
+        for name, array in self._arrays.items():
+            if array.nbytes <= _EAGER_HASH_LIMIT:
+                self._check_digest(name)
         self._check_structure()
         self._spot_check()
-        self._quantized: dict[str, QuantizedMatrix | None] = {}
-
-    @classmethod
-    def for_snapshot(cls, snapshot: str | Path) -> "ParamStore":
-        """Open the store belonging to a snapshot path.
-
-        The store must have been derived from the ``.npz`` that is at
-        ``snapshot`` now: the manifest's checksum is compared with the
-        one embedded in the archive (one small zip member — no parameter
-        bytes are read), so a sidecar left over from an earlier save at
-        the same path is rejected instead of served.
-        """
-        store = cls(store_dir(snapshot))
-        expected = stored_checksum(snapshot)
-        if expected is None or store.snapshot_checksum != expected:
-            raise SnapshotCorruptError(
-                f"parameter store {store.directory} is stale: it was not derived "
-                f"from the parameters now in {snapshot}"
-            )
-        return store
 
     # -- load-time validation --------------------------------------------
 
-    def _open_array(self, name: str, entry: Mapping[str, Any]) -> AnyArray:
-        """Map one manifest entry, checking its header against the manifest."""
-        path = self.directory / str(entry.get("file", f"{name}.npy"))
-        try:
-            array = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise SnapshotCorruptError(
-                f"parameter store array {path} is unreadable: {exc}"
-            ) from exc
-        if str(array.dtype) != entry.get("dtype"):
-            raise SnapshotCorruptError(
-                f"{path} has dtype {array.dtype}, manifest says {entry.get('dtype')}"
-            )
-        if list(array.shape) != list(entry.get("shape", [])):
-            raise SnapshotCorruptError(
-                f"{path} has shape {array.shape}, manifest says {entry.get('shape')}"
-            )
-        if path.stat().st_size <= _EAGER_HASH_LIMIT:
-            digest = _file_sha256(path)
-            if digest != entry.get("sha256"):
-                raise SnapshotCorruptError(f"{path} failed its checksum")
-        return array
+    def _check_digest(self, name: str) -> None:
+        if digest_arrays({name: self._arrays[name]}) != self._digests[name]:
+            raise SnapshotCorruptError(f"{self.path}: member {name!r} failed its checksum")
 
     def _require(self, name: str) -> AnyArray:
         array = self._arrays.get(name)
         if array is None:
-            raise SnapshotCorruptError(
-                f"parameter store {self.directory} is missing array {name!r}"
-            )
+            raise SnapshotCorruptError(f"{self.path} is missing member {name!r}")
         return array
 
     def _check_structure(self) -> None:
@@ -313,35 +229,35 @@ class ParamStore:
         params = self.params()
         ranks = {name: array.ndim for name, array in params.arrays().items()}
         if ranks.pop("lambda_u") != 1 or set(ranks.values()) != {2}:
-            raise SnapshotCorruptError(f"{self.directory}: parameter ranks are wrong")
+            raise SnapshotCorruptError(f"{self.path}: parameter ranks are wrong")
         try:
             params._check_shapes()
         except ValueError as exc:
-            raise SnapshotCorruptError(f"{self.directory}: {exc}") from exc
+            raise SnapshotCorruptError(f"{self.path}: {exc}") from exc
         intervals, num_items = params.num_intervals, params.num_items
         if params.STATIC_MATRIX:
             topics = int(params.query_weights(0, 0).shape[0])
             item_topic = self._require("item_topic")
             if tuple(item_topic.shape) != (num_items, topics):
                 raise SnapshotCorruptError(
-                    f"{self.directory}: item_topic shape {item_topic.shape} does not "
+                    f"{self.path}: item_topic shape {item_topic.shape} does not "
                     f"match ({num_items}, {topics})"
                 )
             context = self._require("context")
             if tuple(context.shape) != (intervals, num_items):
                 raise SnapshotCorruptError(
-                    f"{self.directory}: context shape {context.shape} is wrong"
+                    f"{self.path}: context shape {context.shape} is wrong"
                 )
         context32 = self._require("context32")
         if tuple(context32.shape) != (intervals, num_items):
             raise SnapshotCorruptError(
-                f"{self.directory}: context32 shape {context32.shape} is wrong"
+                f"{self.path}: context32 shape {context32.shape} is wrong"
             )
         for name in ("context_delta", "context_absmax"):
             stats = self._require(name)
             if tuple(stats.shape) != (intervals,):
                 raise SnapshotCorruptError(
-                    f"{self.directory}: {name} shape {stats.shape} is wrong"
+                    f"{self.path}: {name} shape {stats.shape} is wrong"
                 )
 
     def _spot_check(self) -> None:
@@ -358,27 +274,24 @@ class ParamStore:
                 total = float(np.asarray(matrix[row], dtype=np.float64).sum())
                 if not np.isfinite(total) or abs(total - 1.0) > 1e-4:
                     raise SnapshotCorruptError(
-                        f"{self.directory}: {name} row {row} sums to {total!r}"
+                        f"{self.path}: {name} row {row} sums to {total!r}"
                     )
         lambda_u = self._arrays["lambda_u"]
         for row in sorted({0, int(lambda_u.shape[0]) - 1}):
             value = float(lambda_u[row])
             if not 0.0 <= value <= 1.0 + 1e-9:
                 raise SnapshotCorruptError(
-                    f"{self.directory}: lambda_u[{row}] = {value!r} outside [0, 1]"
+                    f"{self.path}: lambda_u[{row}] = {value!r} outside [0, 1]"
                 )
 
     def verify(self) -> None:
-        """Full integrity check: re-hash every file against the manifest.
+        """Full integrity check: re-hash every member against the manifest.
 
-        Reads (and therefore pages) the entire layout — use at publish
-        or audit time, not on the serving start-up path.
+        Reads (and therefore pages) the entire file — use at publish or
+        audit time, not on the serving start-up path.
         """
-        for name, entry in self._entries.items():
-            path = self.directory / str(entry.get("file", f"{name}.npy"))
-            digest = _file_sha256(path)
-            if digest != entry.get("sha256"):
-                raise SnapshotCorruptError(f"{path} failed its checksum")
+        for name in self._arrays:
+            self._check_digest(name)
 
     # -- accessors --------------------------------------------------------
 

@@ -371,10 +371,10 @@ class TemporalRecommender:
         each :class:`ServingStatus`. Without fallbacks the error
         propagates.
 
-        Beside a fresh sidecar store (see
-        :mod:`repro.recommend.paramstore`) the parameters are mapped and
-        page in on demand instead of being materialised; a damaged or
-        stale sidecar falls back to the eager checksummed load with a
+        A snapshot saved with derived serving members (see
+        :mod:`repro.recommend.paramstore`) is mapped in place and pages
+        in on demand instead of being materialised; a mapped open that
+        fails its checks falls back to the eager checksummed load with a
         :class:`RuntimeWarning` rather than failing the start-up
         (:meth:`~repro.core.serialize.LoadedModel.from_file`).
         """

@@ -914,10 +914,15 @@ class BatchScorer:
     # -- cached building blocks ------------------------------------------
 
     def _stacked_matrix(self, interval: int, users: Sequence[int]) -> FloatArray:
-        """The full ``(K, V)`` topic–item matrix for one interval."""
+        """The full ``(K, V)`` topic–item matrix for one interval.
+
+        Only ever derived from (an index, an arrangement, a transpose, a
+        quantized form — each cached on its own), so a container is not
+        asked to keep it.
+        """
         params = self._params()
         if params is not None:
-            stacked: FloatArray = params.topic_item_matrix(interval)
+            stacked: FloatArray = params.topic_item_matrix(interval, memo=False)
             return stacked
         generic: FloatArray = self.model.query_space(int(users[0]), interval)[1]
         return generic
@@ -1269,7 +1274,7 @@ class BatchScorer:
                 self._stacked_matrix(interval, users), key, "qstack", "int8"
             )
         else:
-            qsel = self._quantized_selection(params.phi, (key, "phi"), "qsel", "int8")
+            qsel = self._quantized_selection(params.phi, "phi", "qsel", "int8")
             qcontext = self._quantized_context(interval, params)
         k_dim = qsel.shape[0]
 

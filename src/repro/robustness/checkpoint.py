@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ import numpy as np
 
 from ..typing import FloatArray, bit_deterministic
 
+from .archive import write_archive
 from .errors import CheckpointError
-from .faults import FaultSiteFile
 
 _ITERATION_KEY = "__iteration__"
 _TRACE_KEY = "__log_likelihood__"
@@ -39,7 +38,8 @@ def digest_arrays(arrays: dict[str, FloatArray]) -> str:
     """SHA-256 digest over named arrays (name, dtype, shape and bytes).
 
     The digest is independent of dict insertion order, so the same
-    parameters always hash identically.
+    parameters always hash identically. The bytes are hashed where they
+    lie (a mapped array pages in, it is not copied).
     """
     h = hashlib.sha256()
     for name in sorted(arrays):
@@ -47,7 +47,7 @@ def digest_arrays(arrays: dict[str, FloatArray]) -> str:
         h.update(name.encode())
         h.update(str(value.dtype).encode())
         h.update(str(value.shape).encode())
-        h.update(value.tobytes())
+        h.update(value.reshape(-1).view(np.uint8))
     return h.hexdigest()
 
 
@@ -116,27 +116,20 @@ class CheckpointManager:
         bad = _RESERVED & set(arrays)
         if bad:
             raise CheckpointError(f"array names collide with reserved keys: {sorted(bad)}")
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self._path_for(iteration)
-        tmp = final.parent / (final.name + ".tmp")
         payload = {name: np.asarray(value) for name, value in arrays.items()}
         trace = np.asarray(log_likelihood if log_likelihood is not None else [], dtype=np.float64)
-        with open(tmp, "wb") as handle:
-            # Stored, not deflated: float64 state does not compress; np.load
-            # reads either kind, so older compressed checkpoints still load.
-            np.savez(
-                FaultSiteFile(handle, "checkpoint.write", iteration=iteration),
+        final = write_archive(
+            self._path_for(iteration),
+            {
                 **payload,
-                **{
-                    _ITERATION_KEY: np.array(int(iteration)),
-                    _TRACE_KEY: trace,
-                    _META_KEY: np.array(json.dumps(self.meta, sort_keys=True)),
-                    _CHECKSUM_KEY: np.array(digest_arrays(payload)),
-                },
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
+                _ITERATION_KEY: np.array(int(iteration)),
+                _TRACE_KEY: trace,
+                _META_KEY: np.array(json.dumps(self.meta, sort_keys=True)),
+                _CHECKSUM_KEY: np.array(digest_arrays(payload)),
+            },
+            "checkpoint.write",
+            iteration=iteration,
+        )
         self._prune()
         return final
 

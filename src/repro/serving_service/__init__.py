@@ -8,7 +8,7 @@ batch of queries quickly; this package turns it into a *service*:
   split one request across flushes;
 * :mod:`.worker` — the spawned worker process: its own recommender +
   publish gate, driven over a strict request/response pipe; workers
-  map a snapshot saved with an mmap sidecar
+  map a snapshot saved with derived serving members
   (:mod:`repro.recommend.paramstore`) and share one page cache — the
   snapshot says so, no launch flag does;
 * :mod:`.service` — the one-thread asyncio TCP front-end: user-sharded

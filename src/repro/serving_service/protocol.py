@@ -16,7 +16,7 @@ Request objects::
 
 Keys an op does not know — the ``"mmap"`` an older client sent with
 ``publish`` — are ignored, not refused: whether a snapshot is mapped
-follows from the sidecar beside it.
+follows from what the snapshot carries.
 
 Responses always echo ``id``. A query response carries parallel per-row
 lists so a client can check batch integrity::

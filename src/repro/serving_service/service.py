@@ -23,12 +23,12 @@ Architecture
   ``user % num_workers``, a deterministic modulo sharding, so a user's
   repeat queries always hit the worker whose serving caches (exclusion
   masks, interval contexts) are already warm for them.
-* **Zero-copy snapshots**: a snapshot saved with an mmap sidecar
+* **Zero-copy snapshots**: a snapshot saved with derived serving members
   (:mod:`repro.recommend.paramstore`, ``tcam fit --mmap-layout``) is
   mapped by every worker — nothing to ask for at serve time — and the
   kernel keeps one shared page cache, so per-worker *proportional*
   memory (PSS) grows sub-linearly with the worker count — across hot
-  swaps too. Without a sidecar each worker loads the ``.npz`` eagerly
+  swaps too. Without them each worker loads the ``.npz`` eagerly
   and builds the derived arrays it is asked for into its own
   :class:`~repro.recommend.serving.ServingCache`; the front-end holds
   no parameters either way.

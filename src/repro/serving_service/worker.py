@@ -1,8 +1,8 @@
 """Worker-process side of the serving service.
 
 Each worker is a spawned child running :func:`worker_main`: it opens the
-*same* snapshot as every sibling (beside an mmap sidecar all workers map
-it and share one page cache; without one each worker builds the derived
+*same* snapshot as every sibling (one saved with derived serving members
+all workers map and share one page cache; without them each worker builds the derived
 arrays it is asked for into its own serving cache), builds its own
 :class:`~repro.recommend.recommender.TemporalRecommender`, and then
 serves a strict request/response loop over its end of a

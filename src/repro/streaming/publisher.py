@@ -228,8 +228,8 @@ class SnapshotPublisher:
         (a fold-in snapshot) is opened by delta — only ``θ``, ``θ′`` and
         ``λ`` are read, verified and gated, and the new generation shares
         the base arrays and what the serving cache derived from them.
-        Beside a fresh sidecar store the swapped-in generation serves
-        from memory-mapped parameters; the health gate then still reads
+        A snapshot saved with derived serving members is mapped, and the
+        swapped-in generation serves from memory-mapped parameters; the health gate then still reads
         every array once (in this publisher process) and the resident win
         applies to the serving side.
         """

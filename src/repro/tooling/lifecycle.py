@@ -2,7 +2,7 @@
 
 PRs 6–8 made the TCAM reproduction a process that owns real OS state:
 WAL segments and checkpoint renames (:mod:`repro.streaming.wal`,
-:mod:`repro.robustness.checkpoint`), mmap ``ParamStore`` sidecars
+:mod:`repro.robustness.checkpoint`), mmap ``ParamStore`` views
 (:mod:`repro.recommend.paramstore`), client sockets, and spawned
 worker processes with duplex pipes.  The linter checks
 in-process numerics and the race analyzer checks concurrent access;

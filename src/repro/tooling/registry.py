@@ -245,6 +245,7 @@ TREE: dict[str, FileFacts] = {
         contracts=("TemporalRecommender.recommend_batch_with_status",),
     ),
     "recommend/serving.py": FileFacts(hot_kernels=("BatchScorer.serve_group",), serving=True),
+    "robustness/archive.py": FileFacts(durable=True),
     "robustness/checkpoint.py": FileFacts(durable=True, contracts=("CheckpointManager.load",)),
     "serving_service/batching.py": FileFacts(serving=True),
     "serving_service/client.py": FileFacts(serving=True),
@@ -258,7 +259,7 @@ TREE: dict[str, FileFacts] = {
 }
 
 #: Callables that construct lifecycle-tracked mmap stores (TCAM025).
-STORE_CONSTRUCTORS = frozenset({"ParamStore", "for_snapshot"})
+STORE_CONSTRUCTORS = frozenset({"ParamStore"})
 
 
 def facts_for(path: str) -> FileFacts:

@@ -1,5 +1,6 @@
 """Tests for model persistence."""
 
+import hashlib
 import zipfile
 
 import numpy as np
@@ -7,13 +8,7 @@ import pytest
 
 from repro.core.itcam import ITCAM
 from repro.core.params import VARIANTS
-from repro.core.serialize import (
-    LoadedModel,
-    load_params,
-    params_checksum,
-    save_params,
-    stored_checksum,
-)
+from repro.core.serialize import LoadedModel, load_params, save_params
 from repro.core.ttcam import TTCAM
 from repro.robustness.checkpoint import digest_arrays
 from repro.robustness.errors import SnapshotCorruptError
@@ -88,9 +83,10 @@ class TestFormatIsDeclaredOnce:
                 assert str(archive["tcam_delta_digest"]) == digest_arrays(
                     {name: arrays[name] for name in params.delta_fields()}
                 )
+                parts = f"{archive['tcam_base_digest']}:{archive['tcam_delta_digest']}"
+                assert str(archive["tcam_checksum"]) == hashlib.sha256(parts.encode()).hexdigest()
             loaded = load_params(path)
             assert type(loaded) is VARIANTS[params.VARIANT]
-            assert stored_checksum(path) == params_checksum(loaded)
             assert loaded.base_digest == params.digest_base(arrays)
 
     @pytest.mark.parametrize(
@@ -123,13 +119,14 @@ class TestFormatIsDeclaredOnce:
                 assert before[member].tobytes() == after[member].tobytes(), member
         loaded = load_params(old)
         assert type(loaded) is type(params)
-        assert digest_arrays(loaded.arrays()) == stored_checksum(old)
+        with np.load(old) as before:
+            assert digest_arrays(loaded.arrays()) == str(before["tcam_checksum"])
         assert loaded.base_digest is None  # a flat checksum hashes no base digest
         renewed = load_params(new)
         for name in order:
             assert np.array_equal(getattr(renewed, name), getattr(loaded, name)), name
 
-    def test_stored_checksum_reads_only_the_checksum_member(self, fitted_models, tmp_path):
+    def test_a_flipped_member_byte_fails_the_checksum(self, fitted_models, tmp_path):
         params = fitted_models[1].params_
         path = save_params(params, tmp_path / "model.npz")
         with zipfile.ZipFile(path) as archive:
@@ -138,7 +135,6 @@ class TestFormatIsDeclaredOnce:
         # The member's size past its local header lands inside its data.
         raw[phi.header_offset + phi.compress_size] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert stored_checksum(path) == params_checksum(params)
         with pytest.raises(SnapshotCorruptError):
             load_params(path)
 

@@ -1,35 +1,31 @@
-"""Sidecars written before the container owned the read side still open.
+"""Snapshots written beside a sidecar directory still open and serve.
 
-``fixtures/parent_store/`` holds a TTCAM and an ITCAM snapshot with their
-``tcam-store-v2`` sidecars, written by commit de21318 — the last one whose
-``write_store`` spelled the variant difference itself — by running this
+``fixtures/parent_store/`` holds a TTCAM and an ITCAM snapshot with the
+``tcam-store-v2`` sidecar directories (``<snapshot>.arrays/``) the
+writer of commit de21318 put beside them, written by running this
 module as a script against that commit's sources::
 
     PYTHONPATH=<checkout of de21318>/src python tests/recommend/test_parent_sidecar.py
 
-Compatibility is pinned by their bytes, not by today's writer: each must
-open through the one opener, map, and serve bitwise what the eager load
-of the same ``.npz`` serves.
+Derived serving arrays now live inside the snapshot, so such a
+directory is ignored: each ``.npz`` opens through the one opener
+eagerly, with no warning, and serves bitwise what its parameters serve.
+Re-saved with ``mmap_layout=True`` it maps, and its derived members are
+the sidecar's arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.params import ITCAMParameters, TTCAMParameters
-from repro.core.serialize import (
-    LoadedModel,
-    load_params,
-    params_checksum,
-    save_params,
-    stored_checksum,
-)
+from repro.core.serialize import LoadedModel, load_params, save_params
 from repro.recommend import TemporalRecommender
-from repro.recommend.paramstore import MANIFEST_NAME, ParamStore, store_dir, write_store
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_store"
 USERS, ITEMS, INTERVALS = 7, 13, 3
@@ -56,47 +52,56 @@ def _write_fixtures() -> None:
         save_params(_params(variant), FIXTURES / f"{variant}.npz", mmap_layout=True)
 
 
-@pytest.mark.parametrize("variant", ["ttcam", "itcam"])
-def test_parent_written_sidecar_maps_and_serves_bitwise(variant, tmp_path):
-    snapshot = FIXTURES / f"{variant}.npz"
-    manifest = json.loads((store_dir(snapshot) / MANIFEST_NAME).read_text())
-    assert (manifest["format"], manifest["variant"]) == ("tcam-store-v2", variant)
-
-    mapped = LoadedModel.from_file(snapshot)
-    assert mapped.param_store is not None
-    mapped.param_store.verify()
-    eager = load_params(snapshot)
-    for name, array in eager.arrays().items():
-        assert np.array_equal(getattr(mapped.params_, name), array), name
-
-    queries = [(u, (2 * u) % INTERVALS) for u in range(USERS)]
-    want = TemporalRecommender(LoadedModel(eager)).recommend_batch(queries, k=5)
+def _assert_serves(model, params, queries):
+    want = TemporalRecommender(LoadedModel(params)).recommend_batch(queries, k=5)
     for dtype in ("float64", "int8"):
-        got = TemporalRecommender(mapped).recommend_batch(queries, k=5, dtype=dtype)
+        got = TemporalRecommender(model).recommend_batch(queries, k=5, dtype=dtype)
         for w, g in zip(want, got):
             assert g.items == w.items
             assert [x.hex() for x in g.scores] == [x.hex() for x in w.scores]
 
-    # Today's writer produces the parent's layout, array for array; only the
-    # tie to the snapshot follows today's (split) checksum, and the parent's
-    # pair stays tied by the flat one both of its halves carry.
-    rewritten = ParamStore(write_store(eager, tmp_path / snapshot.name))
-    assert rewritten.snapshot_checksum == params_checksum(eager)
-    assert manifest["snapshot_checksum"] == stored_checksum(snapshot)
-    fresh = json.loads((rewritten.directory / MANIFEST_NAME).read_text())["arrays"]
-    assert list(fresh) == list(manifest["arrays"])
-    for name, entry in manifest["arrays"].items():
-        assert (fresh[name]["dtype"], fresh[name]["shape"]) == (entry["dtype"], entry["shape"])
-        assert np.array_equal(rewritten.array(name), mapped.param_store.array(name)), name
+
+@pytest.mark.parametrize("variant", ["ttcam", "itcam"])
+def test_parent_written_sidecar_is_ignored_and_serves_bitwise(variant, tmp_path):
+    snapshot = FIXTURES / f"{variant}.npz"
+    sidecar = FIXTURES / f"{variant}.npz.arrays"
+    assert (sidecar / "manifest.json").is_file()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opened = LoadedModel.from_file(snapshot)
+    assert opened.param_store is None
+    eager = load_params(snapshot)
+    for name, array in eager.arrays().items():
+        assert np.array_equal(getattr(opened.params_, name), array), name
+    queries = [(u, (2 * u) % INTERVALS) for u in range(USERS)]
+    _assert_serves(opened, eager, queries)
+
+    # Re-saved with the layout, the same parameters map, serve the same
+    # bits, and carry the parent's derived arrays as members, array for array.
+    resaved = save_params(eager, tmp_path / snapshot.name, mmap_layout=True)
+    mapped = LoadedModel.from_file(resaved)
+    assert mapped.param_store is not None
+    mapped.param_store.verify()
+    _assert_serves(mapped, eager, queries)
+    with np.load(resaved) as archive:
+        digests = json.loads(str(archive["tcam_manifest"]))["digests"]
+    parent_files = sorted(path.stem for path in sidecar.glob("*.npy"))
+    assert parent_files == sorted(digests)
+    for name in parent_files:
+        parent = np.load(sidecar / f"{name}.npy")
+        member = mapped.param_store.array(name)
+        assert (member.dtype, member.shape) == (parent.dtype, parent.shape), name
+        assert np.array_equal(member, parent), name
 
 
 @pytest.mark.parametrize("variant", ["ttcam", "itcam"])
 def test_serving_a_parent_sidecar_the_next_file_opens_fully_then_by_delta(variant, tmp_path):
-    """A mapped generation knows no base digest: one full open, then deltas."""
+    """A flat-checksum snapshot knows no base digest: one full open, then deltas."""
     from repro.streaming import SnapshotPublisher
 
     recommender = TemporalRecommender.from_snapshot(FIXTURES / f"{variant}.npz")
-    assert recommender.model.param_store is not None
+    assert recommender.model.param_store is None  # the sidecar beside it is ignored
     assert recommender.model.params_.base_digest is None
     publisher = SnapshotPublisher(recommender)
     eager = load_params(FIXTURES / f"{variant}.npz")

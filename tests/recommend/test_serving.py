@@ -739,3 +739,43 @@ class TestLRUCacheByteBudget:
     def test_value_nbytes_accounting(self):
         assert value_nbytes(np.zeros(8)) == 64
         assert value_nbytes("not an array") == 0
+
+
+def _rows(results):
+    return [(r.items, [x.hex() for x in r.scores]) for r in results]
+
+
+class TestBaseKeyedEntries:
+    """What depends on ``φ`` alone is built once, whatever the interval."""
+
+    def test_itcam_int8_quantizes_phi_once_over_twelve_intervals(self, monkeypatch):
+        import repro.recommend.serving as serving
+
+        model = make_itcam(np.random.default_rng(41), num_intervals=12)
+        queries = [(u, t) for t in range(12) for u in range(0, 12, 3)]
+        want = TemporalRecommender(make_itcam(np.random.default_rng(41), num_intervals=12))
+        want = _rows(want.recommend_batch(queries, k=5))
+        quantized = []
+        real = serving.quantize_matrix
+
+        def counting(matrix, dtype):
+            quantized.append(matrix.shape)
+            return real(matrix, dtype)
+
+        monkeypatch.setattr(serving, "quantize_matrix", counting)
+        rec = TemporalRecommender(model)
+        for _ in range(2):  # a second pass over every interval builds nothing
+            assert _rows(rec.recommend_batch(queries, k=5, dtype="int8")) == want
+        assert quantized == [model.params_.phi.shape]
+
+    @pytest.mark.parametrize("dtype", ["float64", "int8"])
+    def test_serving_a_ttcam_keeps_no_stacked_matrix(self, dtype):
+        model = make_ttcam(np.random.default_rng(43), num_items=90)
+        queries = [(u, u % 5) for u in range(12)]
+        reference = TemporalRecommender(make_ttcam(np.random.default_rng(43), num_items=90))
+        want = [reference.recommend(u, t, k=6, method="ta") for u, t in queries]
+        got = TemporalRecommender(model).recommend_batch(queries, k=6, dtype=dtype)
+        assert getattr(model.params_, "_stacked_matrix", None) is None
+        assert _rows(got) == _rows(want)
+        # the reference engine's query_space callers keep their memo
+        assert getattr(reference.model.params_, "_stacked_matrix", None) is not None

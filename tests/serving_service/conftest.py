@@ -48,7 +48,7 @@ def service_params() -> TTCAMParameters:
 
 @pytest.fixture(scope="session")
 def snapshot_path(tmp_path_factory, service_params) -> Path:
-    """The session's serving snapshot on disk (eager, no sidecar)."""
+    """The session's serving snapshot on disk (eager, no derived members)."""
     path = tmp_path_factory.mktemp("service") / "snapshot.npz"
     save_params(service_params, str(path))
     return path

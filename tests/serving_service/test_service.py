@@ -86,7 +86,7 @@ class TestReadPath:
         for entry in status["workers"]:
             assert entry["generation"] == 0
             assert "shared" not in entry
-            assert entry["mmap"] is False  # no sidecar beside the snapshot: eager models
+            assert entry["mmap"] is False  # no derived members in the snapshot: eager models
             assert entry["rss_bytes"] is None or entry["rss_bytes"] > 0
         # an idle fleet: nothing in flight or parked when the status was taken
         assert status["service"]["inflight"] == [0, 0]
@@ -259,7 +259,7 @@ class TestHotSwap:
 
 
 class TestSidecarFleet:
-    """The fleet on mmap sidecars — the one cross-worker sharing path."""
+    """The fleet on mapped snapshots (``mmap_layout=True``) — the one cross-worker sharing path."""
 
     @pytest.mark.parametrize("serve_dtype", ["float64", "int8"])
     def test_serves_and_swaps_on_sidecars_bitwise(self, tmp_path, serve_dtype):
@@ -285,16 +285,16 @@ class TestSidecarFleet:
 
                 assert client.publish(str(second_path))["published"] is True
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(second))
-                assert mmap_flags(client) == [True, True]  # the sidecar survives a swap
+                assert mmap_flags(client) == [True, True]  # mapping survives a swap
 
-                # no sidecar beside this one: every worker loads it eagerly,
+                # no derived members in this one: every worker loads it eagerly,
                 # and status says so
                 assert client.publish(str(plain_path))["published"] is True
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(plain))
                 assert mmap_flags(client) == [False, False]
 
                 # an older client's "mmap" key is ignored, not an error: the
-                # sidecar beside the snapshot decides
+                # what the snapshot carries decides
                 old_style = {"op": "publish", "path": str(first_path), "mmap": False}
                 assert client.request(old_style)["published"] is True
                 _assert_rows_bitwise(client.recommend(queries, k=6), direct(first))

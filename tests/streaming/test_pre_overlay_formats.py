@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import TTCAMParameters
-from repro.core.serialize import load_params, save_params, stored_checksum
+from repro.core.serialize import load_params, save_params
 from repro.robustness import CheckpointError, digest_arrays
 from repro.streaming import EventLog, StreamEvent, StreamIngestor
 
@@ -60,7 +60,7 @@ def test_compressed_snapshot_loads_bit_identically():
         assert str(raw["tcam_format"]) == "ttcam-v1"
         for name, array in loaded.arrays().items():
             assert np.array_equal(array, raw[name]), name
-    assert stored_checksum(SNAPSHOT) == digest_arrays(loaded.arrays())
+        assert str(raw["tcam_checksum"]) == digest_arrays(loaded.arrays())
 
 
 def test_monolithic_checkpoint_resumes_bit_identically(tmp_path):

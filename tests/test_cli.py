@@ -2,6 +2,7 @@
 
 import io
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -279,9 +280,11 @@ class TestRecommendMmapQuantized:
         assert code == 0
         return path
 
-    def test_fit_writes_sidecar(self, mmap_snapshot, capsys):
-        sidecar = mmap_snapshot.parent / (mmap_snapshot.name + ".arrays")
-        assert (sidecar / "manifest.json").exists()
+    def test_fit_writes_sidecar(self, mmap_snapshot):
+        # the derived members the sidecar directory held, inside the snapshot
+        with zipfile.ZipFile(mmap_snapshot) as archive:
+            assert {"item_topic.npy", "tcam_manifest.npy"} <= set(archive.namelist())
+        assert list(mmap_snapshot.parent.iterdir()) == [mmap_snapshot]
 
     @pytest.mark.parametrize("dtype", ["int8"])
     def test_quantized_batch_rows_identical_to_float64(

@@ -105,13 +105,19 @@ def test_base_is_declared_on_the_container_only():
 
     No ``("phi", "phi_time")`` tuple outside the container module, and
     ``digest_arrays`` — the hash a base digest and a snapshot checksum
-    are made of — is called on parameter fields only by the container
-    and the serializer (the checkpoint module defines it and hashes its
-    own, non-parameter payloads).
+    are made of — is called on parameter fields only by the container,
+    the serializer and the mapped layout's per-member digests (the
+    checkpoint module defines it and hashes its own, non-parameter
+    payloads).
     """
     base = {cls.BASE_FIELDS for cls in VARIANTS.values()}
     assert base == {("phi", "phi_time"), ("phi",)}
-    may_hash = {"core/params.py", "core/serialize.py", "robustness/checkpoint.py"}
+    may_hash = {
+        "core/params.py",
+        "core/serialize.py",
+        "recommend/paramstore.py",
+        "robustness/checkpoint.py",
+    }
     literals, hashers = [], set()
     for path, tree in _sources():
         where = path.relative_to(PACKAGE).as_posix()

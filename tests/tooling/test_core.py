@@ -54,10 +54,17 @@ class _Mutant:
 _STORE_MUTANT = '''
 
 def _mutant(snapshot):
-    store = ParamStore.for_snapshot(snapshot)
+    store = ParamStore(snapshot)
     view = store.item_topic("static")
     store.close()
     return view.sum()
+'''
+
+_COMMIT_MUTANT = '''
+
+def _mutant(directory, digests):
+    with open(directory / "manifest.json", "w") as text:
+        json.dump(digests, text)
 '''
 
 _NARROWING_MUTANT = '''
@@ -82,16 +89,13 @@ MUTATIONS = [
     ),
     pytest.param(
         "TCAM021",
-        "core/serialize.py",
-        "        os.fsync(handle.fileno())\n    os.replace(tmp, final)",
-        "    os.replace(tmp, final)",
+        "robustness/archive.py",
+        "        os.fsync(handle.fileno())\n    os.replace(tmp, path)",
+        "    os.replace(tmp, path)",
         id="TCAM021-fsync-deleted-before-replace",
     ),
     pytest.param(
-        "TCAM022",
-        "recommend/paramstore.py",
-        "            handle.flush()\n            os.fsync(handle.fileno())\n        entries[name]",
-        "            handle.flush()\n        entries[name]",
+        "TCAM022", "robustness/archive.py", None, _COMMIT_MUTANT,
         id="TCAM022-manifest-written-before-any-payload-fsync",
     ),
     pytest.param(
@@ -150,9 +154,9 @@ def test_tree_facts_follow_the_path_not_the_source():
     # The same edits under a path the tree table does not list stay silent.
     for rule, relative, old, new in [
         ("TCAM012", "serving_service/batching.py", None, _SERVING_MUTANT),
-        ("TCAM021", "core/serialize.py",
-         "        os.fsync(handle.fileno())\n    os.replace(tmp, final)",
-         "    os.replace(tmp, final)"),
+        ("TCAM021", "robustness/archive.py",
+         "        os.fsync(handle.fileno())\n    os.replace(tmp, path)",
+         "    os.replace(tmp, path)"),
         ("TCAM035", "core/em.py", "@bit_deterministic\ndef run_em(", "def run_em("),
     ]:
         _, _, mutated = _mutate(relative, old, new)
