@@ -53,7 +53,8 @@ def main() -> None:
         label = cuboid.item_index.label_of(rec.item)
         print(f"  {label:28s} score {rec.score:.4f}")
     print(
-        f"(exactly rescored {result.items_scored} of {cuboid.num_items} items)"
+        f"(ranked from {result.items_scored} exactly scored candidates of "
+        f"{cuboid.num_items} items)"
     )
 
     # 5. Evaluate on the held-out temporal queries.

@@ -78,8 +78,10 @@ class TopKResult:
     """Outcome of one top-k retrieval, with access accounting.
 
     ``items_scored`` counts full ranking-score evaluations — the quantity
-    the Threshold Algorithm minimises; ``sorted_accesses`` counts pops
-    from the per-topic sorted lists (0 for brute force).
+    the Threshold Algorithm minimises; for the batch scorer it is the
+    number of candidates the answer was ranked from (the items scoring
+    at or above the row's final threshold). ``sorted_accesses`` counts
+    pops from the per-topic sorted lists (0 for brute force).
     """
 
     recommendations: list[Recommendation]

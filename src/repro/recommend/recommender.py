@@ -8,7 +8,7 @@ There is **one query path**. :meth:`TemporalRecommender.recommend` is
 row 0 of :meth:`TemporalRecommender.recommend_batch_with_status` on a
 batch of one, so single queries, batches, the CLI and the service share
 one range check, one degradation walk and one status stamp, and every
-query is scored by the GEMM-select / exact-rescore
+query is scored by the block-max
 :class:`~repro.recommend.serving.BatchScorer`.
 
 The paper's two retrieval engines stay as **references**: an explicit
@@ -35,8 +35,10 @@ raises at serve time. Every answer carries a structured
 :class:`ServingStatus` saying who served it and why, so degradation is
 observable instead of silent.
 
-:meth:`TemporalRecommender.recommend_batch` hands interval groups to
-the scorer and degrades *per row*: one out-of-range query falls back (or
+:meth:`TemporalRecommender.recommend_batch` hands the whole batch to
+the scorer, which serves the queries sharing a topic–item matrix in one
+pass and answers a failed pass or interval row by row; the batch degrades
+*per row*: one out-of-range query falls back (or
 raises) on its own while the rest of the batch is still served by the
 primary model. Caller errors — ``k ≤ 0``, a non-integral query id, an
 ``exclude`` id outside the catalogue — raise :class:`ValueError` and are
@@ -479,8 +481,9 @@ class TemporalRecommender:
     ) -> list[TopKResult]:
         """Top-k items for a batch of ``(user, interval)`` queries.
 
-        Queries sharing an interval are scored together as blocked GEMMs
-        by the :class:`~repro.recommend.serving.BatchScorer`; each row's
+        Queries sharing a topic–item matrix (every TTCAM interval, one
+        ITCAM interval) are scored together in one block-max pass by the
+        :class:`~repro.recommend.serving.BatchScorer`; each row's
         items, scores and tie order are exactly what
         :func:`~repro.recommend.threshold.ta_topk` returns for the same
         query, under either selection dtype. Results are returned in
@@ -519,7 +522,7 @@ class TemporalRecommender:
             Queries scored per GEMM block.
 
         Degradation is **per row**: a query that is out of the primary's
-        range — or whose interval group fails at serve time — walks the
+        range — or whose interval fails at serve time — walks the
         fallback chain on its own while the other rows are still served
         by the primary. :class:`~repro.robustness.errors.ServingUnavailableError`
         raises only when some row cannot be answered by anything, and
@@ -560,7 +563,7 @@ class TemporalRecommender:
         _check_exclude(exclude, [user for user, _ in pairs], num_items)
         rows: dict[int, tuple[TopKResult, ServingStatus]] = {}
         fallback_reason: dict[int, str] = {}
-        groups: dict[int, list[int]] = {}
+        primary: list[int] = []
         if model is None:
             reason = self.unavailable_reason or "no primary model"
             fallback_reason = dict.fromkeys(range(len(pairs)), reason)
@@ -568,34 +571,23 @@ class TemporalRecommender:
             for i, (user, interval) in enumerate(pairs):
                 problem = self._range_problem(model, user, interval)
                 if problem is None:
-                    groups.setdefault(interval, []).append(i)
+                    primary.append(i)
                 else:
                     fallback_reason[i] = problem
 
-        for interval, indices in groups.items():
-            users = [pairs[i][0] for i in indices]
-            try:
-                if method is None:
-                    group_results = generation.scorer.serve_group(
-                        interval, users, k, exclude, dtype, row_block
-                    )
+        if primary:
+            queries = [pairs[i] for i in primary]
+            answers = (
+                generation.scorer.serve_queries(queries, k, exclude, dtype, row_block)
+                if method is None
+                else self._reference_answers(generation, queries, k, method, exclude)
+            )
+            healthy = self._status(generation, False, _model_name(model))
+            for i, answer in zip(primary, answers):
+                if isinstance(answer, Exception):
+                    fallback_reason[i] = f"primary model failed: {answer}"
                 else:
-                    group_results = [
-                        self._reference_topk(
-                            generation, user, interval, k, method,
-                            self._exclude_items(user, exclude),
-                        )
-                        for user in users
-                    ]
-            except SanitizerError:
-                raise  # a broken invariant is a bug to surface, not a row to degrade
-            except Exception as exc:
-                for i in indices:
-                    fallback_reason[i] = f"primary model failed: {exc}"
-            else:
-                healthy = self._status(generation, False, _model_name(model))
-                for i, result in zip(indices, group_results):
-                    rows[i] = (result, healthy)
+                    rows[i] = (answer, healthy)
 
         attempted = [_model_name(model)] if model is not None else []
         for i in sorted(fallback_reason):
@@ -606,10 +598,15 @@ class TemporalRecommender:
             )
 
         # Every row was filled by the primary path or the fallback walk,
-        # and carries the same end-of-batch cache counter snapshot.
+        # and carries the same end-of-batch cache counter snapshot, stamped
+        # once per distinct status.
         snapshot = generation.cache.stats()
         results = [rows[i][0] for i in range(len(pairs))]
-        statuses = [replace(rows[i][1], cache=snapshot) for i in range(len(pairs))]
+        stamped: dict[int, ServingStatus] = {}
+        for _, status in rows.values():
+            if id(status) not in stamped:
+                stamped[id(status)] = replace(status, cache=snapshot)
+        statuses = [stamped[id(rows[i][1])] for i in range(len(pairs))]
         if statuses:
             self.last_status = statuses[-1]
         return results, statuses
@@ -647,6 +644,32 @@ class TemporalRecommender:
         if num_intervals is not None and not 0 <= interval < num_intervals:
             return f"unknown interval {interval} (model knows [0, {num_intervals}))"
         return None
+
+    def _reference_answers(
+        self,
+        generation: "_Generation",
+        queries: Sequence[tuple[int, int]],
+        k: int,
+        method: str,
+        exclude: IntArray | Mapping[int, IntArray] | None,
+    ) -> list[TopKResult | Exception]:
+        """Each query through a reference engine; an interval that raises fails its rows."""
+        by_interval: dict[int, list[int]] = {}
+        for i, (_, interval) in enumerate(queries):
+            by_interval.setdefault(interval, []).append(i)
+        answers: dict[int, TopKResult | Exception] = {}
+        for interval, indices in by_interval.items():
+            try:
+                for i in indices:
+                    user = queries[i][0]
+                    answers[i] = self._reference_topk(
+                        generation, user, interval, k, method, self._exclude_items(user, exclude)
+                    )
+            except SanitizerError:
+                raise  # a broken invariant is a bug to surface, not a row to degrade
+            except Exception as exc:
+                answers.update(dict.fromkeys(indices, exc))
+        return [answers[i] for i in range(len(queries))]
 
     @staticmethod
     def _reference_topk(

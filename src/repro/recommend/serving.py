@@ -10,34 +10,35 @@ as references; every served query — a single ``recommend()`` included,
 as a batch of one — goes through this module, which amortises per-query
 cost across batches:
 
-* **Grouping.** All queries sharing an interval also share the
-  topic–item matrix (and, for TCAM, the temporal-context score vector
-  ``P(v | θ′_t)``), so a batch is grouped by interval and each group is
-  scored together. What differs between the TCAM variants — query
-  weights, matrix, context, cache key — is asked of the model's
-  parameter container (:mod:`repro.core.params`), never re-derived here.
+* **Grouping.** Queries whose intervals share a topic–item matrix —
+  the model's ``matrix_cache_key``: every TTCAM interval, one ITCAM
+  interval — are served in one pass (:meth:`BatchScorer.serve_queries`).
+  What differs between the TCAM variants — query weights, matrix,
+  context, cache key — is asked of the model's parameter container
+  (:mod:`repro.core.params`), never re-derived here; the one
+  per-interval piece of a pass, each block's maximum temporal-context
+  score, is cached per interval and read by that interval's rows.
 * **Block-max selection.** The items are laid out in blocks of
   :data:`SELECT_BLOCK` by a per-base :class:`BlockIndex` — grouped by
   their heaviest topic, heaviest first — with each block's per-topic
-  maxima of the selection matrix (and, per interval, each block's
-  maximum context score). Each query row bounds every block with one
-  small GEMM, ``Σ_z ϑ_q[z]·max_b ϕ[z,·]`` — TCAM-TA's threshold (paper
-  Section 4) applied to a block, rounded up for float64 — then scores
-  blocks in descending-bound order and stops once the next bound is
-  strictly below its running ``k + margin``-th score: no item of an
-  unvisited block can reach it (:func:`block_bounds` and
-  :func:`select_blocks` hold the proof). At V=100k a row scores about
-  2 % of the catalogue instead of all of it.
-* **Exact rescoring.** BLAS GEMM, GEMV and per-item dot products differ
-  in the last ULP, so selection scores alone cannot reproduce the
-  per-query engines bit-for-bit. Selection therefore only picks a
-  candidate superset (top ``k + margin`` per row, ties included); the
-  candidates are then rescored with the identical primitive the TA
-  engines use (``item_topic[v] @ ϑ_q`` — one contiguous-row dot per
-  item; the block-ordered matrix an in-memory model keeps holds
-  bit-identical rows) and ranked with the same ``(score desc, item
-  asc)`` tie-break. In float64 mode the returned items, scores and tie order are exactly those of
-  :func:`~repro.recommend.threshold.ta_topk`.
+  maxima of the selection matrix. Each query row bounds every block with
+  one small GEMM, ``Σ_z ϑ_q[z]·max_b ϕ[z,·]`` — TCAM-TA's threshold
+  (paper Section 4) applied to a block, rounded up for float64 — then
+  scores blocks in descending-bound order and stops once the next bound
+  is strictly below its running ``k``-th score: no item of an unvisited
+  block can reach it (:func:`block_bounds` and :func:`select_blocks`
+  hold the proof). At V=100k a row scores about 1 % of the catalogue.
+* **Exact scores, one pass.** Each visited item is scored with a stacked
+  vector·vector :func:`np.matmul`; numpy evaluates every ``(1×K)@(K×1)``
+  of it with the same ``DOUBLE_dot`` (``cblas_ddot``) as the TA engines'
+  per-item ``item_topic[v] @ ϑ_q`` (the block-ordered matrix an
+  in-memory model keeps holds bit-identical rows). Selection scores are
+  therefore the reference engines' bits, and a row's answer is read off
+  them, ranked by the shared ``(score desc, item asc)`` tie-break: in
+  float64 the returned items, scores and tie order are exactly those of
+  :func:`~repro.recommend.threshold.ta_topk`. (A GEMV over the same rows
+  sums in another order and differs in the last ULP, so it cannot stand
+  in: its scores would need a candidate margin and an exact rescore.)
 * **Bounded caching.** A :class:`ServingCache` of small LRU regions
   holds the derived serving state: block indexes and rescore
   matrices, per-interval context block maxima (and, for int8,
@@ -47,10 +48,10 @@ cost across batches:
 * **int8 selection.** ``dtype="int8"`` runs selection over the whole
   catalogue through :mod:`repro.recommend.quantize`: a compressed copy
   of the selection matrix is staged block-by-block through a small
-  float32 buffer, and candidates are taken by a *proven* per-row error margin instead of a
-  fixed count — so the exact float64 rescore returns results **bitwise
-  identical** to the float64 path at a fraction of the selection bytes.
-  With an mmap parameter store attached (``model.param_store``), the
+  float32 buffer, and candidates are taken by a *proven* per-row error
+  margin, then rescored exactly (:func:`exact_rescore`) — so int8 returns
+  results **bitwise identical** to the float64 path at a fraction of
+  the selection bytes. With an mmap parameter store attached (``model.param_store``), the
   quantized form and context statistics are paged from disk rather than
   rebuilt. ``"float64"`` and ``"int8"`` are the only selection dtypes;
   ``docs/performance.md`` records why no narrower float mode exists.
@@ -93,11 +94,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _V = TypeVar("_V")
 
-#: Candidate-selection margin beyond ``k`` per serving dtype. float64
-#: selection scores differ from the exact rescore by a few ULPs, so a
-#: handful of extra candidates is ample. int8 is absent on purpose: it
-#: uses the *proven* per-row error margin of
-#: :mod:`repro.recommend.quantize`, not a fixed count.
+#: Extra candidates beyond ``k`` the per-layer probe
+#: (``benchmarks/e2e/layers.py``) rescores per row; nothing that serves
+#: reads it. float64 selection scores with the rescore's own dot and keeps
+#: exactly ``k``, and int8 uses the *proven* per-row error margin of
+#: :mod:`repro.recommend.quantize`.
 SELECTION_MARGIN = {"float64": 16}
 
 #: Default number of queries scored per GEMM block.
@@ -289,12 +290,12 @@ class ServingCache:
     ``matrices``
         The :class:`BlockIndex` of the selection matrix (``("blocks",
         …)``) and the block-ordered ``(V, K)`` item–topic matrices
-        float64 selection and rescoring read (``("arranged", key)``),
+        float64 selection scores against (``("arranged", key)``),
         plus the item-id-ordered transposes the int8 path rescores
         against (``("item_topic", key)``) — a store-backed model reads
         its persisted transpose for both instead — and the int8
         selection matrices and the float32 user-interest image the int8
-        path multiplies them with.
+        path multiplies them with (``("theta", "float32")``, one per base).
     ``contexts``
         Per-interval block maxima of the context score vector
         ``θ′_t·Φ`` (``("cmax", t)``, what the float64 bound reads) and,
@@ -443,6 +444,22 @@ def check_serve_dtype(dtype: str) -> str:
     return dtype
 
 
+def ranked_topk(items: IntArray, scores: FloatArray, k: int) -> TopKResult:
+    """The top ``k`` of scored candidates, ranked ``(score desc, item asc)``.
+
+    The tie order every engine in this package shares; ``items_scored``
+    counts the candidates.
+    """
+    order = np.lexsort((items, -scores))[:k]
+    recommendations = [
+        Recommendation(item, score)
+        for item, score in zip(items[order].tolist(), scores[order].tolist())
+    ]
+    return TopKResult(
+        recommendations=recommendations, items_scored=int(items.size), sorted_accesses=0
+    )
+
+
 def exact_rescore(
     item_topic: FloatArray,
     weights: FloatArray,
@@ -452,27 +469,18 @@ def exact_rescore(
 ) -> TopKResult:
     """Exact top-k of a candidate set, bit-identical to the TA engines.
 
-    Each candidate is scored with the same primitive
-    :func:`~repro.recommend.threshold.ta_topk` uses — one dot product of
-    the item's contiguous ``item_topic`` row with the query vector — and
-    the result is ranked by ``(score desc, item asc)``, the tie order
-    every engine in this package shares. ``rows[i]`` is candidate ``i``'s
-    row of ``item_topic`` when that matrix is not in item-id order (a
-    matrix :meth:`BlockIndex.arrange` laid out in block order).
+    Every candidate is scored in one stacked vector·vector
+    :func:`np.matmul` of its contiguous ``item_topic`` row with the query
+    vector — numpy evaluates each ``(1×K)@(K×1)`` with the ``DOUBLE_dot``
+    that :func:`~repro.recommend.threshold.ta_topk`'s per-item
+    ``item_topic[v] @ w`` reaches — and ranked by :func:`ranked_topk`.
+    ``rows[i]`` is candidate ``i``'s row of ``item_topic`` when that
+    matrix is not in item-id order (a matrix :meth:`BlockIndex.arrange`
+    laid out in block order).
     """
-    count = candidates.size
-    if rows is None:
-        rows = candidates
-    scores = np.empty(count)
-    for i in range(count):
-        scores[i] = item_topic[rows[i]] @ weights
-    order = np.lexsort((candidates, -scores))[:k]
-    recommendations = [
-        Recommendation(item=int(candidates[i]), score=float(scores[i])) for i in order
-    ]
-    return TopKResult(
-        recommendations=recommendations, items_scored=count, sorted_accesses=0
-    )
+    gathered = np.take(item_topic, candidates if rows is None else rows, axis=0)
+    scores = np.matmul(gathered[:, None, :], weights[:, None])[:, 0, 0]
+    return ranked_topk(candidates, scores, k)
 
 
 #: Items per selection block — the unit :class:`BlockIndex` bounds and the
@@ -485,10 +493,6 @@ SELECT_BLOCK = 32
 #: so a row that prunes nothing (uniform ``ϕ``) streams its catalogue
 #: through a bounded buffer instead of one ``(rows, V, K)`` copy.
 _GATHER_BYTES = 4 << 20
-
-#: Blocks ranked up front per row; a row that visits them all without
-#: stopping has the rest of its blocks ranked then.
-_RANKED_BLOCKS = 256
 
 #: Blocks in a row's first chunk (or ``⌈count / B⌉`` if more). Each chunk
 #: costs a dozen numpy calls whatever its size, so starting at 16 blocks
@@ -660,16 +664,18 @@ def block_bounds(
     """``(rows, blocks)`` upper bounds on every selection score of each block.
 
     A row's selection score of item ``v`` is the float64 product
-    ``weights[r] @ item_topic[v]`` — any summation order, :func:`select_blocks`
-    computes it batched. The bound is TCAM-TA's threshold (paper Section 4)
-    applied to a block: ``Σ_z w_z · max_{v∈b} ϕ[z,v]``.
+    ``weights[r] @ item_topic[v]`` — in any summation order; the bound
+    holds for whichever one :func:`select_blocks` scores with. The bound
+    is TCAM-TA's threshold (paper Section 4) applied to a block:
+    ``Σ_z w_z · max_{v∈b} ϕ[z,v]``.
 
     * **Split path** (``context_max`` given; ``weights ≥ 0``): the first
       ``K1`` weights are the container's ``λ_u·θ_u`` and the rest add
       ``(1−λ_u)·P(v | θ′_t)`` (``context_weight`` holds ``1−λ_u``), so
       the bound is ``w[:K1] @ block_max + (1−λ_u)·context_max[b]`` — the
       context vector's own block maxima, far tighter than per-topic
-      maxima of ``φ′``.
+      maxima of ``φ′``. ``context_max`` is one interval's ``(blocks,)``
+      maxima, or ``(rows, blocks)``: each row its own interval's.
     * **Generic path** (``index.block_min`` kept): a negative weight
       bounds with the block minimum, ``w⁺ @ block_max + w⁻ @ block_min``.
 
@@ -690,7 +696,7 @@ def block_bounds(
     if index.block_min is None:
         bounds: FloatArray = topic_weights @ index.block_max.T
         if context_max is not None and context_weight is not None:
-            bounds += context_weight[:, None] * context_max[None, :]
+            bounds += context_weight[:, None] * context_max
         bounds *= 1.0 + slack
         return bounds
     positive = np.maximum(topic_weights, 0.0)
@@ -727,8 +733,8 @@ def select_blocks(
     count: int,
     excluded: Sequence[BoolArray | None] | None = None,
     arranged: bool = True,
-) -> tuple[list[IntArray], IntArray]:
-    """Block-max candidate selection: each row's tie-inclusive top ``count``.
+) -> tuple[list[IntArray], list[FloatArray], IntArray]:
+    """Block-max selection, scored exactly: each row's tie-inclusive top ``count``.
 
     Every row visits its blocks in descending-bound order, in chunks that
     start at ``max(16, ⌈count / B⌉)`` blocks and double — but never past
@@ -737,7 +743,11 @@ def select_blocks(
     ``matrix`` is :meth:`BlockIndex.arrange`'s layout (block ``b`` in rows
     ``[b·B, (b+1)·B)``) or, with ``arranged=False``, an item-id-ordered
     ``(V, K)`` transpose whose rows are gathered through ``index.items``.
-    After each chunk ``τ`` is the row's
+    The scores come from one stacked vector·vector :func:`np.matmul`
+    (``(1×K)@(K×1)`` per item), which numpy evaluates with the same
+    ``DOUBLE_dot`` as :func:`~repro.recommend.threshold.ta_topk`'s
+    ``item_topic[v] @ w``: a score here is the TA engine's, bit for bit
+    (a ``(n×K)@(K×1)`` GEMV is not). After each chunk ``τ`` is the row's
     ``count``-th largest score so far among *non-excluded* items — the
     exclusions (``excluded[r][v]``, by item id; padding slots count as
     excluded) are applied first, so an excluded high scorer can never
@@ -745,17 +755,21 @@ def select_blocks(
     **strictly** below ``τ``. ``τ`` only rises, so every unvisited item
     scores below the final ``τ``: the visited items scoring ``≥ τ`` are
     exactly the items of the whole catalogue that do, boundary ties
-    included.
+    included, and their top ``count`` by ``(score desc, item asc)`` is
+    the row's answer.
 
     Returns each row's candidate slots (``b·B + s`` holds item
-    ``index.items[b, s]``; in visit order) and the number of blocks it
-    visited.
+    ``index.items[b, s]``; in visit order), their scores, and the number
+    of blocks each row visited.
     """
     rows, num_blocks = bounds.shape
     width = matrix.shape[1]
     blocks_of = matrix.reshape(-1, SELECT_BLOCK, width) if arranged else None
     first = max(_FIRST_BLOCKS, -(-count // SELECT_BLOCK))
-    top = min(num_blocks, max(_RANKED_BLOCKS, 4 * first))
+    # Rank four first chunks up front (a 64-query batch at V=100k visits
+    # 31 blocks per row on average); a row that reaches the end of its
+    # ranking has four times the blocks it visited ranked then.
+    top = min(num_blocks, 4 * first)
     tail = index.num_items - (num_blocks - 1) * SELECT_BLOCK
     active = np.arange(rows)
     ranked = _rank(bounds, None, top)
@@ -763,6 +777,7 @@ def select_blocks(
     scores = np.empty((rows, 0))
     seen = np.empty((rows, 0), dtype=np.int64)
     candidates: list[IntArray] = [np.empty(0, dtype=np.int64)] * rows
+    found: list[FloatArray] = [np.empty(0)] * rows
     visited = np.zeros(rows, dtype=np.int64)
     done, chunk = 0, first
     while True:
@@ -778,9 +793,9 @@ def select_blocks(
             else:
                 gathered = np.take(blocks_of, chunk_blocks[lo:hi], axis=0)
             np.matmul(
-                gathered.reshape(hi - lo, step * SELECT_BLOCK, width),
-                weights[active[lo:hi], :, None],
-                out=chunk_scores[lo:hi].reshape(hi - lo, step * SELECT_BLOCK, 1),
+                gathered.reshape(hi - lo, step * SELECT_BLOCK, 1, width),
+                weights[active[lo:hi], None, :, None],
+                out=chunk_scores[lo:hi].reshape(hi - lo, step * SELECT_BLOCK, 1, 1),
             )
         if tail < SELECT_BLOCK:
             chunk_scores[chunk_blocks == num_blocks - 1, tail:] = -np.inf
@@ -801,16 +816,17 @@ def select_blocks(
             stop = np.ones(active.size, dtype=bool)
         else:
             if done == ranked.shape[1]:
-                ranked = _rank(bounds[active], seen, num_blocks)
+                ranked = _rank(bounds[active], seen, min(num_blocks, 4 * done))
                 ranked_bounds = np.take_along_axis(bounds[active], ranked, axis=1)
             stop = ranked_bounds[:, done] < tau
         for i in np.flatnonzero(stop):
             hits = np.flatnonzero((scores[i] >= tau[i]) & (scores[i] > -np.inf))
             candidates[active[i]] = seen[i][hits // SELECT_BLOCK] * SELECT_BLOCK + hits % SELECT_BLOCK
+            found[active[i]] = scores[i][hits]
             visited[active[i]] = done
         going = ~stop
         if not going.any():
-            return candidates, visited
+            return candidates, found, visited
         active, scores, seen = active[going], scores[going], seen[going]
         ranked, ranked_bounds = ranked[going], ranked_bounds[going]
         # Double, but never past the last ranked block some row must visit
@@ -867,7 +883,7 @@ def select_candidates_margin(
 
 
 class BatchScorer:
-    """Scores interval-grouped query batches against one primary model.
+    """Scores query batches against one primary model, one pass per matrix key.
 
     One scorer is owned by each :class:`TemporalRecommender`; it holds
     the reused GEMM workspaces and consults the shared
@@ -957,7 +973,7 @@ class BatchScorer:
         The index belongs to the base: the split path indexes ``φ`` (one
         ``("blocks", "phi")`` entry whatever the variant), the generic
         path its stacked matrix per matrix key. An in-memory model
-        selects and rescores against the topic–item matrix arranged in
+        scores against the topic–item matrix arranged in
         the index's order (``("arranged", key)`` in the ``matrices``
         region, in place of an item-id-ordered transpose;
         ``arranged=True``). A parameter-store model reads its persisted
@@ -998,17 +1014,17 @@ class BatchScorer:
         self.cache.matrices.put(matrix_key, item_major)
         return index, item_major, True
 
-    def _interest_matrix(self, theta: FloatArray, key: Hashable, dtype: str) -> AnyArray:
+    def _interest_matrix(self, theta: FloatArray, dtype: str) -> AnyArray:
         """``theta`` in the selection compute dtype (float32 image cached).
 
-        Cold path of :meth:`serve_group`: the int8 path's float32
-        conversion allocates, so it lives outside the hot kernel and its
-        result is cached per ``(matrix key, dtype)`` in the ``matrices``
-        region.
+        Cold path of :meth:`_serve_int8`: the float32 conversion
+        allocates, so it lives outside the hot kernel and its result is
+        cached once per dtype (``("theta", dtype)`` in the ``matrices``
+        region) — ``θ`` belongs to the base, not to an interval.
         """
         if dtype == "float64":
             return theta
-        theta_key = ("theta", key, dtype)
+        theta_key = ("theta", dtype)
         converted = self.cache.matrices.get(theta_key)
         if converted is None:
             converted = theta.astype(np.float32)
@@ -1032,7 +1048,7 @@ class BatchScorer:
     ) -> QuantizedMatrix:
         """Quantized selection matrix, store-backed or built once and cached.
 
-        Cold path of :meth:`serve_group`: quantization reads the full
+        Cold path of :meth:`_serve_int8`: quantization reads the full
         float64 matrix, so it happens at most once per ``(key, dtype)``
         and the compact result lives in the ``matrices`` cache region.
         Store-backed forms are returned directly — the store memoises
@@ -1087,7 +1103,7 @@ class BatchScorer:
     ) -> FloatArray:
         """Per-row ``2·ε_r`` candidate margins of one quantized block.
 
-        Cold helper of :meth:`serve_group` — allocates only small
+        Cold helper of :meth:`_serve_int8` — allocates only small
         ``(rows,)`` / ``(rows, K)`` temporaries. The split path
         (``params`` given) derives the weight magnitudes from the
         parameter container directly (``λ_u·θ_u ≥ 0`` elementwise); the
@@ -1183,9 +1199,52 @@ class BatchScorer:
         mask[items] = True
         return mask
 
-    # -- group serving ---------------------------------------------------
+    # -- batch serving ---------------------------------------------------
 
-    @hot_path
+    def serve_queries(
+        self,
+        queries: Sequence[tuple[int, int]],
+        k: int,
+        exclude: object,
+        dtype: str,
+        row_block: int = DEFAULT_ROW_BLOCK,
+    ) -> list[TopKResult | Exception]:
+        """Each ``(user, interval)`` query's top-k, or the exception that failed it.
+
+        float64 serves all queries whose intervals share a matrix cache
+        key in one pass (:meth:`_serve_float64`: every TTCAM interval is
+        one pass); int8, and a model without a key, one interval at a
+        time. A pass that fails answers each of its rows with the
+        exception — and so does one interval whose own inputs fail
+        inside a pass — so a caller can degrade exactly those rows.
+        Invalid arguments raise, and so does a served non-finite score
+        under ``TCAM_SANITIZE``.
+        """
+        check_serve_dtype(dtype)
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if row_block <= 0:
+            raise ValueError(f"row_block must be positive, got {row_block}")
+        passes: dict[Hashable, list[int]] = {}
+        for i, (_, interval) in enumerate(queries):
+            passes.setdefault(self._pass_key(int(interval), dtype), []).append(i)
+        answers: dict[int, TopKResult | Exception] = {}
+        for rows in passes.values():
+            group = [(int(queries[i][0]), int(queries[i][1])) for i in rows]
+            served: Sequence[TopKResult | Exception]
+            try:
+                if dtype == "int8":
+                    users = [user for user, _ in group]
+                    served = self._serve_int8(group[0][1], users, k, exclude, row_block)
+                else:
+                    served = self._serve_float64(group, k, exclude, row_block)
+            except Exception as exc:  # the pass's rows degrade; other passes still serve
+                served = [exc] * len(rows)
+            answers.update(zip(rows, served))
+        if self._sanitize:
+            check_topk_finite([a for a in answers.values() if isinstance(a, TopKResult)])
+        return [answers[i] for i in range(len(queries))]
+
     def serve_group(
         self,
         interval: int,
@@ -1195,62 +1254,108 @@ class BatchScorer:
         dtype: str,
         row_block: int = DEFAULT_ROW_BLOCK,
     ) -> list[TopKResult]:
-        """Top-k results for every user of one interval group.
+        """Top-k results for every user of one interval: :meth:`serve_queries`, raising.
 
-        ``row_block`` queries at a time: in float64, each row's blocks are
-        bounded with one small GEMM (:func:`block_bounds`) and visited in
-        bound order until the rest cannot reach its ``k + margin``-th
-        score (:func:`select_blocks`); int8 scores the whole catalogue in
-        its compressed form. Either way the candidates (boundary ties
-        included) are rescored exactly — see the module docstring for why
-        the two phases are needed.
+        The first exception that failed a row is raised instead of
+        returned.
         """
-        check_serve_dtype(dtype)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if row_block <= 0:
-            raise ValueError(f"row_block must be positive, got {row_block}")
+        results: list[TopKResult] = []
+        queries = [(user, interval) for user in users]
+        for answer in self.serve_queries(queries, k, exclude, dtype, row_block):
+            if isinstance(answer, Exception):
+                raise answer
+            results.append(answer)
+        return results
+
+    def _pass_key(self, interval: int, dtype: str) -> Hashable:
+        """Queries with equal keys are served in one pass (see :meth:`serve_queries`)."""
+        try:
+            key = self._matrix_key(interval)
+        except Exception:  # its own pass raises it again, for this interval's rows
+            key = None
+        if key is None or dtype == "int8":
+            return ("interval", interval)
+        return ("key", key)
+
+    @hot_path
+    def _serve_float64(
+        self,
+        queries: Sequence[tuple[int, int]],
+        k: int,
+        exclude: object,
+        row_block: int,
+    ) -> list[TopKResult | Exception]:
+        """One block-max pass over queries whose intervals share a matrix key.
+
+        Each row's inputs are built first, one interval at a time: its
+        query weights and, on the split path, the interval's cached
+        context block maxima (:meth:`_context_maxima`). An interval whose
+        inputs (or, for the first, the pass's :meth:`_selection`) raise
+        answers its rows with the exception; the others go on. Then
+        ``row_block`` rows at a time are bounded — one ``(rows, blocks)``
+        context maximum, each row its interval's (:func:`block_bounds`) —
+        and selected (:func:`select_blocks`); a row's selected scores are
+        its answer (:func:`ranked_topk`). No rescoring follows: selection
+        scores with the TA engine's own dot.
+        """
         params = self._params()  # None: no split path, score query_space whole
-        if dtype == "int8":
-            results = self._serve_int8(interval, users, k, exclude, row_block, params)
-        else:
-            index, matrix, arranged = self._selection(interval, users, params)
+        by_interval: dict[int, list[int]] = {}
+        for i, (_, interval) in enumerate(queries):
+            by_interval.setdefault(interval, []).append(i)
+        selection: tuple[BlockIndex, FloatArray, bool] | None = None
+        vectors: dict[int, FloatArray] = {}
+        context_max: dict[int, FloatArray] = {}
+        failed: dict[int, Exception] = {}
+        for interval, rows in by_interval.items():
+            try:
+                if selection is None:
+                    users = [queries[i][0] for i in rows]
+                    selection = self._selection(interval, users, params)
+                for i in rows:
+                    user = queries[i][0]
+                    vectors[i] = (
+                        self.model.query_space(user, interval)[0]
+                        if params is None
+                        else params.query_weights(user, interval)
+                    )
+                if params is not None:
+                    context_max[interval] = self._context_maxima(interval, params, selection[0])
+            except Exception as exc:  # this interval's rows degrade, the others are served
+                failed[interval] = exc
+        results: dict[int, TopKResult] = {}
+        if selection is not None:
+            index, matrix, arranged = selection
             num_items = index.num_items
-            count = min(num_items, k + SELECTION_MARGIN[dtype])
-            context_max = (
-                None if params is None else self._context_maxima(interval, params, index)
-            )
-            results = []
-            for start in range(0, len(users), row_block):
-                block_users = [int(u) for u in users[start : start + row_block]]
-                rows = len(block_users)
+            slot_items = index.items.reshape(-1)
+            live = [i for i, (_, interval) in enumerate(queries) if interval not in failed]
+            for start in range(0, len(live), row_block):
+                block = live[start : start + row_block]
+                rows = len(block)
+                block_users = [queries[i][0] for i in block]
                 weights = self.workspace.get("weights", (rows, matrix.shape[1]), "float64")
-                for r, user in enumerate(block_users):
-                    if params is None:
-                        weights[r] = self.model.query_space(user, interval)[0]
-                    else:
-                        weights[r] = params.query_weights(user, interval)
-                context_weight = (
-                    None if params is None else 1 - params.lambda_u[block_users]
-                )
-                bounds = block_bounds(index, weights, context_weight, context_max)
-                masks = [
-                    self.exclusion_mask(user, exclude, num_items) for user in block_users
-                ]
+                for r, i in enumerate(block):
+                    weights[r] = vectors[i]
+                if params is None:
+                    bounds = block_bounds(index, weights)
+                else:
+                    maxima = self.workspace.get("cmax", (rows, index.num_blocks), "float64")
+                    for r, i in enumerate(block):
+                        maxima[r] = context_max[queries[i][1]]
+                    context_weight = 1 - params.lambda_u[block_users]
+                    bounds = block_bounds(index, weights, context_weight, maxima)
+                masks = [self.exclusion_mask(user, exclude, num_items) for user in block_users]
                 excluded = None if all(mask is None for mask in masks) else masks
-                candidates, visited = select_blocks(
-                    matrix, index, weights, bounds, count, excluded, arranged
+                slots, scores, visited = select_blocks(
+                    matrix, index, weights, bounds, min(num_items, k), excluded, arranged
                 )
                 self.blocks_visited += int(visited.sum())
                 self.blocks_total += rows * index.num_blocks
-                for r, slots in enumerate(candidates):
-                    items = index.items.reshape(-1)[slots]
-                    results.append(
-                        exact_rescore(matrix, weights[r], items, k, slots if arranged else None)
-                    )
-        if self._sanitize:
-            check_topk_finite(results)
-        return results
+                for i, row_slots, row_scores in zip(block, slots, scores):
+                    results[i] = ranked_topk(slot_items[row_slots], row_scores, k)
+        return [
+            results[i] if i in results else failed[interval]
+            for i, (_, interval) in enumerate(queries)
+        ]
 
     @hot_path
     def _serve_int8(
@@ -1260,9 +1365,9 @@ class BatchScorer:
         k: int,
         exclude: object,
         row_block: int,
-        params: TCAMParameters | None,
     ) -> list[TopKResult]:
         """int8 selection over the whole catalogue with the proven per-row margin."""
+        params = self._params()  # None: no split path, score query_space whole
         key = self._matrix_key(interval)
         item_topic = self._item_topic(interval, users)
         num_items = item_topic.shape[0]
@@ -1294,7 +1399,7 @@ class BatchScorer:
                     np.copyto(qweights[r], w, casting="same_kind")
                 staged_select_gemm(qsel, qweights, scores, stage)
             else:
-                theta = self._interest_matrix(params.theta, key, compute)
+                theta = self._interest_matrix(params.theta, compute)
                 interest = self.workspace.get("interest", (rows, k_dim), compute)
                 np.take(theta, block_users, axis=0, out=interest)
                 lam = params.lambda_u[block_users]

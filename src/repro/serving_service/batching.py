@@ -21,7 +21,7 @@ explicit ``add``/``done`` events — the Hypothesis property tests push
 arbitrary interleavings through it and assert the served results are
 **bitwise identical** to one big :meth:`recommend_batch` call, which
 holds because the batch engine's per-row results are split-invariant
-(candidate selection is per-row and the exact rescore is per-item).
+(each row's block walk and its scores depend on that row alone).
 :class:`MicroBatchQueue` is the thin asyncio wrapper that owns the
 pending futures.
 

@@ -244,7 +244,7 @@ TREE: dict[str, FileFacts] = {
         serving=True,
         contracts=("TemporalRecommender.recommend_batch_with_status",),
     ),
-    "recommend/serving.py": FileFacts(hot_kernels=("BatchScorer.serve_group",), serving=True),
+    "recommend/serving.py": FileFacts(hot_kernels=("BatchScorer._serve_float64",), serving=True),
     "robustness/archive.py": FileFacts(durable=True),
     "robustness/checkpoint.py": FileFacts(durable=True, contracts=("CheckpointManager.load",)),
     "serving_service/batching.py": FileFacts(serving=True),

@@ -273,7 +273,7 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.exact_rescore",
+            "repro.recommend.serving.ranked_topk",
             lambda *args, **kwargs: bad,
         )
         with pytest.raises(SanitizerError, match="non-finite"):
@@ -288,7 +288,7 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.exact_rescore",
+            "repro.recommend.serving.ranked_topk",
             lambda *args, **kwargs: bad,
         )
         results = scorer.serve_group(0, [0], 3, None, "float64")
@@ -305,7 +305,7 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.exact_rescore",
+            "repro.recommend.serving.ranked_topk",
             lambda *args, **kwargs: bad,
         )
         recommender = TemporalRecommender(model, fallbacks=[_make_serving_model(seed=6)])

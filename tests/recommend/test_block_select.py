@@ -3,8 +3,13 @@
 Each property builds a model shaped to stress one proof obligation of
 :func:`~repro.recommend.serving.select_blocks` and checks every served row
 against the per-query TA engine — items, score bits and tie order. The
-counters pin how much the bound prunes on a serving-shaped model, and the
-publish tests pin that the index belongs to the base.
+premise the one-pass selector rests on (its stacked dot *is* the TA
+engine's per-item dot) is pinned on its own, so a numpy that routes
+vector·vector matmul elsewhere fails here first. The merged pass (one
+per matrix key, intervals mixed) is checked for exclusions, ``k ≥ V``,
+split invariance and per-interval failure. The counters pin how much
+the bound prunes on a serving-shaped model, and the publish tests pin
+that the index belongs to the base.
 """
 
 from fractions import Fraction
@@ -17,12 +22,15 @@ from hypothesis import strategies as st
 from repro.core.params import ITCAMParameters, TTCAMParameters
 from repro.core.serialize import LoadedModel, save_params
 from repro.recommend import TemporalRecommender, serving
+from repro.recommend.ranking import QuerySpace
+from repro.recommend.recommender import ServingStatus
 from repro.recommend.serving import (
     SELECT_BLOCK,
     BlockIndex,
     block_bounds,
     select_blocks,
 )
+from repro.recommend.threshold import SortedTopicLists, ta_topk
 from repro.streaming import SnapshotPublisher
 
 B = SELECT_BLOCK
@@ -142,6 +150,45 @@ class TestSelectorMatchesTA:
         assert_ta_bitwise(rec, queries, k, exclude=exclude)
 
 
+class TestStackedDotPremise:
+    """Selection's stacked dot is bitwise the TA engine's per-item dot."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        width=st.integers(1, 64),
+        num_items=st.integers(1, 2 * B + 9),
+        arranged=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_selection_scores_are_ta_scores(self, seed, width, num_items, arranged):
+        # count = V visits every block, so every item comes back with the
+        # score selection computed — through the arranged matrix or, for
+        # a store-backed model, gathered through ``index.items`` from the
+        # item-id-ordered transpose.
+        rng = np.random.default_rng(seed)
+        matrix = rng.dirichlet(np.full(num_items, 0.2), size=width)
+        weights = rng.dirichlet(np.full(width, 0.5))
+        item_topic = np.ascontiguousarray(matrix.T)
+        index, item_major = BlockIndex.build(matrix, width, signed=False)
+        source = item_major if arranged else item_topic
+        bounds = block_bounds(index, weights[None, :])
+        slots, scores, _ = select_blocks(
+            source, index, weights[None, :], bounds, num_items, arranged=arranged
+        )
+        items = index.items.reshape(-1)[slots[0]]
+        assert sorted(items.tolist()) == list(range(num_items))
+        got = {int(v): float(score).hex() for v, score in zip(items, scores[0])}
+        assert got == {v: float(item_topic[v] @ weights).hex() for v in range(num_items)}
+        # ... and the stacked matmul itself, on rows in block order either way.
+        rows = item_major[:num_items] if arranged else np.take(item_topic, index.order, axis=0)
+        stacked = np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0]
+        assert [s.hex() for s in stacked.tolist()] == [
+            float(item_topic[v] @ weights).hex() for v in index.order
+        ]
+        ta = ta_topk(QuerySpace(weights, matrix), SortedTopicLists.build(matrix), num_items)
+        assert {v: s.hex() for v, s in zip(ta.items, ta.scores)} == got
+
+
 class TestStoreBackedSelection:
     def test_selects_through_the_persisted_transpose(self, tmp_path):
         # A mapped model gathers block rows from its item-id-ordered
@@ -180,8 +227,11 @@ class TestStrictPruning:
         bounds = weights @ index.block_max.T
         bounds[0, 1:first] = 4.5
         matrix = item_major if arranged else values.T.copy()
-        slots, visited = select_blocks(matrix, index, weights, bounds, 2, arranged=arranged)
-        assert sorted(index.items.reshape(-1)[slots[0]].tolist()) == [0, 1, tied]
+        slots, scores, visited = select_blocks(
+            matrix, index, weights, bounds, 2, arranged=arranged
+        )
+        found = sorted(zip(index.items.reshape(-1)[slots[0]].tolist(), scores[0].tolist()))
+        assert found == [(0, 5.0), (1, 4.0), (tied, 4.0)]
         assert visited.tolist() == [first + 1]  # the second chunk stops at the tied block
 
 
@@ -258,8 +308,158 @@ class TestSplitInvariance:
         assert answers[0] == answers[1] == answers[2]
 
 
-#: Blocks the 64 queries of :class:`TestPruning` visit, of 64 · 625 (8.62 %).
-VISITED_AT_20K = 3447
+def itcam_like(rng, params):
+    return ITCAMParameters(
+        theta=params.theta,
+        phi=params.phi,
+        theta_time=rng.dirichlet(np.full(params.num_items, 0.1), size=params.num_intervals),
+        lambda_u=params.lambda_u,
+    )
+
+
+class StaticProvider:
+    """A generic ``query_space`` provider whose intervals share one matrix key."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def query_space(self, user, interval):
+        return self.params.query_space(user, interval)
+
+    def matrix_cache_key(self, interval):
+        return "static"
+
+
+class TestMergedPass:
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["ttcam", "itcam"]),
+        num_items=st.integers(1, 4 * B + 3),
+        k=st.integers(1, 4 * B + 8),
+        exclusion=st.sampled_from(["none", "array", "mapping"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_interval_batches_are_ta_and_split_invariant(
+        self, seed, kind, num_items, k, exclusion
+    ):
+        # One pass serves every TTCAM interval of the batch; each row still
+        # reads its own interval's context maxima and exclusions, and k may
+        # reach or pass V. row_block 1/7/64 splits the pass across intervals.
+        rng = np.random.default_rng(seed)
+        params = ttcam(rng, num_items, num_users=10, num_intervals=4)
+        if kind == "itcam":
+            params = itcam_like(rng, params)
+        queries = [(int(rng.integers(0, 10)), int(rng.integers(0, 4))) for _ in range(20)]
+        exclude = None
+        if exclusion == "array":
+            exclude = rng.choice(num_items, size=min(num_items, 5), replace=False)
+        elif exclusion == "mapping":
+            sizes = rng.integers(0, num_items + 1, size=5)
+            exclude = {
+                user: rng.choice(num_items, size=int(size), replace=False)
+                for user, size in zip(range(0, 10, 2), sizes)
+            }
+        answers = []
+        for row_block in (1, 7, 64):
+            rec = TemporalRecommender(LoadedModel(params))
+            batch = assert_ta_bitwise(rec, queries, k, exclude=exclude, row_block=row_block)
+            answers.append([(row.items, [s.hex() for s in row.scores]) for row in batch])
+        assert answers[0] == answers[1] == answers[2]
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_each_row_bounds_with_its_own_intervals_context(self, seed, k):
+        # Two intervals whose contexts live on disjoint halves of the
+        # catalogue, in one pass: a row bounded with the other interval's
+        # context maxima would prune its own best blocks.
+        rng = np.random.default_rng(seed)
+        half = 2 * serving._FIRST_BLOCKS * B  # more blocks than a first chunk
+        phi_time = np.zeros((2, 2 * half))
+        phi_time[0, :half] = rng.dirichlet(np.full(half, 0.1))
+        phi_time[1, half:] = rng.dirichlet(np.full(half, 0.1))
+        params = ttcam(rng, 2 * half, num_intervals=2, lam=np.full(8, 0.05)).with_fields(
+            phi_time=phi_time, theta_time=np.array([[0.999, 0.001], [0.001, 0.999]])
+        )
+        rec = TemporalRecommender(LoadedModel(params))
+        assert_ta_bitwise(rec, [(u, u % 2) for u in range(8)], k)
+
+    def test_ttcam_batch_is_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        params = ttcam(rng, 3 * B + 1, num_intervals=5)
+        rec = TemporalRecommender(LoadedModel(params))
+        calls = []
+        original = serving.select_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args[3].shape[0])  # rows bounded
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(serving, "select_blocks", counting)
+        assert_ta_bitwise(rec, all_queries(params), 4)
+        assert calls == [8 * 5]  # every interval in one 40-row pass
+
+    def test_a_long_walk_reranks_and_stays_exact(self):
+        # Uniform φ prunes nothing: a row walks past its first ranking
+        # (four first chunks) and re-ranks until every block is visited.
+        rng = np.random.default_rng(8)
+        num_items = 100 * B + 3
+        uniform = np.full((3, num_items), 1.0 / num_items)
+        params = ttcam(rng, num_items, phi=uniform, num_users=3).with_fields(
+            phi_time=uniform[:2]
+        )
+        rec = TemporalRecommender(LoadedModel(params))
+        assert_ta_bitwise(rec, [(0, 0), (1, 2), (2, 1)], 5)
+        scorer = rec._scorer()
+        assert scorer.blocks_visited == scorer.blocks_total
+
+
+class TestOneIntervalFails:
+    @pytest.mark.parametrize("provider", ["ttcam", "generic"])
+    def test_only_its_rows_fall_back(self, provider, monkeypatch):
+        rng = np.random.default_rng(4)
+        params = ttcam(rng, 3 * B + 5, num_intervals=4)
+        broken = 2
+        if provider == "ttcam":
+            target, name = params, "context_scores"
+            model = LoadedModel(params)
+        else:
+            model = StaticProvider(params)
+            target, name = model, "query_space"
+        original = getattr(target, name)
+
+        def failing(*args):
+            if args[-1] == broken:
+                raise RuntimeError("interval unavailable")
+            return original(*args)
+
+        monkeypatch.setattr(target, name, failing)
+        fallback = LoadedModel(ttcam(np.random.default_rng(5), 3 * B + 5, num_intervals=4))
+        rec = TemporalRecommender(model, fallbacks=[fallback])
+        queries = [(u, t) for u in range(6) for t in (0, broken, 1, 3)]
+        results, statuses = rec.recommend_batch_with_status(queries, k=5)
+        snapshot = rec.serving_cache.stats()
+        primary = "Loaded-TTCAM" if provider == "ttcam" else "StaticProvider"
+        backup = "Loaded-TTCAM"
+        for (user, interval), result, status in zip(queries, results, statuses):
+            if interval == broken:
+                want = ServingStatus(
+                    True, backup, "primary model failed: interval unavailable", (primary,),
+                    cache=snapshot,
+                )
+                assert status == want
+                assert len(result.items) == 5
+            else:
+                assert status == ServingStatus(False, primary, cache=snapshot)
+                want_row = rec.recommend(user, interval, k=5, method="ta")
+                assert result.items == want_row.items
+                assert [s.hex() for s in result.scores] == [s.hex() for s in want_row.scores]
+        # One status object per distinct status, stamped once.
+        healthy = {id(s) for (_, t), s in zip(queries, statuses) if t != broken}
+        assert len(healthy) == 1
+
+
+#: Blocks the 64 queries of :class:`TestPruning` visit, of 64 · 625 (4.64 %).
+VISITED_AT_20K = 1857
 
 
 class TestPruning:

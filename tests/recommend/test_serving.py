@@ -61,7 +61,7 @@ def assert_batch_matches_per_query(rec, queries, k, dtype="float64", exclude=Non
     Versus the TA path the contract is bitwise: same items, same scores,
     same tie order. Brute force computes scores as one GEMV, which
     differs from the engines' per-item dot by ULPs (the reason the batch
-    engine rescores instead of trusting its GEMM), so versus ``bf`` the
+    engine scores with that dot instead of a GEMM), so versus ``bf`` the
     assertion is the repo-wide one: same item sets, scores to 1e-12.
     """
     batch = rec.recommend_batch(queries, k=k, dtype=dtype, exclude=exclude)
@@ -607,7 +607,7 @@ def select_mask(scores, count):
     index, item_major = BlockIndex.build(scores, rows, signed=True)
     weights = np.eye(rows)
     bounds = block_bounds(index, weights)
-    slots, _ = select_blocks(item_major, index, weights, bounds, count)
+    slots, _, _ = select_blocks(item_major, index, weights, bounds, count)
     mask = np.zeros((rows, num_items), dtype=bool)
     for r, row_slots in enumerate(slots):
         mask[r, index.items.reshape(-1)[row_slots]] = True
@@ -767,6 +767,17 @@ class TestBaseKeyedEntries:
         for _ in range(2):  # a second pass over every interval builds nothing
             assert _rows(rec.recommend_batch(queries, k=5, dtype="int8")) == want
         assert quantized == [model.params_.phi.shape]
+
+    def test_itcam_int8_keeps_one_theta_image_over_twelve_intervals(self):
+        # θ belongs to the base: one float32 image, whatever the interval.
+        queries = [(u, t) for t in range(12) for u in range(0, 12, 3)]
+        want = TemporalRecommender(make_itcam(np.random.default_rng(41), num_intervals=12))
+        want = _rows(want.recommend_batch(queries, k=5))
+        rec = TemporalRecommender(make_itcam(np.random.default_rng(41), num_intervals=12))
+        for _ in range(2):
+            assert _rows(rec.recommend_batch(queries, k=5, dtype="int8")) == want
+        images = [key for key in rec.serving_cache.matrices.keys() if key[0] == "theta"]
+        assert images == [("theta", "float32")]
 
     @pytest.mark.parametrize("dtype", ["float64", "int8"])
     def test_serving_a_ttcam_keeps_no_stacked_matrix(self, dtype):

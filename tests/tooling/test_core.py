@@ -79,8 +79,8 @@ MUTATIONS = [
     pytest.param(
         "TCAM003",  # hot-kernel table: no decorator left, only the registry row
         "recommend/serving.py",
-        "    @hot_path\n    def serve_group(",
-        "    def serve_group(",
+        "    @hot_path\n    def _serve_float64(",
+        "    def _serve_float64(",
         id="TCAM003-undecorated-hot-kernel-still-hot",
     ),
     pytest.param(
@@ -137,8 +137,9 @@ def test_mutating_a_real_file_fires_the_rule(rule, relative, old, new):
     path, original, mutated = _mutate(relative, old, new)
     if rule == "TCAM003":  # an allocation, now under the registry row alone
         mutated = mutated.replace(
-            "        check_serve_dtype(dtype)\n        if k <= 0:",
-            "        check_serve_dtype(dtype)\n        scratch = np.zeros(3)\n        if k <= 0:",
+            "        selection: tuple[BlockIndex, FloatArray, bool] | None = None\n",
+            "        selection: tuple[BlockIndex, FloatArray, bool] | None = None\n"
+            "        scratch = np.zeros(3)\n",
         )
         assert mutated.count("scratch = np.zeros(3)") == 1
     assert check_source(original, path) == []
