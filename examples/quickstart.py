@@ -53,8 +53,8 @@ def main() -> None:
         label = cuboid.item_index.label_of(rec.item)
         print(f"  {label:28s} score {rec.score:.4f}")
     print(
-        f"(ranked from {result.items_scored} exactly scored candidates of "
-        f"{cuboid.num_items} items)"
+        f"(exactly scored {result.items_scored} of {cuboid.num_items} items: "
+        "the blocks the threshold bound could not prune)"
     )
 
     # 5. Evaluate on the held-out temporal queries.

@@ -206,6 +206,13 @@ class TCAMParameters:
         """The expanded query vector ``ϑ_q`` of Equation 21."""
         raise NotImplementedError
 
+    def query_weights_batch(self, users: IntArray, intervals: IntArray) -> FloatArray:
+        """``(rows, K)``: row ``i`` is ``query_weights(users[i], intervals[i])``, bit for bit.
+
+        The same elementwise products, taken for every row at once.
+        """
+        raise NotImplementedError
+
     def topic_item_matrix(self, interval: int, memo: bool = True) -> FloatArray:
         """The expanded topic–item matrix ``ϕ`` of Equation 22 for an interval.
 
@@ -270,6 +277,11 @@ class ITCAMParameters(TCAMParameters):
         lam = self.lambda_u[user]
         return np.concatenate([lam * self.theta[user], [1 - lam]])
 
+    def query_weights_batch(self, users: IntArray, intervals: IntArray) -> FloatArray:
+        """Rows ``⟨λ_u·θ_u, 1−λ_u⟩`` (``intervals`` pick no weight here)."""
+        lam = self.lambda_u[users][:, None]
+        return np.concatenate([lam * self.theta[users], 1 - lam], axis=1)
+
     def topic_item_matrix(self, interval: int, memo: bool = True) -> FloatArray:
         """``(K1 + 1, V)``: ``φ`` with ``θ′_t`` as its last row, built per call."""
         return np.vstack([self.phi, self.theta_time[interval][None, :]])
@@ -321,6 +333,13 @@ class TTCAMParameters(TCAMParameters):
         lam = self.lambda_u[user]
         return np.concatenate(
             [lam * self.theta[user], (1 - lam) * self.theta_time[interval]]
+        )
+
+    def query_weights_batch(self, users: IntArray, intervals: IntArray) -> FloatArray:
+        """Rows ``⟨λ_u·θ_u, (1−λ_u)·θ′_t⟩``."""
+        lam = self.lambda_u[users][:, None]
+        return np.concatenate(
+            [lam * self.theta[users], (1 - lam) * self.theta_time[intervals]], axis=1
         )
 
     def topic_item_matrix(self, interval: int = 0, memo: bool = True) -> FloatArray:

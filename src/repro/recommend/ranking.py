@@ -78,10 +78,11 @@ class TopKResult:
     """Outcome of one top-k retrieval, with access accounting.
 
     ``items_scored`` counts full ranking-score evaluations — the quantity
-    the Threshold Algorithm minimises; for the batch scorer it is the
-    number of candidates the answer was ranked from (the items scoring
-    at or above the row's final threshold). ``sorted_accesses`` counts
-    pops from the per-topic sorted lists (0 for brute force).
+    the Threshold Algorithm minimises; for the float64 batch scorer it is
+    every item of the blocks the row scored (padding aside), for int8
+    the candidates its proven margin kept and it rescored exactly.
+    ``sorted_accesses`` counts pops from the per-topic sorted lists (0
+    for brute force).
     """
 
     recommendations: list[Recommendation]

@@ -21,20 +21,22 @@ cost across batches:
 * **Block-max selection.** The items are laid out in blocks of
   :data:`SELECT_BLOCK` by a per-base :class:`BlockIndex` — grouped by
   their heaviest topic, heaviest first — with each block's per-topic
-  maxima of the selection matrix. Each query row bounds every block with
-  one small GEMM, ``Σ_z ϑ_q[z]·max_b ϕ[z,·]`` — TCAM-TA's threshold
-  (paper Section 4) applied to a block, rounded up for float64 — then
-  scores blocks in descending-bound order and stops once the next bound
-  is strictly below its running ``k``-th score: no item of an unvisited
-  block can reach it (:func:`block_bounds` and :func:`select_blocks`
-  hold the proof). At V=100k a row scores about 1 % of the catalogue.
+  maxima of the selection matrix. A row block bounds every block with
+  one GEMM, ``Σ_z ϑ_q[z]·max_b ϕ[z,·]`` — TCAM-TA's threshold (paper
+  Section 4) applied to a block, rounded up for float64 — then each row
+  scores in two fixed rounds: its 16 blocks of highest bound, whose
+  ``k``-th score is ``τ₁``, then every other block whose bound reaches
+  ``τ₁``. No item of an unscored block can reach the row's final
+  ``k``-th score (:func:`block_bounds` and :func:`select_blocks` hold
+  the proof). At V=100k a row scores about 0.8 % of the catalogue.
 * **Exact scores, one pass.** Each visited item is scored with a stacked
   vector·vector :func:`np.matmul`; numpy evaluates every ``(1×K)@(K×1)``
   of it with the same ``DOUBLE_dot`` (``cblas_ddot``) as the TA engines'
   per-item ``item_topic[v] @ ϑ_q`` (the block-ordered matrix an
   in-memory model keeps holds bit-identical rows). Selection scores are
   therefore the reference engines' bits, and a row's answer is read off
-  them, ranked by the shared ``(score desc, item asc)`` tie-break: in
+  them, every row of a batch ranked by one ``lexsort`` on the shared
+  ``(score desc, item asc)`` tie-break (:func:`ranked_rows`): in
   float64 the returned items, scores and tie order are exactly those of
   :func:`~repro.recommend.threshold.ta_topk`. (A GEMV over the same rows
   sums in another order and differs in the last ULP, so it cannot stand
@@ -59,6 +61,7 @@ cost across batches:
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -70,6 +73,7 @@ from typing import (
     Iterator,
     KeysView,
     Mapping,
+    NamedTuple,
     Sequence,
     TypeVar,
 )
@@ -423,18 +427,32 @@ class _Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple[str, str], AnyArray] = {}
+        self._owners: dict[tuple[str, str], object] = {}
 
     def get(self, name: str, shape: tuple[int, ...], dtype: str) -> AnyArray:
         """A writable view of the named buffer with the requested shape."""
         key = (name, dtype)
         buffer = self._buffers.get(key)
-        if buffer is None or any(b < s for b, s in zip(buffer.shape, shape)):
-            grown = shape if buffer is None else tuple(
-                max(b, s) for b, s in zip(buffer.shape, shape)
-            )
+        if buffer is not None and buffer.shape == shape:
+            return buffer
+        if buffer is None or any(map(operator.lt, buffer.shape, shape)):
+            grown = shape if buffer is None else tuple(map(max, buffer.shape, shape))
             buffer = np.empty(grown, dtype=np.dtype(dtype))
             self._buffers[key] = buffer
-        return buffer[tuple(slice(0, s) for s in shape)]
+            self._owners.pop(key, None)
+        return buffer[tuple(map(slice, shape))]
+
+    def keeps(self, name: str, dtype: str, owner: object) -> bool:
+        """Whether the named buffer still holds what ``owner`` last wrote; ``owner``'s from now.
+
+        A buffer that :meth:`get` regrew holds nothing. ``owner`` is
+        compared by identity and held, so a live id is never mistaken
+        for another object's.
+        """
+        key = (name, dtype)
+        kept = self._owners.get(key) is owner
+        self._owners[key] = owner
+        return kept
 
 
 def check_serve_dtype(dtype: str) -> str:
@@ -444,20 +462,45 @@ def check_serve_dtype(dtype: str) -> str:
     return dtype
 
 
-def ranked_topk(items: IntArray, scores: FloatArray, k: int) -> TopKResult:
-    """The top ``k`` of scored candidates, ranked ``(score desc, item asc)``.
+def ranked_rows(
+    rows: IntArray, items: IntArray, scores: FloatArray, k: int, items_scored: IntArray
+) -> list[TopKResult]:
+    """Each row's top ``k`` of its scored candidates, ranked ``(score desc, item asc)``.
 
-    The tie order every engine in this package shares; ``items_scored``
-    counts the candidates.
+    ``rows[i]`` names candidate ``i``'s row (any order) and
+    ``items_scored[r]`` is row ``r``'s ``items_scored``; one ``lexsort``
+    ranks every row at once, in the tie order every engine in this
+    package shares.
     """
-    order = np.lexsort((items, -scores))[:k]
-    recommendations = [
-        Recommendation(item, score)
-        for item, score in zip(items[order].tolist(), scores[order].tolist())
-    ]
-    return TopKResult(
-        recommendations=recommendations, items_scored=int(items.size), sorted_accesses=0
-    )
+    order = np.lexsort((items, -scores, rows))
+    counts = np.bincount(rows, minlength=items_scored.size)
+    ends = np.cumsum(counts)
+    ranked_items = items[order].tolist()
+    ranked_scores = scores[order].tolist()
+    results = []
+    for end, count, scored in zip(ends.tolist(), counts.tolist(), items_scored.tolist()):
+        start = end - count
+        top = slice(start, start + min(k, count))
+        results.append(
+            TopKResult(
+                recommendations=[
+                    Recommendation(item, score)
+                    for item, score in zip(ranked_items[top], ranked_scores[top])
+                ],
+                items_scored=scored,
+                sorted_accesses=0,
+            )
+        )
+    return results
+
+
+def ranked_topk(items: IntArray, scores: FloatArray, k: int) -> TopKResult:
+    """The top ``k`` of one row's scored candidates: :func:`ranked_rows` of one row.
+
+    ``items_scored`` counts the candidates.
+    """
+    rows = np.zeros(items.size, dtype=np.int64)
+    return ranked_rows(rows, items, scores, k, np.array([items.size]))[0]
 
 
 def exact_rescore(
@@ -494,12 +537,11 @@ SELECT_BLOCK = 32
 #: through a bounded buffer instead of one ``(rows, V, K)`` copy.
 _GATHER_BYTES = 4 << 20
 
-#: Blocks in a row's first chunk (or ``⌈count / B⌉`` if more). Each chunk
-#: costs a dozen numpy calls whatever its size, so starting at 16 blocks
-#: rather than one saves rounds for a few more items scored: a single
-#: query at V=20k took ~390 µs against ~590 µs starting at one block,
-#: and a 64-query batch at V=100k was no slower (2.10 % of blocks
-#: visited against 2.01 %).
+#: Blocks a row scores in :func:`select_blocks`' first round (or
+#: ``⌈count / B⌉`` if more), taken by bound. Measured on the benchmark's
+#: ``serve_batch`` queries (V=100k, k=10), mean blocks scored per row
+#: over both rounds: 8 → 531 (a ``τ₁`` that low lets most bounds
+#: through), 12 → 26.8, 16 → 24.8, 24 → 28.7, 32 → 34.9.
 _FIRST_BLOCKS = 16
 
 #: Blocks per pass of :meth:`BlockIndex.build`'s gather-and-max: a slice
@@ -545,8 +587,10 @@ class BlockIndex:
     padded with copies of its last item, which leave its maxima as they
     are (the selector never scores a padding slot). ``block_max[b, z]``
     is the largest value row ``z`` of the indexed matrix takes over block
-    ``b``'s items, and ``block_min`` the smallest (kept only for signed
-    query weights). The index holds no copy of the matrix.
+    ``b``'s items (stored transposed and contiguous, ``block_max_t``, the
+    operand :func:`block_bounds` multiplies), and ``block_min`` the
+    smallest (kept only for signed query weights). The index holds no
+    copy of the matrix.
     :meth:`arrange` lays a ``(K, V)`` matrix over the same items out
     item-major in block order — the rescore matrix an in-memory model
     keeps *instead of* an item-id-ordered transpose: its rows are
@@ -558,12 +602,12 @@ class BlockIndex:
         self,
         items: IntArray,
         num_items: int,
-        block_max: FloatArray,
+        block_max_t: FloatArray,
         block_min: FloatArray | None,
     ) -> None:
         self.items = items
         self.num_items = num_items
-        self.block_max = block_max
+        self.block_max_t = block_max_t
         self.block_min = block_min
 
     @classmethod
@@ -593,16 +637,24 @@ class BlockIndex:
         index = cls(
             items,
             num_items,
-            np.empty((num_blocks, rows)),
+            np.empty((rows, num_blocks)),
             np.empty((num_blocks, rows)) if signed else None,
         )
         item_major = np.empty((num_blocks * SELECT_BLOCK, matrix.shape[0])) if arrange else None
+        block_max = np.empty((num_blocks, rows))  # contiguous: a strided out= is ~2x slower
         for first, last, part in index._slices(matrix if arrange else matrix[:rows], item_major):
             blocks = part.reshape(last - first, SELECT_BLOCK, -1)[:, :, :rows]
-            blocks.max(axis=1, out=index.block_max[first:last])
+            blocks.max(axis=1, out=block_max[first:last])
             if index.block_min is not None:
                 blocks.min(axis=1, out=index.block_min[first:last])
+        index.block_max_t[...] = block_max.T
         return index, item_major
+
+    @property
+    def block_max(self) -> FloatArray:
+        """``(blocks, K)`` maxima, a view of the ``(K, blocks)`` :attr:`block_max_t`."""
+        block_max: FloatArray = self.block_max_t.T
+        return block_max
 
     @property
     def order(self) -> IntArray:
@@ -618,7 +670,7 @@ class BlockIndex:
     @property
     def nbytes(self) -> int:
         """Accounted bytes (item ids and maxima)."""
-        arrays = (self.items, self.block_max, self.block_min)
+        arrays = (self.items, self.block_max_t, self.block_min)
         return sum(int(a.nbytes) for a in arrays if a is not None)
 
     def _slices(
@@ -660,6 +712,8 @@ def block_bounds(
     weights: FloatArray,
     context_weight: FloatArray | None = None,
     context_max: FloatArray | None = None,
+    slots: IntArray | None = None,
+    workspace: _Workspace | None = None,
 ) -> FloatArray:
     """``(rows, blocks)`` upper bounds on every selection score of each block.
 
@@ -675,54 +729,130 @@ def block_bounds(
       the bound is ``w[:K1] @ block_max + (1−λ_u)·context_max[b]`` — the
       context vector's own block maxima, far tighter than per-topic
       maxima of ``φ′``. ``context_max`` is one interval's ``(blocks,)``
-      maxima, or ``(rows, blocks)``: each row its own interval's.
+      maxima, or the ``(D, blocks)`` maxima of a pass's ``D`` intervals,
+      row ``r`` reading row ``slots[r]``. It is one GEMM with the context
+      folded in as extra columns: ``[w[:K1] | (1−λ)·onehot(slot)] @
+      [block_maxᵀ ; context_max]``. The ``D − 1`` other context terms
+      are exact zeros, which leave any sum as it is.
     * **Generic path** (``index.block_min`` kept): a negative weight
       bounds with the block minimum, ``w⁺ @ block_max + w⁻ @ block_min``.
 
     Rounded up for float64: a computed score of ``n ≤ K + 1`` products
     exceeds its real value by at most ``γ_n = n·u/(1 − n·u)`` times the
     sum of the terms' magnitudes (``u = 2⁻⁵³``, any order, FMA or not);
-    the computed bound (itself at most ``K + 1`` terms, the context
-    vector ``K2`` more) falls short of its real value by at most that
-    much again. Every magnitude sum is at most the bound's magnitude
-    ``A = |w| @ max(|block_max|, |block_min|)`` (plus the context term),
-    so adding ``4·(K+2)·u·A`` — ``A`` is the bound itself on the split
-    path, where everything is non-negative — covers both, the final
-    rounding included, with a factor two to spare.
+    the computed bound (itself at most ``K + 1`` terms that are not
+    zero, the context vector ``K2`` more) falls short of its real value
+    by at most that much again. Every magnitude sum is at most the
+    bound's magnitude ``A = |w| @ max(|block_max|, |block_min|)`` (plus
+    the context term), so adding ``4·(K+2)·u·A`` — ``A`` is the bound
+    itself on the split path, where everything is non-negative — covers
+    both, the final rounding included, with a factor two to spare.
+
+    The split path's operands and result live in ``workspace`` (a fresh
+    one when not given): the result is overwritten by the next call.
     """
-    width = index.block_max.shape[1]
+    rows = weights.shape[0]
+    width, num_blocks = index.block_max_t.shape
     slack = 4 * (weights.shape[1] + 2) * _ROUNDOFF
     topic_weights = weights[:, :width]
     if index.block_min is None:
-        bounds: FloatArray = topic_weights @ index.block_max.T
-        if context_max is not None and context_weight is not None:
-            bounds += context_weight[:, None] * context_max
+        scratch = _Workspace() if workspace is None else workspace
+        contexts = np.zeros((0, num_blocks)) if context_max is None else context_max
+        contexts = contexts.reshape(-1, num_blocks)
+        depth = width + contexts.shape[0]
+        operand = scratch.get("bound_operand", (depth, num_blocks), "float64")
+        if not scratch.keeps("bound_operand", "float64", index):  # copied once per index
+            operand[:width] = index.block_max_t
+        operand[width:] = contexts
+        left = scratch.get("bound_weights", (rows, depth), "float64")
+        left.fill(0.0)
+        left[:, :width] = topic_weights
+        if context_weight is not None:
+            columns = width if slots is None else width + slots
+            left[np.arange(rows), columns] = context_weight
+        bounds = scratch.get("bounds", (rows, num_blocks), "float64")
+        np.matmul(left, operand, out=bounds)
         bounds *= 1.0 + slack
         return bounds
     positive = np.maximum(topic_weights, 0.0)
     negative = np.minimum(topic_weights, 0.0)
-    bounds = positive @ index.block_max.T + negative @ index.block_min.T
+    bounds = positive @ index.block_max_t + negative @ index.block_min.T
     magnitude = np.maximum(np.abs(index.block_max), np.abs(index.block_min))
     bounds += slack * (np.abs(topic_weights) @ magnitude.T)
     return bounds
 
 
-def _rank(bounds: FloatArray, visited: IntArray | None, top: int) -> IntArray:
-    """Each row's blocks in descending-bound order (the first ``top``).
+class Selection(NamedTuple):
+    """What :func:`select_blocks` scored, and the candidates it kept.
 
-    ``visited`` blocks (already scored, in any order) rank first, so the
-    ranks after them continue a row's walk.
+    ``rows[i]``, ``items[i]`` and ``scores[i]`` are kept candidate
+    ``i`` — a non-excluded item scoring at least its row's ``τ₁`` — in
+    no particular order. ``first[r]`` are row ``r``'s round-1 blocks,
+    ``scored[r, b]`` says whether it scored block ``b`` in either round
+    and ``blocks_scored[r]`` counts those blocks.
     """
-    keyed = -bounds
-    if visited is not None:
-        np.put_along_axis(keyed, visited, -np.inf, axis=1)
-    if top >= bounds.shape[1]:
-        ranked: IntArray = np.argsort(keyed, axis=1, kind="stable")
-        return ranked
-    head = np.argpartition(keyed, top - 1, axis=1)[:, :top]
-    within = np.argsort(np.take_along_axis(keyed, head, axis=1), axis=1, kind="stable")
-    ranked = np.take_along_axis(head, within, axis=1)
-    return ranked
+
+    rows: IntArray
+    items: IntArray
+    scores: FloatArray
+    first: IntArray
+    scored: BoolArray
+    blocks_scored: IntArray
+
+    def items_scored(self, index: BlockIndex) -> IntArray:
+        """Each row's scored items: the non-padding slots of its scored blocks."""
+        padding = index.num_blocks * SELECT_BLOCK - index.num_items
+        counts: IntArray = self.blocks_scored * SELECT_BLOCK - padding * self.scored[:, -1]
+        return counts
+
+
+def _score_blocks(
+    matrix: FloatArray,
+    index: BlockIndex,
+    weights: FloatArray,
+    rows: IntArray,
+    blocks: IntArray,
+    excluded: Sequence[BoolArray | None] | None,
+    out: FloatArray,
+    workspace: _Workspace,
+) -> None:
+    """Score block ``blocks[i]`` against ``weights[rows[i]]`` into ``out[i]`` (``(n, B)``).
+
+    ``matrix`` is :meth:`BlockIndex.arrange`'s layout reshaped to
+    ``(blocks, B, K)``, or a ``(V, K)`` item-id-ordered transpose
+    gathered through ``index.items``. Gathers are bounded by
+    :data:`_GATHER_BYTES`. ``rows`` must be non-decreasing. Padding
+    slots, and items ``excluded[r]`` names, score ``−inf``.
+    """
+    width = matrix.shape[-1]
+    per_pass = max(1, _GATHER_BYTES // (SELECT_BLOCK * width * 8))
+    for lo in range(0, blocks.size, per_pass):
+        hi = min(blocks.size, lo + per_pass)
+        gathered = workspace.get("gathered", (hi - lo, SELECT_BLOCK, width), "float64")
+        ids = blocks[lo:hi] if matrix.ndim == 3 else index.items[blocks[lo:hi]]
+        np.take(matrix, ids, axis=0, out=gathered, mode="clip")  # ids in range: no buffering
+        np.matmul(
+            gathered.reshape(hi - lo, SELECT_BLOCK, 1, width),
+            weights[rows[lo:hi], None, :, None],
+            out=out[lo:hi].reshape(hi - lo, SELECT_BLOCK, 1, 1),
+        )
+    tail = index.num_items - (index.num_blocks - 1) * SELECT_BLOCK
+    if tail < SELECT_BLOCK:
+        out[blocks == index.num_blocks - 1, tail:] = -np.inf
+    if excluded is not None:
+        edges = np.searchsorted(rows, np.arange(len(excluded) + 1)).tolist()
+        for r, mask in enumerate(excluded):
+            if mask is not None:
+                lo, hi = edges[r], edges[r + 1]
+                out[lo:hi][mask[index.items[blocks[lo:hi]]]] = -np.inf
+
+
+def _harvest(
+    index: BlockIndex, scores: FloatArray, rows: IntArray, blocks: IntArray, tau: FloatArray
+) -> tuple[IntArray, IntArray, FloatArray]:
+    """``(rows, items, scores)`` of the slots of ``scores`` (``(n, B)``) at or above their row's τ."""
+    at, slot = np.nonzero(scores >= tau[rows][:, None])
+    return rows[at], index.items[blocks[at], slot], scores[at, slot]
 
 
 def select_blocks(
@@ -733,13 +863,11 @@ def select_blocks(
     count: int,
     excluded: Sequence[BoolArray | None] | None = None,
     arranged: bool = True,
-) -> tuple[list[IntArray], list[FloatArray], IntArray]:
-    """Block-max selection, scored exactly: each row's tie-inclusive top ``count``.
+    workspace: _Workspace | None = None,
+) -> Selection:
+    """Block-max selection in two rounds, scored exactly: each row's tie-inclusive top ``count``.
 
-    Every row visits its blocks in descending-bound order, in chunks that
-    start at ``max(16, ⌈count / B⌉)`` blocks and double — but never past
-    the last block some row must visit under its current ``τ`` — scoring
-    each visited item's row of ``matrix`` against ``weights[r]``:
+    Each visited item's row of ``matrix`` is scored against ``weights[r]``:
     ``matrix`` is :meth:`BlockIndex.arrange`'s layout (block ``b`` in rows
     ``[b·B, (b+1)·B)``) or, with ``arranged=False``, an item-id-ordered
     ``(V, K)`` transpose whose rows are gathered through ``index.items``.
@@ -747,92 +875,60 @@ def select_blocks(
     (``(1×K)@(K×1)`` per item), which numpy evaluates with the same
     ``DOUBLE_dot`` as :func:`~repro.recommend.threshold.ta_topk`'s
     ``item_topic[v] @ w``: a score here is the TA engine's, bit for bit
-    (a ``(n×K)@(K×1)`` GEMV is not). After each chunk ``τ`` is the row's
-    ``count``-th largest score so far among *non-excluded* items — the
-    exclusions (``excluded[r][v]``, by item id; padding slots count as
-    excluded) are applied first, so an excluded high scorer can never
-    raise ``τ`` — and the row stops once its next block's bound is
-    **strictly** below ``τ``. ``τ`` only rises, so every unvisited item
-    scores below the final ``τ``: the visited items scoring ``≥ τ`` are
-    exactly the items of the whole catalogue that do, boundary ties
-    included, and their top ``count`` by ``(score desc, item asc)`` is
-    the row's answer.
+    (a ``(n×K)@(K×1)`` GEMV is not).
 
-    Returns each row's candidate slots (``b·B + s`` holds item
-    ``index.items[b, s]``; in visit order), their scores, and the number
-    of blocks each row visited.
+    * **Round 1.** Each row scores its ``F = max(16, ⌈count / B⌉)``
+      blocks of highest bound (one ``argpartition``, no sort). Padding
+      slots and the row's exclusions (``excluded[r][v]``, by item id)
+      score ``−inf`` first, so an excluded high scorer cannot raise
+      ``τ₁``, the row's ``count``-th largest score so far (``−inf``
+      when fewer than ``count`` items are left).
+    * **Round 2.** Each row scores every other block whose bound is
+      ``≥ τ₁`` — a bound equal to ``τ₁`` is scored.
+
+    **Why two rounds are complete.** Let ``τ`` be the row's
+    ``count``-th largest non-excluded score over the whole catalogue.
+    ``τ₁`` is the ``count``-th largest over a subset, so ``τ₁ ≤ τ``. An
+    item scoring ``≥ τ`` lies in a block whose bound is at least its
+    score (:func:`block_bounds` rounds up), so ``≥ τ ≥ τ₁``: every such
+    block was scored, in one round or the other. The scored items at or
+    above ``τ₁`` therefore contain every catalogue item at or above
+    ``τ``, boundary ties included, and their top ``count`` by ``(score
+    desc, item asc)`` is the catalogue's — bit for bit ``ta_topk``'s.
+
+    Returns those candidates (each row's scored, non-excluded items
+    scoring ``≥ τ₁``) with the blocks scored (:class:`Selection`).
+    ``scored`` lives in ``workspace`` (a fresh one when not given).
     """
+    scratch = _Workspace() if workspace is None else workspace
     rows, num_blocks = bounds.shape
-    width = matrix.shape[1]
-    blocks_of = matrix.reshape(-1, SELECT_BLOCK, width) if arranged else None
-    first = max(_FIRST_BLOCKS, -(-count // SELECT_BLOCK))
-    # Rank four first chunks up front (a 64-query batch at V=100k visits
-    # 31 blocks per row on average); a row that reaches the end of its
-    # ranking has four times the blocks it visited ranked then.
-    top = min(num_blocks, 4 * first)
-    tail = index.num_items - (num_blocks - 1) * SELECT_BLOCK
-    active = np.arange(rows)
-    ranked = _rank(bounds, None, top)
-    ranked_bounds = np.take_along_axis(bounds, ranked, axis=1)
-    scores = np.empty((rows, 0))
-    seen = np.empty((rows, 0), dtype=np.int64)
-    candidates: list[IntArray] = [np.empty(0, dtype=np.int64)] * rows
-    found: list[FloatArray] = [np.empty(0)] * rows
-    visited = np.zeros(rows, dtype=np.int64)
-    done, chunk = 0, first
-    while True:
-        step = min(chunk, ranked.shape[1] - done)
-        chunk_blocks = ranked[:, done : done + step]
-        chunk_items = index.items[chunk_blocks]
-        chunk_scores = np.empty((active.size, step, SELECT_BLOCK))
-        per_pass = max(1, _GATHER_BYTES // (step * SELECT_BLOCK * width * 8))
-        for lo in range(0, active.size, per_pass):
-            hi = min(active.size, lo + per_pass)
-            if blocks_of is None:
-                gathered = np.take(matrix, chunk_items[lo:hi], axis=0)
-            else:
-                gathered = np.take(blocks_of, chunk_blocks[lo:hi], axis=0)
-            np.matmul(
-                gathered.reshape(hi - lo, step * SELECT_BLOCK, 1, width),
-                weights[active[lo:hi], None, :, None],
-                out=chunk_scores[lo:hi].reshape(hi - lo, step * SELECT_BLOCK, 1, 1),
-            )
-        if tail < SELECT_BLOCK:
-            chunk_scores[chunk_blocks == num_blocks - 1, tail:] = -np.inf
-        if excluded is not None:
-            for i, row in enumerate(active):
-                mask = excluded[row]
-                if mask is not None:
-                    chunk_scores[i][mask[chunk_items[i]]] = -np.inf
-        scores = np.concatenate([scores, chunk_scores.reshape(active.size, -1)], axis=1)
-        seen = np.concatenate([seen, chunk_blocks], axis=1)
-        done += step
-        scored = scores.shape[1]
-        if scored >= count:
-            tau = np.partition(scores, scored - count, axis=1)[:, scored - count]
-        else:
-            tau = np.full(active.size, -np.inf)
-        if done == num_blocks:
-            stop = np.ones(active.size, dtype=bool)
-        else:
-            if done == ranked.shape[1]:
-                ranked = _rank(bounds[active], seen, min(num_blocks, 4 * done))
-                ranked_bounds = np.take_along_axis(bounds[active], ranked, axis=1)
-            stop = ranked_bounds[:, done] < tau
-        for i in np.flatnonzero(stop):
-            hits = np.flatnonzero((scores[i] >= tau[i]) & (scores[i] > -np.inf))
-            candidates[active[i]] = seen[i][hits // SELECT_BLOCK] * SELECT_BLOCK + hits % SELECT_BLOCK
-            found[active[i]] = scores[i][hits]
-            visited[active[i]] = done
-        going = ~stop
-        if not going.any():
-            return candidates, found, visited
-        active, scores, seen = active[going], scores[going], seen[going]
-        ranked, ranked_bounds = ranked[going], ranked_bounds[going]
-        # Double, but never past the last ranked block some row must visit
-        # under its current τ: those are visited whatever τ becomes.
-        needed = (ranked_bounds[:, done:] >= tau[going][:, None]).sum(axis=1)
-        chunk = min(2 * chunk, int(needed.max()))
+    source = matrix.reshape(-1, SELECT_BLOCK, matrix.shape[1]) if arranged else matrix
+    fixed = min(num_blocks, max(_FIRST_BLOCKS, -(-count // SELECT_BLOCK)))
+    if fixed == num_blocks:
+        first = np.arange(num_blocks)[None, :].repeat(rows, axis=0)
+    else:
+        first = np.argpartition(bounds, num_blocks - fixed, axis=1)[:, num_blocks - fixed :]
+    row_of = np.arange(rows)[:, None]
+    first_rows = row_of.repeat(fixed, axis=1).reshape(-1)
+    first_blocks = first.reshape(-1)
+    round1 = scratch.get("round1", (rows * fixed, SELECT_BLOCK), "float64")
+    _score_blocks(source, index, weights, first_rows, first_blocks, excluded, round1, scratch)
+    pivot = fixed * SELECT_BLOCK - count
+    tau = np.partition(round1.reshape(rows, -1), pivot, axis=1)[:, pivot]
+    # -inf → the lowest float: "≥ τ₁" then keeps exactly the finite scores.
+    np.maximum(tau, np.finfo(np.float64).min, out=tau)
+    scored = scratch.get("scored", (rows, num_blocks), "bool")
+    np.greater_equal(bounds, tau[:, None], out=scored)
+    scored[row_of, first] = False
+    later_rows, later_blocks = np.divmod(np.flatnonzero(scored), num_blocks)
+    scored[row_of, first] = True
+    round2 = scratch.get("round2", (later_blocks.size, SELECT_BLOCK), "float64")
+    _score_blocks(source, index, weights, later_rows, later_blocks, excluded, round2, scratch)
+    kept1 = _harvest(index, round1, first_rows, first_blocks, tau)
+    kept2 = _harvest(index, round2, later_rows, later_blocks, tau)
+    rows_kept, items_kept, scores_kept = (np.concatenate(pair) for pair in zip(kept1, kept2))
+    blocks_scored = fixed + np.bincount(later_rows, minlength=rows)
+    return Selection(rows_kept, items_kept, scores_kept, first, scored, blocks_scored)
 
 
 def _row_boundaries(scores: AnyArray, count: int) -> AnyArray:
@@ -1226,8 +1322,12 @@ class BatchScorer:
         if row_block <= 0:
             raise ValueError(f"row_block must be positive, got {row_block}")
         passes: dict[Hashable, list[int]] = {}
+        keys: dict[int, Hashable] = {}
         for i, (_, interval) in enumerate(queries):
-            passes.setdefault(self._pass_key(int(interval), dtype), []).append(i)
+            interval = int(interval)
+            if interval not in keys:
+                keys[interval] = self._pass_key(interval, dtype)
+            passes.setdefault(keys[interval], []).append(i)
         answers: dict[int, TopKResult | Exception] = {}
         for rows in passes.values():
             group = [(int(queries[i][0]), int(queries[i][1])) for i in rows]
@@ -1287,16 +1387,17 @@ class BatchScorer:
     ) -> list[TopKResult | Exception]:
         """One block-max pass over queries whose intervals share a matrix key.
 
-        Each row's inputs are built first, one interval at a time: its
-        query weights and, on the split path, the interval's cached
-        context block maxima (:meth:`_context_maxima`). An interval whose
-        inputs (or, for the first, the pass's :meth:`_selection`) raise
-        answers its rows with the exception; the others go on. Then
-        ``row_block`` rows at a time are bounded — one ``(rows, blocks)``
-        context maximum, each row its interval's (:func:`block_bounds`) —
-        and selected (:func:`select_blocks`); a row's selected scores are
-        its answer (:func:`ranked_topk`). No rescoring follows: selection
-        scores with the TA engine's own dot.
+        Each interval's inputs are built first: on the split path its
+        cached context block maxima (:meth:`_context_maxima`), on the
+        generic path its rows' query vectors. An interval whose inputs
+        (or, for the first, the pass's :meth:`_selection`) raise answers
+        its rows with the exception; the others go on. Then ``row_block``
+        rows at a time are bounded — one GEMM, each row reading its
+        interval's context maxima (:func:`block_bounds`) — and selected
+        in two rounds (:func:`select_blocks`); the selected scores are
+        the answers, ranked for every row at once (:func:`ranked_rows`).
+        No rescoring follows: selection scores with the TA engine's own
+        dot.
         """
         params = self._params()  # None: no split path, score query_space whole
         by_interval: dict[int, list[int]] = {}
@@ -1311,14 +1412,10 @@ class BatchScorer:
                 if selection is None:
                     users = [queries[i][0] for i in rows]
                     selection = self._selection(interval, users, params)
-                for i in rows:
-                    user = queries[i][0]
-                    vectors[i] = (
-                        self.model.query_space(user, interval)[0]
-                        if params is None
-                        else params.query_weights(user, interval)
-                    )
-                if params is not None:
+                if params is None:
+                    for i in rows:
+                        vectors[i] = self.model.query_space(queries[i][0], interval)[0]
+                else:
                     context_max[interval] = self._context_maxima(interval, params, selection[0])
             except Exception as exc:  # this interval's rows degrade, the others are served
                 failed[interval] = exc
@@ -1326,32 +1423,45 @@ class BatchScorer:
         if selection is not None:
             index, matrix, arranged = selection
             num_items = index.num_items
-            slot_items = index.items.reshape(-1)
+            slot_of = {interval: slot for slot, interval in enumerate(context_max)}
+            contexts = self.workspace.get(
+                "contexts", (len(context_max), index.num_blocks), "float64"
+            )
+            for slot, maxima in enumerate(context_max.values()):
+                contexts[slot] = maxima
             live = [i for i, (_, interval) in enumerate(queries) if interval not in failed]
             for start in range(0, len(live), row_block):
                 block = live[start : start + row_block]
                 rows = len(block)
-                block_users = [queries[i][0] for i in block]
-                weights = self.workspace.get("weights", (rows, matrix.shape[1]), "float64")
-                for r, i in enumerate(block):
-                    weights[r] = vectors[i]
+                users = self.workspace.get("users", (rows,), "int64")
+                users[:] = [queries[i][0] for i in block]
                 if params is None:
+                    weights = self.workspace.get("weights", (rows, matrix.shape[1]), "float64")
+                    for r, i in enumerate(block):
+                        weights[r] = vectors[i]
                     bounds = block_bounds(index, weights)
                 else:
-                    maxima = self.workspace.get("cmax", (rows, index.num_blocks), "float64")
-                    for r, i in enumerate(block):
-                        maxima[r] = context_max[queries[i][1]]
-                    context_weight = 1 - params.lambda_u[block_users]
-                    bounds = block_bounds(index, weights, context_weight, maxima)
-                masks = [self.exclusion_mask(user, exclude, num_items) for user in block_users]
+                    intervals = self.workspace.get("intervals", (rows,), "int64")
+                    intervals[:] = [queries[i][1] for i in block]
+                    slots = self.workspace.get("slots", (rows,), "int64")
+                    slots[:] = [slot_of[queries[i][1]] for i in block]
+                    weights = params.query_weights_batch(users, intervals)
+                    context_weight = 1 - params.lambda_u[users]
+                    bounds = block_bounds(
+                        index, weights, context_weight, contexts, slots, self.workspace
+                    )
+                masks = [self.exclusion_mask(user, exclude, num_items) for user in users.tolist()]
                 excluded = None if all(mask is None for mask in masks) else masks
-                slots, scores, visited = select_blocks(
-                    matrix, index, weights, bounds, min(num_items, k), excluded, arranged
+                chosen = select_blocks(
+                    matrix, index, weights, bounds, min(num_items, k), excluded, arranged,
+                    self.workspace,
                 )
-                self.blocks_visited += int(visited.sum())
+                self.blocks_visited += int(chosen.blocks_scored.sum())
                 self.blocks_total += rows * index.num_blocks
-                for i, row_slots, row_scores in zip(block, slots, scores):
-                    results[i] = ranked_topk(slot_items[row_slots], row_scores, k)
+                answers = ranked_rows(
+                    chosen.rows, chosen.items, chosen.scores, k, chosen.items_scored(index)
+                )
+                results.update(zip(block, answers))
         return [
             results[i] if i in results else failed[interval]
             for i, (_, interval) in enumerate(queries)

@@ -24,7 +24,8 @@ deflated snapshots and checkpoints still load through it), and
 The write goes to a temporary sibling, through a fault site (so the
 harness can tear it or fill the disk under it), is fsynced and is then
 published with :func:`os.replace`: no reader ever sees a half-written
-archive under the final name.
+archive under the final name. The directory is fsynced after the
+rename, so a crash cannot lose the published name either.
 """
 
 from __future__ import annotations
@@ -91,7 +92,20 @@ def write_archive(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    _fsync_dir(path.parent)
     return path
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Flush a directory's entries, so a rename in it survives a crash (POSIX)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without directory open
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def map_members(path: Path) -> dict[str, AnyArray]:

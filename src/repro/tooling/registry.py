@@ -233,19 +233,17 @@ TREE: dict[str, FileFacts] = {
         contracts=("BlockedEStep.compute",),
     ),
     "core/model.py": FileFacts(contracts=("EMModel.fit",)),
-    "core/serialize.py": FileFacts(durable=True),
     "extensions/online.py": FileFacts(
         contracts=("fold_in", "OnlineTTCAM.fold_in_user", "OnlineTTCAM.fold_in_interval")
     ),
     "extensions/social.py": FileFacts(contracts=("build_homophilous_graph",)),
-    "recommend/paramstore.py": FileFacts(durable=True, dir_fsync=True),
     "recommend/quantize.py": FileFacts(narrowing=True),
     "recommend/recommender.py": FileFacts(
         serving=True,
         contracts=("TemporalRecommender.recommend_batch_with_status",),
     ),
     "recommend/serving.py": FileFacts(hot_kernels=("BatchScorer._serve_float64",), serving=True),
-    "robustness/archive.py": FileFacts(durable=True),
+    "robustness/archive.py": FileFacts(durable=True, dir_fsync=True),
     "robustness/checkpoint.py": FileFacts(durable=True, contracts=("CheckpointManager.load",)),
     "serving_service/batching.py": FileFacts(serving=True),
     "serving_service/client.py": FileFacts(serving=True),

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import RatingCuboid, Rating, generate, holdout_split
 from repro.data.synthetic import SyntheticConfig, auto_events
+
+
+#: ``HYPOTHESIS_PROFILE=deep`` runs ten times Hypothesis's default example
+#: budget; tests that scale their own counts with it (``examples`` in
+#: ``tests/recommend/test_block_select.py``) run ten times theirs.
+settings.register_profile("deep", max_examples=10 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def tiny_config(**overrides) -> SyntheticConfig:

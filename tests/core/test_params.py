@@ -159,6 +159,11 @@ class TestReadSide:
         weights, matrix = params.query_space(user, interval)
         assert np.array_equal(weights, params.query_weights(user, interval))
         assert np.array_equal(matrix, params.topic_item_matrix(interval))
+        # every (user, interval) at once: the same products, bit for bit
+        users, intervals = np.divmod(np.arange(n * t), t)
+        batch = params.query_weights_batch(users, intervals)
+        for row, u, i in zip(batch, users, intervals):
+            assert row.tobytes() == params.query_weights(u, i).tobytes()
         assert matrix.shape == (weights.shape[0], v)
         np.testing.assert_allclose(
             params.score_items(user, interval), weights @ matrix, rtol=0, atol=1e-12

@@ -273,8 +273,8 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.ranked_topk",
-            lambda *args, **kwargs: bad,
+            "repro.recommend.serving.ranked_rows",
+            lambda rows, items, scores, k, items_scored: [bad] * items_scored.size,
         )
         with pytest.raises(SanitizerError, match="non-finite"):
             scorer.serve_group(0, [0, 1], 3, None, "float64")
@@ -288,8 +288,8 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.ranked_topk",
-            lambda *args, **kwargs: bad,
+            "repro.recommend.serving.ranked_rows",
+            lambda rows, items, scores, k, items_scored: [bad] * items_scored.size,
         )
         results = scorer.serve_group(0, [0], 3, None, "float64")
         assert results == [bad]
@@ -305,8 +305,8 @@ class TestServingIntegration:
             sorted_accesses=0,
         )
         monkeypatch.setattr(
-            "repro.recommend.serving.ranked_topk",
-            lambda *args, **kwargs: bad,
+            "repro.recommend.serving.ranked_rows",
+            lambda rows, items, scores, k, items_scored: [bad] * items_scored.size,
         )
         recommender = TemporalRecommender(model, fallbacks=[_make_serving_model(seed=6)])
         with pytest.raises(SanitizerError, match="non-finite"):

@@ -7,7 +7,9 @@ premise the one-pass selector rests on (its stacked dot *is* the TA
 engine's per-item dot) is pinned on its own, so a numpy that routes
 vector·vector matmul elsewhere fails here first. The merged pass (one
 per matrix key, intervals mixed) is checked for exclusions, ``k ≥ V``,
-split invariance and per-interval failure. The counters pin how much
+split invariance and per-interval failure, and the two rounds for
+scoring exactly round 1's blocks and every block whose bound reaches
+``τ₁``. The counters pin how much
 the bound prunes on a serving-shaped model, and the publish tests pin
 that the index belongs to the base.
 """
@@ -34,6 +36,14 @@ from repro.recommend.threshold import SortedTopicLists, ta_topk
 from repro.streaming import SnapshotPublisher
 
 B = SELECT_BLOCK
+
+
+def examples(count):
+    """``count`` examples under Hypothesis's default profile, scaled with the loaded one.
+
+    ``HYPOTHESIS_PROFILE=deep`` (``tests/conftest.py``) runs ten times as many.
+    """
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 def ttcam(rng, num_items, num_users=8, num_intervals=3, k1=3, k2=2, phi=None, lam=None):
@@ -68,7 +78,7 @@ class TestSelectorMatchesTA:
         num_items=st.integers(2 * B - 5, 3 * B + 7),
         k=st.integers(1, 12),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_ties_spanning_block_boundaries(self, seed, distinct, num_items, k):
         # Few distinct item columns, repeated across the catalogue: equal
         # scores land in several blocks, and the tie-inclusive cut must
@@ -84,7 +94,7 @@ class TestSelectorMatchesTA:
         assert_ta_bitwise(rec, all_queries(params), k)
 
     @given(seed=st.integers(0, 10_000), num_items=st.integers(1, 3 * B + 1))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_uniform_phi_prunes_nothing(self, seed, num_items):
         rng = np.random.default_rng(seed)
         uniform = np.full((3, num_items), 1.0 / num_items)
@@ -102,7 +112,7 @@ class TestSelectorMatchesTA:
         k=st.integers(1, 40),
         kind=st.sampled_from(["ttcam", "itcam"]),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_any_catalogue_size_and_k(self, seed, num_items, k, kind):
         # V below, at and off a multiple of B; k + margin at or past V.
         rng = np.random.default_rng(seed)
@@ -118,7 +128,7 @@ class TestSelectorMatchesTA:
         assert_ta_bitwise(rec, all_queries(params), k)
 
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 10))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_lambda_at_zero_and_one(self, seed, k):
         # λ = 1 drops the context term, λ = 0 leaves only the context.
         rng = np.random.default_rng(seed)
@@ -128,7 +138,7 @@ class TestSelectorMatchesTA:
         assert_ta_bitwise(rec, all_queries(params), k)
 
     @given(seed=st.integers(0, 10_000), covered=st.integers(1, 3), k=st.integers(1, 10))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_exclusions_covering_the_highest_bound_blocks(self, seed, covered, k):
         # Excluding every item of a row's best blocks: an excluded high
         # scorer must not raise τ and prune the block of a true top-k item.
@@ -159,7 +169,7 @@ class TestStackedDotPremise:
         num_items=st.integers(1, 2 * B + 9),
         arranged=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_selection_scores_are_ta_scores(self, seed, width, num_items, arranged):
         # count = V visits every block, so every item comes back with the
         # score selection computed — through the arranged matrix or, for
@@ -172,12 +182,12 @@ class TestStackedDotPremise:
         index, item_major = BlockIndex.build(matrix, width, signed=False)
         source = item_major if arranged else item_topic
         bounds = block_bounds(index, weights[None, :])
-        slots, scores, _ = select_blocks(
+        chosen = select_blocks(
             source, index, weights[None, :], bounds, num_items, arranged=arranged
         )
-        items = index.items.reshape(-1)[slots[0]]
+        items = chosen.items
         assert sorted(items.tolist()) == list(range(num_items))
-        got = {int(v): float(score).hex() for v, score in zip(items, scores[0])}
+        got = {int(v): float(score).hex() for v, score in zip(items, chosen.scores)}
         assert got == {v: float(item_topic[v] @ weights).hex() for v in range(num_items)}
         # ... and the stacked matmul itself, on rows in block order either way.
         rows = item_major[:num_items] if arranged else np.take(item_topic, index.order, axis=0)
@@ -212,11 +222,11 @@ class TestStoreBackedSelection:
 class TestStrictPruning:
     @pytest.mark.parametrize("arranged", [True, False])
     def test_a_block_whose_bound_equals_tau_is_visited(self, arranged):
-        # After the first chunk τ = 4.0, and the next block's bound is
-        # exactly 4.0 (no round-up): its tied item belongs among the
-        # candidates, so a bound equal to τ must not prune. The blocks
-        # ranked between are padded with loose (valid) bounds so the tied
-        # block opens the second chunk.
+        # Round 1 scores the first 16 blocks (block 0 by its own bound,
+        # the next ones by loose, valid bounds) and τ₁ = 4.0; the last
+        # block's bound is exactly 4.0 (no round-up): its tied item
+        # belongs among the candidates, so a bound equal to τ₁ must be
+        # scored in round 2.
         first = serving._FIRST_BLOCKS
         num_blocks = first + 8
         values = np.zeros((1, num_blocks * B))
@@ -227,12 +237,13 @@ class TestStrictPruning:
         bounds = weights @ index.block_max.T
         bounds[0, 1:first] = 4.5
         matrix = item_major if arranged else values.T.copy()
-        slots, scores, visited = select_blocks(
-            matrix, index, weights, bounds, 2, arranged=arranged
-        )
-        found = sorted(zip(index.items.reshape(-1)[slots[0]].tolist(), scores[0].tolist()))
+        chosen = select_blocks(matrix, index, weights, bounds, 2, arranged=arranged)
+        found = sorted(zip(chosen.items.tolist(), chosen.scores.tolist()))
         assert found == [(0, 5.0), (1, 4.0), (tied, 4.0)]
-        assert visited.tolist() == [first + 1]  # the second chunk stops at the tied block
+        assert sorted(chosen.first[0].tolist()) == list(range(first))
+        # round 2 scores the tied block and nothing else
+        assert np.flatnonzero(chosen.scored[0]).tolist() == [*range(first), num_blocks - 1]
+        assert chosen.blocks_scored.tolist() == [first + 1]
 
 
 def exact_block_maxima(matrix, index, weights):
@@ -257,7 +268,7 @@ class TestBoundRoundsUp:
     """
 
     @given(seed=st.integers(0, 10_000), num_items=st.integers(1, 3 * B + 4))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_split_path(self, seed, num_items):
         rng = np.random.default_rng(seed)
         params = ttcam(rng, num_items, num_users=3, num_intervals=2)
@@ -273,7 +284,7 @@ class TestBoundRoundsUp:
                 assert Fraction(float(bound)) >= best * slack
 
     @given(seed=st.integers(0, 10_000), num_items=st.integers(1, 2 * B + 4))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_generic_path_with_signed_weights(self, seed, num_items):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(4, num_items))
@@ -338,7 +349,7 @@ class TestMergedPass:
         k=st.integers(1, 4 * B + 8),
         exclusion=st.sampled_from(["none", "array", "mapping"]),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_mixed_interval_batches_are_ta_and_split_invariant(
         self, seed, kind, num_items, k, exclusion
     ):
@@ -367,7 +378,7 @@ class TestMergedPass:
         assert answers[0] == answers[1] == answers[2]
 
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_each_row_bounds_with_its_own_intervals_context(self, seed, k):
         # Two intervals whose contexts live on disjoint halves of the
         # catalogue, in one pass: a row bounded with the other interval's
@@ -399,8 +410,8 @@ class TestMergedPass:
         assert calls == [8 * 5]  # every interval in one 40-row pass
 
     def test_a_long_walk_reranks_and_stays_exact(self):
-        # Uniform φ prunes nothing: a row walks past its first ranking
-        # (four first chunks) and re-ranks until every block is visited.
+        # Uniform φ prunes nothing: every bound reaches round 1's τ₁, so
+        # round 2 scores every block round 1 left.
         rng = np.random.default_rng(8)
         num_items = 100 * B + 3
         uniform = np.full((3, num_items), 1.0 / num_items)
@@ -411,6 +422,104 @@ class TestMergedPass:
         assert_ta_bitwise(rec, [(0, 0), (1, 2), (2, 1)], 5)
         scorer = rec._scorer()
         assert scorer.blocks_visited == scorer.blocks_total
+
+
+class SelectSpy:
+    """Records each :func:`select_blocks` call's inputs and what it scored.
+
+    ``bounds`` and ``scored`` are workspace buffers the next pass
+    overwrites, so they are copied at the call.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self.original = serving.select_blocks
+
+    def __call__(self, matrix, index, weights, bounds, count, excluded, arranged, workspace):
+        chosen = self.original(
+            matrix, index, weights, bounds, count, excluded, arranged, workspace
+        )
+        self.calls.append(
+            (matrix, index, weights.copy(), bounds.copy(), count, excluded, arranged,
+             chosen.first.copy(), chosen.scored.copy())
+        )
+        return chosen
+
+
+def row_scores(matrix, index, weights, mask, arranged):
+    """Every item's score (the TA engine's dot) by item id; padding and exclusions −inf."""
+    item_topic = matrix if not arranged else np.empty((index.num_items, matrix.shape[1]))
+    if arranged:
+        item_topic[index.order] = matrix[: index.num_items]
+    scores = np.array([float(item_topic[v] @ weights) for v in range(index.num_items)])
+    if mask is not None:
+        scores[mask] = -np.inf
+    return scores
+
+
+def kth(values, count):
+    """The ``count``-th largest finite value, or ``−inf`` when there are fewer."""
+    finite = np.sort(values[np.isfinite(values)])
+    return finite[-count] if finite.size >= count else -np.inf
+
+
+class TestTwoRounds:
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["ttcam", "itcam", "generic"]),
+        num_items=st.integers(1, 40 * B + 7),
+        k=st.integers(1, 3 * B),
+        exclusion=st.sampled_from(["none", "array", "mapping"]),
+    )
+    @settings(max_examples=examples(20), deadline=None)
+    def test_scored_blocks_are_round_one_and_every_bound_reaching_tau_one(
+        self, seed, kind, num_items, k, exclusion
+    ):
+        # For every row of every pass: round 1 is F = max(16, ⌈count/B⌉)
+        # blocks no lower-bound block outranks, τ₁ is the count-th score
+        # they hold once padding and exclusions are dropped, and the
+        # blocks scored are exactly round 1 ∪ {bound ≥ τ₁} — which holds
+        # every block whose bound reaches the row's final τ.
+        rng = np.random.default_rng(seed)
+        params = ttcam(rng, num_items, num_users=10, num_intervals=4)
+        if kind == "itcam":
+            params = itcam_like(rng, params)
+        model = StaticProvider(params) if kind == "generic" else LoadedModel(params)
+        queries = [(int(rng.integers(0, 10)), int(rng.integers(0, 4))) for _ in range(12)]
+        exclude = None
+        if exclusion == "array":
+            exclude = rng.choice(num_items, size=min(num_items, 3 * B), replace=False)
+        elif exclusion == "mapping":
+            exclude = {
+                user: rng.choice(num_items, size=int(rng.integers(0, num_items + 1)), replace=False)
+                for user in range(0, 10, 2)
+            }
+        rec = TemporalRecommender(model)
+        spy = SelectSpy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serving, "select_blocks", spy)
+            assert_ta_bitwise(rec, queries, k, exclude=exclude)
+        assert spy.calls
+        for matrix, index, weights, bounds, count, excluded, arranged, first, scored in spy.calls:
+            num_blocks = index.num_blocks
+            fixed = min(num_blocks, max(16, -(-count // B)))
+            assert count == min(k, num_items)
+            for r in range(weights.shape[0]):
+                mask = None if excluded is None else excluded[r]
+                scores = row_scores(matrix, index, weights[r], mask, arranged)
+                ones = np.zeros(num_blocks, dtype=bool)
+                ones[first[r]] = True
+                assert ones.sum() == fixed
+                if fixed < num_blocks:
+                    assert bounds[r][ones].min() >= bounds[r][~ones].max()
+                slot_scores = np.append(scores, -np.inf)[
+                    np.where(np.arange(num_blocks * B) < num_items,
+                             index.items.reshape(-1), num_items)
+                ].reshape(num_blocks, B)
+                tau_one = kth(slot_scores[ones].reshape(-1), count)
+                assert scored[r].tolist() == (ones | (bounds[r] >= tau_one)).tolist()
+                tau = kth(scores, count)
+                assert scored[r][bounds[r] >= tau].all()
 
 
 class TestOneIntervalFails:
@@ -458,8 +567,8 @@ class TestOneIntervalFails:
         assert len(healthy) == 1
 
 
-#: Blocks the 64 queries of :class:`TestPruning` visit, of 64 · 625 (4.64 %).
-VISITED_AT_20K = 1857
+#: Blocks the 64 queries of :class:`TestPruning` score, of 64 · 625 (3.44 %).
+VISITED_AT_20K = 1377
 
 
 class TestPruning:

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core.itcam import ITCAM
+from repro.core.params import TTCAMParameters
+from repro.core.serialize import LoadedModel
 from repro.core.ttcam import TTCAM
 from repro.recommend.ranking import QuerySpace
 from repro.recommend.recommender import TemporalRecommender
+from repro.recommend.serving import SELECT_BLOCK
 from repro.recommend.threshold import SortedTopicLists, batched_ta_topk
 import tests.conftest as c
+
+
+#: Items the default engine scores for query (0, 0), k=10, of
+#: :meth:`TestMethods.test_default_method_used`'s V=20k model: its 16
+#: round-1 blocks and 15 more whose bound reaches τ₁.
+SCORED_AT_20K = 992
 
 
 @pytest.fixture(scope="module")
@@ -52,18 +61,27 @@ class TestMethods:
             ta = rec.recommend(2, interval, k=6, method="ta")
             np.testing.assert_allclose(sorted(bf.scores), sorted(ta.scores), atol=1e-12)
 
-    def test_default_method_used(self, models):
-        _, ttcam, _ = models
-        # The default is the batch scorer — it rescores a candidate set,
-        # never the whole catalogue, and builds no TA index.
-        rec = TemporalRecommender(ttcam)
-        result = rec.recommend(0, 0, k=3)
-        assert result.items_scored < ttcam.params_.num_items
+    def test_default_method_used(self):
+        # The default is the batch scorer: it scores the items of the
+        # blocks its bound cannot prune — at V=20k a small share of the
+        # catalogue, and exactly what ``items_scored`` reports — and
+        # builds no TA index.
+        rng = np.random.default_rng(11)
+        num_items = 20_000  # 625 full blocks: no padding slot
+        params = TTCAMParameters(
+            theta=rng.dirichlet(np.full(16, 0.3), size=20),
+            phi=rng.dirichlet(np.full(num_items, 0.05), size=16),
+            theta_time=rng.dirichlet(np.full(8, 0.3), size=4),
+            phi_time=rng.dirichlet(np.full(num_items, 0.05), size=8),
+            lambda_u=rng.beta(3.0, 3.0, size=20),
+        )
+        rec = TemporalRecommender(LoadedModel(params))
+        result = rec.recommend(0, 0, k=10)
+        assert result.items_scored == SELECT_BLOCK * rec._scorer().blocks_visited
+        assert result.items_scored == SCORED_AT_20K
         assert result.sorted_accesses == 0
         assert len(rec.serving_cache.indexes) == 0
-        assert rec.recommend(0, 0, k=3, method="bf").items_scored == (
-            ttcam.params_.num_items
-        )
+        assert rec.recommend(0, 0, k=10, method="bf").items_scored == num_items
 
     def test_invalid_method_rejected(self, models):
         _, ttcam, _ = models

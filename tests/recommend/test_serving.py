@@ -607,10 +607,9 @@ def select_mask(scores, count):
     index, item_major = BlockIndex.build(scores, rows, signed=True)
     weights = np.eye(rows)
     bounds = block_bounds(index, weights)
-    slots, _, _ = select_blocks(item_major, index, weights, bounds, count)
+    chosen = select_blocks(item_major, index, weights, bounds, count)
     mask = np.zeros((rows, num_items), dtype=bool)
-    for r, row_slots in enumerate(slots):
-        mask[r, index.items.reshape(-1)[row_slots]] = True
+    mask[chosen.rows, chosen.items] = True
     return mask
 
 

@@ -14,6 +14,8 @@ naming the path), never ``struct.error``, ``zipfile.BadZipFile``,
 import hashlib
 import io
 import json
+import os
+import stat
 import struct
 import tempfile
 import warnings
@@ -254,3 +256,29 @@ class TestMalformedMembers:
         members["tcam_manifest"] = np.array(json.dumps(manifest))
         path = write_archive(tmp_path / "shape.npz", members, "snapshot.write")
         self._assert_falls_back(path, "item_topic shape")
+
+
+class TestDurablePublish:
+    def test_the_directory_is_fsynced_after_the_replace(self, params, tmp_path, monkeypatch):
+        # A rename is durable only once its directory is: write_archive
+        # must fsync a descriptor of the target's own directory after
+        # os.replace, or a crash can lose the published name.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", Path(target).name))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_archive(tmp_path / "a.npz", params.arrays(), "snapshot.write")
+        published = events.index(("replace", "a.npz"))
+        directory = ("fsync", True, tmp_path.stat().st_ino)
+        assert ("fsync", False) in [event[:2] for event in events[:published]]
+        assert directory in events[published + 1 :]

@@ -258,7 +258,7 @@ CORPUS_PATHS = (
     "fixture.py",
     "src/repro/core/engine.py",
     "src/repro/recommend/serving.py",
-    "src/repro/recommend/paramstore.py",
+    "src/repro/robustness/archive.py",
     "src/repro/recommend/quantize.py",
 )
 

@@ -39,7 +39,7 @@ AUDIT = family("audit")
 #: Path that puts a fixture inside the TCAM021/022 durability scope.
 DURABLE_PATH = "src/repro/streaming/publisher.py"
 #: Durable module whose contract additionally requires directory fsync.
-DIR_FSYNC_PATH = "src/repro/recommend/paramstore.py"
+DIR_FSYNC_PATH = "src/repro/robustness/archive.py"
 
 
 def rules_of(source: str, path: str = "fixture.py") -> list[str]:

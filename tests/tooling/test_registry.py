@@ -95,10 +95,10 @@ def test_renamed_file_is_reported(package_copy):
 def test_ambiguous_suffix_is_reported(package_copy):
     twin = package_copy / "extensions" / "core"
     twin.mkdir()
-    shutil.copy(package_copy / "core" / "serialize.py", twin / "serialize.py")
+    shutil.copy(package_copy / "core" / "model.py", twin / "model.py")
     errors = registry_errors(package_copy)
     assert len(errors) == 1
-    assert "'core/serialize.py' matches 2 files" in errors[0]
+    assert "'core/model.py' matches 2 files" in errors[0]
 
 
 @pytest.mark.parametrize(
