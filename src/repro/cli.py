@@ -523,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--mmap-layout",
         action="store_true",
-        help="also store the derived serving arrays (rescore transpose, "
-        "context rows) in the snapshot; `tcam "
+        help="also store the serving layout (TTCAM: block index, block-ordered "
+        "matrix, context block maxima) in the snapshot; `tcam "
         "recommend` / `tcam serve` then map it in place and page "
         "parameters in instead of loading them eagerly",
     )

@@ -95,9 +95,10 @@ def save_params(
     into place, so a crash mid-save never leaves a truncated snapshot at
     ``path``.
 
-    ``mmap_layout=True`` adds the derived serving arrays (rescore
-    transpose, context rows) and their digests
-    as further members of the same file — see
+    ``mmap_layout=True`` adds the serving layout (for a container with
+    one static topic–item matrix: block index, block-ordered matrix and
+    context block maxima) and the digests of every member as further
+    members of the same file — see
     :mod:`repro.recommend.paramstore` — so serving processes map the
     parameters in place instead of materialising them.
     """
@@ -220,8 +221,9 @@ class LoadedModel(ParamsBackedModel):
     straight from a snapshot. When the snapshot was mapped in place,
     :attr:`param_store` carries the open
     :class:`~repro.recommend.paramstore.ParamStore`, and the serving
-    layer prefers its derived members (rescore transpose, context
-    rows) over rebuilding them.
+    layer scores from its stored layout (block index, block-ordered
+    matrix, context block maxima) where the snapshot holds one, instead
+    of building it.
     """
 
     def __init__(

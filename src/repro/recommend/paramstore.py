@@ -10,23 +10,38 @@ intervals).
 Every member of a snapshot starts on a 64-byte boundary
 (:mod:`repro.robustness.archive`). ``save_params(..., mmap_layout=True)``
 makes a snapshot mappable: its members are stored, not deflated, so each
-can be mapped where it lies, and it adds the derived serving arrays that are expensive (in time or resident bytes) to rebuild
-online, and a manifest of per-member digests, as further members of the
-*same* file (:func:`layout_members`):
+can be mapped where it lies, and it adds the layout block-max selection
+serves from (:class:`~repro.recommend.serving.BlockIndex`, built once at
+save instead of at every open) and a manifest of per-member digests, as
+further members of the *same* file (:func:`layout_members`):
 
 =====================  ====================  ===================================
 member                 when                  holds
 =====================  ====================  ===================================
-``item_topic``         one static matrix     the contiguous ``(V, K)`` rescore
-                       (TTCAM)               transpose
-``context``            one static matrix     per-interval context scores
-                                             ``P(v | θ′_t)``, float64 ``(T, V)``
+``block_items``        one static matrix     the block index's item ids,
+                       (TTCAM)               int64 ``(blocks, B)``, the last
+                                             block padded
+``block_max_t``        one static matrix     its per-topic block maxima of
+                                             ``φ``, float64 ``(K1, blocks)``
+``arranged``           one static matrix     the ``(K, V)`` topic–item matrix
+                                             laid out item-major in block
+                                             order, float64 ``(blocks·B, K)``
+``context_max``        one static matrix     per-interval block maxima of the
+                                             context scores ``P(v | θ′_t)``,
+                                             float64 ``(T, blocks)``
 ``tcam_manifest``      always                JSON: layout format, variant, and
                                              the SHA-256 digest
                                              (:func:`~repro.robustness.checkpoint.digest_arrays`)
                                              of every member above and of every
                                              parameter field
 =====================  ====================  ===================================
+
+The first four are exactly what ``BlockIndex.build`` and
+``BlockIndex.block_maxima`` return for the container, so a mapped model
+and an eager one score the same block-ordered matrix against the same
+bounds. A container whose topic–item matrix changes with the interval
+(ITCAM) gets no derived member: its scorer builds each interval's index
+in memory, as an eager model's does.
 
 Every member's data — parameters and derived alike — starts on a
 64-byte boundary. :meth:`repro.core.serialize.LoadedModel.from_file`
@@ -42,6 +57,8 @@ so :meth:`ParamStore.params` constructs them *without* validation and
 the store instead (a) checks that every member is stored, aligned and
 the size its ``.npy`` header says, and every shape against the
 container's, (b) fully hashes every member small enough to be cheap,
+and ``block_items``, ``block_max_t`` and ``context_max`` whatever their
+size — a wrong block maximum would silently prune a true top-k item —
 and (c) spot-checks sampled rows for the stochastic invariants.
 :meth:`ParamStore.verify` hashes every member when integrity matters
 more than start-up latency (tests do this; a paranoid deployment can
@@ -51,6 +68,9 @@ does not know — the Threshold-Algorithm ``sorted_order`` /
 ``sorted_values`` lists older writers persisted, which no serving path
 reads, and the narrow-dtype selection members older writers added — are
 mapped and hash-checked like any other member and otherwise ignored.
+So are the ``item_topic`` / ``context`` members an older writer stored in
+place of the block layout: such a snapshot maps its parameters, and its
+scorer builds the block index in memory until it is re-saved.
 
 The derived members live in the file they were derived from and are
 replaced with it, atomically: they cannot be stale or torn apart from
@@ -62,7 +82,6 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Hashable
 
 import numpy as np
 
@@ -71,6 +90,7 @@ from ..robustness.archive import map_members
 from ..robustness.checkpoint import digest_arrays
 from ..robustness.errors import SnapshotCorruptError
 from ..typing import AnyArray, FloatArray
+from .serving import SELECT_BLOCK, BlockIndex
 
 __all__ = ["ParamStore", "carries_layout", "layout_members"]
 
@@ -81,15 +101,19 @@ _FORMAT = "tcam-store-v3"
 
 #: Members up to this size are fully hashed at open; larger ones are
 #: only hashed by :meth:`ParamStore.verify` (reading them would page the
-#: whole file in, defeating the mmap win).
+#: whole file in, defeating the mmap win) — except :data:`_BOUNDS`.
 _EAGER_HASH_LIMIT = 1 << 20
+
+#: The block layout's members that bound or name items, hashed at open
+#: whatever their size: a wrong one silently drops a true top-k item.
+_BOUNDS = ("block_items", "block_max_t", "context_max")
 
 
 def layout_members(params: ITCAMParameters | TTCAMParameters) -> dict[str, AnyArray]:
     """The derived serving members ``save_params(mmap_layout=True)`` adds.
 
-    Reads the full parameter set once and derives the serving arrays
-    (rescore transpose, context rows), plus the
+    Reads the full parameter set once and builds the block layout
+    serving reads (the module docstring's table), plus the
     ``tcam_manifest`` member that records the format, the variant and a
     digest of every parameter field and derived array.
     """
@@ -97,21 +121,20 @@ def layout_members(params: ITCAMParameters | TTCAMParameters) -> dict[str, AnyAr
         raise TypeError(f"unsupported parameter type: {type(params).__name__}")
     derived: dict[str, AnyArray] = {}
     if params.STATIC_MATRIX:
-        # One topic–item matrix for every interval: its transpose and the
-        # float64 context products are worth persisting. Otherwise the
-        # context rows *are* theta_time and the per-interval matrix (phi +
-        # one such row) is cheap to assemble online, so neither is stored.
-        derived["item_topic"] = np.ascontiguousarray(
-            params.topic_item_matrix(0, memo=False).T
+        # One topic–item matrix for every interval: the index the eager
+        # scorer would build for it, built the same way. A per-interval
+        # matrix (phi + one theta_time row) has no one index to store.
+        index, arranged = BlockIndex.build(
+            params.topic_item_matrix(0, memo=False), params.num_user_topics, signed=False
         )
-        context = np.empty((params.num_intervals, params.num_items), dtype=np.float64)
-        for t in range(params.num_intervals):
-            # Row by row through the container, the exact expression the
-            # online path evaluates per interval — a single (T, K2) @ (K2, V)
-            # GEMM can differ from it in the last ULP, and persisted context
-            # rows must be bit-identical to freshly computed ones.
-            context[t] = params.context_scores(t)
-        derived["context"] = context
+        derived["block_items"] = index.items
+        derived["block_max_t"] = index.block_max_t
+        derived["arranged"] = arranged
+        # Row by row through the container, the expression the eager
+        # scorer evaluates per interval.
+        derived["context_max"] = np.stack(
+            [index.block_maxima(params.context_scores(t)) for t in range(params.num_intervals)]
+        )
 
     mapped = {**params.arrays(), **derived}
     manifest = {
@@ -153,6 +176,7 @@ class ParamStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._params: ITCAMParameters | TTCAMParameters | None = None
+        self._index: tuple[BlockIndex, FloatArray] | None = None
         try:
             self._open()
         except SnapshotCorruptError:
@@ -176,7 +200,7 @@ class ParamStore:
             raise SnapshotCorruptError(f"{self.path} is missing members {missing}")
         self._arrays: dict[str, AnyArray] = {name: members[name] for name in self._digests}
         for name, array in self._arrays.items():
-            if array.nbytes <= _EAGER_HASH_LIMIT:
+            if array.nbytes <= _EAGER_HASH_LIMIT or name in _BOUNDS:
                 self._check_digest(name)
         self._check_structure()
         self._spot_check()
@@ -198,7 +222,8 @@ class ParamStore:
 
         The parameter fields are held to the container's own
         ``_check_shapes``; only the derived arrays this layout adds are
-        checked here.
+        checked here. A static-matrix layout without ``block_items`` —
+        an older writer's — holds no block layout: the scorer builds it.
         """
         params = self.params()
         ranks = {name: array.ndim for name, array in params.arrays().items()}
@@ -208,20 +233,28 @@ class ParamStore:
             params._check_shapes()
         except ValueError as exc:
             raise SnapshotCorruptError(f"{self.path}: {exc}") from exc
-        if params.STATIC_MATRIX:
-            intervals, num_items = params.num_intervals, params.num_items
-            topics = int(params.query_weights(0, 0).shape[0])
-            item_topic = self._require("item_topic")
-            if tuple(item_topic.shape) != (num_items, topics):
+        if not params.STATIC_MATRIX or "block_items" not in self._arrays:
+            return
+        num_items = params.num_items
+        blocks = -(-num_items // SELECT_BLOCK)
+        topics = int(params.query_weights(0, 0).shape[0])
+        expected = {
+            "block_items": (blocks, SELECT_BLOCK),
+            "block_max_t": (params.num_user_topics, blocks),
+            "arranged": (blocks * SELECT_BLOCK, topics),
+            "context_max": (params.num_intervals, blocks),
+        }
+        for name, shape in expected.items():
+            array = self._require(name)
+            if tuple(array.shape) != shape:
                 raise SnapshotCorruptError(
-                    f"{self.path}: item_topic shape {item_topic.shape} does not "
-                    f"match ({num_items}, {topics})"
+                    f"{self.path}: {name} shape {array.shape} does not match {shape}"
                 )
-            context = self._require("context")
-            if tuple(context.shape) != (intervals, num_items):
-                raise SnapshotCorruptError(
-                    f"{self.path}: context shape {context.shape} is wrong"
-                )
+        items = self._arrays["block_items"]
+        if items.dtype != np.int64 or items.min() < 0 or items.max() >= num_items:
+            raise SnapshotCorruptError(f"{self.path}: block_items names no catalogue items")
+        index = BlockIndex(items, num_items, self._arrays["block_max_t"], None)
+        self._index = (index, self._arrays["arranged"])
 
     def _spot_check(self) -> None:
         """Sampled invariant checks standing in for full validation.
@@ -282,30 +315,22 @@ class ParamStore:
             self._params = params
         return self._params
 
-    def item_topic(self, key: Hashable) -> FloatArray | None:
-        """Persisted ``(V, K)`` rescore transpose for a matrix cache key.
+    def block_index(self) -> tuple[BlockIndex, FloatArray] | None:
+        """The stored :class:`BlockIndex` of ``φ`` and its arranged matrix, or ``None``.
 
-        Only a layout whose container has one query-independent
-        topic–item matrix persists one; per-interval keys get ``None``
-        and the caller builds that interval's transpose as before.
+        Both are mapped (one object for the store's life); ``None`` when
+        the layout stores no block index (ITCAM, or an older writer).
         """
-        params = self.params()
-        if not params.STATIC_MATRIX or key != params.matrix_cache_key(0):
-            return None
-        result: FloatArray | None = self._arrays.get("item_topic")
-        return result
+        return self._index
 
-    def context_row(self, interval: int) -> FloatArray | None:
-        """One interval's float64 context score vector ``P(v | θ′_t)``.
+    def context_max(self, interval: int) -> FloatArray | None:
+        """One interval's stored context block maxima (``(blocks,)``), or ``None``.
 
-        The persisted product where the layout holds one, otherwise the
-        container's own answer (a mapped ``theta_time`` row).
+        ``None`` when the layout stores no block index or ``interval`` is
+        out of range (the container's own ``context_scores`` then
+        answers, or raises, as for an eager model).
         """
-        params = self.params()
-        if not 0 <= interval < params.num_intervals:
+        if self._index is None or not 0 <= interval < self.params().num_intervals:
             return None
-        context = self._arrays.get("context")
-        row: FloatArray = (
-            params.context_scores(interval) if context is None else context[interval]
-        )
+        row: FloatArray = self._arrays["context_max"][interval]
         return row

@@ -42,8 +42,8 @@ pass and answers a failed pass or interval row by row; the batch degrades
 raises) on its own while the rest of the batch is still served by the
 primary model. Caller errors — ``k ≤ 0``, a non-integral query id, an
 ``exclude`` id outside the catalogue — raise :class:`ValueError` and are
-never turned into a degraded answer. All cached serving state — rescore
-transposes, context vectors, exclusion masks — lives in a bounded
+never turned into a degraded answer. All cached serving state — block
+indexes, block-ordered matrices, context block maxima — lives in a bounded
 :class:`~repro.recommend.serving.ServingCache` whose hit/miss/eviction
 counters ride along on every :class:`ServingStatus`.
 
@@ -248,7 +248,7 @@ class TemporalRecommender:
         self.unavailable_reason = unavailable_reason
         self.last_status: ServingStatus | None = None
         # Bounded serving state — block indexes, arranged matrices,
-        # context block maxima, exclusion masks, and the sorted-list
+        # context block maxima, and the sorted-list
         # indexes of the reference engine — lives inside the generation
         # so a hot swap retires it with the model it was derived from.
         self._generation = _Generation(
@@ -514,8 +514,8 @@ class TemporalRecommender:
             Number of recommendations per query.
         exclude:
             Either one array of item ids excluded from every row, or a
-            mapping ``user -> item ids`` (per-user masks are cached in
-            the serving cache).
+            mapping ``user -> item ids``; masks are built from this
+            call's ids and cached by nobody.
         row_block:
             Queries scored per GEMM block.
 

@@ -32,8 +32,8 @@ cost across batches:
 * **Exact scores, one pass.** Each visited item is scored with a stacked
   vector·vector :func:`np.matmul`; numpy evaluates every ``(1×K)@(K×1)``
   of it with the same ``DOUBLE_dot`` (``cblas_ddot``) as the TA engines'
-  per-item ``item_topic[v] @ ϑ_q`` (the block-ordered matrix an
-  in-memory model keeps holds bit-identical rows). Selection scores are
+  per-item ``item_topic[v] @ ϑ_q`` (the block-ordered matrix every
+  model scores holds bit-identical rows). Selection scores are
   therefore the reference engines' bits, and a row's answer is read off
   them, every row of a batch ranked by one ``lexsort`` on the shared
   ``(score desc, item asc)`` tie-break (:func:`ranked_rows`): in
@@ -43,10 +43,13 @@ cost across batches:
   in: its scores would need a candidate margin and an exact rescore.)
 * **Bounded caching.** A :class:`ServingCache` of small LRU regions
   holds the derived serving state: block indexes and arranged
-  matrices, per-interval context block maxima, per-user exclusion
-  masks and — only for the reference engine — sorted TA indexes, all
-  capped by entry count, with hit/miss/eviction counters surfaced on
-  :class:`~repro.recommend.recommender.ServingStatus`.
+  matrices, per-interval context block maxima and — only for the
+  reference engine — sorted TA indexes, all capped by entry count,
+  with hit/miss/eviction counters surfaced on
+  :class:`~repro.recommend.recommender.ServingStatus`. A snapshot
+  mapped in place (:mod:`repro.recommend.paramstore`) stores its
+  block index, arranged matrix and context block maxima, and is
+  served from them with nothing cached.
 
 float64 is the one serving dtype; ``docs/performance.md`` records why
 no narrower mode exists.
@@ -269,7 +272,7 @@ class LRUCache(Generic[_V]):
 class ServingCache:
     """Bounded LRU caches backing a :class:`TemporalRecommender`.
 
-    Four regions, each independently capped:
+    Three regions, each independently capped:
 
     ``indexes``
         :class:`~repro.recommend.threshold.SortedTopicLists` per
@@ -280,24 +283,20 @@ class ServingCache:
     ``matrices``
         The :class:`BlockIndex` of the selection matrix (``("blocks",
         …)``) and the block-ordered ``(V, K)`` item–topic matrices
-        selection scores against (``("arranged", key)``) — a
-        store-backed model reads its persisted item-id-ordered
-        transpose instead.
+        selection scores against (``("arranged", key)``). A model mapped
+        from a snapshot that stores them reads its own and puts nothing
+        here.
     ``contexts``
         Per-interval block maxima of the context score vector
         ``θ′_t·Φ`` (``("cmax", t)``, what the bound reads) — the piece
         of every score shared by every user queried in that interval.
-    ``masks``
-        Per-user boolean exclusion masks built from registered
-        per-user exclusion lists.
 
     Parameters
     ----------
-    index_capacity, matrix_capacity, context_capacity, mask_capacity:
+    index_capacity, matrix_capacity, context_capacity:
         Maximum entries per region. See ``docs/performance.md`` for
         sizing guidance (roughly: indexes/matrices ≈ working set of hot
-        intervals; contexts ≈ intervals per serving window; masks ≈
-        concurrently active users).
+        intervals; contexts ≈ intervals per serving window).
     """
 
     def __init__(
@@ -305,20 +304,17 @@ class ServingCache:
         index_capacity: int = 8,
         matrix_capacity: int = 8,
         context_capacity: int = 256,
-        mask_capacity: int = 4096,
     ) -> None:
         self.indexes: LRUCache[SortedTopicLists] = LRUCache(index_capacity)
         self.matrices: LRUCache[AnyArray | BlockIndex] = LRUCache(matrix_capacity)
         self.contexts: LRUCache[AnyArray] = LRUCache(context_capacity)
-        self.masks: LRUCache[BoolArray] = LRUCache(mask_capacity)
 
     def regions(self) -> dict[str, LRUCache[Any]]:
-        """The four named regions."""
+        """The three named regions."""
         return {
             "indexes": self.indexes,
             "matrices": self.matrices,
             "contexts": self.contexts,
-            "masks": self.masks,
         }
 
     def region_stats(self) -> dict[str, CacheStats]:
@@ -337,10 +333,6 @@ class ServingCache:
         for region in self.regions().values():
             region.clear()
 
-    def invalidate_user(self, user: int) -> None:
-        """Forget a user's cached exclusion mask (call when it changes)."""
-        self.masks.discard(user)
-
     def successor(
         self, served: TCAMParameters | None, incoming: TCAMParameters
     ) -> "ServingCache":
@@ -355,9 +347,9 @@ class ServingCache:
         ``φ``/``φ′`` own: the ``("blocks", "phi")`` index of any
         container, and of a container with one static topic–item matrix
         its ``("arranged", key)`` matrix, its TA indexes and its
-        ``("cmax", t)`` entries whose ``θ′_t`` is bitwise unchanged; and
-        the exclusion masks (same catalogue). Everything of a
-        per-interval matrix starts cold (``θ′_t`` is a row of it).
+        ``("cmax", t)`` entries whose ``θ′_t`` is bitwise unchanged.
+        Everything of a per-interval matrix starts cold (``θ′_t`` is a
+        row of it).
         This cache is left as it is — batches in flight on the old
         generation keep using it.
         """
@@ -365,7 +357,6 @@ class ServingCache:
             self.indexes.capacity,
             self.matrices.capacity,
             self.contexts.capacity,
-            self.masks.capacity,
         )
         if served is None or not incoming.shares_base(served):
             return new
@@ -373,8 +364,6 @@ class ServingCache:
         for key, matrix in self.matrices.items():
             if static or key == ("blocks", "phi"):
                 new.matrices.put(key, matrix)
-        for user, mask in self.masks.items():
-            new.masks.put(user, mask)
         if static:
             for key, index in self.indexes.items():
                 new.indexes.put(key, index)
@@ -567,10 +556,10 @@ class BlockIndex:
     smallest (kept only for signed query weights). The index holds no
     copy of the matrix.
     :meth:`arrange` lays a ``(K, V)`` matrix over the same items out
-    item-major in block order — the rescore matrix an in-memory model
-    keeps *instead of* an item-id-ordered transpose: its rows are
-    bit-identical copies of the transpose's, so a per-row dot against it
-    keeps the bits of :func:`~repro.recommend.threshold.ta_topk`.
+    item-major in block order — the one matrix selection scores: its
+    rows are bit-identical copies of the item-id-ordered transpose's,
+    so a per-row dot against it keeps the bits of
+    :func:`~repro.recommend.threshold.ta_topk`.
     """
 
     def __init__(
@@ -592,16 +581,12 @@ class BlockIndex:
         rows: int,
         signed: bool,
         sort: bool = True,
-        arrange: bool = True,
-    ) -> tuple["BlockIndex", FloatArray | None]:
-        """Index ``matrix[:rows]``; with ``arrange``, also return :meth:`arrange`'s layout.
+    ) -> tuple["BlockIndex", FloatArray]:
+        """Index ``matrix[:rows]`` and return it with :meth:`arrange`'s layout of ``matrix``.
 
         ``sort=False`` keeps item-id order (one ``O(KV)`` pass, for a
         matrix that is not cached between groups); ``signed`` keeps the
-        block minima that negative query weights bound with. Without
-        ``arrange`` the maxima are taken through one small slice at a
-        time, and no copy of the matrix is made (a parameter-store
-        matrix stays paged, not resident).
+        block minima that negative query weights bound with.
         """
         num_items = matrix.shape[1]
         order = _block_order(matrix[:rows]) if sort else np.arange(num_items)
@@ -615,9 +600,9 @@ class BlockIndex:
             np.empty((rows, num_blocks)),
             np.empty((num_blocks, rows)) if signed else None,
         )
-        item_major = np.empty((num_blocks * SELECT_BLOCK, matrix.shape[0])) if arrange else None
+        item_major = np.empty((num_blocks * SELECT_BLOCK, matrix.shape[0]))
         block_max = np.empty((num_blocks, rows))  # contiguous: a strided out= is ~2x slower
-        for first, last, part in index._slices(matrix if arrange else matrix[:rows], item_major):
+        for first, last, part in index._slices(matrix, item_major):
             blocks = part.reshape(last - first, SELECT_BLOCK, -1)[:, :, :rows]
             blocks.max(axis=1, out=block_max[first:last])
             if index.block_min is not None:
@@ -649,24 +634,20 @@ class BlockIndex:
         return sum(int(a.nbytes) for a in arrays if a is not None)
 
     def _slices(
-        self, matrix: FloatArray, out: FloatArray | None
+        self, matrix: FloatArray, out: FloatArray
     ) -> Iterator[tuple[int, int, FloatArray]]:
         """``(first, last, part)``: blocks ``[first, last)`` of ``matrix.T`` in block order.
 
-        With ``out`` (``(blocks·B, K)``) each part is written into it and
-        the whole is the arranged matrix; without, each part is a fresh
-        small gather of ``matrix``'s columns.
+        Each part is written into ``out`` (``(blocks·B, K)``), which in
+        the end is the arranged matrix.
         """
-        source = matrix if out is None else np.ascontiguousarray(matrix.T)
+        source = np.ascontiguousarray(matrix.T)
         flat = self.items.reshape(-1)
         for first in range(0, self.num_blocks, _BUILD_BLOCKS):
             last = min(self.num_blocks, first + _BUILD_BLOCKS)
             ids = flat[first * SELECT_BLOCK : last * SELECT_BLOCK]
-            if out is None:
-                part: FloatArray = np.take(source, ids, axis=1).T
-            else:
-                part = out[first * SELECT_BLOCK : last * SELECT_BLOCK]
-                np.take(source, ids, axis=0, out=part, mode="clip")  # ids in range: no buffering
+            part = out[first * SELECT_BLOCK : last * SELECT_BLOCK]
+            np.take(source, ids, axis=0, out=part, mode="clip")  # ids in range: no buffering
             yield first, last, part
 
     def arrange(self, matrix: FloatArray) -> FloatArray:
@@ -794,8 +775,7 @@ def _score_blocks(
     """Score block ``blocks[i]`` against ``weights[rows[i]]`` into ``out[i]`` (``(n, B)``).
 
     ``matrix`` is :meth:`BlockIndex.arrange`'s layout reshaped to
-    ``(blocks, B, K)``, or a ``(V, K)`` item-id-ordered transpose
-    gathered through ``index.items``. Gathers are bounded by
+    ``(blocks, B, K)``. Gathers are bounded by
     :data:`_GATHER_BYTES`. ``rows`` must be non-decreasing. Padding
     slots, and items ``excluded[r]`` names, score ``−inf``.
     """
@@ -804,8 +784,7 @@ def _score_blocks(
     for lo in range(0, blocks.size, per_pass):
         hi = min(blocks.size, lo + per_pass)
         gathered = workspace.get("gathered", (hi - lo, SELECT_BLOCK, width), "float64")
-        ids = blocks[lo:hi] if matrix.ndim == 3 else index.items[blocks[lo:hi]]
-        np.take(matrix, ids, axis=0, out=gathered, mode="clip")  # ids in range: no buffering
+        np.take(matrix, blocks[lo:hi], axis=0, out=gathered, mode="clip")  # in range: no buffering
         np.matmul(
             gathered.reshape(hi - lo, SELECT_BLOCK, 1, width),
             weights[rows[lo:hi], None, :, None],
@@ -837,16 +816,13 @@ def select_blocks(
     bounds: FloatArray,
     count: int,
     excluded: Sequence[BoolArray | None] | None = None,
-    arranged: bool = True,
     workspace: _Workspace | None = None,
 ) -> Selection:
     """Block-max selection in two rounds, scored exactly: each row's tie-inclusive top ``count``.
 
     Each visited item's row of ``matrix`` is scored against ``weights[r]``:
     ``matrix`` is :meth:`BlockIndex.arrange`'s layout (block ``b`` in rows
-    ``[b·B, (b+1)·B)``) or, with ``arranged=False``, an item-id-ordered
-    ``(V, K)`` transpose whose rows are gathered through ``index.items``.
-    The scores come from one stacked vector·vector :func:`np.matmul`
+    ``[b·B, (b+1)·B)``). The scores come from one stacked vector·vector :func:`np.matmul`
     (``(1×K)@(K×1)`` per item), which numpy evaluates with the same
     ``DOUBLE_dot`` as :func:`~repro.recommend.threshold.ta_topk`'s
     ``item_topic[v] @ w``: a score here is the TA engine's, bit for bit
@@ -877,7 +853,7 @@ def select_blocks(
     """
     scratch = _Workspace() if workspace is None else workspace
     rows, num_blocks = bounds.shape
-    source = matrix.reshape(-1, SELECT_BLOCK, matrix.shape[1]) if arranged else matrix
+    source = matrix.reshape(-1, SELECT_BLOCK, matrix.shape[1])
     fixed = min(num_blocks, max(_FIRST_BLOCKS, -(-count // SELECT_BLOCK)))
     if fixed == num_blocks:
         first = np.arange(num_blocks)[None, :].repeat(rows, axis=0)
@@ -968,43 +944,35 @@ class BatchScorer:
 
     def _selection(
         self, interval: int, users: Sequence[int], params: TCAMParameters | None
-    ) -> tuple[BlockIndex, FloatArray, bool]:
-        """The group's :class:`BlockIndex`, the matrix float64 serving reads, and its layout.
+    ) -> tuple[BlockIndex, FloatArray]:
+        """The group's :class:`BlockIndex` and the block-ordered matrix selection scores.
 
         The index belongs to the base: the split path indexes ``φ`` (one
         ``("blocks", "phi")`` entry whatever the variant), the generic
-        path its stacked matrix per matrix key. An in-memory model
-        scores against the topic–item matrix arranged in
-        the index's order (``("arranged", key)`` in the ``matrices``
-        region, in place of an item-id-ordered transpose;
-        ``arranged=True``). A parameter-store model reads its persisted
-        item-id-ordered transpose instead — the index is built from
-        ``φ`` with no copy of either — so nothing of ``V·K`` size
-        becomes resident (``arranged=False``). An uncachable key gets an
+        path its stacked matrix per matrix key. The matrix is the
+        topic–item matrix arranged in the index's order (``("arranged",
+        key)``), both in the ``matrices`` region. A model mapped from a
+        snapshot that stores them (:meth:`ParamStore.block_index
+        <repro.recommend.paramstore.ParamStore.block_index>`) reads its
+        own, builds nothing and caches nothing. An uncachable key gets an
         item-id-ordered index and arrangement built per call.
         """
+        store = self._store() if params is not None else None
+        stored: tuple[BlockIndex, FloatArray] | None = (
+            None if store is None else store.block_index()
+        )
+        if stored is not None:
+            return stored
         key = self._matrix_key(interval)
         if key is None:
             matrix = self._stacked_matrix(interval, users)
-            index, item_major = BlockIndex.build(matrix, matrix.shape[0], signed=True, sort=False)
-            assert item_major is not None  # arranged on request
-            return index, item_major, True
+            return BlockIndex.build(matrix, matrix.shape[0], signed=True, sort=False)
         index_key = ("blocks", "phi") if params is not None else ("blocks", key)
-        index = self.cache.matrices.get(index_key)
-        store = self._store()
-        stored = store.item_topic(key) if store is not None else None
-        if stored is not None:
-            if not isinstance(index, BlockIndex):
-                selection = self._stacked_matrix(interval, users) if params is None else params.phi
-                index, _ = BlockIndex.build(
-                    selection, selection.shape[0], signed=params is None, arrange=False
-                )
-                self.cache.matrices.put(index_key, index)
-            return index, stored, False
         matrix_key = ("arranged", key)
+        index = self.cache.matrices.get(index_key)
         item_major = self.cache.matrices.get(matrix_key)
         if isinstance(index, BlockIndex) and isinstance(item_major, np.ndarray):
-            return index, item_major, True
+            return index, item_major
         matrix = self._stacked_matrix(interval, users)
         if isinstance(index, BlockIndex):
             item_major = index.arrange(matrix)
@@ -1013,17 +981,16 @@ class BatchScorer:
             index, item_major = BlockIndex.build(matrix, rows, signed=params is None)
             self.cache.matrices.put(index_key, index)
         self.cache.matrices.put(matrix_key, item_major)
-        return index, item_major, True
+        return index, item_major
 
     def _store(self) -> Any:
         """The model's optional mmap parameter store (duck-typed).
 
         A model loaded from an mmap snapshot layout (see
         :mod:`repro.recommend.paramstore`) exposes ``param_store``; the
-        scorer then prefers the store's persisted derived arrays — the
-        item-id-ordered transpose and the context rows — over rebuilding
-        them, so a million-item serving process pages instead of
-        materialising.
+        scorer then serves from the store's block index, arranged matrix
+        and context block maxima where the snapshot holds them, so a
+        million-item serving process pages instead of materialising.
         """
         return getattr(self.model, "param_store", None)
 
@@ -1033,47 +1000,36 @@ class BatchScorer:
         Only these ``(blocks,)`` maxima are kept (``("cmax", t)`` in the
         ``contexts`` region): selection scores items against the
         stacked matrix, so it never needs the ``(V,)`` context vector
-        itself after the bound is taken.
+        itself after the bound is taken. A mapped snapshot that stores
+        its block index stores these maxima beside it; they are read
+        from there and not cached.
         """
+        store = self._store()
+        stored: FloatArray | None = None if store is None else store.context_max(interval)
+        if stored is not None:
+            return stored
         cache_key = ("cmax", interval)
         cached = self.cache.contexts.get(cache_key)
         if isinstance(cached, np.ndarray):
             return cached
-        store = self._store()
-        row = store.context_row(interval) if store is not None else None
-        values = params.context_scores(interval) if row is None else row
-        maxima = index.block_maxima(np.asarray(values, dtype=np.float64))
+        maxima = index.block_maxima(params.context_scores(interval))
         self.cache.contexts.put(cache_key, maxima)
         return maxima
 
-    def exclusion_mask(
-        self, user: int, exclude: object, num_items: int
-    ) -> BoolArray | None:
-        """Per-row boolean exclusion mask, cached per user for mappings.
+    @staticmethod
+    def exclusion_mask(items: object, num_items: int) -> BoolArray | None:
+        """Boolean catalogue mask of the item ids ``items`` (``None`` when there are none).
 
-        ``exclude`` may be ``None``, an array of item ids applied to
-        every row, or a mapping ``user -> item ids`` (per-user masks are
-        cached in the ``masks`` region; call
-        :meth:`ServingCache.invalidate_user` when a user's exclusion
-        list changes).
+        Kept by nobody: a pass builds one for an array ``exclude`` and
+        one per user for a mapping, from that call's own ids.
         """
-        if exclude is None:
+        if items is None:
             return None
-        if isinstance(exclude, Mapping):
-            items = exclude.get(user)
-            if items is None or len(items) == 0:
-                return None
-            mask = self.cache.masks.get(user)
-            if mask is None or mask.shape[0] != num_items:
-                mask = np.zeros(num_items, dtype=bool)
-                mask[np.asarray(items, dtype=np.int64)] = True
-                self.cache.masks.put(user, mask)
-            return mask
-        items = np.asarray(exclude, dtype=np.int64)
-        if items.size == 0:
+        ids = np.asarray(items, dtype=np.int64)
+        if ids.size == 0:
             return None
         mask = np.zeros(num_items, dtype=bool)
-        mask[items] = True
+        mask[ids] = True
         return mask
 
     # -- batch serving ---------------------------------------------------
@@ -1180,7 +1136,7 @@ class BatchScorer:
         by_interval: dict[int, list[int]] = {}
         for i, (_, interval) in enumerate(queries):
             by_interval.setdefault(interval, []).append(i)
-        selection: tuple[BlockIndex, FloatArray, bool] | None = None
+        selection: tuple[BlockIndex, FloatArray] | None = None
         vectors: dict[int, FloatArray] = {}
         context_max: dict[int, FloatArray] = {}
         failed: dict[int, Exception] = {}
@@ -1198,7 +1154,7 @@ class BatchScorer:
                 failed[interval] = exc
         results: dict[int, TopKResult] = {}
         if selection is not None:
-            index, matrix, arranged = selection
+            index, matrix = selection
             num_items = index.num_items
             slot_of = {interval: slot for slot, interval in enumerate(context_max)}
             contexts = self.workspace.get(
@@ -1207,6 +1163,13 @@ class BatchScorer:
             for slot, maxima in enumerate(context_max.values()):
                 contexts[slot] = maxima
             live = [i for i, (_, interval) in enumerate(queries) if interval not in failed]
+            shared: BoolArray | None = None
+            per_user: dict[int, BoolArray | None] = {}
+            if isinstance(exclude, Mapping):
+                for user in dict.fromkeys(queries[i][0] for i in live):
+                    per_user[user] = self.exclusion_mask(exclude.get(user), num_items)
+            else:
+                shared = self.exclusion_mask(exclude, num_items)
             for start in range(0, len(live), row_block):
                 block = live[start : start + row_block]
                 rows = len(block)
@@ -1227,10 +1190,10 @@ class BatchScorer:
                     bounds = block_bounds(
                         index, weights, context_weight, contexts, slots, self.workspace
                     )
-                masks = [self.exclusion_mask(user, exclude, num_items) for user in users.tolist()]
-                excluded = None if all(mask is None for mask in masks) else masks
+                excluded = [per_user.get(user, shared) for user in users.tolist()]
                 chosen = select_blocks(
-                    matrix, index, weights, bounds, min(num_items, k), excluded, arranged,
+                    matrix, index, weights, bounds, min(num_items, k),
+                    None if all(mask is None for mask in excluded) else excluded,
                     self.workspace,
                 )
                 self.blocks_visited += int(chosen.blocks_scored.sum())

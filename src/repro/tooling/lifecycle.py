@@ -786,9 +786,9 @@ def _is_store_call(call: ast.Call) -> bool:
 def _view_roots(expr: ast.expr) -> Iterator[str]:
     """Names whose mmap pages may back the value of ``expr``.
 
-    ``store.item_topic(k)`` and ``archive["theta"]`` hand out views onto
+    ``store.context_max(t)`` and ``archive["theta"]`` hand out views onto
     the store's mapping, so the store is a root of both. A call whose
-    receiver is *not* the store — ``np.array(store.item_topic(k))`` —
+    receiver is *not* the store — ``np.array(store.context_max(t))`` —
     returns fresh data: the copy idiom, deliberately not a view root.
     (Caveat: ``np.asarray`` may alias rather than copy; flow-lite treats
     any non-store-rooted call as a copy.)

@@ -167,30 +167,24 @@ class TestStackedDotPremise:
         seed=st.integers(0, 10_000),
         width=st.integers(1, 64),
         num_items=st.integers(1, 2 * B + 9),
-        arranged=st.booleans(),
     )
     @settings(max_examples=examples(40), deadline=None)
-    def test_selection_scores_are_ta_scores(self, seed, width, num_items, arranged):
+    def test_selection_scores_are_ta_scores(self, seed, width, num_items):
         # count = V visits every block, so every item comes back with the
-        # score selection computed — through the arranged matrix or, for
-        # a store-backed model, gathered through ``index.items`` from the
-        # item-id-ordered transpose.
+        # score selection computed through the arranged matrix.
         rng = np.random.default_rng(seed)
         matrix = rng.dirichlet(np.full(num_items, 0.2), size=width)
         weights = rng.dirichlet(np.full(width, 0.5))
         item_topic = np.ascontiguousarray(matrix.T)
         index, item_major = BlockIndex.build(matrix, width, signed=False)
-        source = item_major if arranged else item_topic
         bounds = block_bounds(index, weights[None, :])
-        chosen = select_blocks(
-            source, index, weights[None, :], bounds, num_items, arranged=arranged
-        )
+        chosen = select_blocks(item_major, index, weights[None, :], bounds, num_items)
         items = chosen.items
         assert sorted(items.tolist()) == list(range(num_items))
         got = {int(v): float(score).hex() for v, score in zip(items, chosen.scores)}
         assert got == {v: float(item_topic[v] @ weights).hex() for v in range(num_items)}
-        # ... and the stacked matmul itself, on rows in block order either way.
-        rows = item_major[:num_items] if arranged else np.take(item_topic, index.order, axis=0)
+        # ... and the stacked matmul itself, on the rows in block order.
+        rows = item_major[:num_items]
         stacked = np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0]
         assert [s.hex() for s in stacked.tolist()] == [
             float(item_topic[v] @ weights).hex() for v in index.order
@@ -199,29 +193,44 @@ class TestStackedDotPremise:
         assert {v: s.hex() for v, s in zip(ta.items, ta.scores)} == got
 
 
-class TestStoreBackedSelection:
-    def test_selects_through_the_persisted_transpose(self, tmp_path):
-        # A mapped model gathers block rows from its item-id-ordered
-        # transpose through the index: same answers, exclusions over the
-        # best blocks included, and no arranged (V, K) copy is cached.
+class TestMappedLayout:
+    def test_a_mapped_ttcam_builds_and_caches_nothing(self, tmp_path, monkeypatch):
+        # A mapped TTCAM serves from the block index, arranged matrix and
+        # context maxima its snapshot stores: opening it, serving its
+        # batches and a full publish of another such snapshot never build
+        # an index or an arrangement, and leave the matrices and contexts
+        # regions empty — answers still ta_topk's, exclusions over the
+        # best blocks included.
         rng = np.random.default_rng(23)
         params = ttcam(rng, 6 * B + 5, num_users=12, num_intervals=3)
         snapshot = save_params(params, tmp_path / "m.npz", mmap_layout=True)
+        refit = ttcam(rng, 6 * B + 5, num_users=12, num_intervals=3)
+        refit_path = save_params(refit, tmp_path / "refit.npz", mmap_layout=True)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a mapped TTCAM built a block index or arrangement")
+
+        monkeypatch.setattr(BlockIndex, "build", no_build)
+        monkeypatch.setattr(BlockIndex, "arrange", no_build)
         mapped = LoadedModel.from_file(snapshot)
         assert mapped.param_store is not None
         rec = TemporalRecommender(mapped)
         queries = all_queries(params)
         assert_ta_bitwise(rec, queries, 7)
-        index = rec.serving_cache.matrices.peek(("blocks", "phi"))
-        assert isinstance(index, BlockIndex)
+        index, _ = mapped.param_store.block_index()
         exclude = {user: np.unique(index.items[:2]) for user in range(params.num_users)}
         assert_ta_bitwise(rec, queries, 7, exclude=exclude)
-        assert not [key for key in rec.serving_cache.matrices.keys() if key[0] == "arranged"]
+        assert_ta_bitwise(rec, queries, 7, exclude=np.unique(index.items[-3:]))
+        assert len(rec.serving_cache.matrices) == len(rec.serving_cache.contexts) == 0
+        result = SnapshotPublisher(rec).publish_file(refit_path)
+        assert result.published and not result.delta
+        assert rec.model.param_store is not None
+        assert_ta_bitwise(rec, all_queries(refit), 7, exclude=exclude)
+        assert len(rec.serving_cache.matrices) == len(rec.serving_cache.contexts) == 0
 
 
 class TestStrictPruning:
-    @pytest.mark.parametrize("arranged", [True, False])
-    def test_a_block_whose_bound_equals_tau_is_visited(self, arranged):
+    def test_a_block_whose_bound_equals_tau_is_visited(self):
         # Round 1 scores the first 16 blocks (block 0 by its own bound,
         # the next ones by loose, valid bounds) and τ₁ = 4.0; the last
         # block's bound is exactly 4.0 (no round-up): its tied item
@@ -236,8 +245,7 @@ class TestStrictPruning:
         weights = np.ones((1, 1))
         bounds = weights @ index.block_max.T
         bounds[0, 1:first] = 4.5
-        matrix = item_major if arranged else values.T.copy()
-        chosen = select_blocks(matrix, index, weights, bounds, 2, arranged=arranged)
+        chosen = select_blocks(item_major, index, weights, bounds, 2)
         found = sorted(zip(chosen.items.tolist(), chosen.scores.tolist()))
         assert found == [(0, 5.0), (1, 4.0), (tied, 4.0)]
         assert sorted(chosen.first[0].tolist()) == list(range(first))
@@ -272,7 +280,7 @@ class TestBoundRoundsUp:
     def test_split_path(self, seed, num_items):
         rng = np.random.default_rng(seed)
         params = ttcam(rng, num_items, num_users=3, num_intervals=2)
-        index, _ = BlockIndex.build(params.phi, params.num_user_topics, signed=False, arrange=False)
+        index, _ = BlockIndex.build(params.phi, params.num_user_topics, signed=False)
         cmax = index.block_maxima(params.context_scores(1))
         for user in range(3):
             weights = params.query_weights(user, 1)
@@ -435,22 +443,19 @@ class SelectSpy:
         self.calls = []
         self.original = serving.select_blocks
 
-    def __call__(self, matrix, index, weights, bounds, count, excluded, arranged, workspace):
-        chosen = self.original(
-            matrix, index, weights, bounds, count, excluded, arranged, workspace
-        )
+    def __call__(self, matrix, index, weights, bounds, count, excluded, workspace):
+        chosen = self.original(matrix, index, weights, bounds, count, excluded, workspace)
         self.calls.append(
-            (matrix, index, weights.copy(), bounds.copy(), count, excluded, arranged,
+            (matrix, index, weights.copy(), bounds.copy(), count, excluded,
              chosen.first.copy(), chosen.scored.copy())
         )
         return chosen
 
 
-def row_scores(matrix, index, weights, mask, arranged):
+def row_scores(matrix, index, weights, mask):
     """Every item's score (the TA engine's dot) by item id; padding and exclusions −inf."""
-    item_topic = matrix if not arranged else np.empty((index.num_items, matrix.shape[1]))
-    if arranged:
-        item_topic[index.order] = matrix[: index.num_items]
+    item_topic = np.empty((index.num_items, matrix.shape[1]))
+    item_topic[index.order] = matrix[: index.num_items]
     scores = np.array([float(item_topic[v] @ weights) for v in range(index.num_items)])
     if mask is not None:
         scores[mask] = -np.inf
@@ -500,13 +505,13 @@ class TestTwoRounds:
             patch.setattr(serving, "select_blocks", spy)
             assert_ta_bitwise(rec, queries, k, exclude=exclude)
         assert spy.calls
-        for matrix, index, weights, bounds, count, excluded, arranged, first, scored in spy.calls:
+        for matrix, index, weights, bounds, count, excluded, first, scored in spy.calls:
             num_blocks = index.num_blocks
             fixed = min(num_blocks, max(16, -(-count // B)))
             assert count == min(k, num_items)
             for r in range(weights.shape[0]):
                 mask = None if excluded is None else excluded[r]
-                scores = row_scores(matrix, index, weights[r], mask, arranged)
+                scores = row_scores(matrix, index, weights[r], mask)
                 ones = np.zeros(num_blocks, dtype=bool)
                 ones[first[r]] = True
                 assert ones.sum() == fixed

@@ -20,6 +20,7 @@ import pytest
 from repro.core.serialize import LoadedModel, load_params, save_params
 from repro.recommend import TemporalRecommender
 from repro.recommend.paramstore import ParamStore
+from repro.recommend.serving import BlockIndex
 from repro.recommend.threshold import SortedTopicLists
 from repro.robustness.archive import ALIGN, map_members, write_archive
 from repro.robustness.checkpoint import digest_arrays
@@ -27,9 +28,12 @@ from repro.robustness.errors import SnapshotCorruptError
 
 from .test_serving import make_itcam, make_ttcam
 
-#: Every member ``mmap_layout=True`` may add: the first two only for a
-#: container with one static topic–item matrix.
-DERIVED = {"item_topic", "context", "tcam_manifest"}
+#: The block layout ``mmap_layout=True`` adds for a container with one
+#: static topic–item matrix.
+LAYOUT = {"block_items", "block_max_t", "arranged", "context_max"}
+
+#: Every member ``mmap_layout=True`` may add.
+DERIVED = LAYOUT | {"tcam_manifest"}
 
 
 @pytest.fixture(scope="module", params=["ttcam", "itcam"])
@@ -63,6 +67,11 @@ def data_ends(path):
     return ends
 
 
+def assert_bitwise(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def rewrite(source, dest, redigest=(), **changes):
     """``source``'s members with ``changes`` (``None`` drops one), written as a stored archive.
 
@@ -90,9 +99,12 @@ class TestRoundTrip:
             infos = archive.infolist()
         names = {info.filename.removesuffix(".npy") for info in infos}
         assert "tcam_manifest" in names
-        assert ("item_topic" in names) is ("context" in names) is ("phi_time" in names)
-        # the int8 selection members are no longer written
-        assert not {n for n in names if n.startswith(("qsel_", "context32", "context_"))}
+        assert LAYOUT & names == (LAYOUT if "phi_time" in names else set())
+        # neither the int8 selection members nor the item-id-ordered
+        # transpose and context rows are written any more
+        retired = {"item_topic", "context", "context32", "context_delta", "context_absmax"}
+        assert not names & retired
+        assert not {n for n in names if n.startswith("qsel_")}
         assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
         for name, array in map_members(snapshot).items():
             assert array.ctypes.data % ALIGN == 0, name
@@ -108,28 +120,40 @@ class TestRoundTrip:
             assert np.array_equal(restored.phi_time, eager.phi_time)
 
     def test_derived_arrays_match_online_construction(self, snapshot):
+        # The stored block index is bitwise what the eager scorer builds.
         eager = load_params(snapshot)
         store = ParamStore(snapshot)
         if hasattr(eager, "phi_time"):  # TTCAM: one static matrix
-            lists = SortedTopicLists.build(eager.topic_item_matrix())
-            assert np.array_equal(store.item_topic("static"), lists.item_topic)
-        else:  # ITCAM: per-interval matrices are not persisted
-            assert store.item_topic(0) is None
+            fresh, arranged = BlockIndex.build(
+                eager.topic_item_matrix(0), eager.num_user_topics, signed=False
+            )
+            index, stored = store.block_index()
+            assert index.num_items == fresh.num_items and index.block_min is None
+            assert_bitwise(index.items, fresh.items)
+            assert_bitwise(index.block_max_t, fresh.block_max_t)
+            assert_bitwise(stored, arranged)
+            assert store.block_index()[0] is index  # one object for the store's life
+        else:  # ITCAM: per-interval matrices have no one index to store
+            assert store.block_index() is None
         # The TA sorted lists are not derived or persisted: no serving
         # path reads them.
         assert store.array("sorted_order") is None
         assert store.array("sorted_values") is None
 
     def test_context_rows_bitwise_match_online_expression(self, snapshot):
+        # Each stored row of context block maxima is bitwise the eager
+        # scorer's per-interval maxima of the container's context scores.
         eager = load_params(snapshot)
         store = ParamStore(snapshot)
+        if not hasattr(eager, "phi_time"):
+            assert store.context_max(0) is None
+            return
+        fresh, _ = BlockIndex.build(eager.topic_item_matrix(0), eager.num_user_topics, signed=False)
         for interval in range(eager.num_intervals):
-            row = store.context_row(interval)
-            if hasattr(eager, "phi_time"):
-                expected = eager.theta_time[interval] @ eager.phi_time
-            else:
-                expected = eager.theta_time[interval]
-            assert np.array_equal(row, expected), interval
+            expected = fresh.block_maxima(eager.context_scores(interval))
+            assert_bitwise(store.context_max(interval), expected)
+        assert store.context_max(eager.num_intervals) is None
+        assert store.context_max(-1) is None
 
     def test_manifest_follows_the_containers_declaration(self, snapshot):
         # variant tag and parameter members come from the parameter
@@ -329,7 +353,7 @@ class TestOneOpener:
             spliced = save_params(old.params_, tmp_path / "old.npz", mmap_layout=True)
             rewrite(spliced, path, **fields)
         if sidecar == "torn":  # a derived member cut short of the parameters' shape
-            rewrite(path, path, context=members_of(path)["context"][:1])
+            rewrite(path, path, context_max=members_of(path)["context_max"][:1])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             loaded = LoadedModel.from_file(path)

@@ -10,9 +10,10 @@ module as a script against that commit's sources::
 Derived serving arrays now live inside the snapshot, so such a
 directory is ignored: each ``.npz`` opens through the one opener
 eagerly, with no warning, and serves bitwise what its parameters serve.
-Re-saved with ``mmap_layout=True`` it maps, and its derived members are
-the sidecar's arrays, bit for bit; the sidecar's int8 selection arrays
-are the ones no longer written.
+Re-saved with ``mmap_layout=True`` it maps, and its parameter members
+are the sidecar's arrays, bit for bit; the sidecar's int8 selection
+arrays and its item-id-ordered transpose and context rows are the ones
+no longer written (the block layout serving reads replaces the last two).
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ INT8_MEMBERS = {
     "qsel_int8_delta",
     "qsel_int8_absmax",
 }
+
+#: Every sidecar array no longer written: the int8 ones, and the
+#: transpose and context rows the block layout replaced.
+NOT_WRITTEN = INT8_MEMBERS | {"item_topic", "context"}
+
+#: The block layout a TTCAM re-save writes instead.
+LAYOUT = {"block_items", "block_max_t", "arranged", "context_max"}
 
 
 def _params(variant: str) -> ITCAMParameters | TTCAMParameters:
@@ -89,7 +97,7 @@ def test_parent_written_sidecar_is_ignored_and_serves_bitwise(variant, tmp_path)
     _assert_serves(opened, eager, queries)
 
     # Re-saved with the layout, the same parameters map, serve the same
-    # bits, and carry the parent's derived arrays as members, array for array.
+    # bits, and carry the parent's parameter arrays as members, array for array.
     resaved = save_params(eager, tmp_path / snapshot.name, mmap_layout=True)
     mapped = LoadedModel.from_file(resaved)
     assert mapped.param_store is not None
@@ -99,8 +107,10 @@ def test_parent_written_sidecar_is_ignored_and_serves_bitwise(variant, tmp_path)
         digests = json.loads(str(archive["tcam_manifest"]))["digests"]
     parent_files = {path.stem for path in sidecar.glob("*.npy")}
     assert INT8_MEMBERS <= parent_files
-    assert parent_files - INT8_MEMBERS == set(digests)
-    for name in digests:
+    assert ({"item_topic", "context"} <= parent_files) is (variant == "ttcam")
+    layout = LAYOUT if variant == "ttcam" else set()
+    assert set(digests) == (parent_files - NOT_WRITTEN) | layout
+    for name in set(digests) - layout:
         parent = np.load(sidecar / f"{name}.npy")
         member = mapped.param_store.array(name)
         assert (member.dtype, member.shape) == (parent.dtype, parent.shape), name

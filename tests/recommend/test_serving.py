@@ -137,6 +137,22 @@ class TestBatchExactness:
         rec2 = TemporalRecommender(make_ttcam(rng))
         assert_batch_matches_per_query(rec2, queries, 5, exclude=per_user)
 
+    @pytest.mark.parametrize("kind", ["ttcam", "itcam"])
+    def test_a_changed_exclusion_list_is_honoured_on_the_next_call(self, kind):
+        # Masks are built from each call's own ids: a user's second call
+        # with another list excludes exactly that list, not the first.
+        rng = np.random.default_rng(41)
+        rec = TemporalRecommender((make_ttcam if kind == "ttcam" else make_itcam)(rng))
+        queries = [(1, 2), (1, 3), (4, 2)]
+        first = rec.recommend(1, 2, k=5, method="ta").items
+        for exclude in ({1: first[:1]}, {1: first[1:2]}, {4: first[:2]}, {}):
+            for row, (user, interval) in zip(
+                rec.recommend_batch(queries, k=5, exclude=exclude), queries
+            ):
+                want = rec.recommend(user, interval, k=5, method="ta", exclude=exclude.get(user))
+                assert row.items == want.items, (exclude, user, interval)
+                assert [s.hex() for s in row.scores] == [s.hex() for s in want.scores]
+
     def test_rejects_bad_inputs(self):
         rec = TemporalRecommender(make_ttcam(np.random.default_rng(0)))
         with pytest.raises(ValueError):
@@ -284,9 +300,7 @@ class TestServingCacheEviction:
     def test_evicted_interval_requeried_identically(self):
         rng = np.random.default_rng(11)
         model = make_itcam(rng, num_intervals=6)
-        cache = ServingCache(
-            index_capacity=2, matrix_capacity=2, context_capacity=2, mask_capacity=2
-        )
+        cache = ServingCache(index_capacity=2, matrix_capacity=2, context_capacity=2)
         rec = TemporalRecommender(model, cache=cache)
         queries = [(u % 12, t) for t in range(6) for u in range(3)]
         first = rec.recommend_batch(queries, k=5)

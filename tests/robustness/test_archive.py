@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.core.params import TTCAMParameters
 from repro.core.serialize import LoadedModel, load_params, save_params
 from repro.recommend.paramstore import ParamStore
+from repro.recommend.serving import SELECT_BLOCK
 from repro.robustness import CheckpointError, CheckpointManager, SnapshotCorruptError
 from repro.robustness.archive import ALIGN, map_members, write_archive
 from repro.robustness.checkpoint import digest_arrays
@@ -239,9 +240,10 @@ class TestMalformedMembers:
 
     def test_npy_header_disagreeing_with_the_member_size(self, mapped_bytes, tmp_path):
         raw = bytearray(mapped_bytes)
-        _, data, array_data, _ = spans(mapped_bytes)["context.npy"]
+        _, data, array_data, _ = spans(mapped_bytes)["context_max.npy"]
         header = bytes(raw[data:array_data])
-        wrong = header.replace(f"({INTERVALS}, {ITEMS})".encode(), f"({INTERVALS}, {ITEMS - 1})".encode())
+        blocks = -(-ITEMS // SELECT_BLOCK)
+        wrong = header.replace(f"({INTERVALS}, {blocks})".encode(), f"({INTERVALS}, {blocks - 1})".encode())
         assert wrong != header and len(wrong) == len(header)
         raw[data:array_data] = wrong
         path = tmp_path / "header.npz"
@@ -250,12 +252,12 @@ class TestMalformedMembers:
 
     def test_npy_header_disagreeing_with_the_parameter_shapes(self, mapped_bytes, tmp_path):
         members = self._members(mapped_bytes, tmp_path)
-        members["item_topic"] = members["item_topic"][:-1]
+        members["arranged"] = members["arranged"][:-1]
         manifest = json.loads(str(members["tcam_manifest"]))
-        manifest["digests"]["item_topic"] = digest_arrays({"item_topic": members["item_topic"]})
+        manifest["digests"]["arranged"] = digest_arrays({"arranged": members["arranged"]})
         members["tcam_manifest"] = np.array(json.dumps(manifest))
         path = write_archive(tmp_path / "shape.npz", members, "snapshot.write")
-        self._assert_falls_back(path, "item_topic shape")
+        self._assert_falls_back(path, "arranged shape")
 
 
 class TestDurablePublish:

@@ -280,7 +280,7 @@ class TestRecommendMmapQuantized:
     def test_fit_writes_sidecar(self, mmap_snapshot):
         # the derived members the sidecar directory held, inside the snapshot
         with zipfile.ZipFile(mmap_snapshot) as archive:
-            assert {"item_topic.npy", "tcam_manifest.npy"} <= set(archive.namelist())
+            assert {"arranged.npy", "tcam_manifest.npy"} <= set(archive.namelist())
         assert list(mmap_snapshot.parent.iterdir()) == [mmap_snapshot]
 
     def test_malformed_batch_line_refused_clearly(self, mmap_snapshot, tmp_path, capsys):

@@ -137,8 +137,8 @@ def test_mutating_a_real_file_fires_the_rule(rule, relative, old, new):
     path, original, mutated = _mutate(relative, old, new)
     if rule == "TCAM003":  # an allocation, now under the registry row alone
         mutated = mutated.replace(
-            "        selection: tuple[BlockIndex, FloatArray, bool] | None = None\n",
-            "        selection: tuple[BlockIndex, FloatArray, bool] | None = None\n"
+            "        selection: tuple[BlockIndex, FloatArray] | None = None\n",
+            "        selection: tuple[BlockIndex, FloatArray] | None = None\n"
             "        scratch = np.zeros(3)\n",
         )
         assert mutated.count("scratch = np.zeros(3)") == 1
